@@ -5,18 +5,25 @@ all transformed points within their voxel cells:
 
     sum_j (1 / n_j) * sum_k (p_k - mu_j)^T inv(Sigma_j) (p_k - mu_j)
 
-Each outer iteration transforms the scans with the current poses,
-re-voxelizes the merged cloud, recomputes per-cell statistics, and applies
-one accepted Levenberg-Marquardt update computed from a central-difference
-Jacobian of the per-landmark error vector. During an update only the
-inverse covariances are held constant; the cell means follow the moving
-points, so every cell scores the current scatter of its own members. A
-cell whose members move rigidly together is invariant, while a cell mixing
-misaligned scans is driven toward agreement. Cells full of inconsistent
-geometry (dynamic objects) keep a broad covariance and therefore little
-weight, which is why no outlier rejection is needed.
+Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
+current parameters: it re-voxelizes the merged cloud and recomputes the
+per-cell statistics. It then takes up to `inner_iterations` accepted damped
+Gauss-Newton steps on the whitened per-member residuals of
+`FrozenLandmarks`, with a Jacobian from central differences of the point
+motion. During those steps only the membership and the inverse covariances
+are held constant; the cell means follow the moving points, so every cell
+scores the current scatter of its own members. A cell whose members move
+rigidly together is invariant, while a cell mixing misaligned scans is
+driven toward agreement. Cells full of inconsistent geometry (dynamic
+objects) keep a broad covariance and therefore little weight, which is why
+no outlier rejection is needed.
 
-Fixed points (for example map points in an odometry window) take part in
+Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
+move. Keyframe adjustment moves each cloud rigidly and adds gravity rows
+(`_RigidSystem`, here); the odometry window moves points along a
+continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
+
+Fixed points (for example the points of anchor keyframes) take part in
 voxelization, in the cell means and in the error sums, but carry no
 parameters; they anchor the free scans to previously established
 structure.
@@ -29,15 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud
-from multiscan.landmarks import (
-    Landmark,
-    VoxelConfig,
-    dual_grid_groups,
-    split_by_normals,
-    voxelize_dual,
-)
+from multiscan.landmarks import VoxelConfig, dual_grid_groups, split_by_normals
 
-FIXED_CLOUD_ID = -1
+# central-difference step for every rotation-vector and translation parameter
+FD_STEP = 1e-6
 
 
 class InsufficientStructureError(RuntimeError):
@@ -54,22 +56,15 @@ class LMConfig:
     max_outer_iterations: int = 32
     cost_rel_tol: float = 1e-8
     step_norm_tol: float = 1e-8
-    fd_step_rot: float = 1e-6
-    fd_step_trans: float = 1e-6
     max_lambda_retries: int = 12
     inner_iterations: int = 2
 
     def __post_init__(self):
         if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
             raise ValueError("require lambda_up > 1 > lambda_down > 0")
-        for name in ("lambda_init", "max_outer_iterations", "cost_rel_tol",
-                     "step_norm_tol", "fd_step_rot", "fd_step_trans"):
+        for name in ("lambda_init", "max_outer_iterations", "cost_rel_tol", "step_norm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def fd_steps(self) -> np.ndarray:
-        """Per-parameter central-difference step for one pose (r1 r2 r3 x y z)."""
-        return np.array([self.fd_step_rot] * 3 + [self.fd_step_trans] * 3)
 
 
 @dataclass
@@ -99,10 +94,6 @@ class AdjustmentProblem:
         if self.fixed_points is not None:
             self.fixed_points = np.asarray(self.fixed_points, dtype=float).reshape(-1, 3)
 
-    def has_anchors(self) -> bool:
-        has_fixed = self.fixed_points is not None and len(self.fixed_points) > 0
-        return has_fixed or bool(self.gravity_constraints)
-
     def first_pose_fixed(self) -> bool:
         # without full anchoring the problem has a free rigid gauge; pin it
         # to the first scan, mirroring a reference-cloud formulation.
@@ -128,87 +119,46 @@ class AdjustmentResult:
     iterations: int
 
 
-@dataclass
-class _Compiled:
-    """Landmark list flattened into arrays for vectorized evaluation.
-
-    member_global indexes the stacked point array (all clouds in order,
-    fixed points last); member_lm maps each member row to its landmark.
-    mu_ref is the statistics mean, used as the numerical reference point;
-    the evaluation mean is recomputed from the member points themselves.
-    """
-
-    member_global: np.ndarray
-    member_lm: np.ndarray
-    mu_ref: np.ndarray
-    icov: np.ndarray
-    weight: np.ndarray
-    count: np.ndarray
-    n_landmarks: int
-
-
-def stack_problem_points(problem: AdjustmentProblem, poses: list[Pose]):
-    """World-frame point stack [cloud 0, ..., cloud n-1, fixed], plus owner ids."""
-    chunks = [pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)]
-    owners = [np.full(len(c), i, dtype=np.int64) for i, c in enumerate(chunks)]
-    if problem.fixed_points is not None and len(problem.fixed_points):
-        chunks.append(problem.fixed_points)
-        owners.append(np.full(len(problem.fixed_points), FIXED_CLOUD_ID, dtype=np.int64))
-    pts = np.vstack(chunks) if chunks else np.zeros((0, 3))
-    owner = np.concatenate(owners) if owners else np.zeros(0, dtype=np.int64)
-    return pts, owner
-
-
 def _cloud_offsets(problem: AdjustmentProblem) -> np.ndarray:
     sizes = [len(c) for c in problem.clouds]
     return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
 
-def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> list[Landmark]:
+def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.ndarray, dict]:
     """Voxelize the merged world cloud and compute per-cell statistics.
 
-    With split_normals enabled, planar cells whose member normals oppose
-    each other are divided into front and back landmarks. Splitting needs
-    normals and planarity on every member, so cells touching attribute-free
-    points are left whole.
+    Returns the world-frame point stack [cloud 0, ..., cloud n-1, fixed]
+    and its landmarks in the layout of `dual_grid_groups`. With
+    split_normals enabled, planar cells whose member normals oppose each
+    other are divided into front and back landmarks. Splitting needs
+    normals and planarity on every member, so cells touching
+    attribute-free points are left whole.
     """
-    pts, owner = stack_problem_points(problem, poses)
-    offsets = _cloud_offsets(problem)
-    flat = np.arange(len(pts), dtype=np.int64)
-    local = np.where(owner == FIXED_CLOUD_ID, flat - offsets[-1], flat - offsets[np.maximum(owner, 0)])
-    owners = np.stack([owner, local], axis=1)
-    lms = voxelize_dual(
+    chunks = [pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)]
+    if problem.fixed_points is not None and len(problem.fixed_points):
+        chunks.append(problem.fixed_points)
+    pts = np.vstack(chunks)
+    voxel = problem.voxel
+    groups = dual_grid_groups(
         pts,
-        coarse_size=problem.voxel.coarse_size,
-        fine_size=problem.voxel.fine_size,
-        n_min=problem.voxel.n_min,
-        owners=owners,
-        epsilon=problem.voxel.epsilon,
+        coarse_size=voxel.coarse_size,
+        fine_size=voxel.fine_size,
+        n_min=voxel.n_min,
+        epsilon=voxel.epsilon,
     )
-    if not lms:
+    if groups is None:
         raise InsufficientStructureError(
             "insufficient overlap/structure: no voxel exceeds the landmark threshold"
         )
-    if not problem.split_normals:
-        return lms
-    normals_w, planarity = _stacked_attributes(problem, poses)
-    out: list[Landmark] = []
-    for lm in lms:
-        rows = _member_rows(lm.members, offsets)
-        n = normals_w[rows]
-        p = planarity[rows]
-        if np.any(~np.isfinite(p)) or np.any(np.linalg.norm(n, axis=1) < 0.5):
-            out.append(lm)
-            continue
-        out.extend(
-            split_by_normals(
-                lm, pts[rows], n, p,
-                planarity_min=problem.planarity_min,
-                n_min=problem.voxel.n_min,
-                epsilon=problem.voxel.epsilon,
-            )
+    if problem.split_normals:
+        normals_w, planarity = _stacked_attributes(problem, poses)
+        groups = split_by_normals(
+            groups, pts, normals_w, planarity,
+            planarity_min=problem.planarity_min,
+            n_min=voxel.n_min,
+            epsilon=voxel.epsilon,
         )
-    return out
+    return pts, groups
 
 
 def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
@@ -225,155 +175,6 @@ def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
         normal_chunks.append(np.zeros((len(problem.fixed_points), 3)))
         plan_chunks.append(np.full(len(problem.fixed_points), np.nan))
     return np.vstack(normal_chunks), np.concatenate(plan_chunks)
-
-
-def _member_rows(members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    cloud_id = members[:, 0]
-    return np.where(
-        cloud_id == FIXED_CLOUD_ID,
-        offsets[-1] + members[:, 1],
-        offsets[np.maximum(cloud_id, 0)] + members[:, 1],
-    )
-
-
-def compile_landmarks(landmarks: list[Landmark], offsets: np.ndarray) -> _Compiled:
-    member_global = np.concatenate([_member_rows(lm.members, offsets) for lm in landmarks])
-    member_lm = np.repeat(np.arange(len(landmarks)), [lm.count for lm in landmarks])
-    return _Compiled(
-        member_global=member_global,
-        member_lm=member_lm,
-        mu_ref=np.stack([lm.mean for lm in landmarks]),
-        icov=np.stack([lm.inv_cov for lm in landmarks]),
-        weight=np.array([lm.weight for lm in landmarks]),
-        count=np.array([lm.count for lm in landmarks], dtype=float),
-        n_landmarks=len(landmarks),
-    )
-
-
-def landmark_errors(compiled: _Compiled, world_points: np.ndarray) -> np.ndarray:
-    """Per-landmark weighted scatter around the members' own mean.
-
-    Uses the identity sum (d - dbar)^T M (d - dbar) = sum d^T M d
-    - n dbar^T M dbar with d taken relative to the statistics mean, which
-    keeps the arithmetic well conditioned far from the origin.
-    """
-    lm = compiled.member_lm
-    d = world_points[compiled.member_global] - compiled.mu_ref[lm]
-    q = np.einsum("ni,nij,nj->n", d, compiled.icov[lm], d)
-    q_sum = np.bincount(lm, weights=q, minlength=compiled.n_landmarks)
-    s = np.stack(
-        [np.bincount(lm, weights=d[:, a], minlength=compiled.n_landmarks) for a in range(3)],
-        axis=1,
-    )
-    dbar = s / compiled.count[:, None]
-    central = np.einsum("li,lij,lj->l", dbar, compiled.icov, dbar)
-    return compiled.weight * (q_sum - compiled.count * central)
-
-
-def evaluate_cost(
-    problem: AdjustmentProblem, poses: list[Pose], landmarks: list[Landmark]
-) -> tuple[float, np.ndarray]:
-    """Total cost and per-landmark errors under frozen inverse covariances.
-
-    Membership and inverse covariances stay exactly as frozen; the member
-    points move with the candidate poses and each cell's mean moves with
-    its members. Fixed points contribute to the sums but never move.
-    """
-    if not landmarks:
-        raise InsufficientStructureError("insufficient overlap/structure: empty landmark set")
-    pts, _ = stack_problem_points(problem, poses)
-    compiled = compile_landmarks(landmarks, _cloud_offsets(problem))
-    errors = landmark_errors(compiled, pts)
-    return float(errors.sum()), errors
-
-
-class _ColumnWorkspace:
-    """Per-free-cloud slices for cheap Jacobian columns.
-
-    Perturbing one pose only changes that cloud's members, so per-landmark
-    sums split into a frozen remainder plus the perturbed cloud's
-    contribution, rebuilt here from sufficient statistics.
-    """
-
-    def __init__(self, problem: AdjustmentProblem, poses: list[Pose], compiled: _Compiled):
-        self.compiled = compiled
-        offsets = _cloud_offsets(problem)
-        owner = _member_owner(problem, compiled)
-        pts, _ = stack_problem_points(problem, poses)
-        lm = compiled.member_lm
-        d = pts[compiled.member_global] - compiled.mu_ref[lm]
-        q = np.einsum("ni,nij,nj->n", d, compiled.icov[lm], d)
-        L = compiled.n_landmarks
-        q_all = np.bincount(lm, weights=q, minlength=L)
-        s_all = np.stack([np.bincount(lm, weights=d[:, a], minlength=L) for a in range(3)], axis=1)
-        self.per_cloud = {}
-        for ci in problem.free_indices():
-            rows = np.nonzero(owner == ci)[0]
-            lm_c = lm[rows]
-            q_c = np.bincount(lm_c, weights=q[rows], minlength=L)
-            s_c = np.stack([np.bincount(lm_c, weights=d[rows, a], minlength=L) for a in range(3)], axis=1)
-            local = compiled.member_global[rows] - offsets[ci]
-            self.per_cloud[ci] = {
-                "rows": rows,
-                "lm": lm_c,
-                "raw": problem.clouds[ci].points[local],
-                "q_other": q_all - q_c,
-                "s_other": s_all - s_c,
-            }
-
-    def errors_with_cloud_at(self, ci: int, pose: Pose) -> np.ndarray:
-        """Per-landmark errors with cloud ci placed at the given pose."""
-        comp = self.compiled
-        slot = self.per_cloud[ci]
-        L = comp.n_landmarks
-        d = pose.apply(slot["raw"]) - comp.mu_ref[slot["lm"]]
-        q = np.einsum("ni,nij,nj->n", d, comp.icov[slot["lm"]], d)
-        q_sum = slot["q_other"] + np.bincount(slot["lm"], weights=q, minlength=L)
-        s = slot["s_other"] + np.stack(
-            [np.bincount(slot["lm"], weights=d[:, a], minlength=L) for a in range(3)], axis=1
-        )
-        dbar = s / comp.count[:, None]
-        central = np.einsum("li,lij,lj->l", dbar, comp.icov, dbar)
-        return comp.weight * (q_sum - comp.count * central)
-
-
-def numeric_jacobian(
-    problem: AdjustmentProblem,
-    poses: list[Pose],
-    landmarks: list[Landmark],
-    config: LMConfig | None = None,
-) -> np.ndarray:
-    """Central differences of the per-landmark errors w.r.t. free pose params.
-
-    Shape (n_landmarks, 6 * n_free). Inverse covariances and memberships are
-    held frozen; cell means track the perturbed points. A perturbation of
-    pose c only changes landmarks containing cloud c's members, so only
-    those sums are rebuilt per column.
-    """
-    config = config or LMConfig()
-    compiled = compile_landmarks(landmarks, _cloud_offsets(problem))
-    ws = _ColumnWorkspace(problem, poses, compiled)
-    free = problem.free_indices()
-    jac = np.zeros((compiled.n_landmarks, 6 * len(free)))
-    steps = config.fd_steps()
-    for col_block, cloud_idx in enumerate(free):
-        base_params = poses[cloud_idx].as_params()
-        for p in range(6):
-            h = steps[p]
-            delta = np.zeros(6)
-            delta[p] = h
-            e_plus = ws.errors_with_cloud_at(cloud_idx, Pose.from_params(base_params + delta))
-            e_minus = ws.errors_with_cloud_at(cloud_idx, Pose.from_params(base_params - delta))
-            jac[:, 6 * col_block + p] = (e_plus - e_minus) / (2.0 * h)
-    return jac
-
-
-def _member_owner(problem: AdjustmentProblem, compiled: _Compiled) -> np.ndarray:
-    offsets = _cloud_offsets(problem)
-    owner = np.full(len(compiled.member_global), FIXED_CLOUD_ID, dtype=np.int64)
-    in_clouds = compiled.member_global < offsets[-1]
-    owner[in_clouds] = np.searchsorted(offsets, compiled.member_global[in_clouds], side="right") - 1
-    return owner
 
 
 def lm_step(jacobian: np.ndarray, errors: np.ndarray, lam: float) -> np.ndarray:
@@ -408,220 +209,198 @@ def _gravity_residuals(problem: AdjustmentProblem, poses: list[Pose]) -> np.ndar
     return np.concatenate(parts)
 
 
-def _gravity_jacobian(problem: AdjustmentProblem, poses: list[Pose], config: LMConfig) -> np.ndarray:
+def _gravity_jacobian(problem: AdjustmentProblem, poses: list[Pose], step: float) -> np.ndarray:
     free = problem.free_indices()
     base = _gravity_residuals(problem, poses)
     jac = np.zeros((len(base), 6 * len(free)))
     if len(base) == 0:
         return jac
-    steps = config.fd_steps()
     for col_block, cloud_idx in enumerate(free):
         base_params = poses[cloud_idx].as_params()
         for p in range(3):  # translation never enters the direction residual
-            h = steps[p]
             delta = np.zeros(6)
-            delta[p] = h
+            delta[p] = step
             trial = list(poses)
             trial[cloud_idx] = Pose.from_params(base_params + delta)
             r_plus = _gravity_residuals(problem, trial)
             trial[cloud_idx] = Pose.from_params(base_params - delta)
             r_minus = _gravity_residuals(problem, trial)
-            jac[:, 6 * col_block + p] = (r_plus - r_minus) / (2.0 * h)
+            jac[:, 6 * col_block + p] = (r_plus - r_minus) / (2.0 * step)
     return jac
 
 
-def _apply_step(poses: list[Pose], free: list[int], delta: np.ndarray) -> list[Pose]:
-    out = list(poses)
-    for k, ci in enumerate(free):
-        out[ci] = Pose.from_params(poses[ci].as_params() + delta[6 * k : 6 * k + 6])
-    return out
+class FrozenLandmarks:
+    """Whitened per-member residuals of one frozen set of landmarks.
 
+    Built from the arrays of `dual_grid_groups` (or `split_by_normals`).
+    Stacking one whitened 3-vector per member k of landmark j,
 
-class _PointSystem:
-    """Whitened per-point residual view of one re-voxelization pass.
+        r_k = sqrt(w_j) * chol(inv(Sigma_j))^T (d_k - mean(d_j)),  w_j = 1 / n_j,
 
-    The scalar objective equals the per-landmark error total, but stacking
-    one whitened 3-vector per member,
-
-        r_k = sqrt(w_j) * chol(inv(Sigma_j))^T (d_k - mean(d_j)),
-
-    makes the residuals affine in the point positions, so damped
+    with d_k = p_k - mu_j, makes sum |r_k|^2 equal the scatter cost while
+    the residuals stay affine in the point positions, so damped
     normal-equation steps land on the frozen optimum instead of
-    extrapolating an already-quadratic error toward zero. Central
-    differences of r are taken through the pose transform; whitening and
-    per-cell mean removal are linear maps of the offsets, so each column
-    reduces to the moved points of one cloud plus a per-landmark mean
-    shift gathered back to the members.
+    extrapolating an already-quadratic error toward zero. Membership and
+    inverse covariances are frozen; each cell's mean follows its members.
+    Because whitening and mean removal are linear, moving some members
+    changes r by their own whitened displacement plus a per-landmark mean
+    shift gathered back to every member (`column`).
     """
 
-    def __init__(self, problem: AdjustmentProblem, poses: list[Pose], config: LMConfig):
-        self.problem = problem
-        self.config = config
-        self.free = problem.free_indices()
-        self.offsets = _cloud_offsets(problem)
-        pts, _ = stack_problem_points(problem, poses)
-        if problem.split_normals:
-            comp = compile_landmarks(freeze_landmarks(problem, poses), self.offsets)
-            member_row, member_lm = comp.member_global, comp.member_lm
-            counts, mu_ref, icov, weight = comp.count, comp.mu_ref, comp.icov, comp.weight
-        else:
-            groups = dual_grid_groups(
-                pts,
-                coarse_size=problem.voxel.coarse_size,
-                fine_size=problem.voxel.fine_size,
-                n_min=problem.voxel.n_min,
-                epsilon=problem.voxel.epsilon,
-            )
-            if groups is None:
-                raise InsufficientStructureError(
-                    "insufficient overlap/structure: no voxel exceeds the landmark threshold"
-                )
-            member_row, member_lm = groups["member_row"], groups["member_group"]
-            counts = groups["counts"].astype(float)
-            mu_ref, icov = groups["means"], groups["inv_covs"]
-            weight = 1.0 / counts
-        self.member_row = member_row
-        self.member_lm = member_lm
-        self.counts = counts
-        self.mu_ref = mu_ref
-        self.weight = weight
-        self.n_landmarks = len(counts)
-        self.chol = np.linalg.cholesky(icov)
-        self.chol_m = self.chol[member_lm]
-        self.sw = np.sqrt(weight)
-        self.sw_m = self.sw[member_lm][:, None]
-        # reusable world-point buffer: non-free chunks never change
-        self.world = pts.copy()
-        self.slices = {
-            ci: slice(self.offsets[ci], self.offsets[ci + 1]) for ci in range(len(problem.clouds))
-        }
-        owner = np.full(len(member_row), FIXED_CLOUD_ID, dtype=np.int64)
-        in_clouds = member_row < self.offsets[-1]
-        owner[in_clouds] = np.searchsorted(self.offsets, member_row[in_clouds], side="right") - 1
-        self.cloud_rows = {ci: np.nonzero(owner == ci)[0] for ci in self.free}
-        self.cloud_raw = {
-            ci: problem.clouds[ci].points[member_row[rows] - self.offsets[ci]]
-            for ci, rows in self.cloud_rows.items()
-        }
-        self.cloud_lm = {ci: member_lm[rows] for ci, rows in self.cloud_rows.items()}
-        self.cloud_ratio = {
-            ci: np.bincount(lm_c, minlength=self.n_landmarks) / counts
-            for ci, lm_c in self.cloud_lm.items()
-        }
+    def __init__(self, groups: dict):
+        self.member_row = groups["member_row"]
+        self.member_lm = groups["member_group"]
+        self.counts = groups["counts"].astype(float)
+        self.mu_ref = groups["means"]
+        self.n_landmarks = len(self.counts)
+        self.chol = np.linalg.cholesky(groups["inv_covs"])
+        self.chol_m = self.chol[self.member_lm]
+        self.sw_m = np.sqrt(1.0 / self.counts)[self.member_lm][:, None]
 
-    def _update_world(self, poses: list[Pose]) -> np.ndarray:
-        for ci in self.free:
-            self.world[self.slices[ci]] = poses[ci].apply(self.problem.clouds[ci].points)
-        return self.world
-
-    def member_offsets(self, poses: list[Pose]) -> np.ndarray:
-        pts = self._update_world(poses)
-        return pts[self.member_row] - self.mu_ref[self.member_lm]
-
-    def _member_means(self, d: np.ndarray) -> np.ndarray:
-        s = np.stack(
-            [np.bincount(self.member_lm, weights=d[:, a], minlength=self.n_landmarks) for a in range(3)],
+    def _lm_sums(self, lm: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [np.bincount(lm, weights=values[:, a], minlength=self.n_landmarks) for a in range(3)],
             axis=1,
         )
-        return s / self.counts[:, None]
 
-    def residuals(self, d: np.ndarray) -> np.ndarray:
-        centered = d - self._member_means(d)[self.member_lm]
+    def residuals(self, points: np.ndarray) -> np.ndarray:
+        """Residual vector (3 per member) with the members at rows of points."""
+        d = points[self.member_row] - self.mu_ref[self.member_lm]
+        dbar = self._lm_sums(self.member_lm, d) / self.counts[:, None]
+        centered = d - dbar[self.member_lm]
         return (self.sw_m * np.einsum("nji,nj->ni", self.chol_m, centered)).ravel()
 
-    def landmark_error_vector(self, poses: list[Pose]) -> np.ndarray:
-        """Per-landmark error totals, grouped from the whitened residuals."""
-        d = self.member_offsets(poses)
-        centered = d - self._member_means(d)[self.member_lm]
-        r = np.einsum("nji,nj->ni", self.chol_m, centered)
-        q = np.sum(r * r, axis=1)
-        return self.weight * np.bincount(self.member_lm, weights=q, minlength=self.n_landmarks)
+    def column(self, rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """Change of the residual vector when members rows move by moved."""
+        s = self._lm_sums(self.member_lm[rows], moved)
+        shift_lm = -np.einsum("lji,lj->li", self.chol, s / self.counts[:, None])
+        own = self.sw_m[rows] * np.einsum("nji,nj->ni", self.chol_m[rows], moved)
+        return self.spread(shift_lm, rows, own)
 
-    def cost(self, poses: list[Pose]) -> float:
-        r = self.residuals(self.member_offsets(poses))
+    def spread(self, shift_lm: np.ndarray, rows: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """Per-landmark whitened mean shifts on every member, plus own on rows."""
+        col = self.sw_m * shift_lm[self.member_lm]
+        col[rows] += own
+        return col.ravel()
+
+
+class _RigidSystem:
+    """Rigid point-motion model of keyframe adjustment, with gravity rows.
+
+    Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
+    order. Perturbing one pose moves only that cloud's members, so each
+    Jacobian column is one `FrozenLandmarks` column.
+    """
+
+    def __init__(self, problem: AdjustmentProblem):
+        self.problem = problem
+        self.free = problem.free_indices()
+        self.offsets = _cloud_offsets(problem)
+
+    def poses(self, params: np.ndarray) -> list[Pose]:
+        out = list(self.problem.initial_poses)
+        for k, ci in enumerate(self.free):
+            out[ci] = Pose.from_params(params[6 * k : 6 * k + 6])
+        return out
+
+    def freeze(self, params: np.ndarray) -> None:
+        # the point stack doubles as a world-point buffer: only free clouds move
+        self.world, groups = freeze_landmarks(self.problem, self.poses(params))
+        self.landmarks = lms = FrozenLandmarks(groups)
+        self.cloud_rows, self.cloud_raw, self.cloud_ratio = {}, {}, {}
+        for ci in self.free:
+            lo, hi = self.offsets[ci], self.offsets[ci + 1]
+            rows = np.nonzero((lms.member_row >= lo) & (lms.member_row < hi))[0]
+            self.cloud_rows[ci] = rows
+            self.cloud_raw[ci] = self.problem.clouds[ci].points[lms.member_row[rows] - lo]
+            self.cloud_ratio[ci] = (
+                np.bincount(lms.member_lm[rows], minlength=lms.n_landmarks) / lms.counts
+            )
+
+    def _member_residuals(self, poses: list[Pose]) -> np.ndarray:
+        for ci in self.free:
+            self.world[self.offsets[ci] : self.offsets[ci + 1]] = poses[ci].apply(
+                self.problem.clouds[ci].points
+            )
+        return self.landmarks.residuals(self.world)
+
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        poses = self.poses(params)
+        r = self._member_residuals(poses)
+        return np.concatenate([r, _gravity_residuals(self.problem, poses)])
+
+    def cost(self, params: np.ndarray) -> float:
+        poses = self.poses(params)
+        r = self._member_residuals(poses)
         extras = _gravity_residuals(self.problem, poses)
         return float(r @ r + extras @ extras)
 
-    def jacobian_and_residuals(self, poses: list[Pose]):
-        steps = self.config.fd_steps()
-        n_members = len(self.member_lm)
-        jac = np.zeros((3 * n_members, 6 * len(self.free)))
+    def jacobian(self, params: np.ndarray, step: float = FD_STEP):
+        """Central-difference Jacobian of residuals(params), and the residuals."""
+        lms = self.landmarks
+        jac = np.zeros((3 * len(lms.member_lm), len(params)))
         for k, ci in enumerate(self.free):
             rows = self.cloud_rows[ci]
-            raw = self.cloud_raw[ci]
-            lm_c = self.cloud_lm[ci]
-            ratio = self.cloud_ratio[ci]
-            base = poses[ci].as_params()
+            base = params[6 * k : 6 * k + 6]
             for p in range(6):
-                h = steps[p]
-                col = np.empty((n_members, 3))
                 if p >= 3:
                     # translation: every member of this cloud moves by the
                     # same 2h step along one axis; whitened contribution is
                     # a Cholesky row scaled by the cloud's member share
                     axis = p - 3
-                    shift_lm = -2.0 * h * self.chol[:, axis, :] * ratio[:, None]
-                    col[:] = self.sw_m * shift_lm[self.member_lm]
-                    col[rows] += self.sw_m[rows] * (2.0 * h) * self.chol_m[rows, axis, :]
+                    shift_lm = -2.0 * step * lms.chol[:, axis, :] * self.cloud_ratio[ci][:, None]
+                    own = lms.sw_m[rows] * (2.0 * step) * lms.chol_m[rows, axis, :]
+                    col = lms.spread(shift_lm, rows, own)
                 else:
                     delta = np.zeros(6)
-                    delta[p] = h
+                    delta[p] = step
                     rot_p = Pose.from_params(base + delta)
                     rot_m = Pose.from_params(base - delta)
-                    moved = raw @ (rot_p.matrix() - rot_m.matrix()).T + (rot_p.trans - rot_m.trans)
-                    s = np.stack(
-                        [np.bincount(lm_c, weights=moved[:, a], minlength=self.n_landmarks) for a in range(3)],
-                        axis=1,
+                    moved = self.cloud_raw[ci] @ (rot_p.matrix() - rot_m.matrix()).T + (
+                        rot_p.trans - rot_m.trans
                     )
-                    shift_lm = -np.einsum("lji,lj->li", self.chol, s / self.counts[:, None])
-                    col[:] = self.sw_m * shift_lm[self.member_lm]
-                    col[rows] += self.sw_m[rows] * np.einsum("nji,nj->ni", self.chol_m[rows], moved)
-                jac[:, 6 * k + p] = col.ravel() / (2.0 * h)
-        r = self.residuals(self.member_offsets(poses))
+                    col = lms.column(rows, moved)
+                jac[:, 6 * k + p] = col / (2.0 * step)
         if self.problem.gravity_constraints:
-            jac = np.vstack([jac, _gravity_jacobian(self.problem, poses, self.config)])
-            r = np.concatenate([r, _gravity_residuals(self.problem, poses)])
-        return jac, r
+            jac = np.vstack([jac, _gravity_jacobian(self.problem, self.poses(params), step)])
+        return jac, self.residuals(params)
 
 
-def run_adjustment(problem: AdjustmentProblem, config: LMConfig | None = None) -> AdjustmentResult:
-    """Full adjustment loop per the re-voxelize / update cycle.
+def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
+    """Minimize a system's cost over a flat parameter vector.
 
-    Every outer iteration re-voxelizes at the current poses and then takes
-    up to inner_iterations accepted damped steps against those frozen
-    covariances. A step is only accepted if it strictly decreases the
-    frozen cost, so the recorded (linearization, accepted) cost pairs are
-    non-increasing within every outer iteration. Terminates when the outer
-    improvement falls below cost_rel_tol, the parameter step norm falls
-    below step_norm_tol, or the iteration budget runs out.
+    system provides freeze(params), which fixes its landmarks at params;
+    cost(params) and residuals(params) against the frozen landmarks; and
+    jacobian(params), which returns the Jacobian and the residuals. Every
+    outer iteration freezes at the current parameters and then takes up to
+    inner_iterations accepted damped steps; later steps reuse the first
+    Jacobian with fresh residuals, since the residuals are near-affine in
+    the parameters over one pass. A step is only accepted if it strictly
+    decreases the frozen cost, so the recorded (linearization, accepted)
+    cost pairs are non-increasing within every outer iteration. Terminates
+    when the outer improvement falls below cost_rel_tol, the parameter step
+    norm falls below step_norm_tol (as when no step is accepted), or the
+    iteration budget runs out.
+
+    Returns (params, cost_history, converged, iterations).
     """
-    config = config or LMConfig()
-    poses = list(problem.initial_poses)
-    free = problem.free_indices()
     history: list[float] = []
     converged = False
     iterations = 0
-
     for outer in range(config.max_outer_iterations):
         iterations = outer + 1
-        system = _PointSystem(problem, poses, config)
-        cost_outer = system.cost(poses)
+        jac = None  # release the last pass's Jacobian before building the next
+        system.freeze(params)
+        cost_outer = system.cost(params)
         history.append(cost_outer)
-
         lam = config.lambda_init
         cost_cur = cost_outer
         step_norm = 0.0
-        stalled = False
-        jac = None
         for inner in range(config.inner_iterations):
             if inner == 0:
-                jac, r_all = system.jacobian_and_residuals(poses)
+                jac, r_all = system.jacobian(params)
             else:
-                # residuals are near-affine in the poses over one pass, so
-                # later steps reuse the Jacobian with fresh residuals
-                r_all = system.residuals(system.member_offsets(poses))
-                if problem.gravity_constraints:
-                    r_all = np.concatenate([r_all, _gravity_residuals(problem, poses)])
+                r_all = system.residuals(params)
             accepted = None
             for _ in range(config.max_lambda_retries):
                 try:
@@ -631,30 +410,33 @@ def run_adjustment(problem: AdjustmentProblem, config: LMConfig | None = None) -
                     continue
                 if float(np.linalg.norm(delta)) < config.step_norm_tol:
                     break
-                trial = _apply_step(poses, free, delta)
+                trial = params + delta
                 trial_cost = system.cost(trial)
                 if trial_cost < cost_cur:
                     accepted = (trial, trial_cost, float(np.linalg.norm(delta)))
                     break
                 lam *= config.lambda_up
             if accepted is None:
-                stalled = True
                 break
-            poses, cost_cur, inner_step = accepted
+            params, cost_cur, inner_step = accepted
             step_norm += inner_step
             lam = max(lam * config.lambda_down, 1e-12)
-
         history.append(cost_cur)
         rel_drop = (cost_outer - cost_cur) / max(cost_outer, np.finfo(float).tiny)
-        if stalled and cost_cur >= cost_outer:
-            # no acceptable step found on freshly frozen statistics
-            converged = step_norm == 0.0
-            break
         if rel_drop < config.cost_rel_tol or step_norm < config.step_norm_tol:
             converged = True
             break
+    return params, history, converged, iterations
 
-    return AdjustmentResult(poses, history, converged=converged, iterations=iterations)
+
+def run_adjustment(problem: AdjustmentProblem, config: LMConfig | None = None) -> AdjustmentResult:
+    """Adjust the free poses of problem by `levenberg_marquardt`."""
+    system = _RigidSystem(problem)
+    params0 = np.concatenate([problem.initial_poses[ci].as_params() for ci in system.free])
+    params, history, converged, iterations = levenberg_marquardt(
+        system, params0, config or LMConfig()
+    )
+    return AdjustmentResult(system.poses(params), history, converged=converged, iterations=iterations)
 
 
 def relative_pose_errors(

@@ -85,19 +85,6 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return q[:3] * (angle / vec_norm)
 
 
-def quat_multiply(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    ax, ay, az, aw = qa
-    bx, by, bz, bw = qb
-    return np.array(
-        [
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-            aw * bw - ax * bx - ay * by - az * bz,
-        ]
-    )
-
-
 def slerp(ra: np.ndarray, rb: np.ndarray, u: float) -> np.ndarray:
     """Constant-angular-velocity interpolation between two rotation vectors.
 
@@ -216,16 +203,6 @@ class Pose:
     def inverse(self) -> "Pose":
         rot_t = self.matrix().T
         return Pose(matrix_to_rotvec(rot_t), -(rot_t @ self.trans))
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Composition a after b (apply b first, then a)."""
-    return a.compose(b)
-
-
-def apply(pose: Pose, p: np.ndarray) -> np.ndarray:
-    """R @ p + t."""
-    return pose.apply(p)
 
 
 @dataclass

@@ -5,12 +5,16 @@ covariance. Cells are laid out twice, once coarse and once fine, so a point
 can contribute to up to two landmarks. Covariances use 1/n normalization,
 which makes the per-landmark quadratic cost at the statistics' own points
 exactly 3 (trace identity) and gives a strong analytic test hook.
+
+Landmarks are held as one dict of flat arrays (see `dual_grid_groups`):
+every member is a row of the input point stack, and the members of one
+landmark are contiguous. `split_by_normals` maps such a dict to another of
+the same layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +31,6 @@ DEFAULT_N_MIN = 5
 DEFAULT_EPSILON = 1e-4
 
 
-class VoxelKey(NamedTuple):
-    ix: int
-    iy: int
-    iz: int
-    level: str
-
-
 @dataclass(frozen=True)
 class VoxelConfig:
     """Grid parameters shared by every landmark-based optimization."""
@@ -42,27 +39,6 @@ class VoxelConfig:
     fine_size: float = DEFAULT_FINE_SIZE
     n_min: int = DEFAULT_N_MIN
     epsilon: float = DEFAULT_EPSILON
-
-
-@dataclass
-class Landmark:
-    """One voxel cell's point set with frozen Gaussian statistics.
-
-    members holds (cloud id, point index) pairs; fixed map points use
-    cloud id -1. weight is 1/n so dense cells do not dominate the cost.
-    """
-
-    key: VoxelKey
-    members: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    inv_cov: np.ndarray
-    weight: float
-    split_id: int = 0
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
 
 
 def voxel_cell_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
@@ -78,21 +54,13 @@ def pack_cell_indices(idx3: np.ndarray) -> np.ndarray:
     return (shifted[:, 0] << 40) | (shifted[:, 1] << 20) | shifted[:, 2]
 
 
-def landmark_stats(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic mean and biased (1/n) covariance of a point set."""
-    members = np.asarray(members, dtype=float).reshape(-1, 3)
-    if len(members) < 2:
-        raise ValueError("landmark statistics need at least 2 points")
-    mean = members.mean(axis=0)
-    centered = members - mean
-    cov = centered.T @ centered / len(members)
-    return mean, 0.5 * (cov + cov.T)
-
-
 def regularized_inverse(cov: np.ndarray, epsilon: float) -> np.ndarray:
-    """(cov + epsilon * I)^-1, symmetrized. epsilon > 0 guarantees SPD."""
+    """(cov + epsilon * I)^-1, symmetrized, for one (3, 3) or a stack (..., 3, 3).
+
+    epsilon > 0 guarantees SPD.
+    """
     inv = np.linalg.inv(np.asarray(cov, dtype=float) + epsilon * np.eye(3))
-    return 0.5 * (inv + inv.T)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def _grouped_mean_cov(points: np.ndarray, gid: np.ndarray, n_groups: int):
@@ -138,7 +106,7 @@ def dual_grid_groups(
     n_min: int = DEFAULT_N_MIN,
     epsilon: float = DEFAULT_EPSILON,
 ):
-    """Array form of the dual voxelization: one dict of flat arrays.
+    """Dual voxelization into landmarks, as one dict of flat arrays.
 
     Returns None when no cell exceeds n_min. Keys: member_row (into the
     input points, all retained groups concatenated), member_group, counts,
@@ -166,119 +134,104 @@ def dual_grid_groups(
     member_group = np.concatenate(all_gid)
     counts = np.concatenate(all_counts)
     means, covs, _ = _grouped_mean_cov(points[member_row], member_group, base)
-    inv_covs = np.linalg.inv(covs + epsilon * np.eye(3))
-    inv_covs = 0.5 * (inv_covs + inv_covs.transpose(0, 2, 1))
     return {
         "member_row": member_row,
         "member_group": member_group,
         "counts": counts,
         "means": means,
         "covs": covs,
-        "inv_covs": inv_covs,
+        "inv_covs": regularized_inverse(covs, epsilon),
         "cells": np.vstack(all_cells),
         "levels": levels,
     }
 
 
-def voxelize_dual(
-    points: np.ndarray,
-    coarse_size: float = DEFAULT_COARSE_SIZE,
-    fine_size: float = DEFAULT_FINE_SIZE,
-    n_min: int = DEFAULT_N_MIN,
-    owners: np.ndarray | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> list[Landmark]:
-    """Bin points into coarse and fine grids; landmarks need > n_min members.
-
-    owners gives the (cloud id, point index) identity of each input point;
-    when omitted, all points belong to cloud 0 with their flat index.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    if owners is None:
-        owners = np.stack([np.zeros(len(points), dtype=np.int64), np.arange(len(points), dtype=np.int64)], axis=1)
-    else:
-        owners = np.asarray(owners, dtype=np.int64).reshape(-1, 2)
-        if len(owners) != len(points):
-            raise ValueError("owners length must match point count")
-    groups = dual_grid_groups(points, coarse_size, fine_size, n_min, epsilon)
-    if groups is None:
-        return []
-    landmarks: list[Landmark] = []
-    member_chunks = np.split(groups["member_row"], np.cumsum(groups["counts"])[:-1])
-    for g, chunk in enumerate(member_chunks):
-        cell = groups["cells"][g]
-        landmarks.append(
-            Landmark(
-                key=VoxelKey(int(cell[0]), int(cell[1]), int(cell[2]), groups["levels"][g]),
-                members=owners[chunk],
-                mean=groups["means"][g],
-                cov=groups["covs"][g],
-                inv_cov=groups["inv_covs"][g],
-                weight=1.0 / groups["counts"][g],
-            )
-        )
-    return landmarks
-
-
 def split_by_normals(
-    landmark: Landmark,
-    member_points: np.ndarray,
+    groups: dict,
+    points: np.ndarray,
     normals: np.ndarray,
     planarities: np.ndarray,
     planarity_min: float,
     n_min: int = DEFAULT_N_MIN,
     epsilon: float = DEFAULT_EPSILON,
-) -> list[Landmark]:
-    """Split a planar landmark whose member normals point both ways.
+) -> dict:
+    """Split planar landmarks whose member normals point both ways.
 
     Thin structures scanned from both sides (walls, signs) collapse front
-    and back surfaces into one voxel. If the members are planar on average
-    and their normals fall into two opposing clusters, the set is
+    and back surfaces into one voxel. If a landmark's members are planar on
+    average and their normals fall into two opposing clusters, the set is
     partitioned by the sign of the dot product with the dominant normal
     and each half gets fresh statistics. Both halves must keep more than
-    n_min members, otherwise the original landmark is returned unchanged.
+    n_min members, otherwise the landmark stays whole. So does a landmark
+    with any member whose planarity is not finite or whose normal is
+    shorter than 0.5 (undefined).
 
-    member_points, normals and planarities are per-member arrays aligned
-    with landmark.members.
+    points, normals and planarities are aligned with the rows that
+    groups["member_row"] indexes. The result has the layout of
+    `dual_grid_groups`; the two halves of a split landmark take its place
+    in the order, the half holding its first member first.
     """
-    member_points = np.asarray(member_points, dtype=float).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-    planarities = np.asarray(planarities, dtype=float).reshape(-1)
-    if not (len(member_points) == len(normals) == len(planarities) == landmark.count):
-        raise ValueError("per-member attribute length mismatch")
-    if planarities.mean() < planarity_min:
-        return [landmark]
+    rows, gid, counts = groups["member_row"], groups["member_group"], groups["counts"]
+    n_groups = len(counts)
+    n = np.asarray(normals, dtype=float)[rows]
+    plan = np.asarray(planarities, dtype=float)[rows]
+
+    def per_group(values):
+        return np.bincount(gid, weights=values, minlength=n_groups)
+
+    finite = np.isfinite(plan)
+    undefined = ~finite | (np.linalg.norm(n, axis=1) < 0.5)
+    candidate = (per_group(undefined) == 0) & (
+        per_group(np.where(finite, plan, 0.0)) / counts >= planarity_min
+    )
     # dominant direction: principal eigenvector of the normal scatter,
     # sign-invariant so +n and -n vote for the same axis
-    scatter = normals.T @ normals
-    _, vecs = np.linalg.eigh(scatter)
-    dominant = vecs[:, -1]
-    side = normals @ dominant >= 0.0
-    n_pos, n_neg = int(side.sum()), int((~side).sum())
-    if n_pos == 0 or n_neg == 0:
-        return [landmark]
-    mean_pos = normals[side].mean(axis=0)
-    mean_neg = normals[~side].mean(axis=0)
-    if mean_pos @ mean_neg >= 0.0:
-        return [landmark]
-    if min(n_pos, n_neg) <= n_min:
-        return [landmark]
-    # first member stays in split 0 so the outcome does not depend on the
-    # eigenvector's arbitrary sign
-    if not side[0]:
-        side = ~side
-    halves = []
-    for split_id, mask in ((0, side), (1, ~side)):
-        mean, cov = landmark_stats(member_points[mask])
-        halves.append(
-            Landmark(
-                key=landmark.key,
-                members=landmark.members[mask],
-                mean=mean,
-                cov=cov,
-                inv_cov=regularized_inverse(cov, epsilon),
-                weight=1.0 / int(mask.sum()),
-                split_id=split_id,
-            )
-        )
-    return halves
+    scatter = np.stack(
+        [per_group(n[:, a] * n[:, b]) for a in range(3) for b in range(3)], axis=1
+    ).reshape(-1, 3, 3)
+    dominant = np.zeros((n_groups, 3))
+    if np.any(candidate):
+        dominant[candidate] = np.linalg.eigh(scatter[candidate])[1][:, :, -1]
+    side = np.einsum("ni,ni->n", n, dominant[gid]) >= 0.0
+    n_pos = per_group(side)
+    sum_pos = np.stack([per_group(np.where(side, n[:, a], 0.0)) for a in range(3)], axis=1)
+    sum_neg = np.stack([per_group(np.where(side, 0.0, n[:, a])) for a in range(3)], axis=1)
+    split = (
+        candidate
+        & (np.minimum(n_pos, counts - n_pos) > n_min)
+        & (np.einsum("gi,gi->g", sum_pos, sum_neg) < 0.0)
+    )
+    if not np.any(split):
+        return groups
+
+    # the first member's half comes first, so the outcome does not depend on
+    # the eigenvector's arbitrary sign
+    first = np.cumsum(counts) - counts
+    second_half = split[gid] & (side != side[first][gid])
+    width = 1 + split.astype(np.int64)
+    new_gid = (np.cumsum(width) - width)[gid] + second_half
+    order = np.argsort(new_gid, kind="stable")
+    member_row, member_group = rows[order], new_gid[order]
+    parent = np.repeat(np.arange(n_groups), width)
+    means = groups["means"][parent]
+    covs = groups["covs"][parent]
+    inv_covs = groups["inv_covs"][parent]
+    fresh = split[parent]
+    in_fresh = fresh[member_group]
+    local = np.cumsum(fresh) - 1
+    means[fresh], covs[fresh], _ = _grouped_mean_cov(
+        np.asarray(points, dtype=float)[member_row[in_fresh]],
+        local[member_group[in_fresh]],
+        int(fresh.sum()),
+    )
+    inv_covs[fresh] = regularized_inverse(covs[fresh], epsilon)
+    return {
+        "member_row": member_row,
+        "member_group": member_group,
+        "counts": np.bincount(member_group, minlength=len(parent)),
+        "means": means,
+        "covs": covs,
+        "inv_covs": inv_covs,
+        "cells": groups["cells"][parent],
+        "levels": [groups["levels"][g] for g in parent],
+    }

@@ -19,11 +19,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from multiscan.adjustment import (
+    FD_STEP,
     AdjustmentProblem,
+    FrozenLandmarks,
     GravityConstraint,
     InsufficientStructureError,
     LMConfig,
-    lm_step,
+    levenberg_marquardt,
+    lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
@@ -39,7 +42,6 @@ from multiscan.imu import (
     GravityEstimate,
     ImuSample,
     estimate_gravity,
-    imu_residual,
     preintegrate,
     static_initialization,
 )
@@ -60,8 +62,11 @@ logger = logging.getLogger(__name__)
 class PipelineConfig:
     window_duration: float = 1.0
     control_spacing: float = 0.1
-    window_iterations: int = 6
-    window_inner_iterations: int = 2
+    window_lm: LMConfig = field(
+        default_factory=lambda: LMConfig(
+            max_outer_iterations=6, inner_iterations=2, max_lambda_retries=10
+        )
+    )
     table_resolution: float = 1e-3
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
     downsample: DownsampleConfig = field(default_factory=DownsampleConfig)
@@ -83,12 +88,6 @@ class PipelineConfig:
     k_neighbors: int = 10
     static_radius: float = 30.0
     planarity_min: float = 0.5
-    lambda_init: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.5
-    max_lambda_retries: int = 10
-    step_norm_tol: float = 1e-8
-    cost_rel_tol: float = 1e-8
 
 
 def pipeline_config_from_dict(values: dict) -> PipelineConfig:
@@ -109,7 +108,7 @@ def pipeline_config_from_dict(values: dict) -> PipelineConfig:
             down["trim_range"] = float(raw)
         elif key == "downsample_seed":
             down["seed"] = int(raw)
-        elif hasattr(cfg, key) and not key.startswith(("voxel", "downsample", "kf_lm")):
+        elif hasattr(cfg, key) and not key.startswith(("voxel", "downsample", "kf_lm", "window_lm")):
             current = getattr(cfg, key)
             if isinstance(current, bool):
                 setattr(cfg, key, raw.lower() in ("1", "true", "yes", "on"))
@@ -279,14 +278,15 @@ class ScanResult:
 
 
 class _WindowSystem:
-    """Whitened residual system for one window pass: spline + landmarks + IMU.
+    """Spline point-motion model of one window pass, with IMU and prior rows.
 
     Parameters are the control poses (6 each). World positions come from
     the millisecond pose table; each point is bound to its nearest table
     slot. A perturbation of control pose k only alters table slots within
-    its spline support, so Jacobian columns rebuild just those slots, move
-    the points bound to them, and apply the same per-landmark mean-shift
-    trick as the rigid multi-scan system.
+    its spline support, so a Jacobian column re-evaluates just those slots
+    and hands the displacement of the points bound to them to the shared
+    `FrozenLandmarks` core. Static map points join the landmarks but never
+    move.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -320,7 +320,6 @@ class _WindowSystem:
             np.full(3, config.imu_weight_vel),
             np.full(3, config.imu_weight_pos),
         ])
-        self._frozen = None
 
     # ---- trajectory evaluation -------------------------------------------------
 
@@ -331,19 +330,16 @@ class _WindowSystem:
         ]
         return ContinuousTrajectory(ctrl)
 
-    def _ctrl_arrays(self, params: np.ndarray):
-        blocks = params.reshape(-1, 6)
-        return blocks[:, 3:].copy(), rotvecs_to_quats(blocks[:, :3])
-
-    def _slot_poses(self, params: np.ndarray, slot_idx: np.ndarray | None = None):
-        positions, quats = self._ctrl_arrays(params)
-        times = self.slot_times if slot_idx is None else self.slot_times[slot_idx]
+    def _slot_poses(self, params: np.ndarray, times: np.ndarray):
+        """Rotations and positions at times; params may have leading batch axes."""
+        blocks = params.reshape(*params.shape[:-1], -1, 6)
+        quats = rotvecs_to_quats(blocks[..., :3].reshape(-1, 3)).reshape(*blocks.shape[:-1], 4)
         rot = slerp_rotation_matrices(self.ctrl_times, quats, self.spacing, times)
-        pos = hermite_positions(self.ctrl_times, positions, self.spacing, times)
+        pos = hermite_positions(self.ctrl_times, blocks[..., 3:].copy(), self.spacing, times)
         return rot, pos
 
     def world_points(self, params: np.ndarray) -> np.ndarray:
-        rot_tab, pos_tab = self._slot_poses(params)
+        rot_tab, pos_tab = self._slot_poses(params, self.slot_times)
         rot = rot_tab[self.point_slot]
         pos = pos_tab[self.point_slot]
         moving = np.einsum("nij,nj->ni", rot, self.sensor_points) + pos
@@ -351,22 +347,12 @@ class _WindowSystem:
             return np.vstack([moving, self.static_points])
         return moving
 
-    def _knot_velocities(self, params: np.ndarray) -> np.ndarray:
-        """Spline velocity at every control time (Catmull-Rom tangents)."""
-        pos = params.reshape(-1, 6)[:, 3:]
-        vel = np.empty_like(pos)
-        vel[0] = (pos[1] - pos[0]) / self.spacing
-        vel[-1] = (pos[-1] - pos[-2]) / self.spacing
-        if len(pos) > 2:
-            vel[1:-1] = (pos[2:] - pos[:-2]) / (2.0 * self.spacing)
-        return vel
-
     def imu_rows(self, params: np.ndarray, segments=None) -> np.ndarray:
         """Weighted preintegration residuals, 9 per instrumented segment."""
         if not self.deltas:
             return np.zeros(0)
-        vel = self._knot_velocities(params)
         blocks = params.reshape(-1, 6)
+        vel = catmull_rom_tangents(blocks[:, 3:], self.spacing)
         mats = rotvecs_to_matrices(blocks[:, :3])
         wanted = None if segments is None else set(segments)
         rows = []
@@ -386,12 +372,11 @@ class _WindowSystem:
             return np.zeros(0)
         return np.concatenate(rows)
 
-    # ---- frozen landmark system --------------------------------------------------
+    # ---- residual system -----------------------------------------------------------
 
-    def freeze(self, params: np.ndarray):
-        pts = self.world_points(params)
+    def freeze(self, params: np.ndarray) -> None:
         groups = dual_grid_groups(
-            pts,
+            self.world_points(params),
             coarse_size=self.config.voxel.coarse_size,
             fine_size=self.config.voxel.fine_size,
             n_min=self.config.voxel.n_min,
@@ -401,47 +386,25 @@ class _WindowSystem:
             raise InsufficientStructureError(
                 "insufficient overlap/structure in the sliding window"
             )
-        member_row = groups["member_row"]
-        member_lm = groups["member_group"]
-        counts = groups["counts"].astype(float)
-        chol = np.linalg.cholesky(groups["inv_covs"])
-        frozen = {
-            "member_row": member_row,
-            "member_lm": member_lm,
-            "counts": counts,
-            "mu_ref": groups["means"],
-            "chol": chol,
-            "chol_m": chol[member_lm],
-            "sw_m": np.sqrt(1.0 / counts)[member_lm][:, None],
-            "n_landmarks": len(counts),
-            "n_moving": len(self.sensor_points),
-        }
-        # member rows whose point moves with the trajectory
-        moving_mask = member_row < frozen["n_moving"]
-        frozen["moving_rows"] = np.nonzero(moving_mask)[0]
-        frozen["moving_slot"] = np.full(len(member_row), -1, dtype=np.int64)
-        frozen["moving_slot"][moving_mask] = self.point_slot[member_row[moving_mask]]
-        self._frozen = frozen
-        return frozen
+        self.landmarks = FrozenLandmarks(groups)
+        # table slot of every member whose point moves with the trajectory
+        member_row = self.landmarks.member_row
+        moving = member_row < len(self.sensor_points)
+        self.member_slot = np.full(len(member_row), -1, dtype=np.int64)
+        self.member_slot[moving] = self.point_slot[member_row[moving]]
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
 
-    def residual_vector(self, params: np.ndarray) -> np.ndarray:
-        fr = self._frozen
-        pts = self.world_points(params)
-        d = pts[fr["member_row"]] - fr["mu_ref"][fr["member_lm"]]
-        s = np.stack(
-            [np.bincount(fr["member_lm"], weights=d[:, a], minlength=fr["n_landmarks"]) for a in range(3)],
-            axis=1,
-        )
-        dbar = s / fr["counts"][:, None]
-        centered = d - dbar[fr["member_lm"]]
-        r = (fr["sw_m"] * np.einsum("nji,nj->ni", fr["chol_m"], centered)).ravel()
-        return np.concatenate([r, self.imu_rows(params), self.prior_rows(params)])
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            self.landmarks.residuals(self.world_points(params)),
+            self.imu_rows(params),
+            self.prior_rows(params),
+        ])
 
     def cost(self, params: np.ndarray) -> float:
-        r = self.residual_vector(params)
+        r = self.residuals(params)
         return float(r @ r)
 
     def _slots_in_span(self, k: int):
@@ -449,80 +412,31 @@ class _WindowSystem:
         hi = self.ctrl_times[min(self.n_ctrl - 1, k + 2)] + 1e-12
         return np.nonzero((self.slot_times >= lo) & (self.slot_times <= hi))[0]
 
-    def _variant_slot_poses(self, pos_batch: np.ndarray, quat_batch: np.ndarray, times: np.ndarray):
-        """Slot poses for a batch of control-array variants at shared times."""
-        B, K, _ = pos_batch.shape
-        spacing = self.spacing
-        tang = np.empty_like(pos_batch)
-        tang[:, 0] = (pos_batch[:, 1] - pos_batch[:, 0]) / spacing
-        tang[:, -1] = (pos_batch[:, -1] - pos_batch[:, -2]) / spacing
-        if K > 2:
-            tang[:, 1:-1] = (pos_batch[:, 2:] - pos_batch[:, :-2]) / (2.0 * spacing)
-        seg = np.clip(np.searchsorted(self.ctrl_times, times, side="right") - 1, 0, K - 2)
-        u = np.clip((times - self.ctrl_times[seg]) / spacing, 0.0, 1.0)
-        u2, u3 = u * u, u * u * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = (u3 - 2 * u2 + u) * spacing
-        h01 = -2 * u3 + 3 * u2
-        h11 = (u3 - u2) * spacing
-        pos = (
-            h00[None, :, None] * pos_batch[:, seg]
-            + h10[None, :, None] * tang[:, seg]
-            + h01[None, :, None] * pos_batch[:, seg + 1]
-            + h11[None, :, None] * tang[:, seg + 1]
-        )
-        qa = quat_batch[:, seg]
-        qb = quat_batch[:, seg + 1]
-        dots = np.sum(qa * qb, axis=2)
-        qb = np.where(dots[:, :, None] < 0.0, -qb, qb)
-        dots = np.clip(np.abs(dots), 0.0, 1.0)
-        theta = np.arccos(dots)
-        sin_theta = np.sin(theta)
-        near = sin_theta < 1e-9
-        safe = np.where(near, 1.0, sin_theta)
-        wa = np.where(near, 1.0 - u[None, :], np.sin((1.0 - u[None, :]) * theta) / safe)
-        wb = np.where(near, u[None, :], np.sin(u[None, :] * theta) / safe)
-        q = wa[:, :, None] * qa + wb[:, :, None] * qb
-        q /= np.linalg.norm(q, axis=2, keepdims=True)
-        from multiscan.trajectory import _quats_to_matrices
-
-        rot = _quats_to_matrices(q.reshape(-1, 4)).reshape(B, len(times), 3, 3)
-        return rot, pos
-
-    def jacobian(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fr = self._frozen
-        n_members = len(fr["member_row"])
-        base_imu = self.imu_rows(params)
+    def jacobian(self, params: np.ndarray, step: float = FD_STEP):
+        """Central-difference Jacobian of residuals(params), and the residuals."""
+        lms = self.landmarks
+        n_lm_rows = 3 * len(lms.member_row)
+        n_imu_rows = 9 * len(self.deltas)
         n_params = 6 * self.n_ctrl
-        jac = np.zeros((3 * n_members + len(base_imu) + n_params, n_params))
-        jac[3 * n_members + len(base_imu):, :] = np.diag(self.prior_weights)
-        h_rot = self.config.kf_lm.fd_step_rot
-        h_trans = self.config.kf_lm.fd_step_trans
-        steps = np.array([h_rot] * 3 + [h_trans] * 3)
-        blocks = params.reshape(-1, 6)
+        jac = np.zeros((n_lm_rows + n_imu_rows + n_params, n_params))
+        jac[n_lm_rows + n_imu_rows:, :] = np.diag(self.prior_weights)
         for k in range(self.n_ctrl):
             slots = self._slots_in_span(k)
-            affected = np.nonzero(np.isin(fr["moving_slot"], slots))[0]
+            affected = np.nonzero(np.isin(self.member_slot, slots))[0]
             seg_lo = max(0, k - 2)
             seg_hi = min(self.n_ctrl - 2, k + 1)
-            segments = [s for s, _ in self.deltas if seg_lo <= s <= seg_hi] if self.deltas else []
-            imu_rows_idx = self._imu_row_indices(segments) if segments else None
+            segments = [s for s, _ in self.deltas if seg_lo <= s <= seg_hi]
             if len(affected) == 0 and not segments:
                 continue
             # 12 variants: +h then -h for each of the 6 parameters of pose k
             variants = np.tile(params, (12, 1))
             for p in range(6):
-                variants[2 * p, 6 * k + p] += steps[p]
-                variants[2 * p + 1, 6 * k + p] -= steps[p]
+                variants[2 * p, 6 * k + p] += step
+                variants[2 * p + 1, 6 * k + p] -= step
             if len(affected):
-                vblocks = variants.reshape(12, -1, 6)
-                pos_batch = np.ascontiguousarray(vblocks[:, :, 3:])
-                quat_batch = rotvecs_to_quats(vblocks[:, :, :3].reshape(-1, 3)).reshape(12, -1, 4)
-                times = self.slot_times[slots]
-                rot_b, pos_b = self._variant_slot_poses(pos_batch, quat_batch, times)
-                raw = self.sensor_points[fr["member_row"][affected]]
-                local = np.searchsorted(slots, fr["moving_slot"][affected])
-                lm_aff = fr["member_lm"][affected]
+                rot_b, pos_b = self._slot_poses(variants, self.slot_times[slots])
+                raw = self.sensor_points[lms.member_row[affected]]
+                local = np.searchsorted(slots, self.member_slot[affected])
                 for p in range(6):
                     rp, pp = rot_b[2 * p][local], pos_b[2 * p][local]
                     rm, pm = rot_b[2 * p + 1][local], pos_b[2 * p + 1][local]
@@ -530,36 +444,14 @@ class _WindowSystem:
                         np.einsum("nij,nj->ni", rp, raw) + pp
                         - np.einsum("nij,nj->ni", rm, raw) - pm
                     )
-                    s = np.stack(
-                        [np.bincount(lm_aff, weights=moved[:, a], minlength=fr["n_landmarks"]) for a in range(3)],
-                        axis=1,
-                    )
-                    shift_lm = -np.einsum("lji,lj->li", fr["chol"], s / fr["counts"][:, None])
-                    col = fr["sw_m"] * shift_lm[fr["member_lm"]]
-                    col[affected] += fr["sw_m"][affected] * np.einsum(
-                        "nji,nj->ni", fr["chol_m"][affected], moved
-                    )
-                    jac[: 3 * n_members, 6 * k + p] = col.ravel() / (2.0 * steps[p])
+                    jac[:n_lm_rows, 6 * k + p] = lms.column(affected, moved) / (2.0 * step)
             if segments:
+                imu_rows_idx = n_lm_rows + self._imu_row_indices(segments)
                 for p in range(6):
                     r_p = self.imu_rows(variants[2 * p], segments)
                     r_m = self.imu_rows(variants[2 * p + 1], segments)
-                    jac[3 * n_members + imu_rows_idx, 6 * k + p] = (r_p - r_m) / (2.0 * steps[p])
-        r_all = np.concatenate(
-            [self._landmark_residual(params), base_imu, self.prior_rows(params)]
-        )
-        return jac, r_all
-
-    def _landmark_residual(self, params: np.ndarray) -> np.ndarray:
-        fr = self._frozen
-        pts = self.world_points(params)
-        d = pts[fr["member_row"]] - fr["mu_ref"][fr["member_lm"]]
-        s = np.stack(
-            [np.bincount(fr["member_lm"], weights=d[:, a], minlength=fr["n_landmarks"]) for a in range(3)],
-            axis=1,
-        )
-        centered = d - (s / fr["counts"][:, None])[fr["member_lm"]]
-        return (fr["sw_m"] * np.einsum("nji,nj->ni", fr["chol_m"], centered)).ravel()
+                    jac[imu_rows_idx, 6 * k + p] = (r_p - r_m) / (2.0 * step)
+        return jac, self.residuals(params)
 
     def _imu_row_indices(self, segments) -> np.ndarray:
         seg_order = [s for s, _ in self.deltas]
@@ -568,54 +460,6 @@ class _WindowSystem:
             base = 9 * seg_order.index(s)
             out.extend(range(base, base + 9))
         return np.array(out, dtype=np.int64)
-
-    def _partial_table(self, params: np.ndarray, slots: np.ndarray):
-        """Pose table entries for the given slots under candidate parameters."""
-        return self._slot_poses(params, slots)
-
-    # ---- optimization loop -------------------------------------------------------
-
-    def optimize(self, params0: np.ndarray) -> tuple[np.ndarray, bool]:
-        cfg = self.config
-        params = params0.copy()
-        converged = False
-        for _ in range(cfg.window_iterations):
-            self.freeze(params)
-            cost_outer = self.cost(params)
-            lam = cfg.lambda_init
-            cost_cur = cost_outer
-            step_norm = 0.0
-            jac = None
-            for inner in range(cfg.window_inner_iterations):
-                if inner == 0:
-                    jac, r_all = self.jacobian(params)
-                else:
-                    r_all = self.residual_vector(params)
-                accepted = None
-                for _ in range(cfg.max_lambda_retries):
-                    try:
-                        delta = lm_step(jac, r_all, lam)
-                    except np.linalg.LinAlgError:
-                        lam *= cfg.lambda_up
-                        continue
-                    if float(np.linalg.norm(delta)) < cfg.step_norm_tol:
-                        break
-                    trial = params + delta
-                    trial_cost = self.cost(trial)
-                    if trial_cost < cost_cur:
-                        accepted = (trial, trial_cost, float(np.linalg.norm(delta)))
-                        break
-                    lam *= cfg.lambda_up
-                if accepted is None:
-                    break
-                params, cost_cur, inner_step = accepted
-                step_norm += inner_step
-                lam = max(lam * cfg.lambda_down, 1e-12)
-            rel_drop = (cost_outer - cost_cur) / max(cost_outer, np.finfo(float).tiny)
-            if rel_drop < cfg.cost_rel_tol or step_norm < cfg.step_norm_tol:
-                converged = True
-                break
-        return params, converged
 
 
 class OdometryPipeline:
@@ -672,7 +516,14 @@ class OdometryPipeline:
     # ---- per-scan processing -------------------------------------------------------
 
     def process_scan(self, scan: PointCloud) -> ScanResult:
+        """Estimate the pose at the scan's last stamp.
+
+        Raises ValueError, before any state changes, for a scan with a
+        non-finite coordinate or stamp.
+        """
         cfg = self.config
+        if not (np.isfinite(scan.points).all() and np.isfinite(scan.stamps).all()):
+            raise ValueError("scan has non-finite point coordinates or stamps")
         reasons: list[str] = []
         if len(scan) == 0:
             return self._fallback_result(None, reasons + ["empty_scan"])
@@ -685,20 +536,16 @@ class OdometryPipeline:
         params0 = self._initial_params(ctrl_times)
         pts, stamps, dropped = self._window_points(ctrl_times[0], t_now)
 
-        deltas = []
         if self.imu_times:
             deltas = self._segment_deltas(ctrl_times)
-            if not deltas:
-                reasons.append("no_imu_coverage")
-                if not self._imu_warned:
-                    logger.warning("no IMU coverage for window; running LiDAR-only")
-                    self._imu_warned = True
-        elif not self._imu_warned:
-            logger.warning("no IMU stream; running LiDAR-only")
-            self._imu_warned = True
-            reasons.append("no_imu")
-        elif not self.imu_times:
-            reasons.append("no_imu")
+            imu_reason = None if deltas else "no_imu_coverage"
+        else:
+            deltas, imu_reason = [], "no_imu"
+        if imu_reason is not None:
+            reasons.append(imu_reason)
+            if not self._imu_warned:
+                logger.warning("running LiDAR-only: %s", imu_reason)
+                self._imu_warned = True
 
         static_pts = np.zeros((0, 3))
         if len(self.map):
@@ -714,7 +561,7 @@ class OdometryPipeline:
             ctrl_times, params0, pts, stamps, static_pts, deltas, self.gravity_vec, cfg
         )
         try:
-            params, _ = system.optimize(params0)
+            params, _, _, _ = levenberg_marquardt(system, params0, cfg.window_lm)
         except InsufficientStructureError:
             return self._fallback_result(ctrl_times, reasons + ["insufficient_structure"])
 
@@ -841,10 +688,9 @@ class OdometryPipeline:
             samples = self._imu_in(self._traj.t_first, self._traj.t_last)
             span = samples[-1].time - samples[0].time if len(samples) >= 2 else 0.0
             if span >= 0.2:
-                body = estimate_gravity(self._traj, samples)
-                # re-express in the keyframe frame: the estimate lives in the
-                # body frame of the trajectory, keyed to pose_now here
-                gravity = body
+                # averaged over the window's body frames, not re-expressed in
+                # this keyframe's frame; the fix belongs to ROADMAP item 2
+                gravity = estimate_gravity(self._traj, samples)
         kf = Keyframe(
             kf_id=self._next_kf_id,
             pose=pose_now,

