@@ -193,40 +193,11 @@ def lm_step(jacobian: np.ndarray, errors: np.ndarray, lam: float) -> np.ndarray:
 
 
 def gravity_residual(
-    pose: Pose, gravity_dir_local: np.ndarray, g_world: np.ndarray, weight: float
+    rots: np.ndarray, directions_local: np.ndarray, g_world: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """weight * (R @ local_direction - world_direction), both unit vectors."""
-    return weight * (pose.matrix() @ np.asarray(gravity_dir_local, dtype=float) - np.asarray(g_world, dtype=float))
-
-
-def _gravity_residuals(problem: AdjustmentProblem, poses: list[Pose]) -> np.ndarray:
-    if not problem.gravity_constraints:
-        return np.zeros(0)
-    parts = [
-        gravity_residual(poses[c.cloud_id], c.direction_local, problem.gravity_world_dir, c.weight)
-        for c in problem.gravity_constraints
-    ]
-    return np.concatenate(parts)
-
-
-def _gravity_jacobian(problem: AdjustmentProblem, poses: list[Pose], step: float) -> np.ndarray:
-    free = problem.free_indices()
-    base = _gravity_residuals(problem, poses)
-    jac = np.zeros((len(base), 6 * len(free)))
-    if len(base) == 0:
-        return jac
-    for col_block, cloud_idx in enumerate(free):
-        base_params = poses[cloud_idx].as_params()
-        for p in range(3):  # translation never enters the direction residual
-            delta = np.zeros(6)
-            delta[p] = step
-            trial = list(poses)
-            trial[cloud_idx] = Pose.from_params(base_params + delta)
-            r_plus = _gravity_residuals(problem, trial)
-            trial[cloud_idx] = Pose.from_params(base_params - delta)
-            r_minus = _gravity_residuals(problem, trial)
-            jac[:, 6 * col_block + p] = (r_plus - r_minus) / (2.0 * step)
-    return jac
+    """weights * (R @ local_direction - world_direction) for unit directions,
+    stacked over constraints: rots (..., 3, 3) to rows (..., 3)."""
+    return weights[..., None] * ((rots @ directions_local[..., None])[..., 0] - g_world)
 
 
 class FrozenLandmarks:
@@ -296,6 +267,10 @@ class _RigidSystem:
         self.problem = problem
         self.free = problem.free_indices()
         self.offsets = _cloud_offsets(problem)
+        cons = problem.gravity_constraints
+        self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
+        self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)
+        self.grav_weight = np.array([c.weight for c in cons], dtype=float)
 
     def poses(self, params: np.ndarray) -> list[Pose]:
         out = list(self.problem.initial_poses)
@@ -324,24 +299,35 @@ class _RigidSystem:
             )
         return self.landmarks.residuals(self.world)
 
+    def _gravity_residuals(self, poses: list[Pose]) -> np.ndarray:
+        rots = np.stack([pose.matrix() for pose in poses])[self.grav_cloud]
+        return gravity_residual(
+            rots, self.grav_local, self.problem.gravity_world_dir, self.grav_weight
+        ).ravel()
+
     def residuals(self, params: np.ndarray) -> np.ndarray:
         poses = self.poses(params)
         r = self._member_residuals(poses)
-        return np.concatenate([r, _gravity_residuals(self.problem, poses)])
+        return np.concatenate([r, self._gravity_residuals(poses)])
 
     def cost(self, params: np.ndarray) -> float:
         poses = self.poses(params)
         r = self._member_residuals(poses)
-        extras = _gravity_residuals(self.problem, poses)
+        extras = self._gravity_residuals(poses)
         return float(r @ r + extras @ extras)
 
     def jacobian(self, params: np.ndarray, step: float = FD_STEP):
         """Central-difference Jacobian of residuals(params), and the residuals."""
         lms = self.landmarks
-        jac = np.zeros((3 * len(lms.member_lm), len(params)))
+        n_lm_rows = 3 * len(lms.member_lm)
+        jac = np.zeros((n_lm_rows + 3 * len(self.grav_cloud), len(params)))
+        # gravity rows, one block of 3 per constraint; translation never
+        # enters them, and a rotation moves only its own cloud's constraints
+        grav_jac = jac[n_lm_rows:].reshape(-1, 3, len(params))
         for k, ci in enumerate(self.free):
             rows = self.cloud_rows[ci]
             base = params[6 * k : 6 * k + 6]
+            own = self.grav_cloud == ci
             for p in range(6):
                 if p >= 3:
                     # translation: every member of this cloud moves by the
@@ -356,13 +342,15 @@ class _RigidSystem:
                     delta[p] = step
                     rot_p = Pose.from_params(base + delta)
                     rot_m = Pose.from_params(base - delta)
-                    moved = self.cloud_raw[ci] @ (rot_p.matrix() - rot_m.matrix()).T + (
-                        rot_p.trans - rot_m.trans
-                    )
+                    mat_p, mat_m = rot_p.matrix(), rot_m.matrix()
+                    moved = self.cloud_raw[ci] @ (mat_p - mat_m).T + (rot_p.trans - rot_m.trans)
                     col = lms.column(rows, moved)
-                jac[:, 6 * k + p] = col / (2.0 * step)
-        if self.problem.gravity_constraints:
-            jac = np.vstack([jac, _gravity_jacobian(self.problem, self.poses(params), step)])
+                    grav = gravity_residual(
+                        np.stack([mat_p, mat_m])[:, None], self.grav_local[own],
+                        self.problem.gravity_world_dir, self.grav_weight[own],
+                    )
+                    grav_jac[own, :, 6 * k + p] = (grav[0] - grav[1]) / (2.0 * step)
+                jac[:n_lm_rows, 6 * k + p] = col / (2.0 * step)
         return jac, self.residuals(params)
 
 

@@ -34,31 +34,30 @@ def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
-    """Log map: orthonormal matrix to rotation vector, |angle| <= pi."""
-    trace = np.clip((np.trace(mat) - 1.0) * 0.5, -1.0, 1.0)
-    angle = np.arccos(trace)
-    if angle < _SMALL_ANGLE:
-        return 0.5 * np.array(
-            [mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0], mat[1, 0] - mat[0, 1]]
-        )
-    if np.pi - angle < 1e-6:
+    """Log map: orthonormal matrices (..., 3, 3) to rotation vectors (..., 3).
+
+    Angles lie in [0, pi]; any leading batch axes are kept.
+    """
+    mat = np.asarray(mat, dtype=float)
+    flat = mat.reshape(-1, 3, 3)
+    angle = np.arccos(np.clip((flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2] - 1.0) * 0.5, -1.0, 1.0))
+    # (m21 - m12, m02 - m20, m10 - m01)
+    ref = (flat - np.swapaxes(flat, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
+    small = angle < _SMALL_ANGLE
+    out = np.where(small, 0.5, angle / (2.0 * np.sin(np.where(small, 1.0, angle))))[:, None] * ref
+    near = np.nonzero(np.pi - angle < 1e-6)[0]
+    if len(near):
         # near pi the off-diagonal differences vanish; recover axis from
         # the dominant diagonal entry of (mat + I) / 2
-        sym = 0.5 * (mat + np.eye(3))
-        i = int(np.argmax(np.diag(sym)))
-        axis = sym[:, i] / np.sqrt(max(sym[i, i], 1e-12))
-        axis /= np.linalg.norm(axis)
+        sym = 0.5 * (flat[near] + np.eye(3))
+        i = np.argmax(np.diagonal(sym, axis1=1, axis2=2), axis=1)
+        k = np.arange(len(near))
+        axis = sym[k, :, i] / np.sqrt(np.maximum(sym[k, i, i], 1e-12))[:, None]
+        axis /= np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
         # fix sign using the skew part where it is still informative
-        ref = np.array(
-            [mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0], mat[1, 0] - mat[0, 1]]
-        )
-        if ref @ axis < 0.0:
-            axis = -axis
-        return axis * angle
-    scale = angle / (2.0 * np.sin(angle))
-    return scale * np.array(
-        [mat[2, 1] - mat[1, 2], mat[0, 2] - mat[2, 0], mat[1, 0] - mat[0, 1]]
-    )
+        axis *= np.where((ref[near, None, :] @ axis[:, :, None])[:, 0] < 0.0, -1.0, 1.0)
+        out[near] = axis * angle[near, None]
+    return out.reshape(mat.shape[:-1])
 
 
 def rotvec_to_quat(r: np.ndarray) -> np.ndarray:
@@ -251,8 +250,8 @@ class PointCloud:
 
     def validate(self) -> None:
         """Check the container invariants; raises ValueError on violation."""
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite point coordinates")
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.stamps))):
+            raise ValueError("non-finite point coordinates or stamps")
         if np.any(np.diff(self.stamps) < 0.0):
             raise ValueError("stamps are not monotone non-decreasing")
         if self.normals is not None and len(self.normals):

@@ -2,17 +2,18 @@
 
 Deltas accumulate body-frame relative motion (rotation, velocity, position)
 from rate and specific-force samples, independent of any world pose and of
-gravity. Residuals compare a delta against two poses plus velocities under
-a known world gravity vector.
+gravity. `imu_residual` compares deltas, stacked over segments, against
+batches of state pairs (rotation matrix, position, velocity) under a known
+world gravity vector; the odometry window's IMU rows are one such call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from multiscan.geometry import Pose, matrix_to_rotvec, rotvec_to_matrix
+from multiscan.geometry import matrix_to_rotvec, rotvec_to_matrix
 from multiscan.trajectory import ContinuousTrajectory
 
 
@@ -118,27 +119,33 @@ def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> Preintegrate
     )
 
 
-def imu_residual(
-    delta: PreintegratedDelta,
-    pose_i: Pose,
-    pose_j: Pose,
-    v_i: np.ndarray,
-    v_j: np.ndarray,
-    gravity: np.ndarray,
-) -> np.ndarray:
-    """9-vector [rotation, velocity, position] mismatch against the delta.
+def stack_deltas(deltas) -> PreintegratedDelta:
+    """One delta whose fields stack those of deltas along a new leading axis."""
+    return PreintegratedDelta(**{
+        f.name: np.stack([getattr(d, f.name) for d in deltas]) for f in fields(PreintegratedDelta)
+    })
 
+
+def imu_residual(
+    delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity: np.ndarray
+) -> np.ndarray:
+    """[rotation, velocity, position] mismatch against the delta, (..., 9).
+
+    States i and j are world-frame rotation matrices (..., 3, 3), positions
+    and velocities (..., 3) with any leading batch axes. For a delta stacked
+    over S segments (`stack_deltas`) the last batch axis runs over them.
     gravity is the world-frame gravitational acceleration (about
     (0, 0, -9.81) in a z-up frame). Zero on any state sequence consistent
     with the integrated samples.
     """
-    rot_i = pose_i.matrix()
-    rot_j = pose_j.matrix()
-    dt = delta.dt
-    r_rot = matrix_to_rotvec(delta.delta_rot.T @ rot_i.T @ rot_j)
-    r_vel = rot_i.T @ (v_j - v_i - gravity * dt) - delta.delta_vel
-    r_pos = rot_i.T @ (pose_j.trans - pose_i.trans - v_i * dt - 0.5 * gravity * dt * dt) - delta.delta_pos
-    return np.concatenate([r_rot, r_vel, r_pos])
+    dt = np.asarray(delta.dt, dtype=float)[..., None]
+    rot_i_t = np.swapaxes(rot_i, -1, -2)
+    r_rot = matrix_to_rotvec(np.swapaxes(delta.delta_rot, -1, -2) @ rot_i_t @ rot_j)
+    r_vel = (rot_i_t @ (vel_j - vel_i - gravity * dt)[..., None])[..., 0] - delta.delta_vel
+    r_pos = (
+        rot_i_t @ (pos_j - pos_i - vel_i * dt - 0.5 * gravity * dt * dt)[..., None]
+    )[..., 0] - delta.delta_pos
+    return np.concatenate([r_rot, r_vel, r_pos], axis=-1)
 
 
 def estimate_gravity(

@@ -42,7 +42,9 @@ from multiscan.imu import (
     GravityEstimate,
     ImuSample,
     estimate_gravity,
+    imu_residual,
     preintegrate,
+    stack_deltas,
     static_initialization,
 )
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
@@ -277,6 +279,16 @@ class ScanResult:
     dropped_points: int = 0
 
 
+def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
+    """Rotation vector turning the unit vector up onto +z; zero if parallel."""
+    axis = np.cross(up, [0.0, 0.0, 1.0])
+    norm = np.linalg.norm(axis)
+    if norm < 1e-12:
+        return np.zeros(3)
+    angle = np.arccos(np.clip(up @ [0.0, 0.0, 1.0], -1.0, 1.0))
+    return axis / norm * angle
+
+
 class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
@@ -286,7 +298,7 @@ class _WindowSystem:
     its spline support, so a Jacobian column re-evaluates just those slots
     and hands the displacement of the points bound to them to the shared
     `FrozenLandmarks` core. Static map points join the landmarks but never
-    move.
+    move. The IMU rows are one batched `imu.imu_residual` call.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -296,7 +308,9 @@ class _WindowSystem:
         self.n_ctrl = len(ctrl_times)
         self.sensor_points = sensor_points
         self.static_points = static_points
-        self.deltas = deltas  # list of (seg_index, PreintegratedDelta) or empty
+        # instrumented segments and their deltas, stacked over segments
+        self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
+        self.delta = stack_deltas([d for _, d in deltas]) if deltas else None
         self.gravity_vec = gravity_vec
         self.config = config
         # continuity prior: every control pose except the newest stays soft-
@@ -347,30 +361,19 @@ class _WindowSystem:
             return np.vstack([moving, self.static_points])
         return moving
 
-    def imu_rows(self, params: np.ndarray, segments=None) -> np.ndarray:
-        """Weighted preintegration residuals, 9 per instrumented segment."""
-        if not self.deltas:
-            return np.zeros(0)
-        blocks = params.reshape(-1, 6)
-        vel = catmull_rom_tangents(blocks[:, 3:], self.spacing)
-        mats = rotvecs_to_matrices(blocks[:, :3])
-        wanted = None if segments is None else set(segments)
-        rows = []
-        g = self.gravity_vec
-        for seg, delta in self.deltas:
-            if wanted is not None and seg not in wanted:
-                continue
-            rot_i = mats[seg]
-            rot_j = mats[seg + 1]
-            p_i, p_j = blocks[seg, 3:], blocks[seg + 1, 3:]
-            dt = delta.dt
-            r_rot = matrix_to_rotvec(delta.delta_rot.T @ rot_i.T @ rot_j)
-            r_vel = rot_i.T @ (vel[seg + 1] - vel[seg] - g * dt) - delta.delta_vel
-            r_pos = rot_i.T @ (p_j - p_i - vel[seg] * dt - 0.5 * g * dt * dt) - delta.delta_pos
-            rows.append(self.imu_weights * np.concatenate([r_rot, r_vel, r_pos]))
-        if not rows:
-            return np.zeros(0)
-        return np.concatenate(rows)
+    def imu_rows(self, params: np.ndarray) -> np.ndarray:
+        """Weighted preintegration residuals, 9 per segment; params may be batched."""
+        if self.delta is None:
+            return np.zeros(params.shape[:-1] + (0,))
+        blocks = params.reshape(*params.shape[:-1], -1, 6)
+        vel = catmull_rom_tangents(blocks[..., 3:], self.spacing)
+        mats = rotvecs_to_matrices(blocks[..., :3]).reshape(*blocks.shape[:-1], 3, 3)
+        i, j = self.imu_seg, self.imu_seg + 1
+        r = imu_residual(
+            self.delta, mats[..., i, :, :], blocks[..., i, 3:], vel[..., i, :],
+            mats[..., j, :, :], blocks[..., j, 3:], vel[..., j, :], self.gravity_vec,
+        )
+        return (self.imu_weights * r).reshape(*params.shape[:-1], -1)
 
     # ---- residual system -----------------------------------------------------------
 
@@ -416,50 +419,36 @@ class _WindowSystem:
         """Central-difference Jacobian of residuals(params), and the residuals."""
         lms = self.landmarks
         n_lm_rows = 3 * len(lms.member_row)
-        n_imu_rows = 9 * len(self.deltas)
+        n_imu_rows = 9 * len(self.imu_seg)
         n_params = 6 * self.n_ctrl
         jac = np.zeros((n_lm_rows + n_imu_rows + n_params, n_params))
         jac[n_lm_rows + n_imu_rows:, :] = np.diag(self.prior_weights)
+        # rows 2q and 2q + 1: params with +h and -h on parameter q
+        variants = np.repeat(params[None, :], 2 * n_params, axis=0)
+        q = np.arange(n_params)
+        variants[2 * q, q] += step
+        variants[2 * q + 1, q] -= step
+        # segments outside a pose's spline support see identical inputs, so
+        # their differences are exactly zero
+        imu = self.imu_rows(variants)
+        jac[n_lm_rows : n_lm_rows + n_imu_rows] = (imu[0::2] - imu[1::2]).T / (2.0 * step)
         for k in range(self.n_ctrl):
             slots = self._slots_in_span(k)
             affected = np.nonzero(np.isin(self.member_slot, slots))[0]
-            seg_lo = max(0, k - 2)
-            seg_hi = min(self.n_ctrl - 2, k + 1)
-            segments = [s for s, _ in self.deltas if seg_lo <= s <= seg_hi]
-            if len(affected) == 0 and not segments:
+            if len(affected) == 0:
                 continue
-            # 12 variants: +h then -h for each of the 6 parameters of pose k
-            variants = np.tile(params, (12, 1))
+            rot_b, pos_b = self._slot_poses(variants[12 * k : 12 * k + 12], self.slot_times[slots])
+            raw = self.sensor_points[lms.member_row[affected]]
+            local = np.searchsorted(slots, self.member_slot[affected])
             for p in range(6):
-                variants[2 * p, 6 * k + p] += step
-                variants[2 * p + 1, 6 * k + p] -= step
-            if len(affected):
-                rot_b, pos_b = self._slot_poses(variants, self.slot_times[slots])
-                raw = self.sensor_points[lms.member_row[affected]]
-                local = np.searchsorted(slots, self.member_slot[affected])
-                for p in range(6):
-                    rp, pp = rot_b[2 * p][local], pos_b[2 * p][local]
-                    rm, pm = rot_b[2 * p + 1][local], pos_b[2 * p + 1][local]
-                    moved = (
-                        np.einsum("nij,nj->ni", rp, raw) + pp
-                        - np.einsum("nij,nj->ni", rm, raw) - pm
-                    )
-                    jac[:n_lm_rows, 6 * k + p] = lms.column(affected, moved) / (2.0 * step)
-            if segments:
-                imu_rows_idx = n_lm_rows + self._imu_row_indices(segments)
-                for p in range(6):
-                    r_p = self.imu_rows(variants[2 * p], segments)
-                    r_m = self.imu_rows(variants[2 * p + 1], segments)
-                    jac[imu_rows_idx, 6 * k + p] = (r_p - r_m) / (2.0 * step)
+                rp, pp = rot_b[2 * p][local], pos_b[2 * p][local]
+                rm, pm = rot_b[2 * p + 1][local], pos_b[2 * p + 1][local]
+                moved = (
+                    np.einsum("nij,nj->ni", rp, raw) + pp
+                    - np.einsum("nij,nj->ni", rm, raw) - pm
+                )
+                jac[:n_lm_rows, 6 * k + p] = lms.column(affected, moved) / (2.0 * step)
         return jac, self.residuals(params)
-
-    def _imu_row_indices(self, segments) -> np.ndarray:
-        seg_order = [s for s, _ in self.deltas]
-        out = []
-        for s in segments:
-            base = 9 * seg_order.index(s)
-            out.extend(range(base, base + 9))
-        return np.array(out, dtype=np.int64)
 
 
 class OdometryPipeline:
@@ -496,7 +485,7 @@ class OdometryPipeline:
         hi = bisect.bisect_right(self.imu_times, t1)
         return self.imu_samples[lo:hi]
 
-    def _maybe_initialize(self, t_scan: float) -> None:
+    def _maybe_initialize(self) -> None:
         if self._initialized:
             return
         if self.imu_times:
@@ -506,11 +495,7 @@ class OdometryPipeline:
                 gyro_bias, up_body, magnitude = static_initialization(init)
                 self.gyro_bias = gyro_bias
                 self.gravity_vec = np.array([0.0, 0.0, -magnitude])
-                axis = np.cross(up_body, [0.0, 0.0, 1.0])
-                norm = np.linalg.norm(axis)
-                if norm > 1e-12:
-                    angle = np.arccos(np.clip(up_body @ [0.0, 0.0, 1.0], -1.0, 1.0))
-                    self.base_rot = axis / norm * angle
+                self.base_rot = _up_to_z_rotvec(up_body)
         self._initialized = True
 
     # ---- per-scan processing -------------------------------------------------------
@@ -518,17 +503,16 @@ class OdometryPipeline:
     def process_scan(self, scan: PointCloud) -> ScanResult:
         """Estimate the pose at the scan's last stamp.
 
-        Raises ValueError, before any state changes, for a scan with a
-        non-finite coordinate or stamp.
+        Raises ValueError, before any state changes, for a scan that fails
+        `PointCloud.validate` (non-finite values or decreasing stamps).
         """
         cfg = self.config
-        if not (np.isfinite(scan.points).all() and np.isfinite(scan.stamps).all()):
-            raise ValueError("scan has non-finite point coordinates or stamps")
+        scan.validate()
         reasons: list[str] = []
         if len(scan) == 0:
             return self._fallback_result(None, reasons + ["empty_scan"])
         t_now = float(scan.stamps[-1])
-        self._maybe_initialize(t_now)
+        self._maybe_initialize()
         down = adaptive_downsample(scan, cfg.downsample)
         self.scans.push(t_now, down)
 
@@ -770,20 +754,13 @@ class OdometryPipeline:
         norm = np.linalg.norm(acc)
         if norm < 1e-9:
             return poses
-        up = acc / norm
-        axis = np.cross(up, [0.0, 0.0, 1.0])
-        s = np.linalg.norm(axis)
-        if s < 1e-12:
+        turn = _up_to_z_rotvec(acc / norm)
+        if not turn.any():
             return poses
-        angle = np.arccos(np.clip(up @ [0.0, 0.0, 1.0], -1.0, 1.0))
         pivot = np.mean([p.trans for p in poses], axis=0)
-        rot = rotvec_to_matrix(axis / s * angle)
-        leveled = []
-        for pose in poses:
-            new_rot = matrix_to_rotvec(rot @ pose.matrix())
-            new_trans = rot @ (pose.trans - pivot) + pivot
-            leveled.append(Pose(new_rot, new_trans))
-        return leveled
+        rot = rotvec_to_matrix(turn)
+        new_rots = matrix_to_rotvec(rot @ np.stack([pose.matrix() for pose in poses]))
+        return [Pose(r, rot @ (pose.trans - pivot) + pivot) for r, pose in zip(new_rots, poses)]
 
     # ---- outputs ---------------------------------------------------------------------
 

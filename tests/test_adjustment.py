@@ -169,20 +169,48 @@ class TestLMStep:
 
 
 class TestGravityResidual:
+    UP = np.array([0.0, 0, 1.0])
+
     def test_aligned_zero(self):
-        r = gravity_residual(Pose.identity(), np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), 2.0)
+        r = gravity_residual(np.eye(3)[None], self.UP[None], self.UP, np.array([2.0]))
+        assert r.shape == (1, 3)
         assert np.allclose(r, 0.0)
 
     def test_ten_degrees_off_chord_length(self):
         tilt = Pose(np.deg2rad(10.0) * np.array([1.0, 0, 0]), np.zeros(3))
-        r = gravity_residual(tilt, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), 1.0)
+        r = gravity_residual(tilt.matrix()[None], self.UP[None], self.UP, np.array([1.0]))
         assert np.linalg.norm(r) == pytest.approx(2 * np.sin(np.deg2rad(5.0)), abs=1e-12)
 
     def test_weight_scales(self):
         tilt = Pose(np.deg2rad(10.0) * np.array([1.0, 0, 0]), np.zeros(3))
-        r1 = gravity_residual(tilt, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), 1.0)
-        r5 = gravity_residual(tilt, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), 5.0)
-        assert np.allclose(r5, 5.0 * r1)
+        rots = np.stack([tilt.matrix(), tilt.matrix()])
+        r = gravity_residual(rots, np.stack([self.UP, self.UP]), self.UP, np.array([1.0, 5.0]))
+        assert np.allclose(r[1], 5.0 * r[0])
+
+    def test_rigid_jacobian_gravity_rows_match_secant(self):
+        # each constraint's rows move only with its own cloud's rotation
+        ds = small_room(points_per_scan=800, duration=0.3)
+        rng = np.random.default_rng(3)
+        init = [ds.truth_poses[0]] + [
+            sample_pert(rng, 0.05, 2.0).compose(p) for p in ds.truth_poses[1:]
+        ]
+        constraints = [
+            GravityConstraint(cloud_id=i, direction_local=self.UP, weight=1.0 + i)
+            for i in (0, 2, 1)
+        ]
+        prob = AdjustmentProblem(
+            clouds=ds.scans, initial_poses=init, gravity_constraints=constraints
+        )
+        system, params = frozen_system(prob, init)
+        jac, r = system.jacobian(params)
+        n_grav = 3 * len(constraints)
+        assert jac.shape == (len(r), len(params))
+        h = 1e-6
+        for q in range(len(params)):
+            d = np.zeros(len(params))
+            d[q] = h
+            secant = (system.residuals(params + d) - system.residuals(params - d))[-n_grav:] / (2 * h)
+            assert np.allclose(jac[-n_grav:, q], secant, rtol=1e-6, atol=1e-9)
 
 
 class TestRunAdjustment:

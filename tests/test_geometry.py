@@ -24,6 +24,17 @@ def random_pose(rng):
     return Pose(random_rotvec(rng), rng.uniform(-5.0, 5.0, size=3))
 
 
+def mixed_rotation_stack(rng, n):
+    """Rotation matrices cycling through small-angle, generic and near-pi cases."""
+    mats = []
+    for k in range(n):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = (rng.uniform(0.0, 1e-10), rng.uniform(0.0, np.pi), np.pi - 1e-7)[k % 3]
+        mats.append(rotvec_to_matrix(axis * angle))
+    return np.array(mats)
+
+
 class TestRotation:
     def test_matrix_is_orthonormal(self):
         rng = np.random.default_rng(0)
@@ -34,9 +45,11 @@ class TestRotation:
 
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            r = random_rotvec(rng)
-            assert np.linalg.norm(matrix_to_rotvec(rotvec_to_matrix(r)) - r) < 1e-9
+        rvecs = np.array([random_rotvec(rng) for _ in range(200)])
+        mats = np.array([rotvec_to_matrix(r) for r in rvecs])
+        assert np.max(np.linalg.norm(matrix_to_rotvec(mats) - rvecs, axis=1)) < 1e-9
+        for r, mat in zip(rvecs, mats):
+            assert np.linalg.norm(matrix_to_rotvec(mat) - r) < 1e-9
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(2)
@@ -47,19 +60,49 @@ class TestRotation:
             assert np.allclose(
                 rotvec_to_matrix(matrix_to_rotvec(mat)), mat, atol=1e-9
             )
+        mats = ScipyRotation.random(60, random_state=7).as_matrix().reshape(3, 20, 3, 3)
+        expected = ScipyRotation.from_matrix(mats.reshape(-1, 3, 3)).as_rotvec().reshape(3, 20, 3)
+        assert np.allclose(matrix_to_rotvec(mats), expected, atol=1e-9)
 
     def test_small_angle(self):
         r = np.array([1e-12, -2e-12, 3e-13])
         assert np.allclose(matrix_to_rotvec(rotvec_to_matrix(r)), r, atol=1e-15)
+        stack = np.stack([rotvec_to_matrix(r), rotvec_to_matrix(-r)])
+        assert np.allclose(matrix_to_rotvec(stack), [r, -r], atol=1e-15)
 
     def test_near_pi_preserves_action(self):
         rng = np.random.default_rng(3)
+        mats = []
         for _ in range(50):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             r = axis * (np.pi - 1e-7)
             mat = rotvec_to_matrix(r)
             assert np.allclose(rotvec_to_matrix(matrix_to_rotvec(mat)), mat, atol=1e-6)
+            mats.append(mat)
+        logs = matrix_to_rotvec(np.array(mats))
+        for log, mat in zip(logs, mats):
+            assert np.allclose(rotvec_to_matrix(log), mat, atol=1e-6)
+
+    def test_stack_shapes_and_rows_equal_single_calls(self):
+        mats = mixed_rotation_stack(np.random.default_rng(5), 24)
+        assert matrix_to_rotvec(mats[0]).shape == (3,)
+        flat = matrix_to_rotvec(mats)
+        assert flat.shape == (24, 3)
+        nested = matrix_to_rotvec(mats.reshape(4, 6, 3, 3))
+        assert nested.shape == (4, 6, 3)
+        singles = np.array([matrix_to_rotvec(mat) for mat in mats])
+        assert np.array_equal(flat, singles)
+        assert np.array_equal(nested.reshape(24, 3), singles)
+
+    def test_mixed_stack_matches_scipy_and_keeps_action(self):
+        mats = mixed_rotation_stack(np.random.default_rng(6), 30).reshape(5, 6, 3, 3)
+        logs = matrix_to_rotvec(mats)
+        generic = np.linalg.norm(logs, axis=-1) < np.pi - 1e-6
+        expected = ScipyRotation.from_matrix(mats.reshape(-1, 3, 3)).as_rotvec().reshape(5, 6, 3)
+        assert np.allclose(logs[generic], expected[generic], atol=1e-9)
+        rebuilt = np.array([rotvec_to_matrix(r) for r in logs.reshape(-1, 3)]).reshape(mats.shape)
+        assert np.allclose(rebuilt, mats, atol=1e-6)
 
     def test_quat_round_trip(self):
         rng = np.random.default_rng(4)

@@ -9,6 +9,7 @@ from multiscan.imu import (
     estimate_gravity,
     imu_residual,
     preintegrate,
+    stack_deltas,
     static_initialization,
 )
 from multiscan.trajectory import ContinuousTrajectory, ControlPose
@@ -76,18 +77,18 @@ class TestPreintegrate:
             preintegrate(samples, 5.0, 6.0)
 
 
+def pose_residual(delta, pose_i, pose_j, v_i, v_j):
+    return imu_residual(
+        delta, pose_i.matrix(), pose_i.trans, v_i, pose_j.matrix(), pose_j.trans, v_j, GRAVITY
+    )
+
+
 class TestImuResidual:
     def test_static_with_gravity_zero(self):
         samples = stream(np.arange(0, 0.1005, 5e-3), [0, 0, 0], [0, 0, 9.81])
         delta = preintegrate(samples, 0.0, 0.1)
-        r = imu_residual(
-            delta,
-            Pose.identity(),
-            Pose.identity(),
-            np.zeros(3),
-            np.zeros(3),
-            GRAVITY,
-        )
+        r = pose_residual(delta, Pose.identity(), Pose.identity(), np.zeros(3), np.zeros(3))
+        assert r.shape == (9,)
         assert np.allclose(r, 0.0, atol=1e-9)
 
     def test_constant_acceleration_consistent_states(self):
@@ -97,7 +98,7 @@ class TestImuResidual:
         delta = preintegrate(samples, 0.0, dt)
         pose_i = Pose.identity()
         pose_j = Pose(np.zeros(3), 0.5 * a_world * dt * dt)
-        r = imu_residual(delta, pose_i, pose_j, np.zeros(3), a_world * dt, GRAVITY)
+        r = pose_residual(delta, pose_i, pose_j, np.zeros(3), a_world * dt)
         assert np.linalg.norm(r) < 1e-9
 
     def test_translation_offset_maps_to_position_residual(self):
@@ -106,10 +107,39 @@ class TestImuResidual:
         rot_i = np.array([0.0, 0.0, 0.7])
         pose_i = Pose(rot_i, np.array([1.0, 2.0, 3.0]))
         pose_j = Pose(rot_i, pose_i.trans + [0.1, 0, 0])
-        r = imu_residual(delta, pose_i, pose_j, np.zeros(3), np.zeros(3), GRAVITY)
+        r = pose_residual(delta, pose_i, pose_j, np.zeros(3), np.zeros(3))
         expected = rotvec_to_matrix(rot_i).T @ np.array([0.1, 0, 0])
         assert np.allclose(r[6:], expected, atol=1e-9)
         assert np.allclose(r[:6], 0.0, atol=1e-9)
+
+    def test_stack_equals_single_calls(self):
+        # V state sequences against S stacked segment deltas in one call
+        rng = np.random.default_rng(4)
+        times = np.arange(0, 0.6001, 5e-3)
+        gyro = 0.5 * np.sin(4 * times)[:, None] * [1.0, -0.7, 0.4]
+        accel = np.cos(3 * times)[:, None] * [0.8, 0.3, -0.5] + [0, 0, 9.81]
+        samples = [ImuSample(float(t), g, a) for t, g, a in zip(times, gyro, accel)]
+        bounds = np.linspace(0.0, 0.6, 5)
+        deltas = [preintegrate(samples, t0, t1) for t0, t1 in zip(bounds[:-1], bounds[1:])]
+        n_var, n_seg = 3, len(deltas)
+        rots = np.array([
+            rotvec_to_matrix(rng.normal(scale=1.0, size=3)) for _ in range(n_var * (n_seg + 1))
+        ]).reshape(n_var, n_seg + 1, 3, 3)
+        rots[0, 1] = -np.eye(3) + 2.0 * np.outer([0, 0, 1.0], [0, 0, 1.0])  # pi about z
+        pos = rng.normal(size=(n_var, n_seg + 1, 3))
+        vel = rng.normal(size=(n_var, n_seg + 1, 3))
+        r = imu_residual(
+            stack_deltas(deltas), rots[:, :-1], pos[:, :-1], vel[:, :-1],
+            rots[:, 1:], pos[:, 1:], vel[:, 1:], GRAVITY,
+        )
+        assert r.shape == (n_var, n_seg, 9)
+        for v in range(n_var):
+            for s, delta in enumerate(deltas):
+                single = imu_residual(
+                    delta, rots[v, s], pos[v, s], vel[v, s],
+                    rots[v, s + 1], pos[v, s + 1], vel[v, s + 1], GRAVITY,
+                )
+                assert np.array_equal(r[v, s], single)
 
 
 def static_traj(rotvec=None, duration=1.0, spacing=0.1):

@@ -127,7 +127,10 @@ class TestGenerate:
             pose_j = spec.motion.pose(t_j)
             v_i = spec.motion.velocities(np.array([t_i]))[0]
             v_j = spec.motion.velocities(np.array([t_j]))[0]
-            r = imu_residual(delta, pose_i, pose_j, v_i, v_j, GRAVITY)
+            r = imu_residual(
+                delta, pose_i.matrix(), pose_i.trans, v_i,
+                pose_j.matrix(), pose_j.trans, v_j, GRAVITY,
+            )
             worst = max(worst, float(np.linalg.norm(r)))
         assert worst < 1e-3
 
