@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from multiscan.geometry import Pose, PointCloud
+from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, split_by_normals
 
 # central-difference step for every rotation-vector and translation parameter
@@ -300,7 +300,7 @@ class _RigidSystem:
         return self.landmarks.residuals(self.world)
 
     def _gravity_residuals(self, poses: list[Pose]) -> np.ndarray:
-        rots = np.stack([pose.matrix() for pose in poses])[self.grav_cloud]
+        rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))[self.grav_cloud]
         return gravity_residual(
             rots, self.grav_local, self.problem.gravity_world_dir, self.grav_weight
         ).ravel()
@@ -328,6 +328,8 @@ class _RigidSystem:
             rows = self.cloud_rows[ci]
             base = params[6 * k : 6 * k + 6]
             own = self.grav_cloud == ci
+            # rotations with +h and -h on each rotation parameter, (3, 2, 3, 3)
+            turned = rotvec_to_matrix(base[:3] + step * np.stack([np.eye(3), -np.eye(3)], axis=1))
             for p in range(6):
                 if p >= 3:
                     # translation: every member of this cloud moves by the
@@ -338,15 +340,10 @@ class _RigidSystem:
                     own = lms.sw_m[rows] * (2.0 * step) * lms.chol_m[rows, axis, :]
                     col = lms.spread(shift_lm, rows, own)
                 else:
-                    delta = np.zeros(6)
-                    delta[p] = step
-                    rot_p = Pose.from_params(base + delta)
-                    rot_m = Pose.from_params(base - delta)
-                    mat_p, mat_m = rot_p.matrix(), rot_m.matrix()
-                    moved = self.cloud_raw[ci] @ (mat_p - mat_m).T + (rot_p.trans - rot_m.trans)
+                    moved = self.cloud_raw[ci] @ (turned[p, 0] - turned[p, 1]).T
                     col = lms.column(rows, moved)
                     grav = gravity_residual(
-                        np.stack([mat_p, mat_m])[:, None], self.grav_local[own],
+                        turned[p, :, None], self.grav_local[own],
                         self.problem.gravity_world_dir, self.grav_weight[own],
                     )
                     grav_jac[own, :, 6 * k + p] = (grav[0] - grav[1]) / (2.0 * step)

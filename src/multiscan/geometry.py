@@ -1,8 +1,12 @@
-"""Rigid-body math: rotation vectors, poses, point cloud container.
+"""Rigid-body math: exp and log maps, poses, point cloud container.
 
-Rotations are carried as 3-vectors (axis * angle, radians). Matrices are
-built on demand via the Rodrigues formula; quaternions ([x, y, z, w]) are
-used internally only for interpolation.
+Rotations are carried as rotation vectors (axis * angle, radians).
+`rotvec_to_matrix` (exp, Rodrigues' formula) and `matrix_to_rotvec` (log)
+are the one pair of conversions to and from 3x3 matrices; `rotvec_to_quat`
+is the one conversion to quaternions [x, y, z, w], which only the spline's
+slerp uses. All three take any leading batch axes, and each entry of a
+stack equals the single call on it bit for bit. `Pose` is one rigid
+transform built on them.
 """
 
 from __future__ import annotations
@@ -13,24 +17,33 @@ import numpy as np
 
 _SMALL_ANGLE = 1e-10
 
+# the cross-product matrix as a linear map: (x, y, z) @ _CROSS is its
+# row-major entries (0, -z, y, z, 0, -x, -y, x, 0), exactly
+_CROSS = np.zeros((3, 9))
+_CROSS[[0, 1, 2], [7, 2, 3]] = 1.0
+_CROSS[[0, 1, 2], [5, 6, 1]] = -1.0
+_EYE = np.eye(3)
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix of a 3-vector."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+def _norms(flat: np.ndarray) -> np.ndarray:
+    """Row norms of (N, 3), the arithmetic of np.linalg.norm(flat, axis=1)."""
+    return np.sqrt(np.add.reduce(flat * flat, axis=1))
 
 
 def rotvec_to_matrix(r: np.ndarray) -> np.ndarray:
-    """Exponential map: rotation vector to 3x3 orthonormal matrix."""
+    """Exponential map: rotation vectors (..., 3) to orthonormal matrices (..., 3, 3).
+
+    Rodrigues' formula on the unit axis; below _SMALL_ANGLE the second-order
+    series in r itself, exact to machine precision there.
+    """
     r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r)
-    if angle < _SMALL_ANGLE:
-        # second-order series, exact to machine precision for tiny angles
-        k = skew(r)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    axis = r / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    flat = r.reshape(-1, 3)
+    angle = _norms(flat)
+    small = angle < _SMALL_ANGLE
+    k = (flat / np.where(small, 1.0, angle)[:, None] @ _CROSS).reshape(-1, 3, 3)
+    sin_a = np.where(small, 1.0, np.sin(angle))[:, None, None]
+    cos_a = np.where(small, 0.5, 1.0 - np.cos(angle))[:, None, None]
+    return (_EYE + sin_a * k + cos_a * (k @ k)).reshape(r.shape + (3,))
 
 
 def matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
@@ -61,15 +74,19 @@ def matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
 
 
 def rotvec_to_quat(r: np.ndarray) -> np.ndarray:
-    """Rotation vector to unit quaternion [x, y, z, w]."""
+    """Rotation vectors (..., 3) to unit quaternions [x, y, z, w], (..., 4)."""
     r = np.asarray(r, dtype=float)
-    angle = np.linalg.norm(r)
-    if angle < _SMALL_ANGLE:
-        q = np.array([0.5 * r[0], 0.5 * r[1], 0.5 * r[2], 1.0])
-        return q / np.linalg.norm(q)
-    axis = r / angle
-    s = np.sin(0.5 * angle)
-    return np.array([axis[0] * s, axis[1] * s, axis[2] * s, np.cos(0.5 * angle)])
+    flat = r.reshape(-1, 3)
+    angle = _norms(flat)
+    small = angle < _SMALL_ANGLE
+    out = np.empty((len(flat), 4))
+    out[:, :3] = flat * (np.sin(0.5 * angle) / np.where(small, 1.0, angle))[:, None]
+    out[:, 3] = np.cos(0.5 * angle)
+    if np.any(small):
+        out[small, :3] = 0.5 * flat[small]
+        out[small, 3] = 1.0
+        out[small] /= np.linalg.norm(out[small], axis=1, keepdims=True)
+    return out.reshape(r.shape[:-1] + (4,))
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
@@ -84,78 +101,10 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return q[:3] * (angle / vec_norm)
 
 
-def slerp(ra: np.ndarray, rb: np.ndarray, u: float) -> np.ndarray:
-    """Constant-angular-velocity interpolation between two rotation vectors.
-
-    u=0 returns ra, u=1 returns rb. The shorter of the two great-circle
-    paths is taken; for antipodal inputs the representative of rb with
-    non-negative w component is used.
-    """
-    qa = rotvec_to_quat(ra)
-    qb = rotvec_to_quat(rb)
-    dot = float(qa @ qb)
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    elif dot == 0.0 and qb[3] < 0.0:
-        qb = -qb
-    dot = min(dot, 1.0)
-    theta = np.arccos(dot)
-    if theta < 1e-9:
-        q = qa + u * (qb - qa)
-        return quat_to_rotvec(q / np.linalg.norm(q))
-    sin_theta = np.sin(theta)
-    wa = np.sin((1.0 - u) * theta) / sin_theta
-    wb = np.sin(u * theta) / sin_theta
-    return quat_to_rotvec(wa * qa + wb * qb)
-
-
 def rotation_angle_between(ra: np.ndarray, rb: np.ndarray) -> float:
     """Geodesic angle (radians) between two rotation vectors."""
     rel = rotvec_to_matrix(ra).T @ rotvec_to_matrix(rb)
     return float(np.linalg.norm(matrix_to_rotvec(rel)))
-
-
-def rotvecs_to_matrices(r: np.ndarray) -> np.ndarray:
-    """Batched Rodrigues formula, (N, 3) rotation vectors to (N, 3, 3)."""
-    r = np.asarray(r, dtype=float).reshape(-1, 3)
-    angle = np.linalg.norm(r, axis=1)
-    small = angle < _SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    axis = r / safe[:, None]
-    x, y, z = axis[:, 0], axis[:, 1], axis[:, 2]
-    zero = np.zeros_like(x)
-    k = np.stack(
-        [zero, -z, y, z, zero, -x, -y, x, zero], axis=1
-    ).reshape(-1, 3, 3)
-    k2 = k @ k
-    sin_a = np.sin(angle)[:, None, None]
-    cos_a = (1.0 - np.cos(angle))[:, None, None]
-    out = np.eye(3) + sin_a * k + cos_a * k2
-    if np.any(small):
-        ks = np.stack(
-            [zero, -r[:, 2], r[:, 1], r[:, 2], zero, -r[:, 0], -r[:, 1], r[:, 0], zero],
-            axis=1,
-        ).reshape(-1, 3, 3)
-        out[small] = (np.eye(3) + ks + 0.5 * (ks @ ks))[small]
-    return out
-
-
-def rotvecs_to_quats(r: np.ndarray) -> np.ndarray:
-    """Batched rotation vectors to unit quaternions [x, y, z, w], (N, 4)."""
-    r = np.asarray(r, dtype=float).reshape(-1, 3)
-    angle = np.linalg.norm(r, axis=1)
-    small = angle < _SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    out = np.empty((len(r), 4))
-    s = np.sin(0.5 * angle) / safe
-    out[:, :3] = r * s[:, None]
-    out[:, 3] = np.cos(0.5 * angle)
-    if np.any(small):
-        out[small, :3] = 0.5 * r[small]
-        out[small, 3] = 1.0
-        out[small] /= np.linalg.norm(out[small], axis=1, keepdims=True)
-    return out
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ class GravityEstimate:
     weight: float
 
 
-def _stream_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stream_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times (N,), gyro (N, 3) and accel (N, 3) of a sample sequence."""
     times = np.array([s.time for s in samples], dtype=float)
     gyro = np.stack([np.asarray(s.angular_velocity, dtype=float) for s in samples])
     accel = np.stack([np.asarray(s.linear_acceleration, dtype=float) for s in samples])
@@ -76,7 +77,7 @@ def preintegrate(
         raise ValueError("no IMU samples supplied")
     gyro_bias = np.zeros(3) if gyro_bias is None else np.asarray(gyro_bias, dtype=float)
     accel_bias = np.zeros(3) if accel_bias is None else np.asarray(accel_bias, dtype=float)
-    times, gyro, accel = _stream_arrays(samples)
+    times, gyro, accel = stream_arrays(samples)
     if times[-1] < t_start or times[0] > t_end:
         raise ValueError("no IMU samples overlap the interval")
     inside = (times > t_start) & (times < t_end)
@@ -85,18 +86,18 @@ def preintegrate(
     node_gyro = np.vstack([[_interp_row(times, gyro, t_start)], gyro[inside], [np.zeros(3)]])
     node_accel = np.vstack([[_interp_row(times, accel, t_start)], accel[inside], [np.zeros(3)]])
 
+    node_dt = np.diff(node_times)
+    step_rots = rotvec_to_matrix((node_gyro[:-1] - gyro_bias) * node_dt[:, None])
     delta_rot = np.eye(3)
     delta_vel = np.zeros(3)
     delta_pos = np.zeros(3)
-    for k in range(len(node_times) - 1):
-        dt = node_times[k + 1] - node_times[k]
+    for k, dt in enumerate(node_dt):
         if dt <= 0.0:
             continue
-        w = node_gyro[k] - gyro_bias
         a = node_accel[k] - accel_bias
         delta_pos = delta_pos + delta_vel * dt + 0.5 * (delta_rot @ a) * dt * dt
         delta_vel = delta_vel + (delta_rot @ a) * dt
-        delta_rot = delta_rot @ rotvec_to_matrix(w * dt)
+        delta_rot = delta_rot @ step_rots[k]
     return PreintegratedDelta(
         dt=t_end - t_start,
         delta_rot=delta_rot,
@@ -163,7 +164,7 @@ def estimate_gravity(
     estimate.
     """
     accel_bias = np.zeros(3) if accel_bias is None else np.asarray(accel_bias, dtype=float)
-    times, gyro, accel = _stream_arrays(samples)
+    times, gyro, accel = stream_arrays(samples)
     inside = (times >= traj.t_first) & (times <= traj.t_last)
     if not np.any(inside):
         return GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
@@ -193,7 +194,7 @@ def static_initialization(samples) -> tuple[np.ndarray, np.ndarray, float]:
     """
     if len(samples) == 0:
         raise ValueError("no IMU samples for static initialization")
-    _, gyro, accel = _stream_arrays(samples)
+    _, gyro, accel = stream_arrays(samples)
     gyro_bias = gyro.mean(axis=0)
     mean_accel = accel.mean(axis=0)
     magnitude = float(np.linalg.norm(mean_accel))

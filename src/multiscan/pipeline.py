@@ -35,8 +35,7 @@ from multiscan.geometry import (
     PointCloud,
     matrix_to_rotvec,
     rotvec_to_matrix,
-    rotvecs_to_matrices,
-    rotvecs_to_quats,
+    rotvec_to_quat,
 )
 from multiscan.imu import (
     GravityEstimate,
@@ -46,15 +45,18 @@ from multiscan.imu import (
     preintegrate,
     stack_deltas,
     static_initialization,
+    stream_arrays,
 )
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
 from multiscan.trajectory import (
+    TABLE_RESOLUTION,
     ContinuousTrajectory,
-    ControlPose,
     catmull_rom_tangents,
     deskew,
     hermite_positions,
+    nearest_slot,
     slerp_rotation_matrices,
+    table_times,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,7 +71,6 @@ class PipelineConfig:
             max_outer_iterations=6, inner_iterations=2, max_lambda_retries=10
         )
     )
-    table_resolution: float = 1e-3
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
     downsample: DownsampleConfig = field(default_factory=DownsampleConfig)
     buffer_capacity: float = 5.0
@@ -293,12 +294,13 @@ class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
     Parameters are the control poses (6 each). World positions come from
-    the millisecond pose table; each point is bound to its nearest table
-    slot. A perturbation of control pose k only alters table slots within
-    its spline support, so a Jacobian column re-evaluates just those slots
-    and hands the displacement of the points bound to them to the shared
-    `FrozenLandmarks` core. Static map points join the landmarks but never
-    move. The IMU rows are one batched `imu.imu_residual` call.
+    the pose table on the `trajectory.table_times` grid, the poses that
+    `deskew` through `ContinuousTrajectory(ctrl_times, params)` uses; each
+    point is bound to its nearest table slot. A perturbation of control pose k only alters table
+    slots within its spline support, so a Jacobian column re-evaluates just
+    those slots and hands the displacement of the points bound to them to
+    the shared `FrozenLandmarks` core. Static map points join the landmarks
+    but never move. The IMU rows are one batched `imu.imu_residual` call.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -322,13 +324,8 @@ class _WindowSystem:
         ])
         self.prior_weights = np.tile(w, self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
-        res = config.table_resolution
-        n_slots = int(np.floor((ctrl_times[-1] - ctrl_times[0]) / res + 1e-9)) + 1
-        self.slot_times = ctrl_times[0] + res * np.arange(n_slots)
-        self.slot_times[-1] = min(self.slot_times[-1], ctrl_times[-1])
-        self.point_slot = np.clip(
-            np.rint((stamps - ctrl_times[0]) / res).astype(np.int64), 0, n_slots - 1
-        )
+        self.slot_times = table_times(ctrl_times[0], ctrl_times[-1])
+        self.point_slot = nearest_slot(self.slot_times, stamps, TABLE_RESOLUTION)
         self.imu_weights = np.concatenate([
             np.full(3, config.imu_weight_rot),
             np.full(3, config.imu_weight_vel),
@@ -337,17 +334,10 @@ class _WindowSystem:
 
     # ---- trajectory evaluation -------------------------------------------------
 
-    def _trajectory(self, params: np.ndarray) -> ContinuousTrajectory:
-        ctrl = [
-            ControlPose(float(t), Pose.from_params(params[6 * k : 6 * k + 6]))
-            for k, t in enumerate(self.ctrl_times)
-        ]
-        return ContinuousTrajectory(ctrl)
-
     def _slot_poses(self, params: np.ndarray, times: np.ndarray):
         """Rotations and positions at times; params may have leading batch axes."""
         blocks = params.reshape(*params.shape[:-1], -1, 6)
-        quats = rotvecs_to_quats(blocks[..., :3].reshape(-1, 3)).reshape(*blocks.shape[:-1], 4)
+        quats = rotvec_to_quat(blocks[..., :3])
         rot = slerp_rotation_matrices(self.ctrl_times, quats, self.spacing, times)
         pos = hermite_positions(self.ctrl_times, blocks[..., 3:].copy(), self.spacing, times)
         return rot, pos
@@ -367,7 +357,7 @@ class _WindowSystem:
             return np.zeros(params.shape[:-1] + (0,))
         blocks = params.reshape(*params.shape[:-1], -1, 6)
         vel = catmull_rom_tangents(blocks[..., 3:], self.spacing)
-        mats = rotvecs_to_matrices(blocks[..., :3]).reshape(*blocks.shape[:-1], 3, 3)
+        mats = rotvec_to_matrix(blocks[..., :3])
         i, j = self.imu_seg, self.imu_seg + 1
         r = imu_residual(
             self.delta, mats[..., i, :, :], blocks[..., i, 3:], vel[..., i, :],
@@ -474,11 +464,21 @@ class OdometryPipeline:
     # ---- inputs ------------------------------------------------------------------
 
     def add_imu(self, samples) -> None:
-        for s in samples:
-            if self.imu_times and s.time <= self.imu_times[-1]:
-                raise ValueError("IMU samples must arrive in increasing time order")
-            self.imu_times.append(s.time)
-            self.imu_samples.append(s)
+        """Store a batch of samples whole, or raise ValueError and store none.
+
+        Times must be finite and strictly increasing after the last stored
+        sample; gyro and accel values must be finite.
+        """
+        samples = list(samples)
+        if not samples:
+            return
+        times, gyro, accel = stream_arrays(samples)
+        if not all(np.all(np.isfinite(values)) for values in (times, gyro, accel)):
+            raise ValueError("non-finite IMU sample time, gyro or accel")
+        if np.any(np.diff(np.concatenate([self.imu_times[-1:], times])) <= 0.0):
+            raise ValueError("IMU samples must arrive in increasing time order")
+        self.imu_times.extend(times.tolist())
+        self.imu_samples.extend(samples)
 
     def _imu_in(self, t0: float, t1: float) -> list[ImuSample]:
         lo = bisect.bisect_left(self.imu_times, t0)
@@ -504,7 +504,8 @@ class OdometryPipeline:
         """Estimate the pose at the scan's last stamp.
 
         Raises ValueError, before any state changes, for a scan that fails
-        `PointCloud.validate` (non-finite values or decreasing stamps).
+        `PointCloud.validate` (non-finite values or decreasing stamps) or
+        that ends before the previous scan (out-of-order).
         """
         cfg = self.config
         scan.validate()
@@ -549,7 +550,7 @@ class OdometryPipeline:
         except InsufficientStructureError:
             return self._fallback_result(ctrl_times, reasons + ["insufficient_structure"])
 
-        self._traj = system._trajectory(params)
+        self._traj = ContinuousTrajectory(system.ctrl_times, params)
         pose_now = self._traj.sample_pose(t_now)
         self.trajectory_times.append(t_now)
         self.trajectory_poses.append(pose_now)
@@ -591,9 +592,9 @@ class OdometryPipeline:
     def _extrapolate(traj: ContinuousTrajectory, t: float) -> Pose:
         dt = t - traj.t_last
         vel = traj.sample_velocity(traj.t_last)
-        rel = rotvec_to_matrix(traj.rotvecs[-2]).T @ rotvec_to_matrix(traj.rotvecs[-1])
-        rate = matrix_to_rotvec(rel) / traj.spacing
-        rot = rotvec_to_matrix(traj.rotvecs[-1]) @ rotvec_to_matrix(rate * dt)
+        rot_prev, rot_last = rotvec_to_matrix(traj.rotvecs[-2:])
+        rate = matrix_to_rotvec(rot_prev.T @ rot_last) / traj.spacing
+        rot = rot_last @ rotvec_to_matrix(rate * dt)
         return Pose(matrix_to_rotvec(rot), traj.positions[-1] + vel * dt)
 
     def _window_points(self, t_start: float, t_end: float):
@@ -653,7 +654,7 @@ class OdometryPipeline:
         cfg = self.config
         if len(down) < cfg.k_neighbors:
             return False
-        world, _ = deskew(down, self._traj, cfg.table_resolution)
+        world, _ = deskew(down, self._traj)
         keys = np.unique(
             pack_cell_indices(voxel_cell_indices(world.points, cfg.voxel.fine_size))
         )

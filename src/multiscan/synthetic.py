@@ -44,9 +44,7 @@ def raycast(
     walls: list[Wall], ray_origins: np.ndarray, ray_dirs: np.ndarray, max_range: float
 ) -> np.ndarray:
     """Distance to the nearest wall hit per ray; inf where nothing is hit."""
-    origins, eu, ev, _ = _wall_arrays(walls)
-    normals = np.cross(eu, ev)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    origins, eu, ev, normals = _wall_arrays(walls)
     best = np.full(len(ray_origins), np.inf)
     uu = np.sum(eu * eu, axis=1)
     vv = np.sum(ev * ev, axis=1)

@@ -1,21 +1,29 @@
-"""Continuous trajectory over a time window of uniform control poses.
+"""Continuous-time trajectory: one spline evaluator over uniform control poses.
 
-Positions are interpolated with a cubic Hermite spline using centered
-(Catmull-Rom) tangents, one-sided at the window ends; orientations with
-spherical linear interpolation between the bracketing control poses.
-Point deskewing goes through a pose table precomputed at fixed (1 ms)
-resolution and nearest-sample lookup.
+A trajectory is given by its control times and the flat parameter vector
+(r, t) per control pose that the odometry window optimizes: a rotation
+vector and a position. Positions follow a cubic Hermite spline with
+centered (Catmull-Rom) tangents, one-sided at the ends
+(`hermite_positions`); orientations follow slerp between the bracketing
+control quaternions (`slerp_rotation_matrices`). Both take leading batch
+axes, so the window evaluates many perturbed parameter vectors at once with
+the same arithmetic as `ContinuousTrajectory`.
+
+Points are moved by the pose of the nearest sample of a table on a uniform
+grid of TABLE_RESOLUTION (1 ms). `table_times` builds that grid and
+`nearest_slot` binds stamps to it, for both the window and `deskew`, so the
+two evaluate the same table poses. They differ only in the step a stamp is
+divided by (see `deskew`), which can move a stamp lying exactly on a
+half-step tie to the other neighbouring slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from multiscan.geometry import Pose, PointCloud, rotvec_to_quat, slerp
+from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec, rotvec_to_quat
 
-DEFAULT_TABLE_RESOLUTION = 1e-3
+TABLE_RESOLUTION = 1e-3
 
 
 def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
@@ -80,24 +88,17 @@ def slerp_rotation_matrices(
     return _quats_to_matrices(q)
 
 
-@dataclass(frozen=True)
-class ControlPose:
-    time: float
-    pose: Pose
+def table_times(t_first: float, t_last: float, resolution: float = TABLE_RESOLUTION) -> np.ndarray:
+    """Pose-table grid: steps of resolution from t_first, the last time clamped to t_last."""
+    n_slots = int(np.floor((t_last - t_first) / resolution + 1e-9)) + 1
+    times = t_first + resolution * np.arange(n_slots)
+    times[-1] = min(times[-1], t_last)
+    return times
 
 
-@dataclass
-class PoseTable:
-    """Poses sampled on a uniform grid for cheap per-point lookup."""
-
-    times: np.ndarray
-    rotations: np.ndarray  # (M, 3, 3)
-    positions: np.ndarray  # (M, 3)
-
-    def nearest_index(self, stamps: np.ndarray) -> np.ndarray:
-        res = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        idx = np.rint((np.asarray(stamps) - self.times[0]) / res).astype(np.int64)
-        return np.clip(idx, 0, len(self.times) - 1)
+def nearest_slot(times: np.ndarray, stamps: np.ndarray, step: float) -> np.ndarray:
+    """Index of the table slot nearest each stamp, the grid taken as steps of step."""
+    return np.clip(np.rint((stamps - times[0]) / step).astype(np.int64), 0, len(times) - 1)
 
 
 def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -117,21 +118,26 @@ def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
 
 
 class ContinuousTrajectory:
-    """Interpolating trajectory over [t_first, t_last]."""
+    """Interpolating trajectory over [t_first, t_last].
 
-    def __init__(self, control_poses: list[ControlPose]):
-        if len(control_poses) < 2:
+    times are the K uniformly spaced control times; params is the flat
+    vector of K blocks (r1, r2, r3, x, y, z): rotation vector, then position.
+    """
+
+    def __init__(self, times, params):
+        self.times = np.asarray(times, dtype=float)
+        if len(self.times) < 2:
             raise ValueError("need at least 2 control poses")
-        self.times = np.array([c.time for c in control_poses], dtype=float)
         gaps = np.diff(self.times)
         if np.any(gaps <= 0.0):
             raise ValueError("control times must be strictly increasing")
         if np.max(gaps) - np.min(gaps) > 1e-9:
             raise ValueError("control times must be uniformly spaced")
         self.spacing = float(gaps[0])
-        self.positions = np.stack([c.pose.trans for c in control_poses])
-        self.rotvecs = np.stack([c.pose.rotvec for c in control_poses])
-        self.quats = np.stack([rotvec_to_quat(r) for r in self.rotvecs])
+        blocks = np.asarray(params, dtype=float).reshape(len(self.times), 6)
+        self.rotvecs = blocks[:, :3].copy()
+        self.positions = blocks[:, 3:].copy()
+        self.quats = rotvec_to_quat(self.rotvecs)
         self.tangents = catmull_rom_tangents(self.positions, self.spacing)
 
     @property
@@ -141,10 +147,6 @@ class ContinuousTrajectory:
     @property
     def t_last(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def duration(self) -> float:
-        return self.t_last - self.t_first
 
     def _check_range(self, t: np.ndarray) -> None:
         if np.any(t < self.t_first - 1e-12) or np.any(t > self.t_last + 1e-12):
@@ -184,30 +186,15 @@ class ContinuousTrajectory:
         return slerp_rotation_matrices(self.times, self.quats, self.spacing, t)
 
     def sample_pose(self, t: float) -> Pose:
-        """Pose at time t; exact at every control time."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_range(t_arr)
-        seg, u = _segment_params(self.times, self.spacing, t_arr)
-        pos = self.sample_position(t_arr)[0]
-        rot = slerp(self.rotvecs[seg[0]], self.rotvecs[seg[0] + 1], float(u[0]))
-        return Pose(rot, pos)
-
-    def pose_table(self, resolution: float = DEFAULT_TABLE_RESOLUTION) -> PoseTable:
-        """Uniformly sampled poses covering the window at the given step."""
-        n = int(np.floor(self.duration / resolution + 1e-9)) + 1
-        times = self.t_first + resolution * np.arange(n)
-        times[-1] = min(times[-1], self.t_last)
-        return PoseTable(
-            times=times,
-            rotations=self.sample_rotations(times),
-            positions=self.sample_position(times),
-        )
+        """Pose at time t; exact at every control time up to rounding."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return Pose(matrix_to_rotvec(self.sample_rotations(t)[0]), self.sample_position(t)[0])
 
 
 def deskew(
     cloud: PointCloud,
     traj: ContinuousTrajectory,
-    resolution: float = DEFAULT_TABLE_RESOLUTION,
+    resolution: float = TABLE_RESOLUTION,
 ) -> tuple[PointCloud, int]:
     """Transform each point by the pose at its own stamp (nearest table sample).
 
@@ -219,10 +206,12 @@ def deskew(
     kept = cloud.select(np.nonzero(inside)[0])
     if len(kept) == 0:
         return PointCloud(points=np.zeros((0, 3))), dropped
-    table = traj.pose_table(resolution)
-    idx = table.nearest_index(kept.stamps)
-    rot = table.rotations[idx]
-    world = np.einsum("nij,nj->ni", rot, kept.points) + table.positions[idx]
+    times = table_times(traj.t_first, traj.t_last, resolution)
+    # the grid's own first step, not resolution: the two differ in the last
+    # bits, which decides the slot of a stamp that lies on a half-step tie
+    slot = nearest_slot(times, kept.stamps, times[1] - times[0] if len(times) > 1 else 1.0)
+    rot = traj.sample_rotations(times)[slot]
+    world = np.einsum("nij,nj->ni", rot, kept.points) + traj.sample_position(times)[slot]
     normals = None
     if kept.normals is not None:
         normals = np.einsum("nij,nj->ni", rot, kept.normals)
@@ -236,4 +225,3 @@ def deskew(
         ),
         dropped,
     )
-

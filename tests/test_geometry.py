@@ -10,8 +10,8 @@ from multiscan.geometry import (
     rotvec_to_matrix,
     rotvec_to_quat,
     quat_to_rotvec,
-    slerp,
 )
+from multiscan.trajectory import slerp_rotation_matrices
 
 
 def random_rotvec(rng, max_angle=np.pi - 1e-3):
@@ -24,29 +24,41 @@ def random_pose(rng):
     return Pose(random_rotvec(rng), rng.uniform(-5.0, 5.0, size=3))
 
 
-def mixed_rotation_stack(rng, n):
-    """Rotation matrices cycling through small-angle, generic and near-pi cases."""
-    mats = []
+def mixed_rotvecs(rng, n):
+    """Rotation vectors cycling through small-angle, generic and near-pi cases."""
+    rvecs = []
     for k in range(n):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = (rng.uniform(0.0, 1e-10), rng.uniform(0.0, np.pi), np.pi - 1e-7)[k % 3]
-        mats.append(rotvec_to_matrix(axis * angle))
-    return np.array(mats)
+        rvecs.append(axis * angle)
+    return np.array(rvecs)
+
+
+def mixed_rotation_stack(rng, n):
+    """Rotation matrices cycling through small-angle, generic and near-pi cases."""
+    return np.array([rotvec_to_matrix(r) for r in mixed_rotvecs(rng, n)])
+
+
+def slerp(ra, rb, u):
+    """Rotation vector a fraction u of the way from ra to rb, by the spline's slerp."""
+    quats = rotvec_to_quat(np.stack([ra, rb]))
+    rot = slerp_rotation_matrices(np.array([0.0, 1.0]), quats, 1.0, np.array([float(u)]))
+    return matrix_to_rotvec(rot[0])
 
 
 class TestRotation:
     def test_matrix_is_orthonormal(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            mat = rotvec_to_matrix(random_rotvec(rng))
+        rvecs = np.array([random_rotvec(rng) for _ in range(100)])
+        for mat in list(map(rotvec_to_matrix, rvecs)) + list(rotvec_to_matrix(rvecs)):
             assert np.allclose(mat @ mat.T, np.eye(3), atol=1e-9)
             assert np.linalg.det(mat) == pytest.approx(1.0, abs=1e-9)
 
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(1)
         rvecs = np.array([random_rotvec(rng) for _ in range(200)])
-        mats = np.array([rotvec_to_matrix(r) for r in rvecs])
+        mats = rotvec_to_matrix(rvecs.reshape(10, 20, 3)).reshape(200, 3, 3)
         assert np.max(np.linalg.norm(matrix_to_rotvec(mats) - rvecs, axis=1)) < 1e-9
         for r, mat in zip(rvecs, mats):
             assert np.linalg.norm(matrix_to_rotvec(mat) - r) < 1e-9
@@ -60,6 +72,9 @@ class TestRotation:
             assert np.allclose(
                 rotvec_to_matrix(matrix_to_rotvec(mat)), mat, atol=1e-9
             )
+        rvecs = np.array([random_rotvec(rng) for _ in range(60)]).reshape(3, 20, 3)
+        expected = ScipyRotation.from_rotvec(rvecs.reshape(-1, 3)).as_matrix().reshape(3, 20, 3, 3)
+        assert np.allclose(rotvec_to_matrix(rvecs), expected, atol=1e-12)
         mats = ScipyRotation.random(60, random_state=7).as_matrix().reshape(3, 20, 3, 3)
         expected = ScipyRotation.from_matrix(mats.reshape(-1, 3, 3)).as_rotvec().reshape(3, 20, 3)
         assert np.allclose(matrix_to_rotvec(mats), expected, atol=1e-9)
@@ -67,22 +82,21 @@ class TestRotation:
     def test_small_angle(self):
         r = np.array([1e-12, -2e-12, 3e-13])
         assert np.allclose(matrix_to_rotvec(rotvec_to_matrix(r)), r, atol=1e-15)
-        stack = np.stack([rotvec_to_matrix(r), rotvec_to_matrix(-r)])
+        stack = rotvec_to_matrix(np.stack([r, -r]))
         assert np.allclose(matrix_to_rotvec(stack), [r, -r], atol=1e-15)
 
     def test_near_pi_preserves_action(self):
         rng = np.random.default_rng(3)
-        mats = []
+        rvecs = []
         for _ in range(50):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             r = axis * (np.pi - 1e-7)
             mat = rotvec_to_matrix(r)
             assert np.allclose(rotvec_to_matrix(matrix_to_rotvec(mat)), mat, atol=1e-6)
-            mats.append(mat)
-        logs = matrix_to_rotvec(np.array(mats))
-        for log, mat in zip(logs, mats):
-            assert np.allclose(rotvec_to_matrix(log), mat, atol=1e-6)
+            rvecs.append(r)
+        mats = rotvec_to_matrix(np.array(rvecs))
+        assert np.allclose(rotvec_to_matrix(matrix_to_rotvec(mats)), mats, atol=1e-6)
 
     def test_stack_shapes_and_rows_equal_single_calls(self):
         mats = mixed_rotation_stack(np.random.default_rng(5), 24)
@@ -104,11 +118,25 @@ class TestRotation:
         rebuilt = np.array([rotvec_to_matrix(r) for r in logs.reshape(-1, 3)]).reshape(mats.shape)
         assert np.allclose(rebuilt, mats, atol=1e-6)
 
+    def test_exp_stack_shapes_and_rows_equal_single_calls(self):
+        rvecs = mixed_rotvecs(np.random.default_rng(7), 24)
+        rvecs[5] = 0.0
+        for exp, tail in ((rotvec_to_matrix, (3, 3)), (rotvec_to_quat, (4,))):
+            assert exp(rvecs[0]).shape == tail
+            flat = exp(rvecs)
+            assert flat.shape == (24,) + tail
+            nested = exp(rvecs.reshape(4, 6, 3))
+            assert nested.shape == (4, 6) + tail
+            singles = np.array([exp(r) for r in rvecs])
+            assert np.array_equal(flat, singles)
+            assert np.array_equal(nested.reshape(flat.shape), singles)
+
     def test_quat_round_trip(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            r = random_rotvec(rng)
+        rvecs = np.array([random_rotvec(rng) for _ in range(100)])
+        for r, q in zip(rvecs, rotvec_to_quat(rvecs)):
             assert np.allclose(quat_to_rotvec(rotvec_to_quat(r)), r, atol=1e-9)
+            assert np.allclose(quat_to_rotvec(q), r, atol=1e-9)
 
 
 class TestPose:

@@ -12,7 +12,7 @@ from multiscan.imu import (
     stack_deltas,
     static_initialization,
 )
-from multiscan.trajectory import ContinuousTrajectory, ControlPose
+from multiscan.trajectory import ContinuousTrajectory
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -145,7 +145,7 @@ class TestImuResidual:
 def static_traj(rotvec=None, duration=1.0, spacing=0.1):
     rotvec = np.zeros(3) if rotvec is None else rotvec
     times = np.arange(0.0, duration + 1e-9, spacing)
-    return ContinuousTrajectory([ControlPose(float(t), Pose(rotvec, np.zeros(3))) for t in times])
+    return ContinuousTrajectory(times, np.tile(Pose(rotvec, np.zeros(3)).as_params(), len(times)))
 
 
 class TestEstimateGravity:
@@ -169,7 +169,7 @@ class TestEstimateGravity:
         a_world = np.array([1.0, 0, 0])
         times = np.arange(0.0, 1.0 + 1e-9, 0.1)
         traj = ContinuousTrajectory(
-            [ControlPose(float(t), Pose(np.zeros(3), 0.5 * a_world * t * t)) for t in times]
+            times, np.concatenate([Pose(np.zeros(3), 0.5 * a_world * t * t).as_params() for t in times])
         )
         samples = stream(np.arange(0, 1.0, 5e-3), [0, 0, 0], a_world - GRAVITY)
         est = estimate_gravity(traj, samples)

@@ -3,8 +3,11 @@ import logging
 import numpy as np
 import pytest
 
+from multiscan.geometry import PointCloud
+from multiscan.imu import ImuSample
 from multiscan.pipeline import OdometryPipeline, _WindowSystem
 from multiscan.synthetic import corridor_scene, generate_synthetic
+from multiscan.trajectory import TABLE_RESOLUTION, ContinuousTrajectory, deskew, nearest_slot
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,55 @@ def test_window_imu_block_matches_imu_rows_secant(corridor_window):
         assert np.linalg.norm(block @ direction - secant) <= 1e-5 * np.linalg.norm(secant)
 
 
+def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
+    # the window and the keyframe deskew move points by the same table poses;
+    # their bindings may only part on stamps that lie on a half-slot tie
+    pipeline, _ = corridor_run
+    system, at = corridor_window
+    pts, stamps, _ = pipeline._window_points(system.ctrl_times[0], float(system.ctrl_times[-1]))
+    assert np.array_equal(pts, system.sensor_points)
+    n = len(pts)
+    traj = ContinuousTrajectory(system.ctrl_times, at)
+    world, dropped = deskew(PointCloud(points=pts, stamps=stamps), traj)
+    assert dropped == 0
+    times = system.slot_times
+    rot, pos = traj.sample_rotations(times), traj.sample_position(times)
+
+    def moved(slot):
+        return np.einsum("nij,nj->ni", rot[slot], pts) + pos[slot]
+
+    assert np.array_equal(system.world_points(at)[:n], moved(system.point_slot))
+    deskew_slot = nearest_slot(times, stamps, times[1] - times[0])
+    assert np.array_equal(world.points, moved(deskew_slot))
+    parted = deskew_slot != system.point_slot
+    offset = (stamps[parted] - times[0]) / TABLE_RESOLUTION - system.point_slot[parted]
+    assert np.all(np.abs(np.abs(offset) - 0.5) < 1e-6)
+
+
+def test_bad_imu_batch_raises_and_stores_nothing(corridor):
+    pipeline = OdometryPipeline()
+    samples = corridor.imu_samples
+    pipeline.add_imu(samples[:10])
+    later = samples[10:20]
+    swapped = later[:4] + [later[5], later[4]] + later[6:]
+    nan_gyro = later[:4] + [ImuSample(later[4].time, np.array([0.0, np.nan, 0.0]),
+                                      later[4].linear_acceleration)] + later[5:]
+    inf_accel = later[:4] + [ImuSample(later[4].time, later[4].angular_velocity,
+                                       np.array([np.inf, 0.0, 0.0]))] + later[5:]
+    for batch, match in (
+        (swapped, "increasing"),
+        (samples[5:15], "increasing"),  # starts before the last stored sample
+        (nan_gyro, "non-finite"),
+        (inf_accel, "non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            pipeline.add_imu(batch)
+        assert pipeline.imu_times == [s.time for s in samples[:10]]
+        assert pipeline.imu_samples == samples[:10]
+    pipeline.add_imu(later)
+    assert pipeline.imu_samples == samples[:20]
+
+
 def test_non_finite_scan_rejected_without_state_change(corridor):
     pipeline = OdometryPipeline()
     pipeline.add_imu(corridor.imu_samples)
@@ -97,13 +149,17 @@ def test_non_finite_scan_rejected_without_state_change(corridor):
         ("points", np.nan, "non-finite"),
         ("stamps", np.nan, "non-finite"),
         ("stamps", None, "monotone"),  # two stamps swapped
+        (None, None, "out-of-order"),  # the first scan replayed
     ):
-        bad = corridor.scans[2].select(np.arange(len(corridor.scans[2])))
-        values = getattr(bad, field)
-        if value is None:
-            values[[5, -1]] = values[[-1, 5]]
+        if field is None:
+            bad = corridor.scans[0]
         else:
-            values[5] = value
+            bad = corridor.scans[2].select(np.arange(len(corridor.scans[2])))
+            values = getattr(bad, field)
+            if value is None:
+                values[[5, -1]] = values[[-1, 5]]
+            else:
+                values[5] = value
         with pytest.raises(ValueError, match=match):
             pipeline.process_scan(bad)
         times, poses = pipeline.trajectory()

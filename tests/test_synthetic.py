@@ -93,12 +93,12 @@ class TestGenerate:
         ds = generate_synthetic(spec, seed=0)
         scan = ds.scans[-1]
         # deskew with the exact ground truth: every point must sit on a wall
-        from multiscan.trajectory import ContinuousTrajectory, ControlPose, deskew
+        from multiscan.trajectory import ContinuousTrajectory, deskew
 
         t_end = ds.scan_times[-1]
         times = np.arange(t_end - 0.1, t_end + 1e-9, 0.01)
         traj = ContinuousTrajectory(
-            [ControlPose(float(t), spec.motion.pose(float(t))) for t in times]
+            times, np.concatenate([spec.motion.pose(float(t)).as_params() for t in times])
         )
         world, dropped = deskew(scan, traj, resolution=1e-4)
         assert dropped == 0

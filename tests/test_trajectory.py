@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from multiscan.geometry import Pose, PointCloud, rotation_angle_between
-from multiscan.trajectory import ContinuousTrajectory, ControlPose, deskew
+from multiscan.geometry import PointCloud, rotation_angle_between
+from multiscan.trajectory import ContinuousTrajectory, deskew
 
 
 def make_traj(times, positions, rotvecs=None):
-    rotvecs = rotvecs if rotvecs is not None else [np.zeros(3)] * len(times)
-    return ContinuousTrajectory(
-        [ControlPose(t, Pose(r, p)) for t, p, r in zip(times, positions, rotvecs)]
-    )
+    rotvecs = rotvecs if rotvecs is not None else np.zeros((len(times), 3))
+    return ContinuousTrajectory(times, np.hstack([rotvecs, positions]).ravel())
 
 
 def wavy_traj(n=11, spacing=0.1):
@@ -24,7 +22,7 @@ def wavy_traj(n=11, spacing=0.1):
 class TestValidation:
     def test_needs_two_poses(self):
         with pytest.raises(ValueError, match="at least 2"):
-            ContinuousTrajectory([ControlPose(0.0, Pose.identity())])
+            ContinuousTrajectory([0.0], np.zeros(6))
 
     def test_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
