@@ -9,14 +9,17 @@ Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
 current parameters: it re-voxelizes the merged cloud and recomputes the
 per-cell statistics. It then takes up to `inner_iterations` accepted damped
 Gauss-Newton steps on the whitened per-member residuals of
-`FrozenLandmarks`, with a Jacobian from central differences of the point
-motion. During those steps only the membership and the inverse covariances
-are held constant; the cell means follow the moving points, so every cell
-scores the current scatter of its own members. A cell whose members move
-rigidly together is invariant, while a cell mixing misaligned scans is
-driven toward agreement. Cells full of inconsistent geometry (dynamic
-objects) keep a broad covariance and therefore little weight, which is why
-no outlier rejection is needed.
+`FrozenLandmarks`. The steps solve normal equations that a `Linearization`
+assembles landmark by landmark from each member's own motion (central
+differences of the point motion) and per-landmark sums, never forming the
+dense Jacobian; J^T J is built once per outer iteration. During those
+steps only the membership and the inverse covariances are held constant;
+the cell means follow the moving points, so every cell scores the current
+scatter of its own members. A cell whose members move rigidly together is
+invariant, while a cell mixing misaligned scans is driven toward
+agreement. Cells full of inconsistent geometry (dynamic objects) keep a
+broad covariance and therefore little weight, which is why no outlier
+rejection is needed.
 
 Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
 move. Keyframe adjustment moves each cloud rigidly and adds gravity rows
@@ -62,7 +65,10 @@ class LMConfig:
     def __post_init__(self):
         if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
             raise ValueError("require lambda_up > 1 > lambda_down > 0")
-        for name in ("lambda_init", "max_outer_iterations", "cost_rel_tol", "step_norm_tol"):
+        for name in (
+            "lambda_init", "max_outer_iterations", "cost_rel_tol", "step_norm_tol",
+            "max_lambda_retries", "inner_iterations",
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -177,19 +183,19 @@ def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
     return np.vstack(normal_chunks), np.concatenate(plan_chunks)
 
 
-def lm_step(jacobian: np.ndarray, errors: np.ndarray, lam: float) -> np.ndarray:
-    """Damped normal-equation step: (J^T J + lam diag(J^T J)) d = -J^T e.
+def lm_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
+    """Damped normal-equation step: (J^T J + lam diag(J^T J)) d = -J^T r.
 
-    The damping diagonal is floored relative to its largest entry so that
-    directions the residuals barely observe (gauge or near-gauge motions)
-    stay damped instead of soaking up huge steps from numerical noise.
+    Takes the normal equations of a `Linearization`, so the caller forms
+    J^T J once and only the solve repeats for every lam. The damping
+    diagonal is floored relative to its largest entry so that directions
+    the residuals barely observe (gauge or near-gauge motions) stay damped
+    instead of soaking up huge steps from numerical noise.
     """
-    jtj = jacobian.T @ jacobian
     diag = np.diag(jtj).copy()
     floor = max(1e-6 * diag.max(), 1e-12)
     diag[diag < floor] = floor
-    lhs = jtj + lam * np.diag(diag)
-    return np.linalg.solve(lhs, -(jacobian.T @ errors))
+    return np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
 
 
 def gravity_residual(
@@ -213,9 +219,12 @@ class FrozenLandmarks:
     normal-equation steps land on the frozen optimum instead of
     extrapolating an already-quadratic error toward zero. Membership and
     inverse covariances are frozen; each cell's mean follows its members.
-    Because whitening and mean removal are linear, moving some members
-    changes r by their own whitened displacement plus a per-landmark mean
-    shift gathered back to every member (`column`).
+
+    Because whitening and mean removal are linear, member k's Jacobian rows
+    are J_k = B_k - mean_j(B): its own whitened motion
+    B_k = sqrt(w_j) chol_j^T dp_k/dtheta (`white_m`; zero for a fixed point)
+    less the mean of B over its landmark. A `Linearization` therefore needs
+    only each member's own motion and the per-landmark sums (`sums`).
     """
 
     def __init__(self, groups: dict):
@@ -224,43 +233,91 @@ class FrozenLandmarks:
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        self.chol = np.linalg.cholesky(groups["inv_covs"])
-        self.chol_m = self.chol[self.member_lm]
+        self.chol_m = np.linalg.cholesky(groups["inv_covs"])[self.member_lm]
         self.sw_m = np.sqrt(1.0 / self.counts)[self.member_lm][:, None]
+        # sqrt(w_j) chol_j^T per member: B_k = white_m[k] @ dp_k/dtheta
+        self.white_m = self.sw_m[:, :, None] * np.swapaxes(self.chol_m, 1, 2)
 
-    def _lm_sums(self, lm: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [np.bincount(lm, weights=values[:, a], minlength=self.n_landmarks) for a in range(3)],
-            axis=1,
-        )
+    def sums(self, values: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
+        """Per-landmark sums of values, one row per member (all, or those at members)."""
+        lm = self.member_lm if members is None else self.member_lm[members]
+        width = int(np.prod(values.shape[1:]))
+        bins = (lm[:, None] * width + np.arange(width)).ravel()
+        flat = np.bincount(bins, weights=values.ravel(), minlength=self.n_landmarks * width)
+        return flat.reshape(self.n_landmarks, *values.shape[1:])
 
     def residuals(self, points: np.ndarray) -> np.ndarray:
         """Residual vector (3 per member) with the members at rows of points."""
         d = points[self.member_row] - self.mu_ref[self.member_lm]
-        dbar = self._lm_sums(self.member_lm, d) / self.counts[:, None]
-        centered = d - dbar[self.member_lm]
+        centered = d - (self.sums(d) / self.counts[:, None])[self.member_lm]
         return (self.sw_m * np.einsum("nji,nj->ni", self.chol_m, centered)).ravel()
 
-    def column(self, rows: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """Change of the residual vector when members rows move by moved."""
-        s = self._lm_sums(self.member_lm[rows], moved)
-        shift_lm = -np.einsum("lji,lj->li", self.chol, s / self.counts[:, None])
-        own = self.sw_m[rows] * np.einsum("nji,nj->ni", self.chol_m[rows], moved)
-        return self.spread(shift_lm, rows, own)
 
-    def spread(self, shift_lm: np.ndarray, rows: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """Per-landmark whitened mean shifts on every member, plus own on rows."""
-        col = self.sw_m * shift_lm[self.member_lm]
-        col[rows] += own
-        return col.ravel()
+class Linearization:
+    """Normal equations of a frozen system at one parameter vector.
+
+    Parameter block b (columns 6b to 6b + 6) moves the landmark members
+    order[lo:hi] for (lo, hi) = bounds[b], whose own whitened motion under
+    those columns is blocks[b], (hi - lo, 3, 6); no other member moves with
+    it. dense (D) is the Jacobian of the rows that follow the landmark rows
+    in the residual vector (gravity, IMU, prior). With S_j the sum of B
+    over landmark j (see `FrozenLandmarks`),
+
+        J^T J = sum_k B_k^T B_k - sum_j S_j^T S_j / n_j + D^T D
+        J^T r = sum_k B_k^T r_k - sum_j S_j^T (sum_{k in j} r_k) / n_j + D^T r_D,
+
+    so the 3M-row landmark Jacobian is never formed. Ranges of two blocks
+    may overlap (the window's neighbouring control poses); B_k^T B_k then
+    contributes to their off-diagonal block over the overlap.
+    """
+
+    def __init__(self, landmarks: FrozenLandmarks, order: np.ndarray, bounds, blocks, dense):
+        self.landmarks = landmarks
+        self.members = [order[lo:hi] for lo, hi in bounds]
+        self.blocks = blocks
+        self.dense = dense
+        n_params = dense.shape[1]
+        self.lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
+        jtj = dense.T @ dense
+        for a, (lo_a, hi_a) in enumerate(bounds):
+            self.lm_sums[:, :, 6 * a : 6 * a + 6] = landmarks.sums(blocks[a], self.members[a])
+            for b in range(a, len(bounds)):
+                lo_b, hi_b = bounds[b]
+                lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+                if lo >= hi:
+                    continue
+                own = (
+                    blocks[a][lo - lo_a : hi - lo_a].reshape(-1, 6).T
+                    @ blocks[b][lo - lo_b : hi - lo_b].reshape(-1, 6)
+                )
+                jtj[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] += own
+                if b != a:
+                    jtj[6 * b : 6 * b + 6, 6 * a : 6 * a + 6] += own.T
+        scaled = (self.lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
+        self.jtj = jtj - scaled.T @ scaled
+
+    def jtr(self, r: np.ndarray) -> np.ndarray:
+        """J^T r for a residual vector r laid out as the system's residuals."""
+        lms = self.landmarks
+        n_rows = 3 * len(lms.member_lm)
+        r_m = r[:n_rows].reshape(-1, 3)
+        out = self.dense.T @ r[n_rows:]
+        for a, (members, block) in enumerate(zip(self.members, self.blocks)):
+            out[6 * a : 6 * a + 6] += block.reshape(-1, 6).T @ r_m[members].ravel()
+        mean_r = lms.sums(r_m) / lms.counts[:, None]
+        return out - np.tensordot(self.lm_sums, mean_r, axes=([0, 1], [0, 1]))
 
 
 class _RigidSystem:
     """Rigid point-motion model of keyframe adjustment, with gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order. Perturbing one pose moves only that cloud's members, so each
-    Jacobian column is one `FrozenLandmarks` column.
+    order. Perturbing one pose moves only that cloud's members, so in the
+    `Linearization` each pose's block covers its own cloud's members and
+    B^T B is block-diagonal. A member's motion under a rotation parameter
+    comes from central differences; under a translation it is the unit
+    axis, so those columns of B are rows of sqrt(w_j) chol_j. The gravity
+    rows form the small dense block.
     """
 
     def __init__(self, problem: AdjustmentProblem):
@@ -282,15 +339,16 @@ class _RigidSystem:
         # the point stack doubles as a world-point buffer: only free clouds move
         self.world, groups = freeze_landmarks(self.problem, self.poses(params))
         self.landmarks = lms = FrozenLandmarks(groups)
-        self.cloud_rows, self.cloud_raw, self.cloud_ratio = {}, {}, {}
+        self.cloud_rows, self.cloud_raw = [], []
         for ci in self.free:
             lo, hi = self.offsets[ci], self.offsets[ci + 1]
             rows = np.nonzero((lms.member_row >= lo) & (lms.member_row < hi))[0]
-            self.cloud_rows[ci] = rows
-            self.cloud_raw[ci] = self.problem.clouds[ci].points[lms.member_row[rows] - lo]
-            self.cloud_ratio[ci] = (
-                np.bincount(lms.member_lm[rows], minlength=lms.n_landmarks) / lms.counts
-            )
+            self.cloud_rows.append(rows)
+            self.cloud_raw.append(self.problem.clouds[ci].points[lms.member_row[rows] - lo])
+        # each pose's block covers its own cloud's members, in free order
+        sizes = [len(rows) for rows in self.cloud_rows]
+        self.order = np.concatenate(self.cloud_rows)
+        self.bounds = list(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)))
 
     def _member_residuals(self, poses: list[Pose]) -> np.ndarray:
         for ci in self.free:
@@ -316,39 +374,33 @@ class _RigidSystem:
         extras = self._gravity_residuals(poses)
         return float(r @ r + extras @ extras)
 
-    def jacobian(self, params: np.ndarray, step: float = FD_STEP):
-        """Central-difference Jacobian of residuals(params), and the residuals."""
-        lms = self.landmarks
-        n_lm_rows = 3 * len(lms.member_lm)
-        jac = np.zeros((n_lm_rows + 3 * len(self.grav_cloud), len(params)))
-        # gravity rows, one block of 3 per constraint; translation never
-        # enters them, and a rotation moves only its own cloud's constraints
-        grav_jac = jac[n_lm_rows:].reshape(-1, 3, len(params))
+    def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
+        """Normal equations at params, rotations by central differences of step."""
+        grav_jac = np.zeros((len(self.grav_cloud), 3, len(params)))
+        blocks = []
         for k, ci in enumerate(self.free):
-            rows = self.cloud_rows[ci]
             base = params[6 * k : 6 * k + 6]
-            own = self.grav_cloud == ci
             # rotations with +h and -h on each rotation parameter, (3, 2, 3, 3)
             turned = rotvec_to_matrix(base[:3] + step * np.stack([np.eye(3), -np.eye(3)], axis=1))
-            for p in range(6):
-                if p >= 3:
-                    # translation: every member of this cloud moves by the
-                    # same 2h step along one axis; whitened contribution is
-                    # a Cholesky row scaled by the cloud's member share
-                    axis = p - 3
-                    shift_lm = -2.0 * step * lms.chol[:, axis, :] * self.cloud_ratio[ci][:, None]
-                    own = lms.sw_m[rows] * (2.0 * step) * lms.chol_m[rows, axis, :]
-                    col = lms.spread(shift_lm, rows, own)
-                else:
-                    moved = self.cloud_raw[ci] @ (turned[p, 0] - turned[p, 1]).T
-                    col = lms.column(rows, moved)
-                    grav = gravity_residual(
-                        turned[p, :, None], self.grav_local[own],
-                        self.problem.gravity_world_dir, self.grav_weight[own],
-                    )
-                    grav_jac[own, :, 6 * k + p] = (grav[0] - grav[1]) / (2.0 * step)
-                jac[:n_lm_rows, 6 * k + p] = col / (2.0 * step)
-        return jac, self.residuals(params)
+            raw = self.cloud_raw[k]
+            motion = np.empty((len(raw), 3, 6))
+            d_rot = (turned[:, 0] - turned[:, 1]) / (2.0 * step)
+            motion[:, :, :3] = np.einsum("pij,nj->nip", d_rot, raw)
+            motion[:, :, 3:] = np.eye(3)
+            blocks.append(self.landmarks.white_m[self.cloud_rows[k]] @ motion)
+            # gravity rows: translation never enters them, and a rotation
+            # moves only its own cloud's constraints
+            own = self.grav_cloud == ci
+            grav = gravity_residual(
+                turned[:, :, None], self.grav_local[own],
+                self.problem.gravity_world_dir, self.grav_weight[own],
+            )
+            grav_jac[own, :, 6 * k : 6 * k + 3] = np.moveaxis(
+                (grav[:, 0] - grav[:, 1]) / (2.0 * step), 0, -1
+            )
+        return Linearization(
+            self.landmarks, self.order, self.bounds, blocks, grav_jac.reshape(-1, len(params))
+        )
 
 
 def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
@@ -356,11 +408,13 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
 
     system provides freeze(params), which fixes its landmarks at params;
     cost(params) and residuals(params) against the frozen landmarks; and
-    jacobian(params), which returns the Jacobian and the residuals. Every
-    outer iteration freezes at the current parameters and then takes up to
-    inner_iterations accepted damped steps; later steps reuse the first
-    Jacobian with fresh residuals, since the residuals are near-affine in
-    the parameters over one pass. A step is only accepted if it strictly
+    linearize(params), which returns the `Linearization` there: J^T J and
+    the map r -> J^T r. Every outer iteration freezes at the current
+    parameters and then takes up to inner_iterations accepted damped steps.
+    J^T J is built once per outer iteration and reused by every inner
+    iteration and lam retry; later inner iterations refresh only J^T r
+    from fresh residuals, since the residuals are near-affine in the
+    parameters over one pass. A step is only accepted if it strictly
     decreases the frozen cost, so the recorded (linearization, accepted)
     cost pairs are non-increasing within every outer iteration. Terminates
     when the outer improvement falls below cost_rel_tol, the parameter step
@@ -374,7 +428,7 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     iterations = 0
     for outer in range(config.max_outer_iterations):
         iterations = outer + 1
-        jac = None  # release the last pass's Jacobian before building the next
+        lin = None  # release the last pass's linearization before building the next
         system.freeze(params)
         cost_outer = system.cost(params)
         history.append(cost_outer)
@@ -383,13 +437,12 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
         step_norm = 0.0
         for inner in range(config.inner_iterations):
             if inner == 0:
-                jac, r_all = system.jacobian(params)
-            else:
-                r_all = system.residuals(params)
+                lin = system.linearize(params)
+            jtr = lin.jtr(system.residuals(params))
             accepted = None
             for _ in range(config.max_lambda_retries):
                 try:
-                    delta = lm_step(jac, r_all, lam)
+                    delta = lm_step(lin.jtj, jtr, lam)
                 except np.linalg.LinAlgError:
                     lam *= config.lambda_up
                     continue

@@ -101,12 +101,6 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return q[:3] * (angle / vec_norm)
 
 
-def rotation_angle_between(ra: np.ndarray, rb: np.ndarray) -> float:
-    """Geodesic angle (radians) between two rotation vectors."""
-    rel = rotvec_to_matrix(ra).T @ rotvec_to_matrix(rb)
-    return float(np.linalg.norm(matrix_to_rotvec(rel)))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: p_out = R(rotvec) @ p_in + trans."""

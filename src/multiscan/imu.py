@@ -108,18 +108,6 @@ def preintegrate(
     )
 
 
-def compose_deltas(a: PreintegratedDelta, b: PreintegratedDelta) -> PreintegratedDelta:
-    """Chain two consecutive deltas into one covering both intervals."""
-    return PreintegratedDelta(
-        dt=a.dt + b.dt,
-        delta_rot=a.delta_rot @ b.delta_rot,
-        delta_vel=a.delta_vel + a.delta_rot @ b.delta_vel,
-        delta_pos=a.delta_pos + a.delta_vel * b.dt + a.delta_rot @ b.delta_pos,
-        gyro_bias=a.gyro_bias,
-        accel_bias=a.accel_bias,
-    )
-
-
 def stack_deltas(deltas) -> PreintegratedDelta:
     """One delta whose fields stack those of deltas along a new leading axis."""
     return PreintegratedDelta(**{

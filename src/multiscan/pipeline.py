@@ -24,6 +24,7 @@ from multiscan.adjustment import (
     FrozenLandmarks,
     GravityConstraint,
     InsufficientStructureError,
+    Linearization,
     LMConfig,
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
@@ -296,11 +297,15 @@ class _WindowSystem:
     Parameters are the control poses (6 each). World positions come from
     the pose table on the `trajectory.table_times` grid, the poses that
     `deskew` through `ContinuousTrajectory(ctrl_times, params)` uses; each
-    point is bound to its nearest table slot. A perturbation of control pose k only alters table
-    slots within its spline support, so a Jacobian column re-evaluates just
-    those slots and hands the displacement of the points bound to them to
-    the shared `FrozenLandmarks` core. Static map points join the landmarks
-    but never move. The IMU rows are one batched `imu.imu_residual` call.
+    point is bound to its nearest table slot. Control pose k only moves the
+    table slots within its spline support, and `freeze` sorts the moving
+    members by slot, so in the `Linearization` pose k's block covers one
+    contiguous range of them and neighbouring poses' ranges overlap. The
+    members' motion comes from central differences of the slot poses, each
+    perturbation evaluating only the spline half it moves: slerp for
+    rotations, Hermite for positions. Static map points join the landmarks
+    but never move. The IMU rows (one batched `imu.imu_residual` call) and
+    the prior rows form the small dense block.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -326,6 +331,10 @@ class _WindowSystem:
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
         self.slot_times = table_times(ctrl_times[0], ctrl_times[-1])
         self.point_slot = nearest_slot(self.slot_times, stamps, TABLE_RESOLUTION)
+        # first and last table slot each control pose moves: its position
+        # reaches two segments either side (Hermite), its rotation one (slerp)
+        self.support = [self._slots_within(k, 2) for k in range(self.n_ctrl)]
+        self.rot_support = [self._slots_within(k, 1) for k in range(self.n_ctrl)]
         self.imu_weights = np.concatenate([
             np.full(3, config.imu_weight_rot),
             np.full(3, config.imu_weight_vel),
@@ -334,18 +343,14 @@ class _WindowSystem:
 
     # ---- trajectory evaluation -------------------------------------------------
 
-    def _slot_poses(self, params: np.ndarray, times: np.ndarray):
-        """Rotations and positions at times; params may have leading batch axes."""
-        blocks = params.reshape(*params.shape[:-1], -1, 6)
-        quats = rotvec_to_quat(blocks[..., :3])
-        rot = slerp_rotation_matrices(self.ctrl_times, quats, self.spacing, times)
-        pos = hermite_positions(self.ctrl_times, blocks[..., 3:].copy(), self.spacing, times)
-        return rot, pos
-
     def world_points(self, params: np.ndarray) -> np.ndarray:
-        rot_tab, pos_tab = self._slot_poses(params, self.slot_times)
-        rot = rot_tab[self.point_slot]
-        pos = pos_tab[self.point_slot]
+        blocks = params.reshape(-1, 6)
+        rot = slerp_rotation_matrices(
+            self.ctrl_times, rotvec_to_quat(blocks[:, :3]), self.spacing, self.slot_times
+        )[self.point_slot]
+        pos = hermite_positions(
+            self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times
+        )[self.point_slot]
         moving = np.einsum("nij,nj->ni", rot, self.sensor_points) + pos
         if len(self.static_points):
             return np.vstack([moving, self.static_points])
@@ -380,11 +385,17 @@ class _WindowSystem:
                 "insufficient overlap/structure in the sliding window"
             )
         self.landmarks = FrozenLandmarks(groups)
-        # table slot of every member whose point moves with the trajectory
-        member_row = self.landmarks.member_row
-        moving = member_row < len(self.sensor_points)
-        self.member_slot = np.full(len(member_row), -1, dtype=np.int64)
-        self.member_slot[moving] = self.point_slot[member_row[moving]]
+        # members whose point moves with the trajectory, sorted by table slot
+        moving = np.nonzero(self.landmarks.member_row < len(self.sensor_points))[0]
+        slot = self.point_slot[self.landmarks.member_row[moving]]
+        by_slot = np.argsort(slot, kind="stable")
+        self.order = moving[by_slot]
+        self.member_slot = slot[by_slot]
+        self.bounds = [
+            (np.searchsorted(self.member_slot, first, side="left"),
+             np.searchsorted(self.member_slot, last, side="right"))
+            for first, last in self.support
+        ]
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
@@ -400,19 +411,15 @@ class _WindowSystem:
         r = self.residuals(params)
         return float(r @ r)
 
-    def _slots_in_span(self, k: int):
-        lo = self.ctrl_times[max(0, k - 2)] - 1e-12
-        hi = self.ctrl_times[min(self.n_ctrl - 1, k + 2)] + 1e-12
-        return np.nonzero((self.slot_times >= lo) & (self.slot_times <= hi))[0]
+    def _slots_within(self, k: int, reach: int) -> tuple[int, int]:
+        lo = self.ctrl_times[max(0, k - reach)] - 1e-12
+        hi = self.ctrl_times[min(self.n_ctrl - 1, k + reach)] + 1e-12
+        slots = np.nonzero((self.slot_times >= lo) & (self.slot_times <= hi))[0]
+        return int(slots[0]), int(slots[-1])
 
-    def jacobian(self, params: np.ndarray, step: float = FD_STEP):
-        """Central-difference Jacobian of residuals(params), and the residuals."""
-        lms = self.landmarks
-        n_lm_rows = 3 * len(lms.member_row)
-        n_imu_rows = 9 * len(self.imu_seg)
+    def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
+        """Normal equations at params, by central differences of step."""
         n_params = 6 * self.n_ctrl
-        jac = np.zeros((n_lm_rows + n_imu_rows + n_params, n_params))
-        jac[n_lm_rows + n_imu_rows:, :] = np.diag(self.prior_weights)
         # rows 2q and 2q + 1: params with +h and -h on parameter q
         variants = np.repeat(params[None, :], 2 * n_params, axis=0)
         q = np.arange(n_params)
@@ -421,24 +428,35 @@ class _WindowSystem:
         # segments outside a pose's spline support see identical inputs, so
         # their differences are exactly zero
         imu = self.imu_rows(variants)
-        jac[n_lm_rows : n_lm_rows + n_imu_rows] = (imu[0::2] - imu[1::2]).T / (2.0 * step)
-        for k in range(self.n_ctrl):
-            slots = self._slots_in_span(k)
-            affected = np.nonzero(np.isin(self.member_slot, slots))[0]
-            if len(affected) == 0:
-                continue
-            rot_b, pos_b = self._slot_poses(variants[12 * k : 12 * k + 12], self.slot_times[slots])
-            raw = self.sensor_points[lms.member_row[affected]]
-            local = np.searchsorted(slots, self.member_slot[affected])
-            for p in range(6):
-                rp, pp = rot_b[2 * p][local], pos_b[2 * p][local]
-                rm, pm = rot_b[2 * p + 1][local], pos_b[2 * p + 1][local]
-                moved = (
-                    np.einsum("nij,nj->ni", rp, raw) + pp
-                    - np.einsum("nij,nj->ni", rm, raw) - pm
+        dense = np.vstack([(imu[0::2] - imu[1::2]).T / (2.0 * step), np.diag(self.prior_weights)])
+        blocks = []
+        for k, (lo, hi) in enumerate(self.bounds):
+            members = self.order[lo:hi]
+            slot = self.member_slot[lo:hi]
+            motion = np.zeros((hi - lo, 3, 6))
+            if lo < hi:
+                # each half over the slots it moves: positions over the whole
+                # support, rotations over the sub-range of their own support
+                first, last = self.support[k]
+                shifted = variants[12 * k + 6 : 12 * k + 12].reshape(6, self.n_ctrl, 6)
+                pos = hermite_positions(
+                    self.ctrl_times, shifted[..., 3:].copy(), self.spacing,
+                    self.slot_times[first : last + 1],
                 )
-                jac[:n_lm_rows, 6 * k + p] = lms.column(affected, moved) / (2.0 * step)
-        return jac, self.residuals(params)
+                d_pos = np.moveaxis(pos[0::2] - pos[1::2], 0, -1) / (2.0 * step)
+                motion[:, :, 3:] = d_pos[slot - first]
+                first, last = self.rot_support[k]
+                turn = slice(np.searchsorted(slot, first), np.searchsorted(slot, last, side="right"))
+                turned = variants[12 * k : 12 * k + 6].reshape(6, self.n_ctrl, 6)
+                rot = slerp_rotation_matrices(
+                    self.ctrl_times, rotvec_to_quat(turned[..., :3]), self.spacing,
+                    self.slot_times[first : last + 1],
+                )
+                d_rot = np.moveaxis(rot[0::2] - rot[1::2], 0, 2) / (2.0 * step)
+                raw = self.sensor_points[self.landmarks.member_row[members[turn]]]
+                motion[turn, :, :3] = np.einsum("nipj,nj->nip", d_rot[slot[turn] - first], raw)
+            blocks.append(self.landmarks.white_m[members] @ motion)
+        return Linearization(self.landmarks, self.order, self.bounds, blocks, dense)
 
 
 class OdometryPipeline:

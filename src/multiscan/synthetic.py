@@ -131,26 +131,6 @@ class RampProfile:
         return float(self.value(t_end))
 
 
-@dataclass(frozen=True)
-class PolynomialProfile:
-    """s(t) = v0 * t + 0.5 * a * t^2, for constant-rate or constant-accel runs."""
-
-    v0: float = 0.0
-    accel: float = 0.0
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.v0 * t + 0.5 * self.accel * t * t
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.v0 + self.accel * t
-
-    def second_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.accel)
-
-
 def _rz_batch(yaw: np.ndarray) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)
     out = np.zeros(yaw.shape + (3, 3))

@@ -5,6 +5,7 @@ from multiscan.adjustment import (
     AdjustmentProblem,
     GravityConstraint,
     InsufficientStructureError,
+    LMConfig,
     _RigidSystem,
     freeze_landmarks,
     gravity_residual,
@@ -107,8 +108,7 @@ class TestNumericJacobian:
         )
         system, params = frozen_system(prob, prob.initial_poses)
         assert system.landmarks.n_landmarks == 2
-        jac, r = system.jacobian(params)
-        grad = 2.0 * jac.T @ r
+        grad = 2.0 * system.linearize(params).jtr(system.residuals(params))
         assert np.all(np.abs(grad[3:]) < 1e-6)  # translations of the free pose
 
     def test_richardson_step_consistency(self):
@@ -118,12 +118,16 @@ class TestNumericJacobian:
         init = [truth[0], sample_pert(rng, 0.05, 1.0).compose(truth[1])]
         prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init)
         system, params = frozen_system(prob, init)
-        j_h, _ = system.jacobian(params, step=1e-4)
-        j_h2, _ = system.jacobian(params, step=5e-5)
-        scale = max(np.abs(j_h2).max(), 1.0)
-        assert np.abs(j_h - j_h2).max() / scale < 1e-4
+        r = system.residuals(params)
+        lin_h = system.linearize(params, step=1e-4)
+        lin_h2 = system.linearize(params, step=5e-5)
+        for a, b in ((lin_h.jtj, lin_h2.jtj), (lin_h.jtr(r), lin_h2.jtr(r))):
+            scale = max(np.abs(b).max(), 1.0)
+            assert np.abs(a - b).max() / scale < 1e-4
 
     def test_secant_directional_derivative(self):
+        # along d, the cost's slope is 2 d.J^T r and the residuals' squared
+        # slope is d^T J^T J d
         ds = small_room(points_per_scan=600)
         rng = np.random.default_rng(4)
         for trial in range(5):
@@ -131,41 +135,101 @@ class TestNumericJacobian:
             init = [truth[0], sample_pert(rng, 0.1, 2.0).compose(truth[1])]
             prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init)
             system, params = frozen_system(prob, init)
-            jac, r = system.jacobian(params)
+            lin = system.linearize(params)
             direction = rng.normal(size=6)
             direction /= np.linalg.norm(direction)
             h = 1e-5
             secant = (system.cost(params + h * direction) - system.cost(params - h * direction)) / (2 * h)
-            analytic = float(2.0 * r @ (jac @ direction))
+            analytic = float(2.0 * direction @ lin.jtr(system.residuals(params)))
             assert analytic == pytest.approx(secant, rel=1e-5, abs=1e-8)
+            moved = (
+                system.residuals(params + h * direction) - system.residuals(params - h * direction)
+            ) / (2 * h)
+            assert float(direction @ lin.jtj @ direction) == pytest.approx(moved @ moved, rel=1e-5)
+
+    def test_normal_equations_match_secant_jacobian(self):
+        # fixed points, gravity rows and a split landmark: J^T J and J^T r
+        # equal the products of a Jacobian built column by column from
+        # central secants of the residuals
+        rng = np.random.default_rng(15)
+        n = 150
+        sheet = np.zeros((n, 3))
+        sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
+        clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
+        clouds = []
+        for side in (-1.0, 1.0):
+            points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
+            normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
+            planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
+            clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
+        init = [sample_pert(rng, 0.01, 0.5) for _ in clouds]
+        tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
+        prob = AdjustmentProblem(
+            clouds=clouds,
+            initial_poses=init,
+            fixed_points=rng.uniform(-1.5, 1.5, size=(200, 3)),
+            gravity_constraints=[
+                GravityConstraint(cloud_id=i, direction_local=tilted_up, weight=2.0 + i)
+                for i in range(2)
+            ],
+            split_normals=True,
+            planarity_min=0.5,
+        )
+        system, params = frozen_system(prob, init)
+        assert system.free == [0, 1]
+        _, plain = freeze_landmarks(
+            AdjustmentProblem(clouds=clouds, initial_poses=init, fixed_points=prob.fixed_points),
+            init,
+        )
+        assert system.landmarks.n_landmarks > len(plain["counts"])
+        at = params + 1e-3 * rng.normal(size=len(params))
+        lin = system.linearize(at)
+        h = 1e-6
+        jac = np.stack([
+            (system.residuals(at + h * e) - system.residuals(at - h * e)) / (2 * h)
+            for e in np.eye(len(at))
+        ], axis=1)
+        r = system.residuals(at)
+        jtj, jtr = jac.T @ jac, jac.T @ r
+        assert np.abs(lin.jtj - jtj).max() <= 1e-6 * np.abs(jtj).max()
+        assert np.abs(lin.jtr(r) - jtr).max() <= 1e-6 * np.abs(jtr).max()
 
 
 class TestLMStep:
     def test_zero_errors_zero_update(self):
         jac = np.random.default_rng(5).normal(size=(10, 3))
-        assert np.allclose(lm_step(jac, np.zeros(10), 1e-4), 0.0)
+        assert np.allclose(lm_step(jac.T @ jac, jac.T @ np.zeros(10), 1e-4), 0.0)
 
     def test_linear_residual_exact_root(self):
         # e(x) = x: Gauss-Newton with lam -> 0 jumps to the root
         jac = np.array([[1.0]])
-        delta = lm_step(jac, np.array([2.0]), 0.0)
+        delta = lm_step(jac.T @ jac, jac.T @ np.array([2.0]), 0.0)
         assert delta[0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(6)
         jac = rng.normal(size=(40, 6))
         errors = rng.normal(size=40)
-        delta = lm_step(jac, errors, 0.0)
-        oracle = np.linalg.solve(jac.T @ jac, -jac.T @ errors)
+        delta = lm_step(jac.T @ jac, jac.T @ errors, 0.0)
+        oracle = np.linalg.lstsq(jac, -errors, rcond=None)[0]
         assert np.allclose(delta, oracle, atol=1e-9)
 
     def test_damping_shrinks_step(self):
         rng = np.random.default_rng(7)
         jac = rng.normal(size=(40, 6))
         errors = rng.normal(size=40)
-        small = np.linalg.norm(lm_step(jac, errors, 1e3))
-        big = np.linalg.norm(lm_step(jac, errors, 1e-6))
+        small = np.linalg.norm(lm_step(jac.T @ jac, jac.T @ errors, 1e3))
+        big = np.linalg.norm(lm_step(jac.T @ jac, jac.T @ errors, 1e-6))
         assert small < big
+
+
+class TestLMConfig:
+    @pytest.mark.parametrize("name", ["inner_iterations", "max_lambda_retries"])
+    def test_rejects_no_work_per_iteration(self, name):
+        # with either at 0 the driver would return its start with converged=True
+        with pytest.raises(ValueError, match=name):
+            LMConfig(**{name: 0})
+        LMConfig(**{name: 1})
 
 
 class TestGravityResidual:
@@ -202,15 +266,15 @@ class TestGravityResidual:
             clouds=ds.scans, initial_poses=init, gravity_constraints=constraints
         )
         system, params = frozen_system(prob, init)
-        jac, r = system.jacobian(params)
+        grav_jac = system.linearize(params).dense
         n_grav = 3 * len(constraints)
-        assert jac.shape == (len(r), len(params))
+        assert grav_jac.shape == (n_grav, len(params))
         h = 1e-6
         for q in range(len(params)):
             d = np.zeros(len(params))
             d[q] = h
             secant = (system.residuals(params + d) - system.residuals(params - d))[-n_grav:] / (2 * h)
-            assert np.allclose(jac[-n_grav:, q], secant, rtol=1e-6, atol=1e-9)
+            assert np.allclose(grav_jac[:, q], secant, rtol=1e-6, atol=1e-9)
 
 
 class TestRunAdjustment:

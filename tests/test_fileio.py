@@ -11,7 +11,7 @@ from multiscan.fileio import (
     write_point_cloud,
     write_trajectory,
 )
-from multiscan.geometry import Pose, PointCloud, rotation_angle_between
+from multiscan.geometry import Pose, PointCloud
 from multiscan.imu import ImuSample
 
 
@@ -145,7 +145,7 @@ class TestTrajectoryIO:
         assert np.allclose(t_back, times, atol=1e-9)
         for a, b in zip(poses, p_back):
             assert np.allclose(a.trans, b.trans, atol=1e-8)
-            assert rotation_angle_between(a.rotvec, b.rotvec) < 1e-7
+            assert np.linalg.norm(a.inverse().compose(b).rotvec) < 1e-7
 
     def test_rejects_non_unit_quaternion(self, tmp_path):
         path = tmp_path / "traj.txt"

@@ -6,12 +6,16 @@ from multiscan.geometry import (
     Pose,
     PointCloud,
     matrix_to_rotvec,
-    rotation_angle_between,
     rotvec_to_matrix,
     rotvec_to_quat,
     quat_to_rotvec,
 )
 from multiscan.trajectory import slerp_rotation_matrices
+
+
+def rotation_angle_between(ra, rb):
+    """Geodesic angle (radians) between two rotation vectors."""
+    return float(np.linalg.norm(matrix_to_rotvec(rotvec_to_matrix(ra).T @ rotvec_to_matrix(rb))))
 
 
 def random_rotvec(rng, max_angle=np.pi - 1e-3):

@@ -5,7 +5,6 @@ from multiscan.geometry import Pose, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import (
     GravityEstimate,
     ImuSample,
-    compose_deltas,
     estimate_gravity,
     imu_residual,
     preintegrate,
@@ -61,10 +60,24 @@ class TestPreintegrate:
         whole = preintegrate(samples, 0.0, 0.6)
         first = preintegrate(samples, 0.0, 0.25)
         second = preintegrate(samples, 0.25, 0.6)
-        chained = compose_deltas(first, second)
-        assert np.linalg.norm(matrix_to_rotvec(whole.delta_rot.T @ chained.delta_rot)) < 1e-6
-        assert np.allclose(chained.delta_vel, whole.delta_vel, atol=1e-6)
-        assert np.allclose(chained.delta_pos, whole.delta_pos, atol=1e-6)
+
+        def advance(delta, rot, pos, vel):
+            # the state at the end of delta whose imu_residual is zero
+            dt = delta.dt
+            return (
+                rot @ delta.delta_rot,
+                pos + vel * dt + 0.5 * GRAVITY * dt * dt + rot @ delta.delta_pos,
+                vel + GRAVITY * dt + rot @ delta.delta_vel,
+            )
+
+        start = (rotvec_to_matrix(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3))
+        middle = advance(first, *start)
+        end = advance(second, *middle)
+        assert np.allclose(imu_residual(first, *start, *middle, GRAVITY), 0.0, atol=1e-12)
+        # chaining the two halves' states satisfies the whole interval's delta
+        r = imu_residual(whole, *start, *end, GRAVITY)
+        assert np.linalg.norm(r[:3]) < 1e-6
+        assert np.allclose(r[3:], 0.0, atol=1e-6)
 
     def test_empty_interval_raises(self):
         samples = stream([0.0, 0.1], [0, 0, 0], [0, 0, 0])

@@ -55,30 +55,49 @@ def corridor_window(corridor, corridor_run):
 
 
 def test_window_jacobian_matches_cost_secant(corridor_window):
-    # the Jacobian through the shared landmark core against its own cost
+    # the linearization through the shared landmark core against its own
+    # cost (slope 2 d.J^T r) and residuals (squared slope d^T J^T J d)
     system, at = corridor_window
     rng = np.random.default_rng(0)
     rng.normal(size=len(at))  # the draw the fixture spent on the offset
-    jac, r = system.jacobian(at)
-    assert jac.shape == (len(r), len(at))
+    lin = system.linearize(at)
+    jtr = lin.jtr(system.residuals(at))
+    assert lin.jtj.shape == (len(at), len(at)) and jtr.shape == (len(at),)
     h = 1e-5
     for _ in range(5):
         direction = rng.normal(size=len(at))
         direction /= np.linalg.norm(direction)
         secant = (system.cost(at + h * direction) - system.cost(at - h * direction)) / (2 * h)
-        analytic = float(2.0 * r @ (jac @ direction))
+        analytic = float(2.0 * direction @ jtr)
         assert analytic == pytest.approx(secant, rel=1e-5, abs=1e-8)
+        moved = (system.residuals(at + h * direction) - system.residuals(at - h * direction)) / (2 * h)
+        assert float(direction @ lin.jtj @ direction) == pytest.approx(moved @ moved, rel=1e-5)
+
+
+def test_window_normal_equations_match_secant_jacobian(corridor_window):
+    # J^T J and J^T r equal the products of a Jacobian built column by
+    # column from central secants of the residuals
+    system, at = corridor_window
+    lin = system.linearize(at)
+    h = 1e-6
+    jac = np.stack([
+        (system.residuals(at + h * e) - system.residuals(at - h * e)) / (2 * h)
+        for e in np.eye(len(at))
+    ], axis=1)
+    r = system.residuals(at)
+    jtj, jtr = jac.T @ jac, jac.T @ r
+    assert np.abs(lin.jtj - jtj).max() <= 1e-6 * np.abs(jtj).max()
+    assert np.abs(lin.jtr(r) - jtr).max() <= 1e-6 * np.abs(jtr).max()
 
 
 def test_window_imu_block_matches_imu_rows_secant(corridor_window):
     # the combined cost is dominated by the landmark rows, so check the IMU
     # block alone against a central secant of imu_rows
     system, at = corridor_window
-    jac, _ = system.jacobian(at)
+    lin = system.linearize(at)
     imu = system.imu_rows(at)
     assert len(imu) == 9 * len(system.imu_seg)
-    n_lm = 3 * len(system.landmarks.member_row)
-    block = jac[n_lm : n_lm + len(imu)]
+    block = lin.dense[: len(imu)]
     assert system.imu_rows(np.stack([at, at])).shape == (2, len(imu))
     rng = np.random.default_rng(1)
     h = 1e-5

@@ -7,7 +7,6 @@ from multiscan.synthetic import (
     GRAVITY,
     CircleMotion,
     LineMotion,
-    PolynomialProfile,
     RampProfile,
     SceneSpec,
     StaticMotion,
@@ -60,14 +59,19 @@ class TestMotionProfiles:
         assert prof.value(5.0) == pytest.approx(2.0 * (2.0 / 2.0) + 2.0 * 2.0)
 
     def test_line_motion_consistency(self):
-        motion = LineMotion((0, 0, 1), (1, 0, 0), PolynomialProfile(v0=0.5, accel=0.2))
-        ts = np.array([0.0, 1.0, 2.0])
+        prof = RampProfile(rate=2.0, ramp_start=1.0, ramp_duration=2.0)
+        motion = LineMotion((0, 0, 1), (1, 0, 0), prof)
+        ts = np.array([0.0, 1.5, 2.0, 4.0])
         vel = motion.velocities(ts)
-        assert np.allclose(vel[:, 0], 0.5 + 0.2 * ts)
-        assert np.allclose(motion.accelerations(ts)[:, 0], 0.2)
+        assert np.allclose(vel[:, 0], prof.derivative(ts))
+        assert np.allclose(vel[:, 1:], 0.0)
+        assert np.allclose(motion.accelerations(ts)[:, 0], prof.second_derivative(ts))
+        assert np.allclose(vel[[0, 3], 0], [0.0, 2.0])
 
     def test_circle_motion_kinematics(self):
-        motion = CircleMotion((0, 0, 0), radius=5.0, height=1.0, profile=PolynomialProfile(v0=2.0))
+        # the ramp ends before t = 0, so the speed is a constant 2 m/s
+        constant = RampProfile(rate=2.0, ramp_start=-2.0, ramp_duration=1.0)
+        motion = CircleMotion((0, 0, 0), radius=5.0, height=1.0, profile=constant)
         ts = np.linspace(0.0, 3.0, 50)
         pos = motion.positions(ts)
         assert np.allclose(np.linalg.norm(pos[:, :2], axis=1), 5.0)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from multiscan.geometry import PointCloud, rotation_angle_between
+from multiscan.geometry import PointCloud, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.trajectory import ContinuousTrajectory, deskew
+
+
+def rotation_angle_between(ra, rb):
+    """Geodesic angle (radians) between two rotation vectors."""
+    return float(np.linalg.norm(matrix_to_rotvec(rotvec_to_matrix(ra).T @ rotvec_to_matrix(rb))))
 
 
 def make_traj(times, positions, rotvecs=None):
