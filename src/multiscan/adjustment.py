@@ -7,24 +7,28 @@ all transformed points within their voxel cells:
 
 Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
 current parameters: it re-voxelizes the merged cloud and recomputes the
-per-cell statistics. It then takes up to `inner_iterations` accepted damped
+per-cell statistics. It then takes up to INNER_ITERATIONS accepted damped
 Gauss-Newton steps on the whitened per-member residuals of
 `FrozenLandmarks`. The steps solve normal equations that a `Linearization`
 assembles landmark by landmark from each member's own motion (central
-differences of the point motion) and per-landmark sums, never forming the
-dense Jacobian; J^T J is built once per outer iteration. During those
-steps only the membership and the inverse covariances are held constant;
-the cell means follow the moving points, so every cell scores the current
-scatter of its own members. A cell whose members move rigidly together is
-invariant, while a cell mixing misaligned scans is driven toward
-agreement. Cells full of inconsistent geometry (dynamic objects) keep a
-broad covariance and therefore little weight, which is why no outlier
-rejection is needed.
+differences under rotations; exact under translations, which move points
+linearly) and per-landmark sums, never forming the dense Jacobian; J^T J
+is built once per outer iteration. During those steps only the membership
+and the inverse covariances are held constant; the cell means follow the
+moving points, so every cell scores the current scatter of its own
+members. A cell whose members move rigidly together is invariant, while a
+cell mixing misaligned scans is driven toward agreement. Cells full of
+inconsistent geometry (dynamic objects) keep a broad covariance and
+therefore little weight, which is why no outlier rejection is needed.
 
 Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
-move. Keyframe adjustment moves each cloud rigidly and adds gravity rows
-(`_RigidSystem`, here); the odometry window moves points along a
-continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
+move. The driver sees a system only through three methods, freeze,
+residuals and linearize; its damping schedule (LAMBDA_INIT, LAMBDA_UP,
+LAMBDA_DOWN), stopping thresholds (COST_REL_TOL, STEP_NORM_TOL) and
+INNER_ITERATIONS are module constants, and `LMConfig` holds only the two
+budgets callers set. Keyframe adjustment moves each cloud rigidly and adds
+gravity rows (`_RigidSystem`, here); the odometry window moves points along
+a continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
 
 Fixed points (for example the points of anchor keyframes) take part in
 voxelization, in the cell means and in the error sums, but carry no
@@ -49,26 +53,24 @@ class InsufficientStructureError(RuntimeError):
     """No voxel collected enough points to form a single landmark."""
 
 
+# damping schedule and stopping thresholds of `levenberg_marquardt`
+LAMBDA_INIT = 1e-4
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.5
+COST_REL_TOL = 1e-8
+STEP_NORM_TOL = 1e-8
+INNER_ITERATIONS = 2
+
+
 @dataclass
 class LMConfig:
-    """Levenberg-Marquardt schedule and termination thresholds."""
+    """Iteration budgets of `levenberg_marquardt`."""
 
-    lambda_init: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.5
     max_outer_iterations: int = 32
-    cost_rel_tol: float = 1e-8
-    step_norm_tol: float = 1e-8
     max_lambda_retries: int = 12
-    inner_iterations: int = 2
 
     def __post_init__(self):
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise ValueError("require lambda_up > 1 > lambda_down > 0")
-        for name in (
-            "lambda_init", "max_outer_iterations", "cost_rel_tol", "step_norm_tol",
-            "max_lambda_retries", "inner_iterations",
-        ):
+        for name in ("max_outer_iterations", "max_lambda_retries"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -264,23 +266,26 @@ class Linearization:
     over landmark j (see `FrozenLandmarks`),
 
         J^T J = sum_k B_k^T B_k - sum_j S_j^T S_j / n_j + D^T D
-        J^T r = sum_k B_k^T r_k - sum_j S_j^T (sum_{k in j} r_k) / n_j + D^T r_D,
+        J^T r = sum_k B_k^T r_k + D^T r_D,
 
-    so the 3M-row landmark Jacobian is never formed. Ranges of two blocks
-    may overlap (the window's neighbouring control poses); B_k^T B_k then
-    contributes to their off-diagonal block over the overlap.
+    so the 3M-row landmark Jacobian is never formed. J^T r drops the term
+    -sum_j S_j^T (sum_{k in j} r_k) / n_j: the residuals of
+    `FrozenLandmarks.residuals` are mean-free within every landmark, so
+    each inner sum is zero up to rounding. Ranges of two blocks may overlap
+    (the window's neighbouring control poses); B_k^T B_k then contributes
+    to their off-diagonal block over the overlap.
     """
 
     def __init__(self, landmarks: FrozenLandmarks, order: np.ndarray, bounds, blocks, dense):
-        self.landmarks = landmarks
+        self.n_rows = 3 * len(landmarks.member_lm)
         self.members = [order[lo:hi] for lo, hi in bounds]
         self.blocks = blocks
         self.dense = dense
         n_params = dense.shape[1]
-        self.lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
+        lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
         jtj = dense.T @ dense
         for a, (lo_a, hi_a) in enumerate(bounds):
-            self.lm_sums[:, :, 6 * a : 6 * a + 6] = landmarks.sums(blocks[a], self.members[a])
+            lm_sums[:, :, 6 * a : 6 * a + 6] = landmarks.sums(blocks[a], self.members[a])
             for b in range(a, len(bounds)):
                 lo_b, hi_b = bounds[b]
                 lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
@@ -293,19 +298,16 @@ class Linearization:
                 jtj[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] += own
                 if b != a:
                     jtj[6 * b : 6 * b + 6, 6 * a : 6 * a + 6] += own.T
-        scaled = (self.lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
+        scaled = (lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
         self.jtj = jtj - scaled.T @ scaled
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
-        """J^T r for a residual vector r laid out as the system's residuals."""
-        lms = self.landmarks
-        n_rows = 3 * len(lms.member_lm)
-        r_m = r[:n_rows].reshape(-1, 3)
-        out = self.dense.T @ r[n_rows:]
+        """J^T r for a residual vector r of the system (at any parameters)."""
+        r_m = r[: self.n_rows].reshape(-1, 3)
+        out = self.dense.T @ r[self.n_rows :]
         for a, (members, block) in enumerate(zip(self.members, self.blocks)):
             out[6 * a : 6 * a + 6] += block.reshape(-1, 6).T @ r_m[members].ravel()
-        mean_r = lms.sums(r_m) / lms.counts[:, None]
-        return out - np.tensordot(self.lm_sums, mean_r, axes=([0, 1], [0, 1]))
+        return out
 
 
 class _RigidSystem:
@@ -350,29 +352,17 @@ class _RigidSystem:
         self.order = np.concatenate(self.cloud_rows)
         self.bounds = list(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)))
 
-    def _member_residuals(self, poses: list[Pose]) -> np.ndarray:
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        poses = self.poses(params)
         for ci in self.free:
             self.world[self.offsets[ci] : self.offsets[ci + 1]] = poses[ci].apply(
                 self.problem.clouds[ci].points
             )
-        return self.landmarks.residuals(self.world)
-
-    def _gravity_residuals(self, poses: list[Pose]) -> np.ndarray:
         rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))[self.grav_cloud]
-        return gravity_residual(
+        gravity = gravity_residual(
             rots, self.grav_local, self.problem.gravity_world_dir, self.grav_weight
-        ).ravel()
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        poses = self.poses(params)
-        r = self._member_residuals(poses)
-        return np.concatenate([r, self._gravity_residuals(poses)])
-
-    def cost(self, params: np.ndarray) -> float:
-        poses = self.poses(params)
-        r = self._member_residuals(poses)
-        extras = self._gravity_residuals(poses)
-        return float(r @ r + extras @ extras)
+        )
+        return np.concatenate([self.landmarks.residuals(self.world), gravity.ravel()])
 
     def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
         """Normal equations at params, rotations by central differences of step."""
@@ -404,22 +394,27 @@ class _RigidSystem:
 
 
 def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
-    """Minimize a system's cost over a flat parameter vector.
+    """Minimize the squared norm of a system's residuals over a flat parameter vector.
 
-    system provides freeze(params), which fixes its landmarks at params;
-    cost(params) and residuals(params) against the frozen landmarks; and
-    linearize(params), which returns the `Linearization` there: J^T J and
-    the map r -> J^T r. Every outer iteration freezes at the current
-    parameters and then takes up to inner_iterations accepted damped steps.
-    J^T J is built once per outer iteration and reused by every inner
-    iteration and lam retry; later inner iterations refresh only J^T r
-    from fresh residuals, since the residuals are near-affine in the
-    parameters over one pass. A step is only accepted if it strictly
-    decreases the frozen cost, so the recorded (linearization, accepted)
-    cost pairs are non-increasing within every outer iteration. Terminates
-    when the outer improvement falls below cost_rel_tol, the parameter step
-    norm falls below step_norm_tol (as when no step is accepted), or the
-    iteration budget runs out.
+    system provides three methods: freeze(params), which fixes its
+    landmarks at params; residuals(params), the residual vector against the
+    frozen landmarks; and linearize(params), which returns the
+    `Linearization` there: J^T J and the map r -> J^T r. Every outer
+    iteration freezes at the current parameters, linearizes there once and
+    then takes up to INNER_ITERATIONS accepted damped steps. J^T J is reused
+    by every inner iteration and lam retry; each inner iteration refreshes
+    only J^T r, since the residuals are near-affine in the parameters over
+    one pass. Each residual vector is evaluated once and kept with its
+    parameters: the one at the frozen parameters gives the outer cost and
+    the first J^T r, and an accepted trial's, computed to judge the step,
+    gives the next J^T r. A step is only accepted if it strictly decreases
+    the frozen cost, so the recorded (linearization, accepted) cost pairs
+    are non-increasing within every outer iteration. lam starts at
+    LAMBDA_INIT, grows by LAMBDA_UP on a rejected step and shrinks by
+    LAMBDA_DOWN after an accepted one. Terminates when the outer
+    improvement falls below COST_REL_TOL, the parameter step norm falls
+    below STEP_NORM_TOL (as when no step is accepted), or the iteration
+    budget runs out.
 
     Returns (params, cost_history, converged, iterations).
     """
@@ -430,38 +425,39 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
         iterations = outer + 1
         lin = None  # release the last pass's linearization before building the next
         system.freeze(params)
-        cost_outer = system.cost(params)
+        r = system.residuals(params)
+        cost_outer = cost_cur = float(r @ r)
         history.append(cost_outer)
-        lam = config.lambda_init
-        cost_cur = cost_outer
+        lin = system.linearize(params)
+        lam = LAMBDA_INIT
         step_norm = 0.0
-        for inner in range(config.inner_iterations):
-            if inner == 0:
-                lin = system.linearize(params)
-            jtr = lin.jtr(system.residuals(params))
+        for _ in range(INNER_ITERATIONS):
+            jtr = lin.jtr(r)
             accepted = None
             for _ in range(config.max_lambda_retries):
                 try:
                     delta = lm_step(lin.jtj, jtr, lam)
                 except np.linalg.LinAlgError:
-                    lam *= config.lambda_up
+                    lam *= LAMBDA_UP
                     continue
-                if float(np.linalg.norm(delta)) < config.step_norm_tol:
+                delta_norm = float(np.linalg.norm(delta))
+                if delta_norm < STEP_NORM_TOL:
                     break
                 trial = params + delta
-                trial_cost = system.cost(trial)
+                r_trial = system.residuals(trial)
+                trial_cost = float(r_trial @ r_trial)
                 if trial_cost < cost_cur:
-                    accepted = (trial, trial_cost, float(np.linalg.norm(delta)))
+                    accepted = (trial, r_trial, trial_cost, delta_norm)
                     break
-                lam *= config.lambda_up
+                lam *= LAMBDA_UP
             if accepted is None:
                 break
-            params, cost_cur, inner_step = accepted
+            params, r, cost_cur, inner_step = accepted
             step_norm += inner_step
-            lam = max(lam * config.lambda_down, 1e-12)
+            lam = max(lam * LAMBDA_DOWN, 1e-12)
         history.append(cost_cur)
         rel_drop = (cost_outer - cost_cur) / max(cost_outer, np.finfo(float).tiny)
-        if rel_drop < config.cost_rel_tol or step_norm < config.step_norm_tol:
+        if rel_drop < COST_REL_TOL or step_norm < STEP_NORM_TOL:
             converged = True
             break
     return params, history, converged, iterations

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -68,9 +68,7 @@ class PipelineConfig:
     window_duration: float = 1.0
     control_spacing: float = 0.1
     window_lm: LMConfig = field(
-        default_factory=lambda: LMConfig(
-            max_outer_iterations=6, inner_iterations=2, max_lambda_retries=10
-        )
+        default_factory=lambda: LMConfig(max_outer_iterations=6, max_lambda_retries=10)
     )
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
     downsample: DownsampleConfig = field(default_factory=DownsampleConfig)
@@ -93,40 +91,45 @@ class PipelineConfig:
     static_radius: float = 30.0
     planarity_min: float = 0.5
 
+    def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, (int, float)) and not np.isfinite(value):
+                raise ValueError(f"config key {item.name!r} must be finite, got {value}")
+        for name in ("window_duration", "control_spacing", "buffer_capacity"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"config key {name!r} must be positive")
+
+
+def _parse_like(raw: str, default):
+    """raw read as the type of default; a tuple from comma- or space-separated floats."""
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in raw.replace(",", " ").split())
+    return type(default)(raw)
+
 
 def pipeline_config_from_dict(values: dict) -> PipelineConfig:
-    """Build a config from flat `key = value` strings; unknown keys fail."""
-    cfg = PipelineConfig()
-    voxel = {"coarse_size": cfg.voxel.coarse_size, "fine_size": cfg.voxel.fine_size,
-             "n_min": cfg.voxel.n_min, "epsilon": cfg.voxel.epsilon}
-    down = {"levels": cfg.downsample.levels, "min_points": cfg.downsample.min_points,
-            "trim_range": cfg.downsample.trim_range, "seed": cfg.downsample.seed}
+    """Build a config from flat `key = value` strings; unknown keys fail.
+
+    Numbers take their field's name; voxel and downsampling settings take
+    `voxel_<field>` and `downsample_<field>`. The LM budgets are not keys.
+    """
+    defaults = PipelineConfig()
+    nested = {"voxel": asdict(defaults.voxel), "downsample": asdict(defaults.downsample)}
+    top = {}
     for key, raw in values.items():
-        if key.startswith("voxel_") and key[6:] in voxel:
-            voxel[key[6:]] = type(voxel[key[6:]])(float(raw) if key[6:] != "n_min" else int(raw))
-        elif key == "downsample_levels":
-            down["levels"] = tuple(float(v) for v in raw.replace(",", " ").split())
-        elif key == "downsample_min_points":
-            down["min_points"] = int(raw)
-        elif key == "downsample_trim_range":
-            down["trim_range"] = float(raw)
-        elif key == "downsample_seed":
-            down["seed"] = int(raw)
-        elif hasattr(cfg, key) and not key.startswith(("voxel", "downsample", "kf_lm", "window_lm")):
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, raw.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(raw))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(raw))
-            else:
-                raise ValueError(f"config key {key!r} has unsupported type")
+        group, _, name = key.partition("_")
+        if name in nested.get(group, {}):
+            nested[group][name] = _parse_like(raw, nested[group][name])
+        elif isinstance(getattr(defaults, key, None), (int, float)):
+            top[key] = _parse_like(raw, getattr(defaults, key))
         else:
             raise ValueError(f"unknown config key {key!r}")
-    cfg.voxel = VoxelConfig(**voxel)
-    cfg.downsample = DownsampleConfig(**down)
-    return cfg
+    return PipelineConfig(
+        **top,
+        voxel=VoxelConfig(**nested["voxel"]),
+        downsample=DownsampleConfig(**nested["downsample"]),
+    )
 
 
 class RingBuffer:
@@ -300,12 +303,14 @@ class _WindowSystem:
     point is bound to its nearest table slot. Control pose k only moves the
     table slots within its spline support, and `freeze` sorts the moving
     members by slot, so in the `Linearization` pose k's block covers one
-    contiguous range of them and neighbouring poses' ranges overlap. The
-    members' motion comes from central differences of the slot poses, each
-    perturbation evaluating only the spline half it moves: slerp for
-    rotations, Hermite for positions. Static map points join the landmarks
-    but never move. The IMU rows (one batched `imu.imu_residual` call) and
-    the prior rows form the small dense block.
+    contiguous range of them and neighbouring poses' ranges overlap.
+    Positions are linear in the control positions, so a member's motion
+    under pose k's translation is pose k's Hermite weight at its slot times
+    the unit axis (`hermite_weights`, built once); under a rotation it comes
+    from central differences of slerp over the slots that rotation moves.
+    Static map points join the landmarks but never move. The IMU rows (one
+    batched `imu.imu_residual` call) and the prior rows form the small
+    dense block.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -331,6 +336,10 @@ class _WindowSystem:
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
         self.slot_times = table_times(ctrl_times[0], ctrl_times[-1])
         self.point_slot = nearest_slot(self.slot_times, stamps, TABLE_RESOLUTION)
+        # (slot, k): control pose k's weight in the position at that slot
+        self.hermite_weights = hermite_positions(
+            ctrl_times, np.eye(self.n_ctrl), self.spacing, self.slot_times
+        )
         # first and last table slot each control pose moves: its position
         # reaches two segments either side (Hermite), its rotation one (slerp)
         self.support = [self._slots_within(k, 2) for k in range(self.n_ctrl)]
@@ -407,10 +416,6 @@ class _WindowSystem:
             self.prior_rows(params),
         ])
 
-    def cost(self, params: np.ndarray) -> float:
-        r = self.residuals(params)
-        return float(r @ r)
-
     def _slots_within(self, k: int, reach: int) -> tuple[int, int]:
         lo = self.ctrl_times[max(0, k - reach)] - 1e-12
         hi = self.ctrl_times[min(self.n_ctrl - 1, k + reach)] + 1e-12
@@ -418,7 +423,7 @@ class _WindowSystem:
         return int(slots[0]), int(slots[-1])
 
     def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
-        """Normal equations at params, by central differences of step."""
+        """Normal equations at params; rotations and IMU rows by central differences."""
         n_params = 6 * self.n_ctrl
         # rows 2q and 2q + 1: params with +h and -h on parameter q
         variants = np.repeat(params[None, :], 2 * n_params, axis=0)
@@ -435,16 +440,10 @@ class _WindowSystem:
             slot = self.member_slot[lo:hi]
             motion = np.zeros((hi - lo, 3, 6))
             if lo < hi:
-                # each half over the slots it moves: positions over the whole
-                # support, rotations over the sub-range of their own support
-                first, last = self.support[k]
-                shifted = variants[12 * k + 6 : 12 * k + 12].reshape(6, self.n_ctrl, 6)
-                pos = hermite_positions(
-                    self.ctrl_times, shifted[..., 3:].copy(), self.spacing,
-                    self.slot_times[first : last + 1],
-                )
-                d_pos = np.moveaxis(pos[0::2] - pos[1::2], 0, -1) / (2.0 * step)
-                motion[:, :, 3:] = d_pos[slot - first]
+                # positions are linear in the control positions: a slot moves
+                # by its Hermite weight times the translation
+                motion[:, :, 3:] = self.hermite_weights[slot, k, None, None] * np.eye(3)
+                # rotations over the sub-range of their own support
                 first, last = self.rot_support[k]
                 turn = slice(np.searchsorted(slot, first), np.searchsorted(slot, last, side="right"))
                 turned = variants[12 * k : 12 * k + 6].reshape(6, self.n_ctrl, 6)
@@ -692,7 +691,7 @@ class OdometryPipeline:
             span = samples[-1].time - samples[0].time if len(samples) >= 2 else 0.0
             if span >= 0.2:
                 # averaged over the window's body frames, not re-expressed in
-                # this keyframe's frame; the fix belongs to ROADMAP item 2
+                # this keyframe's frame; the fix belongs to ROADMAP item 1
                 gravity = estimate_gravity(self._traj, samples)
         kf = Keyframe(
             kf_id=self._next_kf_id,

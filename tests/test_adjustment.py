@@ -9,6 +9,7 @@ from multiscan.adjustment import (
     _RigidSystem,
     freeze_landmarks,
     gravity_residual,
+    levenberg_marquardt,
     lm_step,
     relative_pose_errors,
     run_adjustment,
@@ -68,7 +69,8 @@ class TestEvaluateCost:
         r = system.residuals(params).reshape(-1, 3)
         errors = np.bincount(lms.member_lm, weights=np.sum(r * r, axis=1))
         assert np.allclose(errors, 3.0, rtol=1e-10)
-        assert system.cost(params) == pytest.approx(3.0 * lms.n_landmarks, rel=1e-10)
+        r = system.residuals(params)
+        assert r @ r == pytest.approx(3.0 * lms.n_landmarks, rel=1e-10)
 
     def test_no_overlap_raises(self):
         rng = np.random.default_rng(1)
@@ -90,7 +92,9 @@ class TestEvaluateCost:
         prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=truth)
         system, params = frozen_system(prob, truth)
         shifted = [truth[0], Pose(truth[1].rotvec, truth[1].trans + [0.2, 0, 0])]
-        assert system.cost(free_params(system, shifted)) > system.cost(params)
+        r_shifted = system.residuals(free_params(system, shifted))
+        r = system.residuals(params)
+        assert r_shifted @ r_shifted > r @ r
 
 
 class TestNumericJacobian:
@@ -139,7 +143,9 @@ class TestNumericJacobian:
             direction = rng.normal(size=6)
             direction /= np.linalg.norm(direction)
             h = 1e-5
-            secant = (system.cost(params + h * direction) - system.cost(params - h * direction)) / (2 * h)
+            r_plus = system.residuals(params + h * direction)
+            r_minus = system.residuals(params - h * direction)
+            secant = (r_plus @ r_plus - r_minus @ r_minus) / (2 * h)
             analytic = float(2.0 * direction @ lin.jtr(system.residuals(params)))
             assert analytic == pytest.approx(secant, rel=1e-5, abs=1e-8)
             moved = (
@@ -223,10 +229,54 @@ class TestLMStep:
         assert small < big
 
 
+class TestLevenbergMarquardt:
+    def test_each_residual_vector_evaluated_once(self):
+        # the driver sees a system only through freeze, residuals and
+        # linearize; within one freeze it never asks for the residuals twice
+        # at the same parameters, and it linearizes once per outer iteration
+        ds = small_room(points_per_scan=800, duration=0.2)
+        rng = np.random.default_rng(16)
+        truth = ds.truth_poses[:2]
+        init = [truth[0], sample_pert(rng, 0.1, 2.0).compose(truth[1])]
+        rigid = _RigidSystem(AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init))
+        calls = []
+
+        class Recording:
+            def freeze(self, params):
+                calls.append(("freeze", params.copy()))
+                rigid.freeze(params)
+
+            def residuals(self, params):
+                calls.append(("residuals", params.copy()))
+                return rigid.residuals(params)
+
+            def linearize(self, params):
+                calls.append(("linearize", params.copy()))
+                return rigid.linearize(params)
+
+        _, history, _, iterations = levenberg_marquardt(
+            Recording(), free_params(rigid, init), LMConfig(max_outer_iterations=3)
+        )
+        assert iterations >= 2
+        starts = [i for i, (kind, _) in enumerate(calls) if kind == "freeze"]
+        assert len(starts) == iterations and starts[0] == 0
+        for lo, hi in zip(starts, starts[1:] + [len(calls)]):
+            frozen_at = calls[lo][1]
+            kinds = [kind for kind, _ in calls[lo:hi]]
+            assert kinds.count("linearize") == 1
+            assert np.array_equal(calls[lo + kinds.index("linearize")][1], frozen_at)
+            seen = [params for kind, params in calls[lo:hi] if kind == "residuals"]
+            assert len(seen) >= 2
+            for a in range(len(seen)):
+                for b in range(a + 1, len(seen)):
+                    assert not np.array_equal(seen[a], seen[b])
+        assert len(history) == 2 * iterations
+
+
 class TestLMConfig:
-    @pytest.mark.parametrize("name", ["inner_iterations", "max_lambda_retries"])
+    @pytest.mark.parametrize("name", ["max_lambda_retries"])
     def test_rejects_no_work_per_iteration(self, name):
-        # with either at 0 the driver would return its start with converged=True
+        # at 0 the driver would return its start with converged=True
         with pytest.raises(ValueError, match=name):
             LMConfig(**{name: 0})
         LMConfig(**{name: 1})
@@ -386,6 +436,25 @@ class TestRunAdjustment:
             up_world = pose.matrix() @ np.array([0.0, 0, 1.0])
             tilt_deg = np.rad2deg(np.arccos(np.clip(up_world[2], -1, 1)))
             assert tilt_deg < 0.2
+
+
+def test_landmark_residuals_sum_to_zero_per_landmark():
+    # each landmark's rows are mean-free, which is why J^T r needs no
+    # landmark-mean term
+    ds = small_room(points_per_scan=800, duration=0.2)
+    rng = np.random.default_rng(17)
+    truth = ds.truth_poses
+    init = [truth[0]] + [sample_pert(rng, 0.05, 1.0).compose(p) for p in truth[1:]]
+    up = np.array([0.0, 0, 1.0])
+    prob = AdjustmentProblem(
+        clouds=ds.scans, initial_poses=init,
+        gravity_constraints=[GravityConstraint(cloud_id=1, direction_local=up, weight=2.0)],
+    )
+    system, params = frozen_system(prob, init)
+    lms = system.landmarks
+    for at in (params, params + 1e-2 * rng.normal(size=len(params))):
+        r = system.residuals(at)[: 3 * len(lms.member_lm)].reshape(-1, 3)
+        assert np.abs(lms.sums(r)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
 
 
 class TestFreezeWithSplitting:

@@ -5,7 +5,13 @@ import pytest
 
 from multiscan.geometry import PointCloud
 from multiscan.imu import ImuSample
-from multiscan.pipeline import OdometryPipeline, _WindowSystem
+from multiscan.adjustment import LMConfig
+from multiscan.pipeline import (
+    OdometryPipeline,
+    PipelineConfig,
+    _WindowSystem,
+    pipeline_config_from_dict,
+)
 from multiscan.synthetic import corridor_scene, generate_synthetic
 from multiscan.trajectory import TABLE_RESOLUTION, ContinuousTrajectory, deskew, nearest_slot
 
@@ -56,7 +62,7 @@ def corridor_window(corridor, corridor_run):
 
 def test_window_jacobian_matches_cost_secant(corridor_window):
     # the linearization through the shared landmark core against its own
-    # cost (slope 2 d.J^T r) and residuals (squared slope d^T J^T J d)
+    # cost r.r (slope 2 d.J^T r) and residuals (squared slope d^T J^T J d)
     system, at = corridor_window
     rng = np.random.default_rng(0)
     rng.normal(size=len(at))  # the draw the fixture spent on the offset
@@ -67,7 +73,9 @@ def test_window_jacobian_matches_cost_secant(corridor_window):
     for _ in range(5):
         direction = rng.normal(size=len(at))
         direction /= np.linalg.norm(direction)
-        secant = (system.cost(at + h * direction) - system.cost(at - h * direction)) / (2 * h)
+        r_plus = system.residuals(at + h * direction)
+        r_minus = system.residuals(at - h * direction)
+        secant = (r_plus @ r_plus - r_minus @ r_minus) / (2 * h)
         analytic = float(2.0 * direction @ jtr)
         assert analytic == pytest.approx(secant, rel=1e-5, abs=1e-8)
         moved = (system.residuals(at + h * direction) - system.residuals(at - h * direction)) / (2 * h)
@@ -88,6 +96,13 @@ def test_window_normal_equations_match_secant_jacobian(corridor_window):
     jtj, jtr = jac.T @ jac, jac.T @ r
     assert np.abs(lin.jtj - jtj).max() <= 1e-6 * np.abs(jtj).max()
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-6 * np.abs(jtr).max()
+
+
+def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
+    system, at = corridor_window
+    lms = system.landmarks
+    r = system.residuals(at)[: 3 * len(lms.member_lm)].reshape(-1, 3)
+    assert np.abs(lms.sums(r)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
 
 
 def test_window_imu_block_matches_imu_rows_secant(corridor_window):
@@ -199,3 +214,40 @@ def test_lidar_only_run_tags_every_scan(corridor, caplog):
     assert all("no_imu" in result.reasons for result in results)
     assert len([r for r in caplog.records if "LiDAR-only" in r.getMessage()]) == 1
 
+
+def test_config_from_dict_round_trip():
+    cfg = pipeline_config_from_dict({
+        "window_duration": "0.8",
+        "k_neighbors": "12",
+        "voxel_fine_size": "0.4",
+        "voxel_n_min": "7",
+        "downsample_levels": "2.0, 1.0 0.5,0.2",
+    })
+    assert cfg.window_duration == 0.8
+    assert cfg.k_neighbors == 12 and isinstance(cfg.k_neighbors, int)
+    assert cfg.voxel.fine_size == 0.4 and cfg.voxel.n_min == 7
+    assert cfg.voxel.coarse_size == PipelineConfig().voxel.coarse_size
+    assert cfg.downsample.levels == (2.0, 1.0, 0.5, 0.2)
+    assert cfg.window_lm == LMConfig(max_outer_iterations=6, max_lambda_retries=10)
+
+
+@pytest.mark.parametrize(
+    "key", ["kf_lm", "window_lm", "window_lm_max_lambda_retries", "voxel_size", "bogus"]
+)
+def test_config_from_dict_rejects_unknown_keys(key):
+    with pytest.raises(ValueError, match="unknown config key"):
+        pipeline_config_from_dict({key: "3"})
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("window_duration", "nan"),
+    ("control_spacing", "inf"),
+    ("control_spacing", "0"),
+    ("buffer_capacity", "-1"),
+    ("imu_weight_rot", "nan"),
+])
+def test_config_from_dict_rejects_bad_values(key, raw):
+    with pytest.raises(ValueError, match=key):
+        pipeline_config_from_dict({key: raw})
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig(**{key: float(raw)})
