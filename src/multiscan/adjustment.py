@@ -414,7 +414,8 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     LAMBDA_DOWN after an accepted one. Terminates when the outer
     improvement falls below COST_REL_TOL, the parameter step norm falls
     below STEP_NORM_TOL (as when no step is accepted), or the iteration
-    budget runs out.
+    budget runs out. Raises FloatingPointError if the cost at the frozen
+    parameters is not finite, since no step could then decrease it.
 
     Returns (params, cost_history, converged, iterations).
     """
@@ -427,6 +428,8 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
         system.freeze(params)
         r = system.residuals(params)
         cost_outer = cost_cur = float(r @ r)
+        if not np.isfinite(cost_outer):
+            raise FloatingPointError(f"non-finite cost {cost_outer} at the frozen parameters")
         history.append(cost_outer)
         lin = system.linearize(params)
         lam = LAMBDA_INIT

@@ -68,9 +68,7 @@ def adaptive_downsample(cloud: PointCloud, config: DownsampleConfig | None = Non
             break
     if len(filtered) <= config.min_points:
         return filtered
-    ranges = filtered.ranges
-    if ranges is None:
-        ranges = np.linalg.norm(filtered.points, axis=1)
+    ranges = np.linalg.norm(filtered.points, axis=1)
     order = np.argsort(ranges)  # ascending; trim from the far end
     n_keep = len(filtered)
     while n_keep > config.min_points and ranges[order[n_keep - 1]] >= config.trim_range:

@@ -151,15 +151,14 @@ class Pose:
 class PointCloud:
     """Points in a single frame with per-point acquisition times.
 
-    Optional per-point attributes (unit normals, planarity in [0, 1],
-    range from the sensor origin) must match the point count when set.
+    Optional per-point attributes (unit normals, planarity in [0, 1]) must
+    match the point count when set.
     """
 
     points: np.ndarray
     stamps: np.ndarray = None
     normals: np.ndarray | None = None
     planarity: np.ndarray | None = None
-    ranges: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -169,7 +168,7 @@ class PointCloud:
         self.stamps = np.asarray(self.stamps, dtype=float).reshape(-1)
         if len(self.stamps) != n:
             raise ValueError(f"stamps length {len(self.stamps)} != point count {n}")
-        for name in ("normals", "planarity", "ranges"):
+        for name in ("normals", "planarity"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -188,7 +187,6 @@ class PointCloud:
             stamps=self.stamps[idx],
             normals=None if self.normals is None else self.normals[idx],
             planarity=None if self.planarity is None else self.planarity[idx],
-            ranges=None if self.ranges is None else self.ranges[idx],
         )
 
     def validate(self) -> None:

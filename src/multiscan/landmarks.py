@@ -40,6 +40,18 @@ class VoxelConfig:
     n_min: int = DEFAULT_N_MIN
     epsilon: float = DEFAULT_EPSILON
 
+    def __post_init__(self):
+        for name in ("coarse_size", "fine_size", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"voxel {name} must be finite, got {getattr(self, name)}")
+        if not self.coarse_size > self.fine_size > 0.0:
+            raise ValueError(
+                f"voxel sizes must satisfy coarse_size > fine_size > 0, got "
+                f"coarse_size={self.coarse_size}, fine_size={self.fine_size}"
+            )
+        if self.epsilon < 0.0:
+            raise ValueError(f"voxel epsilon must be >= 0, got {self.epsilon}")
+
 
 def voxel_cell_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
     """Integer cell index per point, floor division anchored at the origin."""

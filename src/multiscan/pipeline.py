@@ -50,14 +50,12 @@ from multiscan.imu import (
 )
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
 from multiscan.trajectory import (
-    TABLE_RESOLUTION,
     ContinuousTrajectory,
     catmull_rom_tangents,
     deskew,
     hermite_positions,
-    nearest_slot,
     slerp_rotation_matrices,
-    table_times,
+    stamp_slots,
 )
 
 logger = logging.getLogger(__name__)
@@ -209,6 +207,13 @@ class Keyframe:
         )
 
 
+def key_overlap(keys: np.ndarray, key_set: np.ndarray) -> float:
+    """Fraction of the unique keys present in the unique key_set; 0 if either is empty."""
+    if len(keys) == 0 or len(key_set) == 0:
+        return 0.0
+    return float(np.isin(keys, key_set, assume_unique=True).mean())
+
+
 class Map:
     """Keyframe store plus a world-frame point index for static points."""
 
@@ -245,9 +250,7 @@ class Map:
 
     def overlap(self, keys: np.ndarray) -> float:
         """Fraction of the given fine-voxel keys present in the map."""
-        if len(keys) == 0 or len(self._key_set) == 0:
-            return 0.0
-        return float(np.isin(keys, self._key_set, assume_unique=True).mean())
+        return key_overlap(keys, self._key_set)
 
     def nearest_keyframe_distance(self, position: np.ndarray) -> float:
         if not self.keyframes:
@@ -297,17 +300,19 @@ def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
 class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
-    Parameters are the control poses (6 each). World positions come from
-    the pose table on the `trajectory.table_times` grid, the poses that
-    `deskew` through `ContinuousTrajectory(ctrl_times, params)` uses; each
-    point is bound to its nearest table slot. Control pose k only moves the
-    table slots within its spline support, and `freeze` sorts the moving
-    members by slot, so in the `Linearization` pose k's block covers one
-    contiguous range of them and neighbouring poses' ranges overlap.
-    Positions are linear in the control positions, so a member's motion
-    under pose k's translation is pose k's Hermite weight at its slot times
-    the unit axis (`hermite_weights`, built once); under a rotation it comes
-    from central differences of slerp over the slots that rotation moves.
+    Parameters are the control poses (6 each). Each point moves by the
+    spline pose at its own stamp, the pose `deskew` gives it through
+    `ContinuousTrajectory(ctrl_times, params)`: a slot is one distinct stamp
+    (`trajectory.stamp_slots`), and the spline is evaluated once per slot.
+    Control pose k only moves the slots within its spline support, a
+    half-open range that is empty when no stamp lies there, and `freeze`
+    sorts the moving members by slot, so in the `Linearization` pose k's
+    block covers one contiguous range of them and neighbouring poses'
+    ranges overlap. Positions are linear in the control positions, so a
+    member's motion under pose k's translation is pose k's Hermite weight
+    at its slot times the unit axis (`hermite_weights`, built once); under
+    a rotation it comes from central differences of slerp over the slots
+    that rotation moves.
     Static map points join the landmarks but never move. The IMU rows (one
     batched `imu.imu_residual` call) and the prior rows form the small
     dense block.
@@ -334,14 +339,13 @@ class _WindowSystem:
         ])
         self.prior_weights = np.tile(w, self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
-        self.slot_times = table_times(ctrl_times[0], ctrl_times[-1])
-        self.point_slot = nearest_slot(self.slot_times, stamps, TABLE_RESOLUTION)
+        self.slot_times, self.point_slot = stamp_slots(stamps)
         # (slot, k): control pose k's weight in the position at that slot
         self.hermite_weights = hermite_positions(
             ctrl_times, np.eye(self.n_ctrl), self.spacing, self.slot_times
         )
-        # first and last table slot each control pose moves: its position
-        # reaches two segments either side (Hermite), its rotation one (slerp)
+        # [first, stop) slots each control pose moves: its position reaches
+        # two segments either side (Hermite), its rotation one (slerp)
         self.support = [self._slots_within(k, 2) for k in range(self.n_ctrl)]
         self.rot_support = [self._slots_within(k, 1) for k in range(self.n_ctrl)]
         self.imu_weights = np.concatenate([
@@ -394,16 +398,14 @@ class _WindowSystem:
                 "insufficient overlap/structure in the sliding window"
             )
         self.landmarks = FrozenLandmarks(groups)
-        # members whose point moves with the trajectory, sorted by table slot
+        # members whose point moves with the trajectory, sorted by slot
         moving = np.nonzero(self.landmarks.member_row < len(self.sensor_points))[0]
         slot = self.point_slot[self.landmarks.member_row[moving]]
         by_slot = np.argsort(slot, kind="stable")
         self.order = moving[by_slot]
         self.member_slot = slot[by_slot]
         self.bounds = [
-            (np.searchsorted(self.member_slot, first, side="left"),
-             np.searchsorted(self.member_slot, last, side="right"))
-            for first, last in self.support
+            tuple(np.searchsorted(self.member_slot, support)) for support in self.support
         ]
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
@@ -419,8 +421,8 @@ class _WindowSystem:
     def _slots_within(self, k: int, reach: int) -> tuple[int, int]:
         lo = self.ctrl_times[max(0, k - reach)] - 1e-12
         hi = self.ctrl_times[min(self.n_ctrl - 1, k + reach)] + 1e-12
-        slots = np.nonzero((self.slot_times >= lo) & (self.slot_times <= hi))[0]
-        return int(slots[0]), int(slots[-1])
+        return (int(np.searchsorted(self.slot_times, lo, side="left")),
+                int(np.searchsorted(self.slot_times, hi, side="right")))
 
     def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
         """Normal equations at params; rotations and IMU rows by central differences."""
@@ -444,12 +446,12 @@ class _WindowSystem:
                 # by its Hermite weight times the translation
                 motion[:, :, 3:] = self.hermite_weights[slot, k, None, None] * np.eye(3)
                 # rotations over the sub-range of their own support
-                first, last = self.rot_support[k]
-                turn = slice(np.searchsorted(slot, first), np.searchsorted(slot, last, side="right"))
+                first, stop = self.rot_support[k]
+                turn = slice(*np.searchsorted(slot, (first, stop)))
                 turned = variants[12 * k : 12 * k + 6].reshape(6, self.n_ctrl, 6)
                 rot = slerp_rotation_matrices(
                     self.ctrl_times, rotvec_to_quat(turned[..., :3]), self.spacing,
-                    self.slot_times[first : last + 1],
+                    self.slot_times[first:stop],
                 )
                 d_rot = np.moveaxis(rot[0::2] - rot[1::2], 0, 2) / (2.0 * step)
                 raw = self.sensor_points[self.landmarks.member_row[members[turn]]]
@@ -502,6 +504,13 @@ class OdometryPipeline:
         hi = bisect.bisect_right(self.imu_times, t1)
         return self.imu_samples[lo:hi]
 
+    def _trim_imu(self, horizon: float) -> None:
+        """Drop stored samples older than horizon, always keeping the newest."""
+        drop = min(bisect.bisect_left(self.imu_times, horizon), len(self.imu_times) - 1)
+        if drop > 0:
+            del self.imu_times[:drop]
+            del self.imu_samples[:drop]
+
     def _maybe_initialize(self) -> None:
         if self._initialized:
             return
@@ -531,6 +540,7 @@ class OdometryPipeline:
             return self._fallback_result(None, reasons + ["empty_scan"])
         t_now = float(scan.stamps[-1])
         self._maybe_initialize()
+        self._trim_imu(t_now - cfg.buffer_capacity)
         down = adaptive_downsample(scan, cfg.downsample)
         self.scans.push(t_now, down)
 
@@ -713,7 +723,9 @@ class OdometryPipeline:
         start = None
         for i, kf in enumerate(kfs[:cur_idx]):
             dist = np.linalg.norm(kf.pose.trans - current.pose.trans)
-            if dist < cfg.kf_opt_distance and self._kf_overlap(kf, current) > cfg.kf_opt_overlap:
+            if dist < cfg.kf_opt_distance and (
+                key_overlap(current.fine_keys, kf.fine_keys) > cfg.kf_opt_overlap
+            ):
                 start = i
                 break
         if start is None:
@@ -741,7 +753,6 @@ class OdometryPipeline:
             gravity_constraints=constraints,
             split_normals=True,
             planarity_min=cfg.planarity_min,
-            fix_first_pose=None if fixed is not None else True,
             voxel=cfg.voxel,
         )
         try:
@@ -752,11 +763,6 @@ class OdometryPipeline:
             kf.pose = pose
             kf.refresh_keys(cfg.voxel.fine_size)
         self.map.rebuild_index()
-
-    def _kf_overlap(self, a: Keyframe, b: Keyframe) -> float:
-        if len(a.fine_keys) == 0 or len(b.fine_keys) == 0:
-            return 0.0
-        return float(np.isin(b.fine_keys, a.fine_keys, assume_unique=True).mean())
 
     def _level_poses(self, window: list[Keyframe], poses: list[Pose]) -> list[Pose]:
         """Rotate the whole free range so gravity estimates average to +z.

@@ -9,12 +9,10 @@ control quaternions (`slerp_rotation_matrices`). Both take leading batch
 axes, so the window evaluates many perturbed parameter vectors at once with
 the same arithmetic as `ContinuousTrajectory`.
 
-Points are moved by the pose of the nearest sample of a table on a uniform
-grid of TABLE_RESOLUTION (1 ms). `table_times` builds that grid and
-`nearest_slot` binds stamps to it, for both the window and `deskew`, so the
-two evaluate the same table poses. They differ only in the step a stamp is
-divided by (see `deskew`), which can move a stamp lying exactly on a
-half-step tie to the other neighbouring slot.
+Each point moves by the pose at its own stamp. `stamp_slots` gives the
+distinct stamps of a point set and each point's index among them; the
+window and `deskew` both evaluate the spline once per distinct stamp and
+gather by that index, so the two move a point identically.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec, rotvec_to_quat
-
-TABLE_RESOLUTION = 1e-3
 
 
 def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
@@ -88,17 +84,9 @@ def slerp_rotation_matrices(
     return _quats_to_matrices(q)
 
 
-def table_times(t_first: float, t_last: float, resolution: float = TABLE_RESOLUTION) -> np.ndarray:
-    """Pose-table grid: steps of resolution from t_first, the last time clamped to t_last."""
-    n_slots = int(np.floor((t_last - t_first) / resolution + 1e-9)) + 1
-    times = t_first + resolution * np.arange(n_slots)
-    times[-1] = min(times[-1], t_last)
-    return times
-
-
-def nearest_slot(times: np.ndarray, stamps: np.ndarray, step: float) -> np.ndarray:
-    """Index of the table slot nearest each stamp, the grid taken as steps of step."""
-    return np.clip(np.rint((stamps - times[0]) / step).astype(np.int64), 0, len(times) - 1)
+def stamp_slots(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct stamps in ascending order, and each stamp's index among them."""
+    return np.unique(stamps, return_inverse=True)
 
 
 def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -191,12 +179,8 @@ class ContinuousTrajectory:
         return Pose(matrix_to_rotvec(self.sample_rotations(t)[0]), self.sample_position(t)[0])
 
 
-def deskew(
-    cloud: PointCloud,
-    traj: ContinuousTrajectory,
-    resolution: float = TABLE_RESOLUTION,
-) -> tuple[PointCloud, int]:
-    """Transform each point by the pose at its own stamp (nearest table sample).
+def deskew(cloud: PointCloud, traj: ContinuousTrajectory) -> tuple[PointCloud, int]:
+    """Transform each point by the pose at its own stamp.
 
     Points stamped outside the trajectory window are dropped; the count of
     dropped points is returned alongside the world-frame cloud.
@@ -206,22 +190,13 @@ def deskew(
     kept = cloud.select(np.nonzero(inside)[0])
     if len(kept) == 0:
         return PointCloud(points=np.zeros((0, 3))), dropped
-    times = table_times(traj.t_first, traj.t_last, resolution)
-    # the grid's own first step, not resolution: the two differ in the last
-    # bits, which decides the slot of a stamp that lies on a half-step tie
-    slot = nearest_slot(times, kept.stamps, times[1] - times[0] if len(times) > 1 else 1.0)
+    times, slot = stamp_slots(kept.stamps)
     rot = traj.sample_rotations(times)[slot]
     world = np.einsum("nij,nj->ni", rot, kept.points) + traj.sample_position(times)[slot]
     normals = None
     if kept.normals is not None:
         normals = np.einsum("nij,nj->ni", rot, kept.normals)
     return (
-        PointCloud(
-            points=world,
-            stamps=kept.stamps,
-            normals=normals,
-            planarity=kept.planarity,
-            ranges=kept.ranges,
-        ),
+        PointCloud(points=world, stamps=kept.stamps, normals=normals, planarity=kept.planarity),
         dropped,
     )

@@ -272,6 +272,22 @@ class TestLevenbergMarquardt:
                     assert not np.array_equal(seen[a], seen[b])
         assert len(history) == 2 * iterations
 
+    def test_non_finite_cost_raises(self):
+        # a NaN cost rejects every trial, so the driver would otherwise
+        # return its start as converged
+        class NanSystem:
+            def freeze(self, params):
+                pass
+
+            def residuals(self, params):
+                return np.array([1.0, np.nan])
+
+            def linearize(self, params):
+                raise AssertionError("linearized at a non-finite cost")
+
+        with pytest.raises(FloatingPointError, match="non-finite cost"):
+            levenberg_marquardt(NanSystem(), np.zeros(6), LMConfig())
+
 
 class TestLMConfig:
     @pytest.mark.parametrize("name", ["max_lambda_retries"])

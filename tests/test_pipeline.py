@@ -6,6 +6,7 @@ import pytest
 from multiscan.geometry import PointCloud
 from multiscan.imu import ImuSample
 from multiscan.adjustment import LMConfig
+from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
     OdometryPipeline,
     PipelineConfig,
@@ -13,7 +14,7 @@ from multiscan.pipeline import (
     pipeline_config_from_dict,
 )
 from multiscan.synthetic import corridor_scene, generate_synthetic
-from multiscan.trajectory import TABLE_RESOLUTION, ContinuousTrajectory, deskew, nearest_slot
+from multiscan.trajectory import ContinuousTrajectory, deskew
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +40,17 @@ def test_smoke_run_one_finite_pose_per_scan(corridor, corridor_run):
     assert all(result.reasons == () for result in results)
 
 
-@pytest.fixture(scope="module")
-def corridor_window(corridor, corridor_run):
-    """The newest scan's window rebuilt the way process_scan does, frozen
-    at its warm start, and a point moved off the prior's minimum so every
-    residual block contributes."""
-    pipeline, _ = corridor_run
-    t_now = float(corridor.scans[-1].stamps[-1])
+def frozen_window(pipeline, t_now, gap=None):
+    """The window of the scan ending at t_now rebuilt the way process_scan
+    does, less the points stamped in [gap[0], gap[1]), frozen at its warm
+    start, and a point moved off the prior's minimum so every residual block
+    contributes."""
     ctrl_times = pipeline._control_times(t_now)
     params = pipeline._initial_params(ctrl_times)
     pts, stamps, _ = pipeline._window_points(ctrl_times[0], t_now)
+    if gap is not None:
+        keep = (stamps < gap[0]) | (stamps >= gap[1])
+        pts, stamps = pts[keep], stamps[keep]
     deltas = pipeline._segment_deltas(ctrl_times)
     assert deltas
     system = _WindowSystem(
@@ -58,6 +60,19 @@ def corridor_window(corridor, corridor_run):
     system.freeze(params)
     rng = np.random.default_rng(0)
     return system, params + 1e-3 * rng.normal(size=len(params))
+
+
+@pytest.fixture(scope="module")
+def corridor_window(corridor, corridor_run):
+    return frozen_window(corridor_run[0], float(corridor.scans[-1].stamps[-1]))
+
+
+@pytest.fixture(scope="module")
+def gap_window(corridor, corridor_run):
+    """corridor_window without the points of scans 3 to 5, as if those scans
+    came back empty: some control pose's rotation then reaches no stamp."""
+    gap = (corridor.scans[3].stamps[0], corridor.scans[6].stamps[0])
+    return frozen_window(corridor_run[0], float(corridor.scans[-1].stamps[-1]), gap)
 
 
 def test_window_jacobian_matches_cost_secant(corridor_window):
@@ -82,10 +97,9 @@ def test_window_jacobian_matches_cost_secant(corridor_window):
         assert float(direction @ lin.jtj @ direction) == pytest.approx(moved @ moved, rel=1e-5)
 
 
-def test_window_normal_equations_match_secant_jacobian(corridor_window):
+def assert_normal_equations_match_secant_jacobian(system, at):
     # J^T J and J^T r equal the products of a Jacobian built column by
     # column from central secants of the residuals
-    system, at = corridor_window
     lin = system.linearize(at)
     h = 1e-6
     jac = np.stack([
@@ -96,6 +110,16 @@ def test_window_normal_equations_match_secant_jacobian(corridor_window):
     jtj, jtr = jac.T @ jac, jac.T @ r
     assert np.abs(lin.jtj - jtj).max() <= 1e-6 * np.abs(jtj).max()
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-6 * np.abs(jtr).max()
+
+
+def test_window_normal_equations_match_secant_jacobian(corridor_window):
+    assert_normal_equations_match_secant_jacobian(*corridor_window)
+
+
+def test_gap_window_normal_equations_match_secant_jacobian(gap_window):
+    system, at = gap_window
+    assert any(first == stop for first, stop in system.rot_support)
+    assert_normal_equations_match_secant_jacobian(system, at)
 
 
 def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
@@ -124,28 +148,35 @@ def test_window_imu_block_matches_imu_rows_secant(corridor_window):
 
 
 def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
-    # the window and the keyframe deskew move points by the same table poses;
-    # their bindings may only part on stamps that lie on a half-slot tie
+    # the window and the keyframe deskew move each point by the spline pose
+    # at its own stamp, bound through the same distinct-stamp slots
     pipeline, _ = corridor_run
     system, at = corridor_window
     pts, stamps, _ = pipeline._window_points(system.ctrl_times[0], float(system.ctrl_times[-1]))
     assert np.array_equal(pts, system.sensor_points)
-    n = len(pts)
+    assert np.array_equal(system.slot_times[system.point_slot], stamps)
     traj = ContinuousTrajectory(system.ctrl_times, at)
     world, dropped = deskew(PointCloud(points=pts, stamps=stamps), traj)
     assert dropped == 0
-    times = system.slot_times
-    rot, pos = traj.sample_rotations(times), traj.sample_position(times)
+    assert np.array_equal(system.world_points(at)[: len(pts)], world.points)
+    own = np.einsum("nij,nj->ni", traj.sample_rotations(stamps), pts) + traj.sample_position(stamps)
+    assert np.allclose(world.points, own, rtol=0.0, atol=1e-12)
 
-    def moved(slot):
-        return np.einsum("nij,nj->ni", rot[slot], pts) + pos[slot]
 
-    assert np.array_equal(system.world_points(at)[:n], moved(system.point_slot))
-    deskew_slot = nearest_slot(times, stamps, times[1] - times[0])
-    assert np.array_equal(world.points, moved(deskew_slot))
-    parted = deskew_slot != system.point_slot
-    offset = (stamps[parted] - times[0]) / TABLE_RESOLUTION - system.point_slot[parted]
-    assert np.all(np.abs(np.abs(offset) - 0.5) < 1e-6)
+def test_imu_history_trimmed_to_buffer_capacity():
+    data = generate_synthetic(corridor_scene(duration=2.0), seed=0)
+    pipeline = OdometryPipeline(PipelineConfig(buffer_capacity=1.5))
+    pipeline.add_imu(data.imu_samples)
+    results = [pipeline.process_scan(scan) for scan in data.scans]
+    assert all(result.reasons == () for result in results)
+    assert pipeline.imu_times[0] >= float(data.scans[-1].stamps[-1]) - 1.5
+    assert pipeline.imu_times[-1] == data.imu_samples[-1].time
+    assert pipeline.imu_samples == data.imu_samples[-len(pipeline.imu_times):]
+    # the newest sample outlives any horizon, so the order check still holds
+    pipeline._trim_imu(np.inf)
+    assert pipeline.imu_samples == data.imu_samples[-1:]
+    with pytest.raises(ValueError, match="increasing"):
+        pipeline.add_imu(data.imu_samples[-2:-1])
 
 
 def test_bad_imu_batch_raises_and_stores_nothing(corridor):
@@ -245,8 +276,19 @@ def test_config_from_dict_rejects_unknown_keys(key):
     ("control_spacing", "0"),
     ("buffer_capacity", "-1"),
     ("imu_weight_rot", "nan"),
+    ("voxel_epsilon", "nan"),
+    ("voxel_epsilon", "-1"),
+    ("voxel_coarse_size", "inf"),
+    ("voxel_fine_size", "2.5"),
 ])
 def test_config_from_dict_rejects_bad_values(key, raw):
+    group, _, name = key.partition("_")
+    if group == "voxel":
+        with pytest.raises(ValueError, match=name):
+            pipeline_config_from_dict({key: raw})
+        with pytest.raises(ValueError, match=name):
+            VoxelConfig(**{name: float(raw)})
+        return
     with pytest.raises(ValueError, match=key):
         pipeline_config_from_dict({key: raw})
     with pytest.raises(ValueError, match=key):

@@ -104,7 +104,7 @@ class TestGenerate:
         traj = ContinuousTrajectory(
             times, np.concatenate([spec.motion.pose(float(t)).as_params() for t in times])
         )
-        world, dropped = deskew(scan, traj, resolution=1e-4)
+        world, dropped = deskew(scan, traj)
         assert dropped == 0
         walls = np.array([
             [0.0, 1.0, 0.0, -2.0],   # plane rows (n, d) with distance |n.p - d|
