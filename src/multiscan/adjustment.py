@@ -10,25 +10,32 @@ current parameters: it re-voxelizes the merged cloud and recomputes the
 per-cell statistics. It then takes up to INNER_ITERATIONS accepted damped
 Gauss-Newton steps on the whitened per-member residuals of
 `FrozenLandmarks`. The steps solve normal equations that a `Linearization`
-assembles landmark by landmark from each member's own motion (central
-differences under rotations; exact under translations, which move points
-linearly) and per-landmark sums, never forming the dense Jacobian; J^T J
-is built once per outer iteration. During those steps only the membership
-and the inverse covariances are held constant; the cell means follow the
-moving points, so every cell scores the current scatter of its own
-members. A cell whose members move rigidly together is invariant, while a
-cell mixing misaligned scans is driven toward agreement. Cells full of
-inconsistent geometry (dynamic objects) keep a broad covariance and
-therefore little weight, which is why no outlier rejection is needed.
+assembles band by band from each member's own motion and per-landmark
+sums, never forming the dense Jacobian; J^T J is built once per outer
+iteration. A band is a set of members that move only with the same few
+parameter columns: one free cloud's pose here, one spline segment's
+control poses in the odometry window. Under translations a member's motion
+is exact, since translations move points linearly; under rotations the
+rigid system here takes central differences and the window a closed form.
+During those steps only the membership and the inverse covariances are
+held constant; the cell means follow the moving points, so every cell
+scores the current scatter of its own members. A cell whose members move
+rigidly together is invariant, while a cell mixing misaligned scans is
+driven toward agreement. Cells full of inconsistent geometry (dynamic
+objects) keep a broad covariance and therefore little weight, which is
+why no outlier rejection is needed.
 
 Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
 move. The driver sees a system only through three methods, freeze,
-residuals and linearize; its damping schedule (LAMBDA_INIT, LAMBDA_UP,
-LAMBDA_DOWN), stopping thresholds (COST_REL_TOL, STEP_NORM_TOL) and
-INNER_ITERATIONS are module constants, and `LMConfig` holds only the two
-budgets callers set. Keyframe adjustment moves each cloud rigidly and adds
-gravity rows (`_RigidSystem`, here); the odometry window moves points along
-a continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
+residuals and linearize, and its parameters as a stack of 6-blocks
+(rotation vector, translation). Its damping schedule (LAMBDA_INIT,
+LAMBDA_UP, LAMBDA_DOWN), INNER_ITERATIONS and its one stopping rule are
+module constants: it stops once an outer iteration moved no block by more
+than STOP_TRANSLATION in a translation or STOP_ROTATION in a rotation
+parameter. `LMConfig` holds only the two budgets callers set. Keyframe
+adjustment moves each cloud rigidly and adds gravity rows (`_RigidSystem`,
+here); the odometry window moves points along a continuous-time spline and
+adds IMU and prior rows (`multiscan.pipeline`).
 
 Fixed points (for example the points of anchor keyframes) take part in
 voxelization, in the cell means and in the error sums, but carry no
@@ -45,7 +52,8 @@ import numpy as np
 from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, split_by_normals
 
-# central-difference step for every rotation-vector and translation parameter
+# central-difference step of the rigid system's rotation columns, its
+# gravity rows and the window's IMU rows
 FD_STEP = 1e-6
 
 
@@ -53,13 +61,15 @@ class InsufficientStructureError(RuntimeError):
     """No voxel collected enough points to form a single landmark."""
 
 
-# damping schedule and stopping thresholds of `levenberg_marquardt`
+# damping schedule of `levenberg_marquardt`
 LAMBDA_INIT = 1e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.5
-COST_REL_TOL = 1e-8
-STEP_NORM_TOL = 1e-8
 INNER_ITERATIONS = 2
+# stopping rule: converged once no 6-block moved more than these in any
+# translation (m) or rotation (rad) parameter over one outer iteration
+STOP_TRANSLATION = 1e-4
+STOP_ROTATION = 5e-5
 
 
 @dataclass
@@ -258,46 +268,37 @@ class FrozenLandmarks:
 class Linearization:
     """Normal equations of a frozen system at one parameter vector.
 
-    Parameter block b (columns 6b to 6b + 6) moves the landmark members
-    order[lo:hi] for (lo, hi) = bounds[b], whose own whitened motion under
-    those columns is blocks[b], (hi - lo, 3, 6); no other member moves with
-    it. dense (D) is the Jacobian of the rows that follow the landmark rows
-    in the residual vector (gravity, IMU, prior). With S_j the sum of B
-    over landmark j (see `FrozenLandmarks`),
+    The landmark rows arrive as bands. A band (members, cols, block) holds
+    landmark members whose own whitened motion B_k is non-zero only in the
+    parameter columns cols; block is B over those columns, (n, 3, len(cols)).
+    Every moving member lies in exactly one band, and members of no band
+    (fixed points) do not move. dense (D) is the Jacobian of the rows that
+    follow the landmark rows in the residual vector (gravity, IMU, prior).
+    With S_j the sum of B over landmark j (see `FrozenLandmarks`),
 
         J^T J = sum_k B_k^T B_k - sum_j S_j^T S_j / n_j + D^T D
         J^T r = sum_k B_k^T r_k + D^T r_D,
 
-    so the 3M-row landmark Jacobian is never formed. J^T r drops the term
-    -sum_j S_j^T (sum_{k in j} r_k) / n_j: the residuals of
-    `FrozenLandmarks.residuals` are mean-free within every landmark, so
-    each inner sum is zero up to rounding. Ranges of two blocks may overlap
-    (the window's neighbouring control poses); B_k^T B_k then contributes
-    to their off-diagonal block over the overlap.
+    so the 3M-row landmark Jacobian is never formed: each band adds one
+    product of its flattened block with itself into J^T J at (cols, cols)
+    and its landmark sums into the columns cols of S. Bands may share
+    columns (the window's neighbouring spline segments share control
+    poses). J^T r drops the term -sum_j S_j^T (sum_{k in j} r_k) / n_j: the
+    residuals of `FrozenLandmarks.residuals` are mean-free within every
+    landmark, so each inner sum is zero up to rounding.
     """
 
-    def __init__(self, landmarks: FrozenLandmarks, order: np.ndarray, bounds, blocks, dense):
+    def __init__(self, landmarks: FrozenLandmarks, bands, dense):
         self.n_rows = 3 * len(landmarks.member_lm)
-        self.members = [order[lo:hi] for lo, hi in bounds]
-        self.blocks = blocks
+        self.bands = bands
         self.dense = dense
         n_params = dense.shape[1]
         lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
         jtj = dense.T @ dense
-        for a, (lo_a, hi_a) in enumerate(bounds):
-            lm_sums[:, :, 6 * a : 6 * a + 6] = landmarks.sums(blocks[a], self.members[a])
-            for b in range(a, len(bounds)):
-                lo_b, hi_b = bounds[b]
-                lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-                if lo >= hi:
-                    continue
-                own = (
-                    blocks[a][lo - lo_a : hi - lo_a].reshape(-1, 6).T
-                    @ blocks[b][lo - lo_b : hi - lo_b].reshape(-1, 6)
-                )
-                jtj[6 * a : 6 * a + 6, 6 * b : 6 * b + 6] += own
-                if b != a:
-                    jtj[6 * b : 6 * b + 6, 6 * a : 6 * a + 6] += own.T
+        for members, cols, block in bands:
+            flat = block.reshape(-1, len(cols))
+            jtj[np.ix_(cols, cols)] += flat.T @ flat
+            lm_sums[:, :, cols] += landmarks.sums(block, members)
         scaled = (lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
         self.jtj = jtj - scaled.T @ scaled
 
@@ -305,8 +306,8 @@ class Linearization:
         """J^T r for a residual vector r of the system (at any parameters)."""
         r_m = r[: self.n_rows].reshape(-1, 3)
         out = self.dense.T @ r[self.n_rows :]
-        for a, (members, block) in enumerate(zip(self.members, self.blocks)):
-            out[6 * a : 6 * a + 6] += block.reshape(-1, 6).T @ r_m[members].ravel()
+        for members, cols, block in self.bands:
+            out[cols] += block.reshape(-1, len(cols)).T @ r_m[members].ravel()
         return out
 
 
@@ -314,12 +315,12 @@ class _RigidSystem:
     """Rigid point-motion model of keyframe adjustment, with gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order. Perturbing one pose moves only that cloud's members, so in the
-    `Linearization` each pose's block covers its own cloud's members and
-    B^T B is block-diagonal. A member's motion under a rotation parameter
-    comes from central differences; under a translation it is the unit
-    axis, so those columns of B are rows of sqrt(w_j) chol_j. The gravity
-    rows form the small dense block.
+    order. Perturbing one pose moves only that cloud's members, so the
+    `Linearization` gets one band per free cloud, over that pose's 6
+    columns, and B^T B is block-diagonal. A member's motion under a rotation
+    parameter comes from central differences; under a translation it is the
+    unit axis, so those columns of B are rows of sqrt(w_j) chol_j. The
+    gravity rows form the small dense block.
     """
 
     def __init__(self, problem: AdjustmentProblem):
@@ -347,10 +348,6 @@ class _RigidSystem:
             rows = np.nonzero((lms.member_row >= lo) & (lms.member_row < hi))[0]
             self.cloud_rows.append(rows)
             self.cloud_raw.append(self.problem.clouds[ci].points[lms.member_row[rows] - lo])
-        # each pose's block covers its own cloud's members, in free order
-        sizes = [len(rows) for rows in self.cloud_rows]
-        self.order = np.concatenate(self.cloud_rows)
-        self.bounds = list(zip(np.cumsum(sizes) - sizes, np.cumsum(sizes)))
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         poses = self.poses(params)
@@ -367,7 +364,7 @@ class _RigidSystem:
     def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
         """Normal equations at params, rotations by central differences of step."""
         grav_jac = np.zeros((len(self.grav_cloud), 3, len(params)))
-        blocks = []
+        bands = []
         for k, ci in enumerate(self.free):
             base = params[6 * k : 6 * k + 6]
             # rotations with +h and -h on each rotation parameter, (3, 2, 3, 3)
@@ -377,7 +374,8 @@ class _RigidSystem:
             d_rot = (turned[:, 0] - turned[:, 1]) / (2.0 * step)
             motion[:, :, :3] = np.einsum("pij,nj->nip", d_rot, raw)
             motion[:, :, 3:] = np.eye(3)
-            blocks.append(self.landmarks.white_m[self.cloud_rows[k]] @ motion)
+            rows = self.cloud_rows[k]
+            bands.append((rows, np.arange(6 * k, 6 * k + 6), self.landmarks.white_m[rows] @ motion))
             # gravity rows: translation never enters them, and a rotation
             # moves only its own cloud's constraints
             own = self.grav_cloud == ci
@@ -388,9 +386,7 @@ class _RigidSystem:
             grav_jac[own, :, 6 * k : 6 * k + 3] = np.moveaxis(
                 (grav[:, 0] - grav[:, 1]) / (2.0 * step), 0, -1
             )
-        return Linearization(
-            self.landmarks, self.order, self.bounds, blocks, grav_jac.reshape(-1, len(params))
-        )
+        return Linearization(self.landmarks, bands, grav_jac.reshape(-1, len(params)))
 
 
 def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
@@ -411,11 +407,17 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     the frozen cost, so the recorded (linearization, accepted) cost pairs
     are non-increasing within every outer iteration. lam starts at
     LAMBDA_INIT, grows by LAMBDA_UP on a rejected step and shrinks by
-    LAMBDA_DOWN after an accepted one. Terminates when the outer
-    improvement falls below COST_REL_TOL, the parameter step norm falls
-    below STEP_NORM_TOL (as when no step is accepted), or the iteration
-    budget runs out. Raises FloatingPointError if the cost at the frozen
-    parameters is not finite, since no step could then decrease it.
+    LAMBDA_DOWN after an accepted one.
+
+    params is a stack of 6-blocks (r1 r2 r3 x y z): a rotation vector and a
+    translation. The one stopping rule reads that layout: the solve stops,
+    converged, after an outer iteration in which no block moved more than
+    STOP_TRANSLATION (m) in any translation parameter and STOP_ROTATION
+    (rad) in any rotation parameter. An outer iteration that accepts no
+    step moves nothing, so it stops too. Otherwise the solve runs until
+    the iteration budget is spent and reports converged=False. Raises
+    FloatingPointError if the cost at the frozen parameters is not finite,
+    since no step could then decrease it.
 
     Returns (params, cost_history, converged, iterations).
     """
@@ -425,15 +427,15 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     for outer in range(config.max_outer_iterations):
         iterations = outer + 1
         lin = None  # release the last pass's linearization before building the next
+        start = params
         system.freeze(params)
         r = system.residuals(params)
-        cost_outer = cost_cur = float(r @ r)
-        if not np.isfinite(cost_outer):
-            raise FloatingPointError(f"non-finite cost {cost_outer} at the frozen parameters")
-        history.append(cost_outer)
+        cost_cur = float(r @ r)
+        if not np.isfinite(cost_cur):
+            raise FloatingPointError(f"non-finite cost {cost_cur} at the frozen parameters")
+        history.append(cost_cur)
         lin = system.linearize(params)
         lam = LAMBDA_INIT
-        step_norm = 0.0
         for _ in range(INNER_ITERATIONS):
             jtr = lin.jtr(r)
             accepted = None
@@ -443,24 +445,20 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
                 except np.linalg.LinAlgError:
                     lam *= LAMBDA_UP
                     continue
-                delta_norm = float(np.linalg.norm(delta))
-                if delta_norm < STEP_NORM_TOL:
-                    break
                 trial = params + delta
                 r_trial = system.residuals(trial)
                 trial_cost = float(r_trial @ r_trial)
                 if trial_cost < cost_cur:
-                    accepted = (trial, r_trial, trial_cost, delta_norm)
+                    accepted = (trial, r_trial, trial_cost)
                     break
                 lam *= LAMBDA_UP
             if accepted is None:
                 break
-            params, r, cost_cur, inner_step = accepted
-            step_norm += inner_step
+            params, r, cost_cur = accepted
             lam = max(lam * LAMBDA_DOWN, 1e-12)
         history.append(cost_cur)
-        rel_drop = (cost_outer - cost_cur) / max(cost_outer, np.finfo(float).tiny)
-        if rel_drop < COST_REL_TOL or step_norm < STEP_NORM_TOL:
+        moved = np.abs(params - start).reshape(-1, 6)
+        if moved[:, :3].max() <= STOP_ROTATION and moved[:, 3:].max() <= STOP_TRANSLATION:
             converged = True
             break
     return params, history, converged, iterations

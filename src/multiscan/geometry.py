@@ -5,8 +5,10 @@ Rotations are carried as rotation vectors (axis * angle, radians).
 are the one pair of conversions to and from 3x3 matrices; `rotvec_to_quat`
 is the one conversion to quaternions [x, y, z, w], which only the spline's
 slerp uses. All three take any leading batch axes, and each entry of a
-stack equals the single call on it bit for bit. `Pose` is one rigid
-transform built on them.
+stack equals the single call on it bit for bit. `left_jacobian` and
+`left_jacobian_inv` are the SO(3) Jacobians of the exp map (Sola et al.,
+arXiv:1812.01537), batched the same way; the right Jacobian is the
+transpose of the left. `Pose` is one rigid transform built on them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _SMALL_ANGLE = 1e-10
+# below this angle (rad) the SO(3) Jacobians use their series coefficients
+_JACOBIAN_SERIES_ANGLE = 1e-4
 
 # the cross-product matrix as a linear map: (x, y, z) @ _CROSS is its
 # row-major entries (0, -z, y, z, 0, -x, -y, x, 0), exactly
@@ -87,6 +91,41 @@ def rotvec_to_quat(r: np.ndarray) -> np.ndarray:
         out[small, 3] = 1.0
         out[small] /= np.linalg.norm(out[small], axis=1, keepdims=True)
     return out.reshape(r.shape[:-1] + (4,))
+
+
+def left_jacobian(r: np.ndarray) -> np.ndarray:
+    """Left Jacobians of SO(3), (..., 3) to (..., 3, 3): Exp(r + dr) = Exp(J_l dr) Exp(r).
+
+    J_l = I + (1 - cos a) / a^2 [r]x + (a - sin a) / a^3 [r]x^2 for angle a;
+    the right Jacobian is its transpose. Below _JACOBIAN_SERIES_ANGLE the
+    coefficients come from their Taylor series.
+    """
+    k, a2, small = _jacobian_parts(r)
+    a = np.sqrt(np.where(small, 1.0, a2))
+    half = np.sin(0.5 * a)
+    first = np.where(small, 0.5 - a2 / 24.0, 2.0 * half * half / (a * a))
+    second = np.where(small, 1.0 / 6.0 - a2 / 120.0, (a - np.sin(a)) / (a * a * a))
+    return _EYE + first[..., None, None] * k + second[..., None, None] * (k @ k)
+
+
+def left_jacobian_inv(r: np.ndarray) -> np.ndarray:
+    """Inverses of `left_jacobian`, (..., 3) to (..., 3, 3), for angles below 2 pi.
+
+    J_l^-1 = I - [r]x / 2 + (1 - (a / 2) cot(a / 2)) / a^2 [r]x^2.
+    """
+    k, a2, small = _jacobian_parts(r)
+    a = np.sqrt(np.where(small, 1.0, a2))
+    half = 0.5 * a
+    second = np.where(small, 1.0 / 12.0 + a2 / 720.0, (1.0 - half / np.tan(half)) / (a * a))
+    return _EYE - 0.5 * k + second[..., None, None] * (k @ k)
+
+
+def _jacobian_parts(r: np.ndarray):
+    """Cross-product matrices of r, squared angles, and the series mask."""
+    r = np.asarray(r, dtype=float)
+    k = (r.reshape(-1, 3) @ _CROSS).reshape(r.shape + (3,))
+    a2 = np.sum(r * r, axis=-1)
+    return k, a2, a2 < _JACOBIAN_SERIES_ANGLE**2
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:

@@ -51,6 +51,8 @@ class VoxelConfig:
             )
         if self.epsilon < 0.0:
             raise ValueError(f"voxel epsilon must be >= 0, got {self.epsilon}")
+        if not (isinstance(self.n_min, (int, np.integer)) and self.n_min >= 0):
+            raise ValueError(f"voxel n_min must be an integer >= 0, got {self.n_min!r}")
 
 
 def voxel_cell_indices(points: np.ndarray, cell_size: float) -> np.ndarray:

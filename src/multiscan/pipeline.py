@@ -54,7 +54,9 @@ from multiscan.trajectory import (
     catmull_rom_tangents,
     deskew,
     hermite_positions,
+    segment_params,
     slerp_rotation_matrices,
+    slerp_turns,
     stamp_slots,
 )
 
@@ -97,6 +99,11 @@ class PipelineConfig:
         for name in ("window_duration", "control_spacing", "buffer_capacity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"config key {name!r} must be positive")
+        # a point's normal and planarity need a plane through its neighbours
+        if not (isinstance(self.k_neighbors, (int, np.integer)) and self.k_neighbors >= 3):
+            raise ValueError(
+                f"config key 'k_neighbors' must be an integer >= 3, got {self.k_neighbors!r}"
+            )
 
 
 def _parse_like(raw: str, default):
@@ -300,22 +307,25 @@ def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
 class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
-    Parameters are the control poses (6 each). Each point moves by the
-    spline pose at its own stamp, the pose `deskew` gives it through
-    `ContinuousTrajectory(ctrl_times, params)`: a slot is one distinct stamp
-    (`trajectory.stamp_slots`), and the spline is evaluated once per slot.
-    Control pose k only moves the slots within its spline support, a
-    half-open range that is empty when no stamp lies there, and `freeze`
-    sorts the moving members by slot, so in the `Linearization` pose k's
-    block covers one contiguous range of them and neighbouring poses'
-    ranges overlap. Positions are linear in the control positions, so a
-    member's motion under pose k's translation is pose k's Hermite weight
-    at its slot times the unit axis (`hermite_weights`, built once); under
-    a rotation it comes from central differences of slerp over the slots
-    that rotation moves.
+    Parameters are the control poses, one 6-block (r1 r2 r3 x y z) each.
+    Each point moves by the spline pose at its own stamp, the pose `deskew`
+    gives it through `ContinuousTrajectory(ctrl_times, params)`: a slot is
+    one distinct stamp (`trajectory.stamp_slots`), and the spline is
+    evaluated once per slot. A stamp in spline segment s (control poses s
+    to s + 1) reads only the rotations of poses s and s + 1 (slerp) and the
+    positions of at most four poses around it (Hermite with Catmull-Rom
+    tangents), so `freeze` sorts the moving members by slot and the
+    `Linearization` gets one band per segment: every moving member's rows
+    are built once, over those 6 rotation and 3 P translation columns
+    (P = min(4, K) poses from `segment_cols`). Positions are linear in the
+    control positions, so a member's motion under a translation is its
+    Hermite weight at its slot times the unit axis (`hermite_weights`,
+    built once). Under a rotation it is closed-form: slerp turns the point
+    by `trajectory.slerp_turns`, and the point moves by -[R(u) x]x times
+    that turn.
     Static map points join the landmarks but never move. The IMU rows (one
-    batched `imu.imu_residual` call) and the prior rows form the small
-    dense block.
+    batched `imu.imu_residual` call, differentiated by central differences)
+    and the prior rows form the small dense block.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -340,14 +350,25 @@ class _WindowSystem:
         self.prior_weights = np.tile(w, self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
         self.slot_times, self.point_slot = stamp_slots(stamps)
-        # (slot, k): control pose k's weight in the position at that slot
-        self.hermite_weights = hermite_positions(
-            ctrl_times, np.eye(self.n_ctrl), self.spacing, self.slot_times
+        self.slot_seg, _ = segment_params(ctrl_times, self.spacing, self.slot_times)
+        # slots [segment_slots[s], segment_slots[s + 1]) lie in segment s
+        self.segment_slots = np.searchsorted(self.slot_seg, np.arange(self.n_ctrl))
+        # (slot, P): the Hermite weights of the P control positions that
+        # move the slot's segment, the first of them clipped to [0, K - P]
+        n_pos = min(4, self.n_ctrl)
+        first = np.clip(np.arange(self.n_ctrl - 1) - 1, 0, self.n_ctrl - n_pos)
+        reach = first[:, None] + np.arange(n_pos)
+        self.hermite_weights = np.take_along_axis(
+            hermite_positions(ctrl_times, np.eye(self.n_ctrl), self.spacing, self.slot_times),
+            reach[self.slot_seg], axis=1,
         )
-        # [first, stop) slots each control pose moves: its position reaches
-        # two segments either side (Hermite), its rotation one (slerp)
-        self.support = [self._slots_within(k, 2) for k in range(self.n_ctrl)]
-        self.rot_support = [self._slots_within(k, 1) for k in range(self.n_ctrl)]
+        # columns of segment s: rotations of poses s and s + 1, then the
+        # translations of its P poses
+        self.segment_cols = [
+            np.concatenate([6 * s + np.arange(3), 6 * s + 6 + np.arange(3),
+                            (6 * reach[s, :, None] + 3 + np.arange(3)).ravel()])
+            for s in range(self.n_ctrl - 1)
+        ]
         self.imu_weights = np.concatenate([
             np.full(3, config.imu_weight_rot),
             np.full(3, config.imu_weight_vel),
@@ -356,13 +377,16 @@ class _WindowSystem:
 
     # ---- trajectory evaluation -------------------------------------------------
 
+    def slot_rotations(self, params: np.ndarray) -> np.ndarray:
+        rotvecs = params.reshape(-1, 6)[:, :3]
+        return slerp_rotation_matrices(
+            self.ctrl_times, rotvec_to_quat(rotvecs), self.spacing, self.slot_times
+        )
+
     def world_points(self, params: np.ndarray) -> np.ndarray:
-        blocks = params.reshape(-1, 6)
-        rot = slerp_rotation_matrices(
-            self.ctrl_times, rotvec_to_quat(blocks[:, :3]), self.spacing, self.slot_times
-        )[self.point_slot]
+        rot = self.slot_rotations(params)[self.point_slot]
         pos = hermite_positions(
-            self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times
+            self.ctrl_times, params.reshape(-1, 6)[:, 3:].copy(), self.spacing, self.slot_times
         )[self.point_slot]
         moving = np.einsum("nij,nj->ni", rot, self.sensor_points) + pos
         if len(self.static_points):
@@ -383,6 +407,33 @@ class _WindowSystem:
         )
         return (self.imu_weights * r).reshape(*params.shape[:-1], -1)
 
+    def imu_jacobian(self, params: np.ndarray, step: float) -> np.ndarray:
+        """Jacobian of `imu_rows` by central differences of step.
+
+        Segment i reads control poses i - 1 to i + 2 only (its end poses
+        and their Catmull-Rom tangents), so one variant moves parameter q of
+        every fourth pose at once: 2 x 4 x 6 variants, each column equal to
+        the one a single perturbation gives.
+        """
+        n_rows, n_params = 9 * len(self.imu_seg), len(params)
+        jac = np.zeros((n_rows, n_params))
+        if not n_rows:
+            return jac
+        # variants[phase, q, sign]: +-step on parameter q of every pose k
+        # with k % 4 == phase
+        variants = np.repeat(params[None], 48, axis=0).reshape(4, 6, 2, self.n_ctrl, 6)
+        for phase in range(4):
+            for q in range(6):
+                variants[phase, q, 0, phase::4, q] += step
+                variants[phase, q, 1, phase::4, q] -= step
+        rows = self.imu_rows(variants.reshape(48, n_params)).reshape(4, 6, 2, -1, 9)
+        diff = (rows[:, :, 0] - rows[:, :, 1]) / (2.0 * step)
+        for k in range(self.n_ctrl):
+            seg = np.nonzero((self.imu_seg >= k - 2) & (self.imu_seg <= k + 1))[0]
+            rows_k = (9 * seg[:, None] + np.arange(9)).ravel()
+            jac[rows_k, 6 * k : 6 * k + 6] = diff[k % 4][:, seg].reshape(6, -1).T
+        return jac
+
     # ---- residual system -----------------------------------------------------------
 
     def freeze(self, params: np.ndarray) -> None:
@@ -398,15 +449,14 @@ class _WindowSystem:
                 "insufficient overlap/structure in the sliding window"
             )
         self.landmarks = FrozenLandmarks(groups)
-        # members whose point moves with the trajectory, sorted by slot
+        # members whose point moves with the trajectory, sorted by slot, so
+        # members [member_bounds[s], member_bounds[s + 1]) lie in segment s
         moving = np.nonzero(self.landmarks.member_row < len(self.sensor_points))[0]
         slot = self.point_slot[self.landmarks.member_row[moving]]
         by_slot = np.argsort(slot, kind="stable")
         self.order = moving[by_slot]
         self.member_slot = slot[by_slot]
-        self.bounds = [
-            tuple(np.searchsorted(self.member_slot, support)) for support in self.support
-        ]
+        self.member_bounds = np.searchsorted(self.member_slot, self.segment_slots)
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
@@ -418,46 +468,35 @@ class _WindowSystem:
             self.prior_rows(params),
         ])
 
-    def _slots_within(self, k: int, reach: int) -> tuple[int, int]:
-        lo = self.ctrl_times[max(0, k - reach)] - 1e-12
-        hi = self.ctrl_times[min(self.n_ctrl - 1, k + reach)] + 1e-12
-        return (int(np.searchsorted(self.slot_times, lo, side="left")),
-                int(np.searchsorted(self.slot_times, hi, side="right")))
-
-    def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
-        """Normal equations at params; rotations and IMU rows by central differences."""
-        n_params = 6 * self.n_ctrl
-        # rows 2q and 2q + 1: params with +h and -h on parameter q
-        variants = np.repeat(params[None, :], 2 * n_params, axis=0)
-        q = np.arange(n_params)
-        variants[2 * q, q] += step
-        variants[2 * q + 1, q] -= step
-        # segments outside a pose's spline support see identical inputs, so
-        # their differences are exactly zero
-        imu = self.imu_rows(variants)
-        dense = np.vstack([(imu[0::2] - imu[1::2]).T / (2.0 * step), np.diag(self.prior_weights)])
-        blocks = []
-        for k, (lo, hi) in enumerate(self.bounds):
-            members = self.order[lo:hi]
-            slot = self.member_slot[lo:hi]
-            motion = np.zeros((hi - lo, 3, 6))
-            if lo < hi:
-                # positions are linear in the control positions: a slot moves
-                # by its Hermite weight times the translation
-                motion[:, :, 3:] = self.hermite_weights[slot, k, None, None] * np.eye(3)
-                # rotations over the sub-range of their own support
-                first, stop = self.rot_support[k]
-                turn = slice(*np.searchsorted(slot, (first, stop)))
-                turned = variants[12 * k : 12 * k + 6].reshape(6, self.n_ctrl, 6)
-                rot = slerp_rotation_matrices(
-                    self.ctrl_times, rotvec_to_quat(turned[..., :3]), self.spacing,
-                    self.slot_times[first:stop],
-                )
-                d_rot = np.moveaxis(rot[0::2] - rot[1::2], 0, 2) / (2.0 * step)
-                raw = self.sensor_points[self.landmarks.member_row[members[turn]]]
-                motion[turn, :, :3] = np.einsum("nipj,nj->nip", d_rot[slot[turn] - first], raw)
-            blocks.append(self.landmarks.white_m[members] @ motion)
-        return Linearization(self.landmarks, self.order, self.bounds, blocks, dense)
+    def linearize(self, params: np.ndarray) -> Linearization:
+        """Normal equations at params; closed-form landmark rows, IMU rows by
+        central differences of FD_STEP."""
+        rots = self.slot_rotations(params)
+        turn_a, turn_b = slerp_turns(
+            self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times, rots
+        )
+        # each moving member's whitened motion, built once: -W [R x]x (row i
+        # is (R x) cross W_i) times the turn under each end pose's rotation,
+        # W times the Hermite weight under each translation
+        slot = self.member_slot
+        white = self.landmarks.white_m[self.order]
+        raw = self.sensor_points[self.landmarks.member_row[self.order]]
+        lever = np.cross(np.einsum("nij,nj->ni", rots[slot], raw)[:, None, :], white)
+        weights = self.hermite_weights[slot]
+        block = np.empty((len(slot), 3, 6 + 3 * weights.shape[1]))
+        np.matmul(lever, turn_a[slot], out=block[:, :, :3])
+        np.matmul(lever, turn_b[slot], out=block[:, :, 3:6])
+        np.multiply(
+            white[:, :, None, :], weights[:, None, :, None],
+            out=block[:, :, 6:].reshape(len(slot), 3, -1, 3),
+        )
+        bands = [
+            (self.order[lo:hi], cols, block[lo:hi])
+            for cols, lo, hi in zip(self.segment_cols, self.member_bounds, self.member_bounds[1:])
+            if lo < hi
+        ]
+        dense = np.vstack([self.imu_jacobian(params, FD_STEP), np.diag(self.prior_weights)])
+        return Linearization(self.landmarks, bands, dense)
 
 
 class OdometryPipeline:

@@ -6,8 +6,9 @@ vector and a position. Positions follow a cubic Hermite spline with
 centered (Catmull-Rom) tangents, one-sided at the ends
 (`hermite_positions`); orientations follow slerp between the bracketing
 control quaternions (`slerp_rotation_matrices`). Both take leading batch
-axes, so the window evaluates many perturbed parameter vectors at once with
-the same arithmetic as `ContinuousTrajectory`.
+axes, so the window evaluates its parameters with the same arithmetic as
+`ContinuousTrajectory`. `slerp_turns` gives the closed-form derivative of
+the slerp rotation under its two end poses' rotation vectors.
 
 Each point moves by the pose at its own stamp. `stamp_slots` gives the
 distinct stamps of a point set and each point's index among them; the
@@ -19,7 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec, rotvec_to_quat
+from multiscan.geometry import (
+    Pose,
+    PointCloud,
+    left_jacobian,
+    left_jacobian_inv,
+    matrix_to_rotvec,
+    rotvec_to_matrix,
+    rotvec_to_quat,
+)
 
 
 def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
@@ -32,7 +41,8 @@ def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
     return tangents
 
 
-def _segment_params(ctrl_times: np.ndarray, spacing: float, t_eval: np.ndarray):
+def segment_params(ctrl_times: np.ndarray, spacing: float, t_eval: np.ndarray):
+    """Spline segment of each time (control pose seg to seg + 1) and its fraction u in [0, 1]."""
     seg = np.clip(np.searchsorted(ctrl_times, t_eval, side="right") - 1, 0, len(ctrl_times) - 2)
     return seg, np.clip((t_eval - ctrl_times[seg]) / spacing, 0.0, 1.0)
 
@@ -46,7 +56,7 @@ def hermite_positions(
     (..., M, 3) for M evaluation times.
     """
     tangents = catmull_rom_tangents(positions, spacing)
-    seg, u = _segment_params(ctrl_times, spacing, t_eval)
+    seg, u = segment_params(ctrl_times, spacing, t_eval)
     u2, u3 = u * u, u * u * u
     h00 = 2 * u3 - 3 * u2 + 1
     h10 = u3 - 2 * u2 + u
@@ -68,7 +78,7 @@ def slerp_rotation_matrices(
     quats is (..., K, 4), with any leading batch axes; the result is
     (..., M, 3, 3) for M evaluation times.
     """
-    seg, u = _segment_params(ctrl_times, spacing, t_eval)
+    seg, u = segment_params(ctrl_times, spacing, t_eval)
     qa = quats[..., seg, :]
     qb = quats[..., seg + 1, :]
     dots = np.sum(qa * qb, axis=-1)
@@ -82,6 +92,35 @@ def slerp_rotation_matrices(
     q = wa[..., None] * qa + wb[..., None] * qb
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return _quats_to_matrices(q)
+
+
+def slerp_turns(
+    ctrl_times: np.ndarray, rotvecs: np.ndarray, spacing: float, t_eval: np.ndarray,
+    rots: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form derivatives of the slerp rotation at t_eval, (M, 3, 3) each.
+
+    rotvecs is (K, 3) and rots the (M, 3, 3) result of
+    `slerp_rotation_matrices` at t_eval. Slerp on a segment is
+    R(u) = R_a Exp(u phi) with phi = Log(R_a^T R_b), so under changes dr_a
+    and dr_b of its two end poses' rotation vectors R(u) turns in the world
+    frame by
+
+        (I - A) J_l(r_a) dr_a + A J_l(r_b) dr_b,
+        A = u R(u) J_r(u phi) J_r^-1(phi) R_b^T,
+
+    with J_r(x) = J_l(x)^T. Returns (turn_a, turn_b), the matrices that
+    multiply dr_a and dr_b.
+    """
+    seg, u = segment_params(ctrl_times, spacing, t_eval)
+    mats = rotvec_to_matrix(rotvecs)
+    phi = matrix_to_rotvec(np.swapaxes(mats[:-1], 1, 2) @ mats[1:])
+    # J_r^-1(phi) R_b^T per segment, then A per time
+    tail = np.swapaxes(left_jacobian_inv(phi), 1, 2) @ np.swapaxes(mats[1:], 1, 2)
+    inner = np.swapaxes(left_jacobian(u[:, None] * phi[seg]), 1, 2)
+    a = u[:, None, None] * (rots @ inner @ tail[seg])
+    jac = left_jacobian(rotvecs)
+    return jac[seg] - a @ jac[seg], a @ jac[seg + 1]
 
 
 def stamp_slots(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +191,7 @@ class ContinuousTrajectory:
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_range(t)
-        seg, u = _segment_params(self.times, self.spacing, t)
+        seg, u = segment_params(self.times, self.spacing, t)
         u2 = u * u
         d00 = 6 * u2 - 6 * u
         d10 = 3 * u2 - 4 * u + 1

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from multiscan.adjustment import (
+    STOP_ROTATION,
+    STOP_TRANSLATION,
     AdjustmentProblem,
     GravityConstraint,
     InsufficientStructureError,
@@ -287,6 +291,77 @@ class TestLevenbergMarquardt:
 
         with pytest.raises(FloatingPointError, match="non-finite cost"):
             levenberg_marquardt(NanSystem(), np.zeros(6), LMConfig())
+
+
+class DriftingSystem:
+    """r = params - target, where every freeze moves the target by the next
+    drift (one row per parameter), so each outer iteration moves the
+    parameters by about that drift."""
+
+    def __init__(self, drifts):
+        self.drifts = list(drifts)
+        self.target = None
+
+    def freeze(self, params):
+        self.target = params + self.drifts.pop(0)
+
+    def residuals(self, params):
+        return params - self.target
+
+    def linearize(self, params):
+        return SimpleNamespace(jtj=np.eye(len(params)), jtr=lambda r: r)
+
+
+class TestStoppingRule:
+    @staticmethod
+    def drift(rot, trans, n_poses=3, pose=1):
+        d = np.zeros((n_poses, 6))
+        d[pose, :3] = rot
+        d[pose, 3:] = trans
+        return d.ravel()
+
+    def test_stops_once_poses_move_less_than_thresholds(self):
+        # every drift below both thresholds: the first outer iteration stops
+        drift = self.drift(0.9 * STOP_ROTATION, 0.9 * STOP_TRANSLATION)
+        params, _, converged, iterations = levenberg_marquardt(
+            DriftingSystem([drift] * 10), np.zeros(18), LMConfig(max_outer_iterations=10)
+        )
+        assert converged and iterations == 1
+        assert np.allclose(params, drift, rtol=1e-6)
+        # halving 1 mm steps: 1, 0.5, 0.25, 0.125 mm move, 0.0625 mm stops
+        drifts = [self.drift(0.0, 1e-3 / 2**k) for k in range(10)]
+        _, _, converged, iterations = levenberg_marquardt(
+            DriftingSystem(drifts), np.zeros(18), LMConfig(max_outer_iterations=10)
+        )
+        assert converged and iterations == 5
+
+    @pytest.mark.parametrize("rot, trans", [(0.0, 1e-3), (2 * STOP_ROTATION, 0.0)])
+    def test_keeps_going_while_a_pose_moves(self, rot, trans):
+        drift = self.drift(rot, trans)
+        _, history, converged, iterations = levenberg_marquardt(
+            DriftingSystem([drift] * 6), np.zeros(18), LMConfig(max_outer_iterations=6)
+        )
+        assert not converged and iterations == 6
+        assert len(history) == 12
+
+    def test_never_accepted_step_stops(self):
+        class Flat:
+            def freeze(self, params):
+                pass
+
+            def residuals(self, params):
+                return np.ones(6)
+
+            def linearize(self, params):
+                return DriftingSystem([]).linearize(params)
+
+        start = np.arange(6.0)
+        params, history, converged, iterations = levenberg_marquardt(
+            Flat(), start, LMConfig(max_outer_iterations=5)
+        )
+        assert converged and iterations == 1
+        assert np.array_equal(params, start)
+        assert history == [6.0, 6.0]
 
 
 class TestLMConfig:

@@ -5,6 +5,8 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from multiscan.geometry import (
     Pose,
     PointCloud,
+    left_jacobian,
+    left_jacobian_inv,
     matrix_to_rotvec,
     rotvec_to_matrix,
     rotvec_to_quat,
@@ -141,6 +143,46 @@ class TestRotation:
         for r, q in zip(rvecs, rotvec_to_quat(rvecs)):
             assert np.allclose(quat_to_rotvec(rotvec_to_quat(r)), r, atol=1e-9)
             assert np.allclose(quat_to_rotvec(q), r, atol=1e-9)
+
+
+def cross_matrix(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+# the series switch lies between 1e-5 and 1e-3 rad
+JACOBIAN_ANGLES = [1e-9, 1e-5, 1e-3, 1.0, 3.0]
+
+
+class TestLeftJacobian:
+    @pytest.mark.parametrize("angle", JACOBIAN_ANGLES)
+    def test_matches_exp_secant(self, angle):
+        # (Exp(r + h e_i) - Exp(r - h e_i)) / 2h = [J_l e_i]x Exp(r)
+        rng = np.random.default_rng(20)
+        h = 1e-6
+        for _ in range(4):
+            r = random_rotvec(rng)
+            r *= angle / np.linalg.norm(r)
+            jac = left_jacobian(r)
+            for i in range(3):
+                e = h * np.eye(3)[i]
+                secant = (rotvec_to_matrix(r + e) - rotvec_to_matrix(r - e)) / (2 * h)
+                assert np.abs(secant - cross_matrix(jac[:, i]) @ rotvec_to_matrix(r)).max() < 1e-8
+
+    @pytest.mark.parametrize("angle", JACOBIAN_ANGLES)
+    def test_inverse(self, angle):
+        rng = np.random.default_rng(21)
+        axes = rng.normal(size=(6, 3))
+        r = angle * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        product = left_jacobian_inv(r) @ left_jacobian(r)
+        assert np.abs(product - np.eye(3)).max() < 1e-12
+
+    def test_stack_shapes_and_zero(self):
+        r = np.random.default_rng(22).normal(size=(4, 5, 3))
+        assert left_jacobian(r).shape == (4, 5, 3, 3)
+        assert left_jacobian_inv(r).shape == (4, 5, 3, 3)
+        assert np.array_equal(left_jacobian(r)[2, 3], left_jacobian(r[2, 3]))
+        assert np.array_equal(left_jacobian(np.zeros(3)), np.eye(3))
+        assert np.array_equal(left_jacobian_inv(np.zeros(3)), np.eye(3))
 
 
 class TestPose:

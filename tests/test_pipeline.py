@@ -70,7 +70,7 @@ def corridor_window(corridor, corridor_run):
 @pytest.fixture(scope="module")
 def gap_window(corridor, corridor_run):
     """corridor_window without the points of scans 3 to 5, as if those scans
-    came back empty: some control pose's rotation then reaches no stamp."""
+    came back empty: some spline segment then holds no stamp."""
     gap = (corridor.scans[3].stamps[0], corridor.scans[6].stamps[0])
     return frozen_window(corridor_run[0], float(corridor.scans[-1].stamps[-1]), gap)
 
@@ -118,7 +118,7 @@ def test_window_normal_equations_match_secant_jacobian(corridor_window):
 
 def test_gap_window_normal_equations_match_secant_jacobian(gap_window):
     system, at = gap_window
-    assert any(first == stop for first, stop in system.rot_support)
+    assert np.any(np.diff(system.segment_slots) == 0)
     assert_normal_equations_match_secant_jacobian(system, at)
 
 
@@ -145,6 +145,17 @@ def test_window_imu_block_matches_imu_rows_secant(corridor_window):
         direction /= np.linalg.norm(direction)
         secant = (system.imu_rows(at + h * direction) - system.imu_rows(at - h * direction)) / (2 * h)
         assert np.linalg.norm(block @ direction - secant) <= 1e-5 * np.linalg.norm(secant)
+
+
+def test_window_imu_jacobian_equals_one_perturbation_per_column(corridor_window):
+    # perturbing every fourth pose at once leaves each column bit for bit
+    # what a single perturbation gives, zeros included
+    system, at = corridor_window
+    h = 1e-6
+    columns = []
+    for e in np.eye(len(at)):
+        columns.append((system.imu_rows(at + h * e) - system.imu_rows(at - h * e)) / (2.0 * h))
+    assert np.array_equal(system.imu_jacobian(at, h), np.stack(columns, axis=1))
 
 
 def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
@@ -280,6 +291,9 @@ def test_config_from_dict_rejects_unknown_keys(key):
     ("voxel_epsilon", "-1"),
     ("voxel_coarse_size", "inf"),
     ("voxel_fine_size", "2.5"),
+    ("voxel_n_min", "-3"),
+    ("k_neighbors", "0"),
+    ("k_neighbors", "2"),
 ])
 def test_config_from_dict_rejects_bad_values(key, raw):
     group, _, name = key.partition("_")
@@ -293,3 +307,12 @@ def test_config_from_dict_rejects_bad_values(key, raw):
         pipeline_config_from_dict({key: raw})
     with pytest.raises(ValueError, match=key):
         PipelineConfig(**{key: float(raw)})
+
+
+def test_config_rejects_non_integer_counts():
+    # a float count would reach a k-d tree query or a cell-size comparison
+    with pytest.raises(ValueError, match="n_min"):
+        VoxelConfig(n_min=2.5)
+    with pytest.raises(ValueError, match="k_neighbors"):
+        PipelineConfig(k_neighbors=10.0)
+    assert PipelineConfig(k_neighbors=3, voxel=VoxelConfig(n_min=0)).k_neighbors == 3

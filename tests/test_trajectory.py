@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from multiscan.geometry import PointCloud, matrix_to_rotvec, rotvec_to_matrix
-from multiscan.trajectory import ContinuousTrajectory, deskew
+from multiscan.geometry import PointCloud, matrix_to_rotvec, rotvec_to_matrix, rotvec_to_quat
+from multiscan.trajectory import (
+    ContinuousTrajectory,
+    deskew,
+    segment_params,
+    slerp_rotation_matrices,
+    slerp_turns,
+)
 
 
 def rotation_angle_between(ra, rb):
@@ -155,3 +161,69 @@ class TestControlTimes:
         assert len(times) == 11
         assert times[-1] == pytest.approx(2.0)
         assert np.allclose(np.diff(times), 0.1)
+
+
+def turn_columns_by_secant(times, rotvecs, t_eval, h=1e-6):
+    """World-frame turn per unit change of each rotation parameter, (M, 3, K, 3),
+    from central differences of slerp_rotation_matrices."""
+    rots = slerp_rotation_matrices(times, rotvec_to_quat(rotvecs), 1.0, t_eval)
+    out = np.zeros((len(t_eval), 3, len(times), 3))
+    for k in range(len(times)):
+        for i in range(3):
+            plus, minus = rotvecs.copy(), rotvecs.copy()
+            plus[k, i] += h
+            minus[k, i] -= h
+            d_rot = (
+                slerp_rotation_matrices(times, rotvec_to_quat(plus), 1.0, t_eval)
+                - slerp_rotation_matrices(times, rotvec_to_quat(minus), 1.0, t_eval)
+            ) / (2 * h)
+            turn = d_rot @ np.swapaxes(rots, 1, 2)  # [w]x
+            out[:, :, k, i] = np.stack([turn[:, 2, 1], turn[:, 0, 2], turn[:, 1, 0]], axis=1)
+    return out
+
+
+def then(ra, rotvec):
+    """Rotation vector of Exp(ra) Exp(rotvec)."""
+    return matrix_to_rotvec(rotvec_to_matrix(ra) @ rotvec_to_matrix(rotvec))
+
+
+class TestSlerpTurns:
+    # two segments over control times 0, 1, 2; u = 0 at t = 0 and t = 1, u = 1 at t = 2
+    TIMES = np.array([0.0, 1.0, 2.0])
+    T_EVAL = np.array([0.0, 0.3, 0.99, 1.0, 1.5, 2.0])
+
+    def assert_matches_secant(self, rotvecs):
+        rots = slerp_rotation_matrices(self.TIMES, rotvec_to_quat(rotvecs), 1.0, self.T_EVAL)
+        turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL, rots)
+        closed = np.zeros((len(self.T_EVAL), 3, len(self.TIMES), 3))
+        seg, _ = segment_params(self.TIMES, 1.0, self.T_EVAL)
+        m = np.arange(len(self.T_EVAL))
+        closed[m, :, seg] = turn_a
+        closed[m, :, seg + 1] = turn_b
+        secant = turn_columns_by_secant(self.TIMES, rotvecs, self.T_EVAL)
+        assert np.abs(closed - secant).max() <= 1e-6 * np.abs(closed).max()
+
+    def test_generic_and_near_identity_segments(self):
+        rng = np.random.default_rng(30)
+        r0 = rng.normal(size=3)
+        r1 = then(r0, 0.8 * rng.normal(size=3))
+        self.assert_matches_secant(np.stack([r0, r1, then(r1, np.full(3, 1e-9))]))
+
+    def test_sign_flip_and_long_segments(self):
+        # a quaternion dot below zero (slerp flips qb) and a 2.5 rad segment
+        z = np.array([0.0, 0.0, 1.0])
+        r0, r1 = 3.0 * z, -3.0 * z + [0.01, 0.0, 0.0]
+        assert rotvec_to_quat(r0) @ rotvec_to_quat(r1) < 0.0
+        axis = np.array([0.6, -0.8, 0.0])
+        r2 = then(r1, 2.5 * axis)
+        assert rotation_angle_between(r1, r2) == pytest.approx(2.5)
+        self.assert_matches_secant(np.stack([r0, r1, r2]))
+
+    def test_endpoints(self):
+        # u = 0 moves only with the first pose, u = 1 only with the second
+        rng = np.random.default_rng(31)
+        rotvecs = rng.normal(size=(3, 3))
+        rots = slerp_rotation_matrices(self.TIMES, rotvec_to_quat(rotvecs), 1.0, self.T_EVAL)
+        turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL, rots)
+        assert np.array_equal(turn_b[[0, 3]], np.zeros((2, 3, 3)))
+        assert np.abs(turn_a[-1]).max() < 1e-12
