@@ -14,9 +14,9 @@ assembles band by band from each member's own motion and per-landmark
 sums, never forming the dense Jacobian; J^T J is built once per outer
 iteration. A band is a set of members that move only with the same few
 parameter columns: one free cloud's pose here, one spline segment's
-control poses in the odometry window. Under translations a member's motion
-is exact, since translations move points linearly; under rotations the
-rigid system here takes central differences and the window a closed form.
+control poses in the odometry window. Translations move points linearly;
+every rotation column, here and in the window, is the closed form
+`turned_motion` of a turn w = J_l(r) dr (`geometry.left_jacobian`).
 During those steps only the membership and the inverse covariances are
 held constant; the cell means follow the moving points, so every cell
 scores the current scatter of its own members. A cell whose members move
@@ -49,12 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
+from multiscan.geometry import Pose, PointCloud, left_jacobian, rotvec_to_matrix
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, split_by_normals
 
-# central-difference step of the rigid system's rotation columns, its
-# gravity rows and the window's IMU rows
-FD_STEP = 1e-6
+# world direction that every gravity constraint ties its cloud's direction to
+GRAVITY_UP = np.array([0.0, 0.0, 1.0])
 
 
 class InsufficientStructureError(RuntimeError):
@@ -98,32 +97,28 @@ class GravityConstraint:
 class AdjustmentProblem:
     clouds: list[PointCloud]
     initial_poses: list[Pose]
-    fixed_points: np.ndarray | None = None
+    fixed_points: np.ndarray | None = None  # (0, 3) after construction when None
     gravity_constraints: list[GravityConstraint] = field(default_factory=list)
-    gravity_world_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     split_normals: bool = False
     planarity_min: float = 0.5
-    fix_first_pose: bool | None = None
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
 
     def __post_init__(self):
         if len(self.clouds) != len(self.initial_poses):
             raise ValueError("one initial pose per cloud required")
-        if self.fixed_points is not None:
-            self.fixed_points = np.asarray(self.fixed_points, dtype=float).reshape(-1, 3)
+        for con in self.gravity_constraints:
+            ok = isinstance(con.cloud_id, (int, np.integer)) and 0 <= con.cloud_id < len(self.clouds)
+            if not ok:
+                raise ValueError(f"gravity cloud_id {con.cloud_id!r} is not an index of the clouds")
+        fixed = np.zeros((0, 3)) if self.fixed_points is None else self.fixed_points
+        self.fixed_points = np.asarray(fixed, dtype=float).reshape(-1, 3)
 
-    def first_pose_fixed(self) -> bool:
-        # without full anchoring the problem has a free rigid gauge; pin it
+    def free_indices(self) -> list[int]:
+        # without fixed points the problem has a free rigid gauge; pin it
         # to the first scan, mirroring a reference-cloud formulation.
         # Gravity constraints pin only roll and pitch, so they do not count:
         # translation and yaw would stay free and the solution would wander.
-        if self.fix_first_pose is not None:
-            return self.fix_first_pose
-        return not (self.fixed_points is not None and len(self.fixed_points) > 0)
-
-    def free_indices(self) -> list[int]:
-        start = 1 if self.first_pose_fixed() else 0
-        idx = list(range(start, len(self.clouds)))
+        idx = list(range(0 if len(self.fixed_points) else 1, len(self.clouds)))
         if not idx:
             raise ValueError("problem has no free pose")
         return idx
@@ -137,11 +132,6 @@ class AdjustmentResult:
     iterations: int
 
 
-def _cloud_offsets(problem: AdjustmentProblem) -> np.ndarray:
-    sizes = [len(c) for c in problem.clouds]
-    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-
-
 def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.ndarray, dict]:
     """Voxelize the merged world cloud and compute per-cell statistics.
 
@@ -153,9 +143,7 @@ def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.
     attribute-free points are left whole.
     """
     chunks = [pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)]
-    if problem.fixed_points is not None and len(problem.fixed_points):
-        chunks.append(problem.fixed_points)
-    pts = np.vstack(chunks)
+    pts = np.vstack(chunks + [problem.fixed_points])
     voxel = problem.voxel
     groups = dual_grid_groups(
         pts,
@@ -189,9 +177,8 @@ def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
         else:
             normal_chunks.append(cloud.normals @ pose.matrix().T)
             plan_chunks.append(cloud.planarity)
-    if problem.fixed_points is not None and len(problem.fixed_points):
-        normal_chunks.append(np.zeros((len(problem.fixed_points), 3)))
-        plan_chunks.append(np.full(len(problem.fixed_points), np.nan))
+    normal_chunks.append(np.zeros((len(problem.fixed_points), 3)))
+    plan_chunks.append(np.full(len(problem.fixed_points), np.nan))
     return np.vstack(normal_chunks), np.concatenate(plan_chunks)
 
 
@@ -210,12 +197,20 @@ def lm_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
 
 
-def gravity_residual(
-    rots: np.ndarray, directions_local: np.ndarray, g_world: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """weights * (R @ local_direction - world_direction) for unit directions,
+def gravity_residual(rots: np.ndarray, directions_local: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights * (R @ local_direction - GRAVITY_UP) for unit directions,
     stacked over constraints: rots (..., 3, 3) to rows (..., 3)."""
-    return weights[..., None] * ((rots @ directions_local[..., None])[..., 0] - g_world)
+    return weights[..., None] * ((rots @ directions_local[..., None])[..., 0] - GRAVITY_UP)
+
+
+def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=None) -> np.ndarray:
+    """Whitened motion -W [R x]x turn, (..., 3, m), of points R x (..., 3).
+
+    Exp(w) turns R x by -[R x]x w to first order, and row i of -W [R x]x
+    is (R x) cross W_i. turn (..., 3, m) maps parameters to the world-frame
+    turn w, for example J_l(r) for a rotation vector r.
+    """
+    return np.matmul(np.cross(rotated[..., None, :], white), turn, out=out)
 
 
 class FrozenLandmarks:
@@ -317,18 +312,21 @@ class _RigidSystem:
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
     order. Perturbing one pose moves only that cloud's members, so the
     `Linearization` gets one band per free cloud, over that pose's 6
-    columns, and B^T B is block-diagonal. A member's motion under a rotation
-    parameter comes from central differences; under a translation it is the
-    unit axis, so those columns of B are rows of sqrt(w_j) chol_j. The
-    gravity rows form the small dense block.
+    columns, and B^T B is block-diagonal. A member's motion under the
+    rotation is `turned_motion(W, R_k x, J_l(r_k))`; under a translation
+    it is the unit axis, so those columns of B are W itself. The gravity
+    rows form the small dense block, turned_motion(w I, R_k d, J_l(r_k)).
     """
 
     def __init__(self, problem: AdjustmentProblem):
         self.problem = problem
         self.free = problem.free_indices()
-        self.offsets = _cloud_offsets(problem)
+        self.offsets = np.cumsum([0] + [len(c) for c in problem.clouds])
         cons = problem.gravity_constraints
         self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
+        # free index of each constraint's cloud: the free clouds are the
+        # tail from free[0] on, so a pinned first cloud maps to -1
+        self.grav_free = self.grav_cloud - self.free[0]
         self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)
         self.grav_weight = np.array([c.weight for c in cons], dtype=float)
 
@@ -356,36 +354,27 @@ class _RigidSystem:
                 self.problem.clouds[ci].points
             )
         rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))[self.grav_cloud]
-        gravity = gravity_residual(
-            rots, self.grav_local, self.problem.gravity_world_dir, self.grav_weight
-        )
+        gravity = gravity_residual(rots, self.grav_local, self.grav_weight)
         return np.concatenate([self.landmarks.residuals(self.world), gravity.ravel()])
 
-    def linearize(self, params: np.ndarray, step: float = FD_STEP) -> Linearization:
-        """Normal equations at params, rotations by central differences of step."""
-        grav_jac = np.zeros((len(self.grav_cloud), 3, len(params)))
+    def linearize(self, params: np.ndarray) -> Linearization:
+        """Normal equations at params, every rotation column in closed form."""
+        rotvecs = params.reshape(-1, 6)[:, :3]
+        rots, turns = rotvec_to_matrix(rotvecs), left_jacobian(rotvecs)
         bands = []
-        for k, ci in enumerate(self.free):
-            base = params[6 * k : 6 * k + 6]
-            # rotations with +h and -h on each rotation parameter, (3, 2, 3, 3)
-            turned = rotvec_to_matrix(base[:3] + step * np.stack([np.eye(3), -np.eye(3)], axis=1))
-            raw = self.cloud_raw[k]
-            motion = np.empty((len(raw), 3, 6))
-            d_rot = (turned[:, 0] - turned[:, 1]) / (2.0 * step)
-            motion[:, :, :3] = np.einsum("pij,nj->nip", d_rot, raw)
-            motion[:, :, 3:] = np.eye(3)
-            rows = self.cloud_rows[k]
-            bands.append((rows, np.arange(6 * k, 6 * k + 6), self.landmarks.white_m[rows] @ motion))
-            # gravity rows: translation never enters them, and a rotation
-            # moves only its own cloud's constraints
-            own = self.grav_cloud == ci
-            grav = gravity_residual(
-                turned[:, :, None], self.grav_local[own],
-                self.problem.gravity_world_dir, self.grav_weight[own],
-            )
-            grav_jac[own, :, 6 * k : 6 * k + 3] = np.moveaxis(
-                (grav[:, 0] - grav[:, 1]) / (2.0 * step), 0, -1
-            )
+        for k, rows in enumerate(self.cloud_rows):
+            white = self.landmarks.white_m[rows]
+            turned = turned_motion(white, self.cloud_raw[k] @ rots[k].T, turns[k])
+            block = np.concatenate([turned, white], axis=2)
+            bands.append((rows, np.arange(6 * k, 6 * k + 6), block))
+        grav_jac = np.zeros((len(self.grav_cloud), 3, len(rotvecs), 6))
+        own = np.nonzero(self.grav_free >= 0)[0]
+        pose = self.grav_free[own]
+        grav_jac[own, :, pose, :3] = turned_motion(
+            self.grav_weight[own, None, None] * np.eye(3),
+            (rots[pose] @ self.grav_local[own, :, None])[..., 0],
+            turns[pose],
+        )
         return Linearization(self.landmarks, bands, grav_jac.reshape(-1, len(params)))
 
 

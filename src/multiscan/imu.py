@@ -5,6 +5,7 @@ from rate and specific-force samples, independent of any world pose and of
 gravity. `imu_residual` compares deltas, stacked over segments, against
 batches of state pairs (rotation matrix, position, velocity) under a known
 world gravity vector; the odometry window's IMU rows are one such call.
+`imu_jacobian` is its closed form (Forster et al., arXiv:1512.02363).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from multiscan.geometry import matrix_to_rotvec, rotvec_to_matrix
+from multiscan.adjustment import turned_motion
+from multiscan.geometry import left_jacobian_inv, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.trajectory import ContinuousTrajectory
 
 
@@ -115,6 +117,16 @@ def stack_deltas(deltas) -> PreintegratedDelta:
     })
 
 
+def _imu_terms(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity):
+    """R_i^T, Log(dR^T R_i^T R_j), and the changes a of velocity and b of
+    position, less gravity, whose images under R_i^T the delta predicts."""
+    dt = np.asarray(delta.dt, dtype=float)[..., None]
+    rot_i_t = np.swapaxes(rot_i, -1, -2)
+    r_rot = matrix_to_rotvec(np.swapaxes(delta.delta_rot, -1, -2) @ rot_i_t @ rot_j)
+    a = vel_j - vel_i - gravity * dt
+    return rot_i_t, r_rot, a, pos_j - pos_i - vel_i * dt - 0.5 * gravity * dt * dt
+
+
 def imu_residual(
     delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity: np.ndarray
 ) -> np.ndarray:
@@ -127,14 +139,31 @@ def imu_residual(
     (0, 0, -9.81) in a z-up frame). Zero on any state sequence consistent
     with the integrated samples.
     """
-    dt = np.asarray(delta.dt, dtype=float)[..., None]
-    rot_i_t = np.swapaxes(rot_i, -1, -2)
-    r_rot = matrix_to_rotvec(np.swapaxes(delta.delta_rot, -1, -2) @ rot_i_t @ rot_j)
-    r_vel = (rot_i_t @ (vel_j - vel_i - gravity * dt)[..., None])[..., 0] - delta.delta_vel
-    r_pos = (
-        rot_i_t @ (pos_j - pos_i - vel_i * dt - 0.5 * gravity * dt * dt)[..., None]
-    )[..., 0] - delta.delta_pos
+    rot_i_t, r_rot, a, b = _imu_terms(delta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity)
+    r_vel = (rot_i_t @ a[..., None])[..., 0] - delta.delta_vel
+    r_pos = (rot_i_t @ b[..., None])[..., 0] - delta.delta_pos
     return np.concatenate([r_rot, r_vel, r_pos], axis=-1)
+
+
+def imu_jacobian(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity):
+    """Jacobian of `imu_residual` at the same arguments, (..., 9, 18).
+
+    Columns, 3 each: the world-frame turn w_i (R_i to Exp(w_i) R_i), the
+    position and the velocity of state i, then of state j. Log(dR^T R_i^T
+    R_j) moves by J_r^-1 R_j^T (w_j - w_i), J_r^-1(x) = J_l^-1(-x); R_i^T a
+    and R_i^T b move as a and b turned by -w_i, and linearly in p and v.
+    """
+    rot_i_t, r_rot, a, b = _imu_terms(delta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity)
+    dt = np.asarray(delta.dt, dtype=float)[..., None, None]
+    jac = np.zeros(r_rot.shape[:-1] + (9, 18))
+    jac[..., :3, 9:12] = left_jacobian_inv(-r_rot) @ np.swapaxes(rot_j, -1, -2)
+    jac[..., :3, :3] = -jac[..., :3, 9:12]
+    jac[..., 3:6, :3] = turned_motion(rot_i_t, a, -np.eye(3))
+    jac[..., 6:9, :3] = turned_motion(rot_i_t, b, -np.eye(3))
+    # R_i^T a reads v_i and v_j; R_i^T b reads p_i, v_i and p_j
+    jac[..., 3:6, 6:9], jac[..., 3:6, 15:18] = -rot_i_t, rot_i_t
+    jac[..., 6:9, 3:6], jac[..., 6:9, 6:9], jac[..., 6:9, 12:15] = -rot_i_t, -dt * rot_i_t, rot_i_t
+    return jac
 
 
 def estimate_gravity(

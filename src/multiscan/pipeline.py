@@ -19,7 +19,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from multiscan.adjustment import (
-    FD_STEP,
     AdjustmentProblem,
     FrozenLandmarks,
     GravityConstraint,
@@ -29,11 +28,13 @@ from multiscan.adjustment import (
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
+    turned_motion,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.geometry import (
     Pose,
     PointCloud,
+    left_jacobian,
     matrix_to_rotvec,
     rotvec_to_matrix,
     rotvec_to_quat,
@@ -42,6 +43,7 @@ from multiscan.imu import (
     GravityEstimate,
     ImuSample,
     estimate_gravity,
+    imu_jacobian,
     imu_residual,
     preintegrate,
     stack_deltas,
@@ -106,11 +108,14 @@ class PipelineConfig:
             )
 
 
-def _parse_like(raw: str, default):
+def _parse_like(key: str, raw: str, default):
     """raw read as the type of default; a tuple from comma- or space-separated floats."""
-    if isinstance(default, tuple):
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-    return type(default)(raw)
+    try:
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in raw.replace(",", " ").split())
+        return type(default)(raw)
+    except ValueError as err:
+        raise ValueError(f"config key {key!r}: {err}") from err
 
 
 def pipeline_config_from_dict(values: dict) -> PipelineConfig:
@@ -125,9 +130,9 @@ def pipeline_config_from_dict(values: dict) -> PipelineConfig:
     for key, raw in values.items():
         group, _, name = key.partition("_")
         if name in nested.get(group, {}):
-            nested[group][name] = _parse_like(raw, nested[group][name])
+            nested[group][name] = _parse_like(key, raw, nested[group][name])
         elif isinstance(getattr(defaults, key, None), (int, float)):
-            top[key] = _parse_like(raw, getattr(defaults, key))
+            top[key] = _parse_like(key, raw, getattr(defaults, key))
         else:
             raise ValueError(f"unknown config key {key!r}")
     return PipelineConfig(
@@ -321,10 +326,10 @@ class _WindowSystem:
     control positions, so a member's motion under a translation is its
     Hermite weight at its slot times the unit axis (`hermite_weights`,
     built once). Under a rotation it is closed-form: slerp turns the point
-    by `trajectory.slerp_turns`, and the point moves by -[R(u) x]x times
-    that turn.
+    by `trajectory.slerp_turns`, and `adjustment.turned_motion` gives its
+    motion under that turn.
     Static map points join the landmarks but never move. The IMU rows (one
-    batched `imu.imu_residual` call, differentiated by central differences)
+    batched `imu.imu_residual` call, differentiated by `imu.imu_jacobian`)
     and the prior rows form the small dense block.
     """
 
@@ -393,46 +398,38 @@ class _WindowSystem:
             return np.vstack([moving, self.static_points])
         return moving
 
-    def imu_rows(self, params: np.ndarray) -> np.ndarray:
-        """Weighted preintegration residuals, 9 per segment; params may be batched."""
-        if self.delta is None:
-            return np.zeros(params.shape[:-1] + (0,))
-        blocks = params.reshape(*params.shape[:-1], -1, 6)
-        vel = catmull_rom_tangents(blocks[..., 3:], self.spacing)
-        mats = rotvec_to_matrix(blocks[..., :3])
+    def imu_states(self, params: np.ndarray) -> tuple:
+        """The arguments of `imu_residual` for the instrumented segments at params."""
+        blocks = params.reshape(-1, 6)
+        vel = catmull_rom_tangents(blocks[:, 3:], self.spacing)
+        mats = rotvec_to_matrix(blocks[:, :3])
         i, j = self.imu_seg, self.imu_seg + 1
-        r = imu_residual(
-            self.delta, mats[..., i, :, :], blocks[..., i, 3:], vel[..., i, :],
-            mats[..., j, :, :], blocks[..., j, 3:], vel[..., j, :], self.gravity_vec,
-        )
-        return (self.imu_weights * r).reshape(*params.shape[:-1], -1)
+        return (self.delta, mats[i], blocks[i, 3:], vel[i],
+                mats[j], blocks[j, 3:], vel[j], self.gravity_vec)
 
-    def imu_jacobian(self, params: np.ndarray, step: float) -> np.ndarray:
-        """Jacobian of `imu_rows` by central differences of step.
+    def imu_rows(self, params: np.ndarray) -> np.ndarray:
+        """Weighted preintegration residuals, 9 per instrumented segment."""
+        if self.delta is None:
+            return np.zeros(0)
+        return (self.imu_weights * imu_residual(*self.imu_states(params))).ravel()
 
-        Segment i reads control poses i - 1 to i + 2 only (its end poses
-        and their Catmull-Rom tangents), so one variant moves parameter q of
-        every fourth pose at once: 2 x 4 x 6 variants, each column equal to
-        the one a single perturbation gives.
-        """
-        n_rows, n_params = 9 * len(self.imu_seg), len(params)
-        jac = np.zeros((n_rows, n_params))
-        if not n_rows:
-            return jac
-        # variants[phase, q, sign]: +-step on parameter q of every pose k
-        # with k % 4 == phase
-        variants = np.repeat(params[None], 48, axis=0).reshape(4, 6, 2, self.n_ctrl, 6)
-        for phase in range(4):
-            for q in range(6):
-                variants[phase, q, 0, phase::4, q] += step
-                variants[phase, q, 1, phase::4, q] -= step
-        rows = self.imu_rows(variants.reshape(48, n_params)).reshape(4, 6, 2, -1, 9)
-        diff = (rows[:, :, 0] - rows[:, :, 1]) / (2.0 * step)
-        for k in range(self.n_ctrl):
-            seg = np.nonzero((self.imu_seg >= k - 2) & (self.imu_seg <= k + 1))[0]
-            rows_k = (9 * seg[:, None] + np.arange(9)).ravel()
-            jac[rows_k, 6 * k : 6 * k + 6] = diff[k % 4][:, seg].reshape(6, -1).T
-        return jac
+    def imu_jacobian(self, params: np.ndarray) -> np.ndarray:
+        """Jacobian of `imu_rows`: `imu_jacobian` chained by w = J_l(r) dr and
+        v = T p, so segment s reaches the positions of poses s - 1 to s + 2."""
+        if self.delta is None:
+            return np.zeros((0, len(params)))
+        # (segment, row, end pose i or j, turn / position / velocity, axis)
+        jac = self.imu_weights[:, None] * imu_jacobian(*self.imu_states(params))
+        jac = jac.reshape(-1, 9, 2, 3, 3)
+        ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
+        select = np.eye(self.n_ctrl)[ends]
+        # an end pose's position and velocity as weights of the control positions
+        chain = np.stack([select, catmull_rom_tangents(np.eye(self.n_ctrl), self.spacing)[ends]], 2)
+        turns = left_jacobian(params.reshape(-1, 6)[:, :3])[ends]
+        out = np.empty((len(ends), 9, self.n_ctrl, 6))
+        out[..., :3] = np.einsum("saeb,sebc,sek->sakc", jac[:, :, :, 0], turns, select)
+        out[..., 3:] = np.einsum("saefb,sefk->sakb", jac[:, :, :, 1:], chain)
+        return out.reshape(-1, len(params))
 
     # ---- residual system -----------------------------------------------------------
 
@@ -469,23 +466,22 @@ class _WindowSystem:
         ])
 
     def linearize(self, params: np.ndarray) -> Linearization:
-        """Normal equations at params; closed-form landmark rows, IMU rows by
-        central differences of FD_STEP."""
+        """Normal equations at params, every column in closed form."""
         rots = self.slot_rotations(params)
-        turn_a, turn_b = slerp_turns(
+        turns = np.concatenate(slerp_turns(
             self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times, rots
-        )
-        # each moving member's whitened motion, built once: -W [R x]x (row i
-        # is (R x) cross W_i) times the turn under each end pose's rotation,
-        # W times the Hermite weight under each translation
+        ), axis=2)
+        # each moving member's whitened motion, built once: its turned
+        # motion under the two end poses' rotations, W times the Hermite
+        # weight under each translation
         slot = self.member_slot
         white = self.landmarks.white_m[self.order]
         raw = self.sensor_points[self.landmarks.member_row[self.order]]
-        lever = np.cross(np.einsum("nij,nj->ni", rots[slot], raw)[:, None, :], white)
         weights = self.hermite_weights[slot]
         block = np.empty((len(slot), 3, 6 + 3 * weights.shape[1]))
-        np.matmul(lever, turn_a[slot], out=block[:, :, :3])
-        np.matmul(lever, turn_b[slot], out=block[:, :, 3:6])
+        turned_motion(
+            white, np.einsum("nij,nj->ni", rots[slot], raw), turns[slot], out=block[:, :, :6]
+        )
         np.multiply(
             white[:, :, None, :], weights[:, None, :, None],
             out=block[:, :, 6:].reshape(len(slot), 3, -1, 3),
@@ -495,7 +491,7 @@ class _WindowSystem:
             for cols, lo, hi in zip(self.segment_cols, self.member_bounds, self.member_bounds[1:])
             if lo < hi
         ]
-        dense = np.vstack([self.imu_jacobian(params, FD_STEP), np.diag(self.prior_weights)])
+        dense = np.vstack([self.imu_jacobian(params), np.diag(self.prior_weights)])
         return Linearization(self.landmarks, bands, dense)
 
 

@@ -21,6 +21,7 @@ from multiscan.adjustment import (
 from multiscan.geometry import Pose, PointCloud
 from multiscan.landmarks import VoxelConfig
 from multiscan.synthetic import generate_synthetic, room_scene
+from secants import assert_normal_equations_match_secant_jacobian
 
 
 def small_room(points_per_scan=1200, duration=0.2, dynamic_fraction=0.0, seed=1):
@@ -86,7 +87,7 @@ class TestEvaluateCost:
 
     def test_empty_landmark_list_raises(self):
         cloud = PointCloud(points=np.zeros((0, 3)))
-        prob = AdjustmentProblem(clouds=[cloud], initial_poses=[Pose.identity()], fix_first_pose=False)
+        prob = AdjustmentProblem(clouds=[cloud], initial_poses=[Pose.identity()])
         with pytest.raises(InsufficientStructureError):
             freeze_landmarks(prob, prob.initial_poses)
 
@@ -119,20 +120,6 @@ class TestNumericJacobian:
         grad = 2.0 * system.linearize(params).jtr(system.residuals(params))
         assert np.all(np.abs(grad[3:]) < 1e-6)  # translations of the free pose
 
-    def test_richardson_step_consistency(self):
-        ds = small_room(points_per_scan=600)
-        rng = np.random.default_rng(3)
-        truth = ds.truth_poses[:2]
-        init = [truth[0], sample_pert(rng, 0.05, 1.0).compose(truth[1])]
-        prob = AdjustmentProblem(clouds=ds.scans[:2], initial_poses=init)
-        system, params = frozen_system(prob, init)
-        r = system.residuals(params)
-        lin_h = system.linearize(params, step=1e-4)
-        lin_h2 = system.linearize(params, step=5e-5)
-        for a, b in ((lin_h.jtj, lin_h2.jtj), (lin_h.jtr(r), lin_h2.jtr(r))):
-            scale = max(np.abs(b).max(), 1.0)
-            assert np.abs(a - b).max() / scale < 1e-4
-
     def test_secant_directional_derivative(self):
         # along d, the cost's slope is 2 d.J^T r and the residuals' squared
         # slope is d^T J^T J d
@@ -158,51 +145,46 @@ class TestNumericJacobian:
             assert float(direction @ lin.jtj @ direction) == pytest.approx(moved @ moved, rel=1e-5)
 
     def test_normal_equations_match_secant_jacobian(self):
-        # fixed points, gravity rows and a split landmark: J^T J and J^T r
-        # equal the products of a Jacobian built column by column from
-        # central secants of the residuals
+        # fixed points, gravity rows and a split landmark; the second pass
+        # turns every pose by about 3.05 rad, near the log map's edge
         rng = np.random.default_rng(15)
-        n = 150
-        sheet = np.zeros((n, 3))
-        sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
-        clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
-        clouds = []
-        for side in (-1.0, 1.0):
-            points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
-            normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
-            planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
-            clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
-        init = [sample_pert(rng, 0.01, 0.5) for _ in clouds]
-        tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
-        prob = AdjustmentProblem(
-            clouds=clouds,
-            initial_poses=init,
-            fixed_points=rng.uniform(-1.5, 1.5, size=(200, 3)),
-            gravity_constraints=[
-                GravityConstraint(cloud_id=i, direction_local=tilted_up, weight=2.0 + i)
-                for i in range(2)
-            ],
-            split_normals=True,
-            planarity_min=0.5,
-        )
-        system, params = frozen_system(prob, init)
-        assert system.free == [0, 1]
-        _, plain = freeze_landmarks(
-            AdjustmentProblem(clouds=clouds, initial_poses=init, fixed_points=prob.fixed_points),
-            init,
-        )
-        assert system.landmarks.n_landmarks > len(plain["counts"])
-        at = params + 1e-3 * rng.normal(size=len(params))
-        lin = system.linearize(at)
-        h = 1e-6
-        jac = np.stack([
-            (system.residuals(at + h * e) - system.residuals(at - h * e)) / (2 * h)
-            for e in np.eye(len(at))
-        ], axis=1)
-        r = system.residuals(at)
-        jtj, jtr = jac.T @ jac, jac.T @ r
-        assert np.abs(lin.jtj - jtj).max() <= 1e-6 * np.abs(jtj).max()
-        assert np.abs(lin.jtr(r) - jtr).max() <= 1e-6 * np.abs(jtr).max()
+        for angle in (0.0, 3.05):
+            n = 150
+            sheet = np.zeros((n, 3))
+            sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
+            clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
+            clouds = []
+            for side in (-1.0, 1.0):
+                points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
+                normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
+                planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
+                clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
+            turn = Pose(angle * np.array([0.6, 0.0, 0.8]), np.zeros(3))
+            init = [turn.compose(sample_pert(rng, 0.01, 0.5)) for _ in clouds]
+            fixed = turn.apply(rng.uniform(-1.5, 1.5, size=(200, 3)))
+            tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
+            prob = AdjustmentProblem(
+                clouds=clouds,
+                initial_poses=init,
+                fixed_points=fixed,
+                gravity_constraints=[
+                    GravityConstraint(cloud_id=i, direction_local=tilted_up, weight=2.0 + i)
+                    for i in range(2)
+                ],
+                split_normals=True,
+                planarity_min=0.5,
+            )
+            system, params = frozen_system(prob, init)
+            assert system.free == [0, 1]
+            assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
+            _, plain = freeze_landmarks(
+                AdjustmentProblem(clouds=clouds, initial_poses=init, fixed_points=prob.fixed_points),
+                init,
+            )
+            assert system.landmarks.n_landmarks > len(plain["counts"])
+            assert_normal_equations_match_secant_jacobian(
+                system, params + 1e-3 * rng.normal(size=len(params))
+            )
 
 
 class TestLMStep:
@@ -377,19 +359,19 @@ class TestGravityResidual:
     UP = np.array([0.0, 0, 1.0])
 
     def test_aligned_zero(self):
-        r = gravity_residual(np.eye(3)[None], self.UP[None], self.UP, np.array([2.0]))
+        r = gravity_residual(np.eye(3)[None], self.UP[None], np.array([2.0]))
         assert r.shape == (1, 3)
         assert np.allclose(r, 0.0)
 
     def test_ten_degrees_off_chord_length(self):
         tilt = Pose(np.deg2rad(10.0) * np.array([1.0, 0, 0]), np.zeros(3))
-        r = gravity_residual(tilt.matrix()[None], self.UP[None], self.UP, np.array([1.0]))
+        r = gravity_residual(tilt.matrix()[None], self.UP[None], np.array([1.0]))
         assert np.linalg.norm(r) == pytest.approx(2 * np.sin(np.deg2rad(5.0)), abs=1e-12)
 
     def test_weight_scales(self):
         tilt = Pose(np.deg2rad(10.0) * np.array([1.0, 0, 0]), np.zeros(3))
         rots = np.stack([tilt.matrix(), tilt.matrix()])
-        r = gravity_residual(rots, np.stack([self.UP, self.UP]), self.UP, np.array([1.0, 5.0]))
+        r = gravity_residual(rots, np.stack([self.UP, self.UP]), np.array([1.0, 5.0]))
         assert np.allclose(r[1], 5.0 * r[0])
 
     def test_rigid_jacobian_gravity_rows_match_secant(self):
@@ -416,6 +398,24 @@ class TestGravityResidual:
             d[q] = h
             secant = (system.residuals(params + d) - system.residuals(params - d))[-n_grav:] / (2 * h)
             assert np.allclose(grav_jac[:, q], secant, rtol=1e-6, atol=1e-9)
+
+
+class TestAdjustmentProblem:
+    @pytest.mark.parametrize("cloud_id", [-1, 3, 1.0])
+    def test_rejects_gravity_cloud_id_outside_the_clouds(self, cloud_id):
+        # -1 would read the last cloud's residual with no Jacobian row, and
+        # 3 would index past the clouds
+        clouds = [PointCloud(points=np.zeros((4, 3)))] * 3
+        up = np.array([0.0, 0, 1.0])
+        with pytest.raises(ValueError, match="cloud_id"):
+            AdjustmentProblem(
+                clouds=clouds, initial_poses=[Pose.identity()] * 3,
+                gravity_constraints=[GravityConstraint(cloud_id, up, 1.0)],
+            )
+        AdjustmentProblem(
+            clouds=clouds, initial_poses=[Pose.identity()] * 3,
+            gravity_constraints=[GravityConstraint(np.int64(2), up, 1.0)],
+        )
 
 
 class TestRunAdjustment:

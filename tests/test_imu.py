@@ -5,7 +5,9 @@ from multiscan.geometry import Pose, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import (
     GravityEstimate,
     ImuSample,
+    PreintegratedDelta,
     estimate_gravity,
+    imu_jacobian,
     imu_residual,
     preintegrate,
     stack_deltas,
@@ -153,6 +155,62 @@ class TestImuResidual:
                     rots[v, s + 1], pos[v, s + 1], vel[v, s + 1], GRAVITY,
                 )
                 assert np.array_equal(r[v, s], single)
+
+
+def secant_jacobian(delta, state_i, state_j, h=1e-6):
+    """Central secants of imu_residual, one column per turn Exp(w) R of a
+    rotation and per position and velocity axis, in imu_jacobian's order."""
+    columns = []
+    for side in range(2):
+        for part in range(3):
+            for axis in range(3):
+                moved = []
+                for step in (h, -h):
+                    states = [list(state_i), list(state_j)]
+                    d = step * np.eye(3)[axis]
+                    if part == 0:
+                        states[side][0] = rotvec_to_matrix(d) @ states[side][0]
+                    else:
+                        states[side][part] = states[side][part] + d
+                    moved.append(imu_residual(delta, *states[0], *states[1], GRAVITY))
+                columns.append((moved[0] - moved[1]) / (2 * h))
+    return np.stack(columns, axis=1)
+
+
+class TestImuJacobian:
+    @pytest.mark.parametrize("relative_angle, consistent", [
+        (0.3, False), (2.5, False), (0.3, True),
+    ])
+    def test_matches_secants(self, relative_angle, consistent):
+        # a generic mismatch, a 2.5 rad turn between the two states, and
+        # state j integrated from state i so that the residual is near zero
+        rng = np.random.default_rng(5)
+        dt = 0.1
+        delta = PreintegratedDelta(
+            dt=dt, delta_rot=rotvec_to_matrix(0.05 * rng.normal(size=3)),
+            delta_vel=rng.normal(size=3), delta_pos=0.1 * rng.normal(size=3),
+            gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
+        )
+        axis = rng.normal(size=3)
+        rot_i, pos_i, vel_i = rotvec_to_matrix(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3)
+        if consistent:
+            rot_j = rot_i @ delta.delta_rot
+            vel_j = vel_i + GRAVITY * dt + rot_i @ delta.delta_vel
+            pos_j = pos_i + vel_i * dt + 0.5 * GRAVITY * dt * dt + rot_i @ delta.delta_pos
+        else:
+            rot_j = rot_i @ rotvec_to_matrix(relative_angle * axis / np.linalg.norm(axis))
+            pos_j, vel_j = rng.normal(size=3), rng.normal(size=3)
+        state_i, state_j = (rot_i, pos_i, vel_i), (rot_j, pos_j, vel_j)
+        r = imu_residual(delta, *state_i, *state_j, GRAVITY)
+        if consistent:
+            assert np.abs(r).max() < 1e-12
+        else:
+            assert np.linalg.norm(r[:3]) == pytest.approx(relative_angle, abs=0.2)
+        jac = imu_jacobian(delta, *state_i, *state_j, GRAVITY)
+        secant = secant_jacobian(delta, state_i, state_j)
+        assert jac.shape == (9, 18)
+        assert np.abs(jac - secant).max() <= 1e-7 * np.abs(secant).max()
+        assert np.all(jac[secant == 0.0] == 0.0)
 
 
 def static_traj(rotvec=None, duration=1.0, spacing=0.1):
