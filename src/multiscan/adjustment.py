@@ -3,7 +3,9 @@
 The optimizer minimizes, over the scan poses, the Mahalanobis scatter of
 all transformed points within their voxel cells:
 
-    sum_j (1 / n_j) * sum_k (p_k - mu_j)^T inv(Sigma_j) (p_k - mu_j)
+    sum_j (1 / n_j) * sum_k (p_k - mu_j)^T Omega_j (p_k - mu_j)
+
+where Omega_j weights cell j by its covariance (see `FrozenLandmarks`).
 
 Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
 current parameters: it re-voxelizes the merged cloud and recomputes the
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, left_jacobian, rotvec_to_matrix
-from multiscan.landmarks import VoxelConfig, dual_grid_groups, split_by_normals
+from multiscan.landmarks import VoxelConfig, dual_grid_groups, regularized_inverse, split_by_normals
 
 # world direction that every gravity constraint ties its cloud's direction to
 GRAVITY_UP = np.array([0.0, 0.0, 1.0])
@@ -144,14 +146,7 @@ def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.
     """
     chunks = [pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)]
     pts = np.vstack(chunks + [problem.fixed_points])
-    voxel = problem.voxel
-    groups = dual_grid_groups(
-        pts,
-        coarse_size=voxel.coarse_size,
-        fine_size=voxel.fine_size,
-        n_min=voxel.n_min,
-        epsilon=voxel.epsilon,
-    )
+    groups = dual_grid_groups(pts, problem.voxel)
     if groups is None:
         raise InsufficientStructureError(
             "insufficient overlap/structure: no voxel exceeds the landmark threshold"
@@ -161,8 +156,7 @@ def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.
         groups = split_by_normals(
             groups, pts, normals_w, planarity,
             planarity_min=problem.planarity_min,
-            n_min=voxel.n_min,
-            epsilon=voxel.epsilon,
+            n_min=problem.voxel.n_min,
         )
     return pts, groups
 
@@ -216,16 +210,25 @@ def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=
 class FrozenLandmarks:
     """Whitened per-member residuals of one frozen set of landmarks.
 
-    Built from the arrays of `dual_grid_groups` (or `split_by_normals`).
+    Built from the statistics of `dual_grid_groups` (or `split_by_normals`):
+    this is the one place where they become weights. Landmark j, with n_j
+    members p_k, mean mu_j and 1/n covariance Sigma_j at freezing, scores
+    the scatter of its members about their current mean m_j,
+
+        cost_j = (1 / n_j) * sum_k (p_k - m_j)^T Omega_j (p_k - m_j),
+        Omega_j = (Sigma_j + epsilon I)^-1  (`regularized_inverse`).
+
+    At the frozen points and with epsilon = 0, cost_j is exactly 3 (trace
+    identity); epsilon > 0 keeps Omega_j finite for a flat or linear cell.
     Stacking one whitened 3-vector per member k of landmark j,
 
-        r_k = sqrt(w_j) * chol(inv(Sigma_j))^T (d_k - mean(d_j)),  w_j = 1 / n_j,
+        r_k = sqrt(w_j) * chol(Omega_j)^T (d_k - mean(d_j)),  w_j = 1 / n_j,
 
     with d_k = p_k - mu_j, makes sum |r_k|^2 equal the scatter cost while
     the residuals stay affine in the point positions, so damped
     normal-equation steps land on the frozen optimum instead of
     extrapolating an already-quadratic error toward zero. Membership and
-    inverse covariances are frozen; each cell's mean follows its members.
+    Omega_j are frozen; each cell's mean follows its members.
 
     Because whitening and mean removal are linear, member k's Jacobian rows
     are J_k = B_k - mean_j(B): its own whitened motion
@@ -234,13 +237,14 @@ class FrozenLandmarks:
     only each member's own motion and the per-landmark sums (`sums`).
     """
 
-    def __init__(self, groups: dict):
+    def __init__(self, groups: dict, epsilon: float):
         self.member_row = groups["member_row"]
         self.member_lm = groups["member_group"]
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        self.chol_m = np.linalg.cholesky(groups["inv_covs"])[self.member_lm]
+        omega = regularized_inverse(groups["covs"], epsilon)
+        self.chol_m = np.linalg.cholesky(omega)[self.member_lm]
         self.sw_m = np.sqrt(1.0 / self.counts)[self.member_lm][:, None]
         # sqrt(w_j) chol_j^T per member: B_k = white_m[k] @ dp_k/dtheta
         self.white_m = self.sw_m[:, :, None] * np.swapaxes(self.chol_m, 1, 2)
@@ -339,7 +343,7 @@ class _RigidSystem:
     def freeze(self, params: np.ndarray) -> None:
         # the point stack doubles as a world-point buffer: only free clouds move
         self.world, groups = freeze_landmarks(self.problem, self.poses(params))
-        self.landmarks = lms = FrozenLandmarks(groups)
+        self.landmarks = lms = FrozenLandmarks(groups, self.problem.voxel.epsilon)
         self.cloud_rows, self.cloud_raw = [], []
         for ci in self.free:
             lo, hi = self.offsets[ci], self.offsets[ci + 1]

@@ -36,8 +36,6 @@ class PreintegratedDelta:
     delta_rot: np.ndarray  # (3, 3)
     delta_vel: np.ndarray
     delta_pos: np.ndarray
-    gyro_bias: np.ndarray
-    accel_bias: np.ndarray
 
 
 @dataclass
@@ -105,8 +103,6 @@ def preintegrate(
         delta_rot=delta_rot,
         delta_vel=delta_vel,
         delta_pos=delta_pos,
-        gyro_bias=gyro_bias,
-        accel_bias=accel_bias,
     )
 
 
@@ -169,7 +165,6 @@ def imu_jacobian(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, v
 def estimate_gravity(
     traj: ContinuousTrajectory,
     samples,
-    accel_bias: np.ndarray | None = None,
     min_overlap: float = 0.2,
 ) -> GravityEstimate:
     """Average the motion-corrected specific force over the trajectory span.
@@ -180,7 +175,6 @@ def estimate_gravity(
     rate; a mean vector weaker than 1 m/s^2 yields a zero-confidence
     estimate.
     """
-    accel_bias = np.zeros(3) if accel_bias is None else np.asarray(accel_bias, dtype=float)
     times, gyro, accel = stream_arrays(samples)
     inside = (times >= traj.t_first) & (times <= traj.t_last)
     if not np.any(inside):
@@ -193,7 +187,7 @@ def estimate_gravity(
     hi = np.minimum(t_in + h, traj.t_last)
     accel_world = (traj.sample_velocity(hi) - traj.sample_velocity(lo)) / (hi - lo)[:, None]
     rots = traj.sample_rotations(t_in)
-    up_body = (accel[inside] - accel_bias) - np.einsum("nji,nj->ni", rots, accel_world)
+    up_body = accel[inside] - np.einsum("nji,nj->ni", rots, accel_world)
     mean_vec = up_body.mean(axis=0)
     norm = float(np.linalg.norm(mean_vec))
     if norm < 1.0:

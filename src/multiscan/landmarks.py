@@ -1,15 +1,16 @@
-"""Dual-resolution voxelization and per-voxel Gaussian landmark statistics.
+"""Dual-resolution voxelization into per-cell point statistics.
 
-A landmark is the point set of one voxel cell, summarized by its mean and
-covariance. Cells are laid out twice, once coarse and once fine, so a point
-can contribute to up to two landmarks. Covariances use 1/n normalization,
-which makes the per-landmark quadratic cost at the statistics' own points
-exactly 3 (trace identity) and gives a strong analytic test hook.
+A landmark is the point set of one voxel cell, summarized by its member
+count, mean and 1/n covariance: the per-voxel sufficient statistics of
+BALM2 (Liu, Liu & Zhang, arXiv:2209.08854). Cells are laid out twice, once
+coarse and once fine, so a point can contribute to up to two landmarks.
+This module turns no statistic into a weight; `adjustment.FrozenLandmarks`
+alone does.
 
 Landmarks are held as one dict of flat arrays (see `dual_grid_groups`):
-every member is a row of the input point stack, and the members of one
-landmark are contiguous. `split_by_normals` maps such a dict to another of
-the same layout.
+every member is a row of the input point stack, the members of one
+landmark are contiguous, and coarse landmarks come first.
+`split_by_normals` maps such a dict to another of the same layout.
 """
 
 from __future__ import annotations
@@ -22,23 +23,15 @@ import numpy as np
 _PACK_OFFSET = 1 << 19
 _PACK_LIMIT = 1 << 20
 
-COARSE = "coarse"
-FINE = "fine"
-
-DEFAULT_COARSE_SIZE = 2.0
-DEFAULT_FINE_SIZE = 0.5
-DEFAULT_N_MIN = 5
-DEFAULT_EPSILON = 1e-4
-
 
 @dataclass(frozen=True)
 class VoxelConfig:
     """Grid parameters shared by every landmark-based optimization."""
 
-    coarse_size: float = DEFAULT_COARSE_SIZE
-    fine_size: float = DEFAULT_FINE_SIZE
-    n_min: int = DEFAULT_N_MIN
-    epsilon: float = DEFAULT_EPSILON
+    coarse_size: float = 2.0
+    fine_size: float = 0.5
+    n_min: int = 5
+    epsilon: float = 1e-4
 
     def __post_init__(self):
         for name in ("coarse_size", "fine_size", "epsilon"):
@@ -95,68 +88,41 @@ def _grouped_mean_cov(points: np.ndarray, gid: np.ndarray, n_groups: int):
 def _level_groups(points: np.ndarray, cell_size: float, n_min: int):
     """Sort points into cells; return member rows/gid for cells with > n_min points.
 
-    Yields (rows, member_gid, group_cells, group_counts) where rows indexes
-    into points, member_gid maps each row to a retained group, and
-    group_cells holds the (ix, iy, iz) of each retained group.
+    Returns (rows, member_gid, group_counts) where rows indexes into points
+    and member_gid maps each row to a retained group.
     """
-    idx3 = voxel_cell_indices(points, cell_size)
-    packed = pack_cell_indices(idx3)
+    packed = pack_cell_indices(voxel_cell_indices(points, cell_size))
     order = np.argsort(packed, kind="stable")
-    _, starts, counts = np.unique(packed[order], return_index=True, return_counts=True)
+    _, counts = np.unique(packed[order], return_counts=True)
     keep = counts > n_min
     group_of_pos = np.repeat(np.arange(len(counts)), counts)
     pos_keep = keep[group_of_pos]
-    rows = order[pos_keep]
     new_gid = np.cumsum(keep) - 1
-    member_gid = new_gid[group_of_pos[pos_keep]]
-    group_cells = idx3[order[starts[keep]]]
-    return rows, member_gid, group_cells, counts[keep]
+    return order[pos_keep], new_gid[group_of_pos[pos_keep]], counts[keep]
 
 
-def dual_grid_groups(
-    points: np.ndarray,
-    coarse_size: float = DEFAULT_COARSE_SIZE,
-    fine_size: float = DEFAULT_FINE_SIZE,
-    n_min: int = DEFAULT_N_MIN,
-    epsilon: float = DEFAULT_EPSILON,
-):
-    """Dual voxelization into landmarks, as one dict of flat arrays.
+def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig):
+    """Dual voxelization into landmark statistics, as one dict of flat arrays.
 
-    Returns None when no cell exceeds n_min. Keys: member_row (into the
-    input points, all retained groups concatenated), member_group, counts,
-    means, covs, inv_covs, cells (ix iy iz per group), levels.
+    Returns None when no cell holds more than voxel.n_min points. Keys:
+    member_row (into the input points, all retained groups concatenated),
+    member_group, counts, means and covs; coarse landmarks come first.
     """
-    if not coarse_size > fine_size > 0.0:
-        raise ValueError("require coarse_size > fine_size > 0")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    all_rows, all_gid, all_cells, all_counts, levels = [], [], [], [], []
-    base = 0
-    if len(points):
-        for level, size in ((COARSE, coarse_size), (FINE, fine_size)):
-            rows, gid, cells, counts = _level_groups(points, size, n_min)
-            if len(counts) == 0:
-                continue
-            all_rows.append(rows)
-            all_gid.append(gid + base)
-            all_cells.append(cells)
-            all_counts.append(counts)
-            levels.extend([level] * len(counts))
-            base += len(counts)
-    if base == 0:
+    coarse_rows, coarse_gid, coarse_counts = _level_groups(points, voxel.coarse_size, voxel.n_min)
+    fine_rows, fine_gid, fine_counts = _level_groups(points, voxel.fine_size, voxel.n_min)
+    counts = np.concatenate([coarse_counts, fine_counts])
+    if len(counts) == 0:
         return None
-    member_row = np.concatenate(all_rows)
-    member_group = np.concatenate(all_gid)
-    counts = np.concatenate(all_counts)
-    means, covs, _ = _grouped_mean_cov(points[member_row], member_group, base)
+    member_row = np.concatenate([coarse_rows, fine_rows])
+    member_group = np.concatenate([coarse_gid, fine_gid + len(coarse_counts)])
+    means, covs, _ = _grouped_mean_cov(points[member_row], member_group, len(counts))
     return {
         "member_row": member_row,
         "member_group": member_group,
         "counts": counts,
         "means": means,
         "covs": covs,
-        "inv_covs": regularized_inverse(covs, epsilon),
-        "cells": np.vstack(all_cells),
-        "levels": levels,
     }
 
 
@@ -166,8 +132,7 @@ def split_by_normals(
     normals: np.ndarray,
     planarities: np.ndarray,
     planarity_min: float,
-    n_min: int = DEFAULT_N_MIN,
-    epsilon: float = DEFAULT_EPSILON,
+    n_min: int,
 ) -> dict:
     """Split planar landmarks whose member normals point both ways.
 
@@ -229,7 +194,6 @@ def split_by_normals(
     parent = np.repeat(np.arange(n_groups), width)
     means = groups["means"][parent]
     covs = groups["covs"][parent]
-    inv_covs = groups["inv_covs"][parent]
     fresh = split[parent]
     in_fresh = fresh[member_group]
     local = np.cumsum(fresh) - 1
@@ -238,14 +202,10 @@ def split_by_normals(
         local[member_group[in_fresh]],
         int(fresh.sum()),
     )
-    inv_covs[fresh] = regularized_inverse(covs[fresh], epsilon)
     return {
         "member_row": member_row,
         "member_group": member_group,
         "counts": np.bincount(member_group, minlength=len(parent)),
         "means": means,
         "covs": covs,
-        "inv_covs": inv_covs,
-        "cells": groups["cells"][parent],
-        "levels": [groups["levels"][g] for g in parent],
     }

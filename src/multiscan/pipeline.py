@@ -166,9 +166,6 @@ class RingBuffer:
         hi = bisect.bisect_right(self.times, t_end)
         return self.items[lo:hi]
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 def compute_point_attributes(cloud: PointCloud, k_neighbors: int = 10):
     """Per-point normal and planarity from the k-nearest-neighbor scatter.
@@ -209,8 +206,6 @@ class Keyframe:
         return self.pose.apply(self.cloud.points)
 
     def world_normals(self) -> np.ndarray:
-        if self.cloud.normals is None:
-            return np.zeros((len(self.cloud), 3))
         return self.cloud.normals @ self.pose.matrix().T
 
     def refresh_keys(self, fine_size: float) -> None:
@@ -434,18 +429,12 @@ class _WindowSystem:
     # ---- residual system -----------------------------------------------------------
 
     def freeze(self, params: np.ndarray) -> None:
-        groups = dual_grid_groups(
-            self.world_points(params),
-            coarse_size=self.config.voxel.coarse_size,
-            fine_size=self.config.voxel.fine_size,
-            n_min=self.config.voxel.n_min,
-            epsilon=self.config.voxel.epsilon,
-        )
+        groups = dual_grid_groups(self.world_points(params), self.config.voxel)
         if groups is None:
             raise InsufficientStructureError(
                 "insufficient overlap/structure in the sliding window"
             )
-        self.landmarks = FrozenLandmarks(groups)
+        self.landmarks = FrozenLandmarks(groups, self.config.voxel.epsilon)
         # members whose point moves with the trajectory, sorted by slot, so
         # members [member_bounds[s], member_bounds[s + 1]) lie in segment s
         moving = np.nonzero(self.landmarks.member_row < len(self.sensor_points))[0]
@@ -602,7 +591,7 @@ class OdometryPipeline:
             )
 
         if len(pts) < cfg.voxel.n_min + 1:
-            return self._fallback_result(ctrl_times, reasons + ["too_few_points"])
+            return self._fallback_result(t_now, reasons + ["too_few_points"])
 
         system = _WindowSystem(
             ctrl_times, params0, pts, stamps, static_pts, deltas, self.gravity_vec, cfg
@@ -610,7 +599,7 @@ class OdometryPipeline:
         try:
             params, _, _, _ = levenberg_marquardt(system, params0, cfg.window_lm)
         except InsufficientStructureError:
-            return self._fallback_result(ctrl_times, reasons + ["insufficient_structure"])
+            return self._fallback_result(t_now, reasons + ["insufficient_structure"])
 
         self._traj = ContinuousTrajectory(system.ctrl_times, params)
         pose_now = self._traj.sample_pose(t_now)
@@ -638,17 +627,19 @@ class OdometryPipeline:
         return t_now - cfg.control_spacing * np.arange(n_seg, -1, -1)
 
     def _initial_params(self, ctrl_times: np.ndarray) -> np.ndarray:
-        out = np.zeros(6 * len(ctrl_times))
+        return np.concatenate([self._predict(float(t)).as_params() for t in ctrl_times])
+
+    def _predict(self, t: float) -> Pose:
+        """Pose at t before the window is solved: the base pose until a
+        trajectory exists, then a sample of the last solved trajectory (t
+        clipped to its span), or its constant-velocity extrapolation past
+        its end."""
         prev = self._traj
-        for k, t in enumerate(ctrl_times):
-            if prev is None:
-                pose = Pose(self.base_rot, np.zeros(3))
-            elif t <= prev.t_last + 1e-9:
-                pose = prev.sample_pose(float(np.clip(t, prev.t_first, prev.t_last)))
-            else:
-                pose = self._extrapolate(prev, float(t))
-            out[6 * k : 6 * k + 6] = pose.as_params()
-        return out
+        if prev is None:
+            return Pose(self.base_rot, np.zeros(3))
+        if t <= prev.t_last + 1e-9:
+            return prev.sample_pose(float(np.clip(t, prev.t_first, prev.t_last)))
+        return self._extrapolate(prev, t)
 
     @staticmethod
     def _extrapolate(traj: ContinuousTrajectory, t: float) -> Pose:
@@ -689,18 +680,15 @@ class OdometryPipeline:
             deltas.append((seg, preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)))
         return deltas
 
-    def _fallback_result(self, ctrl_times, reasons: list[str]) -> ScanResult:
-        """Constant-velocity prediction when optimization cannot run."""
-        if ctrl_times is not None and self._traj is not None:
-            t_now = float(ctrl_times[-1])
-            pose = self._extrapolate(self._traj, t_now) if t_now > self._traj.t_last else self._traj.sample_pose(t_now)
-        elif ctrl_times is not None:
-            t_now = float(ctrl_times[-1])
-            pose = Pose(self.base_rot, np.zeros(3))
-        else:
+    def _fallback_result(self, t_now: float | None, reasons: list[str]) -> ScanResult:
+        """The predicted pose at t_now, appended to the trajectory, when
+        optimization cannot run; for a scan without a stamp (t_now None) the
+        last pose, appended to nothing."""
+        if t_now is None:
             t_now = self.trajectory_times[-1] if self.trajectory_times else 0.0
             pose = self.trajectory_poses[-1] if self.trajectory_poses else Pose(self.base_rot, np.zeros(3))
-        if ctrl_times is not None:
+        else:
+            pose = self._predict(t_now)
             self.trajectory_times.append(t_now)
             self.trajectory_poses.append(pose)
         result = ScanResult(

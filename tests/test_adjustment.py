@@ -19,7 +19,7 @@ from multiscan.adjustment import (
     run_adjustment,
 )
 from multiscan.geometry import Pose, PointCloud
-from multiscan.landmarks import VoxelConfig
+from multiscan.landmarks import VoxelConfig, _level_groups, voxel_cell_indices
 from multiscan.synthetic import generate_synthetic, room_scene
 from secants import assert_normal_equations_match_secant_jacobian
 
@@ -570,9 +570,23 @@ class TestFreezeWithSplitting:
             clouds=clouds, initial_poses=[Pose.identity()] * 2,
             split_normals=True, planarity_min=0.5,
         )
-        _, plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
+        pts, plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
         _, split = freeze_landmarks(prob_split, prob_split.initial_poses)
         assert len(split["counts"]) > len(plain["counts"])
-        # the two halves of a split landmark share its cell and level
-        keys = [(*cell, level) for cell, level in zip(split["cells"].tolist(), split["levels"])]
-        assert len(set(keys)) < len(keys)
+        # the two halves of a split landmark take its place in the order, and
+        # together hold its members, which lie in one cell at its level
+        voxel = prob_split.voxel
+        n_coarse = len(_level_groups(pts, voxel.coarse_size, voxel.n_min)[2])
+        plain_rows = np.split(plain["member_row"], np.cumsum(plain["counts"])[:-1])
+        split_rows = np.split(split["member_row"], np.cumsum(split["counts"])[:-1])
+        k, halved = 0, 0
+        for g, rows in enumerate(plain_rows):
+            if np.array_equal(split_rows[k], rows):
+                k += 1
+                continue
+            halves = np.concatenate(split_rows[k : k + 2])
+            assert np.array_equal(np.sort(halves), np.sort(rows))
+            size = voxel.coarse_size if g < n_coarse else voxel.fine_size
+            assert len(np.unique(voxel_cell_indices(pts[halves], size), axis=0)) == 1
+            k, halved = k + 2, halved + 1
+        assert k == len(split_rows) and halved > 0

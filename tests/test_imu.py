@@ -189,7 +189,6 @@ class TestImuJacobian:
         delta = PreintegratedDelta(
             dt=dt, delta_rot=rotvec_to_matrix(0.05 * rng.normal(size=3)),
             delta_vel=rng.normal(size=3), delta_pos=0.1 * rng.normal(size=3),
-            gyro_bias=np.zeros(3), accel_bias=np.zeros(3),
         )
         axis = rng.normal(size=3)
         rot_i, pos_i, vel_i = rotvec_to_matrix(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3)

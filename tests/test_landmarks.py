@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from multiscan.adjustment import FrozenLandmarks
 from multiscan.landmarks import (
-    COARSE,
-    FINE,
+    VoxelConfig,
     _grouped_mean_cov,
+    _level_groups,
     dual_grid_groups,
     regularized_inverse,
     split_by_normals,
+    voxel_cell_indices,
 )
+
+GRID = VoxelConfig(coarse_size=2.0, fine_size=0.5, n_min=5)
 
 
 def occupancy_oracle(points, cell_size, n_min):
@@ -25,8 +29,20 @@ def group_rows(groups):
     return np.split(groups["member_row"], np.cumsum(groups["counts"])[:-1])
 
 
-def group_keys(groups):
-    return [(*cell, level) for cell, level in zip(groups["cells"].tolist(), groups["levels"])]
+def group_keys(groups, points, voxel):
+    """(ix, iy, iz, cell size) of every landmark of `dual_grid_groups`.
+
+    The landmarks before the count that `_level_groups` keeps at the coarse
+    size are coarse, the rest fine; every member must lie in the key's cell.
+    """
+    n_coarse = len(_level_groups(points, voxel.coarse_size, voxel.n_min)[2])
+    keys = []
+    for g, rows in enumerate(group_rows(groups)):
+        size = voxel.coarse_size if g < n_coarse else voxel.fine_size
+        cells = np.unique(voxel_cell_indices(points[rows], size), axis=0)
+        assert len(cells) == 1
+        keys.append((*cells[0].tolist(), size))
+    return keys
 
 
 def stats(points):
@@ -38,38 +54,40 @@ def stats(points):
 class TestVoxelizeDual:
     def test_colocated_points_two_levels(self):
         pts = np.tile([0.1, 0.1, 0.1], (10, 1)) + np.linspace(0, 0.01, 10)[:, None]
-        groups = dual_grid_groups(pts, coarse_size=2.0, fine_size=0.5, n_min=5)
+        groups = dual_grid_groups(pts, GRID)
         assert len(groups["counts"]) == 2
-        assert set(groups["levels"]) == {COARSE, FINE}
+        assert [key[3] for key in group_keys(groups, pts, GRID)] == [2.0, 0.5]
         assert np.all(groups["counts"] == 10)
 
     def test_below_threshold_dropped(self):
         pts = np.tile([0.1, 0.1, 0.1], (4, 1))
-        assert dual_grid_groups(pts, 2.0, 0.5, n_min=5) is None
+        assert dual_grid_groups(pts, GRID) is None
 
     def test_empty_input(self):
-        assert dual_grid_groups(np.zeros((0, 3)), 2.0, 0.5, 5) is None
+        assert dual_grid_groups(np.zeros((0, 3)), GRID) is None
 
     def test_counts_match_occupancy_oracle(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(0, 10, size=(1000, 3))
-        groups = dual_grid_groups(pts, coarse_size=2.0, fine_size=0.5, n_min=5)
-        for level, size in ((COARSE, 2.0), (FINE, 0.5)):
+        groups = dual_grid_groups(pts, GRID)
+        for size in (2.0, 0.5):
             expected = occupancy_oracle(pts, size, 5)
             got = {
                 key[:3]: int(count)
-                for key, count in zip(group_keys(groups), groups["counts"])
-                if key[3] == level
+                for key, count in zip(group_keys(groups, pts, GRID), groups["counts"])
+                if key[3] == size
             }
             assert got == expected
 
     def test_membership_partition_per_level(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-5, 5, size=(600, 3))
-        groups = dual_grid_groups(pts, 2.0, 0.5, n_min=3)
-        for level in (COARSE, FINE):
+        grid = VoxelConfig(coarse_size=2.0, fine_size=0.5, n_min=3)
+        groups = dual_grid_groups(pts, grid)
+        keys = group_keys(groups, pts, grid)
+        for size in (2.0, 0.5):
             seen = [
-                r for rows, lv in zip(group_rows(groups), groups["levels"]) if lv == level
+                r for rows, key in zip(group_rows(groups), keys) if key[3] == size
                 for r in rows.tolist()
             ]
             assert len(seen) == len(set(seen))
@@ -77,17 +95,17 @@ class TestVoxelizeDual:
     def test_point_in_at_most_two_landmarks(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1.9, size=(50, 3))
-        groups = dual_grid_groups(pts, 2.0, 0.5, n_min=2)
+        groups = dual_grid_groups(pts, VoxelConfig(coarse_size=2.0, fine_size=0.5, n_min=2))
         assert np.bincount(groups["member_row"]).max() <= 2
 
     def test_permutation_invariant_stats(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0, 4, size=(400, 3))
-        groups_a = dual_grid_groups(pts, 2.0, 0.5, n_min=5)
+        groups_a = dual_grid_groups(pts, GRID)
         perm = rng.permutation(len(pts))
-        groups_b = dual_grid_groups(pts[perm], 2.0, 0.5, n_min=5)
-        by_key_a = dict(zip(group_keys(groups_a), range(len(groups_a["counts"]))))
-        by_key_b = dict(zip(group_keys(groups_b), range(len(groups_b["counts"]))))
+        groups_b = dual_grid_groups(pts[perm], GRID)
+        by_key_a = dict(zip(group_keys(groups_a, pts, GRID), range(len(groups_a["counts"]))))
+        by_key_b = dict(zip(group_keys(groups_b, pts[perm], GRID), range(len(groups_b["counts"]))))
         assert by_key_a.keys() == by_key_b.keys()
         for key, g in by_key_a.items():
             h = by_key_b[key]
@@ -97,12 +115,13 @@ class TestVoxelizeDual:
     def test_owner_pairs_passed_through(self):
         # member rows index the input points
         pts = np.tile([0.2, 0.2, 0.2], (8, 1))
-        groups = dual_grid_groups(pts, 2.0, 0.5, n_min=5)
+        groups = dual_grid_groups(pts, GRID)
         assert all(set(rows.tolist()) == set(range(8)) for rows in group_rows(groups))
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            dual_grid_groups(np.zeros((3, 3)), 0.5, 2.0, 5)
+        # the grid's configuration, not the voxelization, checks the sizes
+        with pytest.raises(ValueError, match="coarse_size > fine_size"):
+            VoxelConfig(coarse_size=0.5, fine_size=2.0, n_min=5)
 
 
 class TestLandmarkStats:
@@ -126,8 +145,9 @@ class TestLandmarkStats:
 
     def test_requires_two_points(self):
         # a landmark needs more than n_min members, so even n_min=1 asks for two
-        assert dual_grid_groups(np.zeros((1, 3)), 2.0, 0.5, n_min=1) is None
-        assert dual_grid_groups(np.zeros((2, 3)), 2.0, 0.5, n_min=1) is not None
+        grid = VoxelConfig(coarse_size=2.0, fine_size=0.5, n_min=1)
+        assert dual_grid_groups(np.zeros((1, 3)), grid) is None
+        assert dual_grid_groups(np.zeros((2, 3)), grid) is not None
 
 
 class TestRegularizedInverse:
@@ -170,9 +190,6 @@ def one_landmark(points):
         "counts": np.array([n]),
         "means": means,
         "covs": covs,
-        "inv_covs": regularized_inverse(covs, 1e-4),
-        "cells": np.zeros((1, 3), dtype=np.int64),
-        "levels": [FINE],
     }
 
 
@@ -209,14 +226,14 @@ class TestSplitByNormals:
         pts = self.plane_points(20, rng)
         groups = one_landmark(pts)
         normals = np.tile([0.0, 0.0, 1.0], (20, 1))
-        out = split_by_normals(groups, pts, normals, np.ones(20), planarity_min=0.5)
+        out = split_by_normals(groups, pts, normals, np.ones(20), planarity_min=0.5, n_min=5)
         assert out is groups
 
     def test_opposing_normals_split(self):
         rng = np.random.default_rng(7)
         pts = np.vstack([self.plane_points(10, rng, z=0.0), self.plane_points(10, rng, z=0.02)])
         normals = np.vstack([np.tile([0, 0, 1.0], (10, 1)), np.tile([0, 0, -1.0], (10, 1))])
-        out = split_by_normals(one_landmark(pts), pts, normals, np.ones(20), planarity_min=0.5)
+        out = split_by_normals(one_landmark(pts), pts, normals, np.ones(20), planarity_min=0.5, n_min=5)
         assert sorted(out["counts"].tolist()) == [10, 10]
         halves = group_rows(out)
         assert 0 in halves[0]  # the first member's half comes first
@@ -235,41 +252,66 @@ class TestSplitByNormals:
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(20, 3))
         normals = np.vstack([np.tile([0, 0, 1.0], (10, 1)), np.tile([0, 0, -1.0], (10, 1))])
-        out = split_by_normals(one_landmark(pts), pts, normals, np.full(20, 0.1), planarity_min=0.5)
+        out = split_by_normals(
+            one_landmark(pts), pts, normals, np.full(20, 0.1), planarity_min=0.5, n_min=5
+        )
         assert len(out["counts"]) == 1
 
     def test_matches_per_landmark_oracle(self):
-        rng = np.random.default_rng(10)
-        pts = rng.uniform(0, 4, size=(3000, 3))
-        # two-sided cells for x < 2, mostly one-sided beyond; low planarity
-        # for y < 1; some undefined normals for z < 0.5
-        flip_prob = np.where(pts[:, 0] < 2.0, 0.5, 0.1)
-        sign = np.where(rng.uniform(size=len(pts)) < flip_prob, -1.0, 1.0)
-        normals = np.zeros((len(pts), 3))
-        normals[:, 2] = sign
-        normals[:, :2] = 0.05 * rng.normal(size=(len(pts), 2))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        normals[(pts[:, 2] < 0.5) & (rng.uniform(size=len(pts)) < 0.05)] = 0.0
-        planarity = np.where(pts[:, 1] < 1.0, rng.uniform(0.0, 0.6, len(pts)), rng.uniform(0.4, 1.0, len(pts)))
-        groups = dual_grid_groups(pts, 2.0, 0.5, n_min=5)
+        pts, normals, planarity = oracle_scene()
+        groups = dual_grid_groups(pts, GRID)
         out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+        parent_keys = group_keys(groups, pts, GRID)
         expected = [
-            part
-            for rows in group_rows(groups)
+            (key, part)
+            for key, rows in zip(parent_keys, group_rows(groups))
             for part in split_oracle(rows, normals, planarity, 0.5, 5)
         ]
         got = group_rows(out)
         assert len(expected) > len(group_rows(groups))  # some landmarks split
         assert len(got) == len(expected)
-        for g, (rows_got, rows_exp) in enumerate(zip(got, expected)):
+        for g, (rows_got, (key, rows_exp)) in enumerate(zip(got, expected)):
             assert np.array_equal(rows_got, rows_exp)
             mean = pts[rows_exp].mean(axis=0)
             cov = np.cov(pts[rows_exp].T, bias=True)
             assert np.allclose(out["means"][g], mean, atol=1e-12)
             assert np.allclose(out["covs"][g], cov, atol=1e-12)
-            inv = np.linalg.inv(cov + 1e-4 * np.eye(3))
-            assert np.allclose(out["inv_covs"][g], inv, rtol=1e-9, atol=1e-9)
-        assert group_keys(out) == [
-            key for key, rows in zip(group_keys(groups), group_rows(groups))
-            for _ in split_oracle(rows, normals, planarity, 0.5, 5)
-        ]
+            # every part lies in its parent's cell at its parent's level
+            assert np.all(voxel_cell_indices(pts[rows_got], key[3]) == key[:3])
+
+
+def oracle_scene():
+    """Points, normals and planarities in which some landmarks split."""
+    rng = np.random.default_rng(10)
+    pts = rng.uniform(0, 4, size=(3000, 3))
+    # two-sided cells for x < 2, mostly one-sided beyond; low planarity
+    # for y < 1; some undefined normals for z < 0.5
+    flip_prob = np.where(pts[:, 0] < 2.0, 0.5, 0.1)
+    sign = np.where(rng.uniform(size=len(pts)) < flip_prob, -1.0, 1.0)
+    normals = np.zeros((len(pts), 3))
+    normals[:, 2] = sign
+    normals[:, :2] = 0.05 * rng.normal(size=(len(pts), 2))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[(pts[:, 2] < 0.5) & (rng.uniform(size=len(pts)) < 0.05)] = 0.0
+    planarity = np.where(pts[:, 1] < 1.0, rng.uniform(0.0, 0.6, len(pts)), rng.uniform(0.4, 1.0, len(pts)))
+    return pts, normals, planarity
+
+
+class TestFrozenLandmarks:
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.0])
+    def test_whitening_is_regularized_inverse(self, epsilon):
+        # the one place where statistics become weights: white_m of member k
+        # of landmark j is sqrt(1/n_j) chol((Sigma_j + epsilon I)^-1)^T, on
+        # split and unsplit landmarks alike
+        pts, normals, planarity = oracle_scene()
+        groups = dual_grid_groups(pts, GRID)
+        out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+        unsplit = {tuple(rows.tolist()) for rows in group_rows(groups)}
+        parts = group_rows(out)
+        is_split = np.array([tuple(rows.tolist()) not in unsplit for rows in parts])
+        assert is_split.any() and not is_split.all()
+        lms = FrozenLandmarks(out, epsilon)
+        for j, rows in enumerate(parts):
+            cov = np.cov(pts[rows].T, bias=True)
+            white = np.sqrt(1.0 / len(rows)) * np.linalg.cholesky(np.linalg.inv(cov + epsilon * np.eye(3))).T
+            assert np.allclose(lms.white_m[lms.member_lm == j], white, rtol=0.0, atol=1e-12)

@@ -1,9 +1,10 @@
+import copy
 import logging
 
 import numpy as np
 import pytest
 
-from multiscan.geometry import PointCloud
+from multiscan.geometry import PointCloud, rotvec_to_matrix
 from multiscan.imu import ImuSample
 from multiscan.adjustment import LMConfig
 from multiscan.landmarks import VoxelConfig
@@ -245,6 +246,60 @@ def test_lidar_only_run_tags_every_scan(corridor, caplog):
         results = [pipeline.process_scan(scan) for scan in corridor.scans[:3]]
     assert all("no_imu" in result.reasons for result in results)
     assert len([r for r in caplog.records if "LiDAR-only" in r.getMessage()]) == 1
+
+
+@pytest.fixture
+def tracked(corridor_run):
+    """A copy of the corridor run's pipeline, free to take more scans."""
+    return copy.deepcopy(corridor_run[0])
+
+
+def test_empty_scan_after_tracking_keeps_the_last_pose(tracked):
+    times, poses = tracked.trajectory()
+    result = tracked.process_scan(PointCloud(points=np.zeros((0, 3))))
+    assert result.reasons == ("empty_scan",) and result.degraded
+    assert result.time == times[-1]
+    assert np.array_equal(result.pose.as_params(), poses[-1].as_params())
+    assert len(tracked.trajectory()[1]) == len(poses)
+
+
+def test_sparse_scan_after_a_gap_extrapolates_at_constant_velocity(corridor, tracked):
+    traj = tracked._traj
+    n_poses = len(tracked.trajectory()[1])
+    t_end = float(corridor.scans[-1].stamps[-1]) + 2.0
+    stamps = t_end - np.array([0.02, 0.01, 0.0])
+    scan = PointCloud(points=corridor.scans[-1].points[:3], stamps=stamps)
+    result = tracked.process_scan(scan)
+    # the IMU stream ends with the corridor, so the gap has no coverage either
+    assert result.reasons == ("no_imu_coverage", "too_few_points")
+    times, poses = tracked.trajectory()
+    assert len(poses) == n_poses + 1 and times[-1] == t_end == result.time
+    assert np.array_equal(poses[-1].as_params(), result.pose.as_params())
+    assert np.array_equal(
+        result.pose.as_params(), OdometryPipeline._extrapolate(traj, t_end).as_params()
+    )
+    # the last solved pose carried on at the trajectory's end velocity
+    dt = t_end - traj.t_last
+    assert dt == pytest.approx(2.0)
+    moved = traj.sample_velocity(traj.t_last) * dt
+    assert np.linalg.norm(moved) > 1e-3  # so the sum below is not the last position
+    assert np.allclose(result.pose.trans, traj.positions[-1] + moved, rtol=0.0, atol=1e-12)
+
+
+def test_too_sparse_first_scan_takes_the_base_pose():
+    # a static, tilted IMU start sets the base rotation
+    up_body = rotvec_to_matrix(np.array([0.2, -0.1, 0.0])).T @ [0.0, 0.0, 1.0]
+    times = np.arange(0.0, 1.0, 5e-3)
+    pipeline = OdometryPipeline()
+    pipeline.add_imu([ImuSample(float(t), np.zeros(3), 9.81 * up_body) for t in times])
+    scan = PointCloud(points=np.eye(3), stamps=[0.08, 0.09, 0.1])
+    result = pipeline.process_scan(scan)
+    assert result.reasons == ("too_few_points",)
+    assert np.linalg.norm(pipeline.base_rot) > 0.1
+    assert np.array_equal(result.pose.rotvec, pipeline.base_rot)
+    assert np.array_equal(result.pose.trans, np.zeros(3))
+    times_out, poses = pipeline.trajectory()
+    assert times_out.tolist() == [0.1] and poses == [result.pose]
 
 
 def test_config_from_dict_round_trip():
