@@ -10,15 +10,24 @@ where Omega_j weights cell j by its covariance (see `FrozenLandmarks`).
 Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
 current parameters: it re-voxelizes the merged cloud and recomputes the
 per-cell statistics. It then takes up to INNER_ITERATIONS accepted damped
-Gauss-Newton steps on the whitened per-member residuals of
-`FrozenLandmarks`. The steps solve normal equations that a `Linearization`
-assembles band by band from each member's own motion and per-landmark
-sums, never forming the dense Jacobian; J^T J is built once per outer
-iteration. A band is a set of members that move only with the same few
-parameter columns: one free cloud's pose here, one spline segment's
-control poses in the odometry window. Translations move points linearly;
-every rotation column, here and in the window, is the closed form
-`turned_motion` of a turn w = J_l(r) dr (`geometry.left_jacobian`).
+Gauss-Newton steps on the whitened residuals of `FrozenLandmarks`. The
+steps solve normal equations that a `Linearization` assembles band by band
+from each row's own motion and per-landmark sums, never forming the dense
+Jacobian; J^T J is built once per outer iteration. A band is a set of rows
+that move only with the same few parameter columns: one free cloud's pose
+here, one spline segment's control poses in the odometry window.
+Translations move points linearly; every rotation column, here and in the
+window, is the closed form `turned_motion` of a turn w = J_l(r) dr
+(`geometry.left_jacobian`).
+
+The odometry window scores one row per landmark member, since its points
+move along a spline, each by the pose at its own stamp. Keyframe adjustment
+moves each cloud rigidly, and then a landmark's cost depends on a cloud's
+members only through their count, sum and scatter: the point-cluster
+statistics of BALM2 (Liu, Liu & Zhang, arXiv:2209.08854), which HBA
+(arXiv:2209.11939) uses at map scale. `_RigidSystem` therefore scores one
+cluster per (landmark, cloud) pair, 4 rows instead of one per member, with
+the same cost, J^T J and J^T r (see `FrozenLandmarks`).
 During those steps only the membership and the inverse covariances are
 held constant; the cell means follow the moving points, so every cell
 scores the current scatter of its own members. A cell whose members move
@@ -48,6 +57,7 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +92,10 @@ class LMConfig:
 
     def __post_init__(self):
         for name in ("max_outer_iterations", "max_lambda_retries"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value > 0):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -208,7 +220,7 @@ def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=
 
 
 class FrozenLandmarks:
-    """Whitened per-member residuals of one frozen set of landmarks.
+    """Whitened residuals of one frozen set of landmarks, per member or per cluster.
 
     Built from the statistics of `dual_grid_groups` (or `split_by_normals`):
     this is the one place where they become weights. Landmark j, with n_j
@@ -220,21 +232,38 @@ class FrozenLandmarks:
 
     At the frozen points and with epsilon = 0, cost_j is exactly 3 (trace
     identity); epsilon > 0 keeps Omega_j finite for a flat or linear cell.
-    Stacking one whitened 3-vector per member k of landmark j,
+    With W_j = sqrt(w_j) chol(Omega_j)^T, w_j = 1 / n_j (`white_lm`),
+    stacking one whitened 3-vector per member k of landmark j (`residuals`),
 
-        r_k = sqrt(w_j) * chol(Omega_j)^T (d_k - mean(d_j)),  w_j = 1 / n_j,
+        r_k = W_j (d_k - mean(d_j)),  d_k = p_k - mu_j,
 
-    with d_k = p_k - mu_j, makes sum |r_k|^2 equal the scatter cost while
-    the residuals stay affine in the point positions, so damped
-    normal-equation steps land on the frozen optimum instead of
-    extrapolating an already-quadratic error toward zero. Membership and
-    Omega_j are frozen; each cell's mean follows its members.
+    makes sum |r_k|^2 equal the scatter cost while the residuals stay affine
+    in the point positions, so damped normal-equation steps land on the
+    frozen optimum instead of extrapolating an already-quadratic error
+    toward zero. Membership and Omega_j are frozen; each cell's mean follows
+    its members.
 
     Because whitening and mean removal are linear, member k's Jacobian rows
     are J_k = B_k - mean_j(B): its own whitened motion
-    B_k = sqrt(w_j) chol_j^T dp_k/dtheta (`white_m`; zero for a fixed point)
-    less the mean of B over its landmark. A `Linearization` therefore needs
-    only each member's own motion and the per-landmark sums (`sums`).
+    B_k = W_j dp_k/dtheta (`white_m`; zero for a fixed point) less the mean
+    of B over its landmark. A `Linearization` therefore needs only each
+    member's own motion and the per-landmark sums (`sums`).
+
+    Cluster form (`cluster_residuals`). Split landmark j's members into
+    clusters c of n_c points with mean pbar_c and scatter
+    C_c = sum (p - pbar_c)(p - pbar_c)^T = F_c F_c^T. Then the cross terms
+    vanish within each cluster, and
+
+        cost_j = sum_c n_c |W_j (pbar_c - m_j)|^2 + sum_c sum_i |W_j f_ci|^2,
+
+    with m_j = sum_c n_c pbar_c / n_j. So each cluster gives one mean row
+    rho_c = sqrt(n_c) W_j (pbar_c - m_j) and three scatter rows W_j f_ci. If
+    a cluster moves rigidly, every member row and its Jacobian are affine in
+    the member's sensor-frame point, so the cost, J^T J and J^T r at any
+    parameters depend on the members only through n_c, their sum and their
+    second moment: the cluster rows give them exactly. The scatter rows
+    turn with their cluster and do not enter m_j; the mean rows are the
+    member form with weights: sum_c sqrt(n_c) rho_c = 0 for every landmark.
     """
 
     def __init__(self, groups: dict, epsilon: float):
@@ -243,15 +272,25 @@ class FrozenLandmarks:
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        omega = regularized_inverse(groups["covs"], epsilon)
-        self.chol_m = np.linalg.cholesky(omega)[self.member_lm]
-        self.sw_m = np.sqrt(1.0 / self.counts)[self.member_lm][:, None]
-        # sqrt(w_j) chol_j^T per member: B_k = white_m[k] @ dp_k/dtheta
-        self.white_m = self.sw_m[:, :, None] * np.swapaxes(self.chol_m, 1, 2)
+        self.chol = np.linalg.cholesky(regularized_inverse(groups["covs"], epsilon))
+        self.sw = np.sqrt(1.0 / self.counts)
+        # W_j = sqrt(w_j) chol_j^T per landmark
+        self.white_lm = self.sw[:, None, None] * np.swapaxes(self.chol, 1, 2)
 
-    def sums(self, values: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
-        """Per-landmark sums of values, one row per member (all, or those at members)."""
-        lm = self.member_lm if members is None else self.member_lm[members]
+    # per-member gathers, made on first use: the cluster form reads none
+    @cached_property
+    def white_m(self) -> np.ndarray:
+        """W_j per member: B_k = white_m[k] @ dp_k/dtheta."""
+        return self.white_lm[self.member_lm]
+
+    @cached_property
+    def _member_whitening(self) -> tuple:
+        return self.sw[self.member_lm][:, None], self.chol[self.member_lm]
+
+    def sums(self, values: np.ndarray, lm: np.ndarray | None = None) -> np.ndarray:
+        """Per-landmark sums of values whose rows belong to landmarks lm
+        (default: one row per member)."""
+        lm = self.member_lm if lm is None else lm
         width = int(np.prod(values.shape[1:]))
         bins = (lm[:, None] * width + np.arange(width)).ravel()
         flat = np.bincount(bins, weights=values.ravel(), minlength=self.n_landmarks * width)
@@ -259,73 +298,159 @@ class FrozenLandmarks:
 
     def residuals(self, points: np.ndarray) -> np.ndarray:
         """Residual vector (3 per member) with the members at rows of points."""
+        sw_m, chol_m = self._member_whitening
         d = points[self.member_row] - self.mu_ref[self.member_lm]
         centered = d - (self.sums(d) / self.counts[:, None])[self.member_lm]
-        return (self.sw_m * np.einsum("nji,nj->ni", self.chol_m, centered)).ravel()
+        return (sw_m * np.einsum("nji,nj->ni", chol_m, centered)).ravel()
+
+    def cluster_residuals(self, lm, sizes, means, factors) -> np.ndarray:
+        """Residual vector (12 per cluster: the mean row, then the three
+        scatter rows) of clusters on landmarks lm with sizes n_c, world-frame
+        means pbar_c (m, 3) and scatter factors F_c (m, 3, 3)."""
+        d = means - self.mu_ref[lm]
+        shift = self.sums(sizes[:, None] * d, lm) / self.counts[:, None]
+        white = self.white_lm[lm]
+        rows = np.empty((len(lm), 4, 3))
+        rows[:, 0] = np.sqrt(sizes)[:, None] * np.einsum("nij,nj->ni", white, d - shift[lm])
+        rows[:, 1:] = np.swapaxes(white @ factors, 1, 2)
+        return rows.ravel()
+
+
+def scatter_factor(scatter: np.ndarray) -> np.ndarray:
+    """F with F F^T = C for a stack of 3x3 positive semidefinite C, (m, 3, 3).
+
+    A closed-form LDL^T with diagonal pivoting: each step pivots on the
+    largest remaining diagonal, so every multiplier stays bounded and a
+    pivot lost in rounding comes last; a non-positive pivot gives a zero
+    column. Without pivoting, the singular scatters of collinear or coplanar
+    points can put a rounding-level positive pivot before a larger one and
+    blow up the last pivot. Batched `cholesky` fails on those scatters, and
+    batched `eigh` is about ten times slower.
+    """
+    m = len(scatter)
+    flat = scatter.reshape(-1)
+    base = 9 * np.arange(m)[:, None]
+    diag = scatter.reshape(m, 9)[:, ::4]
+    first = diag.argmax(axis=1)
+    perm = (first[:, None] + np.arange(3)) % 3
+    top = diag[np.arange(m), first]
+    inv = np.divide(1.0, top, out=np.zeros(m), where=top > 0.0)[:, None]
+    cross = flat[base + 3 * perm[:, 1:] + first[:, None]]
+    schur = flat[base + 4 * perm[:, 1:]] - cross * cross * inv
+    swap = schur[:, 1] > schur[:, 0]
+    perm[swap, 1:] = perm[swap, :0:-1]
+    row, col = np.tril_indices(3)
+    c00, c10, c11, c20, c21, c22 = flat[base + 3 * perm[:, row] + perm[:, col]].T
+    inv1 = np.divide(1.0, c00, out=np.zeros(m), where=c00 > 0.0)
+    l10, l20 = c10 * inv1, c20 * inv1
+    d2 = c11 - l10 * c10
+    inv2 = np.divide(1.0, d2, out=np.zeros(m), where=d2 > 0.0)
+    l21 = (c21 - l20 * c10) * inv2
+    d3 = c22 - l20 * c20 - l21 * l21 * np.maximum(d2, 0.0)
+    s1, s2, s3 = np.sqrt(np.maximum(np.stack([c00, d2, d3]), 0.0))
+    lower = np.stack([s1, l10 * s1, s2, l20 * s1, l21 * s2, s3], axis=1)
+    factor = np.zeros(9 * m)
+    factor[base + 3 * perm[:, row] + col] = lower
+    return factor.reshape(m, 3, 3)
+
+
+def point_clusters(points: np.ndarray, starts: np.ndarray):
+    """Size, mean and scatter of each run of points that begins at starts.
+
+    starts are ascending and begin at 0. Returns n_c (m,), pbar_c (m, 3)
+    and C_c = sum (p - pbar_c)(p - pbar_c)^T (m, 3, 3), two-pass.
+    """
+    sizes = np.diff(np.append(starts, len(points)))
+    means = np.add.reduceat(points, starts, axis=0) / sizes[:, None]
+    centered = points - np.repeat(means, sizes, axis=0)
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    return sizes, means, scatter
 
 
 class Linearization:
     """Normal equations of a frozen system at one parameter vector.
 
-    The landmark rows arrive as bands. A band (members, cols, block) holds
-    landmark members whose own whitened motion B_k is non-zero only in the
-    parameter columns cols; block is B over those columns, (n, 3, len(cols)).
-    Every moving member lies in exactly one band, and members of no band
-    (fixed points) do not move. dense (D) is the Jacobian of the rows that
-    follow the landmark rows in the residual vector (gravity, IMU, prior).
-    With S_j the sum of B over landmark j (see `FrozenLandmarks`),
+    The landmark rows arrive as bands. A band (rows, cols, block, lm, share)
+    holds landmark rows whose own whitened motion B_r is non-zero only in
+    the parameter columns cols: rows index or slice the residual vector's
+    3-vectors, block is B over those columns, (n, 3, len(cols)), and share,
+    (k, 3, len(cols)), is what the band adds to S over those columns, one
+    entry for each landmark in lm (k,).
+    Every moving row lies in exactly one band, and rows of no band (fixed
+    points, pinned clouds) do not move. dense (D) is the Jacobian of the
+    rows that follow the landmark rows in the residual vector (gravity,
+    IMU, prior). Row r of landmark j has the Jacobian B_r - a_r S_j / n_j,
+    with S_j = sum_r a_r B_r over landmark j's rows, a_r = 1 for a member,
+    sqrt(n_c) for a cluster's mean row and 0 for a scatter row (see
+    `FrozenLandmarks`). As sum_r a_r^2 = n_j,
 
-        J^T J = sum_k B_k^T B_k - sum_j S_j^T S_j / n_j + D^T D
-        J^T r = sum_k B_k^T r_k + D^T r_D,
+        J^T J = sum_r B_r^T B_r - sum_j S_j^T S_j / n_j + D^T D
+        J^T r = sum_r B_r^T r_r + D^T r_D,
 
-    so the 3M-row landmark Jacobian is never formed: each band adds one
-    product of its flattened block with itself into J^T J at (cols, cols)
-    and its landmark sums into the columns cols of S. Bands may share
-    columns (the window's neighbouring spline segments share control
-    poses). J^T r drops the term -sum_j S_j^T (sum_{k in j} r_k) / n_j: the
-    residuals of `FrozenLandmarks.residuals` are mean-free within every
-    landmark, so each inner sum is zero up to rounding.
+    so the landmark Jacobian is never formed: each band adds one product of
+    its flattened block with itself into J^T J at (cols, cols) and the
+    per-landmark sums of its share into the columns cols of S. Bands may
+    share columns (the window's neighbouring spline segments share control
+    poses). J^T r drops the term -sum_j S_j^T (sum_{r in j} a_r r_r) / n_j:
+    the landmark rows are weighted mean-free within every landmark, so each
+    inner sum is zero up to rounding.
     """
 
     def __init__(self, landmarks: FrozenLandmarks, bands, dense):
-        self.n_rows = 3 * len(landmarks.member_lm)
         self.bands = bands
         self.dense = dense
         n_params = dense.shape[1]
         lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
         jtj = dense.T @ dense
-        for members, cols, block in bands:
+        for _, cols, block, lm, share in bands:
             flat = block.reshape(-1, len(cols))
             jtj[np.ix_(cols, cols)] += flat.T @ flat
-            lm_sums[:, :, cols] += landmarks.sums(block, members)
+            lm_sums[:, :, cols] += landmarks.sums(share, lm)
         scaled = (lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
         self.jtj = jtj - scaled.T @ scaled
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r for a residual vector r of the system (at any parameters)."""
-        r_m = r[: self.n_rows].reshape(-1, 3)
-        out = self.dense.T @ r[self.n_rows :]
-        for members, cols, block in self.bands:
-            out[cols] += block.reshape(-1, len(cols)).T @ r_m[members].ravel()
+        n_rows = len(r) - len(self.dense)
+        r_m = r[:n_rows].reshape(-1, 3)
+        out = self.dense.T @ r[n_rows:]
+        for rows, cols, block, _, _ in self.bands:
+            out[cols] += block.reshape(-1, len(cols)).T @ r_m[rows].ravel()
         return out
 
 
 class _RigidSystem:
-    """Rigid point-motion model of keyframe adjustment, with gravity rows.
+    """Rigid point-motion model of keyframe adjustment, on point clusters,
+    with gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order. Perturbing one pose moves only that cloud's members, so the
+    order. `freeze` groups each landmark's members into clusters, one per
+    cloud it touches; the fixed points form one more cloud that keeps the
+    identity pose, and a pinned cloud keeps its pose. Every cluster moves
+    rigidly with its cloud, so it is scored by its size, mean and scatter
+    factor in the cloud's sensor frame (`point_clusters`, `scatter_factor`)
+    through `FrozenLandmarks.cluster_residuals`: 12 rows per cluster, the
+    same cost and normal equations as one row per member (see
+    `FrozenLandmarks`).
+
+    Perturbing one pose moves only that cloud's clusters, so the
     `Linearization` gets one band per free cloud, over that pose's 6
-    columns, and B^T B is block-diagonal. A member's motion under the
-    rotation is `turned_motion(W, R_k x, J_l(r_k))`; under a translation
-    it is the unit axis, so those columns of B are W itself. The gravity
-    rows form the small dense block, turned_motion(w I, R_k d, J_l(r_k)).
+    columns. A mean row's own motion is sqrt(n_c) W under a translation and
+    `turned_motion(sqrt(n_c) W, R qbar, J_l(r))` under the rotation; a
+    scatter row's is `turned_motion(W, R f, J_l(r))`, with nothing under a
+    translation. A band's share of S is sqrt(n_c) times each cluster's mean
+    row motion, one entry per cluster: a landmark has at most one cluster
+    per cloud. The gravity rows form the small dense block,
+    turned_motion(w I, R_k d, J_l(r_k)).
     """
 
     def __init__(self, problem: AdjustmentProblem):
         self.problem = problem
         self.free = problem.free_indices()
-        self.offsets = np.cumsum([0] + [len(c) for c in problem.clouds])
+        # sensor-frame point stack aligned with the world stack of
+        # `freeze_landmarks`; rows from ends[c - 1] to ends[c] are cloud c's
+        self.local = np.vstack([cloud.points for cloud in problem.clouds] + [problem.fixed_points])
+        self.ends = np.cumsum([len(cloud) for cloud in problem.clouds])
         cons = problem.gravity_constraints
         self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
         # free index of each constraint's cloud: the free clouds are the
@@ -341,36 +466,59 @@ class _RigidSystem:
         return out
 
     def freeze(self, params: np.ndarray) -> None:
-        # the point stack doubles as a world-point buffer: only free clouds move
-        self.world, groups = freeze_landmarks(self.problem, self.poses(params))
+        _, groups = freeze_landmarks(self.problem, self.poses(params))
         self.landmarks = lms = FrozenLandmarks(groups, self.problem.voxel.epsilon)
-        self.cloud_rows, self.cloud_raw = [], []
-        for ci in self.free:
-            lo, hi = self.offsets[ci], self.offsets[ci + 1]
-            rows = np.nonzero((lms.member_row >= lo) & (lms.member_row < hi))[0]
-            self.cloud_rows.append(rows)
-            self.cloud_raw.append(self.problem.clouds[ci].points[lms.member_row[rows] - lo])
+        # cloud of each member, the fixed points as cloud len(clouds); each
+        # landmark's members are contiguous and in ascending row order, so
+        # its members in one cloud form one run
+        cloud = np.searchsorted(self.ends, lms.member_row, side="right")
+        starts = np.flatnonzero(
+            (np.diff(lms.member_lm, prepend=-1) != 0) | (np.diff(cloud, prepend=-1) != 0)
+        )
+        sizes, means, scatter = point_clusters(self.local[lms.member_row], starts)
+        # clusters grouped by cloud: cloud c's are [bounds[c], bounds[c + 1])
+        by_cloud = np.argsort(cloud[starts], kind="stable")
+        self.bounds = np.searchsorted(cloud[starts][by_cloud], np.arange(len(self.ends) + 2))
+        self.cluster_lm = lms.member_lm[starts][by_cloud]
+        self.sizes = sizes[by_cloud].astype(float)
+        self.means = means[by_cloud]
+        self.factors = scatter_factor(scatter[by_cloud])
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         poses = self.poses(params)
-        for ci in self.free:
-            self.world[self.offsets[ci] : self.offsets[ci + 1]] = poses[ci].apply(
-                self.problem.clouds[ci].points
-            )
-        rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))[self.grav_cloud]
-        gravity = gravity_residual(rots, self.grav_local, self.grav_weight)
-        return np.concatenate([self.landmarks.residuals(self.world), gravity.ravel()])
+        rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))
+        means, factors = self.means.copy(), self.factors.copy()
+        for c, pose in enumerate(poses):
+            at = slice(self.bounds[c], self.bounds[c + 1])
+            means[at] = means[at] @ rots[c].T + pose.trans
+            factors[at] = rots[c] @ factors[at]
+        lm_rows = self.landmarks.cluster_residuals(self.cluster_lm, self.sizes, means, factors)
+        gravity = gravity_residual(rots[self.grav_cloud], self.grav_local, self.grav_weight)
+        return np.concatenate([lm_rows, gravity.ravel()])
 
     def linearize(self, params: np.ndarray) -> Linearization:
         """Normal equations at params, every rotation column in closed form."""
         rotvecs = params.reshape(-1, 6)[:, :3]
         rots, turns = rotvec_to_matrix(rotvecs), left_jacobian(rotvecs)
+        lms = self.landmarks
         bands = []
-        for k, rows in enumerate(self.cloud_rows):
-            white = self.landmarks.white_m[rows]
-            turned = turned_motion(white, self.cloud_raw[k] @ rots[k].T, turns[k])
-            block = np.concatenate([turned, white], axis=2)
-            bands.append((rows, np.arange(6 * k, 6 * k + 6), block))
+        for k, ci in enumerate(self.free):
+            lo, hi = self.bounds[ci], self.bounds[ci + 1]
+            lm = self.cluster_lm[lo:hi]
+            white = lms.white_lm[lm]
+            root = np.sqrt(self.sizes[lo:hi])[:, None, None]
+            # per cluster: the mean row, then the three scatter rows
+            block = np.zeros((hi - lo, 4, 3, 6))
+            block[:, 0, :, 3:] = root * white
+            turned_motion(
+                block[:, 0, :, 3:], self.means[lo:hi] @ rots[k].T, turns[k], out=block[:, 0, :, :3]
+            )
+            turned_motion(
+                white[:, None], np.swapaxes(rots[k] @ self.factors[lo:hi], 1, 2), turns[k],
+                out=block[:, 1:, :, :3],
+            )
+            rows, cols = slice(4 * lo, 4 * hi), np.arange(6 * k, 6 * k + 6)
+            bands.append((rows, cols, block.reshape(-1, 3, 6), lm, root * block[:, 0]))
         grav_jac = np.zeros((len(self.grav_cloud), 3, len(rotvecs), 6))
         own = np.nonzero(self.grav_free >= 0)[0]
         pose = self.grav_free[own]
@@ -379,7 +527,7 @@ class _RigidSystem:
             (rots[pose] @ self.grav_local[own, :, None])[..., 0],
             turns[pose],
         )
-        return Linearization(self.landmarks, bands, grav_jac.reshape(-1, len(params)))
+        return Linearization(lms, bands, grav_jac.reshape(-1, len(params)))
 
 
 def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):

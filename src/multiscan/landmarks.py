@@ -9,7 +9,8 @@ alone does.
 
 Landmarks are held as one dict of flat arrays (see `dual_grid_groups`):
 every member is a row of the input point stack, the members of one
-landmark are contiguous, and coarse landmarks come first.
+landmark are contiguous and in ascending row order, and coarse landmarks
+come first.
 `split_by_normals` maps such a dict to another of the same layout.
 """
 
@@ -89,11 +90,15 @@ def _level_groups(points: np.ndarray, cell_size: float, n_min: int):
     """Sort points into cells; return member rows/gid for cells with > n_min points.
 
     Returns (rows, member_gid, group_counts) where rows indexes into points
-    and member_gid maps each row to a retained group.
+    and member_gid maps each row to a retained group. The sort is stable,
+    so each group's rows are in ascending order.
     """
     packed = pack_cell_indices(voxel_cell_indices(points, cell_size))
     order = np.argsort(packed, kind="stable")
-    _, counts = np.unique(packed[order], return_counts=True)
+    keys = packed[order]
+    # cells are the runs of equal keys in sorted order
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    counts = np.diff(starts, append=len(keys))
     keep = counts > n_min
     group_of_pos = np.repeat(np.arange(len(counts)), counts)
     pos_keep = keep[group_of_pos]
@@ -106,7 +111,10 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig):
 
     Returns None when no cell holds more than voxel.n_min points. Keys:
     member_row (into the input points, all retained groups concatenated),
-    member_group, counts, means and covs; coarse landmarks come first.
+    member_group, counts, means and covs; coarse landmarks come first. Each
+    landmark's members are contiguous and in ascending row order, so the
+    members it takes from any contiguous block of rows (one scan of a
+    stack) form one run.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     coarse_rows, coarse_gid, coarse_counts = _level_groups(points, voxel.coarse_size, voxel.n_min)
@@ -148,7 +156,9 @@ def split_by_normals(
     points, normals and planarities are aligned with the rows that
     groups["member_row"] indexes. The result has the layout of
     `dual_grid_groups`; the two halves of a split landmark take its place
-    in the order, the half holding its first member first.
+    in the order, the half holding its first member first. The regrouping
+    is a stable sort, so each half keeps its members in ascending row
+    order, as every landmark of the input has them.
     """
     rows, gid, counts = groups["member_row"], groups["member_group"], groups["counts"]
     n_groups = len(counts)

@@ -475,8 +475,9 @@ class _WindowSystem:
             white[:, :, None, :], weights[:, None, :, None],
             out=block[:, :, 6:].reshape(len(slot), 3, -1, 3),
         )
+        member_lm = self.landmarks.member_lm
         bands = [
-            (self.order[lo:hi], cols, block[lo:hi])
+            (self.order[lo:hi], cols, block[lo:hi], member_lm[self.order[lo:hi]], block[lo:hi])
             for cols, lo, hi in zip(self.segment_cols, self.member_bounds, self.member_bounds[1:])
             if lo < hi
         ]

@@ -7,6 +7,7 @@ from multiscan.adjustment import (
     STOP_ROTATION,
     STOP_TRANSLATION,
     AdjustmentProblem,
+    FrozenLandmarks,
     GravityConstraint,
     InsufficientStructureError,
     LMConfig,
@@ -15,8 +16,10 @@ from multiscan.adjustment import (
     gravity_residual,
     levenberg_marquardt,
     lm_step,
+    point_clusters,
     relative_pose_errors,
     run_adjustment,
+    scatter_factor,
 )
 from multiscan.geometry import Pose, PointCloud
 from multiscan.landmarks import VoxelConfig, _level_groups, voxel_cell_indices
@@ -56,6 +59,36 @@ def frozen_system(prob, poses):
     return system, params
 
 
+def two_sided_sheet(rng, angle):
+    """Two clouds seeing a thin sheet from either side, in clutter, with
+    fixed points and gravity rows; every pose turned by about angle rad."""
+    n = 150
+    sheet = np.zeros((n, 3))
+    sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
+    clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
+    clouds = []
+    for side in (-1.0, 1.0):
+        points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
+        normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
+        planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
+        clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
+    turn = Pose(angle * np.array([0.6, 0.0, 0.8]), np.zeros(3))
+    init = [turn.compose(sample_pert(rng, 0.01, 0.5)) for _ in clouds]
+    fixed = turn.apply(rng.uniform(-1.5, 1.5, size=(200, 3)))
+    tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
+    return AdjustmentProblem(
+        clouds=clouds,
+        initial_poses=init,
+        fixed_points=fixed,
+        gravity_constraints=[
+            GravityConstraint(cloud_id=i, direction_local=tilted_up, weight=2.0 + i)
+            for i in range(2)
+        ],
+        split_normals=True,
+        planarity_min=0.5,
+    )
+
+
 class TestEvaluateCost:
     def test_trace_identity_single_landmark(self):
         # all points inside one cell of each level; zero regularization
@@ -71,8 +104,8 @@ class TestEvaluateCost:
         system, params = frozen_system(prob, prob.initial_poses)
         lms = system.landmarks
         assert lms.n_landmarks == 2
-        r = system.residuals(params).reshape(-1, 3)
-        errors = np.bincount(lms.member_lm, weights=np.sum(r * r, axis=1))
+        r = system.residuals(params).reshape(-1, 12)  # no gravity rows: 12 per cluster
+        errors = np.bincount(system.cluster_lm, weights=np.sum(r * r, axis=1))
         assert np.allclose(errors, 3.0, rtol=1e-10)
         r = system.residuals(params)
         assert r @ r == pytest.approx(3.0 * lms.n_landmarks, rel=1e-10)
@@ -149,31 +182,8 @@ class TestNumericJacobian:
         # turns every pose by about 3.05 rad, near the log map's edge
         rng = np.random.default_rng(15)
         for angle in (0.0, 3.05):
-            n = 150
-            sheet = np.zeros((n, 3))
-            sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
-            clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
-            clouds = []
-            for side in (-1.0, 1.0):
-                points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
-                normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
-                planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
-                clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
-            turn = Pose(angle * np.array([0.6, 0.0, 0.8]), np.zeros(3))
-            init = [turn.compose(sample_pert(rng, 0.01, 0.5)) for _ in clouds]
-            fixed = turn.apply(rng.uniform(-1.5, 1.5, size=(200, 3)))
-            tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
-            prob = AdjustmentProblem(
-                clouds=clouds,
-                initial_poses=init,
-                fixed_points=fixed,
-                gravity_constraints=[
-                    GravityConstraint(cloud_id=i, direction_local=tilted_up, weight=2.0 + i)
-                    for i in range(2)
-                ],
-                split_normals=True,
-                planarity_min=0.5,
-            )
+            prob = two_sided_sheet(rng, angle)
+            clouds, init = prob.clouds, prob.initial_poses
             system, params = frozen_system(prob, init)
             assert system.free == [0, 1]
             assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
@@ -185,6 +195,90 @@ class TestNumericJacobian:
             assert_normal_equations_match_secant_jacobian(
                 system, params + 1e-3 * rng.normal(size=len(params))
             )
+
+
+def member_cost(system, frozen, params):
+    """The landmark cost with one row per member, on the landmarks that
+    system froze at frozen, with its clouds at params."""
+    prob = system.problem
+    _, groups = freeze_landmarks(prob, system.poses(frozen))
+    poses = system.poses(params)
+    world = np.vstack(
+        [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)] + [prob.fixed_points]
+    )
+    r = FrozenLandmarks(groups, prob.voxel.epsilon).residuals(world)
+    return r @ r
+
+
+def cluster_cost(system, params):
+    r = system.residuals(params)[: 12 * len(system.cluster_lm)]
+    return r @ r
+
+
+def many_small_clouds(rng, n_clouds=10, points=100):
+    """Sparse clouds over a 6 m box, so that no cloud puts more than a few
+    points into any cell, with fixed points as sparse; every pose moved a
+    little off the identity."""
+    clouds = [PointCloud(points=rng.uniform(0.0, 6.0, size=(points, 3))) for _ in range(n_clouds)]
+    return AdjustmentProblem(
+        clouds=clouds,
+        initial_poses=[sample_pert(rng, 0.02, 1.0) for _ in clouds],
+        fixed_points=rng.uniform(0.0, 6.0, size=(points, 3)),
+        voxel=VoxelConfig(coarse_size=1.0, fine_size=0.5, n_min=5),
+    )
+
+
+class TestPointClusters:
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_scatter_factor_reproduces_scatter(self, rank):
+        # noise-free points on a line (rank 1) or a plane (rank 2) make
+        # singular scatters, on which a Cholesky factor fails
+        rng = np.random.default_rng(30 + rank)
+        clusters = []
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            spread = rng.normal(size=(n, rank)) * rng.uniform(0.01, 1.0)
+            clusters.append(spread @ rng.normal(size=(rank, 3)) + rng.uniform(-10.0, 10.0, size=3))
+        starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
+        sizes, means, scatter = point_clusters(np.vstack(clusters), starts)
+        for c, points in enumerate(clusters):
+            centered = points - points.mean(axis=0)
+            assert sizes[c] == len(points)
+            assert np.allclose(means[c], points.mean(axis=0), rtol=0.0, atol=1e-12)
+            assert np.allclose(scatter[c], centered.T @ centered, rtol=0.0, atol=1e-12)
+        factor = scatter_factor(scatter)
+        assert np.all(np.isfinite(factor))
+        gap = np.abs(factor @ np.swapaxes(factor, 1, 2) - scatter).max(axis=(1, 2))
+        assert np.all(gap <= 1e-12 * np.abs(scatter).max(axis=(1, 2)))
+        # a single point has a zero scatter and a zero factor
+        single = sizes == 1
+        assert single.any() and not np.any(factor[single])
+
+    def test_cluster_cost_equals_member_cost(self):
+        # the 12 rows of a cluster score its members exactly, at the frozen
+        # parameters and away from them
+        rng = np.random.default_rng(31)
+        problems = [two_sided_sheet(rng, angle) for angle in (0.0, 3.05)]
+        problems.append(many_small_clouds(rng))
+        for prob in problems:
+            system, params = frozen_system(prob, prob.initial_poses)
+            for at in (params, params + 1e-2 * rng.normal(size=len(params))):
+                expected = member_cost(system, params, at)
+                assert cluster_cost(system, at) == pytest.approx(expected, rel=1e-10)
+        # the last problem's clusters hold at most 4 members
+        assert system.sizes.max() <= 4 and len(system.cluster_lm) > 100
+
+    def test_one_cluster_per_landmark_and_cloud(self):
+        # each landmark's members from one cloud form a single run, split
+        # landmarks included
+        prob = two_sided_sheet(np.random.default_rng(32), 0.0)
+        system, _ = frozen_system(prob, prob.initial_poses)
+        ends = np.cumsum([len(c) for c in prob.clouds])
+        lms = system.landmarks
+        cloud = np.searchsorted(ends, lms.member_row, side="right")
+        pairs = set(zip(lms.member_lm.tolist(), cloud.tolist()))
+        assert len(pairs) == len(system.cluster_lm)
+        assert system.sizes.sum() == len(lms.member_lm)
 
 
 class TestLMStep:
@@ -353,6 +447,15 @@ class TestLMConfig:
         with pytest.raises(ValueError, match=name):
             LMConfig(**{name: 0})
         LMConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name", ["max_outer_iterations", "max_lambda_retries"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_budgets(self, name, value):
+        # a budget of 2.5 would otherwise fail inside the solve, as a
+        # TypeError from range()
+        with pytest.raises(ValueError, match=name):
+            LMConfig(**{name: value})
+        assert getattr(LMConfig(**{name: np.int64(3)}), name) == 3
 
 
 class TestGravityResidual:
@@ -530,8 +633,8 @@ class TestRunAdjustment:
 
 
 def test_landmark_residuals_sum_to_zero_per_landmark():
-    # each landmark's rows are mean-free, which is why J^T r needs no
-    # landmark-mean term
+    # each landmark's mean rows rho_c are weighted mean-free,
+    # sum_c sqrt(n_c) rho_c = 0, which is why J^T r needs no landmark-mean term
     ds = small_room(points_per_scan=800, duration=0.2)
     rng = np.random.default_rng(17)
     truth = ds.truth_poses
@@ -543,9 +646,13 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
     )
     system, params = frozen_system(prob, init)
     lms = system.landmarks
+    n_clusters = len(system.cluster_lm)
+    assert n_clusters < len(lms.member_lm)
     for at in (params, params + 1e-2 * rng.normal(size=len(params))):
-        r = system.residuals(at)[: 3 * len(lms.member_lm)].reshape(-1, 3)
-        assert np.abs(lms.sums(r)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
+        rho = system.residuals(at)[: 12 * n_clusters].reshape(-1, 4, 3)[:, 0]
+        weighted = np.sqrt(system.sizes)[:, None] * rho
+        sums = lms.sums(weighted, system.cluster_lm)
+        assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
 
 
 class TestFreezeWithSplitting:

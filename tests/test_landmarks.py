@@ -7,6 +7,7 @@ from multiscan.landmarks import (
     _grouped_mean_cov,
     _level_groups,
     dual_grid_groups,
+    pack_cell_indices,
     regularized_inverse,
     split_by_normals,
     voxel_cell_indices,
@@ -117,6 +118,18 @@ class TestVoxelizeDual:
         pts = np.tile([0.2, 0.2, 0.2], (8, 1))
         groups = dual_grid_groups(pts, GRID)
         assert all(set(rows.tolist()) == set(range(8)) for rows in group_rows(groups))
+
+    @pytest.mark.parametrize("n_min", [0, 5])
+    def test_level_counts_are_the_occupied_cells(self, n_min):
+        # counts read from the runs of sorted keys, in key order, as
+        # np.unique gives them; empty input included
+        rng = np.random.default_rng(12)
+        for pts in (rng.uniform(-3.0, 3.0, size=(800, 3)), np.zeros((0, 3))):
+            for size in (2.0, 0.5):
+                rows, gid, counts = _level_groups(pts, size, n_min)
+                _, occupied = np.unique(pack_cell_indices(voxel_cell_indices(pts, size)), return_counts=True)
+                assert np.array_equal(counts, occupied[occupied > n_min])
+                assert np.array_equal(np.bincount(gid, minlength=len(counts)), counts)
 
     def test_rejects_bad_sizes(self):
         # the grid's configuration, not the voxelization, checks the sizes
@@ -278,6 +291,19 @@ class TestSplitByNormals:
             assert np.allclose(out["covs"][g], cov, atol=1e-12)
             # every part lies in its parent's cell at its parent's level
             assert np.all(voxel_cell_indices(pts[rows_got], key[3]) == key[:3])
+
+
+def test_members_ascend_within_each_landmark():
+    # keyframe adjustment reads the members a landmark takes from one scan
+    # of the point stack as one run; split halves keep the order too
+    pts, normals, planarity = oracle_scene()
+    groups = dual_grid_groups(pts, GRID)
+    out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+    assert len(out["counts"]) > len(groups["counts"])
+    for layout in (groups, out):
+        assert np.all(np.diff(layout["member_group"]) >= 0)
+        for rows in group_rows(layout):
+            assert np.all(np.diff(rows) > 0)
 
 
 def oracle_scene():
