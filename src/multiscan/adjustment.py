@@ -20,14 +20,15 @@ Translations move points linearly; every rotation column, here and in the
 window, is the closed form `turned_motion` of a turn w = J_l(r) dr
 (`geometry.left_jacobian`).
 
-The odometry window scores one row per landmark member, since its points
-move along a spline, each by the pose at its own stamp. Keyframe adjustment
-moves each cloud rigidly, and then a landmark's cost depends on a cloud's
-members only through their count, sum and scatter: the point-cluster
-statistics of BALM2 (Liu, Liu & Zhang, arXiv:2209.08854), which HBA
-(arXiv:2209.11939) uses at map scale. `_RigidSystem` therefore scores one
-cluster per (landmark, cloud) pair, 4 rows instead of one per member, with
-the same cost, J^T J and J^T r (see `FrozenLandmarks`).
+Both score the one residual of `FrozenLandmarks` on point clusters. The
+odometry window's clusters are single members, since its points move along
+a spline, each by the pose at its own stamp. Keyframe adjustment moves each
+cloud rigidly, and then a landmark's cost depends on a cloud's members only
+through their count, sum and scatter: the point-cluster statistics of BALM2
+(Liu, Liu & Zhang, arXiv:2209.08854), which HBA (arXiv:2209.11939) uses at
+map scale. `_RigidSystem` therefore scores one cluster per (landmark,
+cloud) pair, 4 rows instead of one per member, with the same cost, J^T J
+and J^T r.
 During those steps only the membership and the inverse covariances are
 held constant; the cell means follow the moving points, so every cell
 scores the current scatter of its own members. A cell whose members move
@@ -57,12 +58,13 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, left_jacobian, rotvec_to_matrix
-from multiscan.landmarks import VoxelConfig, dual_grid_groups, regularized_inverse, split_by_normals
+from multiscan.landmarks import (
+    VoxelConfig, dual_grid_groups, point_clusters, regularized_inverse, split_by_normals,
+)
 
 # world direction that every gravity constraint ties its cloud's direction to
 GRAVITY_UP = np.array([0.0, 0.0, 1.0])
@@ -146,11 +148,11 @@ class AdjustmentResult:
     iterations: int
 
 
-def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.ndarray, dict]:
+def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> dict:
     """Voxelize the merged world cloud and compute per-cell statistics.
 
-    Returns the world-frame point stack [cloud 0, ..., cloud n-1, fixed]
-    and its landmarks in the layout of `dual_grid_groups`. With
+    Returns the landmarks of the world-frame point stack [cloud 0, ...,
+    cloud n-1, fixed] in the layout of `dual_grid_groups`. With
     split_normals enabled, planar cells whose member normals oppose each
     other are divided into front and back landmarks. Splitting needs
     normals and planarity on every member, so cells touching
@@ -170,7 +172,7 @@ def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> tuple[np.
             planarity_min=problem.planarity_min,
             n_min=problem.voxel.n_min,
         )
-    return pts, groups
+    return groups
 
 
 def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
@@ -220,7 +222,7 @@ def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=
 
 
 class FrozenLandmarks:
-    """Whitened residuals of one frozen set of landmarks, per member or per cluster.
+    """Whitened residuals of one frozen set of landmarks, one cost over point clusters.
 
     Built from the statistics of `dual_grid_groups` (or `split_by_normals`):
     this is the one place where they become weights. Landmark j, with n_j
@@ -232,38 +234,37 @@ class FrozenLandmarks:
 
     At the frozen points and with epsilon = 0, cost_j is exactly 3 (trace
     identity); epsilon > 0 keeps Omega_j finite for a flat or linear cell.
-    With W_j = sqrt(w_j) chol(Omega_j)^T, w_j = 1 / n_j (`white_lm`),
-    stacking one whitened 3-vector per member k of landmark j (`residuals`),
+    Membership and Omega_j are frozen; each cell's mean follows its members.
 
-        r_k = W_j (d_k - mean(d_j)),  d_k = p_k - mu_j,
+    The cost is scored on point clusters (`residuals`). Split landmark j's
+    members into clusters c of n_c points with mean pbar_c and scatter
+    C_c = sum (p - pbar_c)(p - pbar_c)^T = F_c F_c^T. The cross terms vanish
+    within each cluster, so with W_j = sqrt(1 / n_j) chol(Omega_j)^T
+    (`white_lm`) and d_c = pbar_c - mu_j,
 
-    makes sum |r_k|^2 equal the scatter cost while the residuals stay affine
-    in the point positions, so damped normal-equation steps land on the
-    frozen optimum instead of extrapolating an already-quadratic error
-    toward zero. Membership and Omega_j are frozen; each cell's mean follows
-    its members.
+        cost_j = sum_c |rho_c|^2 + sum_c sum_i |W_j f_ci|^2,
+        rho_c = sqrt(n_c) W_j (d_c - sum_c' n_c' d_c' / n_j),
 
-    Because whitening and mean removal are linear, member k's Jacobian rows
-    are J_k = B_k - mean_j(B): its own whitened motion
-    B_k = W_j dp_k/dtheta (`white_m`; zero for a fixed point) less the mean
-    of B over its landmark. A `Linearization` therefore needs only each
-    member's own motion and the per-landmark sums (`sums`).
+    one mean row rho_c and one scatter row W_j f_ci per column of F_c. A
+    member is a cluster of one: n_c = 1, F_c has no columns, and its one
+    row is W_j (d_k - mean(d_j)). The odometry window scores its members
+    so; keyframe adjustment scores one cluster per (landmark, cloud) pair.
 
-    Cluster form (`cluster_residuals`). Split landmark j's members into
-    clusters c of n_c points with mean pbar_c and scatter
-    C_c = sum (p - pbar_c)(p - pbar_c)^T = F_c F_c^T. Then the cross terms
-    vanish within each cluster, and
+    The rows are affine in the point positions, so damped normal-equation
+    steps land on the frozen optimum instead of extrapolating an
+    already-quadratic error toward zero. If a cluster moves rigidly, its
+    rows and their Jacobian are affine in its members' sensor-frame points,
+    so the cost, J^T J and J^T r at any parameters depend on the members
+    only through n_c, their sum and their second moment: the cluster rows
+    give them exactly as its members' rows would. The scatter rows turn
+    with their cluster and do not enter m_j, and the mean rows are
+    weighted mean-free: sum_c sqrt(n_c) rho_c = 0 for every landmark.
 
-        cost_j = sum_c n_c |W_j (pbar_c - m_j)|^2 + sum_c sum_i |W_j f_ci|^2,
-
-    with m_j = sum_c n_c pbar_c / n_j. So each cluster gives one mean row
-    rho_c = sqrt(n_c) W_j (pbar_c - m_j) and three scatter rows W_j f_ci. If
-    a cluster moves rigidly, every member row and its Jacobian are affine in
-    the member's sensor-frame point, so the cost, J^T J and J^T r at any
-    parameters depend on the members only through n_c, their sum and their
-    second moment: the cluster rows give them exactly. The scatter rows
-    turn with their cluster and do not enter m_j; the mean rows are the
-    member form with weights: sum_c sqrt(n_c) rho_c = 0 for every landmark.
+    Because whitening and mean removal are linear, row r of landmark j has
+    the Jacobian B_r - a_r S_j / n_j: its own whitened motion B_r less a
+    share of S_j = sum_r a_r B_r, with a_r = sqrt(n_c) for a mean row and 0
+    for a scatter row. A `Linearization` therefore needs only each row's
+    own motion and the per-landmark sums (`sums`).
     """
 
     def __init__(self, groups: dict, epsilon: float):
@@ -272,45 +273,25 @@ class FrozenLandmarks:
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        self.chol = np.linalg.cholesky(regularized_inverse(groups["covs"], epsilon))
-        self.sw = np.sqrt(1.0 / self.counts)
-        # W_j = sqrt(w_j) chol_j^T per landmark
-        self.white_lm = self.sw[:, None, None] * np.swapaxes(self.chol, 1, 2)
+        chol = np.linalg.cholesky(regularized_inverse(groups["covs"], epsilon))
+        # W_j = sqrt(1 / n_j) chol_j^T per landmark
+        self.white_lm = np.sqrt(1.0 / self.counts)[:, None, None] * np.swapaxes(chol, 1, 2)
 
-    # per-member gathers, made on first use: the cluster form reads none
-    @cached_property
-    def white_m(self) -> np.ndarray:
-        """W_j per member: B_k = white_m[k] @ dp_k/dtheta."""
-        return self.white_lm[self.member_lm]
-
-    @cached_property
-    def _member_whitening(self) -> tuple:
-        return self.sw[self.member_lm][:, None], self.chol[self.member_lm]
-
-    def sums(self, values: np.ndarray, lm: np.ndarray | None = None) -> np.ndarray:
-        """Per-landmark sums of values whose rows belong to landmarks lm
-        (default: one row per member)."""
-        lm = self.member_lm if lm is None else lm
+    def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
+        """Per-landmark sums of values whose rows belong to landmarks lm."""
         width = int(np.prod(values.shape[1:]))
         bins = (lm[:, None] * width + np.arange(width)).ravel()
         flat = np.bincount(bins, weights=values.ravel(), minlength=self.n_landmarks * width)
         return flat.reshape(self.n_landmarks, *values.shape[1:])
 
-    def residuals(self, points: np.ndarray) -> np.ndarray:
-        """Residual vector (3 per member) with the members at rows of points."""
-        sw_m, chol_m = self._member_whitening
-        d = points[self.member_row] - self.mu_ref[self.member_lm]
-        centered = d - (self.sums(d) / self.counts[:, None])[self.member_lm]
-        return (sw_m * np.einsum("nji,nj->ni", chol_m, centered)).ravel()
-
-    def cluster_residuals(self, lm, sizes, means, factors) -> np.ndarray:
-        """Residual vector (12 per cluster: the mean row, then the three
-        scatter rows) of clusters on landmarks lm with sizes n_c, world-frame
-        means pbar_c (m, 3) and scatter factors F_c (m, 3, 3)."""
+    def residuals(self, lm, sizes, means, factors) -> np.ndarray:
+        """Residual vector of clusters on landmarks lm with sizes n_c (m,),
+        world-frame means pbar_c (m, 3) and scatter factors F_c (m, 3, f):
+        per cluster the mean row, then f scatter rows, 3 entries each."""
         d = means - self.mu_ref[lm]
         shift = self.sums(sizes[:, None] * d, lm) / self.counts[:, None]
         white = self.white_lm[lm]
-        rows = np.empty((len(lm), 4, 3))
+        rows = np.empty((len(lm), 1 + factors.shape[2], 3))
         rows[:, 0] = np.sqrt(sizes)[:, None] * np.einsum("nij,nj->ni", white, d - shift[lm])
         rows[:, 1:] = np.swapaxes(white @ factors, 1, 2)
         return rows.ravel()
@@ -354,19 +335,6 @@ def scatter_factor(scatter: np.ndarray) -> np.ndarray:
     return factor.reshape(m, 3, 3)
 
 
-def point_clusters(points: np.ndarray, starts: np.ndarray):
-    """Size, mean and scatter of each run of points that begins at starts.
-
-    starts are ascending and begin at 0. Returns n_c (m,), pbar_c (m, 3)
-    and C_c = sum (p - pbar_c)(p - pbar_c)^T (m, 3, 3), two-pass.
-    """
-    sizes = np.diff(np.append(starts, len(points)))
-    means = np.add.reduceat(points, starts, axis=0) / sizes[:, None]
-    centered = points - np.repeat(means, sizes, axis=0)
-    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
-    return sizes, means, scatter
-
-
 class Linearization:
     """Normal equations of a frozen system at one parameter vector.
 
@@ -380,9 +348,9 @@ class Linearization:
     points, pinned clouds) do not move. dense (D) is the Jacobian of the
     rows that follow the landmark rows in the residual vector (gravity,
     IMU, prior). Row r of landmark j has the Jacobian B_r - a_r S_j / n_j,
-    with S_j = sum_r a_r B_r over landmark j's rows, a_r = 1 for a member,
-    sqrt(n_c) for a cluster's mean row and 0 for a scatter row (see
-    `FrozenLandmarks`). As sum_r a_r^2 = n_j,
+    with S_j = sum_r a_r B_r over landmark j's rows, a_r = sqrt(n_c) for
+    every mean row and 0 for every scatter row (see `FrozenLandmarks`; a
+    member is a cluster of one, so its a_r is 1). As sum_r a_r^2 = n_j,
 
         J^T J = sum_r B_r^T B_r - sum_j S_j^T S_j / n_j + D^T D
         J^T r = sum_r B_r^T r_r + D^T r_D,
@@ -428,10 +396,10 @@ class _RigidSystem:
     cloud it touches; the fixed points form one more cloud that keeps the
     identity pose, and a pinned cloud keeps its pose. Every cluster moves
     rigidly with its cloud, so it is scored by its size, mean and scatter
-    factor in the cloud's sensor frame (`point_clusters`, `scatter_factor`)
-    through `FrozenLandmarks.cluster_residuals`: 12 rows per cluster, the
-    same cost and normal equations as one row per member (see
-    `FrozenLandmarks`).
+    factor in the cloud's sensor frame (`landmarks.point_clusters`,
+    `scatter_factor`) through `FrozenLandmarks.residuals`: 12 rows per
+    cluster, a mean row and three scatter rows, with the same cost and
+    normal equations as one row per member (see `FrozenLandmarks`).
 
     Perturbing one pose moves only that cloud's clusters, so the
     `Linearization` gets one band per free cloud, over that pose's 6
@@ -466,7 +434,7 @@ class _RigidSystem:
         return out
 
     def freeze(self, params: np.ndarray) -> None:
-        _, groups = freeze_landmarks(self.problem, self.poses(params))
+        groups = freeze_landmarks(self.problem, self.poses(params))
         self.landmarks = lms = FrozenLandmarks(groups, self.problem.voxel.epsilon)
         # cloud of each member, the fixed points as cloud len(clouds); each
         # landmark's members are contiguous and in ascending row order, so
@@ -492,7 +460,7 @@ class _RigidSystem:
             at = slice(self.bounds[c], self.bounds[c + 1])
             means[at] = means[at] @ rots[c].T + pose.trans
             factors[at] = rots[c] @ factors[at]
-        lm_rows = self.landmarks.cluster_residuals(self.cluster_lm, self.sizes, means, factors)
+        lm_rows = self.landmarks.residuals(self.cluster_lm, self.sizes, means, factors)
         gravity = gravity_residual(rots[self.grav_cloud], self.grav_local, self.grav_weight)
         return np.concatenate([lm_rows, gravity.ravel()])
 

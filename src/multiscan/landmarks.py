@@ -4,8 +4,9 @@ A landmark is the point set of one voxel cell, summarized by its member
 count, mean and 1/n covariance: the per-voxel sufficient statistics of
 BALM2 (Liu, Liu & Zhang, arXiv:2209.08854). Cells are laid out twice, once
 coarse and once fine, so a point can contribute to up to two landmarks.
-This module turns no statistic into a weight; `adjustment.FrozenLandmarks`
-alone does.
+`point_clusters` computes every such statistic, here and for the point
+clusters of keyframe adjustment. This module turns no statistic into a
+weight; `adjustment.FrozenLandmarks` alone does.
 
 Landmarks are held as one dict of flat arrays (see `dual_grid_groups`):
 every member is a row of the input point stack, the members of one
@@ -71,19 +72,31 @@ def regularized_inverse(cov: np.ndarray, epsilon: float) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
-def _grouped_mean_cov(points: np.ndarray, gid: np.ndarray, n_groups: int):
-    """Vectorized per-group mean and 1/n covariance (two-pass, stable)."""
-    counts = np.bincount(gid, minlength=n_groups).astype(float)
-    sums = np.stack([np.bincount(gid, weights=points[:, d], minlength=n_groups) for d in range(3)], axis=1)
-    means = sums / counts[:, None]
-    centered = points - means[gid]
-    covs = np.empty((n_groups, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            s = np.bincount(gid, weights=centered[:, a] * centered[:, b], minlength=n_groups)
-            covs[:, a, b] = s / counts
-            covs[:, b, a] = covs[:, a, b]
-    return means, covs, counts
+def point_clusters(points: np.ndarray, starts: np.ndarray):
+    """Size, mean and scatter of each run of points that begins at starts.
+
+    starts are ascending and begin at 0. Returns n_c (m,), pbar_c (m, 3)
+    and C_c = sum (p - pbar_c)(p - pbar_c)^T (m, 3, 3), two-pass.
+    """
+    sizes = np.diff(np.append(starts, len(points)))
+    means = np.add.reduceat(points, starts, axis=0) / sizes[:, None]
+    c = (points - np.repeat(means, sizes, axis=0)).T
+    # the six distinct products, each summed per run, mirrored into 3x3
+    upper = [np.add.reduceat(c[i] * c[j], starts) for i, j in zip(*np.triu_indices(3))]
+    return sizes, means, np.stack(upper, axis=1)[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+
+
+def _landmarks(points: np.ndarray, member_row: np.ndarray, member_group: np.ndarray) -> dict:
+    """The landmark dict of members whose groups are contiguous runs."""
+    starts = np.flatnonzero(np.diff(member_group, prepend=-1))
+    counts, means, scatter = point_clusters(points[member_row], starts)
+    return {
+        "member_row": member_row,
+        "member_group": member_group,
+        "counts": counts,
+        "means": means,
+        "covs": scatter / counts[:, None, None],
+    }
 
 
 def _level_groups(points: np.ndarray, cell_size: float, n_min: int):
@@ -118,20 +131,12 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig):
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     coarse_rows, coarse_gid, coarse_counts = _level_groups(points, voxel.coarse_size, voxel.n_min)
-    fine_rows, fine_gid, fine_counts = _level_groups(points, voxel.fine_size, voxel.n_min)
-    counts = np.concatenate([coarse_counts, fine_counts])
-    if len(counts) == 0:
-        return None
+    fine_rows, fine_gid, _ = _level_groups(points, voxel.fine_size, voxel.n_min)
     member_row = np.concatenate([coarse_rows, fine_rows])
+    if len(member_row) == 0:
+        return None
     member_group = np.concatenate([coarse_gid, fine_gid + len(coarse_counts)])
-    means, covs, _ = _grouped_mean_cov(points[member_row], member_group, len(counts))
-    return {
-        "member_row": member_row,
-        "member_group": member_group,
-        "counts": counts,
-        "means": means,
-        "covs": covs,
-    }
+    return _landmarks(points, member_row, member_group)
 
 
 def split_by_normals(
@@ -147,8 +152,8 @@ def split_by_normals(
     Thin structures scanned from both sides (walls, signs) collapse front
     and back surfaces into one voxel. If a landmark's members are planar on
     average and their normals fall into two opposing clusters, the set is
-    partitioned by the sign of the dot product with the dominant normal
-    and each half gets fresh statistics. Both halves must keep more than
+    partitioned by the sign of the dot product with the dominant normal.
+    Both halves must keep more than
     n_min members, otherwise the landmark stays whole. So does a landmark
     with any member whose planarity is not finite or whose normal is
     shorter than 0.5 (undefined).
@@ -158,7 +163,9 @@ def split_by_normals(
     `dual_grid_groups`; the two halves of a split landmark take its place
     in the order, the half holding its first member first. The regrouping
     is a stable sort, so each half keeps its members in ascending row
-    order, as every landmark of the input has them.
+    order, as every landmark of the input has them, and every landmark's
+    statistics are recomputed as `dual_grid_groups` computes them: an
+    unsplit landmark's come out bitwise equal to its input's.
     """
     rows, gid, counts = groups["member_row"], groups["member_group"], groups["counts"]
     n_groups = len(counts)
@@ -200,22 +207,4 @@ def split_by_normals(
     width = 1 + split.astype(np.int64)
     new_gid = (np.cumsum(width) - width)[gid] + second_half
     order = np.argsort(new_gid, kind="stable")
-    member_row, member_group = rows[order], new_gid[order]
-    parent = np.repeat(np.arange(n_groups), width)
-    means = groups["means"][parent]
-    covs = groups["covs"][parent]
-    fresh = split[parent]
-    in_fresh = fresh[member_group]
-    local = np.cumsum(fresh) - 1
-    means[fresh], covs[fresh], _ = _grouped_mean_cov(
-        np.asarray(points, dtype=float)[member_row[in_fresh]],
-        local[member_group[in_fresh]],
-        int(fresh.sum()),
-    )
-    return {
-        "member_row": member_row,
-        "member_group": member_group,
-        "counts": np.bincount(member_group, minlength=len(parent)),
-        "means": means,
-        "covs": covs,
-    }
+    return _landmarks(np.asarray(points, dtype=float), rows[order], new_gid[order])

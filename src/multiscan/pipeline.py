@@ -101,11 +101,13 @@ class PipelineConfig:
         for name in ("window_duration", "control_spacing", "buffer_capacity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"config key {name!r} must be positive")
-        # a point's normal and planarity need a plane through its neighbours
-        if not (isinstance(self.k_neighbors, (int, np.integer)) and self.k_neighbors >= 3):
-            raise ValueError(
-                f"config key 'k_neighbors' must be an integer >= 3, got {self.k_neighbors!r}"
-            )
+        # a point's normal and planarity need a plane through its neighbours;
+        # the keyframe counts slice the keyframe list
+        for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value >= least):
+                raise ValueError(f"config key {name!r} must be an integer >= {least}, got {value!r}")
 
 
 def _parse_like(key: str, raw: str, default):
@@ -448,8 +450,12 @@ class _WindowSystem:
         return self.prior_weights * (params - self.prior_params)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
+        # every member is a cluster of one: size 1, no scatter columns
+        lms = self.landmarks
+        n = len(lms.member_lm)
         return np.concatenate([
-            self.landmarks.residuals(self.world_points(params)),
+            lms.residuals(lms.member_lm, np.ones(n), self.world_points(params)[lms.member_row],
+                          np.empty((n, 3, 0))),
             self.imu_rows(params),
             self.prior_rows(params),
         ])
@@ -464,7 +470,8 @@ class _WindowSystem:
         # motion under the two end poses' rotations, W times the Hermite
         # weight under each translation
         slot = self.member_slot
-        white = self.landmarks.white_m[self.order]
+        member_lm = self.landmarks.member_lm
+        white = self.landmarks.white_lm[member_lm[self.order]]
         raw = self.sensor_points[self.landmarks.member_row[self.order]]
         weights = self.hermite_weights[slot]
         block = np.empty((len(slot), 3, 6 + 3 * weights.shape[1]))
@@ -475,7 +482,6 @@ class _WindowSystem:
             white[:, :, None, :], weights[:, None, :, None],
             out=block[:, :, 6:].reshape(len(slot), 3, -1, 3),
         )
-        member_lm = self.landmarks.member_lm
         bands = [
             (self.order[lo:hi], cols, block[lo:hi], member_lm[self.order[lo:hi]], block[lo:hi])
             for cols, lo, hi in zip(self.segment_cols, self.member_bounds, self.member_bounds[1:])

@@ -16,13 +16,12 @@ from multiscan.adjustment import (
     gravity_residual,
     levenberg_marquardt,
     lm_step,
-    point_clusters,
     relative_pose_errors,
     run_adjustment,
     scatter_factor,
 )
 from multiscan.geometry import Pose, PointCloud
-from multiscan.landmarks import VoxelConfig, _level_groups, voxel_cell_indices
+from multiscan.landmarks import VoxelConfig, _level_groups, point_clusters, voxel_cell_indices
 from multiscan.synthetic import generate_synthetic, room_scene
 from secants import assert_normal_equations_match_secant_jacobian
 
@@ -187,7 +186,7 @@ class TestNumericJacobian:
             system, params = frozen_system(prob, init)
             assert system.free == [0, 1]
             assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
-            _, plain = freeze_landmarks(
+            plain = freeze_landmarks(
                 AdjustmentProblem(clouds=clouds, initial_poses=init, fixed_points=prob.fixed_points),
                 init,
             )
@@ -201,13 +200,15 @@ def member_cost(system, frozen, params):
     """The landmark cost with one row per member, on the landmarks that
     system froze at frozen, with its clouds at params."""
     prob = system.problem
-    _, groups = freeze_landmarks(prob, system.poses(frozen))
+    lms = FrozenLandmarks(freeze_landmarks(prob, system.poses(frozen)), prob.voxel.epsilon)
     poses = system.poses(params)
     world = np.vstack(
         [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)] + [prob.fixed_points]
     )
-    r = FrozenLandmarks(groups, prob.voxel.epsilon).residuals(world)
-    return r @ r
+    p = world[lms.member_row]
+    m = lms.sums(p, lms.member_lm) / lms.counts[:, None]
+    r = np.einsum("nij,nj->ni", lms.white_lm[lms.member_lm], p - m[lms.member_lm])
+    return float(np.sum(r * r))
 
 
 def cluster_cost(system, params):
@@ -253,6 +254,18 @@ class TestPointClusters:
         # a single point has a zero scatter and a zero factor
         single = sizes == 1
         assert single.any() and not np.any(factor[single])
+
+    def test_single_point_runs(self):
+        # runs of one point, also back to back and last, have the point as
+        # their mean and an exactly zero scatter
+        rng = np.random.default_rng(33)
+        points = rng.uniform(-10.0, 10.0, size=(12, 3))
+        starts = np.array([0, 1, 2, 6, 7, 11])
+        sizes, means, scatter = point_clusters(points, starts)
+        assert sizes.tolist() == [1, 1, 4, 1, 4, 1]
+        single = sizes == 1
+        assert np.array_equal(means[single], points[starts[single]])
+        assert not np.any(scatter[single]) and np.all(np.linalg.eigvalsh(scatter[~single]) > 0.0)
 
     def test_cluster_cost_equals_member_cost(self):
         # the 12 rows of a cluster score its members exactly, at the frozen
@@ -677,8 +690,9 @@ class TestFreezeWithSplitting:
             clouds=clouds, initial_poses=[Pose.identity()] * 2,
             split_normals=True, planarity_min=0.5,
         )
-        pts, plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
-        _, split = freeze_landmarks(prob_split, prob_split.initial_poses)
+        pts = np.vstack([front, back])
+        plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
+        split = freeze_landmarks(prob_split, prob_split.initial_poses)
         assert len(split["counts"]) > len(plain["counts"])
         # the two halves of a split landmark take its place in the order, and
         # together hold its members, which lie in one cell at its level

@@ -4,10 +4,10 @@ import pytest
 from multiscan.adjustment import FrozenLandmarks
 from multiscan.landmarks import (
     VoxelConfig,
-    _grouped_mean_cov,
     _level_groups,
     dual_grid_groups,
     pack_cell_indices,
+    point_clusters,
     regularized_inverse,
     split_by_normals,
     voxel_cell_indices,
@@ -48,8 +48,8 @@ def group_keys(groups, points, voxel):
 
 def stats(points):
     """Mean and 1/n covariance of one point set."""
-    means, covs, _ = _grouped_mean_cov(points, np.zeros(len(points), dtype=np.int64), 1)
-    return means[0], covs[0]
+    sizes, means, scatter = point_clusters(points, np.array([0]))
+    return means[0], scatter[0] / sizes[0]
 
 
 class TestVoxelizeDual:
@@ -196,13 +196,13 @@ class TestTraceIdentity:
 def one_landmark(points):
     """Groups dict holding all points as one fine landmark."""
     n = len(points)
-    means, covs, _ = _grouped_mean_cov(points, np.zeros(n, dtype=np.int64), 1)
+    mean, cov = stats(points)
     return {
         "member_row": np.arange(n),
         "member_group": np.zeros(n, dtype=np.int64),
         "counts": np.array([n]),
-        "means": means,
-        "covs": covs,
+        "means": mean[None],
+        "covs": cov[None],
     }
 
 
@@ -293,6 +293,23 @@ class TestSplitByNormals:
             assert np.all(voxel_cell_indices(pts[rows_got], key[3]) == key[:3])
 
 
+def test_unsplit_landmarks_keep_their_statistics_bitwise():
+    # split_by_normals recomputes every landmark's statistics as
+    # dual_grid_groups does, so a landmark it leaves whole keeps them exactly
+    pts, normals, planarity = oracle_scene()
+    groups = dual_grid_groups(pts, GRID)
+    out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+    parent = {tuple(rows.tolist()): g for g, rows in enumerate(group_rows(groups))}
+    kept = 0
+    for g, rows in enumerate(group_rows(out)):
+        j = parent.get(tuple(rows.tolist()))
+        if j is not None:
+            kept += 1
+            assert np.array_equal(out["means"][g], groups["means"][j])
+            assert np.array_equal(out["covs"][g], groups["covs"][j])
+    assert 0 < kept < len(out["counts"])
+
+
 def test_members_ascend_within_each_landmark():
     # keyframe adjustment reads the members a landmark takes from one scan
     # of the point stack as one run; split halves keep the order too
@@ -326,8 +343,8 @@ def oracle_scene():
 class TestFrozenLandmarks:
     @pytest.mark.parametrize("epsilon", [1e-4, 0.0])
     def test_whitening_is_regularized_inverse(self, epsilon):
-        # the one place where statistics become weights: white_m of member k
-        # of landmark j is sqrt(1/n_j) chol((Sigma_j + epsilon I)^-1)^T, on
+        # the one place where statistics become weights: white_lm of landmark
+        # j is sqrt(1/n_j) chol((Sigma_j + epsilon I)^-1)^T, on
         # split and unsplit landmarks alike
         pts, normals, planarity = oracle_scene()
         groups = dual_grid_groups(pts, GRID)
@@ -340,4 +357,4 @@ class TestFrozenLandmarks:
         for j, rows in enumerate(parts):
             cov = np.cov(pts[rows].T, bias=True)
             white = np.sqrt(1.0 / len(rows)) * np.linalg.cholesky(np.linalg.inv(cov + epsilon * np.eye(3))).T
-            assert np.allclose(lms.white_m[lms.member_lm == j], white, rtol=0.0, atol=1e-12)
+            assert np.allclose(lms.white_lm[j], white, rtol=0.0, atol=1e-12)

@@ -113,7 +113,20 @@ def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
     system, at = corridor_window
     lms = system.landmarks
     r = system.residuals(at)[: 3 * len(lms.member_lm)].reshape(-1, 3)
-    assert np.abs(lms.sums(r)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
+    assert np.abs(lms.sums(r, lms.member_lm)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
+
+
+def test_window_landmark_rows_are_member_rows(corridor_window):
+    # a window member is a cluster of one, whose one row is the per-member
+    # W_j (d_k - mean(d_j)), d_k = p_k - mu_j
+    system, at = corridor_window
+    lms = system.landmarks
+    lm = lms.member_lm
+    d = system.world_points(at)[lms.member_row] - lms.mu_ref[lm]
+    mean = np.stack([np.bincount(lm, weights=d[:, a]) for a in range(3)], axis=1) / lms.counts[:, None]
+    expected = np.einsum("nij,nj->ni", lms.white_lm[lm], d - mean[lm])
+    r = system.residuals(at)[: 3 * len(lm)].reshape(-1, 3)
+    assert np.allclose(r, expected, rtol=0.0, atol=1e-12)
 
 
 def test_window_imu_block_matches_imu_rows_secant(corridor_window):
@@ -367,3 +380,12 @@ def test_config_rejects_non_integer_counts():
     with pytest.raises(ValueError, match="k_neighbors"):
         PipelineConfig(k_neighbors=10.0)
     assert PipelineConfig(k_neighbors=3, voxel=VoxelConfig(n_min=0)).k_neighbors == 3
+    # the keyframe counts slice the keyframe list
+    for key, value in [
+        ("kf_fallback_window", 2.5), ("kf_fallback_window", 0), ("kf_fallback_window", True),
+        ("kf_anchor_count", 3.0), ("kf_anchor_count", -1), ("kf_anchor_count", False),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig(**{key: value})
+    config = PipelineConfig(kf_fallback_window=np.int64(1), kf_anchor_count=0)
+    assert (config.kf_fallback_window, config.kf_anchor_count) == (1, 0)
