@@ -126,6 +126,9 @@ class AdjustmentProblem:
             ok = isinstance(con.cloud_id, (int, np.integer)) and 0 <= con.cloud_id < len(self.clouds)
             if not ok:
                 raise ValueError(f"gravity cloud_id {con.cloud_id!r} is not an index of the clouds")
+        # planarity lies in [0, 1]; split_normals=False switches splitting off
+        if not 0.0 <= self.planarity_min <= 1.0:
+            raise ValueError(f"planarity_min must lie in [0, 1], got {self.planarity_min}")
         fixed = np.zeros((0, 3)) if self.fixed_points is None else self.fixed_points
         self.fixed_points = np.asarray(fixed, dtype=float).reshape(-1, 3)
 

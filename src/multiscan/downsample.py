@@ -24,10 +24,20 @@ class DownsampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.levels) != 4 or np.any(np.diff(self.levels) >= 0.0):
-            raise ValueError("levels must be 4 strictly decreasing grid sizes")
-        if self.min_points <= 0:
-            raise ValueError("min_points must be positive")
+        levels = np.asarray(self.levels, dtype=float)
+        ok = levels.shape == (4,) and np.all(np.isfinite(levels)) and levels[-1] > 0.0
+        if not (ok and np.all(np.diff(levels) < 0.0)):
+            raise ValueError(
+                f"downsample levels must be 4 finite, positive, strictly decreasing "
+                f"grid sizes, got {self.levels!r}"
+            )
+        for name, least in (("min_points", 1), ("seed", 0)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and value >= least):
+                raise ValueError(f"downsample {name} must be an integer >= {least}, got {value!r}")
+        if not (np.isfinite(self.trim_range) and self.trim_range >= 0.0):
+            raise ValueError(f"downsample trim_range must be finite and >= 0, got {self.trim_range}")
 
 
 def grid_random_filter(cloud: PointCloud, grid_size: float, seed: int = 0) -> PointCloud:

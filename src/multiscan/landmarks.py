@@ -24,6 +24,8 @@ import numpy as np
 # voxel index packing: each shifted index must fit in 20 bits
 _PACK_OFFSET = 1 << 19
 _PACK_LIMIT = 1 << 20
+# split_by_normals' cone bound: cos 30 degrees (any half-angle below 45 is exact)
+_CONE_COS = np.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class VoxelConfig:
             )
         if self.epsilon < 0.0:
             raise ValueError(f"voxel epsilon must be >= 0, got {self.epsilon}")
-        if not (isinstance(self.n_min, (int, np.integer)) and self.n_min >= 0):
+        integer = isinstance(self.n_min, (int, np.integer)) and not isinstance(self.n_min, bool)
+        if not (integer and self.n_min >= 0):
             raise ValueError(f"voxel n_min must be an integer >= 0, got {self.n_min!r}")
 
 
@@ -153,56 +156,89 @@ def split_by_normals(
     and back surfaces into one voxel. If a landmark's members are planar on
     average and their normals fall into two opposing clusters, the set is
     partitioned by the sign of the dot product with the dominant normal.
-    Both halves must keep more than
-    n_min members, otherwise the landmark stays whole. So does a landmark
-    with any member whose planarity is not finite or whose normal is
-    shorter than 0.5 (undefined).
+    A landmark splits only when the normal sums of its two sides have a
+    negative dot product and both halves keep more than n_min members;
+    otherwise it stays whole. So does a landmark with any member whose
+    planarity is not finite or whose normal is shorter than 0.5 (undefined).
+
+    A cone bound settles most landmarks before the normal scatter and its
+    eigenvector: a landmark whose every member normal n lies within 30
+    degrees of its first member's n0, n . n0 > cos 30 |n| |n0|, cannot
+    split. Every partial sum of its normals lies in that convex cone, so
+    the two side sums meet at under 60 degrees and their dot product is
+    either 0 (one side empty) or at least half the product of their norms,
+    far from rounding. Any half-angle below 45 degrees would be exact. Only
+    the landmarks the bound leaves open are tested in full, each on its
+    members in their order, so every answer is bitwise the full test's.
 
     points, normals and planarities are aligned with the rows that
     groups["member_row"] indexes. The result has the layout of
     `dual_grid_groups`; the two halves of a split landmark take its place
-    in the order, the half holding its first member first. The regrouping
-    is a stable sort, so each half keeps its members in ascending row
-    order, as every landmark of the input has them, and every landmark's
-    statistics are recomputed as `dual_grid_groups` computes them: an
-    unsplit landmark's come out bitwise equal to its input's.
+    in the order, the half holding its first member first. When nothing
+    splits the result is groups itself. The regrouping is a stable sort,
+    so each half keeps its members in ascending row order, as every
+    landmark of the input has them, and every landmark's statistics are
+    recomputed as `dual_grid_groups` computes them: an unsplit landmark's
+    come out bitwise equal to its input's.
     """
     rows, gid, counts = groups["member_row"], groups["member_group"], groups["counts"]
     n_groups = len(counts)
-    n = np.asarray(normals, dtype=float)[rows]
-    plan = np.asarray(planarities, dtype=float)[rows]
+    normals = np.asarray(normals, dtype=float)
+    plan = np.asarray(planarities, dtype=float).take(rows)
+    finite = np.isfinite(plan)
+    first = np.cumsum(counts) - counts
+
+    def members(chosen):
+        """Positions of the chosen landmarks' members, in order, and their landmarks."""
+        at = np.flatnonzero(chosen[gid])
+        return at, gid[at]
+
+    def any_member(values, of):
+        return np.bincount(of, weights=values, minlength=n_groups) > 0
+
+    mean_plan = np.bincount(gid, weights=np.where(finite, plan, 0.0), minlength=n_groups) / counts
+    planar = mean_plan >= planarity_min
+    # the cone bound, on the members of planar landmarks; lead is each one's
+    # first member among them
+    at, of = members(planar)
+    lead = np.searchsorted(at, first[of])
+    n = normals.take(rows[at], axis=0)
+    length = np.linalg.norm(n, axis=1)
+    undefined = ~finite[at] | (length < 0.5)
+    outside = np.einsum("ni,ni->n", n, n[lead]) <= _CONE_COS * length * length[lead]
+    open_ = planar & ~any_member(undefined, of) & any_member(outside, of)
+    if not np.any(open_):
+        return groups
+
+    # the full test on the open landmarks' members; local numbers those landmarks 0, 1, ...
+    at, of = members(open_)
+    n = normals.take(rows[at], axis=0)
+    local = (np.cumsum(open_) - 1)[of]
 
     def per_group(values):
-        return np.bincount(gid, weights=values, minlength=n_groups)
+        return np.bincount(local, weights=values)
 
-    finite = np.isfinite(plan)
-    undefined = ~finite | (np.linalg.norm(n, axis=1) < 0.5)
-    candidate = (per_group(undefined) == 0) & (
-        per_group(np.where(finite, plan, 0.0)) / counts >= planarity_min
-    )
     # dominant direction: principal eigenvector of the normal scatter,
     # sign-invariant so +n and -n vote for the same axis
     scatter = np.stack(
         [per_group(n[:, a] * n[:, b]) for a in range(3) for b in range(3)], axis=1
     ).reshape(-1, 3, 3)
-    dominant = np.zeros((n_groups, 3))
-    if np.any(candidate):
-        dominant[candidate] = np.linalg.eigh(scatter[candidate])[1][:, :, -1]
-    side = np.einsum("ni,ni->n", n, dominant[gid]) >= 0.0
-    n_pos = per_group(side)
-    sum_pos = np.stack([per_group(np.where(side, n[:, a], 0.0)) for a in range(3)], axis=1)
-    sum_neg = np.stack([per_group(np.where(side, 0.0, n[:, a])) for a in range(3)], axis=1)
-    split = (
-        candidate
-        & (np.minimum(n_pos, counts - n_pos) > n_min)
-        & (np.einsum("gi,gi->g", sum_pos, sum_neg) < 0.0)
+    dominant = np.linalg.eigh(scatter)[1][:, :, -1]
+    side_open = np.einsum("ni,ni->n", n, dominant[local]) >= 0.0
+    n_pos = per_group(side_open)
+    sum_pos = np.stack([per_group(np.where(side_open, n[:, a], 0.0)) for a in range(3)], axis=1)
+    sum_neg = np.stack([per_group(np.where(side_open, 0.0, n[:, a])) for a in range(3)], axis=1)
+    split = np.zeros(n_groups, dtype=bool)
+    split[open_] = (np.minimum(n_pos, counts[open_] - n_pos) > n_min) & (
+        np.einsum("gi,gi->g", sum_pos, sum_neg) < 0.0
     )
     if not np.any(split):
         return groups
 
     # the first member's half comes first, so the outcome does not depend on
     # the eigenvector's arbitrary sign
-    first = np.cumsum(counts) - counts
+    side = np.zeros(len(gid), dtype=bool)
+    side[at] = side_open
     second_half = split[gid] & (side != side[first][gid])
     width = 1 + split.astype(np.int64)
     new_gid = (np.cumsum(width) - width)[gid] + second_half

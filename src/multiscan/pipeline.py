@@ -101,6 +101,8 @@ class PipelineConfig:
         for name in ("window_duration", "control_spacing", "buffer_capacity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"config key {name!r} must be positive")
+        if not 0.0 <= self.planarity_min <= 1.0:
+            raise ValueError(f"config key 'planarity_min' must lie in [0, 1], got {self.planarity_min}")
         # a point's normal and planarity need a plane through its neighbours;
         # the keyframe counts slice the keyframe list
         for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0)):

@@ -517,6 +517,16 @@ class TestGravityResidual:
 
 
 class TestAdjustmentProblem:
+    @pytest.mark.parametrize("planarity_min", [np.nan, 2.0, -1.0])
+    def test_rejects_planarity_min_outside_unit_interval(self, planarity_min):
+        # above 1 or NaN no landmark could split; below 0 every one would be tested
+        clouds = [PointCloud(points=np.zeros((4, 3)))] * 2
+        with pytest.raises(ValueError, match="planarity_min"):
+            AdjustmentProblem(
+                clouds=clouds, initial_poses=[Pose.identity()] * 2,
+                split_normals=True, planarity_min=planarity_min,
+            )
+
     @pytest.mark.parametrize("cloud_id", [-1, 3, 1.0])
     def test_rejects_gravity_cloud_id_outside_the_clouds(self, cloud_id):
         # -1 would read the last cloud's residual with no Jacobian row, and

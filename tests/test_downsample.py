@@ -119,3 +119,16 @@ class TestAdaptiveDownsample:
             DownsampleConfig(levels=(1.0, 0.5, 0.6, 0.1))
         with pytest.raises(ValueError):
             DownsampleConfig(min_points=0)
+
+    @pytest.mark.parametrize("name, value", [
+        # a NaN level passed the order test and failed in the grid packing
+        ("levels", (np.nan, 0.5, 0.25, 0.1)),
+        ("levels", (1.0, 0.5, 0.25, 0.0)),
+        ("min_points", 2.5),
+        ("min_points", True),
+        ("trim_range", np.nan),
+        ("seed", 1.5),
+    ])
+    def test_config_rejects_values_that_fail_later(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DownsampleConfig(**{name: value})

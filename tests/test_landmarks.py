@@ -293,6 +293,71 @@ class TestSplitByNormals:
             assert np.all(voxel_cell_indices(pts[rows_got], key[3]) == key[:3])
 
 
+def tilted_normals(n_each, degrees, length=1.0):
+    """The z axis, then n_each normals at +degrees and n_each at -degrees about it in xz."""
+    a = np.radians(degrees)
+    tilted = length * np.array([[np.sin(a), 0.0, np.cos(a)], [-np.sin(a), 0.0, np.cos(a)]])
+    return np.vstack([[0.0, 0.0, 1.0], np.repeat(tilted, n_each, axis=0)])
+
+
+class TestConeBound:
+    """split_by_normals settles a landmark whose normals all lie within 30
+    degrees of its first member's; each case is checked against the
+    per-landmark rule, which knows no bound."""
+
+    def check_against_oracle(self, normals, rng):
+        pts = rng.uniform(0.0, 0.5, size=(len(normals), 3))
+        groups = one_landmark(pts)
+        rows = np.arange(len(pts))
+        planarity = np.ones(len(pts))
+        expected = split_oracle(rows, normals, planarity, 0.5, 5)
+        out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+        got = group_rows(out)
+        assert len(got) == len(expected)
+        for rows_got, rows_exp in zip(got, expected):
+            assert np.array_equal(rows_got, rows_exp)
+        return groups, out, expected
+
+    def test_normals_just_past_45_degrees_split(self):
+        # at +-46 degrees the two sides meet at 92 degrees: the rule splits,
+        # so a bound wider than 46 degrees would keep this landmark whole
+        _, _, expected = self.check_against_oracle(tilted_normals(25, 46.0), np.random.default_rng(11))
+        assert len(expected) == 2
+
+    def test_bound_weighs_normal_lengths(self):
+        # normals of length 2 at 46 degrees have n . n0 = 1.39 > cos 30 = 0.87;
+        # only the lengths keep them outside the cone
+        normals = tilted_normals(25, 46.0, length=2.0)
+        _, _, expected = self.check_against_oracle(normals, np.random.default_rng(12))
+        assert len(expected) == 2
+
+    def test_one_sided_cell_returns_its_input(self):
+        rng = np.random.default_rng(13)
+        polar = np.radians(rng.uniform(0.0, 25.0, 40))
+        polar[0] = 0.0
+        azimuth = rng.uniform(0.0, 2 * np.pi, 40)
+        normals = np.stack(
+            [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1
+        )
+        groups, out, expected = self.check_against_oracle(normals, rng)
+        assert len(expected) == 1
+        assert out is groups
+
+    def test_oracle_scene_has_landmarks_on_both_sides_of_the_bound(self):
+        # the oracle tests above and below cover settled and open landmarks
+        pts, normals, planarity = oracle_scene()
+        groups = dual_grid_groups(pts, GRID)
+        inside = []
+        for rows in group_rows(groups):
+            n, n0 = normals[rows], normals[rows[0]]
+            defined = np.all(np.linalg.norm(n, axis=1) >= 0.5)
+            planar = planarity[rows].mean() >= 0.5
+            if defined and planar:
+                cos = n @ n0 / (np.linalg.norm(n, axis=1) * np.linalg.norm(n0))
+                inside.append(bool(np.all(cos > np.cos(np.radians(30.0)))))
+        assert any(inside) and not all(inside)
+
+
 def test_unsplit_landmarks_keep_their_statistics_bitwise():
     # split_by_normals recomputes every landmark's statistics as
     # dual_grid_groups does, so a landmark it leaves whole keeps them exactly

@@ -7,6 +7,7 @@ import pytest
 from multiscan.geometry import PointCloud, rotvec_to_matrix
 from multiscan.imu import ImuSample
 from multiscan.adjustment import LMConfig
+from multiscan.downsample import DownsampleConfig
 from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
     OdometryPipeline,
@@ -355,19 +356,24 @@ def test_config_from_dict_rejects_unknown_keys(key):
     ("k_neighbors", "ten"),
     ("voxel_n_min", "2.5"),
     ("overlap_max", "abc"),
+    ("downsample_levels", "nan 0.5 0.25 0.1"),
+    ("downsample_trim_range", "nan"),
+    ("planarity_min", "2.0"),
+    ("planarity_min", "-1"),
 ])
 def test_config_from_dict_rejects_bad_values(key, raw):
     # the dict reader names the key, also for a value that does not parse
     group, _, name = key.partition("_")
-    with pytest.raises(ValueError, match=name if group == "voxel" else key):
+    nested = group in ("voxel", "downsample")
+    with pytest.raises(ValueError, match=name if nested else key):
         pipeline_config_from_dict({key: raw})
     try:
         value = float(raw)
     except ValueError:
         return
-    if group == "voxel":
+    if nested:
         with pytest.raises(ValueError, match=name):
-            VoxelConfig(**{name: value})
+            (VoxelConfig if group == "voxel" else DownsampleConfig)(**{name: value})
         return
     with pytest.raises(ValueError, match=key):
         PipelineConfig(**{key: value})
@@ -377,6 +383,8 @@ def test_config_rejects_non_integer_counts():
     # a float count would reach a k-d tree query or a cell-size comparison
     with pytest.raises(ValueError, match="n_min"):
         VoxelConfig(n_min=2.5)
+    with pytest.raises(ValueError, match="n_min"):
+        VoxelConfig(n_min=True)
     with pytest.raises(ValueError, match="k_neighbors"):
         PipelineConfig(k_neighbors=10.0)
     assert PipelineConfig(k_neighbors=3, voxel=VoxelConfig(n_min=0)).k_neighbors == 3
