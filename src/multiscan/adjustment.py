@@ -1,11 +1,12 @@
 """Joint fine registration of multiple scans against voxel landmarks.
 
-The optimizer minimizes, over the scan poses, the Mahalanobis scatter of
-all transformed points within their voxel cells:
+The optimizer minimizes, over the scan poses, the scatter of all
+transformed points within their voxel cells along each cell's normal:
 
-    sum_j (1 / n_j) * sum_k (p_k - mu_j)^T Omega_j (p_k - mu_j)
+    sum_j sum_k (w_j . (p_k - mu_j))^2,  w_j = v_j / sqrt(n_j (lambda_j + eps))
 
-where Omega_j weights cell j by its covariance (see `FrozenLandmarks`).
+where (lambda_j, v_j) is the smallest eigenpair of cell j's covariance (see
+`FrozenLandmarks`).
 
 Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
 current parameters: it re-voxelizes the merged cloud and recomputes the
@@ -29,13 +30,13 @@ through their count, sum and scatter: the point-cluster statistics of BALM2
 map scale. `_RigidSystem` therefore scores one cluster per (landmark,
 cloud) pair, 4 rows instead of one per member, with the same cost, J^T J
 and J^T r.
-During those steps only the membership and the inverse covariances are
-held constant; the cell means follow the moving points, so every cell
-scores the current scatter of its own members. A cell whose members move
+During those steps only the membership and the weights are held
+constant; the cell means follow the moving points, so every cell scores
+the current scatter of its own members. A cell whose members move
 rigidly together is invariant, while a cell mixing misaligned scans is
 driven toward agreement. Cells full of inconsistent geometry (dynamic
-objects) keep a broad covariance and therefore little weight, which is
-why no outlier rejection is needed.
+objects) have a large smallest eigenvalue and therefore little weight,
+which is why no outlier rejection is needed.
 
 Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
 move. The driver sees a system only through three methods, freeze,
@@ -63,7 +64,7 @@ import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, left_jacobian, rotvec_to_matrix
 from multiscan.landmarks import (
-    VoxelConfig, dual_grid_groups, point_clusters, regularized_inverse, split_by_normals,
+    VoxelConfig, dual_grid_groups, point_clusters, split_by_normals,
 )
 
 # world direction that every gravity constraint ties its cloud's direction to
@@ -215,7 +216,9 @@ def gravity_residual(rots: np.ndarray, directions_local: np.ndarray, weights: np
 
 
 def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=None) -> np.ndarray:
-    """Whitened motion -W [R x]x turn, (..., 3, m), of points R x (..., 3).
+    """Whitened motion -W [R x]x turn, (..., k, m), of points R x (..., 3)
+    under weight rows W (..., k, 3): one row for a landmark's w_j, three for
+    a gravity or IMU block.
 
     Exp(w) turns R x by -[R x]x w to first order, and row i of -W [R x]x
     is (R x) cross W_i. turn (..., 3, m) maps parameters to the world-frame
@@ -230,27 +233,30 @@ class FrozenLandmarks:
     Built from the statistics of `dual_grid_groups` (or `split_by_normals`):
     this is the one place where they become weights. Landmark j, with n_j
     members p_k, mean mu_j and 1/n covariance Sigma_j at freezing, scores
-    the scatter of its members about their current mean m_j,
+    the scatter of its members about their current mean m_j along its
+    normal v_j, the eigenvector of Sigma_j's smallest eigenvalue lambda_j:
 
-        cost_j = (1 / n_j) * sum_k (p_k - m_j)^T Omega_j (p_k - m_j),
-        Omega_j = (Sigma_j + epsilon I)^-1  (`regularized_inverse`).
+        cost_j = sum_k (w_j . (p_k - m_j))^2,
+        w_j = v_j / sqrt(n_j (lambda_j + epsilon)).
 
-    At the frozen points and with epsilon = 0, cost_j is exactly 3 (trace
-    identity); epsilon > 0 keeps Omega_j finite for a flat or linear cell.
-    Membership and Omega_j are frozen; each cell's mean follows its members.
+    This is the plane factor of BALM2 (Liu, Liu & Zhang, arXiv:2209.08854)
+    and the point-to-plane term of CT-ICP (arXiv:2109.12979): in-plane
+    scatter costs nothing. At the frozen points and with epsilon = 0,
+    cost_j = v_j^T Sigma_j v_j / lambda_j is exactly 1 per landmark;
+    epsilon > 0 keeps w_j finite for a flat cell. Membership and w_j are
+    frozen; each cell's mean follows its members.
 
-    The cost is scored on point clusters (`residuals`). Split landmark j's
-    members into clusters c of n_c points with mean pbar_c and scatter
-    C_c = sum (p - pbar_c)(p - pbar_c)^T = F_c F_c^T. The cross terms vanish
-    within each cluster, so with W_j = sqrt(1 / n_j) chol(Omega_j)^T
-    (`white_lm`) and d_c = pbar_c - mu_j,
+    The cost is scored on point clusters (`residuals`), one scalar per row.
+    Split landmark j's members into clusters c of n_c points with mean
+    pbar_c and scatter C_c = sum (p - pbar_c)(p - pbar_c)^T = F_c F_c^T.
+    The cross terms vanish within each cluster, so with d_c = pbar_c - mu_j,
 
-        cost_j = sum_c |rho_c|^2 + sum_c sum_i |W_j f_ci|^2,
-        rho_c = sqrt(n_c) W_j (d_c - sum_c' n_c' d_c' / n_j),
+        cost_j = sum_c rho_c^2 + sum_c sum_i (w_j . f_ci)^2,
+        rho_c = sqrt(n_c) w_j . (d_c - sum_c' n_c' d_c' / n_j),
 
-    one mean row rho_c and one scatter row W_j f_ci per column of F_c. A
+    one mean row rho_c and one scatter row w_j . f_ci per column of F_c. A
     member is a cluster of one: n_c = 1, F_c has no columns, and its one
-    row is W_j (d_k - mean(d_j)). The odometry window scores its members
+    row is w_j . (d_k - mean(d_j)). The odometry window scores its members
     so; keyframe adjustment scores one cluster per (landmark, cloud) pair.
 
     The rows are affine in the point positions, so damped normal-equation
@@ -276,9 +282,9 @@ class FrozenLandmarks:
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        chol = np.linalg.cholesky(regularized_inverse(groups["covs"], epsilon))
-        # W_j = sqrt(1 / n_j) chol_j^T per landmark
-        self.white_lm = np.sqrt(1.0 / self.counts)[:, None, None] * np.swapaxes(chol, 1, 2)
+        evals, evecs = np.linalg.eigh(groups["covs"])  # ascending
+        # w_j = v_min / sqrt(n_j (lambda_min + epsilon)) per landmark
+        self.white_lm = evecs[:, :, 0] / np.sqrt(self.counts * (evals[:, 0] + epsilon))[:, None]
 
     def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
         """Per-landmark sums of values whose rows belong to landmarks lm."""
@@ -290,13 +296,13 @@ class FrozenLandmarks:
     def residuals(self, lm, sizes, means, factors) -> np.ndarray:
         """Residual vector of clusters on landmarks lm with sizes n_c (m,),
         world-frame means pbar_c (m, 3) and scatter factors F_c (m, 3, f):
-        per cluster the mean row, then f scatter rows, 3 entries each."""
+        per cluster the mean row, then f scatter rows, one scalar each."""
         d = means - self.mu_ref[lm]
         shift = self.sums(sizes[:, None] * d, lm) / self.counts[:, None]
         white = self.white_lm[lm]
-        rows = np.empty((len(lm), 1 + factors.shape[2], 3))
-        rows[:, 0] = np.sqrt(sizes)[:, None] * np.einsum("nij,nj->ni", white, d - shift[lm])
-        rows[:, 1:] = np.swapaxes(white @ factors, 1, 2)
+        rows = np.empty((len(lm), 1 + factors.shape[2]))
+        rows[:, 0] = np.sqrt(sizes) * np.einsum("ni,ni->n", white, d - shift[lm])
+        rows[:, 1:] = np.einsum("ni,nif->nf", white, factors)
         return rows.ravel()
 
 
@@ -343,10 +349,10 @@ class Linearization:
 
     The landmark rows arrive as bands. A band (rows, cols, block, lm, share)
     holds landmark rows whose own whitened motion B_r is non-zero only in
-    the parameter columns cols: rows index or slice the residual vector's
-    3-vectors, block is B over those columns, (n, 3, len(cols)), and share,
-    (k, 3, len(cols)), is what the band adds to S over those columns, one
-    entry for each landmark in lm (k,).
+    the parameter columns cols: rows index or slice the residual vector,
+    whose landmark rows come first, one scalar each; block is B over those
+    columns, (n, len(cols)), and share, (k, len(cols)), is what the band
+    adds to S over those columns, one entry for each landmark in lm (k,).
     Every moving row lies in exactly one band, and rows of no band (fixed
     points, pinned clouds) do not move. dense (D) is the Jacobian of the
     rows that follow the landmark rows in the residual vector (gravity,
@@ -359,7 +365,7 @@ class Linearization:
         J^T r = sum_r B_r^T r_r + D^T r_D,
 
     so the landmark Jacobian is never formed: each band adds one product of
-    its flattened block with itself into J^T J at (cols, cols) and the
+    its block with itself into J^T J at (cols, cols) and the
     per-landmark sums of its share into the columns cols of S. Bands may
     share columns (the window's neighbouring spline segments share control
     poses). J^T r drops the term -sum_j S_j^T (sum_{r in j} a_r r_r) / n_j:
@@ -370,23 +376,19 @@ class Linearization:
     def __init__(self, landmarks: FrozenLandmarks, bands, dense):
         self.bands = bands
         self.dense = dense
-        n_params = dense.shape[1]
-        lm_sums = np.zeros((landmarks.n_landmarks, 3, n_params))
+        lm_sums = np.zeros((landmarks.n_landmarks, dense.shape[1]))
         jtj = dense.T @ dense
         for _, cols, block, lm, share in bands:
-            flat = block.reshape(-1, len(cols))
-            jtj[np.ix_(cols, cols)] += flat.T @ flat
-            lm_sums[:, :, cols] += landmarks.sums(share, lm)
-        scaled = (lm_sums / np.sqrt(landmarks.counts)[:, None, None]).reshape(-1, n_params)
+            jtj[np.ix_(cols, cols)] += block.T @ block
+            lm_sums[:, cols] += landmarks.sums(share, lm)
+        scaled = lm_sums / np.sqrt(landmarks.counts)[:, None]
         self.jtj = jtj - scaled.T @ scaled
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r for a residual vector r of the system (at any parameters)."""
-        n_rows = len(r) - len(self.dense)
-        r_m = r[:n_rows].reshape(-1, 3)
-        out = self.dense.T @ r[n_rows:]
+        out = self.dense.T @ r[len(r) - len(self.dense):]
         for rows, cols, block, _, _ in self.bands:
-            out[cols] += block.reshape(-1, len(cols)).T @ r_m[rows].ravel()
+            out[cols] += block.T @ r[rows]
         return out
 
 
@@ -400,15 +402,15 @@ class _RigidSystem:
     identity pose, and a pinned cloud keeps its pose. Every cluster moves
     rigidly with its cloud, so it is scored by its size, mean and scatter
     factor in the cloud's sensor frame (`landmarks.point_clusters`,
-    `scatter_factor`) through `FrozenLandmarks.residuals`: 12 rows per
-    cluster, a mean row and three scatter rows, with the same cost and
+    `scatter_factor`) through `FrozenLandmarks.residuals`: 4 scalar rows
+    per cluster, a mean row and three scatter rows, with the same cost and
     normal equations as one row per member (see `FrozenLandmarks`).
 
     Perturbing one pose moves only that cloud's clusters, so the
     `Linearization` gets one band per free cloud, over that pose's 6
-    columns. A mean row's own motion is sqrt(n_c) W under a translation and
-    `turned_motion(sqrt(n_c) W, R qbar, J_l(r))` under the rotation; a
-    scatter row's is `turned_motion(W, R f, J_l(r))`, with nothing under a
+    columns. A mean row's own motion is sqrt(n_c) w_j under a translation
+    and `turned_motion(sqrt(n_c) w_j, R qbar, J_l(r))` under the rotation; a
+    scatter row's is `turned_motion(w_j, R f, J_l(r))`, with nothing under a
     translation. A band's share of S is sqrt(n_c) times each cluster's mean
     row motion, one entry per cluster: a landmark has at most one cluster
     per cloud. The gravity rows form the small dense block,
@@ -476,20 +478,20 @@ class _RigidSystem:
         for k, ci in enumerate(self.free):
             lo, hi = self.bounds[ci], self.bounds[ci + 1]
             lm = self.cluster_lm[lo:hi]
-            white = lms.white_lm[lm]
-            root = np.sqrt(self.sizes[lo:hi])[:, None, None]
+            white = lms.white_lm[lm][:, None]
+            root = np.sqrt(self.sizes[lo:hi])[:, None]
             # per cluster: the mean row, then the three scatter rows
-            block = np.zeros((hi - lo, 4, 3, 6))
-            block[:, 0, :, 3:] = root * white
+            block = np.zeros((hi - lo, 4, 6))
+            block[:, :1, 3:] = root[:, None] * white
             turned_motion(
-                block[:, 0, :, 3:], self.means[lo:hi] @ rots[k].T, turns[k], out=block[:, 0, :, :3]
+                block[:, :1, 3:], self.means[lo:hi] @ rots[k].T, turns[k], out=block[:, :1, :3]
             )
             turned_motion(
                 white[:, None], np.swapaxes(rots[k] @ self.factors[lo:hi], 1, 2), turns[k],
-                out=block[:, 1:, :, :3],
+                out=block[:, 1:, None, :3],
             )
             rows, cols = slice(4 * lo, 4 * hi), np.arange(6 * k, 6 * k + 6)
-            bands.append((rows, cols, block.reshape(-1, 3, 6), lm, root * block[:, 0]))
+            bands.append((rows, cols, block.reshape(-1, 6), lm, root * block[:, 0]))
         grav_jac = np.zeros((len(self.grav_cloud), 3, len(rotvecs), 6))
         own = np.nonzero(self.grav_free >= 0)[0]
         pose = self.grav_free[own]

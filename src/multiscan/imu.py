@@ -167,13 +167,17 @@ def estimate_gravity(
     samples,
     min_overlap: float = 0.2,
 ) -> GravityEstimate:
-    """Average the motion-corrected specific force over the trajectory span.
+    """Average the motion-corrected specific force over the trajectory span,
+    as a direction in the body frame at traj.t_last.
 
-    The spline's linear acceleration (finite difference of the sampled
-    velocity) is removed from each accelerometer reading, leaving the
-    gravity reaction. The confidence weight decays with the mean angular
-    rate; a mean vector weaker than 1 m/s^2 yields a zero-confidence
-    estimate.
+    Each accelerometer reading is turned into the world frame by the
+    spline's rotation at its stamp, and the spline's linear acceleration
+    (finite difference of the sampled velocity) is removed, leaving the
+    gravity reaction. The readings are averaged there, so a sensor that
+    turns over the span still agrees on one direction, and the mean is
+    expressed in the frame at t_last, the newest pose's. The confidence
+    weight decays with the mean angular rate; a mean vector weaker than
+    1 m/s^2 yields a zero-confidence estimate.
     """
     times, gyro, accel = stream_arrays(samples)
     inside = (times >= traj.t_first) & (times <= traj.t_last)
@@ -187,8 +191,8 @@ def estimate_gravity(
     hi = np.minimum(t_in + h, traj.t_last)
     accel_world = (traj.sample_velocity(hi) - traj.sample_velocity(lo)) / (hi - lo)[:, None]
     rots = traj.sample_rotations(t_in)
-    up_body = accel[inside] - np.einsum("nji,nj->ni", rots, accel_world)
-    mean_vec = up_body.mean(axis=0)
+    up_world = np.einsum("nij,nj->ni", rots, accel[inside]) - accel_world
+    mean_vec = traj.sample_rotations(traj.t_last)[0].T @ up_world.mean(axis=0)
     norm = float(np.linalg.norm(mean_vec))
     if norm < 1.0:
         return GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)

@@ -66,15 +66,6 @@ def pack_cell_indices(idx3: np.ndarray) -> np.ndarray:
     return (shifted[:, 0] << 40) | (shifted[:, 1] << 20) | shifted[:, 2]
 
 
-def regularized_inverse(cov: np.ndarray, epsilon: float) -> np.ndarray:
-    """(cov + epsilon * I)^-1, symmetrized, for one (3, 3) or a stack (..., 3, 3).
-
-    epsilon > 0 guarantees SPD.
-    """
-    inv = np.linalg.inv(np.asarray(cov, dtype=float) + epsilon * np.eye(3))
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
-
-
 def point_clusters(points: np.ndarray, starts: np.ndarray):
     """Size, mean and scatter of each run of points that begins at starts.
 

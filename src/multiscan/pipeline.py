@@ -4,9 +4,10 @@ Per scan: adaptively downsample and buffer, extract the sliding time
 window, preintegrate IMU between control poses, then optimize the window's
 continuous trajectory against voxel landmarks built from the window points
 plus static map points, with preintegrated IMU terms appended to the
-residual vector. Keyframes are selected by map overlap and spacing; adding
-one triggers an adjustment over the affected keyframe range with normal
-splitting and per-keyframe gravity terms.
+residual vector. A scan becomes a keyframe when its pose is more than
+`keyframe_distance` from every keyframe; adding one triggers an adjustment
+over the affected keyframe range with normal splitting and per-keyframe
+gravity terms.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class PipelineConfig:
     prior_weight_rot: float = 200.0
     prior_weight_trans: float = 100.0
     gravity_weight: float = 10.0
-    overlap_max: float = 0.9
-    keyframe_distance: float = 1.0
+    # intended keyframe spacing (m): a scan becomes a keyframe when its pose
+    # is farther than this from every keyframe
+    keyframe_distance: float = 0.5
     kf_opt_distance: float = 10.0
     kf_opt_overlap: float = 0.3
     kf_fallback_window: int = 5
@@ -98,11 +100,16 @@ class PipelineConfig:
             value = getattr(self, item.name)
             if isinstance(value, (int, float)) and not np.isfinite(value):
                 raise ValueError(f"config key {item.name!r} must be finite, got {value}")
-        for name in ("window_duration", "control_spacing", "buffer_capacity"):
+        for name in ("window_duration", "control_spacing", "buffer_capacity", "keyframe_distance"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"config key {name!r} must be positive")
-        if not 0.0 <= self.planarity_min <= 1.0:
-            raise ValueError(f"config key 'planarity_min' must lie in [0, 1], got {self.planarity_min}")
+                raise ValueError(f"config key {name!r} must be positive, got {getattr(self, name)}")
+        # squared or compared against distances and durations
+        for name in ("kf_opt_distance", "static_radius", "imu_init_duration"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"config key {name!r} must be >= 0, got {getattr(self, name)}")
+        for name in ("planarity_min", "kf_opt_overlap"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"config key {name!r} must lie in [0, 1], got {getattr(self, name)}")
         # a point's normal and planarity need a plane through its neighbours;
         # the keyframe counts slice the keyframe list
         for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0)):
@@ -233,7 +240,6 @@ class Map:
         self.keyframes: list[Keyframe] = []
         self._points = np.zeros((0, 3))
         self._normals = np.zeros((0, 3))
-        self._key_set = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.keyframes)
@@ -244,12 +250,11 @@ class Map:
         self.rebuild_index()
 
     def rebuild_index(self) -> None:
-        """Recompute world positions, normals and the fine-voxel key set."""
+        """Recompute world positions and normals."""
         if not self.keyframes:
             return
         self._points = np.vstack([kf.world_points() for kf in self.keyframes])
         self._normals = np.vstack([kf.world_normals() for kf in self.keyframes])
-        self._key_set = np.unique(np.concatenate([kf.fine_keys for kf in self.keyframes]))
 
     @property
     def points(self) -> np.ndarray:
@@ -258,10 +263,6 @@ class Map:
     @property
     def normals(self) -> np.ndarray:
         return self._normals
-
-    def overlap(self, keys: np.ndarray) -> float:
-        """Fraction of the given fine-voxel keys present in the map."""
-        return key_overlap(keys, self._key_set)
 
     def nearest_keyframe_distance(self, position: np.ndarray) -> float:
         if not self.keyframes:
@@ -469,20 +470,20 @@ class _WindowSystem:
             self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times, rots
         ), axis=2)
         # each moving member's whitened motion, built once: its turned
-        # motion under the two end poses' rotations, W times the Hermite
-        # weight under each translation
+        # motion under the two end poses' rotations, its landmark's w_j times
+        # the Hermite weight under each translation
         slot = self.member_slot
         member_lm = self.landmarks.member_lm
         white = self.landmarks.white_lm[member_lm[self.order]]
         raw = self.sensor_points[self.landmarks.member_row[self.order]]
         weights = self.hermite_weights[slot]
-        block = np.empty((len(slot), 3, 6 + 3 * weights.shape[1]))
+        block = np.empty((len(slot), 6 + 3 * weights.shape[1]))
         turned_motion(
-            white, np.einsum("nij,nj->ni", rots[slot], raw), turns[slot], out=block[:, :, :6]
+            white[:, None], np.einsum("nij,nj->ni", rots[slot], raw), turns[slot],
+            out=block[:, None, :6],
         )
         np.multiply(
-            white[:, :, None, :], weights[:, None, :, None],
-            out=block[:, :, 6:].reshape(len(slot), 3, -1, 3),
+            white[:, None, :], weights[:, :, None], out=block[:, 6:].reshape(len(slot), -1, 3)
         )
         bands = [
             (self.order[lo:hi], cols, block[lo:hi], member_lm[self.order[lo:hi]], block[lo:hi])
@@ -713,14 +714,9 @@ class OdometryPipeline:
         cfg = self.config
         if len(down) < cfg.k_neighbors:
             return False
-        world, _ = deskew(down, self._traj)
-        keys = np.unique(
-            pack_cell_indices(voxel_cell_indices(world.points, cfg.voxel.fine_size))
-        )
-        overlap = self.map.overlap(keys)
-        distance = self.map.nearest_keyframe_distance(pose_now.trans)
-        if not (overlap < cfg.overlap_max or distance > cfg.keyframe_distance):
+        if self.map.nearest_keyframe_distance(pose_now.trans) <= cfg.keyframe_distance:
             return False
+        world, _ = deskew(down, self._traj)
         sensor_cloud = PointCloud(
             points=pose_now.inverse().apply(world.points), stamps=world.stamps
         )
@@ -732,8 +728,6 @@ class OdometryPipeline:
             samples = self._imu_in(self._traj.t_first, self._traj.t_last)
             span = samples[-1].time - samples[0].time if len(samples) >= 2 else 0.0
             if span >= 0.2:
-                # averaged over the window's body frames, not re-expressed in
-                # this keyframe's frame; the fix belongs to ROADMAP item 1
                 gravity = estimate_gravity(self._traj, samples)
         kf = Keyframe(
             kf_id=self._next_kf_id,

@@ -91,7 +91,7 @@ def two_sided_sheet(rng, angle):
 class TestEvaluateCost:
     def test_trace_identity_single_landmark(self):
         # all points inside one cell of each level; zero regularization
-        # makes the per-landmark error exactly 3 at the linearization point
+        # makes the per-landmark error exactly 1 at the linearization point
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 3)) * 0.08 + 0.5
         cloud = PointCloud(points=pts)
@@ -103,11 +103,11 @@ class TestEvaluateCost:
         system, params = frozen_system(prob, prob.initial_poses)
         lms = system.landmarks
         assert lms.n_landmarks == 2
-        r = system.residuals(params).reshape(-1, 12)  # no gravity rows: 12 per cluster
+        r = system.residuals(params).reshape(-1, 4)  # no gravity rows: 4 per cluster
         errors = np.bincount(system.cluster_lm, weights=np.sum(r * r, axis=1))
-        assert np.allclose(errors, 3.0, rtol=1e-10)
+        assert np.allclose(errors, 1.0, rtol=1e-10)
         r = system.residuals(params)
-        assert r @ r == pytest.approx(3.0 * lms.n_landmarks, rel=1e-10)
+        assert r @ r == pytest.approx(1.0 * lms.n_landmarks, rel=1e-10)
 
     def test_no_overlap_raises(self):
         rng = np.random.default_rng(1)
@@ -207,12 +207,12 @@ def member_cost(system, frozen, params):
     )
     p = world[lms.member_row]
     m = lms.sums(p, lms.member_lm) / lms.counts[:, None]
-    r = np.einsum("nij,nj->ni", lms.white_lm[lms.member_lm], p - m[lms.member_lm])
-    return float(np.sum(r * r))
+    r = np.einsum("ni,ni->n", lms.white_lm[lms.member_lm], p - m[lms.member_lm])
+    return float(r @ r)
 
 
 def cluster_cost(system, params):
-    r = system.residuals(params)[: 12 * len(system.cluster_lm)]
+    r = system.residuals(params)[: 4 * len(system.cluster_lm)]
     return r @ r
 
 
@@ -268,7 +268,7 @@ class TestPointClusters:
         assert not np.any(scatter[single]) and np.all(np.linalg.eigvalsh(scatter[~single]) > 0.0)
 
     def test_cluster_cost_equals_member_cost(self):
-        # the 12 rows of a cluster score its members exactly, at the frozen
+        # the 4 rows of a cluster score its members exactly, at the frozen
         # parameters and away from them
         rng = np.random.default_rng(31)
         problems = [two_sided_sheet(rng, angle) for angle in (0.0, 3.05)]
@@ -672,8 +672,8 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
     n_clusters = len(system.cluster_lm)
     assert n_clusters < len(lms.member_lm)
     for at in (params, params + 1e-2 * rng.normal(size=len(params))):
-        rho = system.residuals(at)[: 12 * n_clusters].reshape(-1, 4, 3)[:, 0]
-        weighted = np.sqrt(system.sizes)[:, None] * rho
+        rho = system.residuals(at)[: 4 * n_clusters].reshape(-1, 4)[:, 0]
+        weighted = np.sqrt(system.sizes) * rho
         sums = lms.sums(weighted, system.cluster_lm)
         assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
 

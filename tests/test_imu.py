@@ -246,6 +246,22 @@ class TestEstimateGravity:
         angle = np.rad2deg(np.arccos(np.clip(est.direction @ [0, 0, 1.0], -1, 1)))
         assert angle < 1.0
 
+    def test_rolling_sensor_gives_the_last_frames_up(self):
+        # under pure gravity every reading of a sensor rolling 0.3 rad over
+        # the span agrees in the world frame; the estimate is the up
+        # direction of the frame at t_last, not of an average body frame
+        roll = np.array([0.3, 0.0, 0.0])
+        times = np.arange(0.0, 1.0 + 1e-9, 0.1)
+        traj = ContinuousTrajectory(
+            times, np.concatenate([Pose(roll * t, np.zeros(3)).as_params() for t in times])
+        )
+        t_imu = np.arange(0.0, 1.0, 5e-3)
+        accel = np.einsum("nji,j->ni", traj.sample_rotations(t_imu), -GRAVITY)
+        samples = [ImuSample(float(t), roll, a) for t, a in zip(t_imu, accel)]
+        est = estimate_gravity(traj, samples)
+        last_up = rotvec_to_matrix(roll).T @ [0.0, 0.0, 1.0]
+        assert np.allclose(est.direction, last_up, rtol=0.0, atol=1e-6)
+
     def test_weight_shrinks_with_rotation_rate(self):
         traj = static_traj()
         still = estimate_gravity(traj, stream(np.arange(0, 1.0, 5e-3), [0, 0, 0], [0, 0, 9.81]))

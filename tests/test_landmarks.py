@@ -8,7 +8,6 @@ from multiscan.landmarks import (
     dual_grid_groups,
     pack_cell_indices,
     point_clusters,
-    regularized_inverse,
     split_by_normals,
     voxel_cell_indices,
 )
@@ -161,36 +160,6 @@ class TestLandmarkStats:
         grid = VoxelConfig(coarse_size=2.0, fine_size=0.5, n_min=1)
         assert dual_grid_groups(np.zeros((1, 3)), grid) is None
         assert dual_grid_groups(np.zeros((2, 3)), grid) is not None
-
-
-class TestRegularizedInverse:
-    def test_identity_epsilon_zero(self):
-        assert np.allclose(regularized_inverse(np.eye(3), 0.0), np.eye(3))
-
-    def test_rank_deficient_analytic(self):
-        out = regularized_inverse(np.diag([1.0, 1.0, 0.0]), 1e-4)
-        assert np.allclose(out, np.diag([1 / (1 + 1e-4), 1 / (1 + 1e-4), 1e4]))
-
-    def test_product_is_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = rng.normal(size=(3, 3))
-            spd = a @ a.T + 0.5 * np.eye(3)
-            inv = regularized_inverse(spd, 0.0)
-            assert np.allclose(inv @ spd, np.eye(3), atol=1e-9)
-
-
-class TestTraceIdentity:
-    def test_quadratic_sum_equals_3n(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(6, 40))
-            pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
-            mean, cov = stats(pts)
-            inv = regularized_inverse(cov, 0.0)
-            d = pts - mean
-            total = float(np.einsum("ni,ij,nj->", d, inv, d))
-            assert total == pytest.approx(3.0 * n, rel=1e-8)
 
 
 def one_landmark(points):
@@ -409,8 +378,11 @@ class TestFrozenLandmarks:
     @pytest.mark.parametrize("epsilon", [1e-4, 0.0])
     def test_whitening_is_regularized_inverse(self, epsilon):
         # the one place where statistics become weights: white_lm of landmark
-        # j is sqrt(1/n_j) chol((Sigma_j + epsilon I)^-1)^T, on
-        # split and unsplit landmarks alike
+        # j is +-v_min / sqrt(n_j (lambda_min + epsilon)), the regularized
+        # inverse of Sigma_j along its normal, on split and unsplit
+        # landmarks alike. Sigma_j comes from the rows through `stats`: at
+        # epsilon = 0, w_j scales as lambda_min^-1/2, so np.cov's rounding
+        # alone would move it by more than the tolerance
         pts, normals, planarity = oracle_scene()
         groups = dual_grid_groups(pts, GRID)
         out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
@@ -420,6 +392,79 @@ class TestFrozenLandmarks:
         assert is_split.any() and not is_split.all()
         lms = FrozenLandmarks(out, epsilon)
         for j, rows in enumerate(parts):
-            cov = np.cov(pts[rows].T, bias=True)
-            white = np.sqrt(1.0 / len(rows)) * np.linalg.cholesky(np.linalg.inv(cov + epsilon * np.eye(3))).T
-            assert np.allclose(lms.white_lm[j], white, rtol=0.0, atol=1e-12)
+            evals, evecs = np.linalg.eigh(stats(pts[rows])[1])
+            white = evecs[:, 0] / np.sqrt(len(rows) * (evals[0] + epsilon))
+            sign = np.sign(lms.white_lm[j] @ white)
+            assert np.allclose(lms.white_lm[j], sign * white, rtol=0.0, atol=1e-12)
+
+    def test_cost_is_one_per_landmark_at_its_frozen_points(self):
+        # with epsilon = 0, sum_k (w_j . (p_k - mu_j))^2 = v^T Sigma_j v / lambda_min = 1
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(6, 40))
+            pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
+            lms = FrozenLandmarks(one_landmark(pts), 0.0)
+            total = float(np.sum(((pts - lms.mu_ref[0]) @ lms.white_lm[0]) ** 2))
+            assert total == pytest.approx(1.0, rel=1e-8)
+
+    def test_flat_cell_gets_a_finite_weight_along_its_normal(self):
+        # lambda_min = 0: epsilon alone bounds the weight, 1 / sqrt(n epsilon)
+        rng = np.random.default_rng(4)
+        pts = np.zeros((30, 3))
+        pts[:, :2] = rng.uniform(-1.0, 1.0, size=(30, 2))
+        lms = FrozenLandmarks(one_landmark(pts), 1e-4)
+        assert np.allclose(np.abs(lms.white_lm[0]), [0.0, 0.0, 1.0 / np.sqrt(30 * 1e-4)])
+
+
+def landmark_of_cov(cov, n):
+    """Groups dict of one landmark of n members with covariance cov."""
+    return {
+        "member_row": np.arange(n),
+        "member_group": np.zeros(n, dtype=np.int64),
+        "counts": np.array([n]),
+        "means": np.zeros((1, 3)),
+        "covs": np.asarray(cov, dtype=float)[None],
+    }
+
+
+class TestRegularizedInverse:
+    # n_j w_j w_j^T is (Sigma_j + epsilon I)^-1 restricted to the normal v_j:
+    # v_j v_j^T / (lambda_min + epsilon)
+
+    def test_identity_epsilon_zero(self):
+        # Sigma = I: the inverse is 1 along every direction, so |w| = 1/sqrt(n)
+        s = np.sqrt(3.0)
+        pts = np.vstack([np.diag([s, s, s]), -np.diag([s, s, s])])
+        lms = FrozenLandmarks(one_landmark(pts), 0.0)
+        assert np.allclose(lms.mu_ref[0], 0.0)
+        assert np.linalg.norm(lms.white_lm[0]) == pytest.approx(1.0 / np.sqrt(6.0), rel=1e-12)
+
+    def test_product_is_identity(self):
+        # on random SPD covariances, n w w^T Sigma is the projector onto the
+        # normal, and the normal is Sigma's smallest eigenvector
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a = rng.normal(size=(3, 3))
+            spd = a @ a.T + 0.5 * np.eye(3)
+            n = int(rng.integers(6, 40))
+            w = FrozenLandmarks(landmark_of_cov(spd, n), 0.0).white_lm[0]
+            v = w / np.linalg.norm(w)
+            assert np.allclose(n * np.outer(w, w) @ spd, np.outer(v, v), atol=1e-9)
+            assert v @ spd @ v == pytest.approx(np.linalg.eigvalsh(spd)[0], rel=1e-9)
+
+
+class TestTraceIdentity:
+    def test_quadratic_sum_equals_3n(self):
+        # the landmark statistic is the 1/n covariance about the mean, so the
+        # full Mahalanobis sum is 3 per member; FrozenLandmarks' rank-one row
+        # keeps the normal's 1 of it per landmark
+        # (test_cost_is_one_per_landmark_at_its_frozen_points, same cells)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(6, 40))
+            pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
+            mean, cov = stats(pts)
+            d = pts - mean
+            total = float(np.einsum("ni,ij,nj->", d, np.linalg.inv(cov), d))
+            assert total == pytest.approx(3.0 * n, rel=1e-8)
+

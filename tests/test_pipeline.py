@@ -4,10 +4,12 @@ import logging
 import numpy as np
 import pytest
 
-from multiscan.geometry import PointCloud, rotvec_to_matrix
+from multiscan import pipeline as pipeline_module
+from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
 from multiscan.imu import ImuSample
 from multiscan.adjustment import LMConfig
 from multiscan.downsample import DownsampleConfig
+from multiscan.evaluation import associate_timestamps, evaluate_ape
 from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
     OdometryPipeline,
@@ -113,20 +115,20 @@ def test_gap_window_normal_equations_match_secant_jacobian(gap_window):
 def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
     system, at = corridor_window
     lms = system.landmarks
-    r = system.residuals(at)[: 3 * len(lms.member_lm)].reshape(-1, 3)
+    r = system.residuals(at)[: len(lms.member_lm)]
     assert np.abs(lms.sums(r, lms.member_lm)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
 
 
 def test_window_landmark_rows_are_member_rows(corridor_window):
     # a window member is a cluster of one, whose one row is the per-member
-    # W_j (d_k - mean(d_j)), d_k = p_k - mu_j
+    # w_j . (d_k - mean(d_j)), d_k = p_k - mu_j
     system, at = corridor_window
     lms = system.landmarks
     lm = lms.member_lm
     d = system.world_points(at)[lms.member_row] - lms.mu_ref[lm]
     mean = np.stack([np.bincount(lm, weights=d[:, a]) for a in range(3)], axis=1) / lms.counts[:, None]
-    expected = np.einsum("nij,nj->ni", lms.white_lm[lm], d - mean[lm])
-    r = system.residuals(at)[: 3 * len(lm)].reshape(-1, 3)
+    expected = np.einsum("ni,ni->n", lms.white_lm[lm], d - mean[lm])
+    r = system.residuals(at)[: len(lm)]
     assert np.allclose(r, expected, rtol=0.0, atol=1e-12)
 
 
@@ -161,6 +163,48 @@ def test_window_imu_jacobian_matches_column_secants(corridor_window):
     offset = np.arange(system.n_ctrl) - system.imu_seg[:, None]
     touched = np.any(jac.reshape(-1, 9, system.n_ctrl, 6) != 0.0, axis=(1, 3))
     assert np.array_equal(touched, (offset >= -1) & (offset <= 2))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tracks_a_short_corridor(seed):
+    # 30 scans: 1 s at rest, a 2 s ramp to 1 m/s and about 1 m of path
+    data = generate_synthetic(corridor_scene(duration=3.0), seed=seed)
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(data.imu_samples)
+    results = [pipeline.process_scan(scan) for scan in data.scans]
+    assert all(result.reasons == () for result in results)
+    times, poses = pipeline.trajectory()
+    assert evaluate_ape(times, poses, data.truth_times, data.truth_poses).rmse <= 0.03
+    idx_est, idx_ref = associate_timestamps(times, data.truth_times)
+    est = np.stack([poses[i].trans for i in idx_est])
+    ref = np.stack([data.truth_poses[i].trans for i in idx_ref])
+    ratio = np.linalg.norm(np.diff(est, axis=0), axis=1).sum() / np.linalg.norm(
+        np.diff(ref, axis=0), axis=1
+    ).sum()
+    assert 0.95 <= ratio <= 1.05
+
+
+def test_keyframe_only_beyond_keyframe_distance(tracked, monkeypatch):
+    # a pose within keyframe_distance of a keyframe makes none and deskews
+    # nothing; one beyond it makes a keyframe from its deskewed scan
+    deskewed = []
+
+    def counted(cloud, traj):
+        deskewed.append(len(cloud))
+        return deskew(cloud, traj)
+
+    monkeypatch.setattr(pipeline_module, "deskew", counted)
+    monkeypatch.setattr(tracked, "keyframe_optimization", lambda current: None)
+    down, t_now = tracked.scans.items[-1], tracked.trajectory_times[-1]
+    rotvec, start = tracked.trajectory_poses[-1].rotvec, tracked.map.keyframes[-1].pose.trans
+    n_keyframes, spacing = len(tracked.map), tracked.config.keyframe_distance
+    near = Pose(rotvec, start + [spacing - 1e-3, 0.0, 0.0])
+    assert not tracked._maybe_create_keyframe(down, near, t_now)
+    assert len(tracked.map) == n_keyframes and deskewed == []
+    far = Pose(rotvec, start + [spacing + 1e-3, 0.0, 0.0])
+    assert tracked.map.nearest_keyframe_distance(far.trans) > spacing
+    assert tracked._maybe_create_keyframe(down, far, t_now)
+    assert len(tracked.map) == n_keyframes + 1 and deskewed == [len(down)]
 
 
 def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
@@ -333,7 +377,8 @@ def test_config_from_dict_round_trip():
 
 
 @pytest.mark.parametrize(
-    "key", ["kf_lm", "window_lm", "window_lm_max_lambda_retries", "voxel_size", "bogus"]
+    "key",
+    ["kf_lm", "window_lm", "window_lm_max_lambda_retries", "voxel_size", "bogus", "overlap_max"],
 )
 def test_config_from_dict_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match="unknown config key"):
@@ -355,7 +400,13 @@ def test_config_from_dict_rejects_unknown_keys(key):
     ("k_neighbors", "2"),
     ("k_neighbors", "ten"),
     ("voxel_n_min", "2.5"),
-    ("overlap_max", "abc"),
+    ("keyframe_distance", "abc"),
+    ("keyframe_distance", "0"),
+    ("keyframe_distance", "-1"),
+    ("kf_opt_distance", "-1"),
+    ("kf_opt_overlap", "2.0"),
+    ("static_radius", "-5"),
+    ("imu_init_duration", "-1"),
     ("downsample_levels", "nan 0.5 0.25 0.1"),
     ("downsample_trim_range", "nan"),
     ("planarity_min", "2.0"),
