@@ -9,6 +9,7 @@ timestamp tx ty tz qx qy qz qw.
 from __future__ import annotations
 
 import io
+import math
 import os
 
 import numpy as np
@@ -95,23 +96,25 @@ def read_point_cloud(path) -> PointCloud:
             fmt = parts[1]
         elif parts[0] == "comment":
             if len(parts) >= 3 and parts[1] == "scan_time":
-                scan_time = float(parts[2])
+                [scan_time] = _finite_floats(parts[2:3], f"{path}: line {line_no}")
         elif parts[0] == "element":
-            if parts[1] == "vertex":
-                try:
-                    vertex_count = int(parts[2])
-                except (IndexError, ValueError):
-                    raise DataError(f"{path}: line {line_no}: bad vertex count in {line!r}")
-            elif vertex_count is not None:
-                raise DataError(
-                    f"{path}: line {line_no}: elements after vertex are not supported"
-                )
+            # the properties that follow an element line are that element's
+            if parts[1:2] != ["vertex"] or vertex_count is not None:
+                raise DataError(f"{path}: line {line_no}: only one element, vertex, is supported")
+            try:
+                vertex_count = int(parts[2])
+            except (IndexError, ValueError):
+                vertex_count = -1
+            if vertex_count < 0:
+                raise DataError(f"{path}: line {line_no}: bad vertex count in {line!r}")
         elif parts[0] == "property":
             if len(parts) != 3:
                 raise DataError(f"{path}: line {line_no}: bad property line {line!r}")
             kind, name = parts[1], parts[2]
             if kind not in _PLY_TYPES:
                 raise DataError(f"{path}: line {line_no}: unsupported type {kind!r}")
+            if any(name == known for known, _ in properties):
+                raise DataError(f"{path}: line {line_no}: duplicate property {name!r}")
             properties.append((name, _PLY_TYPES[kind]))
     if fmt is None:
         raise DataError(f"{path}: header missing format line")
@@ -150,6 +153,17 @@ def read_point_cloud(path) -> PointCloud:
     return PointCloud(points=points, stamps=stamps)
 
 
+def _finite_floats(fields, where: str) -> list[float]:
+    """The fields as floats; DataError naming where if one is not a finite number."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise DataError(f"{where}: non-numeric value")
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"{where}: non-finite value")
+    return values
+
+
 def write_imu_csv(samples, path) -> None:
     with open(path, "w") as fh:
         fh.write("t,gx,gy,gz,ax,ay,az\n")
@@ -174,10 +188,7 @@ def read_imu_csv(path) -> list[ImuSample]:
             fields = line.split(",")
             if len(fields) != 7:
                 raise DataError(f"{path}: line {line_no}: expected 7 comma-separated values")
-            try:
-                rows.append((line_no, [float(v) for v in fields]))
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: non-numeric value")
+            rows.append((line_no, _finite_floats(fields, f"{path}: line {line_no}")))
     rows.sort(key=lambda item: item[1][0])
     for (line_a, a), (line_b, b) in zip(rows, rows[1:]):
         if b[0] == a[0]:
@@ -210,10 +221,7 @@ def read_trajectory(path) -> tuple[np.ndarray, list[Pose]]:
             fields = line.split()
             if len(fields) != 8:
                 raise DataError(f"{path}: line {line_no}: expected 8 columns")
-            try:
-                values = [float(v) for v in fields]
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: non-numeric value")
+            values = _finite_floats(fields, f"{path}: line {line_no}")
             q = np.array(values[4:8])
             norm = np.linalg.norm(q)
             if abs(norm - 1.0) > 1e-6:

@@ -3,12 +3,13 @@
 Rotations are carried as rotation vectors (axis * angle, radians).
 `rotvec_to_matrix` (exp, Rodrigues' formula) and `matrix_to_rotvec` (log)
 are the one pair of conversions to and from 3x3 matrices; `rotvec_to_quat`
-is the one conversion to quaternions [x, y, z, w], which only the spline's
-slerp uses. All three take any leading batch axes, and each entry of a
-stack equals the single call on it bit for bit. `left_jacobian` and
-`left_jacobian_inv` are the SO(3) Jacobians of the exp map (Sola et al.,
-arXiv:1812.01537), batched the same way; the right Jacobian is the
-transpose of the left. `Pose` is one rigid transform built on them.
+is the one conversion to quaternions [x, y, z, w], which the trajectory
+file format stores (`fileio.write_trajectory`). All three take any leading
+batch axes, and each entry of a stack equals the single call on it bit for
+bit. `left_jacobian` and `left_jacobian_inv` are the SO(3) Jacobians of the
+exp map (Sola et al., arXiv:1812.01537), batched the same way; the right
+Jacobian is the transpose of the left. `Pose` is one rigid transform built
+on them.
 """
 
 from __future__ import annotations

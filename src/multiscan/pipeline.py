@@ -38,7 +38,6 @@ from multiscan.geometry import (
     left_jacobian,
     matrix_to_rotvec,
     rotvec_to_matrix,
-    rotvec_to_quat,
 )
 from multiscan.imu import (
     GravityEstimate,
@@ -382,17 +381,11 @@ class _WindowSystem:
 
     # ---- trajectory evaluation -------------------------------------------------
 
-    def slot_rotations(self, params: np.ndarray) -> np.ndarray:
-        rotvecs = params.reshape(-1, 6)[:, :3]
-        return slerp_rotation_matrices(
-            self.ctrl_times, rotvec_to_quat(rotvecs), self.spacing, self.slot_times
-        )
-
     def world_points(self, params: np.ndarray) -> np.ndarray:
-        rot = self.slot_rotations(params)[self.point_slot]
-        pos = hermite_positions(
-            self.ctrl_times, params.reshape(-1, 6)[:, 3:].copy(), self.spacing, self.slot_times
-        )[self.point_slot]
+        blocks = params.reshape(-1, 6)
+        rot = slerp_rotation_matrices(self.ctrl_times, blocks[:, :3], self.spacing, self.slot_times)
+        pos = hermite_positions(self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times)
+        rot, pos = rot[self.point_slot], pos[self.point_slot]
         moving = np.einsum("nij,nj->ni", rot, self.sensor_points) + pos
         if len(self.static_points):
             return np.vstack([moving, self.static_points])
@@ -465,10 +458,10 @@ class _WindowSystem:
 
     def linearize(self, params: np.ndarray) -> Linearization:
         """Normal equations at params, every column in closed form."""
-        rots = self.slot_rotations(params)
-        turns = np.concatenate(slerp_turns(
-            self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times, rots
-        ), axis=2)
+        rots, turn_a, turn_b = slerp_turns(
+            self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times
+        )
+        turns = np.concatenate([turn_a, turn_b], axis=2)
         # each moving member's whitened motion, built once: its turned
         # motion under the two end poses' rotations, its landmark's w_j times
         # the Hermite weight under each translation
@@ -655,9 +648,8 @@ class OdometryPipeline:
     def _extrapolate(traj: ContinuousTrajectory, t: float) -> Pose:
         dt = t - traj.t_last
         vel = traj.sample_velocity(traj.t_last)
-        rot_prev, rot_last = rotvec_to_matrix(traj.rotvecs[-2:])
-        rate = matrix_to_rotvec(rot_prev.T @ rot_last) / traj.spacing
-        rot = rot_last @ rotvec_to_matrix(rate * dt)
+        # the last segment's turn, continued at its constant rate
+        rot = traj.rotations[-1] @ rotvec_to_matrix(traj.turns[-1] * (dt / traj.spacing))
         return Pose(matrix_to_rotvec(rot), traj.positions[-1] + vel * dt)
 
     def _window_points(self, t_start: float, t_end: float):

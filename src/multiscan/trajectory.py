@@ -4,11 +4,15 @@ A trajectory is given by its control times and the flat parameter vector
 (r, t) per control pose that the odometry window optimizes: a rotation
 vector and a position. Positions follow a cubic Hermite spline with
 centered (Catmull-Rom) tangents, one-sided at the ends
-(`hermite_positions`); orientations follow slerp between the bracketing
-control quaternions (`slerp_rotation_matrices`). Both take leading batch
-axes, so the window evaluates its parameters with the same arithmetic as
-`ContinuousTrajectory`. `slerp_turns` gives the closed-form derivative of
-the slerp rotation under its two end poses' rotation vectors.
+(`hermite_positions`). Orientations follow one chain of control rotations
+R_k = Exp(r_k) and segment turns phi_s = Log(R_s^T R_{s+1}): on segment s
+the rotation is R_s Exp(u phi_s), constant-rate slerp for u in [0, 1]
+(`slerp_rotation_matrices`). `slerp_turns` differentiates that same
+formula under its two end poses' rotation vectors, and the odometry
+extrapolates past the last control pose by the last segment's turn at the
+same rate. `hermite_positions` and `slerp_rotation_matrices` take leading
+batch axes, so the window evaluates its parameters with the same
+arithmetic as `ContinuousTrajectory`.
 
 Each point moves by the pose at its own stamp. `stamp_slots` gives the
 distinct stamps of a point set and each point's index among them; the
@@ -27,7 +31,6 @@ from multiscan.geometry import (
     left_jacobian_inv,
     matrix_to_rotvec,
     rotvec_to_matrix,
-    rotvec_to_quat,
 )
 
 
@@ -70,78 +73,59 @@ def hermite_positions(
     )
 
 
-def slerp_rotation_matrices(
-    ctrl_times: np.ndarray, quats: np.ndarray, spacing: float, t_eval: np.ndarray
-) -> np.ndarray:
-    """Piecewise slerp between control quaternions, returned as matrices.
+def _rotation_chain(rotvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Control rotations R_k = Exp(r_k), (..., K, 3, 3), and segment turns
+    phi_s = Log(R_s^T R_{s+1}), (..., K - 1, 3), of rotation vectors (..., K, 3)."""
+    mats = rotvec_to_matrix(rotvecs)
+    return mats, matrix_to_rotvec(np.swapaxes(mats[..., :-1, :, :], -1, -2) @ mats[..., 1:, :, :])
 
-    quats is (..., K, 4), with any leading batch axes; the result is
-    (..., M, 3, 3) for M evaluation times.
+
+def _slerp(mats: np.ndarray, phi: np.ndarray, seg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """R_s Exp(u phi_s) for each segment s and fraction u, (..., M, 3, 3)."""
+    return mats[..., seg, :, :] @ rotvec_to_matrix(u[:, None] * phi[..., seg, :])
+
+
+def slerp_rotation_matrices(
+    ctrl_times: np.ndarray, rotvecs: np.ndarray, spacing: float, t_eval: np.ndarray
+) -> np.ndarray:
+    """Spline rotations R_s Exp(u phi_s) at t_eval, with phi_s = Log(R_s^T R_{s+1}).
+
+    rotvecs is (..., K, 3), the control rotation vectors with any leading
+    batch axes; the result is (..., M, 3, 3) for M evaluation times.
     """
-    seg, u = segment_params(ctrl_times, spacing, t_eval)
-    qa = quats[..., seg, :]
-    qb = quats[..., seg + 1, :]
-    dots = np.sum(qa * qb, axis=-1)
-    qb = np.where(dots[..., None] < 0.0, -qb, qb)
-    dots = np.clip(np.abs(dots), 0.0, 1.0)
-    theta = np.arccos(dots)
-    sin_theta = np.sin(theta)
-    near = sin_theta < 1e-9
-    wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / np.where(near, 1.0, sin_theta))
-    wb = np.where(near, u, np.sin(u * theta) / np.where(near, 1.0, sin_theta))
-    q = wa[..., None] * qa + wb[..., None] * qb
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    return _quats_to_matrices(q)
+    return _slerp(*_rotation_chain(rotvecs), *segment_params(ctrl_times, spacing, t_eval))
 
 
 def slerp_turns(
-    ctrl_times: np.ndarray, rotvecs: np.ndarray, spacing: float, t_eval: np.ndarray,
-    rots: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form derivatives of the slerp rotation at t_eval, (M, 3, 3) each.
+    ctrl_times: np.ndarray, rotvecs: np.ndarray, spacing: float, t_eval: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spline rotations at t_eval and their closed-form derivatives, (M, 3, 3) each.
 
-    rotvecs is (K, 3) and rots the (M, 3, 3) result of
-    `slerp_rotation_matrices` at t_eval. Slerp on a segment is
-    R(u) = R_a Exp(u phi) with phi = Log(R_a^T R_b), so under changes dr_a
-    and dr_b of its two end poses' rotation vectors R(u) turns in the world
-    frame by
+    rotvecs is (K, 3). On segment s the rotation is R(u) = R_a Exp(u phi)
+    with phi = Log(R_a^T R_b), as in `slerp_rotation_matrices`, so under
+    changes dr_a and dr_b of its two end poses' rotation vectors R(u) turns
+    in the world frame by
 
         (I - A) J_l(r_a) dr_a + A J_l(r_b) dr_b,
         A = u R(u) J_r(u phi) J_r^-1(phi) R_b^T,
 
-    with J_r(x) = J_l(x)^T. Returns (turn_a, turn_b), the matrices that
-    multiply dr_a and dr_b.
+    with J_r(x) = J_l(x)^T. Returns (R(u), turn_a, turn_b), the rotations and
+    the matrices that multiply dr_a and dr_b.
     """
     seg, u = segment_params(ctrl_times, spacing, t_eval)
-    mats = rotvec_to_matrix(rotvecs)
-    phi = matrix_to_rotvec(np.swapaxes(mats[:-1], 1, 2) @ mats[1:])
+    mats, phi = _rotation_chain(rotvecs)
+    rots = _slerp(mats, phi, seg, u)
     # J_r^-1(phi) R_b^T per segment, then A per time
     tail = np.swapaxes(left_jacobian_inv(phi), 1, 2) @ np.swapaxes(mats[1:], 1, 2)
     inner = np.swapaxes(left_jacobian(u[:, None] * phi[seg]), 1, 2)
     a = u[:, None, None] * (rots @ inner @ tail[seg])
     jac = left_jacobian(rotvecs)
-    return jac[seg] - a @ jac[seg], a @ jac[seg + 1]
+    return rots, jac[seg] - a @ jac[seg], a @ jac[seg + 1]
 
 
 def stamp_slots(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct stamps in ascending order, and each stamp's index among them."""
     return np.unique(stamps, return_inverse=True)
-
-
-def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Unit quaternions [x, y, z, w], (..., 4), to rotation matrices (..., 3, 3)."""
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    out[..., 0, 1] = 2 * (x * y - z * w)
-    out[..., 0, 2] = 2 * (x * z + y * w)
-    out[..., 1, 0] = 2 * (x * y + z * w)
-    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    out[..., 1, 2] = 2 * (y * z - x * w)
-    out[..., 2, 0] = 2 * (x * z - y * w)
-    out[..., 2, 1] = 2 * (y * z + x * w)
-    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
 
 
 class ContinuousTrajectory:
@@ -164,7 +148,7 @@ class ContinuousTrajectory:
         blocks = np.asarray(params, dtype=float).reshape(len(self.times), 6)
         self.rotvecs = blocks[:, :3].copy()
         self.positions = blocks[:, 3:].copy()
-        self.quats = rotvec_to_quat(self.rotvecs)
+        self.rotations, self.turns = _rotation_chain(self.rotvecs)
         self.tangents = catmull_rom_tangents(self.positions, self.spacing)
 
     @property
@@ -210,7 +194,7 @@ class ContinuousTrajectory:
         """Batch slerp between bracketing control orientations, (M, 3, 3)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_range(t)
-        return slerp_rotation_matrices(self.times, self.quats, self.spacing, t)
+        return _slerp(self.rotations, self.turns, *segment_params(self.times, self.spacing, t))
 
     def sample_pose(self, t: float) -> Pose:
         """Pose at time t; exact at every control time up to rounding."""

@@ -70,6 +70,38 @@ class TestPointCloudIO:
         with pytest.raises(DataError, match="line 1"):
             read_point_cloud(path)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_negative_vertex_count_names_line(self, tmp_path, binary):
+        path = tmp_path / "negative.ply"
+        fmt = "binary_little_endian" if binary else "ascii"
+        path.write_text(
+            f"ply\nformat {fmt} 1.0\nelement vertex -2\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        )
+        with pytest.raises(DataError, match="line 3: bad vertex count"):
+            read_point_cloud(path)
+
+    @pytest.mark.parametrize("line", [
+        "comment scan_time abc", "comment scan_time nan", "element", "element face 0",
+    ])
+    def test_malformed_header_line_names_line(self, tmp_path, line):
+        path = tmp_path / "header.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\n{line}\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n"
+        )
+        with pytest.raises(DataError, match="line 3"):
+            read_point_cloud(path)
+
+    def test_repeated_property_names_line(self, tmp_path):
+        path = tmp_path / "repeated.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3 4\n"
+        )
+        with pytest.raises(DataError, match="line 5: duplicate property 'x'"):
+            read_point_cloud(path)
+
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "trunc.ply"
         cloud = PointCloud(points=np.ones((10, 3)))
@@ -130,6 +162,13 @@ class TestImuCsv:
             read_imu_csv(path)
 
 
+    def test_nan_time_names_line(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,gx,gy,gz,ax,ay,az\n0.0,0,0,0,0,0,9.81\nnan,0,0,0,0,0,9.81\n")
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            read_imu_csv(path)
+
+
 class TestTrajectoryIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -157,6 +196,15 @@ class TestTrajectoryIO:
         path = tmp_path / "traj.txt"
         path.write_text("1.0 0 0 0 0 0 0 1\n0.5 0 0 0 0 0 0 1\n")
         with pytest.raises(DataError, match="increasing"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("row", [
+        "nan 0 0 0 0 0 0 1", "1.0 0 nan 0 0 0 0 1", "1.0 0 0 0 0 nan 0 1",
+    ], ids=["time", "position", "quaternion"])
+    def test_rejects_nan_with_line(self, tmp_path, row):
+        path = tmp_path / "traj.txt"
+        path.write_text(f"0.5 0 0 0 0 0 0 1\n{row}\n")
+        with pytest.raises(DataError, match="line 2: non-finite"):
             read_trajectory(path)
 
     def test_skips_comments(self, tmp_path):

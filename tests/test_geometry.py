@@ -48,8 +48,9 @@ def mixed_rotation_stack(rng, n):
 
 def slerp(ra, rb, u):
     """Rotation vector a fraction u of the way from ra to rb, by the spline's slerp."""
-    quats = rotvec_to_quat(np.stack([ra, rb]))
-    rot = slerp_rotation_matrices(np.array([0.0, 1.0]), quats, 1.0, np.array([float(u)]))
+    rot = slerp_rotation_matrices(
+        np.array([0.0, 1.0]), np.stack([ra, rb]), 1.0, np.array([float(u)])
+    )
     return matrix_to_rotvec(rot[0])
 
 

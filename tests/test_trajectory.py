@@ -166,7 +166,7 @@ class TestControlTimes:
 def turn_columns_by_secant(times, rotvecs, t_eval, h=1e-6):
     """World-frame turn per unit change of each rotation parameter, (M, 3, K, 3),
     from central differences of slerp_rotation_matrices."""
-    rots = slerp_rotation_matrices(times, rotvec_to_quat(rotvecs), 1.0, t_eval)
+    rots = slerp_rotation_matrices(times, rotvecs, 1.0, t_eval)
     out = np.zeros((len(t_eval), 3, len(times), 3))
     for k in range(len(times)):
         for i in range(3):
@@ -174,8 +174,8 @@ def turn_columns_by_secant(times, rotvecs, t_eval, h=1e-6):
             plus[k, i] += h
             minus[k, i] -= h
             d_rot = (
-                slerp_rotation_matrices(times, rotvec_to_quat(plus), 1.0, t_eval)
-                - slerp_rotation_matrices(times, rotvec_to_quat(minus), 1.0, t_eval)
+                slerp_rotation_matrices(times, plus, 1.0, t_eval)
+                - slerp_rotation_matrices(times, minus, 1.0, t_eval)
             ) / (2 * h)
             turn = d_rot @ np.swapaxes(rots, 1, 2)  # [w]x
             out[:, :, k, i] = np.stack([turn[:, 2, 1], turn[:, 0, 2], turn[:, 1, 0]], axis=1)
@@ -193,8 +193,8 @@ class TestSlerpTurns:
     T_EVAL = np.array([0.0, 0.3, 0.99, 1.0, 1.5, 2.0])
 
     def assert_matches_secant(self, rotvecs):
-        rots = slerp_rotation_matrices(self.TIMES, rotvec_to_quat(rotvecs), 1.0, self.T_EVAL)
-        turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL, rots)
+        rots, turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL)
+        assert np.array_equal(rots, slerp_rotation_matrices(self.TIMES, rotvecs, 1.0, self.T_EVAL))
         closed = np.zeros((len(self.T_EVAL), 3, len(self.TIMES), 3))
         seg, _ = segment_params(self.TIMES, 1.0, self.T_EVAL)
         m = np.arange(len(self.T_EVAL))
@@ -223,7 +223,50 @@ class TestSlerpTurns:
         # u = 0 moves only with the first pose, u = 1 only with the second
         rng = np.random.default_rng(31)
         rotvecs = rng.normal(size=(3, 3))
-        rots = slerp_rotation_matrices(self.TIMES, rotvec_to_quat(rotvecs), 1.0, self.T_EVAL)
-        turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL, rots)
+        rots, turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL)
+        assert np.abs(rots[[0, 3, 5]] - rotvec_to_matrix(rotvecs[[0, 1, 2]])).max() < 1e-12
         assert np.array_equal(turn_b[[0, 3]], np.zeros((2, 3, 3)))
         assert np.abs(turn_a[-1]).max() < 1e-12
+
+
+def quaternion_slerp(qa, qb, u):
+    """Reference slerp of unit quaternions [x, y, z, w], (4,) each, at fractions
+    u, (M,), as rotation matrices (M, 3, 3): the shorter arc, linear below a
+    half-angle sine of 1e-9, renormalised."""
+    if qa @ qb < 0.0:
+        qb = -qb
+    theta = np.arccos(np.clip(abs(qa @ qb), 0.0, 1.0))
+    if np.sin(theta) < 1e-9:
+        wa, wb = 1.0 - u, u
+    else:
+        wa, wb = np.sin((1.0 - u) * theta) / np.sin(theta), np.sin(u * theta) / np.sin(theta)
+    q = wa[:, None] * qa + wb[:, None] * qb
+    x, y, z, w = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
+
+
+class TestSlerpMatchesQuaternionSlerp:
+    # Segments stop at 2.5 rad: near pi both forms lose digits (Log's axis and
+    # the quaternion's arccos are ill-conditioned there), and they differ by
+    # about 1e-9 at pi - 1e-3. Control poses 0.1 s apart never turn that far.
+    @pytest.mark.parametrize("angle", [1e-9, 1e-5, 0.3, 2.5])
+    def test_exp_form_matches_quaternion_slerp(self, angle):
+        rng = np.random.default_rng(32)
+        u = np.linspace(0.0, 1.0, 101)
+        z = np.array([0.0, 0.0, 1.0])
+        # the first pair's quaternions have a negative dot, so the
+        # quaternion slerp flips the second
+        pairs = [(3.0 * z, (3.0 + angle - 2.0 * np.pi) * z)]
+        for _ in range(5):
+            ra, axis = rng.normal(size=3), rng.normal(size=3)
+            pairs.append((ra, then(ra, angle * axis / np.linalg.norm(axis))))
+        assert rotvec_to_quat(pairs[0][0]) @ rotvec_to_quat(pairs[0][1]) < 0.0
+        for ra, rb in pairs:
+            assert rotation_angle_between(ra, rb) == pytest.approx(angle, rel=1e-6)
+            got = slerp_rotation_matrices(np.array([0.0, 1.0]), np.stack([ra, rb]), 1.0, u)
+            want = quaternion_slerp(rotvec_to_quat(ra), rotvec_to_quat(rb), u)
+            assert np.abs(got - want).max() <= 1e-14
