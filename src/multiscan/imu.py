@@ -162,40 +162,34 @@ def imu_jacobian(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, v
     return jac
 
 
-def estimate_gravity(
-    traj: ContinuousTrajectory,
-    samples,
-    min_overlap: float = 0.2,
-) -> GravityEstimate:
+def estimate_gravity(traj: ContinuousTrajectory, samples) -> GravityEstimate:
     """Average the motion-corrected specific force over the trajectory span,
     as a direction in the body frame at traj.t_last.
 
-    Each accelerometer reading is turned into the world frame by the
-    spline's rotation at its stamp, and the spline's linear acceleration
-    (finite difference of the sampled velocity) is removed, leaving the
-    gravity reaction. The readings are averaged there, so a sensor that
-    turns over the span still agrees on one direction, and the mean is
-    expressed in the frame at t_last, the newest pose's. The confidence
-    weight decays with the mean angular rate; a mean vector weaker than
-    1 m/s^2 yields a zero-confidence estimate.
+    Each accelerometer reading f at stamp t is turned into the world frame
+    by the spline's rotation there, and the spline's own acceleration, the
+    closed-form second derivative of its position polynomial, is removed:
+    R(t) f - p''(t) leaves the gravity reaction. The readings are averaged
+    in the world frame, so a sensor that turns over the span still agrees
+    on one direction, and the mean is expressed in the frame at t_last, the
+    newest pose's. The confidence weight decays with the mean angular rate.
+    Fewer than 0.2 s of readings inside the span, or a mean vector weaker
+    than 1 m/s^2, yield a zero-confidence estimate.
     """
+    unknown = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
+    if len(samples) == 0:
+        return unknown
     times, gyro, accel = stream_arrays(samples)
     inside = (times >= traj.t_first) & (times <= traj.t_last)
-    if not np.any(inside):
-        return GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
     t_in = times[inside]
-    if t_in[-1] - t_in[0] < min_overlap:
-        raise ValueError("trajectory/IMU overlap shorter than minimum")
-    h = 1e-3
-    lo = np.maximum(t_in - h, traj.t_first)
-    hi = np.minimum(t_in + h, traj.t_last)
-    accel_world = (traj.sample_velocity(hi) - traj.sample_velocity(lo)) / (hi - lo)[:, None]
+    if len(t_in) == 0 or t_in[-1] - t_in[0] < 0.2:
+        return unknown
     rots = traj.sample_rotations(t_in)
-    up_world = np.einsum("nij,nj->ni", rots, accel[inside]) - accel_world
+    up_world = np.einsum("nij,nj->ni", rots, accel[inside]) - traj.sample_position(t_in, 2)
     mean_vec = traj.sample_rotations(traj.t_last)[0].T @ up_world.mean(axis=0)
     norm = float(np.linalg.norm(mean_vec))
     if norm < 1.0:
-        return GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
+        return unknown
     mean_rate = float(np.linalg.norm(gyro[inside], axis=1).mean())
     weight = 1.0 / (1.0 + 10.0 * mean_rate)
     return GravityEstimate(direction=mean_vec / norm, weight=weight)

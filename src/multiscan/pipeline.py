@@ -53,7 +53,6 @@ from multiscan.imu import (
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
 from multiscan.trajectory import (
     ContinuousTrajectory,
-    catmull_rom_tangents,
     deskew,
     hermite_positions,
     segment_params,
@@ -295,7 +294,7 @@ class ScanResult:
     degraded: bool
     reasons: tuple
     keyframe_created: bool
-    dropped_points: int = 0
+    dropped_points: int = 0  # points of the scan stamped before its window
 
 
 def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
@@ -317,8 +316,10 @@ class _WindowSystem:
     one distinct stamp (`trajectory.stamp_slots`), and the spline is
     evaluated once per slot. A stamp in spline segment s (control poses s
     to s + 1) reads only the rotations of poses s and s + 1 (slerp) and the
-    positions of at most four poses around it (Hermite with Catmull-Rom
-    tangents), so `freeze` sorts the moving members by slot and the
+    positions of at most four poses around it (Hermite on the tangents
+    v = T p, with the tangent matrix T = `np.gradient(I, dt)`: centered
+    differences, one-sided at the ends; the IMU rows read v as each control
+    pose's velocity), so `freeze` sorts the moving members by slot and the
     `Linearization` gets one band per segment: every moving member's rows
     are built once, over those 6 rotation and 3 P translation columns
     (P = min(4, K) poses from `segment_cols`). Positions are linear in the
@@ -394,7 +395,7 @@ class _WindowSystem:
     def imu_states(self, params: np.ndarray) -> tuple:
         """The arguments of `imu_residual` for the instrumented segments at params."""
         blocks = params.reshape(-1, 6)
-        vel = catmull_rom_tangents(blocks[:, 3:], self.spacing)
+        vel = np.gradient(blocks[:, 3:], self.spacing, axis=0)
         mats = rotvec_to_matrix(blocks[:, :3])
         i, j = self.imu_seg, self.imu_seg + 1
         return (self.delta, mats[i], blocks[i, 3:], vel[i],
@@ -408,7 +409,8 @@ class _WindowSystem:
 
     def imu_jacobian(self, params: np.ndarray) -> np.ndarray:
         """Jacobian of `imu_rows`: `imu_jacobian` chained by w = J_l(r) dr and
-        v = T p, so segment s reaches the positions of poses s - 1 to s + 2."""
+        the tangent matrix v = T p, so segment s reaches the positions of
+        poses s - 1 to s + 2."""
         if self.delta is None:
             return np.zeros((0, len(params)))
         # (segment, row, end pose i or j, turn / position / velocity, axis)
@@ -417,7 +419,7 @@ class _WindowSystem:
         ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
         select = np.eye(self.n_ctrl)[ends]
         # an end pose's position and velocity as weights of the control positions
-        chain = np.stack([select, catmull_rom_tangents(np.eye(self.n_ctrl), self.spacing)[ends]], 2)
+        chain = np.stack([select, np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[ends]], 2)
         turns = left_jacobian(params.reshape(-1, 6)[:, :3])[ends]
         out = np.empty((len(ends), 9, self.n_ctrl, 6))
         out[..., :3] = np.einsum("saeb,sebc,sek->sakc", jac[:, :, :, 0], turns, select)
@@ -573,7 +575,7 @@ class OdometryPipeline:
 
         ctrl_times = self._control_times(t_now)
         params0 = self._initial_params(ctrl_times)
-        pts, stamps, dropped = self._window_points(ctrl_times[0], t_now)
+        pts, stamps = self._window_points(ctrl_times[0], t_now)
 
         if self.imu_times:
             deltas = self._segment_deltas(ctrl_times)
@@ -616,7 +618,7 @@ class OdometryPipeline:
             degraded=bool(reasons),
             reasons=tuple(reasons),
             keyframe_created=created,
-            dropped_points=dropped,
+            dropped_points=int(np.count_nonzero(down.stamps < ctrl_times[0])),
         )
         self.results.append(result)
         return result
@@ -647,23 +649,24 @@ class OdometryPipeline:
     @staticmethod
     def _extrapolate(traj: ContinuousTrajectory, t: float) -> Pose:
         dt = t - traj.t_last
-        vel = traj.sample_velocity(traj.t_last)
+        vel = traj.sample_position(traj.t_last, 1)[0]
         # the last segment's turn, continued at its constant rate
         rot = traj.rotations[-1] @ rotvec_to_matrix(traj.turns[-1] * (dt / traj.spacing))
         return Pose(matrix_to_rotvec(rot), traj.positions[-1] + vel * dt)
 
     def _window_points(self, t_start: float, t_end: float):
-        clouds = self.scans.window(t_start - 0.2, t_end)
+        """Points and stamps of the buffered scans inside [t_start, t_end].
+
+        A scan is keyed by its last stamp, so one keyed before t_start has
+        no point inside."""
         pts, stamps = [], []
-        dropped = 0
-        for cloud in clouds:
+        for cloud in self.scans.window(t_start, t_end):
             inside = (cloud.stamps >= t_start) & (cloud.stamps <= t_end)
-            dropped += int((~inside).sum())
             pts.append(cloud.points[inside])
             stamps.append(cloud.stamps[inside])
         if not pts:
-            return np.zeros((0, 3)), np.zeros(0), dropped
-        return np.vstack(pts), np.concatenate(stamps), dropped
+            return np.zeros((0, 3)), np.zeros(0)
+        return np.vstack(pts), np.concatenate(stamps)
 
     def _segment_deltas(self, ctrl_times: np.ndarray):
         """Preintegrated deltas for segments the IMU stream covers.
@@ -715,12 +718,7 @@ class OdometryPipeline:
         normals, planarity = compute_point_attributes(sensor_cloud, cfg.k_neighbors)
         sensor_cloud.normals = normals
         sensor_cloud.planarity = planarity
-        gravity = GravityEstimate(direction=np.array([0.0, 0, 1.0]), weight=0.0)
-        if self.imu_times and self._traj is not None:
-            samples = self._imu_in(self._traj.t_first, self._traj.t_last)
-            span = samples[-1].time - samples[0].time if len(samples) >= 2 else 0.0
-            if span >= 0.2:
-                gravity = estimate_gravity(self._traj, samples)
+        gravity = estimate_gravity(self._traj, self._imu_in(self._traj.t_first, self._traj.t_last))
         kf = Keyframe(
             kf_id=self._next_kf_id,
             pose=pose_now,

@@ -2,11 +2,14 @@
 
 A trajectory is given by its control times and the flat parameter vector
 (r, t) per control pose that the odometry window optimizes: a rotation
-vector and a position. Positions follow a cubic Hermite spline with
-centered (Catmull-Rom) tangents, one-sided at the ends
-(`hermite_positions`). Orientations follow one chain of control rotations
-R_k = Exp(r_k) and segment turns phi_s = Log(R_s^T R_{s+1}): on segment s
-the rotation is R_s Exp(u phi_s), constant-rate slerp for u in [0, 1]
+vector and a position. Positions follow a cubic Hermite spline whose
+tangents are the centered differences of the control positions, one-sided
+at the ends (`np.gradient`). `hermite_positions` evaluates it and its time
+derivatives from one table of the four Hermite basis polynomials, so the
+value, the velocity and the acceleration are the same polynomial.
+Orientations follow one chain of control rotations R_k = Exp(r_k) and
+segment turns phi_s = Log(R_s^T R_{s+1}): on segment s the rotation is
+R_s Exp(u phi_s), constant-rate slerp for u in [0, 1]
 (`slerp_rotation_matrices`). `slerp_turns` differentiates that same
 formula under its two end poses' rotation vectors, and the odometry
 extrapolates past the last control pose by the last segment's turn at the
@@ -34,14 +37,13 @@ from multiscan.geometry import (
 )
 
 
-def catmull_rom_tangents(positions: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered-difference tangents, one-sided at the ends, along axis -2."""
-    tangents = np.empty_like(positions)
-    tangents[..., 0, :] = (positions[..., 1, :] - positions[..., 0, :]) / spacing
-    tangents[..., -1, :] = (positions[..., -1, :] - positions[..., -2, :]) / spacing
-    if positions.shape[-2] > 2:
-        tangents[..., 1:-1, :] = (positions[..., 2:, :] - positions[..., :-2, :]) / (2.0 * spacing)
-    return tangents
+# coefficients of the Hermite basis h00, h10, h01, h11 (rows) over 1, u, u^2, u^3
+_HERMITE = np.array([
+    [1.0, 0.0, -3.0, 2.0],
+    [0.0, 1.0, -2.0, 1.0],
+    [0.0, 0.0, 3.0, -2.0],
+    [0.0, 0.0, -1.0, 1.0],
+])
 
 
 def segment_params(ctrl_times: np.ndarray, spacing: float, t_eval: np.ndarray):
@@ -51,25 +53,37 @@ def segment_params(ctrl_times: np.ndarray, spacing: float, t_eval: np.ndarray):
 
 
 def hermite_positions(
-    ctrl_times: np.ndarray, positions: np.ndarray, spacing: float, t_eval: np.ndarray
+    ctrl_times: np.ndarray, positions: np.ndarray, spacing: float, t_eval: np.ndarray,
+    order: int = 0,
 ) -> np.ndarray:
-    """Cubic Hermite interpolation of control positions at t_eval.
+    """Cubic Hermite interpolation of control positions at t_eval, or its
+    order-th time derivative.
 
     positions is (..., K, 3), with any leading batch axes; the result is
-    (..., M, 3) for M evaluation times.
+    (..., M, 3) for M evaluation times. The tangents are
+    `np.gradient(positions, spacing, axis=-2)`. On segment s with fraction
+    u the value is h00 p_s + h10 dt m_s + h01 p_{s+1} + h11 dt m_{s+1}; the
+    derivative differentiates the basis table in u and scales it by
+    dt^-order, dt the spacing. The second derivative is linear on each
+    segment and jumps at the knots, where a time takes the segment it
+    starts (the last knot the segment it ends).
     """
-    tangents = catmull_rom_tangents(positions, spacing)
+    # the one tangent rule: centered differences, one-sided at the ends
+    tangents = np.gradient(positions, spacing, axis=-2)
     seg, u = segment_params(ctrl_times, spacing, t_eval)
-    u2, u3 = u * u, u * u * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
+    coef = _HERMITE
+    for _ in range(order):
+        coef = coef[:, 1:] * np.arange(1.0, coef.shape[1])
+    powers = [np.ones_like(u)]
+    for _ in range(coef.shape[1] - 1):
+        powers.append(powers[-1] * u)
+    scale = np.array([1.0, spacing, 1.0, spacing]) / spacing**order
+    h00, h10, h01, h11 = (coef * scale[:, None]) @ np.stack(powers)
     return (
         h00[:, None] * positions[..., seg, :]
-        + (h10 * spacing)[:, None] * tangents[..., seg, :]
+        + h10[:, None] * tangents[..., seg, :]
         + h01[:, None] * positions[..., seg + 1, :]
-        + (h11 * spacing)[:, None] * tangents[..., seg + 1, :]
+        + h11[:, None] * tangents[..., seg + 1, :]
     )
 
 
@@ -149,7 +163,6 @@ class ContinuousTrajectory:
         self.rotvecs = blocks[:, :3].copy()
         self.positions = blocks[:, 3:].copy()
         self.rotations, self.turns = _rotation_chain(self.rotvecs)
-        self.tangents = catmull_rom_tangents(self.positions, self.spacing)
 
     @property
     def t_first(self) -> float:
@@ -165,30 +178,11 @@ class ContinuousTrajectory:
                 f"time outside trajectory window [{self.t_first}, {self.t_last}]"
             )
 
-    def sample_position(self, t) -> np.ndarray:
+    def sample_position(self, t, order: int = 0) -> np.ndarray:
+        """Spline position at t, or its order-th time derivative, (M, 3)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self._check_range(t)
-        return hermite_positions(self.times, self.positions, self.spacing, t)
-
-    def sample_velocity(self, t) -> np.ndarray:
-        """Analytic time derivative of the Hermite position polynomial."""
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        self._check_range(t)
-        seg, u = segment_params(self.times, self.spacing, t)
-        u2 = u * u
-        d00 = 6 * u2 - 6 * u
-        d10 = 3 * u2 - 4 * u + 1
-        d01 = -6 * u2 + 6 * u
-        d11 = 3 * u2 - 2 * u
-        dt = self.spacing
-        vel = (
-            (d00 / dt)[:, None] * self.positions[seg]
-            + d10[:, None] * self.tangents[seg]
-            + (d01 / dt)[:, None] * self.positions[seg + 1]
-            + d11[:, None] * self.tangents[seg + 1]
-        )
-        return vel[0] if scalar else vel
+        return hermite_positions(self.times, self.positions, self.spacing, t, order)
 
     def sample_rotations(self, t) -> np.ndarray:
         """Batch slerp between bracketing control orientations, (M, 3, 3)."""

@@ -275,11 +275,39 @@ class TestEstimateGravity:
         est = estimate_gravity(traj, stream(np.arange(0, 1.0, 5e-3), [0, 0, 0], [0, 0, 0.01]))
         assert est.weight == 0.0
 
-    def test_short_overlap_raises(self):
+    def test_short_overlap_gives_zero_weight(self):
+        # under 0.2 s of readings inside the span, none inside it, or none
+        # at all: no estimate, the same as a weak mean
         traj = static_traj()
-        samples = stream([0.4, 0.45, 0.5], [0, 0, 0], [0, 0, 9.81])
-        with pytest.raises(ValueError, match="overlap"):
-            estimate_gravity(traj, samples)
+        for times in ([0.4, 0.45, 0.5], [1.5, 1.6, 1.7], []):
+            est = estimate_gravity(traj, stream(times, [0, 0, 0], [0, 0, 9.81]))
+            assert est.weight == 0.0
+            assert np.array_equal(est.direction, [0.0, 0.0, 1.0])
+
+    def test_truth_spline_with_samples_on_knots(self):
+        # the motion is the spline itself; at a knot its acceleration jumps,
+        # and a reading there senses the segment the knot starts (the last
+        # knot the segment it ends), which the spline's closed-form second
+        # derivative also takes
+        times = np.arange(0.0, 1.0 + 1e-9, 0.1)
+        positions = np.stack([np.sin(3.0 * times), 0.4 * times, 0.2 * np.cos(5.0 * times)], axis=1)
+        rotvecs = np.outer(times, [0.3, -0.2, 0.4])
+        traj = ContinuousTrajectory(times, np.hstack([rotvecs, positions]).ravel())
+        fractions = np.array([0.0, 0.25, 0.5, 0.75])
+        t_imu = np.append((times[:-1, None] + 0.1 * fractions).ravel(), times[-1])
+        assert np.isin(times, t_imu).all()
+        # each segment's acceleration by a three-point difference of its
+        # velocity, on the side of the knot whose segment the stamp takes
+        h = 1e-5
+        side = np.where(t_imu < times[-1], 1.0, -1.0)[:, None]
+        vel = [traj.sample_position(t_imu + side[:, 0] * k * h, 1) for k in range(3)]
+        accel_world = side * (-3.0 * vel[0] + 4.0 * vel[1] - vel[2]) / (2.0 * h)
+        rots = traj.sample_rotations(t_imu)
+        accel = np.einsum("nji,nj->ni", rots, accel_world - GRAVITY)
+        samples = [ImuSample(float(t), np.zeros(3), a) for t, a in zip(t_imu, accel)]
+        est = estimate_gravity(traj, samples)
+        last_up = traj.sample_rotations(times[-1])[0].T @ [0.0, 0.0, 1.0]
+        assert np.allclose(est.direction, last_up, rtol=0.0, atol=1e-9)
 
 
 class TestStaticInitialization:

@@ -5,6 +5,7 @@ from multiscan.geometry import PointCloud, matrix_to_rotvec, rotvec_to_matrix, r
 from multiscan.trajectory import (
     ContinuousTrajectory,
     deskew,
+    hermite_positions,
     segment_params,
     slerp_rotation_matrices,
     slerp_turns,
@@ -48,7 +49,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             traj.sample_pose(traj.t_last + 0.01)
         with pytest.raises(ValueError, match="outside"):
-            traj.sample_velocity(traj.t_first - 0.01)
+            traj.sample_position(traj.t_first - 0.01, 1)
 
 
 class TestSamplePose:
@@ -98,7 +99,7 @@ class TestSampleVelocity:
         positions = np.outer(times, [2.0, -1.0, 0.5])
         traj = make_traj(times, positions)
         for t in np.linspace(0.0, 0.5, 21):
-            assert np.allclose(traj.sample_velocity(float(t)), [2.0, -1.0, 0.5], atol=1e-12)
+            assert np.allclose(traj.sample_position(float(t), 1), [2.0, -1.0, 0.5], atol=1e-12)
 
     def test_matches_finite_difference(self):
         # compare inside segments: across a knot the second derivative jumps
@@ -107,12 +108,50 @@ class TestSampleVelocity:
         h = 5e-4
         for knot in traj.times[:-1]:
             t = float(knot) + 0.37 * traj.spacing
-            fd = (traj.sample_position(t + h) - traj.sample_position(t - h))[0] / (2 * h)
-            assert np.allclose(traj.sample_velocity(t), fd, atol=1e-6)
+            fd = (traj.sample_position(t + h) - traj.sample_position(t - h)) / (2 * h)
+            assert np.allclose(traj.sample_position(t, 1), fd, atol=1e-6)
 
     def test_stationary_zero(self):
         traj = make_traj(0.1 * np.arange(4), np.tile([1.0, 2.0, 3.0], (4, 1)))
-        assert np.allclose(traj.sample_velocity(0.17), 0.0, atol=1e-15)
+        assert np.allclose(traj.sample_position(0.17, 1), 0.0, atol=1e-15)
+
+
+class TestHermiteDerivatives:
+    def test_quadratic_path_exact_on_interior_segments(self):
+        # centered tangents are exact on a quadratic, so every segment whose
+        # two tangents are centered reproduces it; the one-sided end
+        # tangents make the first and last segments deviate
+        times = 0.1 * np.arange(8)
+        p0, v0, a = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.0, -1.2]), np.array([2.0, -0.5, 1.0])
+        traj = make_traj(times, p0 + np.outer(times, v0) + 0.5 * np.outer(times * times, a))
+        # times[-2] itself starts the last segment
+        inner = np.linspace(times[1], times[-2], 101)[:-1]
+        assert np.allclose(traj.sample_position(inner, 2), a, rtol=0.0, atol=1e-10)
+        assert np.allclose(traj.sample_position(inner, 1), v0 + np.outer(inner, a), rtol=0.0, atol=1e-12)
+        ends = np.array([0.5 * times[1], 0.5 * (times[-2] + times[-1])])
+        assert np.all(np.abs(traj.sample_position(ends, 2) - a).max(axis=1) > 0.1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_order_is_the_derivative_of_the_order_below(self, order):
+        # inside segments, with leading batch axes
+        rng = np.random.default_rng(order)
+        spacing = 0.1
+        times = spacing * np.arange(7)
+        positions = rng.normal(size=(2, 4, 7, 3))
+        t_eval = times[:-1] + spacing * rng.uniform(0.1, 0.9, size=6)
+        h = 1e-6
+        value = hermite_positions(times, positions, spacing, t_eval, order)
+        below = [hermite_positions(times, positions, spacing, t_eval + dt, order - 1) for dt in (h, -h)]
+        assert value.shape == (2, 4, 6, 3)
+        assert np.allclose(value, (below[0] - below[1]) / (2 * h), rtol=1e-6, atol=1e-4)
+
+    def test_knot_takes_the_segment_it_starts(self):
+        traj = wavy_traj()
+        h = 1e-7
+        for k, t in enumerate(traj.times):
+            side = h if k < len(traj.times) - 1 else -h
+            near = traj.sample_position(float(t) + side, 2)
+            assert np.allclose(traj.sample_position(float(t), 2), near, rtol=0.0, atol=1e-4)
 
 
 class TestDeskew:
