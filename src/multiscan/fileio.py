@@ -2,7 +2,9 @@
 
 Point clouds use the standard polygon file format with float32 x/y/z and an
 optional float64 per-point time field t, in ascii or binary little-endian
-encoding. Trajectories are plain text, one pose per line:
+encoding. The IMU stream is a CSV with header t,gx,gy,gz,ax,ay,az, one
+sample per row, read into and written from an `imu.ImuStream`.
+Trajectories are plain text, one pose per line:
 timestamp tx ty tz qx qy qz qw.
 """
 
@@ -15,7 +17,7 @@ import os
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, quat_to_rotvec, rotvec_to_quat
-from multiscan.imu import ImuSample
+from multiscan.imu import ImuStream
 
 
 class DataError(RuntimeError):
@@ -164,18 +166,18 @@ def _finite_floats(fields, where: str) -> list[float]:
     return values
 
 
-def write_imu_csv(samples, path) -> None:
+def write_imu_csv(stream: ImuStream, path) -> None:
     with open(path, "w") as fh:
         fh.write("t,gx,gy,gz,ax,ay,az\n")
-        for s in samples:
-            g, a = s.angular_velocity, s.linear_acceleration
+        for t, g, a in zip(stream.times, stream.gyro, stream.accel):
             fh.write(
-                f"{s.time:.9f},{g[0]:.9g},{g[1]:.9g},{g[2]:.9g},{a[0]:.9g},{a[1]:.9g},{a[2]:.9g}\n"
+                f"{t:.9f},{g[0]:.9g},{g[1]:.9g},{g[2]:.9g},{a[0]:.9g},{a[1]:.9g},{a[2]:.9g}\n"
             )
 
 
-def read_imu_csv(path) -> list[ImuSample]:
-    """Time-sorted samples; duplicate timestamps are rejected by row."""
+def read_imu_csv(path) -> ImuStream:
+    """The rows as one stream in time order; DataError naming the line of a
+    duplicate timestamp or a non-finite value."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "t,gx,gy,gz,ax,ay,az":
@@ -195,9 +197,8 @@ def read_imu_csv(path) -> list[ImuSample]:
             raise DataError(
                 f"{path}: line {line_b}: duplicate timestamp {b[0]!r} (also on line {line_a})"
             )
-    return [
-        ImuSample(v[0], np.array(v[1:4]), np.array(v[4:7])) for _, v in rows
-    ]
+    values = np.array([v for _, v in rows], dtype=float).reshape(-1, 7)
+    return ImuStream(values[:, 0], values[:, 1:4], values[:, 4:7])
 
 
 def write_trajectory(path, times, poses) -> None:

@@ -1,5 +1,7 @@
-"""IMU preintegration between control poses and gravity direction estimation.
+"""IMU stream, preintegration between control poses, gravity direction.
 
+`ImuStream` is the one form of inertial data: the file reader, the simulator
+and the odometry buffer hold one, and every function here reads its arrays.
 Deltas accumulate body-frame relative motion (rotation, velocity, position)
 from rate and specific-force samples, independent of any world pose and of
 gravity. `imu_residual` compares deltas, stacked over segments, against
@@ -10,7 +12,7 @@ world gravity vector; the odometry window's IMU rows are one such call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,12 +22,43 @@ from multiscan.trajectory import ContinuousTrajectory
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One inertial sample: body-frame rate (rad/s) and specific force (m/s^2)."""
+class ImuStream:
+    """Stamps (N,) in s, body-frame rates (N, 3) in rad/s and specific forces
+    (N, 3) in m/s^2, as read-only arrays; empty by default. Checked once,
+    when built: ValueError unless the shapes match, every value is finite
+    and the stamps strictly increase."""
 
-    time: float
-    angular_velocity: np.ndarray
-    linear_acceleration: np.ndarray
+    times: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gyro: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    accel: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+
+    def __post_init__(self):
+        for item in fields(self):
+            value = np.ascontiguousarray(getattr(self, item.name), dtype=float).view()
+            value.flags.writeable = False
+            object.__setattr__(self, item.name, value)
+        shapes = (self.times.shape, self.gyro.shape, self.accel.shape)
+        n = len(self.times) if self.times.ndim == 1 else -1
+        if shapes != ((n,), (n, 3), (n, 3)):
+            raise ValueError(f"IMU stream shapes {shapes} are not (N,), (N, 3), (N, 3)")
+        if not all(np.isfinite(values).all() for values in (self.times, self.gyro, self.accel)):
+            raise ValueError("non-finite IMU sample time, gyro or accel")
+        if np.any(np.diff(self.times) <= 0.0):
+            raise ValueError("IMU sample times must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def between(self, t0: float, t1: float) -> ImuStream:
+        """The samples stamped in [t0, t1], both ends inclusive."""
+        lo = np.searchsorted(self.times, t0, side="left")
+        hi = np.searchsorted(self.times, t1, side="right")
+        return ImuStream(self.times[lo:hi], self.gyro[lo:hi], self.accel[lo:hi])
+
+    def concatenate(self, later: ImuStream) -> ImuStream:
+        """This stream, then later; ValueError unless later starts after this ends."""
+        pairs = zip((self.times, self.gyro, self.accel), (later.times, later.gyro, later.accel))
+        return ImuStream(*(np.concatenate(pair) for pair in pairs))
 
 
 @dataclass
@@ -46,26 +79,19 @@ class GravityEstimate:
     weight: float
 
 
-def stream_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times (N,), gyro (N, 3) and accel (N, 3) of a sample sequence."""
-    times = np.array([s.time for s in samples], dtype=float)
-    gyro = np.stack([np.asarray(s.angular_velocity, dtype=float) for s in samples])
-    accel = np.stack([np.asarray(s.linear_acceleration, dtype=float) for s in samples])
-    return times, gyro, accel
-
-
 def _interp_row(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
     return np.array([np.interp(t, times, values[:, d]) for d in range(values.shape[1])])
 
 
 def preintegrate(
-    samples,
+    stream: ImuStream,
     t_start: float,
     t_end: float,
     gyro_bias: np.ndarray | None = None,
     accel_bias: np.ndarray | None = None,
 ) -> PreintegratedDelta:
-    """First-order integration of the bias-corrected samples over [t_start, t_end].
+    """First-order integration of the stream's bias-corrected samples over
+    [t_start, t_end], read from its arrays.
 
     Sample values at the interval endpoints are linearly interpolated from
     the surrounding stream; within the interval each sample's value holds
@@ -73,11 +99,11 @@ def preintegrate(
     """
     if t_end <= t_start:
         raise ValueError("empty preintegration interval")
-    if len(samples) == 0:
+    if len(stream) == 0:
         raise ValueError("no IMU samples supplied")
     gyro_bias = np.zeros(3) if gyro_bias is None else np.asarray(gyro_bias, dtype=float)
     accel_bias = np.zeros(3) if accel_bias is None else np.asarray(accel_bias, dtype=float)
-    times, gyro, accel = stream_arrays(samples)
+    times, gyro, accel = stream.times, stream.gyro, stream.accel
     if times[-1] < t_start or times[0] > t_end:
         raise ValueError("no IMU samples overlap the interval")
     inside = (times > t_start) & (times < t_end)
@@ -162,7 +188,7 @@ def imu_jacobian(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, v
     return jac
 
 
-def estimate_gravity(traj: ContinuousTrajectory, samples) -> GravityEstimate:
+def estimate_gravity(traj: ContinuousTrajectory, stream: ImuStream) -> GravityEstimate:
     """Average the motion-corrected specific force over the trajectory span,
     as a direction in the body frame at traj.t_last.
 
@@ -177,35 +203,31 @@ def estimate_gravity(traj: ContinuousTrajectory, samples) -> GravityEstimate:
     than 1 m/s^2, yield a zero-confidence estimate.
     """
     unknown = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
-    if len(samples) == 0:
-        return unknown
-    times, gyro, accel = stream_arrays(samples)
-    inside = (times >= traj.t_first) & (times <= traj.t_last)
-    t_in = times[inside]
+    inside = stream.between(traj.t_first, traj.t_last)
+    t_in = inside.times
     if len(t_in) == 0 or t_in[-1] - t_in[0] < 0.2:
         return unknown
     rots = traj.sample_rotations(t_in)
-    up_world = np.einsum("nij,nj->ni", rots, accel[inside]) - traj.sample_position(t_in, 2)
+    up_world = np.einsum("nij,nj->ni", rots, inside.accel) - traj.sample_position(t_in, 2)
     mean_vec = traj.sample_rotations(traj.t_last)[0].T @ up_world.mean(axis=0)
     norm = float(np.linalg.norm(mean_vec))
     if norm < 1.0:
         return unknown
-    mean_rate = float(np.linalg.norm(gyro[inside], axis=1).mean())
+    mean_rate = float(np.linalg.norm(inside.gyro, axis=1).mean())
     weight = 1.0 / (1.0 + 10.0 * mean_rate)
     return GravityEstimate(direction=mean_vec / norm, weight=weight)
 
 
-def static_initialization(samples) -> tuple[np.ndarray, np.ndarray, float]:
+def static_initialization(stream: ImuStream) -> tuple[np.ndarray, np.ndarray, float]:
     """Gyro bias, unit body-frame up direction, gravity magnitude from rest.
 
     Meant for a short initial standstill; the accelerometer then senses the
     pure gravity reaction.
     """
-    if len(samples) == 0:
+    if len(stream) == 0:
         raise ValueError("no IMU samples for static initialization")
-    _, gyro, accel = stream_arrays(samples)
-    gyro_bias = gyro.mean(axis=0)
-    mean_accel = accel.mean(axis=0)
+    gyro_bias = stream.gyro.mean(axis=0)
+    mean_accel = stream.accel.mean(axis=0)
     magnitude = float(np.linalg.norm(mean_accel))
     if magnitude < 1.0:
         raise ValueError("static accelerometer mean too weak to define gravity")

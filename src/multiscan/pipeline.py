@@ -41,14 +41,13 @@ from multiscan.geometry import (
 )
 from multiscan.imu import (
     GravityEstimate,
-    ImuSample,
+    ImuStream,
     estimate_gravity,
     imu_jacobian,
     imu_residual,
     preintegrate,
     stack_deltas,
     static_initialization,
-    stream_arrays,
 )
 from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
 from multiscan.trajectory import (
@@ -209,7 +208,6 @@ class Keyframe:
     pose: Pose
     cloud: PointCloud
     gravity: GravityEstimate
-    fine_keys: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def world_points(self) -> np.ndarray:
         return self.pose.apply(self.cloud.points)
@@ -217,10 +215,9 @@ class Keyframe:
     def world_normals(self) -> np.ndarray:
         return self.cloud.normals @ self.pose.matrix().T
 
-    def refresh_keys(self, fine_size: float) -> None:
-        self.fine_keys = np.unique(
-            pack_cell_indices(voxel_cell_indices(self.world_points(), fine_size))
-        )
+    def cell_keys(self, cell_size: float) -> np.ndarray:
+        """Unique packed ids of the world cells of side cell_size holding the points."""
+        return np.unique(pack_cell_indices(voxel_cell_indices(self.world_points(), cell_size)))
 
 
 def key_overlap(keys: np.ndarray, key_set: np.ndarray) -> float:
@@ -233,8 +230,7 @@ def key_overlap(keys: np.ndarray, key_set: np.ndarray) -> float:
 class Map:
     """Keyframe store plus a world-frame point index for static points."""
 
-    def __init__(self, fine_size: float):
-        self.fine_size = fine_size
+    def __init__(self):
         self.keyframes: list[Keyframe] = []
         self._points = np.zeros((0, 3))
         self._normals = np.zeros((0, 3))
@@ -243,7 +239,6 @@ class Map:
         return len(self.keyframes)
 
     def add(self, kf: Keyframe) -> None:
-        kf.refresh_keys(self.fine_size)
         self.keyframes.append(kf)
         self.rebuild_index()
 
@@ -298,11 +293,11 @@ class ScanResult:
 
 
 def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
-    """Rotation vector turning the unit vector up onto +z; zero if parallel."""
+    """Rotation vector turning the unit vector up onto +z; a half turn about x for -z."""
     axis = np.cross(up, [0.0, 0.0, 1.0])
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
-        return np.zeros(3)
+        return np.array([np.pi, 0.0, 0.0]) if up[2] < 0.0 else np.zeros(3)
     angle = np.arccos(np.clip(up @ [0.0, 0.0, 1.0], -1.0, 1.0))
     return axis / norm * angle
 
@@ -495,9 +490,8 @@ class OdometryPipeline:
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.scans = RingBuffer(self.config.buffer_capacity)
-        self.imu_times: list[float] = []
-        self.imu_samples: list[ImuSample] = []
-        self.map = Map(self.config.voxel.fine_size)
+        self.imu = ImuStream()
+        self.map = Map()
         self.trajectory_times: list[float] = []
         self.trajectory_poses: list[Pose] = []
         self.results: list[ScanResult] = []
@@ -511,42 +505,23 @@ class OdometryPipeline:
 
     # ---- inputs ------------------------------------------------------------------
 
-    def add_imu(self, samples) -> None:
-        """Store a batch of samples whole, or raise ValueError and store none.
-
-        Times must be finite and strictly increasing after the last stored
-        sample; gyro and accel values must be finite.
-        """
-        samples = list(samples)
-        if not samples:
-            return
-        times, gyro, accel = stream_arrays(samples)
-        if not all(np.all(np.isfinite(values)) for values in (times, gyro, accel)):
-            raise ValueError("non-finite IMU sample time, gyro or accel")
-        if np.any(np.diff(np.concatenate([self.imu_times[-1:], times])) <= 0.0):
-            raise ValueError("IMU samples must arrive in increasing time order")
-        self.imu_times.extend(times.tolist())
-        self.imu_samples.extend(samples)
-
-    def _imu_in(self, t0: float, t1: float) -> list[ImuSample]:
-        lo = bisect.bisect_left(self.imu_times, t0)
-        hi = bisect.bisect_right(self.imu_times, t1)
-        return self.imu_samples[lo:hi]
+    def add_imu(self, stream: ImuStream) -> None:
+        """Append stream to the stored one, or raise ValueError and store none
+        of it: it must start after the last stored sample (`ImuStream.concatenate`)."""
+        self.imu = self.imu.concatenate(stream)
 
     def _trim_imu(self, horizon: float) -> None:
         """Drop stored samples older than horizon, always keeping the newest."""
-        drop = min(bisect.bisect_left(self.imu_times, horizon), len(self.imu_times) - 1)
-        if drop > 0:
-            del self.imu_times[:drop]
-            del self.imu_samples[:drop]
+        if len(self.imu):
+            self.imu = self.imu.between(min(horizon, self.imu.times[-1]), np.inf)
 
     def _maybe_initialize(self) -> None:
         if self._initialized:
             return
-        if self.imu_times:
-            t0 = self.imu_times[0]
-            init = self._imu_in(t0, t0 + self.config.imu_init_duration)
-            if len(init) >= 2 and init[-1].time - init[0].time >= 0.8 * self.config.imu_init_duration:
+        if len(self.imu):
+            t0 = self.imu.times[0]
+            init = self.imu.between(t0, t0 + self.config.imu_init_duration)
+            if len(init) >= 2 and init.times[-1] - init.times[0] >= 0.8 * self.config.imu_init_duration:
                 gyro_bias, up_body, magnitude = static_initialization(init)
                 self.gyro_bias = gyro_bias
                 self.gravity_vec = np.array([0.0, 0.0, -magnitude])
@@ -577,7 +552,7 @@ class OdometryPipeline:
         params0 = self._initial_params(ctrl_times)
         pts, stamps = self._window_points(ctrl_times[0], t_now)
 
-        if self.imu_times:
+        if len(self.imu):
             deltas = self._segment_deltas(ctrl_times)
             imu_reason = None if deltas else "no_imu_coverage"
         else:
@@ -679,8 +654,9 @@ class OdometryPipeline:
         for seg in range(len(ctrl_times) - 1):
             t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
             slack = 0.25 * (t_j - t_i)
-            samples = self._imu_in(t_i - 0.05, t_j + 0.05)
-            if len(samples) < 2 or samples[0].time > t_i + slack or samples[-1].time < t_j - slack:
+            samples = self.imu.between(t_i - 0.05, t_j + 0.05)
+            times = samples.times
+            if len(times) < 2 or times[0] > t_i + slack or times[-1] < t_j - slack:
                 continue
             deltas.append((seg, preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)))
         return deltas
@@ -718,7 +694,7 @@ class OdometryPipeline:
         normals, planarity = compute_point_attributes(sensor_cloud, cfg.k_neighbors)
         sensor_cloud.normals = normals
         sensor_cloud.planarity = planarity
-        gravity = estimate_gravity(self._traj, self._imu_in(self._traj.t_first, self._traj.t_last))
+        gravity = estimate_gravity(self._traj, self.imu)
         kf = Keyframe(
             kf_id=self._next_kf_id,
             pose=pose_now,
@@ -736,11 +712,12 @@ class OdometryPipeline:
         cfg = self.config
         kfs = self.map.keyframes
         cur_idx = len(kfs) - 1
+        keys = current.cell_keys(cfg.voxel.fine_size)
         start = None
         for i, kf in enumerate(kfs[:cur_idx]):
             dist = np.linalg.norm(kf.pose.trans - current.pose.trans)
             if dist < cfg.kf_opt_distance and (
-                key_overlap(current.fine_keys, kf.fine_keys) > cfg.kf_opt_overlap
+                key_overlap(keys, kf.cell_keys(cfg.voxel.fine_size)) > cfg.kf_opt_overlap
             ):
                 start = i
                 break
@@ -777,7 +754,6 @@ class OdometryPipeline:
             return
         for kf, pose in zip(window, result.poses):
             kf.pose = pose
-            kf.refresh_keys(cfg.voxel.fine_size)
         self.map.rebuild_index()
 
     def _level_poses(self, window: list[Keyframe], poses: list[Pose]) -> list[Pose]:

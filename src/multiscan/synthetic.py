@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec
-from multiscan.imu import ImuSample
+from multiscan.imu import ImuStream
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -291,7 +291,7 @@ class SyntheticDataset:
     spec: SceneSpec
     scans: list[PointCloud]
     scan_times: list[float]
-    imu_samples: list[ImuSample]
+    imu_samples: ImuStream
     truth_times: np.ndarray
     truth_poses: list[Pose]
     dynamic_masks: list[np.ndarray]
@@ -458,7 +458,7 @@ def _raycast_scan(spec: SceneSpec, t_start: float, rng: np.random.Generator):
     return cloud, dynamic_mask
 
 
-def generate_imu(spec: SceneSpec, rng: np.random.Generator) -> list[ImuSample]:
+def generate_imu(spec: SceneSpec, rng: np.random.Generator) -> ImuStream:
     """Forward IMU model along the motion profile, gravity included."""
     n = int(np.floor(spec.duration * spec.imu_rate)) + 1
     times = np.arange(n) / spec.imu_rate
@@ -472,7 +472,7 @@ def generate_imu(spec: SceneSpec, rng: np.random.Generator) -> list[ImuSample]:
         accel_body = accel_body + rng.normal(0.0, spec.accel_noise, size=accel_body.shape)
     if spec.gyro_noise > 0.0:
         gyro_body = gyro_body + rng.normal(0.0, spec.gyro_noise, size=gyro_body.shape)
-    return [ImuSample(float(t), g, a) for t, g, a in zip(times, gyro_body, accel_body)]
+    return ImuStream(times, gyro_body, accel_body)
 
 
 def generate_synthetic(spec: SceneSpec, seed: int = 0) -> SyntheticDataset:
@@ -490,7 +490,7 @@ def generate_synthetic(spec: SceneSpec, seed: int = 0) -> SyntheticDataset:
         scans.append(cloud)
         masks.append(mask)
         ends.append(t0 + spec.scan_sweep)
-    imu = generate_imu(spec, rng) if spec.imu_rate > 0 else []
+    imu = generate_imu(spec, rng) if spec.imu_rate > 0 else ImuStream()
     truth_times = np.array(ends)
     truth_poses = [spec.motion.pose(t) for t in truth_times]
     return SyntheticDataset(

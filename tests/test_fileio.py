@@ -12,7 +12,7 @@ from multiscan.fileio import (
     write_trajectory,
 )
 from multiscan.geometry import Pose, PointCloud
-from multiscan.imu import ImuSample
+from multiscan.imu import ImuStream
 
 
 class TestPointCloudIO:
@@ -114,17 +114,17 @@ class TestPointCloudIO:
 
 class TestImuCsv:
     def test_round_trip(self, tmp_path):
-        samples = [
-            ImuSample(0.0, np.array([0.1, 0, 0]), np.array([0, 0, 9.81])),
-            ImuSample(0.01, np.array([0.2, 0, 0]), np.array([0, 0, 9.80])),
-            ImuSample(0.02, np.array([0.3, 0, 0]), np.array([0, 0, 9.79])),
-        ]
+        samples = ImuStream(
+            [0.0, 0.01, 0.02],
+            [[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]],
+            [[0, 0, 9.81], [0, 0, 9.80], [0, 0, 9.79]],
+        )
         path = tmp_path / "imu.csv"
         write_imu_csv(samples, path)
         back = read_imu_csv(path)
         assert len(back) == 3
-        assert back[1].time == pytest.approx(0.01)
-        assert np.allclose(back[2].angular_velocity, [0.3, 0, 0])
+        assert back.times[1] == pytest.approx(0.01)
+        assert np.allclose(back.gyro[2], [0.3, 0, 0])
 
     def test_shuffled_rows_sorted(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -135,8 +135,8 @@ class TestImuCsv:
             "0.01,0,0,0,0,0,3\n"
         )
         back = read_imu_csv(path)
-        assert [s.time for s in back] == [0.0, 0.01, 0.02]
-        assert back[0].linear_acceleration[2] == 2.0
+        assert back.times.tolist() == [0.0, 0.01, 0.02]
+        assert back.accel[0, 2] == 2.0
 
     def test_duplicate_timestamp_rejected_with_row(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -148,6 +148,12 @@ class TestImuCsv:
         )
         with pytest.raises(DataError, match="line 4"):
             read_imu_csv(path)
+
+    def test_header_only_is_an_empty_stream(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        write_imu_csv(ImuStream(), path)
+        back = read_imu_csv(path)
+        assert len(back) == 0 and back.gyro.shape == (0, 3)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "imu.csv"

@@ -4,7 +4,7 @@ import pytest
 from multiscan.geometry import Pose, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import (
     GravityEstimate,
-    ImuSample,
+    ImuStream,
     PreintegratedDelta,
     estimate_gravity,
     imu_jacobian,
@@ -19,9 +19,70 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
 def stream(times, gyro, accel):
-    gyro = np.broadcast_to(np.asarray(gyro, dtype=float), (len(times), 3))
-    accel = np.broadcast_to(np.asarray(accel, dtype=float), (len(times), 3))
-    return [ImuSample(float(t), g.copy(), a.copy()) for t, g, a in zip(times, gyro, accel)]
+    """A stream of the stamps with gyro and accel broadcast to (N, 3)."""
+    shape = (len(times), 3)
+    return ImuStream(times, np.broadcast_to(gyro, shape), np.broadcast_to(accel, shape))
+
+
+class TestImuStream:
+    def test_empty_by_default(self):
+        empty = ImuStream()
+        assert len(empty) == 0
+        assert empty.gyro.shape == empty.accel.shape == (0, 3)
+
+    @pytest.mark.parametrize("field, row, value", [
+        ("times", 2, np.nan),
+        ("gyro", 1, np.inf),
+        ("accel", 3, -np.inf),
+    ])
+    def test_rejects_non_finite_values(self, field, row, value):
+        arrays = {"times": np.arange(5) * 0.01, "gyro": np.zeros((5, 3)), "accel": np.ones((5, 3))}
+        arrays[field][row] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            ImuStream(**arrays)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.01, 0.01, 0.02], [0.0, 0.02, 0.01, 0.03]])
+    def test_rejects_repeated_or_decreasing_times(self, times):
+        with pytest.raises(ValueError, match="increasing"):
+            stream(times, [0, 0, 0], [0, 0, 9.81])
+
+    @pytest.mark.parametrize("times, gyro, accel", [
+        (np.zeros(0), np.zeros((1, 3)), np.zeros((0, 3))),  # a gyro row too many
+        (np.arange(2.0), np.zeros((2, 3)), np.zeros((2, 2))),  # accel rows of 2
+        (np.arange(2.0)[:, None], np.zeros((2, 3)), np.zeros((2, 3))),  # times (N, 1)
+        (0.0, np.zeros(3), np.zeros(3)),  # one sample without its axis
+    ])
+    def test_rejects_mismatched_shapes(self, times, gyro, accel):
+        with pytest.raises(ValueError, match="shapes"):
+            ImuStream(times, gyro, accel)
+
+    def test_arrays_are_read_only(self):
+        times = np.arange(3) * 0.01
+        imu = stream(times, [0, 0, 0], [0, 0, 9.81])
+        with pytest.raises(ValueError, match="read-only"):
+            imu.times[0] = np.nan
+        assert times.flags.writeable  # the caller's array keeps its flags
+
+    def test_between_is_inclusive_at_both_ends(self):
+        imu = stream(np.arange(10) * 0.1, [0, 0, 0], [0, 0, 9.81])
+        inside = imu.between(imu.times[2], imu.times[5])
+        assert np.array_equal(inside.times, imu.times[2:6])
+        assert np.array_equal(imu.between(0.15, 0.45).times, imu.times[2:5])
+        assert len(imu.between(0.41, 0.49)) == 0
+        assert np.array_equal(imu.between(-np.inf, np.inf).times, imu.times)
+
+    def test_concatenate_needs_a_later_start(self):
+        gyro = np.arange(30.0).reshape(10, 3)
+        imu = ImuStream(np.arange(10) * 0.1, gyro, gyro + 1.0)
+        first, second = imu.between(0.0, 0.45), imu.between(0.5, 1.0)
+        joined = first.concatenate(second)
+        for name in ("times", "gyro", "accel"):
+            assert np.array_equal(getattr(joined, name), getattr(imu, name))
+        assert len(first.concatenate(ImuStream())) == len(ImuStream().concatenate(first)) == 5
+        for overlapping in (imu.between(0.4, 1.0), imu.between(0.2, 0.3)):
+            with pytest.raises(ValueError, match="increasing"):
+                first.concatenate(overlapping)
+        assert np.array_equal(first.times, imu.times[:5])
 
 
 class TestPreintegrate:
@@ -58,7 +119,7 @@ class TestPreintegrate:
         times = np.arange(0, 0.6001, 1e-3)
         gyro = 0.4 * np.sin(3 * times)[:, None] * [1.0, -0.5, 0.8]
         accel = np.cos(2 * times)[:, None] * [0.5, 1.0, -0.3] + [0, 0, 9.81]
-        samples = [ImuSample(float(t), g, a) for t, g, a in zip(times, gyro, accel)]
+        samples = ImuStream(times, gyro, accel)
         whole = preintegrate(samples, 0.0, 0.6)
         first = preintegrate(samples, 0.0, 0.25)
         second = preintegrate(samples, 0.25, 0.6)
@@ -133,7 +194,7 @@ class TestImuResidual:
         times = np.arange(0, 0.6001, 5e-3)
         gyro = 0.5 * np.sin(4 * times)[:, None] * [1.0, -0.7, 0.4]
         accel = np.cos(3 * times)[:, None] * [0.8, 0.3, -0.5] + [0, 0, 9.81]
-        samples = [ImuSample(float(t), g, a) for t, g, a in zip(times, gyro, accel)]
+        samples = ImuStream(times, gyro, accel)
         bounds = np.linspace(0.0, 0.6, 5)
         deltas = [preintegrate(samples, t0, t1) for t0, t1 in zip(bounds[:-1], bounds[1:])]
         n_var, n_seg = 3, len(deltas)
@@ -257,7 +318,7 @@ class TestEstimateGravity:
         )
         t_imu = np.arange(0.0, 1.0, 5e-3)
         accel = np.einsum("nji,j->ni", traj.sample_rotations(t_imu), -GRAVITY)
-        samples = [ImuSample(float(t), roll, a) for t, a in zip(t_imu, accel)]
+        samples = stream(t_imu, roll, accel)
         est = estimate_gravity(traj, samples)
         last_up = rotvec_to_matrix(roll).T @ [0.0, 0.0, 1.0]
         assert np.allclose(est.direction, last_up, rtol=0.0, atol=1e-6)
@@ -304,7 +365,7 @@ class TestEstimateGravity:
         accel_world = side * (-3.0 * vel[0] + 4.0 * vel[1] - vel[2]) / (2.0 * h)
         rots = traj.sample_rotations(t_imu)
         accel = np.einsum("nji,nj->ni", rots, accel_world - GRAVITY)
-        samples = [ImuSample(float(t), np.zeros(3), a) for t, a in zip(t_imu, accel)]
+        samples = stream(t_imu, np.zeros(3), accel)
         est = estimate_gravity(traj, samples)
         last_up = traj.sample_rotations(times[-1])[0].T @ [0.0, 0.0, 1.0]
         assert np.allclose(est.direction, last_up, rtol=0.0, atol=1e-9)
@@ -317,7 +378,7 @@ class TestStaticInitialization:
         times = np.arange(0, 0.5, 5e-3)
         gyro = bias + rng.normal(0, 1e-4, size=(len(times), 3))
         accel = np.array([0, 0, 9.81]) + rng.normal(0, 1e-3, size=(len(times), 3))
-        samples = [ImuSample(float(t), g, a) for t, g, a in zip(times, gyro, accel)]
+        samples = ImuStream(times, gyro, accel)
         gyro_bias, up, mag = static_initialization(samples)
         assert np.allclose(gyro_bias, bias, atol=1e-4)
         assert np.allclose(up, [0, 0, 1], atol=1e-3)
@@ -325,4 +386,4 @@ class TestStaticInitialization:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            static_initialization([])
+            static_initialization(ImuStream())

@@ -6,14 +6,16 @@ import pytest
 
 from multiscan import pipeline as pipeline_module
 from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
-from multiscan.imu import ImuSample
-from multiscan.adjustment import LMConfig, levenberg_marquardt
+from multiscan.imu import GravityEstimate, ImuStream
+from multiscan.adjustment import InsufficientStructureError, LMConfig, levenberg_marquardt
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.evaluation import associate_timestamps, evaluate_ape
 from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
+    Keyframe,
     OdometryPipeline,
     PipelineConfig,
+    _up_to_z_rotvec,
     _WindowSystem,
     pipeline_config_from_dict,
 )
@@ -298,38 +300,44 @@ def test_imu_history_trimmed_to_buffer_capacity():
     pipeline.add_imu(data.imu_samples)
     results = [pipeline.process_scan(scan) for scan in data.scans]
     assert all(result.reasons == () for result in results)
-    assert pipeline.imu_times[0] >= float(data.scans[-1].stamps[-1]) - 1.5
-    assert pipeline.imu_times[-1] == data.imu_samples[-1].time
-    assert pipeline.imu_samples == data.imu_samples[-len(pipeline.imu_times):]
+    stored, given = pipeline.imu, data.imu_samples
+    assert stored.times[0] >= float(data.scans[-1].stamps[-1]) - 1.5
+    assert stored.times[-1] == given.times[-1]
+    tail = given.between(stored.times[0], np.inf)
+    for name in ("times", "gyro", "accel"):
+        assert np.array_equal(getattr(stored, name), getattr(tail, name))
     # the newest sample outlives any horizon, so the order check still holds
     pipeline._trim_imu(np.inf)
-    assert pipeline.imu_samples == data.imu_samples[-1:]
+    assert pipeline.imu.times.tolist() == given.times[-1:].tolist()
+    assert np.array_equal(pipeline.imu.gyro, given.gyro[-1:])
     with pytest.raises(ValueError, match="increasing"):
-        pipeline.add_imu(data.imu_samples[-2:-1])
+        pipeline.add_imu(given.between(given.times[-2], given.times[-2]))
 
 
 def test_bad_imu_batch_raises_and_stores_nothing(corridor):
+    # a bad batch fails as a stream or as the stored stream's continuation
     pipeline = OdometryPipeline()
-    samples = corridor.imu_samples
-    pipeline.add_imu(samples[:10])
-    later = samples[10:20]
-    swapped = later[:4] + [later[5], later[4]] + later[6:]
-    nan_gyro = later[:4] + [ImuSample(later[4].time, np.array([0.0, np.nan, 0.0]),
-                                      later[4].linear_acceleration)] + later[5:]
-    inf_accel = later[:4] + [ImuSample(later[4].time, later[4].angular_velocity,
-                                       np.array([np.inf, 0.0, 0.0]))] + later[5:]
+    given = corridor.imu_samples
+    times, gyro, accel = given.times[:20], given.gyro[:20], given.accel[:20]
+    pipeline.add_imu(ImuStream(times[:10], gyro[:10], accel[:10]))
+    swapped = np.concatenate([times[10:14], times[[15, 14]], times[16:]])
+    nan_gyro, inf_accel = gyro[10:].copy(), accel[10:].copy()
+    nan_gyro[4, 1], inf_accel[4, 0] = np.nan, np.inf
+    # the second batch starts before the last stored sample
     for batch, match in (
-        (swapped, "increasing"),
-        (samples[5:15], "increasing"),  # starts before the last stored sample
-        (nan_gyro, "non-finite"),
-        (inf_accel, "non-finite"),
+        ((swapped, gyro[10:], accel[10:]), "increasing"),
+        ((times[5:15], gyro[5:15], accel[5:15]), "increasing"),
+        ((times[10:], nan_gyro, accel[10:]), "non-finite"),
+        ((times[10:], gyro[10:], inf_accel), "non-finite"),
     ):
         with pytest.raises(ValueError, match=match):
-            pipeline.add_imu(batch)
-        assert pipeline.imu_times == [s.time for s in samples[:10]]
-        assert pipeline.imu_samples == samples[:10]
-    pipeline.add_imu(later)
-    assert pipeline.imu_samples == samples[:20]
+            pipeline.add_imu(ImuStream(*batch))
+        assert np.array_equal(pipeline.imu.times, times[:10])
+        assert np.array_equal(pipeline.imu.gyro, gyro[:10])
+        assert np.array_equal(pipeline.imu.accel, accel[:10])
+    pipeline.add_imu(ImuStream(times[10:], gyro[10:], accel[10:]))
+    assert np.array_equal(pipeline.imu.times, times)
+    assert np.array_equal(pipeline.imu.accel, accel)
 
 
 def test_non_finite_scan_rejected_without_state_change(corridor):
@@ -418,7 +426,8 @@ def test_too_sparse_first_scan_takes_the_base_pose():
     up_body = rotvec_to_matrix(np.array([0.2, -0.1, 0.0])).T @ [0.0, 0.0, 1.0]
     times = np.arange(0.0, 1.0, 5e-3)
     pipeline = OdometryPipeline()
-    pipeline.add_imu([ImuSample(float(t), np.zeros(3), 9.81 * up_body) for t in times])
+    n = len(times)
+    pipeline.add_imu(ImuStream(times, np.zeros((n, 3)), np.tile(9.81 * up_body, (n, 1))))
     scan = PointCloud(points=np.eye(3), stamps=[0.08, 0.09, 0.1])
     result = pipeline.process_scan(scan)
     assert result.reasons == ("too_few_points",)
@@ -427,6 +436,99 @@ def test_too_sparse_first_scan_takes_the_base_pose():
     assert np.array_equal(result.pose.trans, np.zeros(3))
     times_out, poses = pipeline.trajectory()
     assert times_out.tolist() == [0.1] and poses == [result.pose]
+
+
+@pytest.mark.parametrize("up", [
+    [0.0, 0.0, -1.0],
+    [1e-13, 0.0, -1.0],  # antiparallel within the cross product's tolerance
+    [0.0, 0.0, 1.0],
+    [0.3, -0.5, 0.2],
+    [0.3, -0.5, -0.8],
+])
+def test_up_to_z_rotvec_turns_up_onto_z(up):
+    up = np.asarray(up) / np.linalg.norm(up)
+    assert np.allclose(rotvec_to_matrix(_up_to_z_rotvec(up)) @ up, [0.0, 0.0, 1.0],
+                       rtol=0.0, atol=1e-12)
+
+
+def test_upside_down_static_start_turns_half_over():
+    times = np.arange(0.0, 1.0, 5e-3)
+    n = len(times)
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(ImuStream(times, np.zeros((n, 3)), np.tile([0.0, 0.0, -9.81], (n, 1))))
+    result = pipeline.process_scan(PointCloud(points=np.eye(3), stamps=[0.08, 0.09, 0.1]))
+    assert result.reasons == ("too_few_points",)
+    assert np.linalg.norm(pipeline.base_rot) == pytest.approx(np.pi)
+    assert np.allclose(rotvec_to_matrix(pipeline.base_rot) @ [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
+
+
+# a 2 m x 2 m patch at the centres of its 16 fine (0.5 m) cells' quarter cells
+PATCH = np.stack(np.meshgrid(0.125 + 0.25 * np.arange(8), 0.125 + 0.25 * np.arange(8), [0.25]),
+                 axis=-1).reshape(-1, 3)
+
+
+def add_keyframes(pipeline, positions, shifts):
+    """Keyframes at positions whose world points are PATCH moved by shifts."""
+    for k, (position, shift) in enumerate(zip(positions, shifts)):
+        cloud = PointCloud(points=PATCH + np.subtract(shift, position),
+                           normals=np.tile([0.0, 0.0, 1.0], (len(PATCH), 1)))
+        gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
+        pose = Pose(np.zeros(3), np.asarray(position, dtype=float))
+        pipeline.map.add(Keyframe(k, pose, cloud, gravity))
+
+
+def adjusted_window(monkeypatch, pipeline):
+    """The clouds and fixed points of the adjustment that the newest
+    keyframe starts."""
+    captured = []
+
+    def capture(problem, config):
+        captured.append(problem)
+        raise InsufficientStructureError("captured")
+
+    monkeypatch.setattr(pipeline_module, "run_adjustment", capture)
+    pipeline.keyframe_optimization(pipeline.map.keyframes[-1])
+    [problem] = captured
+    return problem.clouds, problem.fixed_points
+
+
+def test_keyframe_window_starts_at_the_oldest_overlapping_keyframe(monkeypatch):
+    pipeline = OdometryPipeline()
+    kfs = pipeline.map.keyframes
+    # keyframe 0 covers the newest one's cells but lies 20 m away, keyframe
+    # 1 covers 4 of its 16 cells (0.25, not above kf_opt_overlap), keyframe
+    # 2 all of them
+    add_keyframes(
+        pipeline,
+        positions=[[20.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0], [0.0, 0, 0]],
+        shifts=[[0.0, 0, 0], [1.5, 0, 0], [0.0, 0, 0], [0.0, 0, 0], [0.0, 0, 0]],
+    )
+    clouds, fixed = adjusted_window(monkeypatch, pipeline)
+    assert len(clouds) == 3 and all(c is kf.cloud for c, kf in zip(clouds, kfs[2:]))
+    assert np.array_equal(fixed, np.vstack([kf.world_points() for kf in kfs[:2]]))
+    # the overlap is taken at the keyframes' current poses: moved onto the
+    # newest keyframe's cells, as an adjustment may move it, keyframe 1
+    # starts the window
+    kfs[1].pose = Pose(np.zeros(3), np.array([-0.5, 0.0, 0.0]))
+    clouds, fixed = adjusted_window(monkeypatch, pipeline)
+    assert len(clouds) == 4 and all(c is kf.cloud for c, kf in zip(clouds, kfs[1:]))
+    assert np.array_equal(fixed, kfs[0].world_points())
+
+
+def test_keyframe_window_falls_back_without_overlap(monkeypatch):
+    pipeline = OdometryPipeline()
+    kfs = pipeline.map.keyframes
+    # seven keyframes 1 m apart, none sharing a cell with the newest
+    add_keyframes(
+        pipeline,
+        positions=[[float(k), 0, 0] for k in range(7)],
+        shifts=[[0.0, 0, 3.0 + k] for k in range(6)] + [[0.0, 0, 0]],
+    )
+    clouds, fixed = adjusted_window(monkeypatch, pipeline)
+    start = len(kfs) - pipeline.config.kf_fallback_window
+    assert start == 2
+    assert len(clouds) == 5 and all(c is kf.cloud for c, kf in zip(clouds, kfs[start:]))
+    assert np.array_equal(fixed, np.vstack([kf.world_points() for kf in kfs[:start]]))
 
 
 def test_config_from_dict_round_trip():
