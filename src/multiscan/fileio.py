@@ -10,9 +10,7 @@ timestamp tx ty tz qx qy qz qw.
 
 from __future__ import annotations
 
-import io
 import math
-import os
 
 import numpy as np
 
@@ -36,14 +34,12 @@ _PLY_TYPES = {
 }
 
 
-def write_point_cloud(cloud: PointCloud, path, binary: bool = True, scan_time: float | None = None) -> None:
+def write_point_cloud(cloud: PointCloud, path, binary: bool = True) -> None:
     """Write x/y/z (float32) plus per-point t (float64)."""
-    header = ["ply"]
-    header.append("format binary_little_endian 1.0" if binary else "format ascii 1.0")
-    if scan_time is not None:
-        header.append(f"comment scan_time {scan_time:.9f}")
-    header.append(f"element vertex {len(cloud)}")
-    header += [
+    header = [
+        "ply",
+        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+        f"element vertex {len(cloud)}",
         "property float x",
         "property float y",
         "property float z",

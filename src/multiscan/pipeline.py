@@ -204,7 +204,6 @@ def compute_point_attributes(cloud: PointCloud, k_neighbors: int = 10):
 
 @dataclass
 class Keyframe:
-    kf_id: int
     pose: Pose
     cloud: PointCloud
     gravity: GravityEstimate
@@ -220,20 +219,15 @@ class Keyframe:
         return np.unique(pack_cell_indices(voxel_cell_indices(self.world_points(), cell_size)))
 
 
-def key_overlap(keys: np.ndarray, key_set: np.ndarray) -> float:
-    """Fraction of the unique keys present in the unique key_set; 0 if either is empty."""
-    if len(keys) == 0 or len(key_set) == 0:
-        return 0.0
-    return float(np.isin(keys, key_set, assume_unique=True).mean())
-
-
 class Map:
-    """Keyframe store plus a world-frame point index for static points."""
+    """Keyframes, and the world-frame points and normals of all their clouds
+    at the keyframes' current poses: set by `add`, and by `rebuild_index`
+    after the poses move."""
 
     def __init__(self):
         self.keyframes: list[Keyframe] = []
-        self._points = np.zeros((0, 3))
-        self._normals = np.zeros((0, 3))
+        self.points = np.zeros((0, 3))
+        self.normals = np.zeros((0, 3))
 
     def __len__(self) -> int:
         return len(self.keyframes)
@@ -243,19 +237,9 @@ class Map:
         self.rebuild_index()
 
     def rebuild_index(self) -> None:
-        """Recompute world positions and normals."""
-        if not self.keyframes:
-            return
-        self._points = np.vstack([kf.world_points() for kf in self.keyframes])
-        self._normals = np.vstack([kf.world_normals() for kf in self.keyframes])
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self._normals
+        """Recompute the world points and normals; needs a keyframe."""
+        self.points = np.vstack([kf.world_points() for kf in self.keyframes])
+        self.normals = np.vstack([kf.world_normals() for kf in self.keyframes])
 
     def nearest_keyframe_distance(self, position: np.ndarray) -> float:
         if not self.keyframes:
@@ -264,21 +248,16 @@ class Map:
         return float(min(dists))
 
 
-def extract_static_points(
-    world_map: Map, window_pose: Pose, radius: float, sensor_origin: np.ndarray
-) -> np.ndarray:
-    """Map points near the window that face the sensor.
+def extract_static_points(world_map: Map, position: np.ndarray, radius: float) -> np.ndarray:
+    """Map points within radius of the sensor position whose normal faces it.
 
-    Back-facing points (normal pointing away from the sensor) are removed;
-    points with an undefined (zero) normal are treated as non-visible.
+    A back-facing point (normal pointing away from the sensor) and a point
+    with an undefined (zero) normal are not visible and are dropped.
     """
-    if len(world_map) == 0 or len(world_map.points) == 0:
-        return np.zeros((0, 3))
-    rel = world_map.points - window_pose.trans
+    rel = world_map.points - position
     near = np.einsum("ni,ni->n", rel, rel) <= radius * radius
     pts = world_map.points[near]
-    normals = world_map.normals[near]
-    facing = np.einsum("ni,ni->n", normals, sensor_origin - pts) > 0.0
+    facing = np.einsum("ni,ni->n", world_map.normals[near], position - pts) > 0.0
     return pts[facing]
 
 
@@ -501,7 +480,6 @@ class OdometryPipeline:
         self.gyro_bias = np.zeros(3)
         self.gravity_vec = np.array([0.0, 0.0, -9.81])
         self.base_rot = np.zeros(3)
-        self._next_kf_id = 0
 
     # ---- inputs ------------------------------------------------------------------
 
@@ -565,10 +543,8 @@ class OdometryPipeline:
 
         static_pts = np.zeros((0, 3))
         if len(self.map):
-            guess = Pose.from_params(params0[-6:])
-            static_pts = extract_static_points(
-                self.map, guess, cfg.static_radius, guess.trans
-            )
+            # seen from the newest control pose's predicted position
+            static_pts = extract_static_points(self.map, params0[-3:], cfg.static_radius)
 
         if len(pts) < cfg.voxel.n_min + 1:
             return self._fallback_result(t_now, reasons + ["too_few_points"])
@@ -586,7 +562,7 @@ class OdometryPipeline:
         self.trajectory_times.append(t_now)
         self.trajectory_poses.append(pose_now)
 
-        created = self._maybe_create_keyframe(down, pose_now, t_now)
+        created = self._maybe_create_keyframe(down, pose_now)
         result = ScanResult(
             time=t_now,
             pose=pose_now,
@@ -681,27 +657,21 @@ class OdometryPipeline:
 
     # ---- keyframes -----------------------------------------------------------------
 
-    def _maybe_create_keyframe(self, down: PointCloud, pose_now: Pose, t_now: float) -> bool:
+    def _maybe_create_keyframe(self, down: PointCloud, pose_now: Pose) -> bool:
         cfg = self.config
-        if len(down) < cfg.k_neighbors:
-            return False
         if self.map.nearest_keyframe_distance(pose_now.trans) <= cfg.keyframe_distance:
             return False
-        world, _ = deskew(down, self._traj)
+        world = deskew(down, self._traj)
+        # counted after deskew, which drops the points stamped before the window
+        if len(world) < cfg.k_neighbors:
+            return False
         sensor_cloud = PointCloud(
             points=pose_now.inverse().apply(world.points), stamps=world.stamps
         )
-        normals, planarity = compute_point_attributes(sensor_cloud, cfg.k_neighbors)
-        sensor_cloud.normals = normals
-        sensor_cloud.planarity = planarity
-        gravity = estimate_gravity(self._traj, self.imu)
-        kf = Keyframe(
-            kf_id=self._next_kf_id,
-            pose=pose_now,
-            cloud=sensor_cloud,
-            gravity=gravity,
+        sensor_cloud.normals, sensor_cloud.planarity = compute_point_attributes(
+            sensor_cloud, cfg.k_neighbors
         )
-        self._next_kf_id += 1
+        kf = Keyframe(pose_now, sensor_cloud, estimate_gravity(self._traj, self.imu))
         self.map.add(kf)
         if len(self.map) >= 2:
             self.keyframe_optimization(kf)
@@ -716,9 +686,10 @@ class OdometryPipeline:
         start = None
         for i, kf in enumerate(kfs[:cur_idx]):
             dist = np.linalg.norm(kf.pose.trans - current.pose.trans)
-            if dist < cfg.kf_opt_distance and (
-                key_overlap(keys, kf.cell_keys(cfg.voxel.fine_size)) > cfg.kf_opt_overlap
-            ):
+            # overlap: the fraction of the newest keyframe's cells that kf holds
+            if dist < cfg.kf_opt_distance and np.isin(
+                keys, kf.cell_keys(cfg.voxel.fine_size), assume_unique=True
+            ).mean() > cfg.kf_opt_overlap:
                 start = i
                 break
         if start is None:
@@ -784,6 +755,4 @@ class OdometryPipeline:
         return np.array(self.trajectory_times), list(self.trajectory_poses)
 
     def map_cloud(self) -> PointCloud:
-        if len(self.map) == 0:
-            return PointCloud(points=np.zeros((0, 3)))
         return PointCloud(points=self.map.points)

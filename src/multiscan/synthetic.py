@@ -127,9 +127,6 @@ class RampProfile:
         d = self.rate * (30 * u**4 - 60 * u**3 + 30 * u**2) / self.ramp_duration
         return np.where(inside, d, 0.0)
 
-    def total(self, t_end: float) -> float:
-        return float(self.value(t_end))
-
 
 def _rz_batch(yaw: np.ndarray) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)
@@ -171,14 +168,13 @@ class StaticMotion:
 class LineMotion:
     """Straight-line travel along a unit direction, yaw facing forward."""
 
-    def __init__(self, start, direction, profile, height_offset=0.0):
+    def __init__(self, start, direction, profile):
         self.start = np.asarray(start, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.direction = self.direction / np.linalg.norm(self.direction)
         self.profile = profile
         yaw = np.arctan2(self.direction[1], self.direction[0])
         self._rot = _rz_batch(np.array(yaw))
-        self.start = self.start + np.array([0.0, 0.0, height_offset])
 
     def positions(self, t):
         s = np.atleast_1d(self.profile.value(t))
@@ -205,15 +201,14 @@ class LineMotion:
 class CircleMotion:
     """Circular path at fixed height, yaw aligned with the tangent."""
 
-    def __init__(self, center, radius, height, profile, theta0=0.0):
+    def __init__(self, center, radius, height, profile):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.height = float(height)
         self.profile = profile
-        self.theta0 = float(theta0)
 
     def _theta(self, t):
-        return self.theta0 + np.atleast_1d(self.profile.value(t)) / self.radius
+        return np.atleast_1d(self.profile.value(t)) / self.radius
 
     def positions(self, t):
         th = self._theta(t)
@@ -264,7 +259,6 @@ class DynamicBoxSpec:
 
 @dataclass
 class SceneSpec:
-    kind: str
     walls: list[Wall]
     motion: object
     duration: float
@@ -288,9 +282,7 @@ class SceneSpec:
 
 @dataclass
 class SyntheticDataset:
-    spec: SceneSpec
     scans: list[PointCloud]
-    scan_times: list[float]
     imu_samples: ImuStream
     truth_times: np.ndarray
     truth_poses: list[Pose]
@@ -313,7 +305,6 @@ def room_scene(
     motion = StaticMotion(Pose(np.zeros(3), np.array([0.0, 0.0, sz / 2])))
     dynamic = DynamicBoxSpec(fraction=dynamic_fraction) if dynamic_fraction > 0 else None
     return SceneSpec(
-        kind="room",
         walls=walls,
         motion=motion,
         duration=duration,
@@ -343,7 +334,6 @@ def corridor_scene(
         start=(2.0, 0.0, height / 2), direction=(1.0, 0.0, 0.0), profile=profile
     )
     return SceneSpec(
-        kind="corridor",
         walls=walls,
         motion=motion,
         duration=duration,
@@ -371,7 +361,6 @@ def loop_scene(
         center=(0.0, 0.0, 0.0), radius=path_radius, height=height / 2, profile=profile
     )
     return SceneSpec(
-        kind="loop",
         walls=walls,
         motion=motion,
         duration=duration,
@@ -494,9 +483,7 @@ def generate_synthetic(spec: SceneSpec, seed: int = 0) -> SyntheticDataset:
     truth_times = np.array(ends)
     truth_poses = [spec.motion.pose(t) for t in truth_times]
     return SyntheticDataset(
-        spec=spec,
         scans=scans,
-        scan_times=ends,
         imu_samples=imu,
         truth_times=truth_times,
         truth_poses=truth_poses,

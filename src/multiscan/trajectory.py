@@ -196,24 +196,13 @@ class ContinuousTrajectory:
         return Pose(matrix_to_rotvec(self.sample_rotations(t)[0]), self.sample_position(t)[0])
 
 
-def deskew(cloud: PointCloud, traj: ContinuousTrajectory) -> tuple[PointCloud, int]:
-    """Transform each point by the pose at its own stamp.
-
-    Points stamped outside the trajectory window are dropped; the count of
-    dropped points is returned alongside the world-frame cloud.
-    """
+def deskew(cloud: PointCloud, traj: ContinuousTrajectory) -> PointCloud:
+    """The points stamped inside the trajectory window, with their stamps,
+    each moved into the world frame by the pose at its own stamp; points
+    stamped outside the window are dropped."""
     inside = (cloud.stamps >= traj.t_first - 1e-12) & (cloud.stamps <= traj.t_last + 1e-12)
-    dropped = int(len(cloud) - inside.sum())
-    kept = cloud.select(np.nonzero(inside)[0])
-    if len(kept) == 0:
-        return PointCloud(points=np.zeros((0, 3))), dropped
-    times, slot = stamp_slots(kept.stamps)
+    points, stamps = cloud.points[inside], cloud.stamps[inside]
+    times, slot = stamp_slots(stamps)
     rot = traj.sample_rotations(times)[slot]
-    world = np.einsum("nij,nj->ni", rot, kept.points) + traj.sample_position(times)[slot]
-    normals = None
-    if kept.normals is not None:
-        normals = np.einsum("nij,nj->ni", rot, kept.normals)
-    return (
-        PointCloud(points=world, stamps=kept.stamps, normals=normals, planarity=kept.planarity),
-        dropped,
-    )
+    world = np.einsum("nij,nj->ni", rot, points) + traj.sample_position(times)[slot]
+    return PointCloud(points=world, stamps=stamps)

@@ -3,7 +3,6 @@ import pytest
 
 from multiscan.geometry import Pose, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import (
-    GravityEstimate,
     ImuStream,
     PreintegratedDelta,
     estimate_gravity,

@@ -13,10 +13,12 @@ from multiscan.evaluation import associate_timestamps, evaluate_ape
 from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
     Keyframe,
+    Map,
     OdometryPipeline,
     PipelineConfig,
     _up_to_z_rotvec,
     _WindowSystem,
+    extract_static_points,
     pipeline_config_from_dict,
 )
 from multiscan.synthetic import corridor_scene, generate_synthetic, loop_scene
@@ -266,16 +268,56 @@ def test_keyframe_only_beyond_keyframe_distance(tracked, monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "deskew", counted)
     monkeypatch.setattr(tracked, "keyframe_optimization", lambda current: None)
-    down, t_now = tracked.scans.items[-1], tracked.trajectory_times[-1]
+    down = tracked.scans.items[-1]
     rotvec, start = tracked.trajectory_poses[-1].rotvec, tracked.map.keyframes[-1].pose.trans
     n_keyframes, spacing = len(tracked.map), tracked.config.keyframe_distance
     near = Pose(rotvec, start + [spacing - 1e-3, 0.0, 0.0])
-    assert not tracked._maybe_create_keyframe(down, near, t_now)
+    assert not tracked._maybe_create_keyframe(down, near)
     assert len(tracked.map) == n_keyframes and deskewed == []
     far = Pose(rotvec, start + [spacing + 1e-3, 0.0, 0.0])
     assert tracked.map.nearest_keyframe_distance(far.trans) > spacing
-    assert tracked._maybe_create_keyframe(down, far, t_now)
+    assert tracked._maybe_create_keyframe(down, far)
     assert len(tracked.map) == n_keyframes + 1 and deskewed == [len(down)]
+
+
+def test_keyframe_attempt_counts_the_points_deskew_keeps():
+    # a scan beyond keyframe_distance whose points mostly precede its
+    # window: 5 of its 12 points survive deskew, too few for point
+    # attributes, so it makes no keyframe and still gets its result
+    data = generate_synthetic(corridor_scene(duration=4.0), seed=0)
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(data.imu_samples)
+    for scan in data.scans[:25]:
+        pipeline.process_scan(scan)
+    t_end = float(data.scans[24].stamps[-1]) + 0.1
+    stamps = np.concatenate([np.linspace(t_end - 1.5, t_end - 1.2, 7),
+                             np.linspace(t_end - 0.1, t_end, 5)])
+    source = data.scans[25].points
+    scan = PointCloud(points=source[:: len(source) // 12][:12], stamps=stamps)
+    n_poses, n_results = len(pipeline.trajectory_poses), len(pipeline.results)
+    n_keyframes = len(pipeline.map)
+    result = pipeline.process_scan(scan)
+    assert result.reasons == () and result.dropped_points == 7 and not result.keyframe_created
+    spacing = pipeline.config.keyframe_distance
+    assert pipeline.map.nearest_keyframe_distance(result.pose.trans) > spacing
+    assert len(pipeline.trajectory_poses) == n_poses + 1 and pipeline.results[-1] is result
+    assert len(pipeline.results) == n_results + 1 and len(pipeline.map) == n_keyframes
+
+
+def test_static_points_are_the_near_map_points_facing_the_sensor():
+    # one keyframe, turned and moved, holding (world frame) a facing point,
+    # one beyond the radius, a back-facing one, one without a normal and a
+    # second facing one
+    world = np.array([[11.0, 0, 0], [13.0, 0, 0], [10.0, 1.5, 0], [10.0, 0, 1.0],
+                      [10.0, -1.5, 0.5]])
+    normals = np.array([[-1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 0], [0, 1.0, 0]])
+    pose = Pose(np.array([0.0, 0.0, np.pi / 2]), np.array([9.0, 1.0, 0.0]))
+    cloud = PointCloud(points=pose.inverse().apply(world), normals=normals @ pose.matrix())
+    world_map = Map()
+    gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
+    world_map.add(Keyframe(pose, cloud, gravity))
+    static = extract_static_points(world_map, np.array([10.0, 0.0, 0.0]), radius=2.0)
+    assert np.allclose(static, world[[0, 4]], rtol=0.0, atol=1e-12)
 
 
 def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
@@ -287,8 +329,8 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     assert np.array_equal(pts, system.sensor_points)
     assert np.array_equal(system.slot_times[system.point_slot], stamps)
     traj = ContinuousTrajectory(system.ctrl_times, at)
-    world, dropped = deskew(PointCloud(points=pts, stamps=stamps), traj)
-    assert dropped == 0
+    world = deskew(PointCloud(points=pts, stamps=stamps), traj)
+    assert np.array_equal(world.stamps, stamps)
     assert np.array_equal(system.world_points(at)[: len(pts)], world.points)
     own = np.einsum("nij,nj->ni", traj.sample_rotations(stamps), pts) + traj.sample_position(stamps)
     assert np.allclose(world.points, own, rtol=0.0, atol=1e-12)
@@ -469,12 +511,12 @@ PATCH = np.stack(np.meshgrid(0.125 + 0.25 * np.arange(8), 0.125 + 0.25 * np.aran
 
 def add_keyframes(pipeline, positions, shifts):
     """Keyframes at positions whose world points are PATCH moved by shifts."""
-    for k, (position, shift) in enumerate(zip(positions, shifts)):
+    for position, shift in zip(positions, shifts):
         cloud = PointCloud(points=PATCH + np.subtract(shift, position),
                            normals=np.tile([0.0, 0.0, 1.0], (len(PATCH), 1)))
         gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
         pose = Pose(np.zeros(3), np.asarray(position, dtype=float))
-        pipeline.map.add(Keyframe(k, pose, cloud, gravity))
+        pipeline.map.add(Keyframe(pose, cloud, gravity))
 
 
 def adjusted_window(monkeypatch, pipeline):

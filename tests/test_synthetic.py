@@ -8,7 +8,6 @@ from multiscan.synthetic import (
     CircleMotion,
     LineMotion,
     RampProfile,
-    SceneSpec,
     StaticMotion,
     Wall,
     box_walls,
@@ -99,13 +98,13 @@ class TestGenerate:
         # deskew with the exact ground truth: every point must sit on a wall
         from multiscan.trajectory import ContinuousTrajectory, deskew
 
-        t_end = ds.scan_times[-1]
+        t_end = ds.truth_times[-1]
         times = np.arange(t_end - 0.1, t_end + 1e-9, 0.01)
         traj = ContinuousTrajectory(
             times, np.concatenate([spec.motion.pose(float(t)).as_params() for t in times])
         )
-        world, dropped = deskew(scan, traj)
-        assert dropped == 0
+        world = deskew(scan, traj)
+        assert np.array_equal(world.stamps, scan.stamps)
         walls = np.array([
             [0.0, 1.0, 0.0, -2.0],   # plane rows (n, d) with distance |n.p - d|
             [0.0, 1.0, 0.0, 2.0],
@@ -124,8 +123,8 @@ class TestGenerate:
         spec = loop_scene(duration=30.0, noise_sigma=0.0)
         ds = generate_synthetic(spec, seed=0)
         worst = 0.0
-        for k in range(0, len(ds.scan_times) - 1, 10):
-            t_i, t_j = ds.scan_times[k], ds.scan_times[k + 1]
+        for k in range(0, len(ds.truth_times) - 1, 10):
+            t_i, t_j = ds.truth_times[k], ds.truth_times[k + 1]
             delta = preintegrate(ds.imu_samples, t_i, t_j)
             pose_i = spec.motion.pose(t_i)
             pose_j = spec.motion.pose(t_j)
