@@ -39,16 +39,17 @@ objects) have a large smallest eigenvalue and therefore little weight,
 which is why no outlier rejection is needed.
 
 Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
-move. The driver sees a system only through three methods, freeze,
-residuals and linearize, and its parameters as a stack of 6-blocks
-(rotation vector, translation). Its damping schedule (LAMBDA_INIT,
-LAMBDA_UP, LAMBDA_DOWN), INNER_ITERATIONS and its one stopping rule are
-module constants: it stops once an outer iteration moved no block by more
-than STOP_TRANSLATION in a translation or STOP_ROTATION in a rotation
-parameter. `LMConfig` holds only the two budgets callers set. Keyframe
-adjustment moves each cloud rigidly and adds gravity rows (`_RigidSystem`,
-here); the odometry window moves points along a continuous-time spline and
-adds IMU and prior rows (`multiscan.pipeline`).
+move or how the parameters are laid out. The driver sees a system only
+through three methods, freeze, residuals and linearize, and one array,
+stop_steps: it stops once an outer iteration moved no parameter by more
+than its step. Both systems here stack one 6-block (rotation vector,
+translation) per pose and step STOP_ROTATION for each rotation and
+STOP_TRANSLATION for each translation parameter. The damping schedule
+(LAMBDA_INIT, LAMBDA_UP, LAMBDA_DOWN, LAMBDA_RETRIES) and INNER_ITERATIONS
+are module constants; a caller sets only the outer-iteration budget.
+Keyframe adjustment moves each cloud rigidly and adds gravity rows
+(`_RigidSystem`, here); the odometry window moves points along a
+continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
 
 Fixed points (for example the points of anchor keyframes) take part in
 voxelization, in the cell means and in the error sums, but carry no
@@ -75,30 +76,17 @@ class InsufficientStructureError(RuntimeError):
     """No voxel collected enough points to form a single landmark."""
 
 
-# damping schedule of `levenberg_marquardt`
+# damping schedule of `levenberg_marquardt`: a step is tried at most
+# LAMBDA_RETRIES times, lam growing by LAMBDA_UP after each rejection
 LAMBDA_INIT = 1e-4
 LAMBDA_UP = 10.0
 LAMBDA_DOWN = 0.5
+LAMBDA_RETRIES = 12
 INNER_ITERATIONS = 2
-# stopping rule: converged once no 6-block moved more than these in any
-# translation (m) or rotation (rad) parameter over one outer iteration
-STOP_TRANSLATION = 1e-4
+# a pose's stop_steps: the most an outer iteration may move each of its
+# rotation (rad) and translation (m) parameters and still count as converged
 STOP_ROTATION = 5e-5
-
-
-@dataclass
-class LMConfig:
-    """Iteration budgets of `levenberg_marquardt`."""
-
-    max_outer_iterations: int = 32
-    max_lambda_retries: int = 12
-
-    def __post_init__(self):
-        for name in ("max_outer_iterations", "max_lambda_retries"):
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (integer and value > 0):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+STOP_TRANSLATION = 1e-4
 
 
 @dataclass
@@ -397,14 +385,15 @@ class _RigidSystem:
     with gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order. `freeze` groups each landmark's members into clusters, one per
-    cloud it touches; the fixed points form one more cloud that keeps the
-    identity pose, and a pinned cloud keeps its pose. Every cluster moves
-    rigidly with its cloud, so it is scored by its size, mean and scatter
-    factor in the cloud's sensor frame (`landmarks.point_clusters`,
-    `scatter_factor`) through `FrozenLandmarks.residuals`: 4 scalar rows
-    per cluster, a mean row and three scatter rows, with the same cost and
-    normal equations as one row per member (see `FrozenLandmarks`).
+    order, each with the stop_steps of a pose. `freeze` groups each
+    landmark's members into clusters, one per cloud it touches; the fixed
+    points form one more cloud that keeps the identity pose, and a pinned
+    cloud keeps its pose. Every cluster moves rigidly with its cloud, so it
+    is scored by its size, mean and scatter factor in the cloud's sensor
+    frame (`landmarks.point_clusters`, `scatter_factor`) through
+    `FrozenLandmarks.residuals`: 4 scalar rows per cluster, a mean row and
+    three scatter rows, with the same cost and normal equations as one row
+    per member (see `FrozenLandmarks`).
 
     Perturbing one pose moves only that cloud's clusters, so the
     `Linearization` gets one band per free cloud, over that pose's 6
@@ -420,6 +409,7 @@ class _RigidSystem:
     def __init__(self, problem: AdjustmentProblem):
         self.problem = problem
         self.free = problem.free_indices()
+        self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free))
         # sensor-frame point stack aligned with the world stack of
         # `freeze_landmarks`; rows from ends[c - 1] to ends[c] are cloud c's
         self.local = np.vstack([cloud.points for cloud in problem.clouds] + [problem.fixed_points])
@@ -503,7 +493,7 @@ class _RigidSystem:
         return Linearization(lms, bands, grav_jac.reshape(-1, len(params)))
 
 
-def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
+def levenberg_marquardt(system, params: np.ndarray, max_iterations: int):
     """Minimize the squared norm of a system's residuals over a flat parameter vector.
 
     system provides three methods: freeze(params), which fixes its
@@ -521,15 +511,14 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     the frozen cost, so the recorded (linearization, accepted) cost pairs
     are non-increasing within every outer iteration. lam starts at
     LAMBDA_INIT, grows by LAMBDA_UP on a rejected step and shrinks by
-    LAMBDA_DOWN after an accepted one.
+    LAMBDA_DOWN after an accepted one; an inner iteration that rejects
+    LAMBDA_RETRIES steps in a row ends its outer iteration.
 
-    params is a stack of 6-blocks (r1 r2 r3 x y z): a rotation vector and a
-    translation. The one stopping rule reads that layout: the solve stops,
-    converged, after an outer iteration in which no block moved more than
-    STOP_TRANSLATION (m) in any translation parameter and STOP_ROTATION
-    (rad) in any rotation parameter. An outer iteration that accepts no
-    step moves nothing, so it stops too. Otherwise the solve runs until
-    the iteration budget is spent and reports converged=False. Raises
+    The one stopping rule reads system.stop_steps, one step per parameter:
+    the solve stops, converged, after an outer iteration in which no
+    parameter moved by more than its step. An outer iteration that accepts
+    no step moves nothing, so it stops too. Otherwise the solve runs
+    max_iterations outer iterations and reports converged=False. Raises
     FloatingPointError if the cost at the frozen parameters is not finite,
     since no step could then decrease it.
 
@@ -538,7 +527,7 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
     history: list[float] = []
     converged = False
     iterations = 0
-    for outer in range(config.max_outer_iterations):
+    for outer in range(max_iterations):
         iterations = outer + 1
         lin = None  # release the last pass's linearization before building the next
         start = params
@@ -553,7 +542,7 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
         for _ in range(INNER_ITERATIONS):
             jtr = lin.jtr(r)
             accepted = None
-            for _ in range(config.max_lambda_retries):
+            for _ in range(LAMBDA_RETRIES):
                 try:
                     delta = lm_step(lin.jtj, jtr, lam)
                 except np.linalg.LinAlgError:
@@ -571,20 +560,17 @@ def levenberg_marquardt(system, params: np.ndarray, config: LMConfig):
             params, r, cost_cur = accepted
             lam = max(lam * LAMBDA_DOWN, 1e-12)
         history.append(cost_cur)
-        moved = np.abs(params - start).reshape(-1, 6)
-        if moved[:, :3].max() <= STOP_ROTATION and moved[:, 3:].max() <= STOP_TRANSLATION:
+        if np.all(np.abs(params - start) <= system.stop_steps):
             converged = True
             break
     return params, history, converged, iterations
 
 
-def run_adjustment(problem: AdjustmentProblem, config: LMConfig | None = None) -> AdjustmentResult:
+def run_adjustment(problem: AdjustmentProblem, max_iterations: int = 32) -> AdjustmentResult:
     """Adjust the free poses of problem by `levenberg_marquardt`."""
     system = _RigidSystem(problem)
     params0 = np.concatenate([problem.initial_poses[ci].as_params() for ci in system.free])
-    params, history, converged, iterations = levenberg_marquardt(
-        system, params0, config or LMConfig()
-    )
+    params, history, converged, iterations = levenberg_marquardt(system, params0, max_iterations)
     return AdjustmentResult(system.poses(params), history, converged=converged, iterations=iterations)
 
 

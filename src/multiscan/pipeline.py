@@ -25,7 +25,8 @@ from multiscan.adjustment import (
     GravityConstraint,
     InsufficientStructureError,
     Linearization,
-    LMConfig,
+    STOP_ROTATION,
+    STOP_TRANSLATION,
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
@@ -67,9 +68,7 @@ logger = logging.getLogger(__name__)
 class PipelineConfig:
     window_duration: float = 1.0
     control_spacing: float = 0.1
-    window_lm: LMConfig = field(
-        default_factory=lambda: LMConfig(max_outer_iterations=6, max_lambda_retries=10)
-    )
+    window_lm: int = 6  # outer-iteration budget of each window solve
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
     downsample: DownsampleConfig = field(default_factory=DownsampleConfig)
     buffer_capacity: float = 5.0
@@ -87,7 +86,7 @@ class PipelineConfig:
     kf_opt_overlap: float = 0.3
     kf_fallback_window: int = 5
     kf_anchor_count: int = 3
-    kf_lm: LMConfig = field(default_factory=lambda: LMConfig(max_outer_iterations=10))
+    kf_lm: int = 10  # outer-iteration budget of each keyframe adjustment
     k_neighbors: int = 10
     static_radius: float = 30.0
     planarity_min: float = 0.5
@@ -108,8 +107,10 @@ class PipelineConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"config key {name!r} must lie in [0, 1], got {getattr(self, name)}")
         # a point's normal and planarity need a plane through its neighbours;
-        # the keyframe counts slice the keyframe list
-        for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0)):
+        # the keyframe counts slice the keyframe list; a budget of 0 would
+        # return the start as the solve's answer
+        for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0),
+                            ("window_lm", 1), ("kf_lm", 1)):
             value = getattr(self, name)
             integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not (integer and value >= least):
@@ -129,8 +130,9 @@ def _parse_like(key: str, raw: str, default):
 def pipeline_config_from_dict(values: dict) -> PipelineConfig:
     """Build a config from flat `key = value` strings; unknown keys fail.
 
-    Numbers take their field's name; voxel and downsampling settings take
-    `voxel_<field>` and `downsample_<field>`. The LM budgets are not keys.
+    Numbers take their field's name, the two LM budgets `window_lm` and
+    `kf_lm` too; voxel and downsampling settings take `voxel_<field>` and
+    `downsample_<field>`.
     """
     defaults = PipelineConfig()
     nested = {"voxel": asdict(defaults.voxel), "downsample": asdict(defaults.downsample)}
@@ -268,7 +270,7 @@ class ScanResult:
     degraded: bool
     reasons: tuple
     keyframe_created: bool
-    dropped_points: int = 0  # points of the scan stamped before its window
+    dropped_points: int  # points of the scan stamped before its window
 
 
 def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
@@ -284,7 +286,8 @@ def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
 class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
-    Parameters are the control poses, one 6-block (r1 r2 r3 x y z) each.
+    Parameters are the control poses, one 6-block (r1 r2 r3 x y z) each,
+    with the stop_steps of a pose.
     Each point moves by the spline pose at its own stamp, the pose `deskew`
     gives it through `ContinuousTrajectory(ctrl_times, params)`: a slot is
     one distinct stamp (`trajectory.stamp_slots`), and the spline is
@@ -312,6 +315,7 @@ class _WindowSystem:
         self.ctrl_times = ctrl_times
         self.spacing = float(ctrl_times[1] - ctrl_times[0])
         self.n_ctrl = len(ctrl_times)
+        self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl)
         self.sensor_points = sensor_points
         self.static_points = static_points
         # instrumented segments and their deltas, stacked over segments
@@ -519,7 +523,7 @@ class OdometryPipeline:
         scan.validate()
         reasons: list[str] = []
         if len(scan) == 0:
-            return self._fallback_result(None, reasons + ["empty_scan"])
+            return self._fallback_result(None, reasons + ["empty_scan"], 0)
         t_now = float(scan.stamps[-1])
         self._maybe_initialize()
         self._trim_imu(t_now - cfg.buffer_capacity)
@@ -527,6 +531,7 @@ class OdometryPipeline:
         self.scans.push(t_now, down)
 
         ctrl_times = self._control_times(t_now)
+        dropped = int(np.count_nonzero(down.stamps < ctrl_times[0]))
         params0 = self._initial_params(ctrl_times)
         pts, stamps = self._window_points(ctrl_times[0], t_now)
 
@@ -547,7 +552,7 @@ class OdometryPipeline:
             static_pts = extract_static_points(self.map, params0[-3:], cfg.static_radius)
 
         if len(pts) < cfg.voxel.n_min + 1:
-            return self._fallback_result(t_now, reasons + ["too_few_points"])
+            return self._fallback_result(t_now, reasons + ["too_few_points"], dropped)
 
         system = _WindowSystem(
             ctrl_times, params0, pts, stamps, static_pts, deltas, self.gravity_vec, cfg
@@ -555,7 +560,7 @@ class OdometryPipeline:
         try:
             params, _, _, _ = levenberg_marquardt(system, params0, cfg.window_lm)
         except InsufficientStructureError:
-            return self._fallback_result(t_now, reasons + ["insufficient_structure"])
+            return self._fallback_result(t_now, reasons + ["insufficient_structure"], dropped)
 
         self._traj = ContinuousTrajectory(system.ctrl_times, params)
         pose_now = self._traj.sample_pose(t_now)
@@ -569,7 +574,7 @@ class OdometryPipeline:
             degraded=bool(reasons),
             reasons=tuple(reasons),
             keyframe_created=created,
-            dropped_points=int(np.count_nonzero(down.stamps < ctrl_times[0])),
+            dropped_points=dropped,
         )
         self.results.append(result)
         return result
@@ -577,7 +582,7 @@ class OdometryPipeline:
     def _control_times(self, t_now: float) -> np.ndarray:
         cfg = self.config
         n_seg_max = max(1, int(round(cfg.window_duration / cfg.control_spacing)))
-        t_data0 = self.scans.times[0] - 0.2 if self.scans.times else t_now - cfg.control_spacing
+        t_data0 = self.scans.times[0] - 0.2
         span = max(t_now - t_data0, cfg.control_spacing)
         n_seg = min(n_seg_max, max(1, int(np.ceil(span / cfg.control_spacing - 1e-9))))
         return t_now - cfg.control_spacing * np.arange(n_seg, -1, -1)
@@ -637,10 +642,11 @@ class OdometryPipeline:
             deltas.append((seg, preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)))
         return deltas
 
-    def _fallback_result(self, t_now: float | None, reasons: list[str]) -> ScanResult:
+    def _fallback_result(self, t_now: float | None, reasons: list[str], dropped: int) -> ScanResult:
         """The predicted pose at t_now, appended to the trajectory, when
         optimization cannot run; for a scan without a stamp (t_now None) the
-        last pose, appended to nothing."""
+        last pose, appended to nothing. dropped is the scan's count of points
+        stamped before its window."""
         if t_now is None:
             t_now = self.trajectory_times[-1] if self.trajectory_times else 0.0
             pose = self.trajectory_poses[-1] if self.trajectory_poses else Pose(self.base_rot, np.zeros(3))
@@ -650,7 +656,7 @@ class OdometryPipeline:
             self.trajectory_poses.append(pose)
         result = ScanResult(
             time=t_now, pose=pose, degraded=True, reasons=tuple(reasons),
-            keyframe_created=False,
+            keyframe_created=False, dropped_points=dropped,
         )
         self.results.append(result)
         return result

@@ -10,7 +10,6 @@ from multiscan.adjustment import (
     FrozenLandmarks,
     GravityConstraint,
     InsufficientStructureError,
-    LMConfig,
     _RigidSystem,
     freeze_landmarks,
     gravity_residual,
@@ -335,6 +334,8 @@ class TestLevenbergMarquardt:
         calls = []
 
         class Recording:
+            stop_steps = rigid.stop_steps
+
             def freeze(self, params):
                 calls.append(("freeze", params.copy()))
                 rigid.freeze(params)
@@ -347,9 +348,7 @@ class TestLevenbergMarquardt:
                 calls.append(("linearize", params.copy()))
                 return rigid.linearize(params)
 
-        _, history, _, iterations = levenberg_marquardt(
-            Recording(), free_params(rigid, init), LMConfig(max_outer_iterations=3)
-        )
+        _, history, _, iterations = levenberg_marquardt(Recording(), free_params(rigid, init), 3)
         assert iterations >= 2
         starts = [i for i, (kind, _) in enumerate(calls) if kind == "freeze"]
         assert len(starts) == iterations and starts[0] == 0
@@ -379,17 +378,23 @@ class TestLevenbergMarquardt:
                 raise AssertionError("linearized at a non-finite cost")
 
         with pytest.raises(FloatingPointError, match="non-finite cost"):
-            levenberg_marquardt(NanSystem(), np.zeros(6), LMConfig())
+            levenberg_marquardt(NanSystem(), np.zeros(6), 32)
+
+
+# stop_steps of one (r1 r2 r3 x y z) pose
+POSE_STEPS = np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3)
 
 
 class DriftingSystem:
     """r = params - target, where every freeze moves the target by the next
     drift (one row per parameter), so each outer iteration moves the
-    parameters by about that drift."""
+    parameters by about that drift. It stops by the steps of three poses
+    unless given its own."""
 
-    def __init__(self, drifts):
+    def __init__(self, drifts, stop_steps=np.tile(POSE_STEPS, 3)):
         self.drifts = list(drifts)
         self.target = None
+        self.stop_steps = stop_steps
 
     def freeze(self, params):
         self.target = params + self.drifts.pop(0)
@@ -413,14 +418,14 @@ class TestStoppingRule:
         # every drift below both thresholds: the first outer iteration stops
         drift = self.drift(0.9 * STOP_ROTATION, 0.9 * STOP_TRANSLATION)
         params, _, converged, iterations = levenberg_marquardt(
-            DriftingSystem([drift] * 10), np.zeros(18), LMConfig(max_outer_iterations=10)
+            DriftingSystem([drift] * 10), np.zeros(18), 10
         )
         assert converged and iterations == 1
         assert np.allclose(params, drift, rtol=1e-6)
         # halving 1 mm steps: 1, 0.5, 0.25, 0.125 mm move, 0.0625 mm stops
         drifts = [self.drift(0.0, 1e-3 / 2**k) for k in range(10)]
         _, _, converged, iterations = levenberg_marquardt(
-            DriftingSystem(drifts), np.zeros(18), LMConfig(max_outer_iterations=10)
+            DriftingSystem(drifts), np.zeros(18), 10
         )
         assert converged and iterations == 5
 
@@ -428,13 +433,15 @@ class TestStoppingRule:
     def test_keeps_going_while_a_pose_moves(self, rot, trans):
         drift = self.drift(rot, trans)
         _, history, converged, iterations = levenberg_marquardt(
-            DriftingSystem([drift] * 6), np.zeros(18), LMConfig(max_outer_iterations=6)
+            DriftingSystem([drift] * 6), np.zeros(18), 6
         )
         assert not converged and iterations == 6
         assert len(history) == 12
 
     def test_never_accepted_step_stops(self):
         class Flat:
+            stop_steps = POSE_STEPS
+
             def freeze(self, params):
                 pass
 
@@ -446,29 +453,68 @@ class TestStoppingRule:
 
         start = np.arange(6.0)
         params, history, converged, iterations = levenberg_marquardt(
-            Flat(), start, LMConfig(max_outer_iterations=5)
+            Flat(), start, 5
         )
         assert converged and iterations == 1
         assert np.array_equal(params, start)
         assert history == [6.0, 6.0]
 
 
-class TestLMConfig:
-    @pytest.mark.parametrize("name", ["max_lambda_retries"])
-    def test_rejects_no_work_per_iteration(self, name):
-        # at 0 the driver would return its start with converged=True
-        with pytest.raises(ValueError, match=name):
-            LMConfig(**{name: 0})
-        LMConfig(**{name: 1})
+    def test_stops_by_the_systems_own_steps(self):
+        # four scalar parameters, no pose among them: the driver reads the
+        # layout from stop_steps alone
+        steps = np.array([1e-3, 1e-6, 1.0, 0.5])
+        params, _, converged, iterations = levenberg_marquardt(
+            DriftingSystem([0.9 * steps] * 4, steps), np.zeros(4), 4
+        )
+        assert converged and iterations == 1
+        assert np.allclose(params, 0.9 * steps, rtol=1e-6)
+        # parameter 1 moving twice its step, less than any pose's step,
+        # keeps the solve going
+        drift = 0.9 * steps
+        drift[1] = 2 * steps[1]
+        _, _, converged, iterations = levenberg_marquardt(
+            DriftingSystem([drift] * 4, steps), np.zeros(4), 4
+        )
+        assert not converged and iterations == 4
 
-    @pytest.mark.parametrize("name", ["max_outer_iterations", "max_lambda_retries"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
-    def test_rejects_non_integer_budgets(self, name, value):
-        # a budget of 2.5 would otherwise fail inside the solve, as a
-        # TypeError from range()
-        with pytest.raises(ValueError, match=name):
-            LMConfig(**{name: value})
-        assert getattr(LMConfig(**{name: np.int64(3)}), name) == 3
+
+class Stubborn:
+    """One parameter whose every trial step but the tries-th of the solve
+    costs more than the start; any move counts as converged."""
+
+    stop_steps = np.array([np.inf])
+
+    def __init__(self, tries):
+        self.tries = tries
+        self.trials = -1  # the first residual call is at the frozen parameters
+
+    def freeze(self, params):
+        pass
+
+    def residuals(self, params):
+        self.trials += 1
+        return np.array([0.5 if self.trials == self.tries else 1.0 if self.trials == 0 else 2.0])
+
+    def linearize(self, params):
+        return SimpleNamespace(jtj=np.eye(1), jtr=lambda r: r)
+
+
+class TestLambdaRetries:
+    def test_twelfth_try_is_taken(self):
+        system = Stubborn(12)
+        params, history, converged, iterations = levenberg_marquardt(system, np.zeros(1), 3)
+        assert params[0] < 0.0 and history == [1.0, 0.25]
+        assert converged and iterations == 1
+        # the second inner iteration's 12 tries all fail
+        assert system.trials == 24
+
+    def test_thirteenth_try_is_never_made(self):
+        system = Stubborn(13)
+        params, history, converged, iterations = levenberg_marquardt(system, np.zeros(1), 3)
+        assert np.array_equal(params, np.zeros(1)) and history == [1.0, 1.0]
+        assert converged and iterations == 1
+        assert system.trials == 12
 
 
 class TestGravityResidual:

@@ -7,7 +7,7 @@ import pytest
 from multiscan import pipeline as pipeline_module
 from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
 from multiscan.imu import GravityEstimate, ImuStream
-from multiscan.adjustment import InsufficientStructureError, LMConfig, levenberg_marquardt
+from multiscan.adjustment import InsufficientStructureError, levenberg_marquardt
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.evaluation import associate_timestamps, evaluate_ape
 from multiscan.landmarks import VoxelConfig
@@ -480,6 +480,17 @@ def test_too_sparse_first_scan_takes_the_base_pose():
     assert times_out.tolist() == [0.1] and poses == [result.pose]
 
 
+def test_fallback_scan_counts_the_points_before_its_window():
+    # the first window starts 0.2 s before the scan's end, at 0.8 s, so the
+    # four points stamped 0.5 s precede it and four are too few to solve
+    rng = np.random.default_rng(3)
+    stamps = [0.5, 0.5, 0.5, 0.5, 0.95, 0.96, 0.98, 1.0]
+    scan = PointCloud(points=rng.uniform(-5.0, 5.0, size=(8, 3)), stamps=stamps)
+    result = OdometryPipeline().process_scan(scan)
+    assert result.reasons == ("no_imu", "too_few_points")
+    assert result.dropped_points == 4
+
+
 @pytest.mark.parametrize("up", [
     [0.0, 0.0, -1.0],
     [1e-13, 0.0, -1.0],  # antiparallel within the cross product's tolerance
@@ -580,18 +591,20 @@ def test_config_from_dict_round_trip():
         "voxel_fine_size": "0.4",
         "voxel_n_min": "7",
         "downsample_levels": "2.0, 1.0 0.5,0.2",
+        "window_lm": "8",
+        "kf_lm": "12",
     })
     assert cfg.window_duration == 0.8
     assert cfg.k_neighbors == 12 and isinstance(cfg.k_neighbors, int)
     assert cfg.voxel.fine_size == 0.4 and cfg.voxel.n_min == 7
     assert cfg.voxel.coarse_size == PipelineConfig().voxel.coarse_size
     assert cfg.downsample.levels == (2.0, 1.0, 0.5, 0.2)
-    assert cfg.window_lm == LMConfig(max_outer_iterations=6, max_lambda_retries=10)
+    assert (cfg.window_lm, cfg.kf_lm) == (8, 12) and isinstance(cfg.kf_lm, int)
 
 
 @pytest.mark.parametrize(
     "key",
-    ["kf_lm", "window_lm", "window_lm_max_lambda_retries", "voxel_size", "bogus", "overlap_max"],
+    ["window_lm_max_lambda_retries", "voxel_size", "bogus", "overlap_max"],
 )
 def test_config_from_dict_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match="unknown config key"):
@@ -661,3 +674,14 @@ def test_config_rejects_non_integer_counts():
             PipelineConfig(**{key: value})
     config = PipelineConfig(kf_fallback_window=np.int64(1), kf_anchor_count=0)
     assert (config.kf_fallback_window, config.kf_anchor_count) == (1, 0)
+
+
+@pytest.mark.parametrize("key", ["window_lm", "kf_lm"])
+@pytest.mark.parametrize("value", [0, 2.5, 3.0, True, "3"])
+def test_config_rejects_bad_lm_budgets(key, value):
+    # at 0 the solve would return its start; a budget of 2.5 would fail
+    # inside the solve, as a TypeError from range()
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig(**{key: value})
+    assert getattr(PipelineConfig(**{key: 1}), key) == 1
+    assert getattr(PipelineConfig(**{key: np.int64(3)}), key) == 3
