@@ -22,9 +22,9 @@ window, is the closed form `turned_motion` of a turn w = J_l(r) dr
 (`geometry.left_jacobian`).
 
 Both score the one residual of `FrozenLandmarks` on point clusters. The
-odometry window's clusters are single members, since its points move along
-a spline, each by the pose at its own stamp. Keyframe adjustment moves each
-cloud rigidly, and then a landmark's cost depends on a cloud's members only
+odometry window's moving clusters are single members, since its points
+move along a spline, each by the pose at its own stamp. Keyframe
+adjustment moves each cloud rigidly, and then a landmark's cost depends on a cloud's members only
 through their count, sum and scatter: the point-cluster statistics of BALM2
 (Liu, Liu & Zhang, arXiv:2209.08854), which HBA (arXiv:2209.11939) uses at
 map scale. `_RigidSystem` therefore scores one cluster per (landmark,
@@ -51,10 +51,14 @@ Keyframe adjustment moves each cloud rigidly and adds gravity rows
 (`_RigidSystem`, here); the odometry window moves points along a
 continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
 
-Fixed points (for example the points of anchor keyframes) take part in
-voxelization, in the cell means and in the error sums, but carry no
-parameters; they anchor the free scans to previously established
-structure.
+Fixed points carry no parameters; they anchor the free scans to
+previously established structure. A landmark's fixed points are one fixed
+cluster, in no band. Keyframe adjustment scores its anchor points as one
+more cloud that keeps the identity pose: a mean row and three scatter
+rows per landmark. The odometry window bins its static map points once
+per window (`landmarks.cell_statistics`) and keeps only the mean row: the
+scatter rows, and the rows of cells that no moving point touches, are
+constant within a freeze, so they leave the steps unchanged.
 """
 
 from __future__ import annotations
@@ -240,12 +244,15 @@ class FrozenLandmarks:
     The cross terms vanish within each cluster, so with d_c = pbar_c - mu_j,
 
         cost_j = sum_c rho_c^2 + sum_c sum_i (w_j . f_ci)^2,
-        rho_c = sqrt(n_c) w_j . (d_c - sum_c' n_c' d_c' / n_j),
+        rho_c = sqrt(n_c) (e_c - sum_c' n_c' e_c' / n_j),  e_c = w_j . d_c,
 
-    one mean row rho_c and one scatter row w_j . f_ci per column of F_c. A
-    member is a cluster of one: n_c = 1, F_c has no columns, and its one
-    row is w_j . (d_k - mean(d_j)). The odometry window scores its members
-    so; keyframe adjustment scores one cluster per (landmark, cloud) pair.
+    one mean row rho_c and one scatter row w_j . f_ci per column of F_c.
+    The mean row is projected onto w_j first, so a landmark's shift is one
+    scalar. A member is a cluster of one: n_c = 1, F_c has no columns, and
+    its one row is w_j . (d_k - mean(d_j)). The odometry window scores its
+    moving members so, and each landmark's static points as one fixed
+    cluster given without F_c; keyframe adjustment scores one cluster per
+    (landmark, cloud) pair.
 
     The rows are affine in the point positions, so damped normal-equation
     steps land on the frozen optimum instead of extrapolating an
@@ -261,7 +268,7 @@ class FrozenLandmarks:
     the Jacobian B_r - a_r S_j / n_j: its own whitened motion B_r less a
     share of S_j = sum_r a_r B_r, with a_r = sqrt(n_c) for a mean row and 0
     for a scatter row. A `Linearization` therefore needs only each row's
-    own motion and the per-landmark sums (`sums`).
+    own motion and the per-landmark sums S_j.
     """
 
     def __init__(self, groups: dict, epsilon: float):
@@ -275,21 +282,18 @@ class FrozenLandmarks:
         self.white_lm = evecs[:, :, 0] / np.sqrt(self.counts * (evals[:, 0] + epsilon))[:, None]
 
     def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
-        """Per-landmark sums of values whose rows belong to landmarks lm."""
-        width = int(np.prod(values.shape[1:]))
-        bins = (lm[:, None] * width + np.arange(width)).ravel()
-        flat = np.bincount(bins, weights=values.ravel(), minlength=self.n_landmarks * width)
-        return flat.reshape(self.n_landmarks, *values.shape[1:])
+        """Per-landmark sums of one scalar per row, row k on landmark lm[k]."""
+        return np.bincount(lm, weights=values, minlength=self.n_landmarks)
 
     def residuals(self, lm, sizes, means, factors) -> np.ndarray:
         """Residual vector of clusters on landmarks lm with sizes n_c (m,),
         world-frame means pbar_c (m, 3) and scatter factors F_c (m, 3, f):
         per cluster the mean row, then f scatter rows, one scalar each."""
-        d = means - self.mu_ref[lm]
-        shift = self.sums(sizes[:, None] * d, lm) / self.counts[:, None]
-        white = self.white_lm[lm]
+        white = np.take(self.white_lm, lm, axis=0)
+        along = np.einsum("ni,ni->n", white, means - np.take(self.mu_ref, lm, axis=0))
+        shift = self.sums(sizes * along, lm) / self.counts
         rows = np.empty((len(lm), 1 + factors.shape[2]))
-        rows[:, 0] = np.sqrt(sizes) * np.einsum("ni,ni->n", white, d - shift[lm])
+        rows[:, 0] = np.sqrt(sizes) * (along - shift[lm])
         rows[:, 1:] = np.einsum("ni,nif->nf", white, factors)
         return rows.ravel()
 
@@ -340,7 +344,8 @@ class Linearization:
     the parameter columns cols: rows index or slice the residual vector,
     whose landmark rows come first, one scalar each; block is B over those
     columns, (n, len(cols)), and share, (k, len(cols)), is what the band
-    adds to S over those columns, one entry for each landmark in lm (k,).
+    adds to S over those columns, one entry for each landmark in lm (k,),
+    which names each landmark at most once.
     Every moving row lies in exactly one band, and rows of no band (fixed
     points, pinned clouds) do not move. dense (D) is the Jacobian of the
     rows that follow the landmark rows in the residual vector (gravity,
@@ -353,8 +358,8 @@ class Linearization:
         J^T r = sum_r B_r^T r_r + D^T r_D,
 
     so the landmark Jacobian is never formed: each band adds one product of
-    its block with itself into J^T J at (cols, cols) and the
-    per-landmark sums of its share into the columns cols of S. Bands may
+    its block with itself into J^T J at (cols, cols) and its share into
+    the rows lm and columns cols of S. Bands may
     share columns (the window's neighbouring spline segments share control
     poses). J^T r drops the term -sum_j S_j^T (sum_{r in j} a_r r_r) / n_j:
     the landmark rows are weighted mean-free within every landmark, so each
@@ -368,7 +373,7 @@ class Linearization:
         jtj = dense.T @ dense
         for _, cols, block, lm, share in bands:
             jtj[np.ix_(cols, cols)] += block.T @ block
-            lm_sums[:, cols] += landmarks.sums(share, lm)
+            lm_sums[np.ix_(lm, cols)] += share
         scaled = lm_sums / np.sqrt(landmarks.counts)[:, None]
         self.jtj = jtj - scaled.T @ scaled
 

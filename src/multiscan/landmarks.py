@@ -13,11 +13,17 @@ every member is a row of the input point stack, the members of one
 landmark are contiguous and in ascending row order, and coarse landmarks
 come first.
 `split_by_normals` maps such a dict to another of the same layout.
+
+Points that never move during a solve (the odometry window's static map
+points) are binned once, by `cell_statistics`, into one statistic per
+occupied cell at each level. `dual_grid_groups` then bins only the moving
+points and merges in the fixed statistic of every cell they touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,40 +86,93 @@ def point_clusters(points: np.ndarray, starts: np.ndarray):
     return sizes, means, np.stack(upper, axis=1)[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
 
 
-def _landmarks(points: np.ndarray, member_row: np.ndarray, member_group: np.ndarray) -> dict:
-    """The landmark dict of members whose groups are contiguous runs."""
-    starts = np.flatnonzero(np.diff(member_group, prepend=-1))
-    counts, means, scatter = point_clusters(points[member_row], starts)
-    return {
-        "member_row": member_row,
-        "member_group": member_group,
-        "counts": counts,
-        "means": means,
-        "covs": scatter / counts[:, None, None],
-    }
+class CellStatistics(NamedTuple):
+    """The occupied cells of one grid level, by ascending packed key, with
+    the count, mean and scatter of the points in each (`point_clusters`).
+    counts, means and scatter end with one more, empty cell (all zeros),
+    the one index -1 reads."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+    means: np.ndarray
+    scatter: np.ndarray
 
 
-def _level_groups(points: np.ndarray, cell_size: float, n_min: int):
-    """Sort points into cells; return member rows/gid for cells with > n_min points.
-
-    Returns (rows, member_gid, group_counts) where rows indexes into points
-    and member_gid maps each row to a retained group. The sort is stable,
-    so each group's rows are in ascending order.
-    """
+def _sorted_cells(points: np.ndarray, cell_size: float):
+    """Stable order of points by packed cell key, the sorted keys, and the
+    start of each cell's run in that order."""
     packed = pack_cell_indices(voxel_cell_indices(points, cell_size))
     order = np.argsort(packed, kind="stable")
     keys = packed[order]
-    # cells are the runs of equal keys in sorted order
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return order, keys, np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+
+
+def cell_statistics(points: np.ndarray, voxel: VoxelConfig):
+    """The coarse and the fine `CellStatistics` of a non-empty point set."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    levels = []
+    for size in (voxel.coarse_size, voxel.fine_size):
+        order, keys, starts = _sorted_cells(points, size)
+        counts, means, scatter = point_clusters(points[order], starts)
+        levels.append(CellStatistics(
+            keys[starts], np.append(counts, 0), np.vstack([means, np.zeros((1, 3))]),
+            np.concatenate([scatter, np.zeros((1, 3, 3))]),
+        ))
+    return levels[0], levels[1]
+
+
+def _landmarks(points: np.ndarray, member_row: np.ndarray, member_group: np.ndarray,
+               fixed=None) -> dict:
+    """The landmark dict of members whose groups are contiguous runs.
+
+    fixed, when given, is each landmark's fixed part (count, mean and
+    scatter; count 0 for none). It is merged into the statistics and kept
+    as fixed_counts and fixed_means."""
+    starts = np.flatnonzero(np.diff(member_group, prepend=-1))
+    counts, means, scatter = point_clusters(np.take(points, member_row, axis=0), starts)
+    groups = {"member_row": member_row, "member_group": member_group}
+    if fixed is not None:
+        fixed_counts, fixed_means, fixed_scatter = fixed
+        total = counts + fixed_counts
+        gap = fixed_means - means
+        # the parallel-axis merge; a landmark without fixed points keeps
+        # its statistics bit for bit
+        scatter = scatter + fixed_scatter + (
+            (counts * fixed_counts / total)[:, None, None] * gap[:, :, None] * gap[:, None, :]
+        )
+        means = means + (fixed_counts / total)[:, None] * gap
+        counts = total
+        groups.update(fixed_counts=fixed_counts, fixed_means=fixed_means)
+    groups.update(counts=counts, means=means, covs=scatter / counts[:, None, None])
+    return groups
+
+
+def _level_groups(points: np.ndarray, cell_size: float, n_min: int, fixed=None):
+    """Sort points into cells; return member rows/gid for cells with > n_min points.
+
+    Returns (rows, member_gid, group_counts, fixed_at) where rows indexes
+    into points and member_gid maps each row to a retained group. The sort
+    is stable, so each group's rows are in ascending order. With fixed, the
+    `CellStatistics` of fixed points at this level, a cell's fixed points
+    count toward n_min and fixed_at is each group's cell among them (-1 for
+    none); without, fixed_at is all -1.
+    """
+    order, keys, starts = _sorted_cells(points, cell_size)
     counts = np.diff(starts, append=len(keys))
-    keep = counts > n_min
+    fixed_at = np.full(len(counts), -1)
+    total = counts
+    if fixed is not None:
+        at = np.minimum(np.searchsorted(fixed.keys, keys[starts]), len(fixed.keys) - 1)
+        fixed_at = np.where(fixed.keys[at] == keys[starts], at, -1)
+        total = counts + fixed.counts[fixed_at]
+    keep = total > n_min
     group_of_pos = np.repeat(np.arange(len(counts)), counts)
     pos_keep = keep[group_of_pos]
     new_gid = np.cumsum(keep) - 1
-    return order[pos_keep], new_gid[group_of_pos[pos_keep]], counts[keep]
+    return order[pos_keep], new_gid[group_of_pos[pos_keep]], counts[keep], fixed_at[keep]
 
 
-def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig):
+def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig, fixed=None):
     """Dual voxelization into landmark statistics, as one dict of flat arrays.
 
     Returns None when no cell holds more than voxel.n_min points. Keys:
@@ -122,15 +181,28 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig):
     landmark's members are contiguous and in ascending row order, so the
     members it takes from any contiguous block of rows (one scan of a
     stack) form one run.
+
+    fixed, the `cell_statistics` of points that do not move, adds them to
+    the cells that points touch: counts, means and covs cover both, each
+    cell's fixed points count toward n_min, and two more keys give each
+    landmark's fixed part, fixed_counts (0 for none) and fixed_means. Cells
+    that only fixed points occupy are no landmarks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    coarse_rows, coarse_gid, coarse_counts = _level_groups(points, voxel.coarse_size, voxel.n_min)
-    fine_rows, fine_gid, _ = _level_groups(points, voxel.fine_size, voxel.n_min)
+    sizes = (voxel.coarse_size, voxel.fine_size)
+    (coarse_rows, coarse_gid, coarse_counts, coarse_at), (fine_rows, fine_gid, _, fine_at) = (
+        _level_groups(points, size, voxel.n_min, cells)
+        for size, cells in zip(sizes, fixed or (None, None))
+    )
     member_row = np.concatenate([coarse_rows, fine_rows])
     if len(member_row) == 0:
         return None
     member_group = np.concatenate([coarse_gid, fine_gid + len(coarse_counts)])
-    return _landmarks(points, member_row, member_group)
+    if fixed is None:
+        return _landmarks(points, member_row, member_group)
+    coarse, fine = fixed
+    parts = [np.concatenate([c[coarse_at], f[fine_at]]) for c, f in zip(coarse[1:], fine[1:])]
+    return _landmarks(points, member_row, member_group, parts)
 
 
 def split_by_normals(

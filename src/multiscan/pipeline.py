@@ -50,7 +50,9 @@ from multiscan.imu import (
     stack_deltas,
     static_initialization,
 )
-from multiscan.landmarks import VoxelConfig, dual_grid_groups, pack_cell_indices, voxel_cell_indices
+from multiscan.landmarks import (
+    VoxelConfig, cell_statistics, dual_grid_groups, pack_cell_indices, voxel_cell_indices,
+)
 from multiscan.trajectory import (
     ContinuousTrajectory,
     deskew,
@@ -223,8 +225,9 @@ class Keyframe:
 
 class Map:
     """Keyframes, and the world-frame points and normals of all their clouds
-    at the keyframes' current poses: set by `add`, and by `rebuild_index`
-    after the poses move."""
+    at the keyframes' current poses, stacked in keyframe order: `add`
+    appends the new keyframe's, and `rebuild_index` restacks them all after
+    the poses move."""
 
     def __init__(self):
         self.keyframes: list[Keyframe] = []
@@ -236,7 +239,8 @@ class Map:
 
     def add(self, kf: Keyframe) -> None:
         self.keyframes.append(kf)
-        self.rebuild_index()
+        self.points = np.vstack([self.points, kf.world_points()])
+        self.normals = np.vstack([self.normals, kf.world_normals()])
 
     def rebuild_index(self) -> None:
         """Recompute the world points and normals; needs a keyframe."""
@@ -296,16 +300,28 @@ class _WindowSystem:
     positions of at most four poses around it (Hermite on the tangents
     v = T p, with the tangent matrix T = `np.gradient(I, dt)`: centered
     differences, one-sided at the ends; the IMU rows read v as each control
-    pose's velocity), so `freeze` sorts the moving members by slot and the
-    `Linearization` gets one band per segment: every moving member's rows
-    are built once, over those 6 rotation and 3 P translation columns
-    (P = min(4, K) poses from `segment_cols`). Positions are linear in the
-    control positions, so a member's motion under a translation is its
-    Hermite weight at its slot times the unit axis (`hermite_weights`,
-    built once). Under a rotation it is closed-form: slerp turns the point
-    by `trajectory.slerp_turns`, and `adjustment.turned_motion` gives its
-    motion under that turn.
-    Static map points join the landmarks but never move. The IMU rows (one
+    pose's velocity), so `freeze` sorts the members by segment, then
+    landmark (`sort_members`), and the `Linearization` gets one band per
+    segment, with its share of S summed over each landmark's run: every
+    member's rows are built once, over those 6 rotation and 3 P
+    translation columns (P = min(4, K) poses from `segment_cols`).
+    Positions are linear in the control positions, so a member's motion
+    under a translation is its Hermite weight at its slot times the unit
+    axis (`hermite_weights`, built once). Under a rotation it is
+    closed-form: slerp turns the point by `trajectory.slerp_turns`, and
+    `adjustment.turned_motion` gives its motion under that turn. Each
+    moving member is a cluster of one.
+
+    Static map points never move within the window, so `__init__` bins them
+    once, at both levels (`landmarks.cell_statistics`), and each freeze
+    bins only the moving points and merges in the static statistic of every
+    cell they touch (`dual_grid_groups`). A landmark's static points are one
+    fixed cluster: one mean row, in no band. Their scatter rows and the
+    cells that no moving point touches are dropped: those rows are constant
+    within a freeze, so the steps are those of one row per static point and
+    the cost is less by the static scatter along each w_j.
+    `world_points` keeps its last result, so a freeze at an accepted trial
+    and the first residuals after a freeze reuse it. The IMU rows (one
     batched `imu.imu_residual` call, differentiated by `imu.imu_jacobian`)
     and the prior rows form the small dense block.
     """
@@ -317,7 +333,8 @@ class _WindowSystem:
         self.n_ctrl = len(ctrl_times)
         self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl)
         self.sensor_points = sensor_points
-        self.static_points = static_points
+        self.static_cells = cell_statistics(static_points, config.voxel) if len(static_points) else None
+        self._world_key = None
         # instrumented segments and their deltas, stacked over segments
         self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
         self.delta = stack_deltas([d for _, d in deltas]) if deltas else None
@@ -332,6 +349,7 @@ class _WindowSystem:
         ])
         self.prior_weights = np.tile(w, self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
+        self.prior_jacobian = np.diag(self.prior_weights)
         self.slot_times, self.point_slot = stamp_slots(stamps)
         self.slot_seg, _ = segment_params(ctrl_times, self.spacing, self.slot_times)
         # slots [segment_slots[s], segment_slots[s + 1]) lie in segment s
@@ -357,18 +375,32 @@ class _WindowSystem:
             np.full(3, config.imu_weight_vel),
             np.full(3, config.imu_weight_pos),
         ])
+        # each instrumented segment's end poses, and their positions and
+        # velocities as weights of the control positions
+        self.imu_ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
+        self.imu_select = np.eye(self.n_ctrl)[self.imu_ends]
+        self.imu_chain = np.stack([
+            self.imu_select, np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[self.imu_ends]
+        ], 2)
 
     # ---- trajectory evaluation -------------------------------------------------
 
     def world_points(self, params: np.ndarray) -> np.ndarray:
-        blocks = params.reshape(-1, 6)
-        rot = slerp_rotation_matrices(self.ctrl_times, blocks[:, :3], self.spacing, self.slot_times)
-        pos = hermite_positions(self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times)
-        rot, pos = rot[self.point_slot], pos[self.point_slot]
-        moving = np.einsum("nij,nj->ni", rot, self.sensor_points) + pos
-        if len(self.static_points):
-            return np.vstack([moving, self.static_points])
-        return moving
+        """World positions of the moving points at params; the last call's
+        are kept, with the points' rotated sensor positions R x, and
+        returned again for bit-identical params."""
+        key = params.tobytes()
+        if key != self._world_key:
+            blocks = params.reshape(-1, 6)
+            rot = slerp_rotation_matrices(self.ctrl_times, blocks[:, :3], self.spacing, self.slot_times)
+            pos = hermite_positions(self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times)
+            # np.take: the gather of fancy indexing, several times faster
+            self._rotated = np.einsum(
+                "nij,nj->ni", np.take(rot, self.point_slot, axis=0), self.sensor_points
+            )
+            self._world = self._rotated + np.take(pos, self.point_slot, axis=0)
+            self._world_key = key
+        return self._world
 
     def imu_states(self, params: np.ndarray) -> tuple:
         """The arguments of `imu_residual` for the instrumented segments at params."""
@@ -394,76 +426,83 @@ class _WindowSystem:
         # (segment, row, end pose i or j, turn / position / velocity, axis)
         jac = self.imu_weights[:, None] * imu_jacobian(*self.imu_states(params))
         jac = jac.reshape(-1, 9, 2, 3, 3)
-        ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
-        select = np.eye(self.n_ctrl)[ends]
-        # an end pose's position and velocity as weights of the control positions
-        chain = np.stack([select, np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[ends]], 2)
-        turns = left_jacobian(params.reshape(-1, 6)[:, :3])[ends]
-        out = np.empty((len(ends), 9, self.n_ctrl, 6))
-        out[..., :3] = np.einsum("saeb,sebc,sek->sakc", jac[:, :, :, 0], turns, select)
-        out[..., 3:] = np.einsum("saefb,sefk->sakb", jac[:, :, :, 1:], chain)
+        turns = left_jacobian(params.reshape(-1, 6)[:, :3])[self.imu_ends]
+        out = np.empty((len(self.imu_ends), 9, self.n_ctrl, 6))
+        out[..., :3] = np.einsum("saeb,sebc,sek->sakc", jac[:, :, :, 0], turns, self.imu_select)
+        out[..., 3:] = np.einsum("saefb,sefk->sakb", jac[:, :, :, 1:], self.imu_chain)
         return out.reshape(-1, len(params))
 
     # ---- residual system -----------------------------------------------------------
 
     def freeze(self, params: np.ndarray) -> None:
-        groups = dual_grid_groups(self.world_points(params), self.config.voxel)
+        groups = dual_grid_groups(self.world_points(params), self.config.voxel, self.static_cells)
         if groups is None:
             raise InsufficientStructureError(
                 "insufficient overlap/structure in the sliding window"
             )
-        self.landmarks = FrozenLandmarks(groups, self.config.voxel.epsilon)
-        # members whose point moves with the trajectory, sorted by slot, so
-        # members [member_bounds[s], member_bounds[s + 1]) lie in segment s
-        moving = np.nonzero(self.landmarks.member_row < len(self.sensor_points))[0]
-        slot = self.point_slot[self.landmarks.member_row[moving]]
-        by_slot = np.argsort(slot, kind="stable")
-        self.order = moving[by_slot]
-        self.member_slot = slot[by_slot]
-        self.member_bounds = np.searchsorted(self.member_slot, self.segment_slots)
+        self.landmarks = lms = FrozenLandmarks(groups, self.config.voxel.epsilon)
+        self.sort_members(self.point_slot[lms.member_row], lms.member_lm, lms.n_landmarks)
+        # clusters: every member as one, then each landmark's static points as one
+        fixed_counts = groups.get("fixed_counts", np.zeros(0))
+        fixed_lm = np.flatnonzero(fixed_counts)
+        self.fixed_means = groups.get("fixed_means", np.zeros((0, 3)))[fixed_lm]
+        self.cluster_lm = np.concatenate([lms.member_lm, fixed_lm])
+        self.cluster_sizes = np.concatenate([np.ones(len(lms.member_lm)), fixed_counts[fixed_lm]])
+        self.no_factors = np.empty((len(self.cluster_lm), 3, 0))
+
+    def sort_members(self, slot: np.ndarray, lm: np.ndarray, n_landmarks: int) -> None:
+        """Order the members at slots on landmarks lm by segment, then
+        landmark: members [member_bounds[s], member_bounds[s + 1]) of that
+        order lie in segment s, and runs [run_bounds[s], run_bounds[s + 1])
+        of one landmark each, starting at run_starts, tile them."""
+        key = self.slot_seg[slot] * n_landmarks + lm
+        self.order = np.argsort(key, kind="stable")
+        self.member_slot = slot[self.order]
+        key = key[self.order]
+        self.member_bounds = np.searchsorted(key, np.arange(self.n_ctrl) * n_landmarks)
+        self.run_starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.run_lm = key[self.run_starts] % n_landmarks
+        self.run_bounds = np.searchsorted(self.run_starts, self.member_bounds)
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
-        # every member is a cluster of one: size 1, no scatter columns
         lms = self.landmarks
-        n = len(lms.member_lm)
+        means = np.concatenate([np.take(self.world_points(params), lms.member_row, axis=0),
+                                self.fixed_means])
         return np.concatenate([
-            lms.residuals(lms.member_lm, np.ones(n), self.world_points(params)[lms.member_row],
-                          np.empty((n, 3, 0))),
+            lms.residuals(self.cluster_lm, self.cluster_sizes, means, self.no_factors),
             self.imu_rows(params),
             self.prior_rows(params),
         ])
 
     def linearize(self, params: np.ndarray) -> Linearization:
         """Normal equations at params, every column in closed form."""
-        rots, turn_a, turn_b = slerp_turns(
+        _, turn_a, turn_b = slerp_turns(
             self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times
         )
         turns = np.concatenate([turn_a, turn_b], axis=2)
-        # each moving member's whitened motion, built once: its turned
-        # motion under the two end poses' rotations, its landmark's w_j times
-        # the Hermite weight under each translation
+        self.world_points(params)
+        # each member's whitened motion, built once: its turned motion under
+        # the two end poses' rotations, its landmark's w_j times the Hermite
+        # weight under each translation
         slot = self.member_slot
-        member_lm = self.landmarks.member_lm
-        white = self.landmarks.white_lm[member_lm[self.order]]
-        raw = self.sensor_points[self.landmarks.member_row[self.order]]
-        weights = self.hermite_weights[slot]
+        white = np.take(self.landmarks.white_lm, self.landmarks.member_lm[self.order], axis=0)
+        rotated = np.take(self._rotated, self.landmarks.member_row[self.order], axis=0)
+        weights = np.take(self.hermite_weights, slot, axis=0)
         block = np.empty((len(slot), 6 + 3 * weights.shape[1]))
-        turned_motion(
-            white[:, None], np.einsum("nij,nj->ni", rots[slot], raw), turns[slot],
-            out=block[:, None, :6],
-        )
-        np.multiply(
-            white[:, None, :], weights[:, :, None], out=block[:, 6:].reshape(len(slot), -1, 3)
-        )
+        turned_motion(white[:, None], rotated, np.take(turns, slot, axis=0), out=block[:, None, :6])
+        np.einsum("ni,np->npi", white, weights, out=block[:, 6:].reshape(len(slot), -1, 3))
+        # a band's share of S: the sum of its rows' motions over each run
+        shares = np.add.reduceat(block, self.run_starts, axis=0)
+        members, runs = self.member_bounds, self.run_bounds
         bands = [
-            (self.order[lo:hi], cols, block[lo:hi], member_lm[self.order[lo:hi]], block[lo:hi])
-            for cols, lo, hi in zip(self.segment_cols, self.member_bounds, self.member_bounds[1:])
+            (self.order[lo:hi], cols, block[lo:hi], self.run_lm[a:b], shares[a:b])
+            for cols, lo, hi, a, b in zip(self.segment_cols, members, members[1:], runs, runs[1:])
             if lo < hi
         ]
-        dense = np.vstack([self.imu_jacobian(params), np.diag(self.prior_weights)])
+        dense = np.vstack([self.imu_jacobian(params), self.prior_jacobian])
         return Linearization(self.landmarks, bands, dense)
 
 
@@ -479,6 +518,9 @@ class OdometryPipeline:
         self.trajectory_poses: list[Pose] = []
         self.results: list[ScanResult] = []
         self._traj: ContinuousTrajectory | None = None
+        # (t_i, t_j) -> (stamp of the first sample read, delta) of the
+        # segments of the last window that no later sample can change
+        self._segments: dict = {}
         self._initialized = False
         self._imu_warned = False
         self.gyro_bias = np.zeros(3)
@@ -588,27 +630,33 @@ class OdometryPipeline:
         return t_now - cfg.control_spacing * np.arange(n_seg, -1, -1)
 
     def _initial_params(self, ctrl_times: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._predict(float(t)).as_params() for t in ctrl_times])
+        return self._predict(ctrl_times).ravel()
 
-    def _predict(self, t: float) -> Pose:
-        """Pose at t before the window is solved: the base pose until a
-        trajectory exists, then a sample of the last solved trajectory (t
-        clipped to its span), or its constant-velocity extrapolation past
-        its end."""
+    def _predict(self, times: np.ndarray) -> np.ndarray:
+        """Poses at times before the window is solved, one (r, p) row each:
+        the base pose until a trajectory exists, then samples of the last
+        solved trajectory (times clipped to its span), one batch, or its
+        constant-velocity extrapolation past its end."""
         prev = self._traj
+        out = np.zeros((len(times), 6))
         if prev is None:
-            return Pose(self.base_rot, np.zeros(3))
-        if t <= prev.t_last + 1e-9:
-            return prev.sample_pose(float(np.clip(t, prev.t_first, prev.t_last)))
-        return self._extrapolate(prev, t)
+            out[:, :3] = self.base_rot
+            return out
+        past = times > prev.t_last + 1e-9
+        inside = np.clip(times[~past], prev.t_first, prev.t_last)
+        out[~past, :3] = matrix_to_rotvec(prev.sample_rotations(inside))
+        out[~past, 3:] = prev.sample_position(inside)
+        if np.any(past):
+            out[past] = self._extrapolate(prev, times[past])
+        return out
 
     @staticmethod
-    def _extrapolate(traj: ContinuousTrajectory, t: float) -> Pose:
-        dt = t - traj.t_last
+    def _extrapolate(traj: ContinuousTrajectory, times: np.ndarray) -> np.ndarray:
+        dt = times - traj.t_last
         vel = traj.sample_position(traj.t_last, 1)[0]
         # the last segment's turn, continued at its constant rate
-        rot = traj.rotations[-1] @ rotvec_to_matrix(traj.turns[-1] * (dt / traj.spacing))
-        return Pose(matrix_to_rotvec(rot), traj.positions[-1] + vel * dt)
+        rot = traj.rotations[-1] @ rotvec_to_matrix(traj.turns[-1] * (dt / traj.spacing)[:, None])
+        return np.concatenate([matrix_to_rotvec(rot), traj.positions[-1] + vel * dt[:, None]], axis=1)
 
     def _window_points(self, t_start: float, t_end: float):
         """Points and stamps of the buffered scans inside [t_start, t_end].
@@ -630,16 +678,33 @@ class OdometryPipeline:
         A segment counts as covered when at most a small fraction at either
         end lies outside the stream; the integrator clamps boundary values
         there, which is negligible against one missing sample period.
+
+        A segment reads the samples in [t_i - 0.05, t_j + 0.05]. Once the
+        stream reaches past t_j + 0.05, no later sample falls there, so the
+        delta is kept under the exact (t_i, t_j) and reused while the first
+        sample it read is still stored. A segment may come back under keys
+        a few ulps apart (control times are the scan's end less multiples
+        of the spacing), so every kept segment stays while its midpoint
+        lies in the window.
         """
+        t_start = float(ctrl_times[0])
+        kept = {key: entry for key, entry in self._segments.items()
+                if key[0] + key[1] > 2.0 * t_start}
         deltas = []
         for seg in range(len(ctrl_times) - 1):
             t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
-            slack = 0.25 * (t_j - t_i)
-            samples = self.imu.between(t_i - 0.05, t_j + 0.05)
-            times = samples.times
-            if len(times) < 2 or times[0] > t_i + slack or times[-1] < t_j - slack:
-                continue
-            deltas.append((seg, preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)))
+            first, delta = kept.get((t_i, t_j), (None, None))
+            if delta is None or self.imu.times[0] > first:
+                slack = 0.25 * (t_j - t_i)
+                samples = self.imu.between(t_i - 0.05, t_j + 0.05)
+                times = samples.times
+                if len(times) < 2 or times[0] > t_i + slack or times[-1] < t_j - slack:
+                    continue
+                first, delta = times[0], preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)
+                if self.imu.times[-1] > t_j + 0.05:
+                    kept[t_i, t_j] = first, delta
+            deltas.append((seg, delta))
+        self._segments = kept
         return deltas
 
     def _fallback_result(self, t_now: float | None, reasons: list[str], dropped: int) -> ScanResult:
@@ -651,7 +716,7 @@ class OdometryPipeline:
             t_now = self.trajectory_times[-1] if self.trajectory_times else 0.0
             pose = self.trajectory_poses[-1] if self.trajectory_poses else Pose(self.base_rot, np.zeros(3))
         else:
-            pose = self._predict(t_now)
+            pose = Pose.from_params(self._predict(np.array([t_now]))[0])
             self.trajectory_times.append(t_now)
             self.trajectory_poses.append(pose)
         result = ScanResult(

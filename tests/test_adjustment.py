@@ -205,7 +205,7 @@ def member_cost(system, frozen, params):
         [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)] + [prob.fixed_points]
     )
     p = world[lms.member_row]
-    m = lms.sums(p, lms.member_lm) / lms.counts[:, None]
+    m = np.stack([lms.sums(p[:, a], lms.member_lm) for a in range(3)], axis=1) / lms.counts[:, None]
     r = np.einsum("ni,ni->n", lms.white_lm[lms.member_lm], p - m[lms.member_lm])
     return float(r @ r)
 

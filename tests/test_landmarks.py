@@ -5,6 +5,7 @@ from multiscan.adjustment import FrozenLandmarks
 from multiscan.landmarks import (
     VoxelConfig,
     _level_groups,
+    cell_statistics,
     dual_grid_groups,
     pack_cell_indices,
     point_clusters,
@@ -125,7 +126,7 @@ class TestVoxelizeDual:
         rng = np.random.default_rng(12)
         for pts in (rng.uniform(-3.0, 3.0, size=(800, 3)), np.zeros((0, 3))):
             for size in (2.0, 0.5):
-                rows, gid, counts = _level_groups(pts, size, n_min)
+                rows, gid, counts, _ = _level_groups(pts, size, n_min)
                 _, occupied = np.unique(pack_cell_indices(voxel_cell_indices(pts, size)), return_counts=True)
                 assert np.array_equal(counts, occupied[occupied > n_min])
                 assert np.array_equal(np.bincount(gid, minlength=len(counts)), counts)
@@ -342,6 +343,30 @@ def test_unsplit_landmarks_keep_their_statistics_bitwise():
             assert np.array_equal(out["means"][g], groups["means"][j])
             assert np.array_equal(out["covs"][g], groups["covs"][j])
     assert 0 < kept < len(out["counts"])
+
+
+def test_fixed_cells_merge_into_the_cells_the_points_touch():
+    # fixed points binned once and merged: the landmarks of the stacked
+    # points that a moving point touches, with only the moving members, the
+    # fixed points counting toward n_min; a fixed-only block makes none
+    rng = np.random.default_rng(21)
+    moving = rng.uniform(-3.0, 3.0, size=(600, 3))
+    fixed = np.vstack([rng.uniform(-3.0, 3.0, size=(400, 3)), rng.uniform(10.0, 10.4, size=(20, 3))])
+    merged = dual_grid_groups(moving, GRID, cell_statistics(fixed, GRID))
+    whole = dual_grid_groups(np.vstack([moving, fixed]), GRID)
+    own = whole["member_row"] < len(moving)
+    touched = np.unique(whole["member_group"][own])
+    assert len(touched) < len(whole["counts"])
+    assert np.array_equal(merged["member_row"], whole["member_row"][own])
+    assert np.array_equal(merged["counts"], whole["counts"][touched])
+    assert np.allclose(merged["means"], whole["means"][touched], rtol=0.0, atol=1e-12)
+    assert np.allclose(merged["covs"], whole["covs"][touched], rtol=0.0, atol=1e-12)
+    n_fixed = np.bincount(whole["member_group"][~own], minlength=len(whole["counts"]))[touched]
+    assert np.array_equal(merged["fixed_counts"], n_fixed)
+    assert np.any(merged["counts"] - merged["fixed_counts"] <= GRID.n_min)
+    for g in np.flatnonzero(n_fixed):
+        rows = whole["member_row"][~own & (whole["member_group"] == touched[g])] - len(moving)
+        assert np.allclose(merged["fixed_means"][g], fixed[rows].mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 def test_members_ascend_within_each_landmark():

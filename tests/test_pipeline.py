@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from multiscan import pipeline as pipeline_module
-from multiscan.geometry import Pose, PointCloud, rotvec_to_matrix
-from multiscan.imu import GravityEstimate, ImuStream
-from multiscan.adjustment import InsufficientStructureError, levenberg_marquardt
+from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec, rotvec_to_matrix
+from multiscan.imu import GravityEstimate, ImuStream, preintegrate
+from multiscan.adjustment import (
+    FrozenLandmarks, InsufficientStructureError, levenberg_marquardt, lm_step,
+)
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.evaluation import associate_timestamps, evaluate_ape
-from multiscan.landmarks import VoxelConfig
+from multiscan.landmarks import VoxelConfig, dual_grid_groups
 from multiscan.pipeline import (
     Keyframe,
     Map,
@@ -49,11 +51,11 @@ def test_smoke_run_one_finite_pose_per_scan(corridor, corridor_run):
     assert all(result.reasons == () for result in results)
 
 
-def frozen_window(pipeline, t_now, gap=None):
+def frozen_window(pipeline, t_now, gap=None, static=np.zeros((0, 3))):
     """The window of the scan ending at t_now rebuilt the way process_scan
-    does, less the points stamped in [gap[0], gap[1]), frozen at its warm
-    start, and a point moved off the prior's minimum so every residual block
-    contributes."""
+    does, less the points stamped in [gap[0], gap[1]), with static points,
+    frozen at its warm start, and a point moved off the prior's minimum so
+    every residual block contributes."""
     ctrl_times = pipeline._control_times(t_now)
     params = pipeline._initial_params(ctrl_times)
     pts, stamps = pipeline._window_points(ctrl_times[0], t_now)
@@ -63,8 +65,7 @@ def frozen_window(pipeline, t_now, gap=None):
     deltas = pipeline._segment_deltas(ctrl_times)
     assert deltas
     system = _WindowSystem(
-        ctrl_times, params, pts, stamps, np.zeros((0, 3)), deltas,
-        pipeline.gravity_vec, pipeline.config,
+        ctrl_times, params, pts, stamps, static, deltas, pipeline.gravity_vec, pipeline.config,
     )
     system.freeze(params)
     rng = np.random.default_rng(0)
@@ -167,6 +168,78 @@ def test_window_imu_jacobian_matches_column_secants(corridor_window):
     offset = np.arange(system.n_ctrl) - system.imu_seg[:, None]
     touched = np.any(jac.reshape(-1, 9, system.n_ctrl, 6) != 0.0, axis=(1, 3))
     assert np.array_equal(touched, (offset >= -1) & (offset <= 2))
+
+
+@pytest.fixture(scope="module")
+def static_window(corridor, corridor_run):
+    """corridor_window with static points: every third window point at the
+    warm start, moved by up to 2 cm, and a far block that no moving point
+    reaches. Returns the system, its static points, the parameters it was
+    frozen at and the offset point."""
+    pipeline = corridor_run[0]
+    t_now = float(corridor.scans[-1].stamps[-1])
+    ctrl_times = pipeline._control_times(t_now)
+    params = pipeline._initial_params(ctrl_times)
+    pts, stamps = pipeline._window_points(ctrl_times[0], t_now)
+    rng = np.random.default_rng(2)
+    world = _WindowSystem(
+        ctrl_times, params, pts, stamps, np.zeros((0, 3)), [], pipeline.gravity_vec, pipeline.config,
+    ).world_points(params)
+    static = np.vstack([
+        world[::3] + rng.uniform(-0.02, 0.02, size=world[::3].shape),
+        rng.uniform(0.0, 0.4, size=(30, 3)) + [200.0, 0.0, 0.0],
+    ])
+    system, at = frozen_window(pipeline, t_now, static=static)
+    return system, static, params, at
+
+
+def per_member_window(system, static, params):
+    """system frozen at params with every static point its own cluster of
+    one, as one row per member: the landmarks of the window and static
+    points stacked, static-only cells included. Returns the system, with
+    its landmarks and member order replaced, and its residual function."""
+    ref = copy.copy(system)
+    moving = system.world_points(params)
+    groups = dual_grid_groups(np.vstack([moving, static]), system.config.voxel)
+    lms = ref.landmarks = FrozenLandmarks(groups, system.config.voxel.epsilon)
+    # the moving members, as positions in the member list
+    own = np.flatnonzero(lms.member_row < len(moving))
+    ref.sort_members(system.point_slot[lms.member_row[own]], lms.member_lm[own], lms.n_landmarks)
+    ref.order = own[ref.order]
+    n = len(lms.member_lm)
+
+    def residuals(at):
+        pts = np.vstack([system.world_points(at), static])[lms.member_row]
+        landmark_rows = lms.residuals(lms.member_lm, np.ones(n), pts, np.empty((n, 3, 0)))
+        return np.concatenate([landmark_rows, system.imu_rows(at), system.prior_rows(at)])
+
+    return ref, residuals
+
+
+def test_static_points_score_as_fixed_clusters(static_window):
+    # the same normal equations and step as one row per static point; the
+    # cost less each landmark's static scatter along its w_j
+    system, static, params, at = static_window
+    assert len(system.fixed_means) and len(system.fixed_means) < len(static)
+    ref, ref_residuals = per_member_window(system, static, params)
+    lin, r = system.linearize(at), system.residuals(at)
+    lin_ref, r_ref = ref.linearize(at), ref_residuals(at)
+    jtr, jtr_ref = lin.jtr(r), lin_ref.jtr(r_ref)
+    assert np.abs(lin.jtj - lin_ref.jtj).max() <= 1e-9 * np.abs(lin_ref.jtj).max()
+    assert np.abs(jtr - jtr_ref).max() <= 1e-9 * np.abs(jtr_ref).max()
+    step, step_ref = lm_step(lin.jtj, jtr, 1e-4), lm_step(lin_ref.jtj, jtr_ref, 1e-4)
+    assert np.abs(step - step_ref).max() <= 1e-9 * np.abs(step_ref).max()
+    # each landmark's static members' scatter about their own mean, along
+    # w_j, the far block's static-only landmarks included
+    lms = ref.landmarks
+    assert lms.n_landmarks > system.landmarks.n_landmarks
+    is_static = lms.member_row >= len(system.sensor_points)
+    scatter = 0.0
+    for j in np.unique(lms.member_lm[is_static]):
+        rows = lms.member_row[is_static & (lms.member_lm == j)] - len(system.sensor_points)
+        scatter += np.sum(((static[rows] - static[rows].mean(axis=0)) @ lms.white_lm[j]) ** 2)
+    assert scatter > 1e-3 * (r @ r)
+    assert r_ref @ r_ref - r @ r == pytest.approx(scatter, rel=1e-9)
 
 
 def path_ratio(estimated, true):
@@ -304,6 +377,23 @@ def test_keyframe_attempt_counts_the_points_deskew_keeps():
     assert len(pipeline.results) == n_results + 1 and len(pipeline.map) == n_keyframes
 
 
+def test_map_add_appends_the_new_keyframes_points():
+    # add stacks only the new keyframe's world points and normals, bit for
+    # bit what restacking every keyframe gives
+    rng = np.random.default_rng(4)
+    world_map = Map()
+    gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
+    for k in range(3):
+        normals = rng.normal(size=(5, 3))
+        cloud = PointCloud(points=rng.normal(size=(5, 3)),
+                           normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
+        world_map.add(Keyframe(Pose(rng.normal(size=3), rng.normal(size=3)), cloud, gravity))
+    points, normals = world_map.points, world_map.normals
+    assert points.shape == normals.shape == (15, 3)
+    world_map.rebuild_index()
+    assert np.array_equal(points, world_map.points) and np.array_equal(normals, world_map.normals)
+
+
 def test_static_points_are_the_near_map_points_facing_the_sensor():
     # one keyframe, turned and moved, holding (world frame) a facing point,
     # one beyond the radius, a back-facing one, one without a normal and a
@@ -334,6 +424,100 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     assert np.array_equal(system.world_points(at)[: len(pts)], world.points)
     own = np.einsum("nij,nj->ni", traj.sample_rotations(stamps), pts) + traj.sample_position(stamps)
     assert np.allclose(world.points, own, rtol=0.0, atol=1e-12)
+
+
+def imu_at_rest(t0, t1, rate=200.0):
+    """A still, level IMU stream sampled over [t0, t1) with a slow yaw."""
+    times = np.arange(np.ceil(t0 * rate), np.ceil(t1 * rate)) / rate
+    gyro = np.tile([0.0, 0.0, 0.1], (len(times), 1))
+    return ImuStream(times, gyro, np.tile([0.0, 0.0, 9.81], (len(times), 1)))
+
+
+def count_preintegrations(monkeypatch):
+    """Patch the pipeline's preintegrate to count its calls by segment."""
+    calls = []
+
+    def counted(stream, t_start, t_end, **kwargs):
+        calls.append((t_start, t_end))
+        return preintegrate(stream, t_start, t_end, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "preintegrate", counted)
+    return calls
+
+
+def assert_fresh_deltas(pipeline, ctrl_times, deltas):
+    # each delta bit for bit a fresh preintegration of the stored stream
+    for seg, delta in deltas:
+        t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
+        fresh = preintegrate(pipeline.imu.between(t_i - 0.05, t_j + 0.05), t_i, t_j,
+                             gyro_bias=pipeline.gyro_bias)
+        for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+            assert np.array_equal(getattr(delta, name), getattr(fresh, name))
+
+
+def test_segment_deltas_are_reused_within_the_window(corridor_run, monkeypatch):
+    # the last window's segments that the stream reaches past come back
+    # from the cache, each bit for bit a fresh preintegration
+    pipeline = copy.deepcopy(corridor_run[0])
+    ctrl_times = pipeline._control_times(pipeline.scans.times[-1])
+    calls = count_preintegrations(monkeypatch)
+    deltas = pipeline._segment_deltas(ctrl_times)
+    reached = [seg for seg, _ in deltas if ctrl_times[seg + 1] + 0.05 < pipeline.imu.times[-1]]
+    assert len(reached) >= 5
+    assert len(calls) == len(deltas) - len(reached)
+    assert_fresh_deltas(pipeline, ctrl_times, deltas)
+
+
+def test_segment_cache_holds_one_window_over_200_scans(monkeypatch):
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(imu_at_rest(-1.0, 21.0))
+    calls = count_preintegrations(monkeypatch)
+    n_segments = 0
+    for k in range(200):
+        # scans end at stamps like a sensor's, 1/1200 s before each tenth
+        t_now = 0.1 * (k + 1) - 1.0 / 1200.0
+        pipeline.scans.push(t_now, None)
+        ctrl_times = pipeline._control_times(t_now)
+        deltas = pipeline._segment_deltas(ctrl_times)
+        n_segments += len(deltas)
+        assert len(deltas) == len(ctrl_times) - 1
+        for t_i, t_j in pipeline._segments:
+            assert ctrl_times[0] < 0.5 * (t_i + t_j) < ctrl_times[-1]
+        if k % 50 == 49:
+            assert_fresh_deltas(pipeline, ctrl_times, deltas)
+    assert len(calls) < 0.5 * n_segments
+
+
+def test_segment_short_of_the_stream_end_is_integrated_again(monkeypatch):
+    # the stream ends at 1.02 s, short of the last segment's t_j + 0.05, so
+    # that segment is integrated again once more samples arrive; the
+    # others are reused
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(imu_at_rest(0.0, 1.021))
+    ctrl_times = 0.1 * np.arange(11)
+    calls = count_preintegrations(monkeypatch)
+    pipeline._segment_deltas(ctrl_times)
+    assert len(calls) == 10
+    assert list(pipeline._segments) == [(float(a), float(b)) for a, b in zip(ctrl_times[:9], ctrl_times[1:10])]
+    pipeline.add_imu(imu_at_rest(1.021, 2.0))
+    deltas = pipeline._segment_deltas(ctrl_times)
+    assert calls[10:] == [(0.9, 1.0)]
+    assert_fresh_deltas(pipeline, ctrl_times, deltas)
+
+
+def test_segment_is_integrated_again_once_its_samples_are_trimmed(monkeypatch):
+    # trimming the stream past a kept segment's first sample makes the
+    # segment read fewer samples, so it is integrated again
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(imu_at_rest(0.0, 2.0))
+    ctrl_times = 0.5 + 0.1 * np.arange(6)
+    pipeline._segment_deltas(ctrl_times)
+    assert len(pipeline._segments) == 5
+    calls = count_preintegrations(monkeypatch)
+    pipeline._trim_imu(0.52)
+    deltas = pipeline._segment_deltas(ctrl_times)
+    assert calls == [(0.5, 0.6)]
+    assert_fresh_deltas(pipeline, ctrl_times, deltas)
 
 
 def test_imu_history_trimmed_to_buffer_capacity():
@@ -440,6 +624,29 @@ def test_empty_scan_after_tracking_keeps_the_last_pose(tracked):
     assert len(tracked.trajectory()[1]) == len(poses)
 
 
+def test_prediction_is_one_batch_of_the_last_trajectory(tracked):
+    # one batch equals sampling the last trajectory time by time (clipped to
+    # its span) and extrapolating past its end at the last turn rate and
+    # end velocity
+    traj = tracked._traj
+
+    def one_time(t):
+        if t <= traj.t_last + 1e-9:
+            return traj.sample_pose(float(np.clip(t, traj.t_first, traj.t_last))).as_params()
+        dt = t - traj.t_last
+        rot = traj.rotations[-1] @ rotvec_to_matrix(traj.turns[-1] * (dt / traj.spacing))
+        vel = traj.sample_position(traj.t_last, 1)[0]
+        return np.concatenate([matrix_to_rotvec(rot), traj.positions[-1] + vel * dt])
+
+    times = np.linspace(traj.t_first - 0.05, traj.t_last + 0.35, 17)
+    assert np.any(times > traj.t_last + 1e-9) and np.any(times < traj.t_first)
+    expected = np.concatenate([one_time(float(t)) for t in times])
+    assert np.allclose(tracked._initial_params(times), expected, rtol=0.0, atol=1e-12)
+    fresh = OdometryPipeline()
+    fresh.base_rot = np.array([0.1, -0.2, 0.0])
+    assert np.array_equal(fresh._initial_params(times[:2]), np.tile([0.1, -0.2, 0.0, 0, 0, 0], 2))
+
+
 def test_sparse_scan_after_a_gap_extrapolates_at_constant_velocity(corridor, tracked):
     traj = tracked._traj
     n_poses = len(tracked.trajectory()[1])
@@ -452,9 +659,7 @@ def test_sparse_scan_after_a_gap_extrapolates_at_constant_velocity(corridor, tra
     times, poses = tracked.trajectory()
     assert len(poses) == n_poses + 1 and times[-1] == t_end == result.time
     assert np.array_equal(poses[-1].as_params(), result.pose.as_params())
-    assert np.array_equal(
-        result.pose.as_params(), OdometryPipeline._extrapolate(traj, t_end).as_params()
-    )
+    assert np.array_equal(result.pose.as_params(), OdometryPipeline._extrapolate(traj, np.array([t_end]))[0])
     # the last solved pose carried on at the trajectory's end velocity
     dt = t_end - traj.t_last
     assert dt == pytest.approx(2.0)
