@@ -13,13 +13,15 @@ current parameters: it re-voxelizes the merged cloud and recomputes the
 per-cell statistics. It then takes up to INNER_ITERATIONS accepted damped
 Gauss-Newton steps on the whitened residuals of `FrozenLandmarks`. The
 steps solve normal equations that a `Linearization` assembles band by band
-from each row's own motion and per-landmark sums, never forming the dense
-Jacobian; J^T J is built once per outer iteration. A band is a set of rows
-that move only with the same few parameter columns: one free cloud's pose
-here, one spline segment's control poses in the odometry window.
-Translations move points linearly; every rotation column, here and in the
-window, is the closed form `turned_motion` of a turn w = J_l(r) dr
-(`geometry.left_jacobian`).
+from each row's own motion and the per-landmark sums S, never forming the
+dense Jacobian; J^T J is built once per outer iteration. A band is a set
+of rows that move only with the same few parameter columns: one free
+cloud's pose here, one spline segment's control poses in the odometry
+window. Each system sums S itself from flat (landmark, column) indices it
+builds once per freeze, with one `np.bincount` (`landmark_sums`).
+Translations move points linearly; every rotation column is closed-form
+in a turn w = J_l(r) dr (`geometry.left_jacobian`): here `turned_motion`,
+in the window the slerp lever of `trajectory.slerp_turns`.
 
 Both score the one residual of `FrozenLandmarks` on point clusters. The
 odometry window's moving clusters are single members, since its points
@@ -207,7 +209,7 @@ def gravity_residual(rots: np.ndarray, directions_local: np.ndarray, weights: np
     return weights[..., None] * ((rots @ directions_local[..., None])[..., 0] - GRAVITY_UP)
 
 
-def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=None) -> np.ndarray:
+def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray) -> np.ndarray:
     """Whitened motion -W [R x]x turn, (..., k, m), of points R x (..., 3)
     under weight rows W (..., k, 3): one row for a landmark's w_j, three for
     a gravity or IMU block.
@@ -216,7 +218,7 @@ def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray, out=
     is (R x) cross W_i. turn (..., 3, m) maps parameters to the world-frame
     turn w, for example J_l(r) for a rotation vector r.
     """
-    return np.matmul(np.cross(rotated[..., None, :], white), turn, out=out)
+    return np.cross(rotated[..., None, :], white) @ turn
 
 
 class FrozenLandmarks:
@@ -269,32 +271,41 @@ class FrozenLandmarks:
     share of S_j = sum_r a_r B_r, with a_r = sqrt(n_c) for a mean row and 0
     for a scatter row. A `Linearization` therefore needs only each row's
     own motion and the per-landmark sums S_j.
+
+    The clusters scored are fixed for a freeze, so they are given once,
+    with the landmarks: each one's landmark (cluster_lm) and size n_c
+    (cluster_sizes), from which the constructor gathers its w_j, mu_j and
+    sqrt(n_c). `residuals(means, factors)` then takes only what moves.
     """
 
-    def __init__(self, groups: dict, epsilon: float):
-        self.member_row = groups["member_row"]
-        self.member_lm = groups["member_group"]
+    def __init__(self, groups: dict, epsilon: float, cluster_lm: np.ndarray, cluster_sizes: np.ndarray):
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
         evals, evecs = np.linalg.eigh(groups["covs"])  # ascending
         # w_j = v_min / sqrt(n_j (lambda_min + epsilon)) per landmark
         self.white_lm = evecs[:, :, 0] / np.sqrt(self.counts * (evals[:, 0] + epsilon))[:, None]
+        # the clusters scored, fixed for the freeze: landmark, n_c, sqrt(n_c), w_j and mu_j
+        self.cluster_lm = cluster_lm
+        self.cluster_sizes = np.asarray(cluster_sizes, dtype=float)
+        self.cluster_root = np.sqrt(self.cluster_sizes)
+        self.cluster_white = np.take(self.white_lm, cluster_lm, axis=0)
+        self.cluster_mu = np.take(self.mu_ref, cluster_lm, axis=0)
 
     def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
         """Per-landmark sums of one scalar per row, row k on landmark lm[k]."""
         return np.bincount(lm, weights=values, minlength=self.n_landmarks)
 
-    def residuals(self, lm, sizes, means, factors) -> np.ndarray:
-        """Residual vector of clusters on landmarks lm with sizes n_c (m,),
-        world-frame means pbar_c (m, 3) and scatter factors F_c (m, 3, f):
-        per cluster the mean row, then f scatter rows, one scalar each."""
-        white = np.take(self.white_lm, lm, axis=0)
-        along = np.einsum("ni,ni->n", white, means - np.take(self.mu_ref, lm, axis=0))
-        shift = self.sums(sizes * along, lm) / self.counts
+    def residuals(self, means: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Residual vector of the clusters at world-frame means pbar_c (m, 3)
+        and scatter factors F_c (m, 3, f): per cluster the mean row, then f
+        scatter rows, one scalar each."""
+        lm = self.cluster_lm
+        along = np.einsum("ni,ni->n", self.cluster_white, means - self.cluster_mu)
+        shift = self.sums(self.cluster_sizes * along, lm) / self.counts
         rows = np.empty((len(lm), 1 + factors.shape[2]))
-        rows[:, 0] = np.sqrt(sizes) * (along - shift[lm])
-        rows[:, 1:] = np.einsum("ni,nif->nf", white, factors)
+        rows[:, 0] = self.cluster_root * (along - shift[lm])
+        rows[:, 1:] = np.einsum("ni,nif->nf", self.cluster_white, factors)
         return rows.ravel()
 
 
@@ -339,50 +350,54 @@ def scatter_factor(scatter: np.ndarray) -> np.ndarray:
 class Linearization:
     """Normal equations of a frozen system at one parameter vector.
 
-    The landmark rows arrive as bands. A band (rows, cols, block, lm, share)
-    holds landmark rows whose own whitened motion B_r is non-zero only in
-    the parameter columns cols: rows index or slice the residual vector,
-    whose landmark rows come first, one scalar each; block is B over those
-    columns, (n, len(cols)), and share, (k, len(cols)), is what the band
-    adds to S over those columns, one entry for each landmark in lm (k,),
-    which names each landmark at most once.
-    Every moving row lies in exactly one band, and rows of no band (fixed
-    points, pinned clouds) do not move. dense (D) is the Jacobian of the
-    rows that follow the landmark rows in the residual vector (gravity,
-    IMU, prior). Row r of landmark j has the Jacobian B_r - a_r S_j / n_j,
-    with S_j = sum_r a_r B_r over landmark j's rows, a_r = sqrt(n_c) for
-    every mean row and 0 for every scatter row (see `FrozenLandmarks`; a
-    member is a cluster of one, so its a_r is 1). As sum_r a_r^2 = n_j,
+    The landmark rows arrive as bands. A band (rows, cols, block) holds
+    landmark rows whose own whitened motion B_r is non-zero only in the
+    parameter columns cols: rows index or slice the residual vector, whose
+    landmark rows come first, one scalar each, and block is B over those
+    columns, (n, len(cols)). Every moving row lies in exactly one band, and
+    rows of no band (fixed points, pinned clouds) do not move. sums is S,
+    (landmarks, parameters), which the system assembles (`landmark_sums`),
+    and dense (D) is the Jacobian of the rows that follow the landmark rows
+    in the residual vector (gravity, IMU, prior). Row r of landmark j has
+    the Jacobian B_r - a_r S_j / n_j, with S_j = sum_r a_r B_r over
+    landmark j's rows, a_r = sqrt(n_c) for every mean row and 0 for every
+    scatter row (see `FrozenLandmarks`; a member is a cluster of one, so
+    its a_r is 1). As sum_r a_r^2 = n_j,
 
         J^T J = sum_r B_r^T B_r - sum_j S_j^T S_j / n_j + D^T D
         J^T r = sum_r B_r^T r_r + D^T r_D,
 
     so the landmark Jacobian is never formed: each band adds one product of
-    its block with itself into J^T J at (cols, cols) and its share into
-    the rows lm and columns cols of S. Bands may
-    share columns (the window's neighbouring spline segments share control
+    its block with itself into J^T J at (cols, cols). Bands may share
+    columns (the window's neighbouring spline segments share control
     poses). J^T r drops the term -sum_j S_j^T (sum_{r in j} a_r r_r) / n_j:
     the landmark rows are weighted mean-free within every landmark, so each
     inner sum is zero up to rounding.
     """
 
-    def __init__(self, landmarks: FrozenLandmarks, bands, dense):
+    def __init__(self, landmarks: FrozenLandmarks, bands, sums: np.ndarray, dense: np.ndarray):
         self.bands = bands
         self.dense = dense
-        lm_sums = np.zeros((landmarks.n_landmarks, dense.shape[1]))
         jtj = dense.T @ dense
-        for _, cols, block, lm, share in bands:
+        for _, cols, block in bands:
             jtj[np.ix_(cols, cols)] += block.T @ block
-            lm_sums[np.ix_(lm, cols)] += share
-        scaled = lm_sums / np.sqrt(landmarks.counts)[:, None]
+        scaled = sums / np.sqrt(landmarks.counts)[:, None]
         self.jtj = jtj - scaled.T @ scaled
 
     def jtr(self, r: np.ndarray) -> np.ndarray:
         """J^T r for a residual vector r of the system (at any parameters)."""
         out = self.dense.T @ r[len(r) - len(self.dense):]
-        for rows, cols, block, _, _ in self.bands:
+        for rows, cols, block in self.bands:
             out[cols] += block.T @ r[rows]
         return out
+
+
+def landmark_sums(index: np.ndarray, shares: np.ndarray, n_landmarks: int, n_params: int) -> np.ndarray:
+    """S, (n_landmarks, n_params), from shares added at flat indices
+    landmark * n_params + column, one `np.bincount`."""
+    return np.bincount(
+        index.ravel(), weights=shares.ravel(), minlength=n_landmarks * n_params
+    ).reshape(n_landmarks, n_params)
 
 
 class _RigidSystem:
@@ -405,9 +420,9 @@ class _RigidSystem:
     columns. A mean row's own motion is sqrt(n_c) w_j under a translation
     and `turned_motion(sqrt(n_c) w_j, R qbar, J_l(r))` under the rotation; a
     scatter row's is `turned_motion(w_j, R f, J_l(r))`, with nothing under a
-    translation. A band's share of S is sqrt(n_c) times each cluster's mean
-    row motion, one entry per cluster: a landmark has at most one cluster
-    per cloud. The gravity rows form the small dense block,
+    translation. A cluster adds sqrt(n_c) times its mean row motion to S,
+    at the flat indices of its landmark and its pose's columns, which
+    `freeze` builds once. The gravity rows form the small dense block,
     turned_motion(w I, R_k d, J_l(r_k)).
     """
 
@@ -435,22 +450,31 @@ class _RigidSystem:
 
     def freeze(self, params: np.ndarray) -> None:
         groups = freeze_landmarks(self.problem, self.poses(params))
-        self.landmarks = lms = FrozenLandmarks(groups, self.problem.voxel.epsilon)
+        member_row, member_lm = groups["member_row"], groups["member_group"]
         # cloud of each member, the fixed points as cloud len(clouds); each
         # landmark's members are contiguous and in ascending row order, so
         # its members in one cloud form one run
-        cloud = np.searchsorted(self.ends, lms.member_row, side="right")
+        cloud = np.searchsorted(self.ends, member_row, side="right")
         starts = np.flatnonzero(
-            (np.diff(lms.member_lm, prepend=-1) != 0) | (np.diff(cloud, prepend=-1) != 0)
+            (np.diff(member_lm, prepend=-1) != 0) | (np.diff(cloud, prepend=-1) != 0)
         )
-        sizes, means, scatter = point_clusters(self.local[lms.member_row], starts)
+        sizes, means, scatter = point_clusters(self.local[member_row], starts)
         # clusters grouped by cloud: cloud c's are [bounds[c], bounds[c + 1])
         by_cloud = np.argsort(cloud[starts], kind="stable")
-        self.bounds = np.searchsorted(cloud[starts][by_cloud], np.arange(len(self.ends) + 2))
-        self.cluster_lm = lms.member_lm[starts][by_cloud]
-        self.sizes = sizes[by_cloud].astype(float)
+        cluster_cloud = cloud[starts][by_cloud]
+        self.bounds = np.searchsorted(cluster_cloud, np.arange(len(self.ends) + 2))
+        self.landmarks = lms = FrozenLandmarks(
+            groups, self.problem.voxel.epsilon, member_lm[starts][by_cloud], sizes[by_cloud]
+        )
         self.means = means[by_cloud]
         self.factors = scatter_factor(scatter[by_cloud])
+        # the free clouds are the tail from free[0] on, so their clusters are
+        # contiguous; each one's share of S lies in its landmark's row, over
+        # its pose's 6 columns
+        free = slice(self.bounds[self.free[0]], self.bounds[self.free[-1] + 1])
+        pose = cluster_cloud[free] - self.free[0]
+        self.share_index = (lms.cluster_lm[free, None] * len(self.stop_steps)
+                            + 6 * pose[:, None] + np.arange(6))
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         poses = self.poses(params)
@@ -460,7 +484,7 @@ class _RigidSystem:
             at = slice(self.bounds[c], self.bounds[c + 1])
             means[at] = means[at] @ rots[c].T + pose.trans
             factors[at] = rots[c] @ factors[at]
-        lm_rows = self.landmarks.residuals(self.cluster_lm, self.sizes, means, factors)
+        lm_rows = self.landmarks.residuals(means, factors)
         gravity = gravity_residual(rots[self.grav_cloud], self.grav_local, self.grav_weight)
         return np.concatenate([lm_rows, gravity.ravel()])
 
@@ -469,24 +493,20 @@ class _RigidSystem:
         rotvecs = params.reshape(-1, 6)[:, :3]
         rots, turns = rotvec_to_matrix(rotvecs), left_jacobian(rotvecs)
         lms = self.landmarks
-        bands = []
+        bands, shares = [], []
         for k, ci in enumerate(self.free):
             lo, hi = self.bounds[ci], self.bounds[ci + 1]
-            lm = self.cluster_lm[lo:hi]
-            white = lms.white_lm[lm][:, None]
-            root = np.sqrt(self.sizes[lo:hi])[:, None]
+            white = lms.cluster_white[lo:hi, None]
+            root = lms.cluster_root[lo:hi, None]
             # per cluster: the mean row, then the three scatter rows
             block = np.zeros((hi - lo, 4, 6))
             block[:, :1, 3:] = root[:, None] * white
-            turned_motion(
-                block[:, :1, 3:], self.means[lo:hi] @ rots[k].T, turns[k], out=block[:, :1, :3]
-            )
-            turned_motion(
-                white[:, None], np.swapaxes(rots[k] @ self.factors[lo:hi], 1, 2), turns[k],
-                out=block[:, 1:, None, :3],
-            )
-            rows, cols = slice(4 * lo, 4 * hi), np.arange(6 * k, 6 * k + 6)
-            bands.append((rows, cols, block.reshape(-1, 6), lm, root * block[:, 0]))
+            block[:, :1, :3] = turned_motion(block[:, :1, 3:], self.means[lo:hi] @ rots[k].T, turns[k])
+            block[:, 1:, :3] = turned_motion(
+                white[:, None], np.swapaxes(rots[k] @ self.factors[lo:hi], 1, 2), turns[k]
+            )[:, :, 0]
+            bands.append((slice(4 * lo, 4 * hi), np.arange(6 * k, 6 * k + 6), block.reshape(-1, 6)))
+            shares.append(root * block[:, 0])
         grav_jac = np.zeros((len(self.grav_cloud), 3, len(rotvecs), 6))
         own = np.nonzero(self.grav_free >= 0)[0]
         pose = self.grav_free[own]
@@ -495,7 +515,8 @@ class _RigidSystem:
             (rots[pose] @ self.grav_local[own, :, None])[..., 0],
             turns[pose],
         )
-        return Linearization(lms, bands, grav_jac.reshape(-1, len(params)))
+        sums = landmark_sums(self.share_index, np.concatenate(shares), lms.n_landmarks, len(params))
+        return Linearization(lms, bands, sums, grav_jac.reshape(-1, len(params)))
 
 
 def levenberg_marquardt(system, params: np.ndarray, max_iterations: int):

@@ -101,12 +101,20 @@ def left_jacobian(r: np.ndarray) -> np.ndarray:
     the right Jacobian is its transpose. Below _JACOBIAN_SERIES_ANGLE the
     coefficients come from their Taylor series.
     """
-    k, a2, small = _jacobian_parts(r)
+    k, a2, _ = _jacobian_parts(r)
+    first, second = left_jacobian_coefficients(a2)
+    return _EYE + first[..., None, None] * k + second[..., None, None] * (k @ k)
+
+
+def left_jacobian_coefficients(a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scalars (1 - cos a) / a^2 and (a - sin a) / a^3 of `left_jacobian`
+    at squared angles a2; below _JACOBIAN_SERIES_ANGLE their Taylor series."""
+    small = a2 < _JACOBIAN_SERIES_ANGLE**2
     a = np.sqrt(np.where(small, 1.0, a2))
     half = np.sin(0.5 * a)
     first = np.where(small, 0.5 - a2 / 24.0, 2.0 * half * half / (a * a))
     second = np.where(small, 1.0 / 6.0 - a2 / 120.0, (a - np.sin(a)) / (a * a * a))
-    return _EYE + first[..., None, None] * k + second[..., None, None] * (k @ k)
+    return first, second
 
 
 def left_jacobian_inv(r: np.ndarray) -> np.ndarray:
@@ -121,12 +129,17 @@ def left_jacobian_inv(r: np.ndarray) -> np.ndarray:
     return _EYE - 0.5 * k + second[..., None, None] * (k @ k)
 
 
+def cross_matrix(r: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [r]x, (..., 3) to (..., 3, 3): [r]x v = r x v."""
+    r = np.asarray(r, dtype=float)
+    return (r.reshape(-1, 3) @ _CROSS).reshape(r.shape + (3,))
+
+
 def _jacobian_parts(r: np.ndarray):
     """Cross-product matrices of r, squared angles, and the series mask."""
     r = np.asarray(r, dtype=float)
-    k = (r.reshape(-1, 3) @ _CROSS).reshape(r.shape + (3,))
     a2 = np.sum(r * r, axis=-1)
-    return k, a2, a2 < _JACOBIAN_SERIES_ANGLE**2
+    return cross_matrix(r), a2, a2 < _JACOBIAN_SERIES_ANGLE**2
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:

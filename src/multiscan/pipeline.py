@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import logging
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,10 +28,10 @@ from multiscan.adjustment import (
     Linearization,
     STOP_ROTATION,
     STOP_TRANSLATION,
+    landmark_sums,
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
-    turned_motion,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.geometry import (
@@ -43,6 +44,7 @@ from multiscan.geometry import (
 from multiscan.imu import (
     GravityEstimate,
     ImuStream,
+    PreintegratedDelta,
     estimate_gravity,
     imu_jacobian,
     imu_residual,
@@ -57,9 +59,11 @@ from multiscan.trajectory import (
     ContinuousTrajectory,
     deskew,
     hermite_positions,
-    segment_params,
+    position_weights,
+    rotation_chain,
     slerp_rotation_matrices,
     slerp_turns,
+    spline_table,
     stamp_slots,
 )
 
@@ -287,41 +291,67 @@ def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
     return axis / norm * angle
 
 
+class _Spline(NamedTuple):
+    """The window's spline at one parameter vector: the control rotations
+    R_k and segment turns phi_s (`trajectory.rotation_chain`), and each
+    moving point's rotated sensor position R x and world position."""
+
+    mats: np.ndarray
+    phi: np.ndarray
+    rotated: np.ndarray
+    world: np.ndarray
+
+
 class _WindowSystem:
     """Spline point-motion model of one window pass, with IMU and prior rows.
 
     Parameters are the control poses, one 6-block (r1 r2 r3 x y z) each,
-    with the stop_steps of a pose.
-    Each point moves by the spline pose at its own stamp, the pose `deskew`
-    gives it through `ContinuousTrajectory(ctrl_times, params)`: a slot is
-    one distinct stamp (`trajectory.stamp_slots`), and the spline is
-    evaluated once per slot. A stamp in spline segment s (control poses s
-    to s + 1) reads only the rotations of poses s and s + 1 (slerp) and the
-    positions of at most four poses around it (Hermite on the tangents
-    v = T p, with the tangent matrix T = `np.gradient(I, dt)`: centered
-    differences, one-sided at the ends; the IMU rows read v as each control
-    pose's velocity), so `freeze` sorts the members by segment, then
-    landmark (`sort_members`), and the `Linearization` gets one band per
-    segment, with its share of S summed over each landmark's run: every
-    member's rows are built once, over those 6 rotation and 3 P
-    translation columns (P = min(4, K) poses from `segment_cols`).
-    Positions are linear in the control positions, so a member's motion
-    under a translation is its Hermite weight at its slot times the unit
-    axis (`hermite_weights`, built once). Under a rotation it is
-    closed-form: slerp turns the point by `trajectory.slerp_turns`, and
-    `adjustment.turned_motion` gives its motion under that turn. Each
-    moving member is a cluster of one.
+    with the stop_steps of a pose. Each point moves by the spline pose at
+    its own stamp, the pose `deskew` gives it through
+    `ContinuousTrajectory(ctrl_times, params)`: a slot is one distinct
+    stamp (`trajectory.stamp_slots`). A stamp in spline segment s (control
+    poses s to s + 1) reads only the rotations of poses s and s + 1 (slerp)
+    and the positions of P = min(4, K) poses around it (Hermite on the
+    tangents v = T p, with the tangent matrix T = `np.gradient(I, dt)`;
+    the IMU rows read v as each control pose's velocity). Each moving
+    member is a cluster of one. Every table has one owner level and is
+    built there once:
 
-    Static map points never move within the window, so `__init__` bins them
-    once, at both levels (`landmarks.cell_statistics`), and each freeze
-    bins only the moving points and merges in the static statistic of every
-    cell they touch (`dual_grid_groups`). A landmark's static points are one
-    fixed cluster: one mean row, in no band. Their scatter rows and the
-    cells that no moving point touches are dropped: those rows are constant
-    within a freeze, so the steps are those of one row per static point and
-    the cost is less by the static scatter along each w_j.
-    `world_points` keeps its last result, so a freeze at an accepted trial
-    and the first residuals after a freeze reuse it. The IMU rows (one
+    - per window (`__init__`): each slot's `trajectory.SplineTable` row
+      (segment, fraction, Hermite basis) and the weights of its P control
+      positions (`trajectory.position_weights`), the columns of each
+      segment (6 rotation, 3 P translation), the rows of T that give the
+      IMU end poses' velocities, and the prior. Static map points never
+      move within the window, so they are binned here, at both levels
+      (`landmarks.cell_statistics`).
+    - per parameter vector (`_at`, a one-entry cache keyed on the
+      parameter bytes): the control rotations R_k, the segment turns
+      phi_s, and the moving points' R x and world positions, so a freeze
+      at an accepted trial, the first residuals after a freeze, the IMU
+      rows and `linearize` share one evaluation.
+    - per freeze (`freeze`, `sort_members`): the landmarks and clusters
+      (`FrozenLandmarks`: each cluster's w_j, mu_j and sqrt(n_c)), the
+      members ordered by segment with each one's w_j and position weights
+      (positions are linear in the control positions, so a member's
+      motion under a translation is its weight times w_j), the flat index
+      of each member's rotation columns in S, and the translation half of
+      S, which no parameter moves.
+
+    Each freeze bins only the moving points and merges in the static
+    statistic of every cell they touch (`dual_grid_groups`). A landmark's
+    static points are one fixed cluster: one mean row, in no band. Their
+    scatter rows and the cells that no moving point touches are dropped:
+    those rows are constant within a freeze, so the steps are those of one
+    row per static point and the cost is less by the static scatter along
+    each w_j.
+
+    `linearize` gives the `Linearization` one band per segment. A member's
+    motion under a rotation is closed-form: with c = (R x) x w_j and the
+    slot's lever A (`trajectory.slerp_turns`), d = A^T c, its row is
+    (c - d)^T J_l(r_s) under pose s and d^T J_l(r_{s+1}) under pose s + 1.
+    J_l of the control rotations is built once per call and shared with the
+    IMU rows, and the rotation half of S is one bincount of the member
+    rows, added to the translation half of the freeze. The IMU rows (one
     batched `imu.imu_residual` call, differentiated by `imu.imu_jacobian`)
     and the prior rows form the small dense block.
     """
@@ -334,7 +364,7 @@ class _WindowSystem:
         self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl)
         self.sensor_points = sensor_points
         self.static_cells = cell_statistics(static_points, config.voxel) if len(static_points) else None
-        self._world_key = None
+        self._key = None
         # instrumented segments and their deltas, stacked over segments
         self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
         self.delta = stack_deltas([d for _, d in deltas]) if deltas else None
@@ -350,63 +380,55 @@ class _WindowSystem:
         self.prior_weights = np.tile(w, self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
         self.prior_jacobian = np.diag(self.prior_weights)
-        self.slot_times, self.point_slot = stamp_slots(stamps)
-        self.slot_seg, _ = segment_params(ctrl_times, self.spacing, self.slot_times)
-        # slots [segment_slots[s], segment_slots[s + 1]) lie in segment s
-        self.segment_slots = np.searchsorted(self.slot_seg, np.arange(self.n_ctrl))
-        # (slot, P): the Hermite weights of the P control positions that
-        # move the slot's segment, the first of them clipped to [0, K - P]
-        n_pos = min(4, self.n_ctrl)
+        slot_times, self.point_slot = stamp_slots(stamps)
+        self.slots = spline_table(ctrl_times, self.spacing, slot_times)
+        # (slot, P): the weights of the P control positions that move the slot
+        self.slot_first, self.slot_weights = position_weights(self.slots, self.n_ctrl)
+        # columns of segment s: rotations of poses s and s + 1, then the
+        # translations of its P poses, the first of them clipped to [0, K - P]
+        n_pos = self.slot_weights.shape[1]
         first = np.clip(np.arange(self.n_ctrl - 1) - 1, 0, self.n_ctrl - n_pos)
         reach = first[:, None] + np.arange(n_pos)
-        self.hermite_weights = np.take_along_axis(
-            hermite_positions(ctrl_times, np.eye(self.n_ctrl), self.spacing, self.slot_times),
-            reach[self.slot_seg], axis=1,
-        )
-        # columns of segment s: rotations of poses s and s + 1, then the
-        # translations of its P poses
-        self.segment_cols = [
-            np.concatenate([6 * s + np.arange(3), 6 * s + 6 + np.arange(3),
-                            (6 * reach[s, :, None] + 3 + np.arange(3)).ravel()])
-            for s in range(self.n_ctrl - 1)
-        ]
+        self.segment_cols = np.concatenate([
+            6 * np.arange(self.n_ctrl - 1)[:, None] + [0, 1, 2, 6, 7, 8],
+            (6 * reach[:, :, None] + 3 + np.arange(3)).reshape(self.n_ctrl - 1, -1),
+        ], axis=1)
         self.imu_weights = np.concatenate([
             np.full(3, config.imu_weight_rot),
             np.full(3, config.imu_weight_vel),
             np.full(3, config.imu_weight_pos),
         ])
-        # each instrumented segment's end poses, and their positions and
-        # velocities as weights of the control positions
+        # each instrumented segment's end poses, and the rows of the tangent
+        # matrix T that give their velocities v = T p
         self.imu_ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
-        self.imu_select = np.eye(self.n_ctrl)[self.imu_ends]
-        self.imu_chain = np.stack([
-            self.imu_select, np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[self.imu_ends]
-        ], 2)
+        self.imu_tangent = np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[self.imu_ends]
 
     # ---- trajectory evaluation -------------------------------------------------
 
-    def world_points(self, params: np.ndarray) -> np.ndarray:
-        """World positions of the moving points at params; the last call's
-        are kept, with the points' rotated sensor positions R x, and
-        returned again for bit-identical params."""
+    def _at(self, params: np.ndarray) -> _Spline:
+        """The spline at params; the last call's is kept and returned again
+        for bit-identical params."""
         key = params.tobytes()
-        if key != self._world_key:
+        if key != self._key:
             blocks = params.reshape(-1, 6)
-            rot = slerp_rotation_matrices(self.ctrl_times, blocks[:, :3], self.spacing, self.slot_times)
-            pos = hermite_positions(self.ctrl_times, blocks[:, 3:].copy(), self.spacing, self.slot_times)
+            mats, phi = rotation_chain(blocks[:, :3])
+            rots = slerp_rotation_matrices(mats, phi, self.slots)
+            pos = hermite_positions(blocks[:, 3:], self.slots)
             # np.take: the gather of fancy indexing, several times faster
-            self._rotated = np.einsum(
-                "nij,nj->ni", np.take(rot, self.point_slot, axis=0), self.sensor_points
-            )
-            self._world = self._rotated + np.take(pos, self.point_slot, axis=0)
-            self._world_key = key
-        return self._world
+            rotated = np.einsum("nij,nj->ni", np.take(rots, self.point_slot, axis=0), self.sensor_points)
+            self._spline = _Spline(mats, phi, rotated, rotated + np.take(pos, self.point_slot, axis=0))
+            self._key = key
+        return self._spline
+
+    def world_points(self, params: np.ndarray) -> np.ndarray:
+        """World positions of the moving points at params."""
+        return self._at(params).world
 
     def imu_states(self, params: np.ndarray) -> tuple:
         """The arguments of `imu_residual` for the instrumented segments at params."""
         blocks = params.reshape(-1, 6)
         vel = np.gradient(blocks[:, 3:], self.spacing, axis=0)
-        mats = rotvec_to_matrix(blocks[:, :3])
+        mats = self._at(params).mats
         i, j = self.imu_seg, self.imu_seg + 1
         return (self.delta, mats[i], blocks[i, 3:], vel[i],
                 mats[j], blocks[j, 3:], vel[j], self.gravity_vec)
@@ -417,19 +439,22 @@ class _WindowSystem:
             return np.zeros(0)
         return (self.imu_weights * imu_residual(*self.imu_states(params))).ravel()
 
-    def imu_jacobian(self, params: np.ndarray) -> np.ndarray:
-        """Jacobian of `imu_rows`: `imu_jacobian` chained by w = J_l(r) dr and
-        the tangent matrix v = T p, so segment s reaches the positions of
-        poses s - 1 to s + 2."""
+    def imu_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
+        """Jacobian of `imu_rows`: `imu_jacobian` chained by w = J_l(r) dr,
+        turns the control poses' J_l(r), and by v = T p, so segment s reaches
+        the positions of poses s - 1 to s + 2."""
         if self.delta is None:
             return np.zeros((0, len(params)))
         # (segment, row, end pose i or j, turn / position / velocity, axis)
         jac = self.imu_weights[:, None] * imu_jacobian(*self.imu_states(params))
         jac = jac.reshape(-1, 9, 2, 3, 3)
-        turns = left_jacobian(params.reshape(-1, 6)[:, :3])[self.imu_ends]
-        out = np.empty((len(self.imu_ends), 9, self.n_ctrl, 6))
-        out[..., :3] = np.einsum("saeb,sebc,sek->sakc", jac[:, :, :, 0], turns, self.imu_select)
-        out[..., 3:] = np.einsum("saefb,sefk->sakb", jac[:, :, :, 1:], self.imu_chain)
+        out = np.zeros((len(self.imu_seg), 9, self.n_ctrl, 6))
+        segs = np.arange(len(self.imu_seg))
+        for end in (0, 1):
+            pose = self.imu_seg + end
+            out[segs, :, pose, :3] = jac[:, :, end, 0] @ turns[pose]
+            out[segs, :, pose, 3:] = jac[:, :, end, 1]
+        out[..., 3:] += np.einsum("saeb,sek->sakb", jac[:, :, :, 2], self.imu_tangent)
         return out.reshape(-1, len(params))
 
     # ---- residual system -----------------------------------------------------------
@@ -440,70 +465,108 @@ class _WindowSystem:
             raise InsufficientStructureError(
                 "insufficient overlap/structure in the sliding window"
             )
-        self.landmarks = lms = FrozenLandmarks(groups, self.config.voxel.epsilon)
-        self.sort_members(self.point_slot[lms.member_row], lms.member_lm, lms.n_landmarks)
         # clusters: every member as one, then each landmark's static points as one
+        self.member_row, member_lm = groups["member_row"], groups["member_group"]
         fixed_counts = groups.get("fixed_counts", np.zeros(0))
         fixed_lm = np.flatnonzero(fixed_counts)
         self.fixed_means = groups.get("fixed_means", np.zeros((0, 3)))[fixed_lm]
-        self.cluster_lm = np.concatenate([lms.member_lm, fixed_lm])
-        self.cluster_sizes = np.concatenate([np.ones(len(lms.member_lm)), fixed_counts[fixed_lm]])
-        self.no_factors = np.empty((len(self.cluster_lm), 3, 0))
+        self.landmarks = FrozenLandmarks(
+            groups, self.config.voxel.epsilon, np.concatenate([member_lm, fixed_lm]),
+            np.concatenate([np.ones(len(member_lm)), fixed_counts[fixed_lm]]),
+        )
+        self.no_factors = np.empty((len(self.landmarks.cluster_lm), 3, 0))
+        self.sort_members(self.member_row, member_lm)
 
-    def sort_members(self, slot: np.ndarray, lm: np.ndarray, n_landmarks: int) -> None:
-        """Order the members at slots on landmarks lm by segment, then
-        landmark: members [member_bounds[s], member_bounds[s + 1]) of that
-        order lie in segment s, and runs [run_bounds[s], run_bounds[s + 1])
-        of one landmark each, starting at run_starts, tile them."""
-        key = self.slot_seg[slot] * n_landmarks + lm
-        self.order = np.argsort(key, kind="stable")
-        self.member_slot = slot[self.order]
-        key = key[self.order]
-        self.member_bounds = np.searchsorted(key, np.arange(self.n_ctrl) * n_landmarks)
-        self.run_starts = np.flatnonzero(np.diff(key, prepend=-1))
-        self.run_lm = key[self.run_starts] % n_landmarks
-        self.run_bounds = np.searchsorted(self.run_starts, self.member_bounds)
+    def sort_members(self, rows: np.ndarray, lm: np.ndarray) -> None:
+        """Order the members, moving points rows on landmarks lm, by segment:
+        members [member_bounds[s], member_bounds[s + 1]) of that order lie
+        in segment s, and order maps it back to the members' rows. Builds
+        the per-freeze tables `linearize` reads in that order, each member's
+        w_j and Hermite weights and the flat index, landmark * n_params +
+        column, of its rotation columns in S, and the translation half of
+        S, which no parameter moves: per landmark, its members' summed
+        Hermite weights times w_j."""
+        lms = self.landmarks
+        slot = self.point_slot[rows]
+        seg = self.slots.seg[slot]
+        # a stable sort of small integers is a radix sort
+        self.order = np.argsort(seg.astype(np.min_scalar_type(self.n_ctrl)), kind="stable")
+        seg, lm, slot = seg[self.order], lm[self.order], slot[self.order]
+        self.member_point = rows[self.order]
+        self.member_slot = slot
+        self.member_bounds = np.searchsorted(seg, np.arange(self.n_ctrl))
+        # member tables are stored transposed, one row per component: numpy
+        # runs long rows far faster than (n, 3) arrays
+        self.member_white = np.take(lms.white_lm.T, lm, axis=1)
+        self.member_weights = np.take(self.slot_weights.T, slot, axis=1)
+        n_params = len(self.stop_steps)
+        self.member_index = np.add.outer([0, 1, 2, 6, 7, 8], lm * n_params + 6 * seg)
+        # each landmark's summed weight of every control position, times w_j
+        position = lm * self.n_ctrl + np.take(self.slot_first, slot)
+        weight_sums = landmark_sums(
+            np.add.outer(np.arange(len(self.member_weights)), position), self.member_weights,
+            lms.n_landmarks, self.n_ctrl,
+        )
+        translation = np.zeros((lms.n_landmarks, self.n_ctrl, 6))
+        translation[:, :, 3:] = weight_sums[:, :, None] * lms.white_lm[:, None, :]
+        self.translation_sums = translation.reshape(lms.n_landmarks, n_params)
 
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
-        lms = self.landmarks
-        means = np.concatenate([np.take(self.world_points(params), lms.member_row, axis=0),
+        means = np.concatenate([np.take(self.world_points(params), self.member_row, axis=0),
                                 self.fixed_means])
         return np.concatenate([
-            lms.residuals(self.cluster_lm, self.cluster_sizes, means, self.no_factors),
+            self.landmarks.residuals(means, self.no_factors),
             self.imu_rows(params),
             self.prior_rows(params),
         ])
 
     def linearize(self, params: np.ndarray) -> Linearization:
         """Normal equations at params, every column in closed form."""
-        _, turn_a, turn_b = slerp_turns(
-            self.ctrl_times, params.reshape(-1, 6)[:, :3], self.spacing, self.slot_times
+        spline = self._at(params)
+        # J_l of the control rotations, shared by the slerp turns and the IMU rows
+        turns = left_jacobian(params.reshape(-1, 6)[:, :3])
+        # each member's slot lever A, c = (R x) x w_j and d = A^T c: its rows
+        # under the two end poses' rotations are (c - d)^T J_l(r_s) and
+        # d^T J_l(r_{s+1})
+        lever = np.take(slerp_turns(spline.mats, spline.phi, self.slots).transpose(1, 2, 0),
+                        self.member_slot, axis=2)
+        c = np.cross(np.take(spline.rotated.T, self.member_point, axis=1), self.member_white, axis=0)
+        d = lever[0] * c[0] + lever[1] * c[1] + lever[2] * c[2]
+        c -= d
+        # the member rows' motions, transposed: (columns, members)
+        block = np.empty((self.segment_cols.shape[1], len(self.member_point)))
+        for p, weights in enumerate(self.member_weights):
+            # under a translation: its Hermite weight times w_j
+            np.multiply(weights, self.member_white, out=block[6 + 3 * p : 9 + 3 * p])
+        bands = []
+        for s, (lo, hi) in enumerate(zip(self.member_bounds, self.member_bounds[1:])):
+            if lo < hi:
+                block[:3, lo:hi] = turns[s].T @ c[:, lo:hi]
+                block[3:6, lo:hi] = turns[s + 1].T @ d[:, lo:hi]
+                bands.append((self.order[lo:hi], self.segment_cols[s], block[:, lo:hi].T))
+        sums = self.translation_sums + landmark_sums(
+            self.member_index, block[:6], self.landmarks.n_landmarks, len(params)
         )
-        turns = np.concatenate([turn_a, turn_b], axis=2)
-        self.world_points(params)
-        # each member's whitened motion, built once: its turned motion under
-        # the two end poses' rotations, its landmark's w_j times the Hermite
-        # weight under each translation
-        slot = self.member_slot
-        white = np.take(self.landmarks.white_lm, self.landmarks.member_lm[self.order], axis=0)
-        rotated = np.take(self._rotated, self.landmarks.member_row[self.order], axis=0)
-        weights = np.take(self.hermite_weights, slot, axis=0)
-        block = np.empty((len(slot), 6 + 3 * weights.shape[1]))
-        turned_motion(white[:, None], rotated, np.take(turns, slot, axis=0), out=block[:, None, :6])
-        np.einsum("ni,np->npi", white, weights, out=block[:, 6:].reshape(len(slot), -1, 3))
-        # a band's share of S: the sum of its rows' motions over each run
-        shares = np.add.reduceat(block, self.run_starts, axis=0)
-        members, runs = self.member_bounds, self.run_bounds
-        bands = [
-            (self.order[lo:hi], cols, block[lo:hi], self.run_lm[a:b], shares[a:b])
-            for cols, lo, hi, a, b in zip(self.segment_cols, members, members[1:], runs, runs[1:])
-            if lo < hi
-        ]
-        dense = np.vstack([self.imu_jacobian(params), self.prior_jacobian])
-        return Linearization(self.landmarks, bands, dense)
+        dense = np.vstack([self.imu_jacobian(params, turns), self.prior_jacobian])
+        return Linearization(self.landmarks, bands, sums, dense)
+
+
+class _Segment(NamedTuple):
+    """A preintegrated segment: the times it was integrated over, the stamp
+    of the first sample it read, and its delta."""
+
+    t_i: float
+    t_j: float
+    first: float
+    delta: PreintegratedDelta
+
+
+def _segment_key(t_i: float, t_j: float) -> tuple[int, int]:
+    """A segment's cache key: its times rounded to 1 ns."""
+    return round(t_i * 1e9), round(t_j * 1e9)
 
 
 class OdometryPipeline:
@@ -518,8 +581,8 @@ class OdometryPipeline:
         self.trajectory_poses: list[Pose] = []
         self.results: list[ScanResult] = []
         self._traj: ContinuousTrajectory | None = None
-        # (t_i, t_j) -> (stamp of the first sample read, delta) of the
-        # segments of the last window that no later sample can change
+        # `_segment_key` -> `_Segment` of the segments of the last window
+        # that no later sample can change
         self._segments: dict = {}
         self._initialized = False
         self._imu_warned = False
@@ -681,29 +744,33 @@ class OdometryPipeline:
 
         A segment reads the samples in [t_i - 0.05, t_j + 0.05]. Once the
         stream reaches past t_j + 0.05, no later sample falls there, so the
-        delta is kept under the exact (t_i, t_j) and reused while the first
-        sample it read is still stored. A segment may come back under keys
-        a few ulps apart (control times are the scan's end less multiples
-        of the spacing), so every kept segment stays while its midpoint
-        lies in the window.
+        delta is kept, with the times it was integrated over and the first
+        sample it read, and reused while that sample is still stored.
+        Control times are the scan's end less multiples of the spacing, so
+        one segment comes back under times a few ulps apart: it is kept
+        under its times rounded to 1 ns (`_segment_key`), and a kept delta
+        stands for any segment within that rounding. Every kept segment
+        stays while its midpoint lies in the window.
         """
         t_start = float(ctrl_times[0])
         kept = {key: entry for key, entry in self._segments.items()
-                if key[0] + key[1] > 2.0 * t_start}
+                if entry.t_i + entry.t_j > 2.0 * t_start}
         deltas = []
         for seg in range(len(ctrl_times) - 1):
             t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
-            first, delta = kept.get((t_i, t_j), (None, None))
-            if delta is None or self.imu.times[0] > first:
+            key = _segment_key(t_i, t_j)
+            entry = kept.get(key)
+            if entry is None or self.imu.times[0] > entry.first:
                 slack = 0.25 * (t_j - t_i)
                 samples = self.imu.between(t_i - 0.05, t_j + 0.05)
                 times = samples.times
                 if len(times) < 2 or times[0] > t_i + slack or times[-1] < t_j - slack:
                     continue
-                first, delta = times[0], preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias)
+                entry = _Segment(t_i, t_j, times[0],
+                                 preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias))
                 if self.imu.times[-1] > t_j + 0.05:
-                    kept[t_i, t_j] = first, delta
-            deltas.append((seg, delta))
+                    kept[key] = entry
+            deltas.append((seg, entry.delta))
         self._segments = kept
         return deltas
 

@@ -19,7 +19,7 @@ from multiscan.adjustment import (
     run_adjustment,
     scatter_factor,
 )
-from multiscan.geometry import Pose, PointCloud
+from multiscan.geometry import Pose, PointCloud, left_jacobian
 from multiscan.landmarks import VoxelConfig, _level_groups, point_clusters, voxel_cell_indices
 from multiscan.synthetic import generate_synthetic, room_scene
 from secants import assert_normal_equations_match_secant_jacobian
@@ -103,7 +103,7 @@ class TestEvaluateCost:
         lms = system.landmarks
         assert lms.n_landmarks == 2
         r = system.residuals(params).reshape(-1, 4)  # no gravity rows: 4 per cluster
-        errors = np.bincount(system.cluster_lm, weights=np.sum(r * r, axis=1))
+        errors = np.bincount(system.landmarks.cluster_lm, weights=np.sum(r * r, axis=1))
         assert np.allclose(errors, 1.0, rtol=1e-10)
         r = system.residuals(params)
         assert r @ r == pytest.approx(1.0 * lms.n_landmarks, rel=1e-10)
@@ -199,19 +199,21 @@ def member_cost(system, frozen, params):
     """The landmark cost with one row per member, on the landmarks that
     system froze at frozen, with its clouds at params."""
     prob = system.problem
-    lms = FrozenLandmarks(freeze_landmarks(prob, system.poses(frozen)), prob.voxel.epsilon)
+    groups = freeze_landmarks(prob, system.poses(frozen))
+    lm = groups["member_group"]
+    lms = FrozenLandmarks(groups, prob.voxel.epsilon, lm, np.ones(len(lm)))
     poses = system.poses(params)
     world = np.vstack(
         [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)] + [prob.fixed_points]
     )
-    p = world[lms.member_row]
-    m = np.stack([lms.sums(p[:, a], lms.member_lm) for a in range(3)], axis=1) / lms.counts[:, None]
-    r = np.einsum("ni,ni->n", lms.white_lm[lms.member_lm], p - m[lms.member_lm])
+    p = world[groups["member_row"]]
+    m = np.stack([lms.sums(p[:, a], lm) for a in range(3)], axis=1) / lms.counts[:, None]
+    r = np.einsum("ni,ni->n", lms.white_lm[lm], p - m[lm])
     return float(r @ r)
 
 
 def cluster_cost(system, params):
-    r = system.residuals(params)[: 4 * len(system.cluster_lm)]
+    r = system.residuals(params)[: 4 * len(system.landmarks.cluster_lm)]
     return r @ r
 
 
@@ -278,7 +280,7 @@ class TestPointClusters:
                 expected = member_cost(system, params, at)
                 assert cluster_cost(system, at) == pytest.approx(expected, rel=1e-10)
         # the last problem's clusters hold at most 4 members
-        assert system.sizes.max() <= 4 and len(system.cluster_lm) > 100
+        assert system.landmarks.cluster_sizes.max() <= 4 and len(system.landmarks.cluster_lm) > 100
 
     def test_one_cluster_per_landmark_and_cloud(self):
         # each landmark's members from one cloud form a single run, split
@@ -287,10 +289,11 @@ class TestPointClusters:
         system, _ = frozen_system(prob, prob.initial_poses)
         ends = np.cumsum([len(c) for c in prob.clouds])
         lms = system.landmarks
-        cloud = np.searchsorted(ends, lms.member_row, side="right")
-        pairs = set(zip(lms.member_lm.tolist(), cloud.tolist()))
-        assert len(pairs) == len(system.cluster_lm)
-        assert system.sizes.sum() == len(lms.member_lm)
+        groups = freeze_landmarks(prob, prob.initial_poses)
+        cloud = np.searchsorted(ends, groups["member_row"], side="right")
+        pairs = set(zip(groups["member_group"].tolist(), cloud.tolist()))
+        assert len(pairs) == len(lms.cluster_lm)
+        assert lms.cluster_sizes.sum() == len(groups["member_group"])
 
 
 class TestLMStep:
@@ -701,6 +704,84 @@ class TestRunAdjustment:
             assert tilt_deg < 0.2
 
 
+def dense_rigid_jacobian(system, at):
+    """The keyframe system's Jacobian at `at`, formed row by row from its
+    residual definition. A cluster of landmark j in free cloud k, with
+    sensor-frame mean q and scatter factor columns f_i, moves its mean
+    projection e = w_j . (R q + t) by w_j under t and by
+    ((R q) x w_j)^T J_l(r) under r, and its scatter row w_j . R f_i by
+    ((R f_i) x w_j)^T J_l(r); a cluster of a pinned cloud or of the fixed
+    points does not move. The mean row sqrt(n_c) (e_c - sum n_c' e_c' /
+    n_j) moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted
+    sum of landmark j's mean motions. A gravity row w (R d - up) moves by
+    -w [R d]x J_l(r)."""
+    lms, prob = system.landmarks, system.problem
+    poses = system.poses(at)
+    n_clusters, n_params = len(lms.cluster_lm), len(at)
+    mean = np.zeros((n_clusters, n_params))
+    scatter = np.zeros((n_clusters, 3, n_params))
+    for c in range(len(prob.clouds) + 1):
+        if c < system.free[0] or c >= len(prob.clouds):
+            continue
+        k = c - system.free[0]
+        rot, jac = poses[c].matrix(), left_jacobian(poses[c].rotvec)
+        for n in range(system.bounds[c], system.bounds[c + 1]):
+            white = lms.white_lm[lms.cluster_lm[n]]
+            mean[n, 6 * k : 6 * k + 3] = np.cross(rot @ system.means[n], white) @ jac
+            mean[n, 6 * k + 3 : 6 * k + 6] = white
+            for i in range(3):
+                scatter[n, i, 6 * k : 6 * k + 3] = np.cross(rot @ system.factors[n, :, i], white) @ jac
+    sums = np.zeros((lms.n_landmarks, n_params))
+    for n in range(n_clusters):
+        sums[lms.cluster_lm[n]] += lms.cluster_sizes[n] * mean[n]
+    rows = []
+    for n in range(n_clusters):
+        j = lms.cluster_lm[n]
+        rows.append(np.sqrt(lms.cluster_sizes[n]) * (mean[n] - sums[j] / lms.counts[j]))
+        rows.extend(scatter[n])
+    for con in prob.gravity_constraints:
+        row = np.zeros((3, n_params))
+        if con.cloud_id >= system.free[0]:
+            k = con.cloud_id - system.free[0]
+            pose = poses[con.cloud_id]
+            up = pose.matrix() @ con.direction_local
+            cross = np.cross(up, np.eye(3))  # row i is up x e_i, so its transpose is [up]x
+            row[:, 6 * k : 6 * k + 3] = -con.weight * cross.T @ left_jacobian(pose.rotvec)
+        rows.extend(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_rigid_normal_equations_match_dense_jacobian(anchored):
+    # exact, where the secant checks hold to 1e-6: cluster mean and scatter
+    # rows, mean removal, a pinned first cloud or fixed anchor points, and
+    # gravity rows
+    ds = small_room(points_per_scan=600, duration=0.4)
+    rng = np.random.default_rng(18)
+    truth = ds.truth_poses
+    init = [truth[0]] + [sample_pert(rng, 0.05, 1.0).compose(p) for p in truth[1:]]
+    up = np.array([0.0, 0, 1.0])
+    clouds = ds.scans[1:] if anchored else ds.scans
+    prob = AdjustmentProblem(
+        clouds=clouds, initial_poses=init[1:] if anchored else init,
+        fixed_points=truth[0].apply(ds.scans[0].points) if anchored else None,
+        gravity_constraints=[
+            GravityConstraint(cloud_id=i, direction_local=pose.matrix().T @ up, weight=2.0)
+            for i, pose in enumerate(truth[1:] if anchored else truth)
+        ],
+    )
+    system, params = frozen_system(prob, prob.initial_poses)
+    assert system.free == list(range(0 if anchored else 1, len(clouds)))
+    at = params + 1e-3 * rng.normal(size=len(params))
+    jac = dense_rigid_jacobian(system, at)
+    r = system.residuals(at)
+    assert jac.shape == (len(r), len(at))
+    lin = system.linearize(at)
+    jtj, jtr = jac.T @ jac, jac.T @ r
+    assert np.abs(lin.jtj - jtj).max() <= 1e-10 * np.abs(jtj).max()
+    assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
+
+
 def test_landmark_residuals_sum_to_zero_per_landmark():
     # each landmark's mean rows rho_c are weighted mean-free,
     # sum_c sqrt(n_c) rho_c = 0, which is why J^T r needs no landmark-mean term
@@ -715,12 +796,12 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
     )
     system, params = frozen_system(prob, init)
     lms = system.landmarks
-    n_clusters = len(system.cluster_lm)
-    assert n_clusters < len(lms.member_lm)
+    n_clusters = len(system.landmarks.cluster_lm)
+    assert n_clusters < lms.cluster_sizes.sum()
     for at in (params, params + 1e-2 * rng.normal(size=len(params))):
         rho = system.residuals(at)[: 4 * n_clusters].reshape(-1, 4)[:, 0]
-        weighted = np.sqrt(system.sizes) * rho
-        sums = lms.sums(weighted, system.cluster_lm)
+        weighted = np.sqrt(system.landmarks.cluster_sizes) * rho
+        sums = lms.sums(weighted, system.landmarks.cluster_lm)
         assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
 
 

@@ -12,7 +12,7 @@ from multiscan.geometry import (
     rotvec_to_quat,
     quat_to_rotvec,
 )
-from multiscan.trajectory import slerp_rotation_matrices
+from multiscan.trajectory import rotation_chain, slerp_rotation_matrices, spline_table
 
 
 def rotation_angle_between(ra, rb):
@@ -48,9 +48,8 @@ def mixed_rotation_stack(rng, n):
 
 def slerp(ra, rb, u):
     """Rotation vector a fraction u of the way from ra to rb, by the spline's slerp."""
-    rot = slerp_rotation_matrices(
-        np.array([0.0, 1.0]), np.stack([ra, rb]), 1.0, np.array([float(u)])
-    )
+    table = spline_table(np.array([0.0, 1.0]), 1.0, np.array([float(u)]))
+    rot = slerp_rotation_matrices(*rotation_chain(np.stack([ra, rb])), table)
     return matrix_to_rotvec(rot[0])
 
 

@@ -399,6 +399,12 @@ def oracle_scene():
     return pts, normals, planarity
 
 
+def frozen(groups, epsilon):
+    """The FrozenLandmarks of groups, every member a cluster of one."""
+    lm = groups["member_group"]
+    return FrozenLandmarks(groups, epsilon, lm, np.ones(len(lm)))
+
+
 class TestFrozenLandmarks:
     @pytest.mark.parametrize("epsilon", [1e-4, 0.0])
     def test_whitening_is_regularized_inverse(self, epsilon):
@@ -415,7 +421,7 @@ class TestFrozenLandmarks:
         parts = group_rows(out)
         is_split = np.array([tuple(rows.tolist()) not in unsplit for rows in parts])
         assert is_split.any() and not is_split.all()
-        lms = FrozenLandmarks(out, epsilon)
+        lms = frozen(out, epsilon)
         for j, rows in enumerate(parts):
             evals, evecs = np.linalg.eigh(stats(pts[rows])[1])
             white = evecs[:, 0] / np.sqrt(len(rows) * (evals[0] + epsilon))
@@ -428,7 +434,7 @@ class TestFrozenLandmarks:
         for _ in range(50):
             n = int(rng.integers(6, 40))
             pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
-            lms = FrozenLandmarks(one_landmark(pts), 0.0)
+            lms = frozen(one_landmark(pts), 0.0)
             total = float(np.sum(((pts - lms.mu_ref[0]) @ lms.white_lm[0]) ** 2))
             assert total == pytest.approx(1.0, rel=1e-8)
 
@@ -437,7 +443,7 @@ class TestFrozenLandmarks:
         rng = np.random.default_rng(4)
         pts = np.zeros((30, 3))
         pts[:, :2] = rng.uniform(-1.0, 1.0, size=(30, 2))
-        lms = FrozenLandmarks(one_landmark(pts), 1e-4)
+        lms = frozen(one_landmark(pts), 1e-4)
         assert np.allclose(np.abs(lms.white_lm[0]), [0.0, 0.0, 1.0 / np.sqrt(30 * 1e-4)])
 
 
@@ -460,7 +466,7 @@ class TestRegularizedInverse:
         # Sigma = I: the inverse is 1 along every direction, so |w| = 1/sqrt(n)
         s = np.sqrt(3.0)
         pts = np.vstack([np.diag([s, s, s]), -np.diag([s, s, s])])
-        lms = FrozenLandmarks(one_landmark(pts), 0.0)
+        lms = frozen(one_landmark(pts), 0.0)
         assert np.allclose(lms.mu_ref[0], 0.0)
         assert np.linalg.norm(lms.white_lm[0]) == pytest.approx(1.0 / np.sqrt(6.0), rel=1e-12)
 
@@ -472,7 +478,7 @@ class TestRegularizedInverse:
             a = rng.normal(size=(3, 3))
             spd = a @ a.T + 0.5 * np.eye(3)
             n = int(rng.integers(6, 40))
-            w = FrozenLandmarks(landmark_of_cov(spd, n), 0.0).white_lm[0]
+            w = frozen(landmark_of_cov(spd, n), 0.0).white_lm[0]
             v = w / np.linalg.norm(w)
             assert np.allclose(n * np.outer(w, w) @ spd, np.outer(v, v), atol=1e-9)
             assert v @ spd @ v == pytest.approx(np.linalg.eigvalsh(spd)[0], rel=1e-9)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from multiscan import pipeline as pipeline_module
-from multiscan.geometry import Pose, PointCloud, matrix_to_rotvec, rotvec_to_matrix
-from multiscan.imu import GravityEstimate, ImuStream, preintegrate
+from multiscan.geometry import Pose, PointCloud, left_jacobian, matrix_to_rotvec, rotvec_to_matrix
+from multiscan.imu import GravityEstimate, ImuStream, imu_jacobian, preintegrate
 from multiscan.adjustment import (
     FrozenLandmarks, InsufficientStructureError, levenberg_marquardt, lm_step,
 )
@@ -18,13 +18,22 @@ from multiscan.pipeline import (
     Map,
     OdometryPipeline,
     PipelineConfig,
+    _segment_key,
     _up_to_z_rotvec,
     _WindowSystem,
     extract_static_points,
     pipeline_config_from_dict,
 )
 from multiscan.synthetic import corridor_scene, generate_synthetic, loop_scene
-from multiscan.trajectory import ContinuousTrajectory, deskew
+from multiscan.trajectory import (
+    ContinuousTrajectory,
+    deskew,
+    hermite_positions,
+    rotation_chain,
+    slerp_rotation_matrices,
+    slerp_turns,
+    stamp_slots,
+)
 from secants import assert_normal_equations_match_secant_jacobian
 
 
@@ -113,15 +122,16 @@ def test_window_normal_equations_match_secant_jacobian(corridor_window):
 
 def test_gap_window_normal_equations_match_secant_jacobian(gap_window):
     system, at = gap_window
-    assert np.any(np.diff(system.segment_slots) == 0)
+    assert np.any(np.diff(system.member_bounds) == 0)
     assert_normal_equations_match_secant_jacobian(system, at)
 
 
 def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
     system, at = corridor_window
     lms = system.landmarks
-    r = system.residuals(at)[: len(lms.member_lm)]
-    assert np.abs(lms.sums(r, lms.member_lm)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
+    lm = lms.cluster_lm[: len(system.member_row)]
+    r = system.residuals(at)[: len(lm)]
+    assert np.abs(lms.sums(r, lm)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
 
 
 def test_window_landmark_rows_are_member_rows(corridor_window):
@@ -129,8 +139,8 @@ def test_window_landmark_rows_are_member_rows(corridor_window):
     # w_j . (d_k - mean(d_j)), d_k = p_k - mu_j
     system, at = corridor_window
     lms = system.landmarks
-    lm = lms.member_lm
-    d = system.world_points(at)[lms.member_row] - lms.mu_ref[lm]
+    lm = lms.cluster_lm[: len(system.member_row)]
+    d = system.world_points(at)[system.member_row] - lms.mu_ref[lm]
     mean = np.stack([np.bincount(lm, weights=d[:, a]) for a in range(3)], axis=1) / lms.counts[:, None]
     expected = np.einsum("ni,ni->n", lms.white_lm[lm], d - mean[lm])
     r = system.residuals(at)[: len(lm)]
@@ -159,7 +169,7 @@ def test_window_imu_jacobian_matches_column_secants(corridor_window):
     # zero wherever the secant is: segment s reaches poses s - 1 to s + 2
     system, at = corridor_window
     h = 1e-6
-    jac = system.imu_jacobian(at)
+    jac = system.linearize(at).dense[: 9 * len(system.imu_seg)]
     assert jac.shape == (9 * len(system.imu_seg), len(at))
     for q, e in enumerate(np.eye(len(at))):
         secant = (system.imu_rows(at + h * e) - system.imu_rows(at - h * e)) / (2.0 * h)
@@ -197,23 +207,25 @@ def per_member_window(system, static, params):
     """system frozen at params with every static point its own cluster of
     one, as one row per member: the landmarks of the window and static
     points stacked, static-only cells included. Returns the system, with
-    its landmarks and member order replaced, and its residual function."""
+    its landmarks and member order replaced, its residual function and each
+    member's row in the stack [moving points, static points]."""
     ref = copy.copy(system)
     moving = system.world_points(params)
     groups = dual_grid_groups(np.vstack([moving, static]), system.config.voxel)
-    lms = ref.landmarks = FrozenLandmarks(groups, system.config.voxel.epsilon)
+    rows, lm = groups["member_row"], groups["member_group"]
+    n = len(lm)
+    lms = ref.landmarks = FrozenLandmarks(groups, system.config.voxel.epsilon, lm, np.ones(n))
     # the moving members, as positions in the member list
-    own = np.flatnonzero(lms.member_row < len(moving))
-    ref.sort_members(system.point_slot[lms.member_row[own]], lms.member_lm[own], lms.n_landmarks)
+    own = np.flatnonzero(rows < len(moving))
+    ref.sort_members(rows[own], lm[own])
     ref.order = own[ref.order]
-    n = len(lms.member_lm)
 
     def residuals(at):
-        pts = np.vstack([system.world_points(at), static])[lms.member_row]
-        landmark_rows = lms.residuals(lms.member_lm, np.ones(n), pts, np.empty((n, 3, 0)))
+        pts = np.vstack([system.world_points(at), static])[rows]
+        landmark_rows = lms.residuals(pts, np.empty((n, 3, 0)))
         return np.concatenate([landmark_rows, system.imu_rows(at), system.prior_rows(at)])
 
-    return ref, residuals
+    return ref, residuals, rows
 
 
 def test_static_points_score_as_fixed_clusters(static_window):
@@ -221,7 +233,7 @@ def test_static_points_score_as_fixed_clusters(static_window):
     # cost less each landmark's static scatter along its w_j
     system, static, params, at = static_window
     assert len(system.fixed_means) and len(system.fixed_means) < len(static)
-    ref, ref_residuals = per_member_window(system, static, params)
+    ref, ref_residuals, ref_rows = per_member_window(system, static, params)
     lin, r = system.linearize(at), system.residuals(at)
     lin_ref, r_ref = ref.linearize(at), ref_residuals(at)
     jtr, jtr_ref = lin.jtr(r), lin_ref.jtr(r_ref)
@@ -233,13 +245,81 @@ def test_static_points_score_as_fixed_clusters(static_window):
     # w_j, the far block's static-only landmarks included
     lms = ref.landmarks
     assert lms.n_landmarks > system.landmarks.n_landmarks
-    is_static = lms.member_row >= len(system.sensor_points)
+    is_static = ref_rows >= len(system.sensor_points)
     scatter = 0.0
-    for j in np.unique(lms.member_lm[is_static]):
-        rows = lms.member_row[is_static & (lms.member_lm == j)] - len(system.sensor_points)
+    for j in np.unique(lms.cluster_lm[is_static]):
+        rows = ref_rows[is_static & (lms.cluster_lm == j)] - len(system.sensor_points)
         scatter += np.sum(((static[rows] - static[rows].mean(axis=0)) @ lms.white_lm[j]) ** 2)
     assert scatter > 1e-3 * (r @ r)
     assert r_ref @ r_ref - r @ r == pytest.approx(scatter, rel=1e-9)
+
+
+def dense_window_jacobian(system, at):
+    """The window's Jacobian at `at`, formed row by row from its residual
+    definition. A member m of landmark j moves by e_m = w_j . dp_m: under
+    the rotations of its segment's poses a = s and b = s + 1 by
+    c^T (I - A) J_l(r_a) and c^T A J_l(r_b), c = (R x) x w_j and A the
+    slot's `slerp_turns` lever, and under each control position by its
+    Hermite weight times w_j. A cluster's mean row, sqrt(n_c) (e_c - sum
+    n_c' e_c' / n_j), then moves by sqrt(n_c) (e_c - S_j / n_j), with S_j
+    the sum of landmark j's member motions and e_c = 0 for a fixed
+    cluster. Each IMU row chains `imu_jacobian` by w = J_l(r) dr and
+    v = T p, T = `np.gradient(I, dt)`; the prior rows are diagonal."""
+    n_ctrl, n_params = system.n_ctrl, len(at)
+    blocks = at.reshape(-1, 6)
+    table = system.slots
+    mats, phi = rotation_chain(blocks[:, :3])
+    rots = slerp_rotation_matrices(mats, phi, table)
+    lever = slerp_turns(mats, phi, table)
+    turns = left_jacobian(blocks[:, :3])
+    weights = hermite_positions(np.eye(n_ctrl), table)  # (slot, control position)
+    lms = system.landmarks
+    lm, sizes = lms.cluster_lm, lms.cluster_sizes
+    motion = np.zeros((len(lm), n_params))
+    for m, row in enumerate(system.member_row):
+        slot = system.point_slot[row]
+        s, white = table.seg[slot], lms.white_lm[lm[m]]
+        c = np.cross(rots[slot] @ system.sensor_points[row], white)
+        motion[m, 6 * s : 6 * s + 3] += c @ (np.eye(3) - lever[slot]) @ turns[s]
+        motion[m, 6 * s + 6 : 6 * s + 9] += c @ lever[slot] @ turns[s + 1]
+        for q in range(n_ctrl):
+            motion[m, 6 * q + 3 : 6 * q + 6] += weights[slot, q] * white
+    sums = np.zeros((lms.n_landmarks, n_params))
+    for m in range(len(system.member_row)):
+        sums[lm[m]] += motion[m]
+    imu = np.zeros((9 * len(system.imu_seg), n_params))
+    if len(system.imu_seg):
+        tangent = np.gradient(np.eye(n_ctrl), system.spacing, axis=0)
+        jac = system.imu_weights[:, None] * imu_jacobian(*system.imu_states(at))
+        for i, s in enumerate(system.imu_seg):
+            rows = imu[9 * i : 9 * i + 9]
+            for end, k in enumerate((s, s + 1)):
+                turn, position, velocity = np.split(jac[i, :, 9 * end : 9 * end + 9], 3, axis=1)
+                rows[:, 6 * k : 6 * k + 3] += turn @ turns[k]
+                rows[:, 6 * k + 3 : 6 * k + 6] += position
+                for q in range(n_ctrl):
+                    rows[:, 6 * q + 3 : 6 * q + 6] += tangent[k, q] * velocity
+    landmark = np.stack([
+        np.sqrt(sizes[k]) * (motion[k] - sums[lm[k]] / lms.counts[lm[k]]) for k in range(len(lm))
+    ])
+    return np.vstack([landmark, imu, np.diag(system.prior_weights)])
+
+
+@pytest.mark.parametrize("window", ["corridor_window", "gap_window", "static_window"])
+def test_window_normal_equations_match_dense_jacobian(window, request):
+    # exact, where the secant checks hold to 1e-6: member rows, mean
+    # removal, fixed clusters (the static window's), IMU and prior rows
+    fixture = request.getfixturevalue(window)
+    system, at = fixture[0], fixture[-1]
+    if window == "static_window":
+        assert len(system.landmarks.cluster_lm) > len(system.member_row)
+    jac = dense_window_jacobian(system, at)
+    r = system.residuals(at)
+    assert jac.shape == (len(r), len(at))
+    lin = system.linearize(at)
+    jtj, jtr = jac.T @ jac, jac.T @ r
+    assert np.abs(lin.jtj - jtj).max() <= 1e-10 * np.abs(jtj).max()
+    assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
 
 
 def path_ratio(estimated, true):
@@ -417,7 +497,7 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     system, at = corridor_window
     pts, stamps = pipeline._window_points(system.ctrl_times[0], float(system.ctrl_times[-1]))
     assert np.array_equal(pts, system.sensor_points)
-    assert np.array_equal(system.slot_times[system.point_slot], stamps)
+    assert np.array_equal(stamp_slots(stamps)[1], system.point_slot)
     traj = ContinuousTrajectory(system.ctrl_times, at)
     world = deskew(PointCloud(points=pts, stamps=stamps), traj)
     assert np.array_equal(world.stamps, stamps)
@@ -446,10 +526,15 @@ def count_preintegrations(monkeypatch):
 
 
 def assert_fresh_deltas(pipeline, ctrl_times, deltas):
-    # each delta bit for bit a fresh preintegration of the stored stream
+    # each delta bit for bit a fresh preintegration of the stored stream over
+    # the times it was integrated over: those of the kept segment it came
+    # from, within 1e-9 s of the requested ones, or else the requested ones
     for seg, delta in deltas:
         t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
-        fresh = preintegrate(pipeline.imu.between(t_i - 0.05, t_j + 0.05), t_i, t_j,
+        kept = pipeline._segments.get(_segment_key(t_i, t_j))
+        start, end = (kept.t_i, kept.t_j) if kept is not None and kept.delta is delta else (t_i, t_j)
+        assert abs(start - t_i) <= 1e-9 and abs(end - t_j) <= 1e-9
+        fresh = preintegrate(pipeline.imu.between(start - 0.05, end + 0.05), start, end,
                              gyro_bias=pipeline.gyro_bias)
         for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
             assert np.array_equal(getattr(delta, name), getattr(fresh, name))
@@ -472,20 +557,22 @@ def test_segment_cache_holds_one_window_over_200_scans(monkeypatch):
     pipeline = OdometryPipeline()
     pipeline.add_imu(imu_at_rest(-1.0, 21.0))
     calls = count_preintegrations(monkeypatch)
-    n_segments = 0
+    segments = set()
     for k in range(200):
         # scans end at stamps like a sensor's, 1/1200 s before each tenth
         t_now = 0.1 * (k + 1) - 1.0 / 1200.0
         pipeline.scans.push(t_now, None)
         ctrl_times = pipeline._control_times(t_now)
         deltas = pipeline._segment_deltas(ctrl_times)
-        n_segments += len(deltas)
+        segments |= {_segment_key(a, b) for a, b in zip(ctrl_times[:-1], ctrl_times[1:])}
         assert len(deltas) == len(ctrl_times) - 1
-        for t_i, t_j in pipeline._segments:
-            assert ctrl_times[0] < 0.5 * (t_i + t_j) < ctrl_times[-1]
+        for kept in pipeline._segments.values():
+            assert ctrl_times[0] < 0.5 * (kept.t_i + kept.t_j) < ctrl_times[-1]
         if k % 50 == 49:
             assert_fresh_deltas(pipeline, ctrl_times, deltas)
-    assert len(calls) < 0.5 * n_segments
+    # the stream covers every segment from the start and is never trimmed,
+    # so each segment is integrated once, whatever ulps its times carry
+    assert len(calls) == len(segments) < 250
 
 
 def test_segment_short_of_the_stream_end_is_integrated_again(monkeypatch):
@@ -498,7 +585,8 @@ def test_segment_short_of_the_stream_end_is_integrated_again(monkeypatch):
     calls = count_preintegrations(monkeypatch)
     pipeline._segment_deltas(ctrl_times)
     assert len(calls) == 10
-    assert list(pipeline._segments) == [(float(a), float(b)) for a, b in zip(ctrl_times[:9], ctrl_times[1:10])]
+    kept = [(entry.t_i, entry.t_j) for entry in pipeline._segments.values()]
+    assert kept == [(float(a), float(b)) for a, b in zip(ctrl_times[:9], ctrl_times[1:10])]
     pipeline.add_imu(imu_at_rest(1.021, 2.0))
     deltas = pipeline._segment_deltas(ctrl_times)
     assert calls[10:] == [(0.9, 1.0)]

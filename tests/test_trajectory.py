@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from multiscan.geometry import PointCloud, matrix_to_rotvec, rotvec_to_matrix, rotvec_to_quat
+from multiscan.geometry import (
+    PointCloud, left_jacobian, matrix_to_rotvec, rotvec_to_matrix, rotvec_to_quat,
+)
 from multiscan.trajectory import (
     ContinuousTrajectory,
     deskew,
     hermite_positions,
-    segment_params,
+    rotation_chain,
     slerp_rotation_matrices,
     slerp_turns,
+    spline_table,
 )
+
+
+def spline_rotations(times, rotvecs, t_eval):
+    """Spline rotations at t_eval of control rotation vectors at unit-spaced times."""
+    return slerp_rotation_matrices(*rotation_chain(rotvecs), spline_table(times, 1.0, t_eval))
 
 
 def rotation_angle_between(ra, rb):
@@ -140,8 +148,9 @@ class TestHermiteDerivatives:
         positions = rng.normal(size=(2, 4, 7, 3))
         t_eval = times[:-1] + spacing * rng.uniform(0.1, 0.9, size=6)
         h = 1e-6
-        value = hermite_positions(times, positions, spacing, t_eval, order)
-        below = [hermite_positions(times, positions, spacing, t_eval + dt, order - 1) for dt in (h, -h)]
+        value = hermite_positions(positions, spline_table(times, spacing, t_eval, order))
+        below = [hermite_positions(positions, spline_table(times, spacing, t_eval + dt, order - 1))
+                 for dt in (h, -h)]
         assert value.shape == (2, 4, 6, 3)
         assert np.allclose(value, (below[0] - below[1]) / (2 * h), rtol=1e-6, atol=1e-4)
 
@@ -193,7 +202,7 @@ class TestControlTimes:
 def turn_columns_by_secant(times, rotvecs, t_eval, h=1e-6):
     """World-frame turn per unit change of each rotation parameter, (M, 3, K, 3),
     from central differences of slerp_rotation_matrices."""
-    rots = slerp_rotation_matrices(times, rotvecs, 1.0, t_eval)
+    rots = spline_rotations(times, rotvecs, t_eval)
     out = np.zeros((len(t_eval), 3, len(times), 3))
     for k in range(len(times)):
         for i in range(3):
@@ -201,8 +210,7 @@ def turn_columns_by_secant(times, rotvecs, t_eval, h=1e-6):
             plus[k, i] += h
             minus[k, i] -= h
             d_rot = (
-                slerp_rotation_matrices(times, plus, 1.0, t_eval)
-                - slerp_rotation_matrices(times, minus, 1.0, t_eval)
+                spline_rotations(times, plus, t_eval) - spline_rotations(times, minus, t_eval)
             ) / (2 * h)
             turn = d_rot @ np.swapaxes(rots, 1, 2)  # [w]x
             out[:, :, k, i] = np.stack([turn[:, 2, 1], turn[:, 0, 2], turn[:, 1, 0]], axis=1)
@@ -219,11 +227,20 @@ class TestSlerpTurns:
     TIMES = np.array([0.0, 1.0, 2.0])
     T_EVAL = np.array([0.0, 0.3, 0.99, 1.0, 1.5, 2.0])
 
+    def turns(self, rotvecs):
+        """Spline rotations at T_EVAL, and the matrices (I - A) J_l(r_a) and
+        A J_l(r_b) that multiply dr_a and dr_b, A from slerp_turns."""
+        table = spline_table(self.TIMES, 1.0, self.T_EVAL)
+        mats, phi = rotation_chain(rotvecs)
+        rots = slerp_rotation_matrices(mats, phi, table)
+        lever = slerp_turns(mats, phi, table)
+        jac = left_jacobian(rotvecs)
+        return rots, jac[table.seg] - lever @ jac[table.seg], lever @ jac[table.seg + 1]
+
     def assert_matches_secant(self, rotvecs):
-        rots, turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL)
-        assert np.array_equal(rots, slerp_rotation_matrices(self.TIMES, rotvecs, 1.0, self.T_EVAL))
+        _, turn_a, turn_b = self.turns(rotvecs)
         closed = np.zeros((len(self.T_EVAL), 3, len(self.TIMES), 3))
-        seg, _ = segment_params(self.TIMES, 1.0, self.T_EVAL)
+        seg = spline_table(self.TIMES, 1.0, self.T_EVAL).seg
         m = np.arange(len(self.T_EVAL))
         closed[m, :, seg] = turn_a
         closed[m, :, seg + 1] = turn_b
@@ -250,7 +267,7 @@ class TestSlerpTurns:
         # u = 0 moves only with the first pose, u = 1 only with the second
         rng = np.random.default_rng(31)
         rotvecs = rng.normal(size=(3, 3))
-        rots, turn_a, turn_b = slerp_turns(self.TIMES, rotvecs, 1.0, self.T_EVAL)
+        rots, turn_a, turn_b = self.turns(rotvecs)
         assert np.abs(rots[[0, 3, 5]] - rotvec_to_matrix(rotvecs[[0, 1, 2]])).max() < 1e-12
         assert np.array_equal(turn_b[[0, 3]], np.zeros((2, 3, 3)))
         assert np.abs(turn_a[-1]).max() < 1e-12
@@ -294,6 +311,6 @@ class TestSlerpMatchesQuaternionSlerp:
         assert rotvec_to_quat(pairs[0][0]) @ rotvec_to_quat(pairs[0][1]) < 0.0
         for ra, rb in pairs:
             assert rotation_angle_between(ra, rb) == pytest.approx(angle, rel=1e-6)
-            got = slerp_rotation_matrices(np.array([0.0, 1.0]), np.stack([ra, rb]), 1.0, u)
+            got = spline_rotations(np.array([0.0, 1.0]), np.stack([ra, rb]), u)
             want = quaternion_slerp(rotvec_to_quat(ra), rotvec_to_quat(rb), u)
             assert np.abs(got - want).max() <= 1e-14
