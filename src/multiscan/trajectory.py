@@ -112,17 +112,18 @@ def hermite_positions(positions: np.ndarray, table: SplineTable) -> np.ndarray:
     )
 
 
-def position_weights(table: SplineTable, n_ctrl: int) -> tuple[np.ndarray, np.ndarray]:
+def position_weights(full: np.ndarray, table: SplineTable) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the control positions in each time's `hermite_positions`.
 
-    A time on segment s reads poses s - 1 to s + 2 of the K = n_ctrl,
-    clipped to the grid; they lie among the P = min(4, K) from first =
-    clip(s - 1, 0, K - P). Returns first (M,) and the weights (M, P) of
-    those P positions, the positions' derivative of `hermite_positions`.
+    full is (M, K), `hermite_positions(np.eye(K), table)`: the positions'
+    derivative of `hermite_positions` at the times of table. A time on
+    segment s reads poses s - 1 to s + 2 of the K, clipped to the grid;
+    they lie among the P = min(4, K) from first = clip(s - 1, 0, K - P).
+    Returns first (M,) and the weights (M, P) of those P positions.
     """
+    n_ctrl = full.shape[1]
     n_pos = min(4, n_ctrl)
     first = np.clip(table.seg - 1, 0, n_ctrl - n_pos)
-    full = hermite_positions(np.eye(n_ctrl), table)
     return first, np.take_along_axis(full, first[:, None] + np.arange(n_pos), axis=1)
 
 

@@ -1,14 +1,14 @@
 """Per-stage times of one outer iteration, for the window and keyframe solves.
 
-    python3 tools/window_stages.py [--repeats N] [--scan K]
+    python3 tools/window_stages.py
 
 Replays the benchmark's seed-0 `loop_imu` inputs (`perfbench/workloads.py`)
-through one `OdometryPipeline` up to scan K (40 by default), then builds
-the window of scan K the way `process_scan` does and times its system's
-calls at the warm start. It also builds the first seed-0 `room_adjust`
-problem and times the keyframe system's calls at its start. Each stage is
-timed N times (300 by default) and the minimum is printed in ms, with BLAS
-pinned to 1 thread:
+through one `OdometryPipeline` up to scan SCAN and keeps the system and
+warm start that `process_scan` hands to `levenberg_marquardt` for that
+scan's window. It also runs one round of the seed-0 `room_adjust` solves
+the way `perfbench/measure.py` does and keeps the system and start of the
+first (scene 0). Each stage is then timed REPEATS times at that start and
+the minimum is printed in ms, with BLAS pinned to 1 thread:
 
 - `freeze`: landmarks frozen at the parameters;
 - `residuals`: the residual vector at a parameter vector not seen before
@@ -23,13 +23,13 @@ the one on PYTHONPATH, else this checkout's `src`.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -37,18 +37,20 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 300
+SCAN = 40
 
 
-def min_ms(fn, repeats: int) -> float:
+def min_ms(fn) -> float:
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return 1e3 * best
 
 
-def stage_times(system, params: np.ndarray, repeats: int) -> dict:
+def stage_times(system, params: np.ndarray) -> dict:
     """Minimum ms of each stage of one outer iteration of system at params."""
     from multiscan.adjustment import LAMBDA_INIT, lm_step
 
@@ -57,84 +59,69 @@ def stage_times(system, params: np.ndarray, repeats: int) -> dict:
     jtr = lin.jtr(system.residuals(params))
     trials = itertools.cycle([params + 1e-6, params - 1e-6])
     return {
-        "freeze": min_ms(lambda: system.freeze(params), repeats),
-        "residuals": min_ms(lambda: system.residuals(next(trials)), repeats),
-        "linearize": min_ms(lambda: system.linearize(params), repeats),
-        "lm_step": min_ms(lambda: lm_step(lin.jtj, jtr, LAMBDA_INIT), repeats),
+        "freeze": min_ms(lambda: system.freeze(params)),
+        "residuals": min_ms(lambda: system.residuals(next(trials))),
+        "linearize": min_ms(lambda: system.linearize(params)),
+        "lm_step": min_ms(lambda: lm_step(lin.jtj, jtr, LAMBDA_INIT)),
     }
 
 
-def window_system(inputs: Path, scan: int):
-    """The window system of scan `scan` of an odometry input, and its warm start."""
-    from multiscan import fileio
-    from multiscan.downsample import adaptive_downsample
-    from multiscan.pipeline import OdometryPipeline, _WindowSystem, extract_static_points
+def first_solve(module, run) -> tuple:
+    """The system and start of the first `levenberg_marquardt` call that
+    run() makes through module; the solve itself runs as usual."""
+    solve, calls = module.levenberg_marquardt, []
 
-    scans = [fileio.read_point_cloud(inputs / f"scan_{k:03d}.ply") for k in range(scan + 1)]
-    pipeline = OdometryPipeline()
+    def record(system, params, max_iterations):
+        calls.append((system, params.copy()))
+        return solve(system, params, max_iterations)
+
+    module.levenberg_marquardt = record
+    try:
+        run()
+    finally:
+        module.levenberg_marquardt = solve
+    if not calls:
+        raise RuntimeError(f"no solve went through {module.__name__}")
+    return calls[0]
+
+
+def window_system(inputs: Path) -> tuple:
+    """The window system of scan SCAN of an odometry input, and its warm start."""
+    from multiscan import fileio, pipeline as pipeline_module
+
+    scans = [fileio.read_point_cloud(inputs / f"scan_{k:03d}.ply") for k in range(SCAN + 1)]
+    pipeline = pipeline_module.OdometryPipeline()
     pipeline.add_imu(fileio.read_imu_csv(inputs / "imu.csv"))
-    for cloud in scans[:scan]:
+    for cloud in scans[:SCAN]:
         pipeline.process_scan(cloud)
-    cfg = pipeline.config
-    t_now = float(scans[scan].stamps[-1])
-    pipeline._trim_imu(t_now - cfg.buffer_capacity)
-    pipeline.scans.push(t_now, adaptive_downsample(scans[scan], cfg.downsample))
-    ctrl_times = pipeline._control_times(t_now)
-    params = pipeline._initial_params(ctrl_times)
-    pts, stamps = pipeline._window_points(ctrl_times[0], t_now)
-    static = extract_static_points(pipeline.map, params[-3:], cfg.static_radius)
-    system = _WindowSystem(ctrl_times, params, pts, stamps, static,
-                           pipeline._segment_deltas(ctrl_times), pipeline.gravity_vec, cfg)
-    return system, params
+    return first_solve(pipeline_module, lambda: pipeline.process_scan(scans[SCAN]))
 
 
-def room_system(inputs: Path):
+def room_system(inputs: Path) -> tuple:
     """The keyframe system of the first problem of a room input, and its start."""
-    from multiscan import adjustment, fileio
-    from multiscan.pipeline import PipelineConfig, compute_point_attributes
+    import measure
+    from multiscan import adjustment
 
-    config = PipelineConfig()
-    scene = json.loads((inputs / "manifest.json").read_text())["scenes"][0]
-    folder = inputs / "scene_0"
-    clouds = [fileio.read_point_cloud(folder / f"cloud_{k:03d}.ply") for k in range(scene["clouds"])]
-    for cloud in clouds:
-        cloud.normals, cloud.planarity = compute_point_attributes(cloud, config.k_neighbors)
-    _, init = fileio.read_trajectory(folder / "init_000.txt")
-    problem = adjustment.AdjustmentProblem(
-        clouds=clouds,
-        initial_poses=init,
-        gravity_constraints=[
-            adjustment.GravityConstraint(i, np.array(up), config.gravity_weight)
-            for i, up in enumerate(scene["gravity_local"])
-        ],
-        split_normals=True,
-        planarity_min=config.planarity_min,
-        voxel=config.voxel,
-    )
-    system = adjustment._RigidSystem(problem)
-    params = np.concatenate([init[ci].as_params() for ci in system.free])
-    return system, params
+    args = SimpleNamespace(inputs=inputs, seconds=0.0, spawned=time.time(),
+                           trace=None, setup_only=False)
+    manifest = json.loads((inputs / "manifest.json").read_text())
+    return first_solve(adjustment, lambda: measure.run_adjust(args, manifest))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=300)
-    parser.add_argument("--scan", type=int, default=40)
-    args = parser.parse_args(argv)
+def main() -> int:
     # a multiscan on PYTHONPATH (another checkout's, say) comes first
     sys.path.append(str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     rows = {
-        f"window, loop_imu seed 0 scan {args.scan}":
-            stage_times(*window_system(workloads.ensure_inputs("loop_imu", 0), args.scan),
-                        args.repeats),
+        f"window, loop_imu seed 0 scan {SCAN}":
+            stage_times(*window_system(workloads.ensure_inputs("loop_imu", 0))),
         "keyframe, room_adjust seed 0 scene 0":
-            stage_times(*room_system(workloads.ensure_inputs("room_adjust", 0)), args.repeats),
+            stage_times(*room_system(workloads.ensure_inputs("room_adjust", 0))),
     }
     stages = ("freeze", "residuals", "linearize", "lm_step")
-    print(f"| min of {args.repeats} calls, ms | " + " | ".join(stages) + " |")
+    print(f"| min of {REPEATS} calls, ms | " + " | ".join(stages) + " |")
     print("|---" * (len(stages) + 1) + "|")
     for name, times in rows.items():
         print(f"| {name} | " + " | ".join(f"{times[s]:.3f}" for s in stages) + " |")
