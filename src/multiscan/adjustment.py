@@ -53,14 +53,11 @@ Keyframe adjustment moves each cloud rigidly and adds gravity rows
 (`_RigidSystem`, here); the odometry window moves points along a
 continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
 
-Fixed points carry no parameters; they anchor the free scans to
-previously established structure. A landmark's fixed points are one fixed
-cluster, in no band. Keyframe adjustment scores its anchor points as one
-more cloud that keeps the identity pose: a mean row and three scatter
-rows per landmark. The odometry window bins its static map points once
-per window (`landmarks.cell_statistics`) and keeps only the mean row: the
-scatter rows, and the rows of cells that no moving point touches, are
-constant within a freeze, so they leave the steps unchanged.
+Fixed points (keyframe adjustment's anchors, the window's static map
+points) carry no parameters. Each solve bins them once
+(`landmarks.cell_statistics`), each freeze merges them into the cells the
+moving points touch (`dual_grid_groups`), and `FrozenLandmarks` scores a
+landmark's fixed part as one cluster, in no band, by its mean row alone.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ import numpy as np
 
 from multiscan.geometry import Pose, PointCloud, left_jacobian, rotvec_to_matrix
 from multiscan.landmarks import (
-    VoxelConfig, dual_grid_groups, point_clusters, split_by_normals,
+    VoxelConfig, cell_statistics, dual_grid_groups, point_clusters, split_by_normals,
 )
 
 # world direction that every gravity constraint ties its cloud's direction to
@@ -124,8 +121,10 @@ class AdjustmentProblem:
         # planarity lies in [0, 1]; split_normals=False switches splitting off
         if not 0.0 <= self.planarity_min <= 1.0:
             raise ValueError(f"planarity_min must lie in [0, 1], got {self.planarity_min}")
-        fixed = np.zeros((0, 3)) if self.fixed_points is None else self.fixed_points
-        self.fixed_points = np.asarray(fixed, dtype=float).reshape(-1, 3)
+        fixed = np.zeros((0, 3)) if self.fixed_points is None else np.asarray(self.fixed_points, float)
+        if fixed.ndim != 2 or fixed.shape[1] != 3 or not np.all(np.isfinite(fixed)):
+            raise ValueError(f"fixed_points must be a finite (n, 3) array, got shape {fixed.shape}")
+        self.fixed_points = fixed
 
     def free_indices(self) -> list[int]:
         # without fixed points the problem has a free rigid gauge; pin it
@@ -146,19 +145,17 @@ class AdjustmentResult:
     iterations: int
 
 
-def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose]) -> dict:
-    """Voxelize the merged world cloud and compute per-cell statistics.
+def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose], fixed_cells) -> dict:
+    """Voxelize the clouds at poses and compute per-cell statistics.
 
     Returns the landmarks of the world-frame point stack [cloud 0, ...,
-    cloud n-1, fixed] in the layout of `dual_grid_groups`. With
+    cloud n-1], merged with fixed_cells (`cell_statistics` of the fixed
+    points, or None), in the layout of `dual_grid_groups`. With
     split_normals enabled, planar cells whose member normals oppose each
-    other are divided into front and back landmarks. Splitting needs
-    normals and planarity on every member, so cells touching
-    attribute-free points are left whole.
+    other are divided into front and back landmarks (`split_by_normals`).
     """
-    chunks = [pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)]
-    pts = np.vstack(chunks + [problem.fixed_points])
-    groups = dual_grid_groups(pts, problem.voxel)
+    pts = np.vstack([pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)])
+    groups = dual_grid_groups(pts, problem.voxel, fixed_cells)
     if groups is None:
         raise InsufficientStructureError(
             "insufficient overlap/structure: no voxel exceeds the landmark threshold"
@@ -183,8 +180,6 @@ def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
         else:
             normal_chunks.append(cloud.normals @ pose.matrix().T)
             plan_chunks.append(cloud.planarity)
-    normal_chunks.append(np.zeros((len(problem.fixed_points), 3)))
-    plan_chunks.append(np.full(len(problem.fixed_points), np.nan))
     return np.vstack(normal_chunks), np.concatenate(plan_chunks)
 
 
@@ -252,9 +247,10 @@ class FrozenLandmarks:
     The mean row is projected onto w_j first, so a landmark's shift is one
     scalar. A member is a cluster of one: n_c = 1, F_c has no columns, and
     its one row is w_j . (d_k - mean(d_j)). The odometry window scores its
-    moving members so, and each landmark's static points as one fixed
-    cluster given without F_c; keyframe adjustment scores one cluster per
-    (landmark, cloud) pair.
+    moving members so; keyframe adjustment scores one cluster per
+    (landmark, cloud) pair. A landmark's fixed part never moves: its
+    cluster keeps the mean row and drops the constant scatter rows, which
+    lowers the cost by that scatter along w_j and changes no step.
 
     The rows are affine in the point positions, so damped normal-equation
     steps land on the frozen optimum instead of extrapolating an
@@ -273,9 +269,10 @@ class FrozenLandmarks:
     own motion and the per-landmark sums S_j.
 
     The clusters scored are fixed for a freeze, so they are given once,
-    with the landmarks: each one's landmark (cluster_lm) and size n_c
-    (cluster_sizes), from which the constructor gathers its w_j, mu_j and
-    sqrt(n_c). `residuals(means, factors)` then takes only what moves.
+    with the landmarks: each moving one's landmark (cluster_lm) and size
+    n_c (cluster_sizes); the constructor appends a fixed cluster for each
+    landmark's fixed part. `residuals(means, factors)` then takes only
+    what moves.
     """
 
     def __init__(self, groups: dict, epsilon: float, cluster_lm: np.ndarray, cluster_sizes: np.ndarray):
@@ -285,28 +282,36 @@ class FrozenLandmarks:
         evals, evecs = np.linalg.eigh(groups["covs"])  # ascending
         # w_j = v_min / sqrt(n_j (lambda_min + epsilon)) per landmark
         self.white_lm = evecs[:, :, 0] / np.sqrt(self.counts * (evals[:, 0] + epsilon))[:, None]
-        # the clusters scored, fixed for the freeze: landmark, n_c, sqrt(n_c), w_j and mu_j
-        self.cluster_lm = cluster_lm
-        self.cluster_sizes = np.asarray(cluster_sizes, dtype=float)
+        # the clusters scored, moving then fixed: landmark, n_c, sqrt(n_c), w_j and mu_j
+        fixed_counts, fixed_means, _ = groups.get("fixed", (np.zeros(0), np.zeros((0, 3)), None))
+        fixed_lm = np.flatnonzero(fixed_counts)
+        self.cluster_lm = np.concatenate([cluster_lm, fixed_lm])
+        self.cluster_sizes = np.concatenate([cluster_sizes, fixed_counts[fixed_lm]]).astype(float)
         self.cluster_root = np.sqrt(self.cluster_sizes)
-        self.cluster_white = np.take(self.white_lm, cluster_lm, axis=0)
-        self.cluster_mu = np.take(self.mu_ref, cluster_lm, axis=0)
+        self.cluster_white = np.take(self.white_lm, self.cluster_lm, axis=0)
+        self.cluster_mu = np.take(self.mu_ref, self.cluster_lm, axis=0)
+        moving = len(cluster_lm)
+        self.fixed_along = np.einsum("ni,ni->n", self.cluster_white[moving:],
+                                     fixed_means[fixed_lm] - self.cluster_mu[moving:])
 
     def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
         """Per-landmark sums of one scalar per row, row k on landmark lm[k]."""
         return np.bincount(lm, weights=values, minlength=self.n_landmarks)
 
     def residuals(self, means: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Residual vector of the clusters at world-frame means pbar_c (m, 3)
-        and scatter factors F_c (m, 3, f): per cluster the mean row, then f
-        scatter rows, one scalar each."""
-        lm = self.cluster_lm
-        along = np.einsum("ni,ni->n", self.cluster_white, means - self.cluster_mu)
+        """Residual vector of the clusters at the moving clusters' world-frame
+        means pbar_c (m, 3) and scatter factors F_c (m, 3, f): per moving
+        cluster the mean row, then f scatter rows, one scalar each; then
+        each fixed cluster's mean row."""
+        lm, m = self.cluster_lm, len(means)
+        moved = np.einsum("ni,ni->n", self.cluster_white[:m], means - self.cluster_mu[:m])
+        along = np.concatenate([moved, self.fixed_along])
         shift = self.sums(self.cluster_sizes * along, lm) / self.counts
-        rows = np.empty((len(lm), 1 + factors.shape[2]))
-        rows[:, 0] = self.cluster_root * (along - shift[lm])
-        rows[:, 1:] = np.einsum("ni,nif->nf", self.cluster_white, factors)
-        return rows.ravel()
+        mean_rows = self.cluster_root * (along - shift[lm])
+        rows = np.empty((m, 1 + factors.shape[2]))
+        rows[:, 0] = mean_rows[:m]
+        rows[:, 1:] = np.einsum("ni,nif->nf", self.cluster_white[:m], factors)
+        return np.concatenate([rows.ravel(), mean_rows[m:]])
 
 
 def scatter_factor(scatter: np.ndarray) -> np.ndarray:
@@ -406,11 +411,10 @@ class _RigidSystem:
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
     order, each with the stop_steps of a pose. `freeze` groups each
-    landmark's members into clusters, one per cloud it touches; the fixed
-    points form one more cloud that keeps the identity pose, and a pinned
-    cloud keeps its pose. Every cluster moves rigidly with its cloud, so it
-    is scored by its size, mean and scatter factor in the cloud's sensor
-    frame (`landmarks.point_clusters`, `scatter_factor`) through
+    landmark's cloud members into clusters, one per cloud it touches; a
+    pinned cloud keeps its pose. Every cluster moves rigidly with its
+    cloud, so it is scored by its size, mean and scatter factor in the
+    cloud's sensor frame (`landmarks.point_clusters`, `scatter_factor`) through
     `FrozenLandmarks.residuals`: 4 scalar rows per cluster, a mean row and
     three scatter rows, with the same cost and normal equations as one row
     per member (see `FrozenLandmarks`).
@@ -430,9 +434,10 @@ class _RigidSystem:
         self.problem = problem
         self.free = problem.free_indices()
         self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free))
+        self.fixed_cells = cell_statistics(problem.fixed_points, problem.voxel)
         # sensor-frame point stack aligned with the world stack of
         # `freeze_landmarks`; rows from ends[c - 1] to ends[c] are cloud c's
-        self.local = np.vstack([cloud.points for cloud in problem.clouds] + [problem.fixed_points])
+        self.local = np.vstack([cloud.points for cloud in problem.clouds])
         self.ends = np.cumsum([len(cloud) for cloud in problem.clouds])
         cons = problem.gravity_constraints
         self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
@@ -449,11 +454,10 @@ class _RigidSystem:
         return out
 
     def freeze(self, params: np.ndarray) -> None:
-        groups = freeze_landmarks(self.problem, self.poses(params))
+        groups = freeze_landmarks(self.problem, self.poses(params), self.fixed_cells)
         member_row, member_lm = groups["member_row"], groups["member_group"]
-        # cloud of each member, the fixed points as cloud len(clouds); each
-        # landmark's members are contiguous and in ascending row order, so
-        # its members in one cloud form one run
+        # cloud of each member; each landmark's members are contiguous and in
+        # ascending row order, so its members in one cloud form one run
         cloud = np.searchsorted(self.ends, member_row, side="right")
         starts = np.flatnonzero(
             (np.diff(member_lm, prepend=-1) != 0) | (np.diff(cloud, prepend=-1) != 0)
@@ -462,7 +466,7 @@ class _RigidSystem:
         # clusters grouped by cloud: cloud c's are [bounds[c], bounds[c + 1])
         by_cloud = np.argsort(cloud[starts], kind="stable")
         cluster_cloud = cloud[starts][by_cloud]
-        self.bounds = np.searchsorted(cluster_cloud, np.arange(len(self.ends) + 2))
+        self.bounds = np.searchsorted(cluster_cloud, np.arange(len(self.ends) + 1))
         self.landmarks = lms = FrozenLandmarks(
             groups, self.problem.voxel.epsilon, member_lm[starts][by_cloud], sizes[by_cloud]
         )

@@ -14,10 +14,11 @@ landmark are contiguous and in ascending row order, and coarse landmarks
 come first.
 `split_by_normals` maps such a dict to another of the same layout.
 
-Points that never move during a solve (the odometry window's static map
-points) are binned once, by `cell_statistics`, into one statistic per
-occupied cell at each level. `dual_grid_groups` then bins only the moving
-points and merges in the fixed statistic of every cell they touch.
+Points that never move during a solve (the window's static map points,
+keyframe adjustment's anchors) are binned once, by `cell_statistics`,
+into one statistic per occupied cell at each level. `dual_grid_groups`
+then bins only the moving points and merges in the fixed statistic of
+every cell they touch.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def _sorted_cells(points: np.ndarray, cell_size: float):
 
 
 def cell_statistics(points: np.ndarray, voxel: VoxelConfig):
-    """The coarse and the fine `CellStatistics` of a non-empty point set."""
+    """The coarse and the fine `CellStatistics` of a point set, None for no points."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not len(points):
+        return None
     levels = []
     for size in (voxel.coarse_size, voxel.fine_size):
         order, keys, starts = _sorted_cells(points, size)
@@ -125,9 +128,9 @@ def _landmarks(points: np.ndarray, member_row: np.ndarray, member_group: np.ndar
                fixed=None) -> dict:
     """The landmark dict of members whose groups are contiguous runs.
 
-    fixed, when given, is each landmark's fixed part (count, mean and
+    fixed, when given, is each landmark's fixed part (counts, means and
     scatter; count 0 for none). It is merged into the statistics and kept
-    as fixed_counts and fixed_means."""
+    as the key fixed."""
     starts = np.flatnonzero(np.diff(member_group, prepend=-1))
     counts, means, scatter = point_clusters(np.take(points, member_row, axis=0), starts)
     groups = {"member_row": member_row, "member_group": member_group}
@@ -142,7 +145,7 @@ def _landmarks(points: np.ndarray, member_row: np.ndarray, member_group: np.ndar
         )
         means = means + (fixed_counts / total)[:, None] * gap
         counts = total
-        groups.update(fixed_counts=fixed_counts, fixed_means=fixed_means)
+        groups["fixed"] = fixed
     groups.update(counts=counts, means=means, covs=scatter / counts[:, None, None])
     return groups
 
@@ -184,9 +187,9 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig, fixed=None):
 
     fixed, the `cell_statistics` of points that do not move, adds them to
     the cells that points touch: counts, means and covs cover both, each
-    cell's fixed points count toward n_min, and two more keys give each
-    landmark's fixed part, fixed_counts (0 for none) and fixed_means. Cells
-    that only fixed points occupy are no landmarks.
+    cell's fixed points count toward n_min, and one more key gives each
+    landmark's fixed part, fixed = (counts, means, scatter), count 0 for
+    none. Cells that only fixed points occupy are no landmarks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     sizes = (voxel.coarse_size, voxel.fine_size)
@@ -201,7 +204,7 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig, fixed=None):
     if fixed is None:
         return _landmarks(points, member_row, member_group)
     coarse, fine = fixed
-    parts = [np.concatenate([c[coarse_at], f[fine_at]]) for c, f in zip(coarse[1:], fine[1:])]
+    parts = tuple(np.concatenate([c[coarse_at], f[fine_at]]) for c, f in zip(coarse[1:], fine[1:]))
     return _landmarks(points, member_row, member_group, parts)
 
 
@@ -222,7 +225,8 @@ def split_by_normals(
     A landmark splits only when the normal sums of its two sides have a
     negative dot product and both halves keep more than n_min members;
     otherwise it stays whole. So does a landmark with any member whose
-    planarity is not finite or whose normal is shorter than 0.5 (undefined).
+    planarity is not finite or whose normal is shorter than 0.5 (undefined),
+    or with a fixed part, whose points carry no normals.
 
     A cone bound settles most landmarks before the normal scatter and its
     eigenvector: a landmark whose every member normal n lies within 30
@@ -241,11 +245,12 @@ def split_by_normals(
     splits the result is groups itself. The regrouping is a stable sort,
     so each half keeps its members in ascending row order, as every
     landmark of the input has them, and every landmark's statistics are
-    recomputed as `dual_grid_groups` computes them: an unsplit landmark's
-    come out bitwise equal to its input's.
+    recomputed as `dual_grid_groups` computes them, fixed part included:
+    an unsplit landmark's come out bitwise equal to its input's.
     """
-    rows, gid, counts = groups["member_row"], groups["member_group"], groups["counts"]
-    n_groups = len(counts)
+    rows, gid, fixed = groups["member_row"], groups["member_group"], groups.get("fixed")
+    n_groups = len(groups["counts"])
+    counts = np.bincount(gid, minlength=n_groups)  # members only, without fixed parts
     normals = np.asarray(normals, dtype=float)
     plan = np.asarray(planarities, dtype=float).take(rows)
     finite = np.isfinite(plan)
@@ -261,6 +266,8 @@ def split_by_normals(
 
     mean_plan = np.bincount(gid, weights=np.where(finite, plan, 0.0), minlength=n_groups) / counts
     planar = mean_plan >= planarity_min
+    if fixed is not None:
+        planar &= fixed[0] == 0
     # the cone bound, on the members of planar landmarks; lead is each one's
     # first member among them
     at, of = members(planar)
@@ -306,4 +313,6 @@ def split_by_normals(
     width = 1 + split.astype(np.int64)
     new_gid = (np.cumsum(width) - width)[gid] + second_half
     order = np.argsort(new_gid, kind="stable")
-    return _landmarks(np.asarray(points, dtype=float), rows[order], new_gid[order])
+    parent = np.repeat(np.arange(n_groups), width)  # a split landmark's fixed part is empty
+    fixed = None if fixed is None else tuple(part[parent] for part in fixed)
+    return _landmarks(np.asarray(points, dtype=float), rows[order], new_gid[order], fixed)

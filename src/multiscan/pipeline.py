@@ -321,9 +321,8 @@ class _WindowSystem:
       (segment, fraction, Hermite basis) and the weights of its P control
       positions (`trajectory.position_weights`), the columns of each
       segment (6 rotation, 3 P translation), the rows of T that give the
-      IMU end poses' velocities, and the prior. Static map points never
-      move within the window, so they are binned here, at both levels
-      (`landmarks.cell_statistics`).
+      IMU end poses' velocities, the prior, and the static map points'
+      `landmarks.cell_statistics`, since they never move within the window.
     - per parameter vector (`_at`, a one-entry cache keyed on the
       parameter bytes): the control rotations R_k, the segment turns
       phi_s, and the moving points' R x and world positions, so a freeze
@@ -336,14 +335,6 @@ class _WindowSystem:
       motion under a translation is its weight times w_j), the flat index
       of each member's rotation columns in S, and the translation half of
       S, which no parameter moves.
-
-    Each freeze bins only the moving points and merges in the static
-    statistic of every cell they touch (`dual_grid_groups`). A landmark's
-    static points are one fixed cluster: one mean row, in no band. Their
-    scatter rows and the cells that no moving point touches are dropped:
-    those rows are constant within a freeze, so the steps are those of one
-    row per static point and the cost is less by the static scatter along
-    each w_j.
 
     `linearize` gives the `Linearization` one band per segment. A member's
     motion under a rotation is closed-form: with c = (R x) x w_j and the
@@ -363,7 +354,7 @@ class _WindowSystem:
         self.n_ctrl = len(ctrl_times)
         self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl)
         self.sensor_points = sensor_points
-        self.static_cells = cell_statistics(static_points, config.voxel) if len(static_points) else None
+        self.static_cells = cell_statistics(static_points, config.voxel)
         self._key = None
         # instrumented segments and their deltas, stacked over segments
         self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
@@ -468,16 +459,12 @@ class _WindowSystem:
             raise InsufficientStructureError(
                 "insufficient overlap/structure in the sliding window"
             )
-        # clusters: every member as one, then each landmark's static points as one
+        # every member is a cluster of one
         self.member_row, member_lm = groups["member_row"], groups["member_group"]
-        fixed_counts = groups.get("fixed_counts", np.zeros(0))
-        fixed_lm = np.flatnonzero(fixed_counts)
-        self.fixed_means = groups.get("fixed_means", np.zeros((0, 3)))[fixed_lm]
         self.landmarks = FrozenLandmarks(
-            groups, self.config.voxel.epsilon, np.concatenate([member_lm, fixed_lm]),
-            np.concatenate([np.ones(len(member_lm)), fixed_counts[fixed_lm]]),
+            groups, self.config.voxel.epsilon, member_lm, np.ones(len(member_lm))
         )
-        self.no_factors = np.empty((len(self.landmarks.cluster_lm), 3, 0))
+        self.no_factors = np.empty((len(member_lm), 3, 0))
         self.sort_members(self.member_row, member_lm)
 
     def sort_members(self, rows: np.ndarray, lm: np.ndarray) -> None:
@@ -518,8 +505,7 @@ class _WindowSystem:
         return self.prior_weights * (params - self.prior_params)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
-        means = np.concatenate([np.take(self.world_points(params), self.member_row, axis=0),
-                                self.fixed_means])
+        means = np.take(self.world_points(params), self.member_row, axis=0)
         return np.concatenate([
             self.landmarks.residuals(means, self.no_factors),
             self.imu_rows(params),

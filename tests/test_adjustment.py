@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +22,9 @@ from multiscan.adjustment import (
     scatter_factor,
 )
 from multiscan.geometry import Pose, PointCloud, left_jacobian
-from multiscan.landmarks import VoxelConfig, _level_groups, point_clusters, voxel_cell_indices
+from multiscan.landmarks import (
+    VoxelConfig, _level_groups, dual_grid_groups, point_clusters, voxel_cell_indices,
+)
 from multiscan.synthetic import generate_synthetic, room_scene
 from secants import assert_normal_equations_match_secant_jacobian
 
@@ -114,13 +118,13 @@ class TestEvaluateCost:
         b = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)) + [10.0, 0, 0])
         prob = AdjustmentProblem(clouds=[a, b], initial_poses=[Pose.identity(), Pose.identity()])
         with pytest.raises(InsufficientStructureError, match="insufficient overlap/structure"):
-            freeze_landmarks(prob, prob.initial_poses)
+            freeze_landmarks(prob, prob.initial_poses, None)
 
     def test_empty_landmark_list_raises(self):
         cloud = PointCloud(points=np.zeros((0, 3)))
         prob = AdjustmentProblem(clouds=[cloud], initial_poses=[Pose.identity()])
         with pytest.raises(InsufficientStructureError):
-            freeze_landmarks(prob, prob.initial_poses)
+            freeze_landmarks(prob, prob.initial_poses, None)
 
     def test_perturbed_pose_costs_more_than_truth(self):
         ds = small_room(points_per_scan=500, duration=0.2)
@@ -186,8 +190,7 @@ class TestNumericJacobian:
             assert system.free == [0, 1]
             assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
             plain = freeze_landmarks(
-                AdjustmentProblem(clouds=clouds, initial_poses=init, fixed_points=prob.fixed_points),
-                init,
+                AdjustmentProblem(clouds=clouds, initial_poses=init), init, system.fixed_cells
             )
             assert system.landmarks.n_landmarks > len(plain["counts"])
             assert_normal_equations_match_secant_jacobian(
@@ -196,24 +199,28 @@ class TestNumericJacobian:
 
 
 def member_cost(system, frozen, params):
-    """The landmark cost with one row per member, on the landmarks that
-    system froze at frozen, with its clouds at params."""
+    """The landmark cost with one row per cloud member, on the landmarks
+    that system froze at frozen, with its clouds at params. A landmark's
+    fixed part, n_f anchor points with mean fbar, moves its mean m_j and
+    adds n_f (w_j . (fbar - m_j))^2: its members' cost less their scatter."""
     prob = system.problem
-    groups = freeze_landmarks(prob, system.poses(frozen))
+    groups = freeze_landmarks(prob, system.poses(frozen), system.fixed_cells)
     lm = groups["member_group"]
     lms = FrozenLandmarks(groups, prob.voxel.epsilon, lm, np.ones(len(lm)))
     poses = system.poses(params)
-    world = np.vstack(
-        [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)] + [prob.fixed_points]
-    )
+    world = np.vstack([pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)])
     p = world[groups["member_row"]]
-    m = np.stack([lms.sums(p[:, a], lm) for a in range(3)], axis=1) / lms.counts[:, None]
+    n_f, fbar, _ = groups["fixed"]
+    total = np.stack([lms.sums(p[:, a], lm) for a in range(3)], axis=1) + n_f[:, None] * fbar
+    m = total / lms.counts[:, None]
     r = np.einsum("ni,ni->n", lms.white_lm[lm], p - m[lm])
-    return float(r @ r)
+    fixed = n_f * np.einsum("ji,ji->j", lms.white_lm, fbar - m) ** 2
+    return float(r @ r + fixed.sum())
 
 
 def cluster_cost(system, params):
-    r = system.residuals(params)[: 4 * len(system.landmarks.cluster_lm)]
+    r = system.residuals(params)
+    r = r[: len(r) - 3 * len(system.grav_cloud)]
     return r @ r
 
 
@@ -269,8 +276,9 @@ class TestPointClusters:
         assert not np.any(scatter[single]) and np.all(np.linalg.eigvalsh(scatter[~single]) > 0.0)
 
     def test_cluster_cost_equals_member_cost(self):
-        # the 4 rows of a cluster score its members exactly, at the frozen
-        # parameters and away from them
+        # the 4 rows of a cloud cluster score its members exactly, and the
+        # mean row of a fixed cluster its anchors less their scatter, at the
+        # frozen parameters and away from them
         rng = np.random.default_rng(31)
         problems = [two_sided_sheet(rng, angle) for angle in (0.0, 3.05)]
         problems.append(many_small_clouds(rng))
@@ -284,16 +292,18 @@ class TestPointClusters:
 
     def test_one_cluster_per_landmark_and_cloud(self):
         # each landmark's members from one cloud form a single run, split
-        # landmarks included
+        # landmarks included, and its fixed part, if any, one more cluster
         prob = two_sided_sheet(np.random.default_rng(32), 0.0)
         system, _ = frozen_system(prob, prob.initial_poses)
         ends = np.cumsum([len(c) for c in prob.clouds])
         lms = system.landmarks
-        groups = freeze_landmarks(prob, prob.initial_poses)
+        groups = freeze_landmarks(prob, prob.initial_poses, system.fixed_cells)
         cloud = np.searchsorted(ends, groups["member_row"], side="right")
         pairs = set(zip(groups["member_group"].tolist(), cloud.tolist()))
-        assert len(pairs) == len(lms.cluster_lm)
-        assert lms.cluster_sizes.sum() == len(groups["member_group"])
+        n_fixed = groups["fixed"][0]
+        assert np.count_nonzero(n_fixed) > 0 and len(pairs) == len(system.means)
+        assert len(lms.cluster_lm) == len(pairs) + np.count_nonzero(n_fixed)
+        assert lms.cluster_sizes.sum() == len(groups["member_group"]) + n_fixed.sum()
 
 
 class TestLMStep:
@@ -566,6 +576,16 @@ class TestGravityResidual:
 
 
 class TestAdjustmentProblem:
+    @pytest.mark.parametrize("fixed_points", [np.zeros((50, 6)), np.full((4, 3), np.nan)])
+    def test_rejects_fixed_points_that_are_not_finite_rows_of_three(self, fixed_points):
+        # a (50, 6) array would be read as (100, 3) points, and a NaN point
+        # would fail later as a voxel index out of packable range
+        with pytest.raises(ValueError, match="fixed_points"):
+            AdjustmentProblem(
+                clouds=[PointCloud(points=np.zeros((4, 3)))], initial_poses=[Pose.identity()],
+                fixed_points=fixed_points,
+            )
+
     @pytest.mark.parametrize("planarity_min", [np.nan, 2.0, -1.0])
     def test_rejects_planarity_min_outside_unit_interval(self, planarity_min):
         # above 1 or NaN no landmark could split; below 0 every one would be tested
@@ -631,12 +651,17 @@ class TestRunAdjustment:
             assert history[k + 1] <= history[k] + 1e-12
 
     def test_insufficient_structure_propagates(self):
+        # anchors that fill only cells of their own make no landmark either:
+        # their rows would be constant
         rng = np.random.default_rng(11)
         a = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)))
         b = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)) + [10.0, 0, 0])
-        prob = AdjustmentProblem(clouds=[a, b], initial_poses=[Pose.identity(), Pose.identity()])
-        with pytest.raises(InsufficientStructureError):
-            run_adjustment(prob)
+        for fixed in (None, rng.uniform(5.0, 5.3, size=(50, 3))):
+            prob = AdjustmentProblem(
+                clouds=[a, b], initial_poses=[Pose.identity(), Pose.identity()], fixed_points=fixed
+            )
+            with pytest.raises(InsufficientStructureError):
+                run_adjustment(prob)
 
     def test_gauge_shift_equivariance(self):
         # translating everything by a whole coarse cell leaves voxelization
@@ -710,19 +735,17 @@ def dense_rigid_jacobian(system, at):
     sensor-frame mean q and scatter factor columns f_i, moves its mean
     projection e = w_j . (R q + t) by w_j under t and by
     ((R q) x w_j)^T J_l(r) under r, and its scatter row w_j . R f_i by
-    ((R f_i) x w_j)^T J_l(r); a cluster of a pinned cloud or of the fixed
-    points does not move. The mean row sqrt(n_c) (e_c - sum n_c' e_c' /
-    n_j) moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted
-    sum of landmark j's mean motions. A gravity row w (R d - up) moves by
-    -w [R d]x J_l(r)."""
+    ((R f_i) x w_j)^T J_l(r); a cluster of a pinned cloud does not move,
+    nor does a fixed cluster, which has a mean row alone. The mean row
+    sqrt(n_c) (e_c - sum n_c' e_c' / n_j) moves by sqrt(n_c) (de_c - S_j /
+    n_j), S_j the size-weighted sum of landmark j's mean motions. A gravity
+    row w (R d - up) moves by -w [R d]x J_l(r)."""
     lms, prob = system.landmarks, system.problem
     poses = system.poses(at)
     n_clusters, n_params = len(lms.cluster_lm), len(at)
     mean = np.zeros((n_clusters, n_params))
     scatter = np.zeros((n_clusters, 3, n_params))
-    for c in range(len(prob.clouds) + 1):
-        if c < system.free[0] or c >= len(prob.clouds):
-            continue
+    for c in system.free:
         k = c - system.free[0]
         rot, jac = poses[c].matrix(), left_jacobian(poses[c].rotvec)
         for n in range(system.bounds[c], system.bounds[c + 1]):
@@ -738,7 +761,8 @@ def dense_rigid_jacobian(system, at):
     for n in range(n_clusters):
         j = lms.cluster_lm[n]
         rows.append(np.sqrt(lms.cluster_sizes[n]) * (mean[n] - sums[j] / lms.counts[j]))
-        rows.extend(scatter[n])
+        if n < len(system.means):
+            rows.extend(scatter[n])
     for con in prob.gravity_constraints:
         row = np.zeros((3, n_params))
         if con.cloud_id >= system.free[0]:
@@ -751,27 +775,35 @@ def dense_rigid_jacobian(system, at):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-def test_rigid_normal_equations_match_dense_jacobian(anchored):
-    # exact, where the secant checks hold to 1e-6: cluster mean and scatter
-    # rows, mean removal, a pinned first cloud or fixed anchor points, and
-    # gravity rows
+def room_with_gravity(anchored):
+    """Four room scans near truth with gravity rows, the first pinned or,
+    anchored, its points at truth as fixed points; and the rng to go on with."""
     ds = small_room(points_per_scan=600, duration=0.4)
     rng = np.random.default_rng(18)
     truth = ds.truth_poses
     init = [truth[0]] + [sample_pert(rng, 0.05, 1.0).compose(p) for p in truth[1:]]
     up = np.array([0.0, 0, 1.0])
-    clouds = ds.scans[1:] if anchored else ds.scans
+    first = 1 if anchored else 0
     prob = AdjustmentProblem(
-        clouds=clouds, initial_poses=init[1:] if anchored else init,
+        clouds=ds.scans[first:], initial_poses=init[first:],
         fixed_points=truth[0].apply(ds.scans[0].points) if anchored else None,
         gravity_constraints=[
             GravityConstraint(cloud_id=i, direction_local=pose.matrix().T @ up, weight=2.0)
-            for i, pose in enumerate(truth[1:] if anchored else truth)
+            for i, pose in enumerate(truth[first:])
         ],
     )
+    return prob, rng
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_rigid_normal_equations_match_dense_jacobian(anchored):
+    # exact, where the secant checks hold to 1e-6: cluster mean and scatter
+    # rows, mean removal, a pinned first cloud or fixed clusters of anchor
+    # points, and gravity rows
+    prob, rng = room_with_gravity(anchored)
     system, params = frozen_system(prob, prob.initial_poses)
-    assert system.free == list(range(0 if anchored else 1, len(clouds)))
+    assert system.free == list(range(0 if anchored else 1, len(prob.clouds)))
+    assert (len(system.landmarks.cluster_lm) > len(system.means)) == anchored
     at = params + 1e-3 * rng.normal(size=len(params))
     jac = dense_rigid_jacobian(system, at)
     r = system.residuals(at)
@@ -780,6 +812,62 @@ def test_rigid_normal_equations_match_dense_jacobian(anchored):
     jtj, jtr = jac.T @ jac, jac.T @ r
     assert np.abs(lin.jtj - jtj).max() <= 1e-10 * np.abs(jtj).max()
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
+
+
+def per_member_rigid(system, frozen):
+    """system frozen at frozen with its anchor points stacked after its
+    clouds, as points that keep their world positions, and every member a
+    cluster of one (zero scatter rows): one row per member, on the
+    landmarks of the stacked points, anchor-only cells included. Returns
+    the system, with its landmarks and cluster tables replaced, and each
+    cluster's row in the stack [clouds, anchors]."""
+    prob, ref = system.problem, copy.copy(system)
+    world = [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, system.poses(frozen))]
+    groups = dual_grid_groups(np.vstack(world + [prob.fixed_points]), prob.voxel)
+    # the anchors as cloud len(clouds), after every cloud's clusters
+    cloud = np.searchsorted(system.ends, groups["member_row"], side="right")
+    by_cloud = np.argsort(cloud, kind="stable")
+    rows, cloud = groups["member_row"][by_cloud], cloud[by_cloud]
+    ref.bounds = np.searchsorted(cloud, np.arange(len(system.ends) + 1))
+    ref.landmarks = lms = FrozenLandmarks(
+        groups, prob.voxel.epsilon, groups["member_group"][by_cloud], np.ones(len(rows))
+    )
+    ref.means = np.vstack([system.local, prob.fixed_points])[rows]
+    ref.factors = np.zeros((len(rows), 3, 3))
+    free = slice(ref.bounds[system.free[0]], ref.bounds[system.free[-1] + 1])
+    ref.share_index = (lms.cluster_lm[free, None] * len(system.stop_steps)
+                       + 6 * (cloud[free, None] - system.free[0]) + np.arange(6))
+    return ref, rows
+
+
+def test_anchors_score_as_fixed_clusters():
+    # the same normal equations and step as one row per anchor point; the
+    # cost less each landmark's anchor scatter along its w_j. A far block of
+    # anchors makes landmarks of its own, which no cloud reaches
+    prob, rng = room_with_gravity(anchored=True)
+    far = rng.uniform(0.0, 0.4, size=(30, 3)) + [200.0, 0.0, 0.0]
+    prob = dataclasses.replace(prob, fixed_points=np.vstack([prob.fixed_points, far]))
+    system, params = frozen_system(prob, prob.initial_poses)
+    ref, ref_rows = per_member_rigid(system, params)
+    at = params + 1e-3 * rng.normal(size=len(params))
+    lin, r = system.linearize(at), system.residuals(at)
+    lin_ref, r_ref = ref.linearize(at), ref.residuals(at)
+    jtr, jtr_ref = lin.jtr(r), lin_ref.jtr(r_ref)
+    assert np.abs(lin.jtj - lin_ref.jtj).max() <= 1e-9 * np.abs(lin_ref.jtj).max()
+    assert np.abs(jtr - jtr_ref).max() <= 1e-9 * np.abs(jtr_ref).max()
+    step, step_ref = lm_step(lin.jtj, jtr, 1e-4), lm_step(lin_ref.jtj, jtr_ref, 1e-4)
+    assert np.abs(step - step_ref).max() <= 1e-9 * np.abs(step_ref).max()
+    # each landmark's anchors' scatter about their own mean, along w_j,
+    # anchor-only landmarks included
+    lms = ref.landmarks
+    assert lms.n_landmarks > system.landmarks.n_landmarks
+    anchor = ref_rows >= len(system.local)
+    scatter = 0.0
+    for j in np.unique(lms.cluster_lm[anchor]):
+        points = prob.fixed_points[ref_rows[anchor & (lms.cluster_lm == j)] - len(system.local)]
+        scatter += np.sum(((points - points.mean(axis=0)) @ lms.white_lm[j]) ** 2)
+    assert scatter > 1e-3 * (r @ r)
+    assert r_ref @ r_ref - r @ r == pytest.approx(scatter, rel=1e-9)
 
 
 def test_landmark_residuals_sum_to_zero_per_landmark():
@@ -828,8 +916,8 @@ class TestFreezeWithSplitting:
             split_normals=True, planarity_min=0.5,
         )
         pts = np.vstack([front, back])
-        plain = freeze_landmarks(prob_plain, prob_plain.initial_poses)
-        split = freeze_landmarks(prob_split, prob_split.initial_poses)
+        plain = freeze_landmarks(prob_plain, prob_plain.initial_poses, None)
+        split = freeze_landmarks(prob_split, prob_split.initial_poses, None)
         assert len(split["counts"]) > len(plain["counts"])
         # the two halves of a split landmark take its place in the order, and
         # together hold its members, which lie in one cell at its level

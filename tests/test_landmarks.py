@@ -27,7 +27,7 @@ def occupancy_oracle(points, cell_size, n_min):
 
 def group_rows(groups):
     """Member rows of every landmark, in landmark order."""
-    return np.split(groups["member_row"], np.cumsum(groups["counts"])[:-1])
+    return np.split(groups["member_row"], np.flatnonzero(np.diff(groups["member_group"])) + 1)
 
 
 def group_keys(groups, points, voxel):
@@ -330,19 +330,55 @@ class TestConeBound:
 
 def test_unsplit_landmarks_keep_their_statistics_bitwise():
     # split_by_normals recomputes every landmark's statistics as
-    # dual_grid_groups does, so a landmark it leaves whole keeps them exactly
+    # dual_grid_groups does, so a landmark it leaves whole keeps them
+    # exactly. The second input bins every fourth point of the two-sided
+    # half as fixed points: a landmark with a fixed part stays whole, with
+    # its merged statistics, though it would split without that part
     pts, normals, planarity = oracle_scene()
-    groups = dual_grid_groups(pts, GRID)
-    out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
-    parent = {tuple(rows.tolist()): g for g, rows in enumerate(group_rows(groups))}
-    kept = 0
-    for g, rows in enumerate(group_rows(out)):
-        j = parent.get(tuple(rows.tolist()))
-        if j is not None:
-            kept += 1
-            assert np.array_equal(out["means"][g], groups["means"][j])
-            assert np.array_equal(out["covs"][g], groups["covs"][j])
-    assert 0 < kept < len(out["counts"])
+    fixed = (pts[:, 0] < 2.0) & (np.arange(len(pts)) % 4 == 0)
+    for moving in (np.ones(len(pts), dtype=bool), ~fixed):
+        groups = dual_grid_groups(pts[moving], GRID, cell_statistics(pts[~moving], GRID))
+        args = (pts[moving], normals[moving], planarity[moving])
+        out = split_by_normals(groups, *args, planarity_min=0.5, n_min=5)
+        parent = {tuple(rows.tolist()): g for g, rows in enumerate(group_rows(groups))}
+        kept = []
+        for g, rows in enumerate(group_rows(out)):
+            j = parent.get(tuple(rows.tolist()))
+            if j is not None:
+                kept.append(j)
+                assert np.array_equal(out["means"][g], groups["means"][j])
+                assert np.array_equal(out["covs"][g], groups["covs"][j])
+        assert 0 < len(kept) < len(out["counts"])
+    with_part = np.flatnonzero(groups["fixed"][0])
+    assert len(with_part) and np.all(np.isin(with_part, kept))
+    assert np.array_equal(out["fixed"][0][out["fixed"][0] > 0], groups["fixed"][0][with_part])
+    plain = {key: value for key, value in groups.items() if key != "fixed"}
+    split = split_by_normals(plain, *args, planarity_min=0.5, n_min=5)
+    assert len(split["counts"]) > len(out["counts"])
+
+
+def test_fixed_parts_split_as_the_stacked_points():
+    # on groups merged with fixed points, the landmarks split exactly as
+    # those that moving points touch do on the stacked points, whose fixed
+    # points carry no normals
+    pts, normals, planarity = oracle_scene()
+    fixed = (pts[:, 0] < 2.0) & (np.arange(len(pts)) % 4 == 0)
+    moving = np.flatnonzero(~fixed)
+    merged = split_by_normals(
+        dual_grid_groups(pts[moving], GRID, cell_statistics(pts[fixed], GRID)),
+        pts[moving], normals[moving], planarity[moving], planarity_min=0.5, n_min=5,
+    )
+    attributes = np.where(fixed[:, None], 0.0, normals), np.where(fixed, np.nan, planarity)
+    whole = dual_grid_groups(pts, GRID)
+    stacked = split_by_normals(whole, pts, *attributes, planarity_min=0.5, n_min=5)
+    assert len(stacked["counts"]) > len(whole["counts"])
+    own = ~fixed[stacked["member_row"]]
+    touched = np.unique(stacked["member_group"][own])
+    assert np.array_equal(moving[merged["member_row"]], stacked["member_row"][own])
+    assert np.array_equal(merged["member_group"], np.searchsorted(touched, stacked["member_group"][own]))
+    assert np.array_equal(merged["counts"], stacked["counts"][touched])
+    assert np.allclose(merged["means"], stacked["means"][touched], rtol=0.0, atol=1e-12)
+    assert np.allclose(merged["covs"], stacked["covs"][touched], rtol=0.0, atol=1e-12)
 
 
 def test_fixed_cells_merge_into_the_cells_the_points_touch():
@@ -362,11 +398,16 @@ def test_fixed_cells_merge_into_the_cells_the_points_touch():
     assert np.allclose(merged["means"], whole["means"][touched], rtol=0.0, atol=1e-12)
     assert np.allclose(merged["covs"], whole["covs"][touched], rtol=0.0, atol=1e-12)
     n_fixed = np.bincount(whole["member_group"][~own], minlength=len(whole["counts"]))[touched]
-    assert np.array_equal(merged["fixed_counts"], n_fixed)
-    assert np.any(merged["counts"] - merged["fixed_counts"] <= GRID.n_min)
+    fixed_counts, fixed_means, fixed_scatter = merged["fixed"]
+    assert np.array_equal(fixed_counts, n_fixed)
+    assert np.any(merged["counts"] - fixed_counts <= GRID.n_min)
     for g in np.flatnonzero(n_fixed):
         rows = whole["member_row"][~own & (whole["member_group"] == touched[g])] - len(moving)
-        assert np.allclose(merged["fixed_means"][g], fixed[rows].mean(axis=0), rtol=0.0, atol=1e-12)
+        centered = fixed[rows] - fixed[rows].mean(axis=0)
+        assert np.allclose(fixed_means[g], fixed[rows].mean(axis=0), rtol=0.0, atol=1e-12)
+        assert np.allclose(fixed_scatter[g], centered.T @ centered, rtol=0.0, atol=1e-12)
+    # no fixed points, no statistics: dual_grid_groups then bins the points alone
+    assert cell_statistics(np.zeros((0, 3)), GRID) is None
 
 
 def test_members_ascend_within_each_landmark():

@@ -8,7 +8,8 @@ from multiscan import pipeline as pipeline_module
 from multiscan.geometry import Pose, PointCloud, left_jacobian, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import GravityEstimate, ImuStream, imu_jacobian, preintegrate
 from multiscan.adjustment import (
-    FrozenLandmarks, InsufficientStructureError, levenberg_marquardt, lm_step,
+    AdjustmentProblem, FrozenLandmarks, InsufficientStructureError, levenberg_marquardt, lm_step,
+    run_adjustment,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.evaluation import associate_timestamps, evaluate_ape
@@ -232,7 +233,8 @@ def test_static_points_score_as_fixed_clusters(static_window):
     # the same normal equations and step as one row per static point; the
     # cost less each landmark's static scatter along its w_j
     system, static, params, at = static_window
-    assert len(system.fixed_means) and len(system.fixed_means) < len(static)
+    n_fixed = len(system.landmarks.cluster_lm) - len(system.member_row)
+    assert 0 < n_fixed < len(static)
     ref, ref_residuals, ref_rows = per_member_window(system, static, params)
     lin, r = system.linearize(at), system.residuals(at)
     lin_ref, r_ref = ref.linearize(at), ref_residuals(at)
@@ -813,11 +815,11 @@ PATCH = np.stack(np.meshgrid(0.125 + 0.25 * np.arange(8), 0.125 + 0.25 * np.aran
                  axis=-1).reshape(-1, 3)
 
 
-def add_keyframes(pipeline, positions, shifts):
-    """Keyframes at positions whose world points are PATCH moved by shifts."""
+def add_keyframes(pipeline, positions, shifts, patch=PATCH):
+    """Keyframes at positions whose world points are patch moved by shifts."""
     for position, shift in zip(positions, shifts):
-        cloud = PointCloud(points=PATCH + np.subtract(shift, position),
-                           normals=np.tile([0.0, 0.0, 1.0], (len(PATCH), 1)))
+        cloud = PointCloud(points=patch + np.subtract(shift, position),
+                           normals=np.tile([0.0, 0.0, 1.0], (len(patch), 1)))
         gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
         pose = Pose(np.zeros(3), np.asarray(position, dtype=float))
         pipeline.map.add(Keyframe(pose, cloud, gravity))
@@ -875,6 +877,30 @@ def test_keyframe_window_falls_back_without_overlap(monkeypatch):
     assert start == 2
     assert len(clouds) == 5 and all(c is kf.cloud for c, kf in zip(clouds, kfs[start:]))
     assert np.array_equal(fixed, np.vstack([kf.world_points() for kf in kfs[:start]]))
+
+
+def test_anchored_window_without_structure_keeps_its_poses():
+    # no keyframe shares a cell with the newest, so the window is the last
+    # five, anchored by the first two. The anchors' patches fill cells of
+    # their own, but each free keyframe puts 4 points into a coarse cell of
+    # its own: no landmark forms, the adjustment raises, and no pose moves
+    pipeline = OdometryPipeline()
+    add_keyframes(pipeline, positions=[[0.0, 0, 0], [1.0, 0, 0]], shifts=[[0.0, 0, 0], [0.0, 0, 3.0]])
+    add_keyframes(
+        pipeline,
+        positions=[[float(k), 0, 0] for k in range(2, 7)],
+        shifts=[[0.0, 0, 4.0 * k] for k in range(2, 7)],
+        patch=PATCH[::16],
+    )
+    kfs = pipeline.map.keyframes
+    poses = [kf.pose for kf in kfs]
+    with pytest.raises(InsufficientStructureError):
+        run_adjustment(AdjustmentProblem(
+            clouds=[kf.cloud for kf in kfs[2:]], initial_poses=poses[2:],
+            fixed_points=np.vstack([kf.world_points() for kf in kfs[:2]]),
+        ))
+    pipeline.keyframe_optimization(kfs[-1])
+    assert all(kf.pose is pose for kf, pose in zip(kfs, poses))
 
 
 def test_config_from_dict_round_trip():

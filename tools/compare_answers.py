@@ -6,16 +6,19 @@ PARENT and CHANGE are checkout roots that each hold `src/multiscan`. The
 inputs are the benchmark's own, made by `ensure_inputs` of the checkout
 holding this script (`perfbench/workloads.py`, under
 `perfbench/.inputs/`) for both workloads at seeds 0 and 1. Each checkout
-replays them in its own interpreter with `PYTHONPATH=<checkout>/src`, making
-only the calls `perfbench/measure.py` makes:
+replays them in its own interpreter with `PYTHONPATH=<checkout>/src`. The
+first two cases make only the calls `perfbench/measure.py` makes:
 
 - `loop_imu`: every scan through one `OdometryPipeline`; its answers are
   each scan's pose, keyframe flag and reasons.
 - `room_adjust`: every room solved once by `run_adjustment` with
   `PipelineConfig().kf_lm`; its answers are each solve's poses, iteration
   count and converged flag.
+- `room_anchored`: the `room_adjust` inputs solved again with cloud 0 at
+  its true pose as the fixed points, the other clouds free: the anchored
+  keyframe adjustment, which no benchmark input reaches.
 
-For each workload and seed it prints `identical`, or the largest pose
+For each case and seed it prints `identical`, or the largest pose
 difference (m, rad) and the indices whose flags, reasons or counts differ.
 The exit status is 1 on any difference.
 """
@@ -31,12 +34,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("loop_imu", "room_adjust")
+# each case and the benchmark workload whose inputs it replays
+CASES = {"loop_imu": "loop_imu", "room_adjust": "room_adjust", "room_anchored": "room_adjust"}
 SEEDS = (0, 1)
 
 
-def replay(inputs: Path) -> dict:
-    """The answers of the multiscan on sys.path for one input directory."""
+def replay(inputs: Path, anchored: bool = False) -> dict:
+    """The answers of the multiscan on sys.path for one input directory;
+    anchored, the rooms' first clouds at their true poses are fixed points."""
     from multiscan import adjustment, fileio, pipeline as pipeline_module
 
     manifest = json.loads((inputs / "manifest.json").read_text())
@@ -53,6 +58,7 @@ def replay(inputs: Path) -> dict:
             "reasons": [list(r.reasons) for r in results],
         }
     config = pipeline_module.PipelineConfig()
+    first = 1 if anchored else 0  # the first free cloud
     poses, iterations, converged = [], [], []
     for s, scene in enumerate(manifest["scenes"]):
         folder = inputs / f"scene_{s}"
@@ -63,17 +69,19 @@ def replay(inputs: Path) -> dict:
             cloud.normals, cloud.planarity = pipeline_module.compute_point_attributes(
                 cloud, config.k_neighbors
             )
+        _, truth = fileio.read_trajectory(folder / "truth.txt")
         constraints = [
             adjustment.GravityConstraint(
                 cloud_id=i, direction_local=np.array(up), weight=config.gravity_weight
             )
-            for i, up in enumerate(scene["gravity_local"])
+            for i, up in enumerate(scene["gravity_local"][first:])
         ]
         for p in range(scene["perturbations"]):
             _, init = fileio.read_trajectory(folder / f"init_{p:03d}.txt")
             problem = adjustment.AdjustmentProblem(
-                clouds=clouds,
-                initial_poses=init,
+                clouds=clouds[first:],
+                initial_poses=init[first:],
+                fixed_points=truth[0].apply(clouds[0].points) if anchored else None,
                 gravity_constraints=constraints,
                 split_normals=True,
                 planarity_min=config.planarity_min,
@@ -99,11 +107,12 @@ def run_checkout(checkout: Path, code: str) -> str:
     return done.stdout
 
 
-def answers(checkout: Path, inputs: list[Path]) -> list[dict]:
+def answers(checkout: Path, runs: list[tuple[str, bool]]) -> list[dict]:
+    """The answers of checkout for each (input directory, anchored) run."""
     code = (
         f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
         "from compare_answers import replay; from pathlib import Path; "
-        f"print(json.dumps([replay(Path(p)) for p in {[str(p) for p in inputs]!r}]))"
+        f"print(json.dumps([replay(Path(p), a) for p, a in {runs!r}]))"
     )
     return json.loads(run_checkout(checkout, code).splitlines()[-1])
 
@@ -146,18 +155,19 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.exit(__doc__)
     parent, change = (Path(arg).resolve() for arg in argv)
-    cases = [(w, s) for w in WORKLOADS for s in SEEDS]
+    cases = [(case, s) for case in CASES for s in SEEDS]
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'perfbench')!r}); import workloads; "
-        f"[print(workloads.ensure_inputs(w, s)) for w, s in {cases!r}]"
+        f"[print(workloads.ensure_inputs(w, s)) for w, s in {[(CASES[c], s) for c, s in cases]!r}]"
     )
-    inputs = [Path(line) for line in run_checkout(ROOT, code).splitlines()[-len(cases):]]
-    before, after = answers(parent, inputs), answers(change, inputs)
+    inputs = run_checkout(ROOT, code).splitlines()[-len(cases):]
+    runs = [(path, case == "room_anchored") for path, (case, _) in zip(inputs, cases)]
+    before, after = answers(parent, runs), answers(change, runs)
     same = True
-    for (workload, seed), p, c in zip(cases, before, after):
+    for (case, seed), p, c in zip(cases, before, after):
         found = differences(p, c)
         same = same and not found
-        print(f"{workload} seed {seed}: {'; '.join(found) or 'identical'}")
+        print(f"{case} seed {seed}: {'; '.join(found) or 'identical'}")
     return 0 if same else 1
 
 

@@ -6,9 +6,11 @@ Replays the benchmark's seed-0 `loop_imu` inputs (`perfbench/workloads.py`)
 through one `OdometryPipeline` up to scan SCAN and keeps the system and
 warm start that `process_scan` hands to `levenberg_marquardt` for that
 scan's window. It also runs one round of the seed-0 `room_adjust` solves
-the way `perfbench/measure.py` does and keeps the system and start of the
-first (scene 0). Each stage is then timed REPEATS times at that start and
-the minimum is printed in ms, with BLAS pinned to 1 thread:
+the way `perfbench/measure.py` does, and one round anchored the way the
+`room_anchored` case of `tools/compare_answers.py` replays them, and keeps
+the system and start of the first of each (scene 0). Each stage is then
+timed REPEATS times at that start and the minimum is printed in ms, with
+BLAS pinned to 1 thread:
 
 - `freeze`: landmarks frozen at the parameters;
 - `residuals`: the residual vector at a parameter vector not seen before
@@ -108,17 +110,26 @@ def room_system(inputs: Path) -> tuple:
     return first_solve(adjustment, lambda: measure.run_adjust(args, manifest))
 
 
+def anchored_system(inputs: Path) -> tuple:
+    """The keyframe system of the first anchored problem of a room input, and its start."""
+    import compare_answers
+    from multiscan import adjustment
+
+    return first_solve(adjustment, lambda: compare_answers.replay(inputs, anchored=True))
+
+
 def main() -> int:
     # a multiscan on PYTHONPATH (another checkout's, say) comes first
     sys.path.append(str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    room = workloads.ensure_inputs("room_adjust", 0)
     rows = {
         f"window, loop_imu seed 0 scan {SCAN}":
             stage_times(*window_system(workloads.ensure_inputs("loop_imu", 0))),
-        "keyframe, room_adjust seed 0 scene 0":
-            stage_times(*room_system(workloads.ensure_inputs("room_adjust", 0))),
+        "keyframe, room_adjust seed 0 scene 0": stage_times(*room_system(room)),
+        "keyframe, room_anchored seed 0 scene 0": stage_times(*anchored_system(room)),
     }
     stages = ("freeze", "residuals", "linearize", "lm_step")
     print(f"| min of {REPEATS} calls, ms | " + " | ".join(stages) + " |")
