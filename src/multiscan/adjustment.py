@@ -1,68 +1,62 @@
-"""Joint fine registration of multiple scans against voxel landmarks.
+"""Dense multi-scan adjustment: one landmark engine over moving bodies.
 
-The optimizer minimizes, over the scan poses, the scatter of all
-transformed points within their voxel cells along each cell's normal:
+The odometry window and keyframe adjustment both run on `MultiScanSystem`.
+It minimizes, over a flat parameter vector, the scatter of all moving
+points within their voxel cells along each cell's normal,
 
-    sum_j sum_k (w_j . (p_k - mu_j))^2,  w_j = v_j / sqrt(n_j (lambda_j + eps))
+    sum_j sum_k (w_j . (p_k - mu_j))^2,  w_j = v_j / sqrt(n_j (lambda_j + eps)),
 
-where (lambda_j, v_j) is the smallest eigenpair of cell j's covariance (see
-`FrozenLandmarks`).
+with (lambda_j, v_j) the smallest eigenpair of cell j's covariance
+(`FrozenLandmarks`), plus the dense rows of the system that runs it. A cell
+of inconsistent geometry (dynamic objects) has a large lambda_j and so
+little weight, which is why no outlier rejection is needed.
 
-Each outer iteration of `levenberg_marquardt` freezes the landmarks at the
-current parameters: it re-voxelizes the merged cloud and recomputes the
-per-cell statistics. It then takes up to INNER_ITERATIONS accepted damped
-Gauss-Newton steps on the whitened residuals of `FrozenLandmarks`. The
-steps solve normal equations that a `Linearization` assembles band by band
-from each row's own motion and the per-landmark sums S, never forming the
-dense Jacobian; J^T J is built once per outer iteration. A band is a set
-of rows that move only with the same few parameter columns: one free
-cloud's pose here, one spline segment's control poses in the odometry
-window. Each system sums S itself from flat (landmark, column) indices it
-builds once per freeze, with one `np.bincount` (`landmark_sums`).
-Translations move points linearly; every rotation column is closed-form
-in a turn w = J_l(r) dr (`geometry.left_jacobian`): here `turned_motion`,
-in the window the slerp lever of `trajectory.slerp_turns`.
+A body is a set of points that move rigidly together, at one pose of the
+table a system evaluates per parameter vector. A pose turns with the
+rotations of m parameter blocks through levers L_i (sum L_i = I) and moves
+with the translations of P blocks through fixed weights. A band is the
+poses that move with the same blocks; the normal equations take its rows
+as one block. A free keyframe cloud is a body at its own pose, the one pose
+of its band, over that pose's 6 columns; the pinned cloud's pose is in no
+band. An odometry window point is a body of its own at its stamp's spline
+pose (`multiscan.pipeline`).
 
-Both score the one residual of `FrozenLandmarks` on point clusters. The
-odometry window's moving clusters are single members, since its points
-move along a spline, each by the pose at its own stamp. Keyframe
-adjustment moves each cloud rigidly, and then a landmark's cost depends on a cloud's members only
-through their count, sum and scatter: the point-cluster statistics of BALM2
-(Liu, Liu & Zhang, arXiv:2209.08854), which HBA (arXiv:2209.11939) uses at
-map scale. `_RigidSystem` therefore scores one cluster per (landmark,
-cloud) pair, 4 rows instead of one per member, with the same cost, J^T J
-and J^T r.
-During those steps only the membership and the weights are held
-constant; the cell means follow the moving points, so every cell scores
-the current scatter of its own members. A cell whose members move
-rigidly together is invariant, while a cell mixing misaligned scans is
-driven toward agreement. Cells full of inconsistent geometry (dynamic
-objects) have a large smallest eigenvalue and therefore little weight,
-which is why no outlier rejection is needed.
+A cluster is the members of one landmark within one body. They move
+rigidly, so the landmark's cost depends on them only through their count,
+mean and scatter F F^T: one mean row and one scatter row per column of F,
+the point clusters of BALM2 (Liu, Liu & Zhang, arXiv:2209.08854). A cluster
+of one takes its point directly and has no scatter, so the scatter columns
+follow from the data: none when no cluster holds two points, else 3. Fixed
+points (the window's static map points, keyframe adjustment's anchors) are
+binned once per solve (`landmarks.cell_statistics`), merged into the cells
+the moving points touch (`dual_grid_groups`), and each landmark's fixed
+part scored as one fixed cluster, in no band, by its mean row alone.
 
-Neither `FrozenLandmarks` nor `levenberg_marquardt` knows how the points
-move or how the parameters are laid out. The driver sees a system only
-through three methods, freeze, residuals and linearize, and one array,
-stop_steps: it stops once an outer iteration moved no parameter by more
-than its step. Both systems here stack one 6-block (rotation vector,
-translation) per pose and step STOP_ROTATION for each rotation and
-STOP_TRANSLATION for each translation parameter. The damping schedule
-(LAMBDA_INIT, LAMBDA_UP, LAMBDA_DOWN, LAMBDA_RETRIES) and INNER_ITERATIONS
-are module constants; a caller sets only the outer-iteration budget.
-Keyframe adjustment moves each cloud rigidly and adds gravity rows
-(`_RigidSystem`, here); the odometry window moves points along a
-continuous-time spline and adds IMU and prior rows (`multiscan.pipeline`).
+Each outer iteration of `levenberg_marquardt` freezes the landmarks
+(membership and weights; each cell's mean follows its members) and takes
+up to INNER_ITERATIONS damped Gauss-Newton steps, whose normal equations a
+`Linearization` assembles band by band from each row's own motion and the
+per-landmark sums S, never forming the Jacobian; every rotation column is
+closed-form in a turn J_l(r) dr (`geometry.left_jacobian`). Each table has
+one owner level and is built there once:
 
-Fixed points (keyframe adjustment's anchors, the window's static map
-points) carry no parameters. Each solve bins them once
-(`landmarks.cell_statistics`), each freeze merges them into the cells the
-moving points touch (`dual_grid_groups`), and `FrozenLandmarks` scores a
-landmark's fixed part as one cluster, in no band, by its mean row alone.
+- per solve: the body model (`Bodies`), each band's columns and the fixed
+  points' cells;
+- per parameter vector: the system's `pose_table`, the moving points'
+  world positions (a freeze bins them) and the clusters' turned columns;
+- per freeze: the landmarks, the clusters ordered by band with their
+  weights, the S index of their rotation columns and the translation half
+  of S, which no parameter moves.
+
+The driver sees a system only through freeze, residuals, linearize and
+stop_steps, one movement threshold per parameter; the damping schedule is
+module constants, and a caller sets only the outer-iteration budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,42 +139,25 @@ class AdjustmentResult:
     iterations: int
 
 
-def freeze_landmarks(problem: AdjustmentProblem, poses: list[Pose], fixed_cells) -> dict:
-    """Voxelize the clouds at poses and compute per-cell statistics.
-
-    Returns the landmarks of the world-frame point stack [cloud 0, ...,
-    cloud n-1], merged with fixed_cells (`cell_statistics` of the fixed
-    points, or None), in the layout of `dual_grid_groups`. With
-    split_normals enabled, planar cells whose member normals oppose each
-    other are divided into front and back landmarks (`split_by_normals`).
+def freeze_landmarks(points: np.ndarray, voxel: VoxelConfig, fixed_cells, normals=None,
+                     planarity=None, planarity_min: float = 0.5) -> dict:
+    """The landmarks of world-frame points (N, 3), in the layout of
+    `dual_grid_groups`, merged with fixed_cells (`cell_statistics` of the
+    fixed points, or None). With world-frame normals and planarity aligned
+    with points, planar cells whose member normals oppose each other are
+    divided into front and back landmarks (`split_by_normals`). Raises
+    `InsufficientStructureError` when no cell makes a landmark.
     """
-    pts = np.vstack([pose.apply(cloud.points) for cloud, pose in zip(problem.clouds, poses)])
-    groups = dual_grid_groups(pts, problem.voxel, fixed_cells)
+    groups = dual_grid_groups(points, voxel, fixed_cells)
     if groups is None:
         raise InsufficientStructureError(
             "insufficient overlap/structure: no voxel exceeds the landmark threshold"
         )
-    if problem.split_normals:
-        normals_w, planarity = _stacked_attributes(problem, poses)
+    if normals is not None:
         groups = split_by_normals(
-            groups, pts, normals_w, planarity,
-            planarity_min=problem.planarity_min,
-            n_min=problem.voxel.n_min,
+            groups, points, normals, planarity, planarity_min=planarity_min, n_min=voxel.n_min
         )
     return groups
-
-
-def _stacked_attributes(problem: AdjustmentProblem, poses: list[Pose]):
-    """World-frame normals and planarity aligned with the point stack."""
-    normal_chunks, plan_chunks = [], []
-    for cloud, pose in zip(problem.clouds, poses):
-        if cloud.normals is None or cloud.planarity is None:
-            normal_chunks.append(np.zeros((len(cloud), 3)))
-            plan_chunks.append(np.full(len(cloud), np.nan))
-        else:
-            normal_chunks.append(cloud.normals @ pose.matrix().T)
-            plan_chunks.append(cloud.planarity)
-    return np.vstack(normal_chunks), np.concatenate(plan_chunks)
 
 
 def lm_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
@@ -246,11 +223,10 @@ class FrozenLandmarks:
     one mean row rho_c and one scatter row w_j . f_ci per column of F_c.
     The mean row is projected onto w_j first, so a landmark's shift is one
     scalar. A member is a cluster of one: n_c = 1, F_c has no columns, and
-    its one row is w_j . (d_k - mean(d_j)). The odometry window scores its
-    moving members so; keyframe adjustment scores one cluster per
-    (landmark, cloud) pair. A landmark's fixed part never moves: its
-    cluster keeps the mean row and drops the constant scatter rows, which
-    lowers the cost by that scatter along w_j and changes no step.
+    its one row is w_j . (d_k - mean(d_j)). A landmark's fixed part never
+    moves: its cluster keeps the mean row and drops the constant scatter
+    rows, which lowers the cost by that scatter along w_j and changes no
+    step.
 
     The rows are affine in the point positions, so damped normal-equation
     steps land on the frozen optimum instead of extrapolating an
@@ -272,7 +248,9 @@ class FrozenLandmarks:
     with the landmarks: each moving one's landmark (cluster_lm) and size
     n_c (cluster_sizes); the constructor appends a fixed cluster for each
     landmark's fixed part. `residuals(means, factors)` then takes only
-    what moves.
+    what moves. The per-cluster tables cluster_white and cluster_mu hold
+    one row per component, (3, clusters): numpy runs long rows far faster
+    than (n, 3) arrays.
     """
 
     def __init__(self, groups: dict, epsilon: float, cluster_lm: np.ndarray, cluster_sizes: np.ndarray):
@@ -288,11 +266,10 @@ class FrozenLandmarks:
         self.cluster_lm = np.concatenate([cluster_lm, fixed_lm])
         self.cluster_sizes = np.concatenate([cluster_sizes, fixed_counts[fixed_lm]]).astype(float)
         self.cluster_root = np.sqrt(self.cluster_sizes)
-        self.cluster_white = np.take(self.white_lm, self.cluster_lm, axis=0)
-        self.cluster_mu = np.take(self.mu_ref, self.cluster_lm, axis=0)
-        moving = len(cluster_lm)
-        self.fixed_along = np.einsum("ni,ni->n", self.cluster_white[moving:],
-                                     fixed_means[fixed_lm] - self.cluster_mu[moving:])
+        self.cluster_white = np.take(self.white_lm.T, self.cluster_lm, axis=1)
+        self.cluster_mu = np.take(self.mu_ref.T, cluster_lm, axis=1)
+        self.fixed_along = np.einsum("in,ni->n", self.cluster_white[:, len(cluster_lm):],
+                                     fixed_means[fixed_lm] - self.mu_ref[fixed_lm])
 
     def sums(self, values: np.ndarray, lm: np.ndarray) -> np.ndarray:
         """Per-landmark sums of one scalar per row, row k on landmark lm[k]."""
@@ -300,18 +277,18 @@ class FrozenLandmarks:
 
     def residuals(self, means: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Residual vector of the clusters at the moving clusters' world-frame
-        means pbar_c (m, 3) and scatter factors F_c (m, 3, f): per moving
-        cluster the mean row, then f scatter rows, one scalar each; then
-        each fixed cluster's mean row."""
-        lm, m = self.cluster_lm, len(means)
-        moved = np.einsum("ni,ni->n", self.cluster_white[:m], means - self.cluster_mu[:m])
-        along = np.concatenate([moved, self.fixed_along])
+        means pbar_c (3, m) and scatter factors F_c (3, f, m), one scalar per
+        row: the moving clusters' mean rows, then their rows of each scatter
+        column in turn, then each fixed cluster's mean row."""
+        lm, m = self.cluster_lm, means.shape[1]
+        white = self.cluster_white[:, :m]
+        gap = means - self.cluster_mu
+        along = np.concatenate([white[0] * gap[0] + white[1] * gap[1] + white[2] * gap[2],
+                                self.fixed_along])
         shift = self.sums(self.cluster_sizes * along, lm) / self.counts
-        mean_rows = self.cluster_root * (along - shift[lm])
-        rows = np.empty((m, 1 + factors.shape[2]))
-        rows[:, 0] = mean_rows[:m]
-        rows[:, 1:] = np.einsum("ni,nif->nf", self.cluster_white[:m], factors)
-        return np.concatenate([rows.ravel(), mean_rows[m:]])
+        mean_rows = self.cluster_root * (along - np.take(shift, lm))
+        scatter_rows = white[0] * factors[0] + white[1] * factors[1] + white[2] * factors[2]
+        return np.concatenate([mean_rows[:m], scatter_rows.ravel(), mean_rows[m:]])
 
 
 def scatter_factor(scatter: np.ndarray) -> np.ndarray:
@@ -357,17 +334,15 @@ class Linearization:
 
     The landmark rows arrive as bands. A band (rows, cols, block) holds
     landmark rows whose own whitened motion B_r is non-zero only in the
-    parameter columns cols: rows index or slice the residual vector, whose
-    landmark rows come first, one scalar each, and block is B over those
-    columns, (n, len(cols)). Every moving row lies in exactly one band, and
-    rows of no band (fixed points, pinned clouds) do not move. sums is S,
-    (landmarks, parameters), which the system assembles (`landmark_sums`),
-    and dense (D) is the Jacobian of the rows that follow the landmark rows
-    in the residual vector (gravity, IMU, prior). Row r of landmark j has
-    the Jacobian B_r - a_r S_j / n_j, with S_j = sum_r a_r B_r over
-    landmark j's rows, a_r = sqrt(n_c) for every mean row and 0 for every
-    scatter row (see `FrozenLandmarks`; a member is a cluster of one, so
-    its a_r is 1). As sum_r a_r^2 = n_j,
+    parameter columns cols: rows slice the residual vector, whose landmark
+    rows come first, one scalar each, and block is B over those columns,
+    (n, len(cols)). Every moving row lies in exactly one band; rows of no
+    band (fixed points, pinned clouds) do not move. sums is S, (landmarks,
+    parameters), and dense (D) the Jacobian of the rows that follow the
+    landmark rows (gravity, IMU, prior). Row r of landmark j has the
+    Jacobian B_r - a_r S_j / n_j, with S_j = sum_r a_r B_r over landmark j's
+    rows, a_r = sqrt(n_c) for a mean row and 0 for a scatter row (see
+    `FrozenLandmarks`). As sum_r a_r^2 = n_j,
 
         J^T J = sum_r B_r^T B_r - sum_j S_j^T S_j / n_j + D^T D
         J^T r = sum_r B_r^T r_r + D^T r_D,
@@ -405,45 +380,244 @@ def landmark_sums(index: np.ndarray, shares: np.ndarray, n_landmarks: int, n_par
     ).reshape(n_landmarks, n_params)
 
 
-class _RigidSystem:
-    """Rigid point-motion model of keyframe adjustment, on point clusters,
-    with gravity rows.
+class Bodies(NamedTuple):
+    """A system's moving points and how they move, fixed for a solve.
+
+    Point k, points[k] in its sensor frame, belongs to body body[k] and sits
+    at pose pose[k] of the system's `pose_table`. Pose i lies in band
+    band[i], or -1 if no parameter moves it. Band b's poses turn with the
+    rotations of the parameter blocks rotations[b] (m each) and move with
+    the translations of the blocks positions[b] (P each), pose i weighted
+    by weights[i]; a parameter block is one 6-block (r1 r2 r3 x y z).
+    Sensor-frame normals and their planarity, when given, split landmarks
+    by normals at every freeze.
+    """
+
+    points: np.ndarray
+    pose: np.ndarray
+    body: np.ndarray
+    band: np.ndarray
+    rotations: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+    normals: np.ndarray | None = None
+    planarity: np.ndarray | None = None
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis 0, for vectors stored one row per component; several
+    times faster than `np.cross`, which moves that axis last."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+class MultiScanSystem:
+    """The landmark rows of moving bodies, and a system's dense rows.
+
+    A system builds one from its `Bodies`, fixed points, `VoxelConfig` and
+    stop_steps, and states the rest in four methods: `pose_table(params)`,
+    a record whose rot (poses, 3, 3) and trans (poses, 3) give every pose;
+    `levers(params)`, (poses, m - 1, 3, 3), the levers L_1 .. L_{m-1} of
+    each pose's turn (L_0 = I - their sum); `dense_rows(params)`; and
+    `dense_jacobian(params, turns)`, turns the J_l(r) of every block.
+
+    `freeze` bins the moving points at their poses, groups each landmark's
+    members within one body into a cluster and orders the clusters by band,
+    those of no band first. `residuals` moves each cluster by its pose. In
+    `linearize`, with c = (R x) x w_j (x a cluster's sensor-frame mean or
+    scatter column, w_j times sqrt(n_c) on a mean row), a row moves by
+    c^T L_i J_l(r) under the rotation of its band's i-th block and, a mean
+    row, by sqrt(n_c) times its pose's weight times w_j under each
+    translation. Each band gives one `Linearization` band per row kind:
+    its mean rows, then each scatter column's rows over the rotations only.
+    """
+
+    def __init__(self, bodies: Bodies, fixed_points: np.ndarray, voxel: VoxelConfig,
+                 stop_steps: np.ndarray, planarity_min: float = 0.5):
+        self.bodies = bodies
+        self.voxel = voxel
+        self.stop_steps = stop_steps
+        self.planarity_min = planarity_min
+        self.fixed_cells = cell_statistics(fixed_points, voxel)
+        # the points and each pose's position weights, one row per component
+        self.points_t = np.ascontiguousarray(bodies.points.T)
+        self.weights_t = np.ascontiguousarray(bodies.weights.T)
+        # columns of band b: its blocks' rotations, then their translations;
+        # the rotation columns and the position blocks also one row per entry
+        rot = (6 * bodies.rotations[:, :, None] + np.arange(3)).reshape(len(bodies.rotations), -1)
+        pos = (6 * bodies.positions[:, :, None] + 3 + np.arange(3)).reshape(len(bodies.positions), -1)
+        self.band_cols = np.concatenate([rot, pos], axis=1)
+        self.rotation_cols = np.ascontiguousarray(rot.T)
+        self.position_blocks = np.ascontiguousarray(bodies.positions.T)
+        self._key = None
+
+    def _at(self, params: np.ndarray):
+        """The pose table at params; the last call's is kept and returned
+        again for bit-identical params, with the tables moved by it."""
+        key = params.tobytes()
+        if key != self._key:
+            self._table, self._world, self._moved = self.pose_table(params), None, None
+            self._key = key
+        return self._table
+
+    def world_points(self, params: np.ndarray) -> np.ndarray:
+        """World positions of the moving points at params, (N, 3)."""
+        table = self._at(params)
+        if self._world is None:
+            pose, points = self.bodies.pose, self.bodies.points
+            # np.take: the gather of fancy indexing, several times faster
+            self._world = (np.einsum("nij,nj->ni", np.take(table.rot, pose, axis=0), points)
+                           + np.take(table.trans, pose, axis=0))
+        return self._world
+
+    def _moved_clusters(self, params: np.ndarray) -> np.ndarray:
+        """The moving clusters' columns at params, rotated, (3, 1 + f, m):
+        R qbar_c, then R F_c."""
+        self._at(params)
+        if self._moved is None:
+            rot = np.take(self._table.rot.transpose(1, 2, 0), self.cluster_pose, axis=2)
+            self._moved = np.einsum("ijn,jcn->icn", rot, self.cluster_columns)
+        return self._moved
+
+    def freeze(self, params: np.ndarray) -> None:
+        b, table = self.bodies, self._at(params)
+        normals = None
+        if b.normals is not None:
+            normals = np.einsum("nij,nj->ni", np.take(table.rot, b.pose, axis=0), b.normals)
+        groups = freeze_landmarks(self.world_points(params), self.voxel, self.fixed_cells,
+                                  normals, b.planarity, self.planarity_min)
+        rows, lm = groups["member_row"], groups["member_group"]
+        # each landmark's members are contiguous and in ascending row order,
+        # so its members in one body of contiguous rows form one run
+        body = np.take(b.body, rows)
+        new = np.empty(len(rows), dtype=bool)
+        new[0] = True
+        new[1:] = (lm[1:] != lm[:-1]) | (body[1:] != body[:-1])
+        starts = np.flatnonzero(new)
+        single = len(starts) == len(rows)  # no cluster holds two points
+        pose = np.take(b.pose, rows if single else np.take(rows, starts))
+        band = np.take(b.band, pose)
+        # the clusters by band, those of no band first; a stable sort of small
+        # integers is a radix sort
+        order = np.argsort((band + 1).astype(np.min_scalar_type(len(b.rotations))), kind="stable")
+        band = np.take(band, order)
+        self.band_bounds = np.searchsorted(band, np.arange(len(b.rotations) + 1))
+        self.cluster_pose = np.take(pose, order)
+        first = order if single else np.take(starts, order)  # each cluster's first member
+        if single:
+            # each cluster takes its point, and has no scatter
+            sizes = np.ones(len(rows))
+            self.cluster_columns = np.take(self.points_t, np.take(rows, order), axis=1)[:, None]
+        else:
+            sizes, means, scatter = point_clusters(np.take(b.points, rows, axis=0), starts)
+            sizes = sizes[order]
+            self.cluster_columns = np.empty((3, 4, len(order)))
+            self.cluster_columns[:, 0] = means[order].T
+            self.cluster_columns[:, 1:] = scatter_factor(scatter[order]).transpose(1, 2, 0)
+        self.landmarks = lms = FrozenLandmarks(groups, self.voxel.epsilon, np.take(lm, first), sizes)
+        self._moved = None
+        # per banded cluster: w_j per row (sqrt(n_c) w_j on the mean row), its
+        # pose's position weights, and the flat S index, landmark * n_params +
+        # column, of each rotation column
+        moving = slice(self.band_bounds[0], len(order))
+        band, cluster_lm = band[moving], lms.cluster_lm[moving]
+        self.cluster_weights = np.take(self.weights_t, self.cluster_pose[moving], axis=1)
+        self.row_white = lms.cluster_white[:, None, moving]
+        weighted = self.cluster_weights
+        if not single:
+            self.row_white = np.repeat(self.row_white, self.cluster_columns.shape[1], axis=1)
+            self.row_white[:, 0] *= lms.cluster_root[moving]
+            weighted = lms.cluster_sizes[moving] * weighted
+        n_params, n_blocks = len(self.stop_steps), len(self.stop_steps) // 6
+        self.share_index = cluster_lm * n_params + np.take(self.rotation_cols, band, axis=1)
+        # the translation half of S: per landmark and block, sum n_c weight w_j
+        weight_sums = landmark_sums(cluster_lm * n_blocks + np.take(self.position_blocks, band, axis=1),
+                                    weighted, lms.n_landmarks, n_blocks)
+        translation = np.zeros((lms.n_landmarks, n_blocks, 6))
+        translation[:, :, 3:] = weight_sums[:, :, None] * lms.white_lm[:, None, :]
+        self.translation_sums = translation.reshape(lms.n_landmarks, n_params)
+
+    def residuals(self, params: np.ndarray) -> np.ndarray:
+        moved = self._moved_clusters(params)
+        means = moved[:, 0] + np.take(self._table.trans.T, self.cluster_pose, axis=1)
+        return np.concatenate([self.landmarks.residuals(means, moved[:, 1:]), self.dense_rows(params)])
+
+    def linearize(self, params: np.ndarray) -> Linearization:
+        """Normal equations at params, every column in closed form."""
+        b, lms = self.bodies, self.landmarks
+        first, m = self.band_bounds[0], len(self.cluster_pose)
+        turns = left_jacobian(params.reshape(-1, 6)[:, :3])
+        c = _cross(self._moved_clusters(params)[:, :, first:], self.row_white)
+        # each lever's share of the turn, L_i^T c; L_0's is what is left
+        levers = self.levers(params)
+        shares = []
+        for i in range(levers.shape[1]):
+            lever = np.take(levers[:, i].transpose(1, 2, 0), self.cluster_pose[first:], axis=2)
+            shares.append(lever[0, :, None] * c[0] + lever[1, :, None] * c[1] + lever[2, :, None] * c[2])
+            c -= shares[-1]
+        shares.insert(0, c)
+        # the rows' motions, one row per column: (columns, row kinds, clusters);
+        # a scatter row does not move with a translation
+        n_rot = 3 * len(shares)
+        block = np.empty((self.band_cols.shape[1],) + c.shape[1:])
+        for p, weights in enumerate(self.cluster_weights):
+            np.multiply(weights, self.row_white[:, 0], out=block[n_rot + 3 * p : n_rot + 3 * p + 3, 0])
+        bands = []
+        for k, (lo, hi) in enumerate(zip(self.band_bounds - first, self.band_bounds[1:] - first)):
+            if lo < hi:
+                for kind in range(c.shape[1]):
+                    for i, share in enumerate(shares):
+                        turn = turns[b.rotations[k, i]]
+                        block[3 * i : 3 * i + 3, kind, lo:hi] = turn.T @ share[:, kind, lo:hi]
+                    rows = slice(kind * m + first + lo, kind * m + first + hi)
+                    cols = slice(None) if kind == 0 else slice(n_rot)
+                    bands.append((rows, self.band_cols[k, cols], block[cols, kind, lo:hi].T))
+        sums = self.translation_sums + landmark_sums(
+            self.share_index, block[:n_rot, 0] * lms.cluster_root[first:m], lms.n_landmarks, len(params)
+        )
+        return Linearization(lms, bands, sums, self.dense_jacobian(params, turns))
+
+
+class _Poses(NamedTuple):
+    """Every cloud's rotation matrix and translation at one parameter vector."""
+
+    rot: np.ndarray
+    trans: np.ndarray
+
+
+class _RigidSystem(MultiScanSystem):
+    """Keyframe adjustment: each cloud a rigid body at its own pose, with
+    gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order, each with the stop_steps of a pose. `freeze` groups each
-    landmark's cloud members into clusters, one per cloud it touches; a
-    pinned cloud keeps its pose. Every cluster moves rigidly with its
-    cloud, so it is scored by its size, mean and scatter factor in the
-    cloud's sensor frame (`landmarks.point_clusters`, `scatter_factor`) through
-    `FrozenLandmarks.residuals`: 4 scalar rows per cluster, a mean row and
-    three scatter rows, with the same cost and normal equations as one row
-    per member (see `FrozenLandmarks`).
-
-    Perturbing one pose moves only that cloud's clusters, so the
-    `Linearization` gets one band per free cloud, over that pose's 6
-    columns. A mean row's own motion is sqrt(n_c) w_j under a translation
-    and `turned_motion(sqrt(n_c) w_j, R qbar, J_l(r))` under the rotation; a
-    scatter row's is `turned_motion(w_j, R f, J_l(r))`, with nothing under a
-    translation. A cluster adds sqrt(n_c) times its mean row motion to S,
-    at the flat indices of its landmark and its pose's columns, which
-    `freeze` builds once. The gravity rows form the small dense block,
+    order, each with the stop_steps of a pose; a free cloud's pose is the
+    one pose of its band, over its block's 6 columns, and a pinned cloud's
+    pose is in no band. Each landmark's members in one cloud form one
+    cluster. The gravity rows w (R_k d - up) form the small dense block,
     turned_motion(w I, R_k d, J_l(r_k)).
     """
 
     def __init__(self, problem: AdjustmentProblem):
         self.problem = problem
         self.free = problem.free_indices()
-        self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free))
-        self.fixed_cells = cell_statistics(problem.fixed_points, problem.voxel)
-        # sensor-frame point stack aligned with the world stack of
-        # `freeze_landmarks`; rows from ends[c - 1] to ends[c] are cloud c's
-        self.local = np.vstack([cloud.points for cloud in problem.clouds])
-        self.ends = np.cumsum([len(cloud) for cloud in problem.clouds])
+        clouds = problem.clouds
+        cloud = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+        # the free clouds are the tail from free[0] on, block k the cloud free[0] + k
+        blocks = np.arange(len(self.free))[:, None]
+        normals = planarity = None
+        if problem.split_normals:  # a cloud without normals has undefined ones
+            bare = [c.normals is None or c.planarity is None for c in clouds]
+            normals = np.vstack([np.zeros((len(c), 3)) if no else c.normals for c, no in zip(clouds, bare)])
+            planarity = np.concatenate([np.full(len(c), np.nan) if no else c.planarity
+                                        for c, no in zip(clouds, bare)])
+        bodies = Bodies(
+            np.vstack([c.points for c in clouds]), cloud, cloud, np.arange(len(clouds)) - self.free[0],
+            blocks, blocks, np.ones((len(clouds), 1)), normals, planarity,
+        )
+        super().__init__(bodies, problem.fixed_points, problem.voxel,
+                         np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free)),
+                         problem.planarity_min)
         cons = problem.gravity_constraints
         self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
-        # free index of each constraint's cloud: the free clouds are the
-        # tail from free[0] on, so a pinned first cloud maps to -1
-        self.grav_free = self.grav_cloud - self.free[0]
         self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)
         self.grav_weight = np.array([c.weight for c in cons], dtype=float)
 
@@ -453,74 +627,30 @@ class _RigidSystem:
             out[ci] = Pose.from_params(params[6 * k : 6 * k + 6])
         return out
 
-    def freeze(self, params: np.ndarray) -> None:
-        groups = freeze_landmarks(self.problem, self.poses(params), self.fixed_cells)
-        member_row, member_lm = groups["member_row"], groups["member_group"]
-        # cloud of each member; each landmark's members are contiguous and in
-        # ascending row order, so its members in one cloud form one run
-        cloud = np.searchsorted(self.ends, member_row, side="right")
-        starts = np.flatnonzero(
-            (np.diff(member_lm, prepend=-1) != 0) | (np.diff(cloud, prepend=-1) != 0)
-        )
-        sizes, means, scatter = point_clusters(self.local[member_row], starts)
-        # clusters grouped by cloud: cloud c's are [bounds[c], bounds[c + 1])
-        by_cloud = np.argsort(cloud[starts], kind="stable")
-        cluster_cloud = cloud[starts][by_cloud]
-        self.bounds = np.searchsorted(cluster_cloud, np.arange(len(self.ends) + 1))
-        self.landmarks = lms = FrozenLandmarks(
-            groups, self.problem.voxel.epsilon, member_lm[starts][by_cloud], sizes[by_cloud]
-        )
-        self.means = means[by_cloud]
-        self.factors = scatter_factor(scatter[by_cloud])
-        # the free clouds are the tail from free[0] on, so their clusters are
-        # contiguous; each one's share of S lies in its landmark's row, over
-        # its pose's 6 columns
-        free = slice(self.bounds[self.free[0]], self.bounds[self.free[-1] + 1])
-        pose = cluster_cloud[free] - self.free[0]
-        self.share_index = (lms.cluster_lm[free, None] * len(self.stop_steps)
-                            + 6 * pose[:, None] + np.arange(6))
-
-    def residuals(self, params: np.ndarray) -> np.ndarray:
+    def pose_table(self, params: np.ndarray) -> _Poses:
         poses = self.poses(params)
-        rots = rotvec_to_matrix(np.stack([pose.rotvec for pose in poses]))
-        means, factors = self.means.copy(), self.factors.copy()
-        for c, pose in enumerate(poses):
-            at = slice(self.bounds[c], self.bounds[c + 1])
-            means[at] = means[at] @ rots[c].T + pose.trans
-            factors[at] = rots[c] @ factors[at]
-        lm_rows = self.landmarks.residuals(means, factors)
-        gravity = gravity_residual(rots[self.grav_cloud], self.grav_local, self.grav_weight)
-        return np.concatenate([lm_rows, gravity.ravel()])
+        return _Poses(rotvec_to_matrix(np.stack([pose.rotvec for pose in poses])),
+                      np.stack([pose.trans for pose in poses]))
 
-    def linearize(self, params: np.ndarray) -> Linearization:
-        """Normal equations at params, every rotation column in closed form."""
-        rotvecs = params.reshape(-1, 6)[:, :3]
-        rots, turns = rotvec_to_matrix(rotvecs), left_jacobian(rotvecs)
-        lms = self.landmarks
-        bands, shares = [], []
-        for k, ci in enumerate(self.free):
-            lo, hi = self.bounds[ci], self.bounds[ci + 1]
-            white = lms.cluster_white[lo:hi, None]
-            root = lms.cluster_root[lo:hi, None]
-            # per cluster: the mean row, then the three scatter rows
-            block = np.zeros((hi - lo, 4, 6))
-            block[:, :1, 3:] = root[:, None] * white
-            block[:, :1, :3] = turned_motion(block[:, :1, 3:], self.means[lo:hi] @ rots[k].T, turns[k])
-            block[:, 1:, :3] = turned_motion(
-                white[:, None], np.swapaxes(rots[k] @ self.factors[lo:hi], 1, 2), turns[k]
-            )[:, :, 0]
-            bands.append((slice(4 * lo, 4 * hi), np.arange(6 * k, 6 * k + 6), block.reshape(-1, 6)))
-            shares.append(root * block[:, 0])
-        grav_jac = np.zeros((len(self.grav_cloud), 3, len(rotvecs), 6))
-        own = np.nonzero(self.grav_free >= 0)[0]
-        pose = self.grav_free[own]
-        grav_jac[own, :, pose, :3] = turned_motion(
+    def levers(self, params: np.ndarray) -> np.ndarray:
+        return np.zeros((len(self.problem.clouds), 0, 3, 3))
+
+    def dense_rows(self, params: np.ndarray) -> np.ndarray:
+        rots = self._at(params).rot[self.grav_cloud]
+        return gravity_residual(rots, self.grav_local, self.grav_weight).ravel()
+
+    def dense_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
+        # the parameter block of each constraint's cloud is its band; a pinned cloud has none
+        block = self.bodies.band[self.grav_cloud]
+        own = np.flatnonzero(block >= 0)
+        cloud, block = self.grav_cloud[own], block[own]
+        grav_jac = np.zeros((len(self.grav_cloud), 3, len(turns), 6))
+        grav_jac[own, :, block, :3] = turned_motion(
             self.grav_weight[own, None, None] * np.eye(3),
-            (rots[pose] @ self.grav_local[own, :, None])[..., 0],
-            turns[pose],
+            (self._at(params).rot[cloud] @ self.grav_local[own, :, None])[..., 0],
+            turns[block],
         )
-        sums = landmark_sums(self.share_index, np.concatenate(shares), lms.n_landmarks, len(params))
-        return Linearization(lms, bands, sums, grav_jac.reshape(-1, len(params)))
+        return grav_jac.reshape(-1, len(params))
 
 
 def levenberg_marquardt(system, params: np.ndarray, max_iterations: int):

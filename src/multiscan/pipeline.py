@@ -22,13 +22,12 @@ from scipy.spatial import cKDTree
 
 from multiscan.adjustment import (
     AdjustmentProblem,
-    FrozenLandmarks,
+    Bodies,
     GravityConstraint,
     InsufficientStructureError,
-    Linearization,
+    MultiScanSystem,
     STOP_ROTATION,
     STOP_TRANSLATION,
-    landmark_sums,
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
@@ -37,7 +36,6 @@ from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.geometry import (
     Pose,
     PointCloud,
-    left_jacobian,
     matrix_to_rotvec,
     rotvec_to_matrix,
 )
@@ -53,7 +51,10 @@ from multiscan.imu import (
     static_initialization,
 )
 from multiscan.landmarks import (
-    VoxelConfig, cell_statistics, dual_grid_groups, pack_cell_indices, voxel_cell_indices,
+    VoxelConfig,
+    dual_grid_groups,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
+    pack_cell_indices,
+    voxel_cell_indices,
 )
 from multiscan.trajectory import (
     ContinuousTrajectory,
@@ -294,57 +295,29 @@ def _up_to_z_rotvec(up: np.ndarray) -> np.ndarray:
 class _Spline(NamedTuple):
     """The window's spline at one parameter vector: the control rotations
     R_k and segment turns phi_s (`trajectory.rotation_chain`), and each
-    moving point's rotated sensor position R x and world position."""
+    slot's rotation and position."""
 
     mats: np.ndarray
     phi: np.ndarray
-    rotated: np.ndarray
-    world: np.ndarray
+    rot: np.ndarray
+    trans: np.ndarray
 
 
-class _WindowSystem:
-    """Spline point-motion model of one window pass, with IMU and prior rows.
+class _WindowSystem(MultiScanSystem):
+    """One window pass: each point a body of its own at its stamp's spline
+    pose, with IMU and prior rows.
 
     Parameters are the control poses, one 6-block (r1 r2 r3 x y z) each,
-    with the stop_steps of a pose. Each point moves by the spline pose at
-    its own stamp, the pose `deskew` gives it through
-    `ContinuousTrajectory(ctrl_times, params)`: a slot is one distinct
-    stamp (`trajectory.stamp_slots`). A stamp in spline segment s (control
-    poses s to s + 1) reads only the rotations of poses s and s + 1 (slerp)
-    and the positions of P = min(4, K) poses around it (Hermite on the
-    tangents v = T p, with the tangent matrix T = `np.gradient(I, dt)`;
-    the IMU rows read v as each control pose's velocity). Each moving
-    member is a cluster of one. Every table has one owner level and is
-    built there once:
-
-    - per window (`__init__`): each slot's `trajectory.SplineTable` row
-      (segment, fraction, Hermite basis) and the weights of its P control
-      positions (`trajectory.position_weights`), the columns of each
-      segment (6 rotation, 3 P translation), the rows of T that give the
-      IMU end poses' velocities, the prior, and the static map points'
-      `landmarks.cell_statistics`, since they never move within the window.
-    - per parameter vector (`_at`, a one-entry cache keyed on the
-      parameter bytes): the control rotations R_k, the segment turns
-      phi_s, and the moving points' R x and world positions, so a freeze
-      at an accepted trial, the first residuals after a freeze, the IMU
-      rows and `linearize` share one evaluation.
-    - per freeze (`freeze`, `sort_members`): the landmarks and clusters
-      (`FrozenLandmarks`: each cluster's w_j, mu_j and sqrt(n_c)), the
-      members ordered by segment with each one's w_j and position weights
-      (positions are linear in the control positions, so a member's
-      motion under a translation is its weight times w_j), the flat index
-      of each member's rotation columns in S, and the translation half of
-      S, which no parameter moves.
-
-    `linearize` gives the `Linearization` one band per segment. A member's
-    motion under a rotation is closed-form: with c = (R x) x w_j and the
-    slot's lever A (`trajectory.slerp_turns`), d = A^T c, its row is
-    (c - d)^T J_l(r_s) under pose s and d^T J_l(r_{s+1}) under pose s + 1.
-    J_l of the control rotations is built once per call and shared with the
-    IMU rows, and the rotation half of S is one bincount of the member
-    rows, added to the translation half of the freeze. The IMU rows (one
-    batched `imu.imu_residual` call, differentiated by `imu.imu_jacobian`)
-    and the prior rows form the small dense block.
+    with the stop_steps of a pose. A pose is a slot, one distinct stamp
+    (`trajectory.stamp_slots`), at the pose `deskew` gives it through
+    `ContinuousTrajectory(ctrl_times, params)`. A slot of spline segment s,
+    its band, turns with the rotations of control poses s and s + 1 through
+    the slerp lever (I - A, A) (`trajectory.slerp_turns`) and moves with the
+    positions of the P = min(4, K) poses around it through its Hermite
+    weights (`trajectory.position_weights`), on the tangents v = T p with
+    T = `np.gradient(I, dt)`. The IMU rows read v as each control pose's
+    velocity; they (one batched `imu.imu_residual`, differentiated by
+    `imu.imu_jacobian`) and the prior rows form the dense block.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
@@ -352,71 +325,47 @@ class _WindowSystem:
         self.ctrl_times = ctrl_times
         self.spacing = float(ctrl_times[1] - ctrl_times[0])
         self.n_ctrl = len(ctrl_times)
-        self.stop_steps = np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl)
-        self.sensor_points = sensor_points
-        self.static_cells = cell_statistics(static_points, config.voxel)
-        self._key = None
+        slot_times, point_slot = stamp_slots(stamps)
+        self.slots = spline_table(ctrl_times, self.spacing, slot_times)
+        # (slot, P): the weights of the P control positions that move the slot,
+        # built by this module's `hermite_positions`, which a benchmark trace counts
+        _, weights = position_weights(hermite_positions(np.eye(self.n_ctrl), self.slots), self.slots)
+        # segment s reads the positions of its P poses from clip(s - 1, 0, K - P)
+        segments = np.arange(self.n_ctrl - 1)
+        n_pos = weights.shape[1]
+        reach = np.clip(segments - 1, 0, self.n_ctrl - n_pos)[:, None] + np.arange(n_pos)
+        bodies = Bodies(sensor_points, point_slot, np.arange(len(sensor_points)), self.slots.seg,
+                        np.stack([segments, segments + 1], axis=1), reach, weights)
+        super().__init__(bodies, static_points, config.voxel,
+                         np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl))
         # instrumented segments and their deltas, stacked over segments
         self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
         self.delta = stack_deltas([d for _, d in deltas]) if deltas else None
         self.gravity_vec = gravity_vec
-        self.config = config
         # continuity prior: every control pose except the newest stays soft-
         # anchored to its warm-start value (the previous window's estimate),
         # which pins the drift-rate deformations the data cannot observe
         self.prior_params = np.asarray(ctrl_params, dtype=float).copy()
-        w = np.concatenate([
-            np.full(3, config.prior_weight_rot), np.full(3, config.prior_weight_trans)
-        ])
-        self.prior_weights = np.tile(w, self.n_ctrl)
+        w = np.array([config.prior_weight_rot, config.prior_weight_trans], dtype=float)
+        self.prior_weights = np.tile(np.repeat(w, 3), self.n_ctrl)
         self.prior_weights[-6:] = 0.0  # newest pose is what odometry must find
         self.prior_jacobian = np.diag(self.prior_weights)
-        slot_times, self.point_slot = stamp_slots(stamps)
-        self.slots = spline_table(ctrl_times, self.spacing, slot_times)
-        # (slot, P): the weights of the P control positions that move the slot,
-        # built by this module's `hermite_positions`, which a benchmark trace counts
-        self.slot_first, self.slot_weights = position_weights(
-            hermite_positions(np.eye(self.n_ctrl), self.slots), self.slots
-        )
-        # columns of segment s: rotations of poses s and s + 1, then the
-        # translations of its P poses, the first of them clipped to [0, K - P]
-        n_pos = self.slot_weights.shape[1]
-        first = np.clip(np.arange(self.n_ctrl - 1) - 1, 0, self.n_ctrl - n_pos)
-        reach = first[:, None] + np.arange(n_pos)
-        self.segment_cols = np.concatenate([
-            6 * np.arange(self.n_ctrl - 1)[:, None] + [0, 1, 2, 6, 7, 8],
-            (6 * reach[:, :, None] + 3 + np.arange(3)).reshape(self.n_ctrl - 1, -1),
-        ], axis=1)
-        self.imu_weights = np.concatenate([
-            np.full(3, config.imu_weight_rot),
-            np.full(3, config.imu_weight_vel),
-            np.full(3, config.imu_weight_pos),
-        ])
-        # each instrumented segment's end poses, and the rows of the tangent
-        # matrix T that give their velocities v = T p
-        self.imu_ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
-        self.imu_tangent = np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[self.imu_ends]
+        w = np.array([config.imu_weight_rot, config.imu_weight_vel, config.imu_weight_pos], dtype=float)
+        self.imu_weights = np.repeat(w, 3)
+        # the rows of the tangent matrix T that give the velocities v = T p of
+        # each instrumented segment's end poses
+        ends = np.stack([self.imu_seg, self.imu_seg + 1], axis=1)
+        self.imu_tangent = np.gradient(np.eye(self.n_ctrl), self.spacing, axis=0)[ends]
 
-    # ---- trajectory evaluation -------------------------------------------------
+    def pose_table(self, params: np.ndarray) -> _Spline:
+        blocks = params.reshape(-1, 6)
+        mats, phi = rotation_chain(blocks[:, :3])
+        return _Spline(mats, phi, slerp_rotation_matrices(mats, phi, self.slots),
+                       hermite_positions(blocks[:, 3:], self.slots))
 
-    def _at(self, params: np.ndarray) -> _Spline:
-        """The spline at params; the last call's is kept and returned again
-        for bit-identical params."""
-        key = params.tobytes()
-        if key != self._key:
-            blocks = params.reshape(-1, 6)
-            mats, phi = rotation_chain(blocks[:, :3])
-            rots = slerp_rotation_matrices(mats, phi, self.slots)
-            pos = hermite_positions(blocks[:, 3:], self.slots)
-            # np.take: the gather of fancy indexing, several times faster
-            rotated = np.einsum("nij,nj->ni", np.take(rots, self.point_slot, axis=0), self.sensor_points)
-            self._spline = _Spline(mats, phi, rotated, rotated + np.take(pos, self.point_slot, axis=0))
-            self._key = key
-        return self._spline
-
-    def world_points(self, params: np.ndarray) -> np.ndarray:
-        """World positions of the moving points at params."""
-        return self._at(params).world
+    def levers(self, params: np.ndarray) -> np.ndarray:
+        spline = self._at(params)
+        return slerp_turns(spline.mats, spline.phi, self.slots)[:, None]
 
     def imu_states(self, params: np.ndarray) -> tuple:
         """The arguments of `imu_residual` for the instrumented segments at params."""
@@ -451,96 +400,14 @@ class _WindowSystem:
         out[..., 3:] += np.einsum("saeb,sek->sakb", jac[:, :, :, 2], self.imu_tangent)
         return out.reshape(-1, len(params))
 
-    # ---- residual system -----------------------------------------------------------
-
-    def freeze(self, params: np.ndarray) -> None:
-        groups = dual_grid_groups(self.world_points(params), self.config.voxel, self.static_cells)
-        if groups is None:
-            raise InsufficientStructureError(
-                "insufficient overlap/structure in the sliding window"
-            )
-        # every member is a cluster of one
-        self.member_row, member_lm = groups["member_row"], groups["member_group"]
-        self.landmarks = FrozenLandmarks(
-            groups, self.config.voxel.epsilon, member_lm, np.ones(len(member_lm))
-        )
-        self.no_factors = np.empty((len(member_lm), 3, 0))
-        self.sort_members(self.member_row, member_lm)
-
-    def sort_members(self, rows: np.ndarray, lm: np.ndarray) -> None:
-        """Order the members, moving points rows on landmarks lm, by segment:
-        members [member_bounds[s], member_bounds[s + 1]) of that order lie
-        in segment s, and order maps it back to the members' rows. Builds
-        the per-freeze tables `linearize` reads in that order, each member's
-        w_j and Hermite weights and the flat index, landmark * n_params +
-        column, of its rotation columns in S, and the translation half of
-        S, which no parameter moves: per landmark, its members' summed
-        Hermite weights times w_j."""
-        lms = self.landmarks
-        slot = self.point_slot[rows]
-        seg = self.slots.seg[slot]
-        # a stable sort of small integers is a radix sort
-        self.order = np.argsort(seg.astype(np.min_scalar_type(self.n_ctrl)), kind="stable")
-        seg, lm, slot = seg[self.order], lm[self.order], slot[self.order]
-        self.member_point = rows[self.order]
-        self.member_slot = slot
-        self.member_bounds = np.searchsorted(seg, np.arange(self.n_ctrl))
-        # member tables are stored transposed, one row per component: numpy
-        # runs long rows far faster than (n, 3) arrays
-        self.member_white = np.take(lms.white_lm.T, lm, axis=1)
-        self.member_weights = np.take(self.slot_weights.T, slot, axis=1)
-        n_params = len(self.stop_steps)
-        self.member_index = np.add.outer([0, 1, 2, 6, 7, 8], lm * n_params + 6 * seg)
-        # each landmark's summed weight of every control position, times w_j
-        position = lm * self.n_ctrl + np.take(self.slot_first, slot)
-        weight_sums = landmark_sums(
-            np.add.outer(np.arange(len(self.member_weights)), position), self.member_weights,
-            lms.n_landmarks, self.n_ctrl,
-        )
-        translation = np.zeros((lms.n_landmarks, self.n_ctrl, 6))
-        translation[:, :, 3:] = weight_sums[:, :, None] * lms.white_lm[:, None, :]
-        self.translation_sums = translation.reshape(lms.n_landmarks, n_params)
-
     def prior_rows(self, params: np.ndarray) -> np.ndarray:
         return self.prior_weights * (params - self.prior_params)
 
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        means = np.take(self.world_points(params), self.member_row, axis=0)
-        return np.concatenate([
-            self.landmarks.residuals(means, self.no_factors),
-            self.imu_rows(params),
-            self.prior_rows(params),
-        ])
+    def dense_rows(self, params: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.imu_rows(params), self.prior_rows(params)])
 
-    def linearize(self, params: np.ndarray) -> Linearization:
-        """Normal equations at params, every column in closed form."""
-        spline = self._at(params)
-        # J_l of the control rotations, shared by the slerp turns and the IMU rows
-        turns = left_jacobian(params.reshape(-1, 6)[:, :3])
-        # each member's slot lever A, c = (R x) x w_j and d = A^T c: its rows
-        # under the two end poses' rotations are (c - d)^T J_l(r_s) and
-        # d^T J_l(r_{s+1})
-        lever = np.take(slerp_turns(spline.mats, spline.phi, self.slots).transpose(1, 2, 0),
-                        self.member_slot, axis=2)
-        c = np.cross(np.take(spline.rotated.T, self.member_point, axis=1), self.member_white, axis=0)
-        d = lever[0] * c[0] + lever[1] * c[1] + lever[2] * c[2]
-        c -= d
-        # the member rows' motions, transposed: (columns, members)
-        block = np.empty((self.segment_cols.shape[1], len(self.member_point)))
-        for p, weights in enumerate(self.member_weights):
-            # under a translation: its Hermite weight times w_j
-            np.multiply(weights, self.member_white, out=block[6 + 3 * p : 9 + 3 * p])
-        bands = []
-        for s, (lo, hi) in enumerate(zip(self.member_bounds, self.member_bounds[1:])):
-            if lo < hi:
-                block[:3, lo:hi] = turns[s].T @ c[:, lo:hi]
-                block[3:6, lo:hi] = turns[s + 1].T @ d[:, lo:hi]
-                bands.append((self.order[lo:hi], self.segment_cols[s], block[:, lo:hi].T))
-        sums = self.translation_sums + landmark_sums(
-            self.member_index, block[:6], self.landmarks.n_landmarks, len(params)
-        )
-        dense = np.vstack([self.imu_jacobian(params, turns), self.prior_jacobian])
-        return Linearization(self.landmarks, bands, sums, dense)
+    def dense_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
+        return np.vstack([self.imu_jacobian(params, turns), self.prior_jacobian])
 
 
 class _Segment(NamedTuple):

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 from types import SimpleNamespace
 
@@ -22,10 +21,9 @@ from multiscan.adjustment import (
     scatter_factor,
 )
 from multiscan.geometry import Pose, PointCloud, left_jacobian
-from multiscan.landmarks import (
-    VoxelConfig, _level_groups, dual_grid_groups, point_clusters, voxel_cell_indices,
-)
+from multiscan.landmarks import VoxelConfig, _level_groups, point_clusters, voxel_cell_indices
 from multiscan.synthetic import generate_synthetic, room_scene
+from members import frozen_groups, per_member
 from secants import assert_normal_equations_match_secant_jacobian
 
 
@@ -106,8 +104,9 @@ class TestEvaluateCost:
         system, params = frozen_system(prob, prob.initial_poses)
         lms = system.landmarks
         assert lms.n_landmarks == 2
-        r = system.residuals(params).reshape(-1, 4)  # no gravity rows: 4 per cluster
-        errors = np.bincount(system.landmarks.cluster_lm, weights=np.sum(r * r, axis=1))
+        # no gravity or fixed rows: the mean rows, then each scatter column's
+        r = system.residuals(params).reshape(4, -1)
+        errors = np.bincount(system.landmarks.cluster_lm, weights=np.sum(r * r, axis=0))
         assert np.allclose(errors, 1.0, rtol=1e-10)
         r = system.residuals(params)
         assert r @ r == pytest.approx(1.0 * lms.n_landmarks, rel=1e-10)
@@ -117,14 +116,13 @@ class TestEvaluateCost:
         a = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)))
         b = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)) + [10.0, 0, 0])
         prob = AdjustmentProblem(clouds=[a, b], initial_poses=[Pose.identity(), Pose.identity()])
+        system = _RigidSystem(prob)
         with pytest.raises(InsufficientStructureError, match="insufficient overlap/structure"):
-            freeze_landmarks(prob, prob.initial_poses, None)
+            system.freeze(free_params(system, prob.initial_poses))
 
     def test_empty_landmark_list_raises(self):
-        cloud = PointCloud(points=np.zeros((0, 3)))
-        prob = AdjustmentProblem(clouds=[cloud], initial_poses=[Pose.identity()])
         with pytest.raises(InsufficientStructureError):
-            freeze_landmarks(prob, prob.initial_poses, None)
+            freeze_landmarks(np.zeros((0, 3)), VoxelConfig(), None)
 
     def test_perturbed_pose_costs_more_than_truth(self):
         ds = small_room(points_per_scan=500, duration=0.2)
@@ -185,13 +183,10 @@ class TestNumericJacobian:
         rng = np.random.default_rng(15)
         for angle in (0.0, 3.05):
             prob = two_sided_sheet(rng, angle)
-            clouds, init = prob.clouds, prob.initial_poses
-            system, params = frozen_system(prob, init)
+            system, params = frozen_system(prob, prob.initial_poses)
             assert system.free == [0, 1]
             assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
-            plain = freeze_landmarks(
-                AdjustmentProblem(clouds=clouds, initial_poses=init), init, system.fixed_cells
-            )
+            plain = freeze_landmarks(system.world_points(params), prob.voxel, system.fixed_cells)
             assert system.landmarks.n_landmarks > len(plain["counts"])
             assert_normal_equations_match_secant_jacobian(
                 system, params + 1e-3 * rng.normal(size=len(params))
@@ -204,7 +199,7 @@ def member_cost(system, frozen, params):
     fixed part, n_f anchor points with mean fbar, moves its mean m_j and
     adds n_f (w_j . (fbar - m_j))^2: its members' cost less their scatter."""
     prob = system.problem
-    groups = freeze_landmarks(prob, system.poses(frozen), system.fixed_cells)
+    groups = frozen_groups(system, frozen)
     lm = groups["member_group"]
     lms = FrozenLandmarks(groups, prob.voxel.epsilon, lm, np.ones(len(lm)))
     poses = system.poses(params)
@@ -294,14 +289,14 @@ class TestPointClusters:
         # each landmark's members from one cloud form a single run, split
         # landmarks included, and its fixed part, if any, one more cluster
         prob = two_sided_sheet(np.random.default_rng(32), 0.0)
-        system, _ = frozen_system(prob, prob.initial_poses)
+        system, params = frozen_system(prob, prob.initial_poses)
         ends = np.cumsum([len(c) for c in prob.clouds])
         lms = system.landmarks
-        groups = freeze_landmarks(prob, prob.initial_poses, system.fixed_cells)
+        groups = frozen_groups(system, params)
         cloud = np.searchsorted(ends, groups["member_row"], side="right")
         pairs = set(zip(groups["member_group"].tolist(), cloud.tolist()))
         n_fixed = groups["fixed"][0]
-        assert np.count_nonzero(n_fixed) > 0 and len(pairs) == len(system.means)
+        assert np.count_nonzero(n_fixed) > 0 and len(pairs) == len(system.cluster_pose)
         assert len(lms.cluster_lm) == len(pairs) + np.count_nonzero(n_fixed)
         assert lms.cluster_sizes.sum() == len(groups["member_group"]) + n_fixed.sum()
 
@@ -731,42 +726,45 @@ class TestRunAdjustment:
 
 def dense_rigid_jacobian(system, at):
     """The keyframe system's Jacobian at `at`, formed row by row from its
-    residual definition. A cluster of landmark j in free cloud k, with
-    sensor-frame mean q and scatter factor columns f_i, moves its mean
-    projection e = w_j . (R q + t) by w_j under t and by
+    residual definition. A moving cluster of landmark j, at the pose of
+    cloud c with sensor-frame mean q and scatter factor columns f_i, moves
+    its mean projection e = w_j . (R q + t) by w_j under t and by
     ((R q) x w_j)^T J_l(r) under r, and its scatter row w_j . R f_i by
-    ((R f_i) x w_j)^T J_l(r); a cluster of a pinned cloud does not move,
-    nor does a fixed cluster, which has a mean row alone. The mean row
-    sqrt(n_c) (e_c - sum n_c' e_c' / n_j) moves by sqrt(n_c) (de_c - S_j /
-    n_j), S_j the size-weighted sum of landmark j's mean motions. A gravity
-    row w (R d - up) moves by -w [R d]x J_l(r)."""
-    lms, prob = system.landmarks, system.problem
+    ((R f_i) x w_j)^T J_l(r), in the columns of its cloud's band; a cluster
+    of a pinned cloud (no band) does not move, nor does a fixed cluster,
+    which has a mean row alone. The mean row sqrt(n_c) (e_c - sum n_c' e_c'
+    / n_j) moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted sum
+    of landmark j's mean motions. The rows are the moving clusters' mean
+    rows, their rows of each scatter column in turn, the fixed clusters'
+    mean rows, then per gravity constraint w (R d - up), which moves by
+    -w [R d]x J_l(r)."""
+    lms, bodies = system.landmarks, system.bodies
     poses = system.poses(at)
-    n_clusters, n_params = len(lms.cluster_lm), len(at)
+    n_moving, n_clusters, n_params = len(system.cluster_pose), len(lms.cluster_lm), len(at)
+    n_factors = system.cluster_columns.shape[1] - 1
     mean = np.zeros((n_clusters, n_params))
-    scatter = np.zeros((n_clusters, 3, n_params))
-    for c in system.free:
-        k = c - system.free[0]
+    scatter = np.zeros((n_factors, n_moving, n_params))
+    for n, c in enumerate(system.cluster_pose):
+        k = bodies.band[c]
+        if k < 0:
+            continue
         rot, jac = poses[c].matrix(), left_jacobian(poses[c].rotvec)
-        for n in range(system.bounds[c], system.bounds[c + 1]):
-            white = lms.white_lm[lms.cluster_lm[n]]
-            mean[n, 6 * k : 6 * k + 3] = np.cross(rot @ system.means[n], white) @ jac
-            mean[n, 6 * k + 3 : 6 * k + 6] = white
-            for i in range(3):
-                scatter[n, i, 6 * k : 6 * k + 3] = np.cross(rot @ system.factors[n, :, i], white) @ jac
+        white = lms.white_lm[lms.cluster_lm[n]]
+        q, factor = system.cluster_columns[:, 0, n], system.cluster_columns[:, 1:, n]
+        mean[n, 6 * k : 6 * k + 3] = np.cross(rot @ q, white) @ jac
+        mean[n, 6 * k + 3 : 6 * k + 6] = white
+        for i in range(n_factors):
+            scatter[i, n, 6 * k : 6 * k + 3] = np.cross(rot @ factor[:, i], white) @ jac
     sums = np.zeros((lms.n_landmarks, n_params))
     for n in range(n_clusters):
         sums[lms.cluster_lm[n]] += lms.cluster_sizes[n] * mean[n]
-    rows = []
-    for n in range(n_clusters):
-        j = lms.cluster_lm[n]
-        rows.append(np.sqrt(lms.cluster_sizes[n]) * (mean[n] - sums[j] / lms.counts[j]))
-        if n < len(system.means):
-            rows.extend(scatter[n])
-    for con in prob.gravity_constraints:
+    rows = [np.sqrt(lms.cluster_sizes[n]) * (mean[n] - sums[j] / lms.counts[j])
+            for n, j in enumerate(lms.cluster_lm)]
+    rows[n_moving:n_moving] = list(scatter.reshape(-1, n_params))
+    for con in system.problem.gravity_constraints:
         row = np.zeros((3, n_params))
-        if con.cloud_id >= system.free[0]:
-            k = con.cloud_id - system.free[0]
+        k = bodies.band[con.cloud_id]
+        if k >= 0:
             pose = poses[con.cloud_id]
             up = pose.matrix() @ con.direction_local
             cross = np.cross(up, np.eye(3))  # row i is up x e_i, so its transpose is [up]x
@@ -803,7 +801,7 @@ def test_rigid_normal_equations_match_dense_jacobian(anchored):
     prob, rng = room_with_gravity(anchored)
     system, params = frozen_system(prob, prob.initial_poses)
     assert system.free == list(range(0 if anchored else 1, len(prob.clouds)))
-    assert (len(system.landmarks.cluster_lm) > len(system.means)) == anchored
+    assert (len(system.landmarks.cluster_lm) > len(system.cluster_pose)) == anchored
     at = params + 1e-3 * rng.normal(size=len(params))
     jac = dense_rigid_jacobian(system, at)
     r = system.residuals(at)
@@ -814,32 +812,6 @@ def test_rigid_normal_equations_match_dense_jacobian(anchored):
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
 
 
-def per_member_rigid(system, frozen):
-    """system frozen at frozen with its anchor points stacked after its
-    clouds, as points that keep their world positions, and every member a
-    cluster of one (zero scatter rows): one row per member, on the
-    landmarks of the stacked points, anchor-only cells included. Returns
-    the system, with its landmarks and cluster tables replaced, and each
-    cluster's row in the stack [clouds, anchors]."""
-    prob, ref = system.problem, copy.copy(system)
-    world = [pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, system.poses(frozen))]
-    groups = dual_grid_groups(np.vstack(world + [prob.fixed_points]), prob.voxel)
-    # the anchors as cloud len(clouds), after every cloud's clusters
-    cloud = np.searchsorted(system.ends, groups["member_row"], side="right")
-    by_cloud = np.argsort(cloud, kind="stable")
-    rows, cloud = groups["member_row"][by_cloud], cloud[by_cloud]
-    ref.bounds = np.searchsorted(cloud, np.arange(len(system.ends) + 1))
-    ref.landmarks = lms = FrozenLandmarks(
-        groups, prob.voxel.epsilon, groups["member_group"][by_cloud], np.ones(len(rows))
-    )
-    ref.means = np.vstack([system.local, prob.fixed_points])[rows]
-    ref.factors = np.zeros((len(rows), 3, 3))
-    free = slice(ref.bounds[system.free[0]], ref.bounds[system.free[-1] + 1])
-    ref.share_index = (lms.cluster_lm[free, None] * len(system.stop_steps)
-                       + 6 * (cloud[free, None] - system.free[0]) + np.arange(6))
-    return ref, rows
-
-
 def test_anchors_score_as_fixed_clusters():
     # the same normal equations and step as one row per anchor point; the
     # cost less each landmark's anchor scatter along its w_j. A far block of
@@ -848,7 +820,7 @@ def test_anchors_score_as_fixed_clusters():
     far = rng.uniform(0.0, 0.4, size=(30, 3)) + [200.0, 0.0, 0.0]
     prob = dataclasses.replace(prob, fixed_points=np.vstack([prob.fixed_points, far]))
     system, params = frozen_system(prob, prob.initial_poses)
-    ref, ref_rows = per_member_rigid(system, params)
+    ref = per_member(system, prob.fixed_points, params)
     at = params + 1e-3 * rng.normal(size=len(params))
     lin, r = system.linearize(at), system.residuals(at)
     lin_ref, r_ref = ref.linearize(at), ref.residuals(at)
@@ -861,11 +833,12 @@ def test_anchors_score_as_fixed_clusters():
     # anchor-only landmarks included
     lms = ref.landmarks
     assert lms.n_landmarks > system.landmarks.n_landmarks
-    anchor = ref_rows >= len(system.local)
+    anchor = ref.cluster_pose == len(system.bodies.band)
+    anchor_lm, points = lms.cluster_lm[: len(anchor)][anchor], ref.cluster_columns[:, 0, anchor].T
     scatter = 0.0
-    for j in np.unique(lms.cluster_lm[anchor]):
-        points = prob.fixed_points[ref_rows[anchor & (lms.cluster_lm == j)] - len(system.local)]
-        scatter += np.sum(((points - points.mean(axis=0)) @ lms.white_lm[j]) ** 2)
+    for j in np.unique(anchor_lm):
+        own = points[anchor_lm == j]
+        scatter += np.sum(((own - own.mean(axis=0)) @ lms.white_lm[j]) ** 2)
     assert scatter > 1e-3 * (r @ r)
     assert r_ref @ r_ref - r @ r == pytest.approx(scatter, rel=1e-9)
 
@@ -887,7 +860,7 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
     n_clusters = len(system.landmarks.cluster_lm)
     assert n_clusters < lms.cluster_sizes.sum()
     for at in (params, params + 1e-2 * rng.normal(size=len(params))):
-        rho = system.residuals(at)[: 4 * n_clusters].reshape(-1, 4)[:, 0]
+        rho = system.residuals(at)[:n_clusters]  # the mean rows come first
         weighted = np.sqrt(system.landmarks.cluster_sizes) * rho
         sums = lms.sums(weighted, system.landmarks.cluster_lm)
         assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
@@ -916,8 +889,8 @@ class TestFreezeWithSplitting:
             split_normals=True, planarity_min=0.5,
         )
         pts = np.vstack([front, back])
-        plain = freeze_landmarks(prob_plain, prob_plain.initial_poses, None)
-        split = freeze_landmarks(prob_split, prob_split.initial_poses, None)
+        plain = frozen_groups(*frozen_system(prob_plain, prob_plain.initial_poses))
+        split = frozen_groups(*frozen_system(prob_split, prob_split.initial_poses))
         assert len(split["counts"]) > len(plain["counts"])
         # the two halves of a split landmark take its place in the order, and
         # together hold its members, which lie in one cell at its level

@@ -8,12 +8,12 @@ from multiscan import pipeline as pipeline_module
 from multiscan.geometry import Pose, PointCloud, left_jacobian, matrix_to_rotvec, rotvec_to_matrix
 from multiscan.imu import GravityEstimate, ImuStream, imu_jacobian, preintegrate
 from multiscan.adjustment import (
-    AdjustmentProblem, FrozenLandmarks, InsufficientStructureError, levenberg_marquardt, lm_step,
+    AdjustmentProblem, InsufficientStructureError, _RigidSystem, levenberg_marquardt, lm_step,
     run_adjustment,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.evaluation import associate_timestamps, evaluate_ape
-from multiscan.landmarks import VoxelConfig, dual_grid_groups
+from multiscan.landmarks import VoxelConfig
 from multiscan.pipeline import (
     Keyframe,
     Map,
@@ -35,6 +35,7 @@ from multiscan.trajectory import (
     slerp_turns,
     stamp_slots,
 )
+from members import frozen_groups, per_member
 from secants import assert_normal_equations_match_secant_jacobian
 
 
@@ -123,14 +124,14 @@ def test_window_normal_equations_match_secant_jacobian(corridor_window):
 
 def test_gap_window_normal_equations_match_secant_jacobian(gap_window):
     system, at = gap_window
-    assert np.any(np.diff(system.member_bounds) == 0)
+    assert np.any(np.diff(system.band_bounds) == 0)
     assert_normal_equations_match_secant_jacobian(system, at)
 
 
 def test_window_landmark_residuals_sum_to_zero_per_landmark(corridor_window):
     system, at = corridor_window
     lms = system.landmarks
-    lm = lms.cluster_lm[: len(system.member_row)]
+    lm = lms.cluster_lm[: len(system.cluster_pose)]
     r = system.residuals(at)[: len(lm)]
     assert np.abs(lms.sums(r, lm)).max() <= 1e-12 * np.abs(r).max() * lms.counts.max()
 
@@ -140,8 +141,14 @@ def test_window_landmark_rows_are_member_rows(corridor_window):
     # w_j . (d_k - mean(d_j)), d_k = p_k - mu_j
     system, at = corridor_window
     lms = system.landmarks
-    lm = lms.cluster_lm[: len(system.member_row)]
-    d = system.world_points(at)[system.member_row] - lms.mu_ref[lm]
+    lm = lms.cluster_lm[: len(system.cluster_pose)]
+    members = frozen_groups(system, system.prior_params)  # frozen at the warm start
+    clusters = sorted(zip(lm.tolist(), system.cluster_columns[:, 0].T.tolist()))
+    points = system.bodies.points[members["member_row"]]
+    assert clusters == sorted(zip(members["member_group"].tolist(), points.tolist()))
+    table = system.pose_table(at)
+    pose, x = system.cluster_pose, system.cluster_columns[:, 0].T
+    d = np.einsum("nij,nj->ni", table.rot[pose], x) + table.trans[pose] - lms.mu_ref[lm]
     mean = np.stack([np.bincount(lm, weights=d[:, a]) for a in range(3)], axis=1) / lms.counts[:, None]
     expected = np.einsum("ni,ni->n", lms.white_lm[lm], d - mean[lm])
     r = system.residuals(at)[: len(lm)]
@@ -204,40 +211,15 @@ def static_window(corridor, corridor_run):
     return system, static, params, at
 
 
-def per_member_window(system, static, params):
-    """system frozen at params with every static point its own cluster of
-    one, as one row per member: the landmarks of the window and static
-    points stacked, static-only cells included. Returns the system, with
-    its landmarks and member order replaced, its residual function and each
-    member's row in the stack [moving points, static points]."""
-    ref = copy.copy(system)
-    moving = system.world_points(params)
-    groups = dual_grid_groups(np.vstack([moving, static]), system.config.voxel)
-    rows, lm = groups["member_row"], groups["member_group"]
-    n = len(lm)
-    lms = ref.landmarks = FrozenLandmarks(groups, system.config.voxel.epsilon, lm, np.ones(n))
-    # the moving members, as positions in the member list
-    own = np.flatnonzero(rows < len(moving))
-    ref.sort_members(rows[own], lm[own])
-    ref.order = own[ref.order]
-
-    def residuals(at):
-        pts = np.vstack([system.world_points(at), static])[rows]
-        landmark_rows = lms.residuals(pts, np.empty((n, 3, 0)))
-        return np.concatenate([landmark_rows, system.imu_rows(at), system.prior_rows(at)])
-
-    return ref, residuals, rows
-
-
 def test_static_points_score_as_fixed_clusters(static_window):
     # the same normal equations and step as one row per static point; the
     # cost less each landmark's static scatter along its w_j
     system, static, params, at = static_window
-    n_fixed = len(system.landmarks.cluster_lm) - len(system.member_row)
+    n_fixed = len(system.landmarks.cluster_lm) - len(system.cluster_pose)
     assert 0 < n_fixed < len(static)
-    ref, ref_residuals, ref_rows = per_member_window(system, static, params)
+    ref = per_member(system, static, params)
     lin, r = system.linearize(at), system.residuals(at)
-    lin_ref, r_ref = ref.linearize(at), ref_residuals(at)
+    lin_ref, r_ref = ref.linearize(at), ref.residuals(at)
     jtr, jtr_ref = lin.jtr(r), lin_ref.jtr(r_ref)
     assert np.abs(lin.jtj - lin_ref.jtj).max() <= 1e-9 * np.abs(lin_ref.jtj).max()
     assert np.abs(jtr - jtr_ref).max() <= 1e-9 * np.abs(jtr_ref).max()
@@ -247,26 +229,28 @@ def test_static_points_score_as_fixed_clusters(static_window):
     # w_j, the far block's static-only landmarks included
     lms = ref.landmarks
     assert lms.n_landmarks > system.landmarks.n_landmarks
-    is_static = ref_rows >= len(system.sensor_points)
+    is_static = ref.cluster_pose == len(system.bodies.band)
+    static_lm, points = lms.cluster_lm[: len(is_static)][is_static], ref.cluster_columns[:, 0, is_static].T
     scatter = 0.0
-    for j in np.unique(lms.cluster_lm[is_static]):
-        rows = ref_rows[is_static & (lms.cluster_lm == j)] - len(system.sensor_points)
-        scatter += np.sum(((static[rows] - static[rows].mean(axis=0)) @ lms.white_lm[j]) ** 2)
+    for j in np.unique(static_lm):
+        own = points[static_lm == j]
+        scatter += np.sum(((own - own.mean(axis=0)) @ lms.white_lm[j]) ** 2)
     assert scatter > 1e-3 * (r @ r)
     assert r_ref @ r_ref - r @ r == pytest.approx(scatter, rel=1e-9)
 
 
 def dense_window_jacobian(system, at):
     """The window's Jacobian at `at`, formed row by row from its residual
-    definition. A member m of landmark j moves by e_m = w_j . dp_m: under
-    the rotations of its segment's poses a = s and b = s + 1 by
-    c^T (I - A) J_l(r_a) and c^T A J_l(r_b), c = (R x) x w_j and A the
-    slot's `slerp_turns` lever, and under each control position by its
-    Hermite weight times w_j. A cluster's mean row, sqrt(n_c) (e_c - sum
-    n_c' e_c' / n_j), then moves by sqrt(n_c) (e_c - S_j / n_j), with S_j
-    the sum of landmark j's member motions and e_c = 0 for a fixed
-    cluster. Each IMU row chains `imu_jacobian` by w = J_l(r) dr and
-    v = T p, T = `np.gradient(I, dt)`; the prior rows are diagonal."""
+    definition. A moving cluster is one point x of landmark j at its slot's
+    pose, and moves by e = w_j . dp: under the rotations of its segment's
+    poses a = s and b = s + 1 by c^T (I - A) J_l(r_a) and c^T A J_l(r_b),
+    c = (R x) x w_j and A the slot's `slerp_turns` lever, and under each
+    control position by its Hermite weight times w_j. A cluster's mean
+    row, sqrt(n_c) (e_c - sum n_c' e_c' / n_j), then moves by sqrt(n_c)
+    (e_c - S_j / n_j), with S_j the sum of landmark j's member motions and
+    e_c = 0 for a fixed cluster. Each IMU row chains `imu_jacobian` by
+    w = J_l(r) dr and v = T p, T = `np.gradient(I, dt)`; the prior rows are
+    diagonal."""
     n_ctrl, n_params = system.n_ctrl, len(at)
     blocks = at.reshape(-1, 6)
     table = system.slots
@@ -278,16 +262,15 @@ def dense_window_jacobian(system, at):
     lms = system.landmarks
     lm, sizes = lms.cluster_lm, lms.cluster_sizes
     motion = np.zeros((len(lm), n_params))
-    for m, row in enumerate(system.member_row):
-        slot = system.point_slot[row]
+    for m, slot in enumerate(system.cluster_pose):
         s, white = table.seg[slot], lms.white_lm[lm[m]]
-        c = np.cross(rots[slot] @ system.sensor_points[row], white)
+        c = np.cross(rots[slot] @ system.cluster_columns[:, 0, m], white)
         motion[m, 6 * s : 6 * s + 3] += c @ (np.eye(3) - lever[slot]) @ turns[s]
         motion[m, 6 * s + 6 : 6 * s + 9] += c @ lever[slot] @ turns[s + 1]
         for q in range(n_ctrl):
             motion[m, 6 * q + 3 : 6 * q + 6] += weights[slot, q] * white
     sums = np.zeros((lms.n_landmarks, n_params))
-    for m in range(len(system.member_row)):
+    for m in range(len(system.cluster_pose)):
         sums[lm[m]] += motion[m]
     imu = np.zeros((9 * len(system.imu_seg), n_params))
     if len(system.imu_seg):
@@ -314,7 +297,7 @@ def test_window_normal_equations_match_dense_jacobian(window, request):
     fixture = request.getfixturevalue(window)
     system, at = fixture[0], fixture[-1]
     if window == "static_window":
-        assert len(system.landmarks.cluster_lm) > len(system.member_row)
+        assert len(system.landmarks.cluster_lm) > len(system.cluster_pose)
     jac = dense_window_jacobian(system, at)
     r = system.residuals(at)
     assert jac.shape == (len(r), len(at))
@@ -322,6 +305,39 @@ def test_window_normal_equations_match_dense_jacobian(window, request):
     jtj, jtr = jac.T @ jac, jac.T @ r
     assert np.abs(lin.jtj - jtj).max() <= 1e-10 * np.abs(jtj).max()
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
+
+
+def test_window_of_one_pose_is_one_rigid_cloud(corridor_run, static_window):
+    # a window whose control poses all equal one pose moves every point
+    # rigidly, so its landmark rows are those of one cloud at that pose, with
+    # the same fixed points: the same cost, and J^T J and J^T r once the
+    # poses move together (E stacks one 6x6 identity per control pose)
+    pipeline = corridor_run[0]
+    system, static, params, _ = static_window
+    ctrl_times = system.ctrl_times
+    pts, stamps = pipeline._window_points(ctrl_times[0], float(ctrl_times[-1]))
+    pose = params[-6:]
+    flat = np.tile(pose, len(ctrl_times))
+    window = _WindowSystem(ctrl_times, flat, pts, stamps, static, [], pipeline.gravity_vec, pipeline.config)
+    rigid = _RigidSystem(AdjustmentProblem(
+        clouds=[PointCloud(points=pts)], initial_poses=[Pose.from_params(pose)],
+        fixed_points=static, voxel=pipeline.config.voxel,
+    ))
+    window.freeze(flat)
+    rigid.freeze(pose)
+    step = 1e-3 * np.random.default_rng(3).normal(size=6)
+    turn = np.tile(np.eye(6), (len(ctrl_times), 1))
+    r_window, r_rigid = window.residuals(flat + turn @ step), rigid.residuals(pose + step)
+    # the landmark rows only: no IMU rows, and the prior rows come last
+    prior = window.prior_weights
+    landmark = r_window[: -len(prior)]
+    assert landmark @ landmark == pytest.approx(r_rigid @ r_rigid, rel=1e-9)
+    lin_window, lin_rigid = window.linearize(flat + turn @ step), rigid.linearize(pose + step)
+    jtj = turn.T @ (lin_window.jtj - np.diag(prior**2)) @ turn
+    jtr = turn.T @ (lin_window.jtr(r_window) - prior * r_window[-len(prior):])
+    jtj_rigid, jtr_rigid = lin_rigid.jtj, lin_rigid.jtr(r_rigid)
+    assert np.abs(jtj - jtj_rigid).max() <= 1e-9 * np.abs(jtj_rigid).max()
+    assert np.abs(jtr - jtr_rigid).max() <= 1e-9 * np.abs(jtr_rigid).max()
 
 
 def path_ratio(estimated, true):
@@ -498,8 +514,8 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     pipeline, _ = corridor_run
     system, at = corridor_window
     pts, stamps = pipeline._window_points(system.ctrl_times[0], float(system.ctrl_times[-1]))
-    assert np.array_equal(pts, system.sensor_points)
-    assert np.array_equal(stamp_slots(stamps)[1], system.point_slot)
+    assert np.array_equal(pts, system.bodies.points)
+    assert np.array_equal(stamp_slots(stamps)[1], system.bodies.pose)
     traj = ContinuousTrajectory(system.ctrl_times, at)
     world = deskew(PointCloud(points=pts, stamps=stamps), traj)
     assert np.array_equal(world.stamps, stamps)

@@ -18,9 +18,12 @@ BLAS pinned to 1 thread:
 - `linearize`: the normal equations at the frozen parameters;
 - `lm_step`: one damped solve of those normal equations.
 
-The minimum of many calls is steady where end-to-end times on a shared
-machine are not; the output is a Markdown table. The `multiscan` timed is
-the one on PYTHONPATH, else this checkout's `src`.
+Beside the times, each row gives the size of the system it times at that
+start: its residual rows, its moving and fixed clusters, the bands of its
+normal equations (`Linearization.bands`) and its dense rows (gravity, or
+IMU and prior). The minimum of many calls is steady where end-to-end times
+on a shared machine are not; the output is a Markdown table. The
+`multiscan` timed is the one on PYTHONPATH, else this checkout's `src`.
 """
 
 from __future__ import annotations
@@ -53,18 +56,29 @@ def min_ms(fn) -> float:
 
 
 def stage_times(system, params: np.ndarray) -> dict:
-    """Minimum ms of each stage of one outer iteration of system at params."""
+    """Minimum ms of each stage of one outer iteration of system at params,
+    and the counts of the system frozen there."""
     from multiscan.adjustment import LAMBDA_INIT, lm_step
 
     system.freeze(params)
     lin = system.linearize(params)
-    jtr = lin.jtr(system.residuals(params))
+    r = system.residuals(params)
+    jtr = lin.jtr(r)
+    lms = system.landmarks
+    counts = {
+        "rows": len(r),
+        "moving clusters": len(lms.cluster_lm) - len(lms.fixed_along),
+        "fixed clusters": len(lms.fixed_along),
+        "bands": len(lin.bands),
+        "dense rows": len(lin.dense),
+    }
     trials = itertools.cycle([params + 1e-6, params - 1e-6])
     return {
         "freeze": min_ms(lambda: system.freeze(params)),
         "residuals": min_ms(lambda: system.residuals(next(trials))),
         "linearize": min_ms(lambda: system.linearize(params)),
         "lm_step": min_ms(lambda: lm_step(lin.jtj, jtr, LAMBDA_INIT)),
+        **counts,
     }
 
 
@@ -132,10 +146,12 @@ def main() -> int:
         "keyframe, room_anchored seed 0 scene 0": stage_times(*anchored_system(room)),
     }
     stages = ("freeze", "residuals", "linearize", "lm_step")
-    print(f"| min of {REPEATS} calls, ms | " + " | ".join(stages) + " |")
-    print("|---" * (len(stages) + 1) + "|")
-    for name, times in rows.items():
-        print(f"| {name} | " + " | ".join(f"{times[s]:.3f}" for s in stages) + " |")
+    counts = ("rows", "moving clusters", "fixed clusters", "bands", "dense rows")
+    print(f"| min of {REPEATS} calls, ms | " + " | ".join(stages + counts) + " |")
+    print("|---" * (len(stages) + len(counts) + 1) + "|")
+    for name, row in rows.items():
+        cells = [f"{row[s]:.3f}" for s in stages] + [f"{row[c]:,}" for c in counts]
+        print(f"| {name} | " + " | ".join(cells) + " |")
     return 0
 
 
