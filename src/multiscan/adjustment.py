@@ -6,31 +6,35 @@ points within their voxel cells along each cell's normal,
 
     sum_j sum_k (w_j . (p_k - mu_j))^2,  w_j = v_j / sqrt(n_j (lambda_j + eps)),
 
-with (lambda_j, v_j) the smallest eigenpair of cell j's covariance
-(`FrozenLandmarks`), plus the dense rows of the system that runs it. A cell
-of inconsistent geometry (dynamic objects) has a large lambda_j and so
-little weight, which is why no outlier rejection is needed.
+with (lambda_j, v_j) the smallest eigenpair of cell j's covariance, in
+closed form (`smallest_eigenpairs`, `FrozenLandmarks`), plus the dense rows
+of the system that runs it. A cell of inconsistent geometry (dynamic
+objects) has a large lambda_j and so little weight, which is why no
+outlier rejection is needed.
 
 A body is a set of points that move rigidly together, at one pose of the
 table a system evaluates per parameter vector. A pose turns with the
 rotations of m parameter blocks through levers L_i (sum L_i = I) and moves
 with the translations of P blocks through fixed weights. A band is the
 poses that move with the same blocks; the normal equations take its rows
-as one block. A free keyframe cloud is a body at its own pose, the one pose
-of its band, over that pose's 6 columns; the pinned cloud's pose is in no
-band. An odometry window point is a body of its own at its stamp's spline
-pose (`multiscan.pipeline`).
+as one block; every pose lies in one, since points that no parameter
+moves are fixed points. A free keyframe cloud is a body at its own pose,
+the one pose of its band, over that pose's 6 columns; a pinned first
+cloud's points are fixed points. An odometry window point is a body of
+its own at its stamp's spline pose (`multiscan.pipeline`).
 
 A cluster is the members of one landmark within one body. They move
 rigidly, so the landmark's cost depends on them only through their count,
 mean and scatter F F^T: one mean row and one scatter row per column of F,
 the point clusters of BALM2 (Liu, Liu & Zhang, arXiv:2209.08854). A cluster
-of one takes its point directly and has no scatter, so the scatter columns
-follow from the data: none when no cluster holds two points, else 3. Fixed
-points (the window's static map points, keyframe adjustment's anchors) are
-binned once per solve (`landmarks.cell_statistics`), merged into the cells
-the moving points touch (`dual_grid_groups`), and each landmark's fixed
-part scored as one fixed cluster, in no band, by its mean row alone.
+of n_c points scores min(n_c - 1, 3) scatter rows, the most columns its
+scatter can need: a cluster of one takes its point directly and has none,
+so the window, all of whose clusters are single points, scores none.
+Fixed points (the window's static map points, keyframe adjustment's
+anchors or its pinned first cloud) are binned once per solve
+(`landmarks.cell_statistics`), merged into the cells the moving points
+touch (`dual_grid_groups`), and each landmark's fixed part scored as one
+fixed cluster, in no band, by its mean row alone.
 
 Each outer iteration of `levenberg_marquardt` freezes the landmarks
 (membership and weights; each cell's mean follows its members) and takes
@@ -44,9 +48,10 @@ one owner level and is built there once:
   points' cells;
 - per parameter vector: the system's `pose_table`, the moving points'
   world positions (a freeze bins them) and the clusters' turned columns;
-- per freeze: the landmarks, the clusters ordered by band with their
-  weights, the S index of their rotation columns and the translation half
-  of S, which no parameter moves.
+- per freeze: the landmarks, the clusters ordered by band and rank with
+  their weights, the row slices of each band, the S index of their
+  rotation columns and the translation half of S, which no parameter
+  moves.
 
 The driver sees a system only through freeze, residuals, linearize and
 stop_steps, one movement threshold per parameter; the damping schedule is
@@ -84,6 +89,9 @@ INNER_ITERATIONS = 2
 # rotation (rad) and translation (m) parameters and still count as converged
 STOP_ROTATION = 5e-5
 STOP_TRANSLATION = 1e-4
+# `smallest_eigenpairs` leaves to `np.linalg.eigh` each matrix whose two
+# smallest eigenvalues lie within this fraction of its largest
+EIGEN_GAP = 1e-2
 
 
 @dataclass
@@ -193,6 +201,49 @@ def turned_motion(white: np.ndarray, rotated: np.ndarray, turn: np.ndarray) -> n
     return np.cross(rotated[..., None, :], white) @ turn
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over axis 0, for vectors stored one row per component; several
+    times faster than `np.cross`, which moves that axis last."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def smallest_eigenpairs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest eigenvalue lambda, clamped at 0, and a unit eigenvector v
+    of each symmetric 3x3 matrix C of covs (L, 3, 3): (L,) and (3, L), one
+    row per component. The sign of v is arbitrary.
+
+    Closed form on component rows: Smith's trigonometric eigenvalues, then
+    v as the largest cross product of two rows of C - lambda I (Kopp,
+    arXiv:physics/0610206). Its error in v grows as eps / g^2 with the
+    relative gap g = (lambda_mid - lambda) / lambda_max, where a batched
+    `np.linalg.eigh`'s grows as eps / g; where g <= EIGEN_GAP, `eigh` gives
+    the pair, so the two agree to about 1e-12 everywhere. Each is several
+    times faster than `eigh`, which computes all three pairs.
+    """
+    a, d, f, _, b, e, _, _, c = np.ascontiguousarray(covs.reshape(-1, 9).T)
+    q = (a + b + c) / 3.0
+    aq, bq, cq = a - q, b - q, c - q
+    p = np.sqrt((aq * aq + bq * bq + cq * cq + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    # det(C - q I) / 2p^3 = cos(3 phi); 0 for an isotropic C, whose pair eigh gives
+    det = aq * (bq * cq - e * e) - d * (d * cq - e * f) + f * (d * e - bq * f)
+    phi = np.arccos(np.clip(np.divide(det, 2.0 * p ** 3, out=np.zeros_like(p), where=p > 0.0),
+                            -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+    lam = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    # rows 0, 0, 1 of C - lambda I crossed with rows 1, 2, 2: (component, pair, matrix)
+    cross = _cross(np.stack([[a - lam, a - lam, d], [d, d, b - lam], [f, f, e]]),
+                   np.stack([[d, f, f], [b - lam, e, e], [e, c - lam, c - lam]]))
+    norms = np.einsum("ikl,ikl->kl", cross, cross)
+    best, at = norms.argmax(axis=0), np.arange(len(lam))
+    length = np.sqrt(norms[best, at])  # 0 only where eigh takes over
+    normal = cross[:, best, at] * np.divide(1.0, length, out=np.zeros_like(length), where=length > 0.0)
+    near = np.flatnonzero(3.0 * q - top - 2.0 * lam <= EIGEN_GAP * top)
+    if len(near):
+        evals, evecs = np.linalg.eigh(covs[near])
+        lam[near], normal[:, near] = evals[:, 0], evecs[:, :, 0].T
+    return np.maximum(lam, 0.0), normal
+
+
 class FrozenLandmarks:
     """Whitened residuals of one frozen set of landmarks, one cost over point clusters.
 
@@ -222,11 +273,13 @@ class FrozenLandmarks:
 
     one mean row rho_c and one scatter row w_j . f_ci per column of F_c.
     The mean row is projected onto w_j first, so a landmark's shift is one
-    scalar. A member is a cluster of one: n_c = 1, F_c has no columns, and
-    its one row is w_j . (d_k - mean(d_j)). A landmark's fixed part never
-    moves: its cluster keeps the mean row and drops the constant scatter
-    rows, which lowers the cost by that scatter along w_j and changes no
-    step.
+    scalar. n_c points span at most n_c - 1 directions about their mean,
+    so F_c needs at most min(n_c - 1, 3) columns, and a cluster scores
+    that many scatter rows, the first columns of F_c (`scatter_factor`).
+    A member, a cluster of one, scores none: its one row is
+    w_j . (d_k - mean(d_j)). A landmark's fixed part never moves: its
+    cluster keeps the mean row and drops the constant scatter rows, which
+    lowers the cost by that scatter along w_j and changes no step.
 
     The rows are affine in the point positions, so damped normal-equation
     steps land on the frozen optimum instead of extrapolating an
@@ -246,20 +299,25 @@ class FrozenLandmarks:
 
     The clusters scored are fixed for a freeze, so they are given once,
     with the landmarks: each moving one's landmark (cluster_lm) and size
-    n_c (cluster_sizes); the constructor appends a fixed cluster for each
-    landmark's fixed part. `residuals(means, factors)` then takes only
-    what moves. The per-cluster tables cluster_white and cluster_mu hold
-    one row per component, (3, clusters): numpy runs long rows far faster
-    than (n, 3) arrays.
+    n_c (cluster_sizes), from which it takes the scatter rows it scores;
+    the constructor appends a fixed cluster for each landmark's fixed
+    part. `residuals(means, factors)` then takes only what moves. The
+    per-cluster tables cluster_white and cluster_mu hold one row per
+    component, (3, clusters): numpy runs long rows far faster than (n, 3)
+    arrays. (lambda_j, v_j) come from `smallest_eigenpairs`.
     """
 
     def __init__(self, groups: dict, epsilon: float, cluster_lm: np.ndarray, cluster_sizes: np.ndarray):
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        evals, evecs = np.linalg.eigh(groups["covs"])  # ascending
+        lam, normal = smallest_eigenpairs(groups["covs"])
         # w_j = v_min / sqrt(n_j (lambda_min + epsilon)) per landmark
-        self.white_lm = evecs[:, :, 0] / np.sqrt(self.counts * (evals[:, 0] + epsilon))[:, None]
+        self.white_lm = (normal / np.sqrt(self.counts * (lam + epsilon))).T
+        # each moving cluster's scatter rows, min(n_c - 1, 3), and their
+        # places among the factor columns' rows (column, cluster), flattened
+        rank = np.minimum(np.asarray(cluster_sizes, dtype=np.int64) - 1, 3)
+        self.scatter_at = np.flatnonzero(rank > np.arange(rank.max(initial=0))[:, None])
         # the clusters scored, moving then fixed: landmark, n_c, sqrt(n_c), w_j and mu_j
         fixed_counts, fixed_means, _ = groups.get("fixed", (np.zeros(0), np.zeros((0, 3)), None))
         fixed_lm = np.flatnonzero(fixed_counts)
@@ -277,9 +335,10 @@ class FrozenLandmarks:
 
     def residuals(self, means: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Residual vector of the clusters at the moving clusters' world-frame
-        means pbar_c (3, m) and scatter factors F_c (3, f, m), one scalar per
-        row: the moving clusters' mean rows, then their rows of each scatter
-        column in turn, then each fixed cluster's mean row."""
+        means pbar_c (3, m) and scatter factors F_c (3, f, m), f their
+        largest rank, one scalar per row: every cluster's mean row, moving
+        then fixed, then the scatter rows of each factor column in turn,
+        one per moving cluster of a higher rank than that column's index."""
         lm, m = self.cluster_lm, means.shape[1]
         white = self.cluster_white[:, :m]
         gap = means - self.cluster_mu
@@ -288,7 +347,7 @@ class FrozenLandmarks:
         shift = self.sums(self.cluster_sizes * along, lm) / self.counts
         mean_rows = self.cluster_root * (along - np.take(shift, lm))
         scatter_rows = white[0] * factors[0] + white[1] * factors[1] + white[2] * factors[2]
-        return np.concatenate([mean_rows[:m], scatter_rows.ravel(), mean_rows[m:]])
+        return np.concatenate([mean_rows, np.take(scatter_rows, self.scatter_at)])
 
 
 def scatter_factor(scatter: np.ndarray) -> np.ndarray:
@@ -299,8 +358,11 @@ def scatter_factor(scatter: np.ndarray) -> np.ndarray:
     pivot lost in rounding comes last; a non-positive pivot gives a zero
     column. Without pivoting, the singular scatters of collinear or coplanar
     points can put a rounding-level positive pivot before a larger one and
-    blow up the last pivot. Batched `cholesky` fails on those scatters, and
-    batched `eigh` is about ten times slower.
+    blow up the last pivot. With it, the columns past a scatter's rank hold
+    rounding alone, so the scatter of n_c points is carried by its first
+    min(n_c - 1, 3) columns, those `FrozenLandmarks` scores. Batched
+    `cholesky` fails on those scatters, and batched `eigh` is about ten
+    times slower.
     """
     m = len(scatter)
     flat = scatter.reshape(-1)
@@ -336,11 +398,11 @@ class Linearization:
     landmark rows whose own whitened motion B_r is non-zero only in the
     parameter columns cols: rows slice the residual vector, whose landmark
     rows come first, one scalar each, and block is B over those columns,
-    (n, len(cols)). Every moving row lies in exactly one band; rows of no
-    band (fixed points, pinned clouds) do not move. sums is S, (landmarks,
-    parameters), and dense (D) the Jacobian of the rows that follow the
-    landmark rows (gravity, IMU, prior). Row r of landmark j has the
-    Jacobian B_r - a_r S_j / n_j, with S_j = sum_r a_r B_r over landmark j's
+    (n, len(cols)). Every moving row lies in exactly one band; the rows of
+    no band, the fixed clusters' mean rows, do not move. sums is S,
+    (landmarks, parameters), and dense (D) the Jacobian of the rows that
+    follow the landmark rows (gravity, IMU, prior). Row r of landmark j has
+    the Jacobian B_r - a_r S_j / n_j, with S_j = sum_r a_r B_r over landmark j's
     rows, a_r = sqrt(n_c) for a mean row and 0 for a scatter row (see
     `FrozenLandmarks`). As sum_r a_r^2 = n_j,
 
@@ -385,10 +447,11 @@ class Bodies(NamedTuple):
 
     Point k, points[k] in its sensor frame, belongs to body body[k] and sits
     at pose pose[k] of the system's `pose_table`. Pose i lies in band
-    band[i], or -1 if no parameter moves it. Band b's poses turn with the
-    rotations of the parameter blocks rotations[b] (m each) and move with
-    the translations of the blocks positions[b] (P each), pose i weighted
-    by weights[i]; a parameter block is one 6-block (r1 r2 r3 x y z).
+    band[i]; a point that no parameter moves is a fixed point, not a body,
+    so every pose lies in a band. Band b's poses turn with the rotations of
+    the parameter blocks rotations[b] (m each) and move with the
+    translations of the blocks positions[b] (P each), pose i weighted by
+    weights[i]; a parameter block is one 6-block (r1 r2 r3 x y z).
     Sensor-frame normals and their planarity, when given, split landmarks
     by normals at every freeze.
     """
@@ -404,12 +467,6 @@ class Bodies(NamedTuple):
     planarity: np.ndarray | None = None
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over axis 0, for vectors stored one row per component; several
-    times faster than `np.cross`, which moves that axis last."""
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-
-
 class MultiScanSystem:
     """The landmark rows of moving bodies, and a system's dense rows.
 
@@ -422,13 +479,15 @@ class MultiScanSystem:
 
     `freeze` bins the moving points at their poses, groups each landmark's
     members within one body into a cluster and orders the clusters by band,
-    those of no band first. `residuals` moves each cluster by its pose. In
-    `linearize`, with c = (R x) x w_j (x a cluster's sensor-frame mean or
-    scatter column, w_j times sqrt(n_c) on a mean row), a row moves by
+    each band's by descending rank, so that every scatter column's rows are
+    a prefix of each band's clusters. `residuals` moves each cluster by its
+    pose. In `linearize`, with c = (R x) x w_j (x a cluster's sensor-frame
+    mean or scatter column, w_j times sqrt(n_c) on a mean row), a row moves by
     c^T L_i J_l(r) under the rotation of its band's i-th block and, a mean
     row, by sqrt(n_c) times its pose's weight times w_j under each
     translation. Each band gives one `Linearization` band per row kind:
-    its mean rows, then each scatter column's rows over the rotations only.
+    its mean rows, then each scatter column's rows over the rotations only,
+    one per cluster of a higher rank than the column's index.
     """
 
     def __init__(self, bodies: Bodies, fixed_points: np.ndarray, voxel: VoxelConfig,
@@ -493,48 +552,65 @@ class MultiScanSystem:
         new[0] = True
         new[1:] = (lm[1:] != lm[:-1]) | (body[1:] != body[:-1])
         starts = np.flatnonzero(new)
-        single = len(starts) == len(rows)  # no cluster holds two points
+        single = len(starts) == len(rows)  # every cluster one point, as in the window
         pose = np.take(b.pose, rows if single else np.take(rows, starts))
         band = np.take(b.band, pose)
-        # the clusters by band, those of no band first; a stable sort of small
-        # integers is a radix sort
-        order = np.argsort((band + 1).astype(np.min_scalar_type(len(b.rotations))), kind="stable")
-        band = np.take(band, order)
-        self.band_bounds = np.searchsorted(band, np.arange(len(b.rotations) + 1))
-        self.cluster_pose = np.take(pose, order)
-        first = order if single else np.take(starts, order)  # each cluster's first member
         if single:
-            # each cluster takes its point, and has no scatter
-            sizes = np.ones(len(rows))
-            self.cluster_columns = np.take(self.points_t, np.take(rows, order), axis=1)[:, None]
+            sizes, rank = np.ones(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
         else:
-            sizes, means, scatter = point_clusters(np.take(b.points, rows, axis=0), starts)
-            sizes = sizes[order]
-            self.cluster_columns = np.empty((3, 4, len(order)))
+            sizes = np.diff(starts, append=len(rows))
+            rank = np.minimum(sizes - 1, 3)  # the scatter rows each scores (`FrozenLandmarks`)
+        # the clusters by band, each band's by descending rank, so that the
+        # rows of every scatter column are a prefix of each band's clusters;
+        # a stable sort of small integers is a radix sort
+        n_bands = len(b.rotations)
+        order = np.argsort((4 * band + 3 - rank).astype(np.min_scalar_type(4 * n_bands)), kind="stable")
+        band, rank, first = np.take(band, order), np.take(rank, order), np.take(starts, order)
+        self.band_bounds = np.searchsorted(band, np.arange(n_bands + 1))
+        self.cluster_pose = np.take(pose, order)
+        f = rank.max()  # the factor columns, none when every cluster is one point
+        self.cluster_columns = np.empty((3, 1 + f, len(order)))
+        if f:
+            _, means, scatter = point_clusters(np.take(b.points, rows, axis=0), starts)
             self.cluster_columns[:, 0] = means[order].T
-            self.cluster_columns[:, 1:] = scatter_factor(scatter[order]).transpose(1, 2, 0)
-        self.landmarks = lms = FrozenLandmarks(groups, self.voxel.epsilon, np.take(lm, first), sizes)
+            self.cluster_columns[:, 1:] = scatter_factor(scatter[order])[:, :, :f].transpose(1, 2, 0)
+        else:  # each cluster is its point
+            self.cluster_columns[:, 0] = np.take(self.points_t, np.take(rows, first), axis=1)
+        self.landmarks = lms = FrozenLandmarks(groups, self.voxel.epsilon, np.take(lm, first),
+                                               sizes if single else np.take(sizes, order))
         self._moved = None
-        # per banded cluster: w_j per row (sqrt(n_c) w_j on the mean row), its
-        # pose's position weights, and the flat S index, landmark * n_params +
-        # column, of each rotation column
-        moving = slice(self.band_bounds[0], len(order))
-        band, cluster_lm = band[moving], lms.cluster_lm[moving]
-        self.cluster_weights = np.take(self.weights_t, self.cluster_pose[moving], axis=1)
-        self.row_white = lms.cluster_white[:, None, moving]
+        # per cluster: w_j per row (sqrt(n_c) w_j on the mean row), its
+        # pose's position weights, and the flat S index, landmark * n_params
+        # + column, of each rotation column
+        m = len(order)
+        cluster_lm = lms.cluster_lm[:m]
+        self.cluster_weights = np.take(self.weights_t, self.cluster_pose, axis=1)
+        self.row_white = lms.cluster_white[:, None, :m]
         weighted = self.cluster_weights
-        if not single:
-            self.row_white = np.repeat(self.row_white, self.cluster_columns.shape[1], axis=1)
-            self.row_white[:, 0] *= lms.cluster_root[moving]
-            weighted = lms.cluster_sizes[moving] * weighted
+        if f:  # sqrt(n_c) and n_c are 1 on clusters of one point
+            self.row_white = np.repeat(self.row_white, 1 + f, axis=1)
+            self.row_white[:, 0] *= lms.cluster_root[:m]
+            weighted = lms.cluster_sizes[:m] * weighted
         n_params, n_blocks = len(self.stop_steps), len(self.stop_steps) // 6
         self.share_index = cluster_lm * n_params + np.take(self.rotation_cols, band, axis=1)
         # the translation half of S: per landmark and block, sum n_c weight w_j
         weight_sums = landmark_sums(cluster_lm * n_blocks + np.take(self.position_blocks, band, axis=1),
                                     weighted, lms.n_landmarks, n_blocks)
         translation = np.zeros((lms.n_landmarks, n_blocks, 6))
-        translation[:, :, 3:] = weight_sums[:, :, None] * lms.white_lm[:, None, :]
+        # multiplied on long rows, then placed
+        translation[:, :, 3:] = (weight_sums.T[None] * lms.white_lm.T[:, None]).T
         self.translation_sums = translation.reshape(lms.n_landmarks, n_params)
+        # the row slices of the normal equations: (row kind, band, its
+        # clusters lo:hi, their first row). Every cluster's mean row comes
+        # first, then factor column i's rows band by band, a prefix of each
+        lo, hi = self.band_bounds[:-1].tolist(), self.band_bounds[1:].tolist()
+        self.row_slices = [(0, k, lo[k], hi[k], lo[k]) for k in range(n_bands) if lo[k] < hi[k]]
+        row = len(lms.cluster_lm)
+        for i in range(f):
+            for k, held in enumerate(np.bincount(band[rank > i], minlength=n_bands).tolist()):
+                if held:
+                    self.row_slices.append((1 + i, k, lo[k], lo[k] + held, row))
+                    row += held
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         moved = self._moved_clusters(params)
@@ -544,14 +620,13 @@ class MultiScanSystem:
     def linearize(self, params: np.ndarray) -> Linearization:
         """Normal equations at params, every column in closed form."""
         b, lms = self.bodies, self.landmarks
-        first, m = self.band_bounds[0], len(self.cluster_pose)
         turns = left_jacobian(params.reshape(-1, 6)[:, :3])
-        c = _cross(self._moved_clusters(params)[:, :, first:], self.row_white)
+        c = _cross(self._moved_clusters(params), self.row_white)
         # each lever's share of the turn, L_i^T c; L_0's is what is left
         levers = self.levers(params)
         shares = []
         for i in range(levers.shape[1]):
-            lever = np.take(levers[:, i].transpose(1, 2, 0), self.cluster_pose[first:], axis=2)
+            lever = np.take(levers[:, i].transpose(1, 2, 0), self.cluster_pose, axis=2)
             shares.append(lever[0, :, None] * c[0] + lever[1, :, None] * c[1] + lever[2, :, None] * c[2])
             c -= shares[-1]
         shares.insert(0, c)
@@ -562,17 +637,14 @@ class MultiScanSystem:
         for p, weights in enumerate(self.cluster_weights):
             np.multiply(weights, self.row_white[:, 0], out=block[n_rot + 3 * p : n_rot + 3 * p + 3, 0])
         bands = []
-        for k, (lo, hi) in enumerate(zip(self.band_bounds - first, self.band_bounds[1:] - first)):
-            if lo < hi:
-                for kind in range(c.shape[1]):
-                    for i, share in enumerate(shares):
-                        turn = turns[b.rotations[k, i]]
-                        block[3 * i : 3 * i + 3, kind, lo:hi] = turn.T @ share[:, kind, lo:hi]
-                    rows = slice(kind * m + first + lo, kind * m + first + hi)
-                    cols = slice(None) if kind == 0 else slice(n_rot)
-                    bands.append((rows, self.band_cols[k, cols], block[cols, kind, lo:hi].T))
+        for kind, k, lo, hi, row in self.row_slices:
+            for i, share in enumerate(shares):
+                block[3 * i : 3 * i + 3, kind, lo:hi] = turns[b.rotations[k, i]].T @ share[:, kind, lo:hi]
+            cols = slice(None) if kind == 0 else slice(n_rot)
+            bands.append((slice(row, row + hi - lo), self.band_cols[k, cols], block[cols, kind, lo:hi].T))
         sums = self.translation_sums + landmark_sums(
-            self.share_index, block[:n_rot, 0] * lms.cluster_root[first:m], lms.n_landmarks, len(params)
+            self.share_index, block[:n_rot, 0] * lms.cluster_root[: len(self.cluster_pose)],
+            lms.n_landmarks, len(params),
         )
         return Linearization(lms, bands, sums, self.dense_jacobian(params, turns))
 
@@ -585,24 +657,33 @@ class _Poses(NamedTuple):
 
 
 class _RigidSystem(MultiScanSystem):
-    """Keyframe adjustment: each cloud a rigid body at its own pose, with
-    gravity rows.
+    """Keyframe adjustment: each free cloud a rigid body at its own pose,
+    with gravity rows.
 
     Parameters are the free poses' (r1 r2 r3 x y z) blocks in free-index
-    order, each with the stop_steps of a pose; a free cloud's pose is the
-    one pose of its band, over its block's 6 columns, and a pinned cloud's
-    pose is in no band. Each landmark's members in one cloud form one
+    order, each with the stop_steps of a pose; the pose table holds the
+    free poses alone, each the one pose of its band, over its block's 6
+    columns. A pinned first cloud never moves within a solve, so its
+    points at their initial pose are the fixed points, binned once, as a
+    problem's anchors are. Each landmark's members in one cloud form one
     cluster. The gravity rows w (R_k d - up) form the small dense block,
-    turned_motion(w I, R_k d, J_l(r_k)).
+    turned_motion(w I, R_k d, J_l(r_k)); a pinned cloud's are kept,
+    constant.
     """
 
     def __init__(self, problem: AdjustmentProblem):
         self.problem = problem
         self.free = problem.free_indices()
-        clouds = problem.clouds
-        cloud = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
         # the free clouds are the tail from free[0] on, block k the cloud free[0] + k
-        blocks = np.arange(len(self.free))[:, None]
+        clouds = problem.clouds[self.free[0]:]
+        fixed = problem.fixed_points
+        if self.free[0]:
+            pinned, pose = problem.clouds[0].points, problem.initial_poses[0]
+            # as `world_points` places a cloud's points
+            rot = np.repeat(rotvec_to_matrix(pose.rotvec[None]), len(pinned), axis=0)
+            fixed = np.einsum("nij,nj->ni", rot, pinned) + pose.trans
+        cloud = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+        blocks = np.arange(len(clouds))[:, None]
         normals = planarity = None
         if problem.split_normals:  # a cloud without normals has undefined ones
             bare = [c.normals is None or c.planarity is None for c in clouds]
@@ -610,16 +691,19 @@ class _RigidSystem(MultiScanSystem):
             planarity = np.concatenate([np.full(len(c), np.nan) if no else c.planarity
                                         for c, no in zip(clouds, bare)])
         bodies = Bodies(
-            np.vstack([c.points for c in clouds]), cloud, cloud, np.arange(len(clouds)) - self.free[0],
+            np.vstack([c.points for c in clouds]), cloud, cloud, np.arange(len(clouds)),
             blocks, blocks, np.ones((len(clouds), 1)), normals, planarity,
         )
-        super().__init__(bodies, problem.fixed_points, problem.voxel,
+        super().__init__(bodies, fixed, problem.voxel,
                          np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free)),
                          problem.planarity_min)
         cons = problem.gravity_constraints
-        self.grav_cloud = np.array([c.cloud_id for c in cons], dtype=np.int64)
+        # each constraint's pose, -1 for the pinned cloud: the rotation
+        # appended to the pose table's
+        self.grav_pose = np.array([c.cloud_id for c in cons], dtype=np.int64) - self.free[0]
         self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)
         self.grav_weight = np.array([c.weight for c in cons], dtype=float)
+        self.pinned_rot = rotvec_to_matrix(problem.initial_poses[0].rotvec[None])
 
     def poses(self, params: np.ndarray) -> list[Pose]:
         out = list(self.problem.initial_poses)
@@ -628,26 +712,24 @@ class _RigidSystem(MultiScanSystem):
         return out
 
     def pose_table(self, params: np.ndarray) -> _Poses:
-        poses = self.poses(params)
-        return _Poses(rotvec_to_matrix(np.stack([pose.rotvec for pose in poses])),
-                      np.stack([pose.trans for pose in poses]))
+        blocks = params.reshape(-1, 6)
+        return _Poses(rotvec_to_matrix(blocks[:, :3]), blocks[:, 3:])
 
     def levers(self, params: np.ndarray) -> np.ndarray:
-        return np.zeros((len(self.problem.clouds), 0, 3, 3))
+        return np.zeros((len(self.free), 0, 3, 3))
 
     def dense_rows(self, params: np.ndarray) -> np.ndarray:
-        rots = self._at(params).rot[self.grav_cloud]
+        rots = np.concatenate([self._at(params).rot, self.pinned_rot])[self.grav_pose]
         return gravity_residual(rots, self.grav_local, self.grav_weight).ravel()
 
     def dense_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
-        # the parameter block of each constraint's cloud is its band; a pinned cloud has none
-        block = self.bodies.band[self.grav_cloud]
-        own = np.flatnonzero(block >= 0)
-        cloud, block = self.grav_cloud[own], block[own]
-        grav_jac = np.zeros((len(self.grav_cloud), 3, len(turns), 6))
+        # the parameter block of each constraint's cloud is its pose; a pinned cloud has none
+        own = np.flatnonzero(self.grav_pose >= 0)
+        block = self.grav_pose[own]
+        grav_jac = np.zeros((len(self.grav_pose), 3, len(turns), 6))
         grav_jac[own, :, block, :3] = turned_motion(
             self.grav_weight[own, None, None] * np.eye(3),
-            (self._at(params).rot[cloud] @ self.grav_local[own, :, None])[..., 0],
+            (self._at(params).rot[block] @ self.grav_local[own, :, None])[..., 0],
             turns[block],
         )
         return grav_jac.reshape(-1, len(params))

@@ -1,9 +1,10 @@
 """File formats: polygon-file point clouds, IMU CSV, trajectory text, config.
 
 Point clouds use the standard polygon file format with float32 x/y/z and an
-optional float64 per-point time field t, in ascii or binary little-endian
-encoding. The IMU stream is a CSV with header t,gx,gy,gz,ax,ay,az, one
-sample per row, read into and written from an `imu.ImuStream`.
+optional float64 per-point time field t, read in ascii or binary
+little-endian encoding and written in binary. The IMU stream is a CSV with
+header t,gx,gy,gz,ax,ay,az, one sample per row, read into and written from
+an `imu.ImuStream`.
 Trajectories are plain text, one pose per line:
 timestamp tx ty tz qx qy qz qw.
 """
@@ -34,11 +35,11 @@ _PLY_TYPES = {
 }
 
 
-def write_point_cloud(cloud: PointCloud, path, binary: bool = True) -> None:
-    """Write x/y/z (float32) plus per-point t (float64)."""
+def write_point_cloud(cloud: PointCloud, path) -> None:
+    """Write x/y/z (float32) plus per-point t (float64), binary little-endian."""
     header = [
         "ply",
-        "format binary_little_endian 1.0" if binary else "format ascii 1.0",
+        "format binary_little_endian 1.0",
         f"element vertex {len(cloud)}",
         "property float x",
         "property float y",
@@ -52,13 +53,7 @@ def write_point_cloud(cloud: PointCloud, path, binary: bool = True) -> None:
     rows["t"] = cloud.stamps
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            fh.write(rows.tobytes())
-        else:
-            lines = [
-                f"{r['x']:.8g} {r['y']:.8g} {r['z']:.8g} {r['t']:.17g}" for r in rows
-            ]
-            fh.write(("\n".join(lines) + ("\n" if lines else "")).encode("ascii"))
+        fh.write(rows.tobytes())
 
 
 def read_point_cloud(path) -> PointCloud:

@@ -15,10 +15,10 @@ come first.
 `split_by_normals` maps such a dict to another of the same layout.
 
 Points that never move during a solve (the window's static map points,
-keyframe adjustment's anchors) are binned once, by `cell_statistics`,
-into one statistic per occupied cell at each level. `dual_grid_groups`
-then bins only the moving points and merges in the fixed statistic of
-every cell they touch.
+keyframe adjustment's anchors or pinned first cloud) are binned once, by
+`cell_statistics`, into one statistic per occupied cell at each level.
+`dual_grid_groups` then bins only the moving points and merges in the
+fixed statistic of every cell they touch.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import numpy as np
 # voxel index packing: each shifted index must fit in 20 bits
 _PACK_OFFSET = 1 << 19
 _PACK_LIMIT = 1 << 20
+# the most cells a compacted cell key sorts over in one 16-bit radix pass
+_RADIX_SPAN = 1 << 16
 # split_by_normals' cone bound: cos 30 degrees (any half-angle below 45 is exact)
 _CONE_COS = np.sqrt(3.0) / 2.0
 
@@ -100,12 +102,29 @@ class CellStatistics(NamedTuple):
 
 
 def _sorted_cells(points: np.ndarray, cell_size: float):
-    """Stable order of points by packed cell key, the sorted keys, and the
-    start of each cell's run in that order."""
-    packed = pack_cell_indices(voxel_cell_indices(points, cell_size))
-    order = np.argsort(packed, kind="stable")
-    keys = packed[order]
-    return order, keys, np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    """Stable order of points by packed cell key, the packed key of each
+    occupied cell in that order, and the start of each cell's run.
+
+    The packed ids stay the cells' identity; the sort reads a compacted
+    key, each axis index less its minimum, laid out lexicographically over
+    the occupied box. It is monotone in the packed key, so the order is
+    the one a stable sort of the packed keys gives. numpy sorts integers of
+    16 bits or fewer by radix when asked for a stable sort, in time linear
+    in their count, so a box of at most 2^16 cells takes one radix pass; a
+    larger one the comparison sort of the compacted key.
+    """
+    idx = np.floor(np.ascontiguousarray(points.T) / cell_size).astype(np.int64)  # one row per axis
+    lo, hi = (idx.min(axis=1), idx.max(axis=1)) if idx.size else (np.zeros(3, np.int64),) * 2
+    if lo.min() + _PACK_OFFSET < 0 or hi.max() + _PACK_OFFSET >= _PACK_LIMIT:
+        raise ValueError("voxel index out of packable range (scene too large?)")
+    span = hi - lo + 1
+    key = ((idx[0] - lo[0]) * span[1] + (idx[1] - lo[1])) * span[2] + (idx[2] - lo[2])
+    if span.prod() <= _RADIX_SPAN:
+        key = key.astype(np.min_scalar_type(span.prod() - 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    return order, pack_cell_indices(idx[:, order[starts]].T), starts
 
 
 def cell_statistics(points: np.ndarray, voxel: VoxelConfig):
@@ -118,7 +137,7 @@ def cell_statistics(points: np.ndarray, voxel: VoxelConfig):
         order, keys, starts = _sorted_cells(points, size)
         counts, means, scatter = point_clusters(points[order], starts)
         levels.append(CellStatistics(
-            keys[starts], np.append(counts, 0), np.vstack([means, np.zeros((1, 3))]),
+            keys, np.append(counts, 0), np.vstack([means, np.zeros((1, 3))]),
             np.concatenate([scatter, np.zeros((1, 3, 3))]),
         ))
     return levels[0], levels[1]
@@ -161,18 +180,16 @@ def _level_groups(points: np.ndarray, cell_size: float, n_min: int, fixed=None):
     none); without, fixed_at is all -1.
     """
     order, keys, starts = _sorted_cells(points, cell_size)
-    counts = np.diff(starts, append=len(keys))
+    counts = np.diff(starts, append=len(points))
     fixed_at = np.full(len(counts), -1)
     total = counts
     if fixed is not None:
-        at = np.minimum(np.searchsorted(fixed.keys, keys[starts]), len(fixed.keys) - 1)
-        fixed_at = np.where(fixed.keys[at] == keys[starts], at, -1)
+        at = np.minimum(np.searchsorted(fixed.keys, keys), len(fixed.keys) - 1)
+        fixed_at = np.where(fixed.keys[at] == keys, at, -1)
         total = counts + fixed.counts[fixed_at]
     keep = total > n_min
-    group_of_pos = np.repeat(np.arange(len(counts)), counts)
-    pos_keep = keep[group_of_pos]
-    new_gid = np.cumsum(keep) - 1
-    return order[pos_keep], new_gid[group_of_pos[pos_keep]], counts[keep], fixed_at[keep]
+    kept = counts[keep]
+    return order[np.repeat(keep, counts)], np.repeat(np.arange(len(kept)), kept), kept, fixed_at[keep]
 
 
 def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig, fixed=None):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multiscan.adjustment import (
+    EIGEN_GAP,
     STOP_ROTATION,
     STOP_TRANSLATION,
     AdjustmentProblem,
@@ -19,6 +20,7 @@ from multiscan.adjustment import (
     relative_pose_errors,
     run_adjustment,
     scatter_factor,
+    smallest_eigenpairs,
 )
 from multiscan.geometry import Pose, PointCloud, left_jacobian
 from multiscan.landmarks import VoxelConfig, _level_groups, point_clusters, voxel_cell_indices
@@ -92,19 +94,23 @@ def two_sided_sheet(rng, angle):
 class TestEvaluateCost:
     def test_trace_identity_single_landmark(self):
         # all points inside one cell of each level; zero regularization
-        # makes the per-landmark error exactly 1 at the linearization point
+        # makes the per-landmark error exactly 1 at the linearization point.
+        # Far fixed points make landmarks of none of the clouds' cells, so
+        # both clouds are free and no scatter is dropped as constant
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 3)) * 0.08 + 0.5
         cloud = PointCloud(points=pts)
         prob = AdjustmentProblem(
             clouds=[cloud, cloud],
             initial_poses=[Pose.identity(), Pose.identity()],
+            fixed_points=pts + 100.0,
             voxel=VoxelConfig(coarse_size=2.0, fine_size=1.0, n_min=5, epsilon=0.0),
         )
         system, params = frozen_system(prob, prob.initial_poses)
         lms = system.landmarks
-        assert lms.n_landmarks == 2
+        assert lms.n_landmarks == 2 and system.free == [0, 1]
         # no gravity or fixed rows: the mean rows, then each scatter column's
+        # rows, one per cluster of 40 points
         r = system.residuals(params).reshape(4, -1)
         errors = np.bincount(system.landmarks.cluster_lm, weights=np.sum(r * r, axis=0))
         assert np.allclose(errors, 1.0, rtol=1e-10)
@@ -215,7 +221,7 @@ def member_cost(system, frozen, params):
 
 def cluster_cost(system, params):
     r = system.residuals(params)
-    r = r[: len(r) - 3 * len(system.grav_cloud)]
+    r = r[: len(r) - 3 * len(system.grav_weight)]
     return r @ r
 
 
@@ -724,48 +730,49 @@ class TestRunAdjustment:
             assert tilt_deg < 0.2
 
 
-def dense_rigid_jacobian(system, at):
+def dense_rigid_jacobian(system, at, every_column=False):
     """The keyframe system's Jacobian at `at`, formed row by row from its
-    residual definition. A moving cluster of landmark j, at the pose of
-    cloud c with sensor-frame mean q and scatter factor columns f_i, moves
-    its mean projection e = w_j . (R q + t) by w_j under t and by
-    ((R q) x w_j)^T J_l(r) under r, and its scatter row w_j . R f_i by
-    ((R f_i) x w_j)^T J_l(r), in the columns of its cloud's band; a cluster
-    of a pinned cloud (no band) does not move, nor does a fixed cluster,
-    which has a mean row alone. The mean row sqrt(n_c) (e_c - sum n_c' e_c'
-    / n_j) moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted sum
-    of landmark j's mean motions. The rows are the moving clusters' mean
-    rows, their rows of each scatter column in turn, the fixed clusters'
-    mean rows, then per gravity constraint w (R d - up), which moves by
-    -w [R d]x J_l(r)."""
-    lms, bodies = system.landmarks, system.bodies
-    poses = system.poses(at)
-    n_moving, n_clusters, n_params = len(system.cluster_pose), len(lms.cluster_lm), len(at)
-    n_factors = system.cluster_columns.shape[1] - 1
+    residual definition. A moving cluster of landmark j, of n_c points in
+    free cloud c at its pose k = c - free[0], with sensor-frame mean q and
+    scatter factor columns f_i, moves its mean projection e = w_j . (R q +
+    t) by w_j under t and by ((R q) x w_j)^T J_l(r) under r, and its
+    scatter row w_j . R f_i, one for each i < min(n_c - 1, 3), by
+    ((R f_i) x w_j)^T J_l(r), in the columns of block k; a fixed cluster
+    (anchor points, or the pinned first cloud's) does not move and has a
+    mean row alone. The mean row sqrt(n_c) (e_c - sum n_c' e_c' / n_j)
+    moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted sum of
+    landmark j's mean motions. The rows are every cluster's mean row,
+    moving then fixed, the scatter rows of each factor column in turn, in
+    cluster order, then per gravity constraint w (R d - up), which moves
+    by -w [R d]x J_l(r), and not at all on the pinned cloud. every_column
+    scores three scatter rows for every cluster of the system's three
+    factor columns instead."""
+    lms = system.landmarks
+    poses = system.poses(at)[system.free[0]:]
+    n_clusters, n_params = len(lms.cluster_lm), len(at)
     mean = np.zeros((n_clusters, n_params))
-    scatter = np.zeros((n_factors, n_moving, n_params))
-    for n, c in enumerate(system.cluster_pose):
-        k = bodies.band[c]
-        if k < 0:
-            continue
-        rot, jac = poses[c].matrix(), left_jacobian(poses[c].rotvec)
+    scatter = [[] for _ in range(3)]
+    for n, k in enumerate(system.cluster_pose):
+        rot, jac = poses[k].matrix(), left_jacobian(poses[k].rotvec)
         white = lms.white_lm[lms.cluster_lm[n]]
         q, factor = system.cluster_columns[:, 0, n], system.cluster_columns[:, 1:, n]
         mean[n, 6 * k : 6 * k + 3] = np.cross(rot @ q, white) @ jac
         mean[n, 6 * k + 3 : 6 * k + 6] = white
-        for i in range(n_factors):
-            scatter[i, n, 6 * k : 6 * k + 3] = np.cross(rot @ factor[:, i], white) @ jac
+        for i in range(3 if every_column else min(int(lms.cluster_sizes[n]) - 1, 3)):
+            row = np.zeros(n_params)
+            row[6 * k : 6 * k + 3] = np.cross(rot @ factor[:, i], white) @ jac
+            scatter[i].append(row)
     sums = np.zeros((lms.n_landmarks, n_params))
     for n in range(n_clusters):
         sums[lms.cluster_lm[n]] += lms.cluster_sizes[n] * mean[n]
     rows = [np.sqrt(lms.cluster_sizes[n]) * (mean[n] - sums[j] / lms.counts[j])
             for n, j in enumerate(lms.cluster_lm)]
-    rows[n_moving:n_moving] = list(scatter.reshape(-1, n_params))
+    rows += [row for column in scatter for row in column]
     for con in system.problem.gravity_constraints:
         row = np.zeros((3, n_params))
-        k = bodies.band[con.cloud_id]
+        k = con.cloud_id - system.free[0]
         if k >= 0:
-            pose = poses[con.cloud_id]
+            pose = poses[k]
             up = pose.matrix() @ con.direction_local
             cross = np.cross(up, np.eye(3))  # row i is up x e_i, so its transpose is [up]x
             row[:, 6 * k : 6 * k + 3] = -con.weight * cross.T @ left_jacobian(pose.rotvec)
@@ -796,12 +803,14 @@ def room_with_gravity(anchored):
 @pytest.mark.parametrize("anchored", [False, True])
 def test_rigid_normal_equations_match_dense_jacobian(anchored):
     # exact, where the secant checks hold to 1e-6: cluster mean and scatter
-    # rows, mean removal, a pinned first cloud or fixed clusters of anchor
-    # points, and gravity rows
+    # rows of every rank, mean removal, fixed clusters of anchor points or
+    # of a pinned first cloud, and gravity rows (constant on a pinned cloud)
     prob, rng = room_with_gravity(anchored)
     system, params = frozen_system(prob, prob.initial_poses)
     assert system.free == list(range(0 if anchored else 1, len(prob.clouds)))
-    assert (len(system.landmarks.cluster_lm) > len(system.cluster_pose)) == anchored
+    assert len(system.landmarks.cluster_lm) > len(system.cluster_pose)
+    ranks = np.minimum(system.landmarks.cluster_sizes[: len(system.cluster_pose)] - 1, 3)
+    assert set(ranks.tolist()) == {0, 1, 2, 3}
     at = params + 1e-3 * rng.normal(size=len(params))
     jac = dense_rigid_jacobian(system, at)
     r = system.residuals(at)
@@ -810,6 +819,51 @@ def test_rigid_normal_equations_match_dense_jacobian(anchored):
     jtj, jtr = jac.T @ jac, jac.T @ r
     assert np.abs(lin.jtj - jtj).max() <= 1e-10 * np.abs(jtj).max()
     assert np.abs(lin.jtr(r) - jtr).max() <= 1e-10 * np.abs(jtr).max()
+
+
+def test_clusters_score_scatter_rows_at_their_rank():
+    # clusters of 1, 2, 3 and more points score 0, 1, 2 and 3 scatter rows:
+    # the rows three-row scoring adds are zero or rounding, so the cost and
+    # normal equations are three-row scoring's
+    prob, rng = room_with_gravity(anchored=False)
+    system, params = frozen_system(prob, prob.initial_poses)
+    lms, m = system.landmarks, len(system.cluster_pose)
+    sizes = lms.cluster_sizes[:m].astype(int)
+    assert {1, 2, 3} <= set(sizes.tolist()) and sizes.max() >= 4
+    at = params + 1e-3 * rng.normal(size=len(params))
+    r = system.residuals(at)
+    n_grav = 3 * len(prob.gravity_constraints)
+    assert len(r) == len(lms.cluster_lm) + np.minimum(sizes - 1, 3).sum() + n_grav
+    # three rows per cluster: the mean rows, w_j . R f_i of all three factor
+    # columns, then the gravity rows
+    moved = system._moved_clusters(at)
+    assert moved.shape[1] == 4
+    white = lms.cluster_white[:, :m]
+    scatter = np.einsum("in,ikn->kn", white, moved[:, 1:]).ravel()
+    r3 = np.concatenate([r[: len(lms.cluster_lm)], scatter, r[len(r) - n_grav :]])
+    jac3 = dense_rigid_jacobian(system, at, every_column=True)
+    jtj3, jtr3 = jac3.T @ jac3, jac3.T @ r3
+    lin = system.linearize(at)
+    assert r @ r == pytest.approx(r3 @ r3, rel=1e-12)
+    assert np.abs(lin.jtj - jtj3).max() <= 1e-12 * np.abs(jtj3).max()
+    assert np.abs(lin.jtr(r) - jtr3).max() <= 1e-12 * np.abs(jtr3).max()
+
+
+def test_pinned_cloud_solves_as_anchors_at_its_pose():
+    # a plain problem takes the steps of the same problem with its first
+    # cloud's points, at that cloud's pose, as fixed points; its cost adds
+    # that cloud's constant gravity rows
+    plain, _ = room_with_gravity(anchored=False)
+    anchored, _ = room_with_gravity(anchored=True)
+    res_plain, res_anchored = run_adjustment(plain, 4), run_adjustment(anchored, 4)
+    assert res_plain.iterations == res_anchored.iterations
+    for a, b in zip(res_plain.poses[1:], res_anchored.poses):
+        assert np.abs(a.as_params() - b.as_params()).max() <= 1e-12
+    up = plain.gravity_constraints[0]
+    offset = np.sum(gravity_residual(plain.initial_poses[0].matrix()[None], up.direction_local[None],
+                                     np.array([up.weight])) ** 2)
+    gap = np.array(res_plain.cost_history) - np.array(res_anchored.cost_history)
+    assert np.allclose(gap, offset, rtol=1e-9, atol=1e-12 * max(res_plain.cost_history))
 
 
 def test_anchors_score_as_fixed_clusters():
@@ -866,31 +920,36 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
         assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
 
 
+def two_sided_wall(rng, n=120):
+    """Two clouds seeing a thin sheet from either side, their normals set
+    by hand: the front's down, the back's up."""
+    sheet = np.zeros((n, 3))
+    sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
+    return [
+        PointCloud(points=sheet + [0.0, 0.0, 0.02 * side], normals=np.tile([0.0, 0, 2 * side - 1.0], (n, 1)),
+                   planarity=np.ones(n))
+        for side in (0, 1)
+    ]
+
+
 class TestFreezeWithSplitting:
     def test_two_sided_wall_splits(self):
+        # both sides free; the pinned first cloud is a blob far away, whose
+        # cells no free cloud reaches
         rng = np.random.default_rng(14)
-        n = 120
-        sheet = np.zeros((n, 3))
-        sheet[:, 0] = rng.uniform(-0.9, 0.9, n)
-        sheet[:, 1] = rng.uniform(-0.9, 0.9, n)
-        front = sheet.copy()
-        back = sheet.copy() + [0.0, 0.0, 0.02]
-        normals_front = np.tile([0.0, 0, -1.0], (n, 1))
-        normals_back = np.tile([0.0, 0, 1.0], (n, 1))
-        clouds = [
-            PointCloud(points=front, normals=normals_front, planarity=np.ones(n)),
-            PointCloud(points=back, normals=normals_back, planarity=np.ones(n)),
-        ]
+        front, back = two_sided_wall(rng)
+        clouds = [PointCloud(points=rng.uniform(40.0, 41.0, size=(50, 3))), front, back]
         prob_plain = AdjustmentProblem(
-            clouds=clouds, initial_poses=[Pose.identity()] * 2, split_normals=False
+            clouds=clouds, initial_poses=[Pose.identity()] * 3, split_normals=False
         )
         prob_split = AdjustmentProblem(
-            clouds=clouds, initial_poses=[Pose.identity()] * 2,
+            clouds=clouds, initial_poses=[Pose.identity()] * 3,
             split_normals=True, planarity_min=0.5,
         )
-        pts = np.vstack([front, back])
+        pts = np.vstack([front.points, back.points])
         plain = frozen_groups(*frozen_system(prob_plain, prob_plain.initial_poses))
         split = frozen_groups(*frozen_system(prob_split, prob_split.initial_poses))
+        assert not np.any(plain["fixed"][0])
         assert len(split["counts"]) > len(plain["counts"])
         # the two halves of a split landmark take its place in the order, and
         # together hold its members, which lie in one cell at its level
@@ -909,3 +968,64 @@ class TestFreezeWithSplitting:
             assert len(np.unique(voxel_cell_indices(pts[halves], size), axis=0)) == 1
             k, halved = k + 2, halved + 1
         assert k == len(split_rows) and halved > 0
+
+    def test_pinned_cloud_keeps_its_landmarks_whole(self):
+        # the same wall with its front pinned: the front's points are fixed
+        # points, which carry no normals, so no landmark that holds them splits
+        clouds = two_sided_wall(np.random.default_rng(14))
+        kwargs = dict(clouds=clouds, initial_poses=[Pose.identity()] * 2)
+        plain = frozen_groups(*frozen_system(AdjustmentProblem(**kwargs), kwargs["initial_poses"]))
+        split = frozen_groups(*frozen_system(
+            AdjustmentProblem(**kwargs, split_normals=True, planarity_min=0.5), kwargs["initial_poses"]
+        ))
+        assert np.all(split["fixed"][0] > 0)
+        for key in ("member_row", "member_group", "counts"):
+            assert np.array_equal(split[key], plain[key])
+
+
+def rotated(rng, evals):
+    """The symmetric matrix of eigenvalues evals in a random orthonormal frame."""
+    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    out = (frame * np.asarray(evals, dtype=float)) @ frame.T
+    return (out + out.T) / 2.0
+
+
+class TestSmallestEigenpairs:
+    def test_matches_eigh_up_to_sign(self, monkeypatch):
+        # SPD, planar (rank 2), rank-1, all-zero and isotropic covariances,
+        # scaled from 1e-6 to 1e4, and one whose two smallest eigenvalues
+        # lie 1e-4 apart; eigh is handed those within EIGEN_GAP of each other
+        rng = np.random.default_rng(40)
+        covs = []
+        for scale in 10.0 ** np.arange(-6.0, 5.0):
+            covs += [rotated(rng, scale * np.sort(rng.uniform(0.05, 1.0, 3))),
+                     rotated(rng, scale * np.array([0.0, *np.sort(rng.uniform(0.05, 1.0, 2))])),
+                     rotated(rng, scale * np.array([0.0, 0.0, 1.0])),
+                     np.zeros((3, 3)),
+                     scale * np.eye(3)]
+        covs.append(rotated(rng, [1.0, 1.0 + 1e-4, 3.0]))
+        covs = np.array(covs)
+        handed = []
+        eigh = np.linalg.eigh
+
+        def recording(batch):
+            handed.append(batch.copy())
+            return eigh(batch)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        lam, normal = smallest_eigenpairs(covs)
+        monkeypatch.undo()
+        evals, evecs = np.linalg.eigh(covs)
+        top = evals[:, 2]
+        near = evals[:, 1] - evals[:, 0] <= EIGEN_GAP * top
+        assert len(handed) == 1 and len(handed[0]) == near.sum() and near[-1]
+        assert np.array_equal(handed[0], covs[near])
+        # eigh's own pair where it was handed the matrix
+        assert np.array_equal(lam[near], np.maximum(evals[near, 0], 0.0))
+        assert np.array_equal(normal[:, near], evecs[near, :, 0].T)
+        # elsewhere the closed form: lambda clamped at 0, v to sign
+        assert np.all(lam >= 0.0)
+        assert np.all(np.abs(lam - np.maximum(evals[:, 0], 0.0)) <= 1e-14 * top)
+        v = normal.T[~near]
+        sign = np.sign(np.einsum("ni,ni->n", v, evecs[~near, :, 0]))
+        assert np.all(np.abs(sign[:, None] * v - evecs[~near, :, 0]) <= 1e-12)

@@ -15,6 +15,15 @@ from multiscan.geometry import Pose, PointCloud
 from multiscan.imu import ImuStream
 
 
+def write_ascii_cloud(cloud, path):
+    """The ascii twin of `write_point_cloud`: x/y/z as float32, t as float64."""
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}", "property float x",
+              "property float y", "property float z", "property double t", "end_header"]
+    xyz = cloud.points.astype(np.float32)
+    lines = [f"{x:.8g} {y:.8g} {z:.8g} {t:.17g}" for (x, y, z), t in zip(xyz, cloud.stamps)]
+    path.write_text("\n".join(header + lines) + "\n")
+
+
 class TestPointCloudIO:
     @pytest.mark.parametrize("binary", [True, False])
     def test_round_trip(self, tmp_path, binary):
@@ -24,7 +33,7 @@ class TestPointCloudIO:
             stamps=np.sort(rng.uniform(0, 1, 1000)),
         )
         path = tmp_path / "cloud.ply"
-        write_point_cloud(cloud, path, binary=binary)
+        (write_point_cloud if binary else write_ascii_cloud)(cloud, path)
         back = read_point_cloud(path)
         assert len(back) == 1000
         assert np.allclose(back.points, cloud.points, atol=1e-4)  # float32 storage
@@ -105,7 +114,7 @@ class TestPointCloudIO:
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "trunc.ply"
         cloud = PointCloud(points=np.ones((10, 3)))
-        write_point_cloud(cloud, path, binary=True)
+        write_point_cloud(cloud, path)
         data = path.read_bytes()
         path.write_bytes(data[:-12])
         with pytest.raises(DataError, match="shorter"):

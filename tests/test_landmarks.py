@@ -5,6 +5,7 @@ from multiscan.adjustment import FrozenLandmarks
 from multiscan.landmarks import (
     VoxelConfig,
     _level_groups,
+    _sorted_cells,
     cell_statistics,
     dual_grid_groups,
     pack_cell_indices,
@@ -540,3 +541,25 @@ class TestTraceIdentity:
             total = float(np.einsum("ni,ij,nj->", d, np.linalg.inv(cov), d))
             assert total == pytest.approx(3.0 * n, rel=1e-8)
 
+
+
+@pytest.mark.parametrize("extent", [3.0, 150.0, 6e4])
+def test_sorted_cells_keep_the_packed_keys_stable_order(extent):
+    # the compacted key sorts as np.argsort(packed, kind="stable"), ties in
+    # row order, bit for bit: around the origin (negative indices, one
+    # radix pass), and over boxes above 2^16 and 2^32 cells (the comparison
+    # sort). Points share cells, so ties are many
+    rng = np.random.default_rng(int(extent))
+    cells = rng.uniform(-extent, extent, size=(300, 3))
+    pts = cells[rng.integers(0, len(cells), size=2000)] + rng.uniform(0.0, 0.1, size=(2000, 3))
+    # the first row in the fine cell just above the lowest other one, by key
+    pts[0] = pts[1 + np.argmin(pack_cell_indices(voxel_cell_indices(pts[1:], 0.5)))] + [0.0, 0.0, 0.5]
+    for size in (2.0, 0.5):
+        packed = pack_cell_indices(voxel_cell_indices(pts, size))
+        expected = np.argsort(packed, kind="stable")
+        order, keys, starts = _sorted_cells(pts, size)
+        assert np.array_equal(order, expected)
+        assert np.array_equal(keys, np.unique(packed))
+        assert np.array_equal(starts, np.flatnonzero(np.diff(packed[expected], prepend=-1)))
+        span = np.ptp(voxel_cell_indices(pts, size), axis=0) + 1
+        assert (span.prod() > 1 << 16) == (extent > 3.0) and (span.prod() > 1 << 32) == (extent > 150.0)

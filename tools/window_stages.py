@@ -12,7 +12,15 @@ the system and start of the first of each (scene 0). Each stage is then
 timed REPEATS times at that start and the minimum is printed in ms, with
 BLAS pinned to 1 thread:
 
-- `freeze`: landmarks frozen at the parameters;
+- `freeze`: landmarks frozen at the parameters, and four of its parts:
+  - `binning`: `dual_grid_groups` of the moving points, merged with the
+    fixed points' cells;
+  - `split`: `split_by_normals` of those landmarks (none in the window,
+    whose points carry no normals);
+  - `weights`: `FrozenLandmarks` of the frozen landmarks and clusters;
+  - `clusters`: the rest, freeze less the three parts above: each
+    landmark's members in one body grouped into a cluster, with its
+    scatter factor, and the tables of the clusters' rows;
 - `residuals`: the residual vector at a parameter vector not seen before
   (two vectors 1e-6 apart alternate, so no call reuses the last one's points);
 - `linearize`: the normal equations at the frozen parameters;
@@ -58,13 +66,26 @@ def min_ms(fn) -> float:
 def stage_times(system, params: np.ndarray) -> dict:
     """Minimum ms of each stage of one outer iteration of system at params,
     and the counts of the system frozen there."""
-    from multiscan.adjustment import LAMBDA_INIT, lm_step
+    from multiscan.adjustment import LAMBDA_INIT, FrozenLandmarks, lm_step
+    from multiscan.landmarks import dual_grid_groups, split_by_normals
 
     system.freeze(params)
     lin = system.linearize(params)
     r = system.residuals(params)
     jtr = lin.jtr(r)
     lms = system.landmarks
+    b, world, m = system.bodies, system.world_points(params), len(system.cluster_pose)
+    groups = dual_grid_groups(world, system.voxel, system.fixed_cells)
+    parts = {"binning": min_ms(lambda: dual_grid_groups(world, system.voxel, system.fixed_cells))}
+    parts["split"] = 0.0
+    if b.normals is not None:
+        normals = np.einsum("nij,nj->ni", system.pose_table(params).rot[b.pose], b.normals)
+        parts["split"] = min_ms(lambda: split_by_normals(groups, world, normals, b.planarity,
+                                                         system.planarity_min, system.voxel.n_min))
+        groups = split_by_normals(groups, world, normals, b.planarity, system.planarity_min,
+                                  system.voxel.n_min)
+    parts["weights"] = min_ms(lambda: FrozenLandmarks(groups, system.voxel.epsilon, lms.cluster_lm[:m],
+                                                      lms.cluster_sizes[:m]))
     counts = {
         "rows": len(r),
         "moving clusters": len(lms.cluster_lm) - len(lms.fixed_along),
@@ -73,8 +94,11 @@ def stage_times(system, params: np.ndarray) -> dict:
         "dense rows": len(lin.dense),
     }
     trials = itertools.cycle([params + 1e-6, params - 1e-6])
+    freeze = min_ms(lambda: system.freeze(params))
     return {
-        "freeze": min_ms(lambda: system.freeze(params)),
+        "freeze": freeze,
+        **parts,
+        "clusters": freeze - sum(parts.values()),
         "residuals": min_ms(lambda: system.residuals(next(trials))),
         "linearize": min_ms(lambda: system.linearize(params)),
         "lm_step": min_ms(lambda: lm_step(lin.jtj, jtr, LAMBDA_INIT)),
@@ -145,7 +169,7 @@ def main() -> int:
         "keyframe, room_adjust seed 0 scene 0": stage_times(*room_system(room)),
         "keyframe, room_anchored seed 0 scene 0": stage_times(*anchored_system(room)),
     }
-    stages = ("freeze", "residuals", "linearize", "lm_step")
+    stages = ("freeze", "binning", "split", "weights", "clusters", "residuals", "linearize", "lm_step")
     counts = ("rows", "moving clusters", "fixed clusters", "bands", "dense rows")
     print(f"| min of {REPEATS} calls, ms | " + " | ".join(stages + counts) + " |")
     print("|---" * (len(stages) + len(counts) + 1) + "|")
