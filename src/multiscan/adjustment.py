@@ -552,14 +552,10 @@ class MultiScanSystem:
         new[0] = True
         new[1:] = (lm[1:] != lm[:-1]) | (body[1:] != body[:-1])
         starts = np.flatnonzero(new)
-        single = len(starts) == len(rows)  # every cluster one point, as in the window
-        pose = np.take(b.pose, rows if single else np.take(rows, starts))
+        pose = np.take(b.pose, np.take(rows, starts))
         band = np.take(b.band, pose)
-        if single:
-            sizes, rank = np.ones(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
-        else:
-            sizes = np.diff(starts, append=len(rows))
-            rank = np.minimum(sizes - 1, 3)  # the scatter rows each scores (`FrozenLandmarks`)
+        sizes = np.diff(starts, append=len(rows))
+        rank = np.minimum(sizes - 1, 3)  # the scatter rows each scores (`FrozenLandmarks`)
         # the clusters by band, each band's by descending rank, so that the
         # rows of every scatter column are a prefix of each band's clusters;
         # a stable sort of small integers is a radix sort
@@ -577,7 +573,7 @@ class MultiScanSystem:
         else:  # each cluster is its point
             self.cluster_columns[:, 0] = np.take(self.points_t, np.take(rows, first), axis=1)
         self.landmarks = lms = FrozenLandmarks(groups, self.voxel.epsilon, np.take(lm, first),
-                                               sizes if single else np.take(sizes, order))
+                                               np.take(sizes, order))
         self._moved = None
         # per cluster: w_j per row (sqrt(n_c) w_j on the mean row), its
         # pose's position weights, and the flat S index, landmark * n_params
@@ -666,9 +662,9 @@ class _RigidSystem(MultiScanSystem):
     columns. A pinned first cloud never moves within a solve, so its
     points at their initial pose are the fixed points, binned once, as a
     problem's anchors are. Each landmark's members in one cloud form one
-    cluster. The gravity rows w (R_k d - up) form the small dense block,
-    turned_motion(w I, R_k d, J_l(r_k)); a pinned cloud's are kept,
-    constant.
+    cluster. The gravity rows w (R_k d - up) of the free clouds form the
+    small dense block, turned_motion(w I, R_k d, J_l(r_k)); a pinned
+    cloud's would be constant and are dropped.
     """
 
     def __init__(self, problem: AdjustmentProblem):
@@ -697,13 +693,10 @@ class _RigidSystem(MultiScanSystem):
         super().__init__(bodies, fixed, problem.voxel,
                          np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free)),
                          problem.planarity_min)
-        cons = problem.gravity_constraints
-        # each constraint's pose, -1 for the pinned cloud: the rotation
-        # appended to the pose table's
+        cons = [c for c in problem.gravity_constraints if c.cloud_id >= self.free[0]]
         self.grav_pose = np.array([c.cloud_id for c in cons], dtype=np.int64) - self.free[0]
         self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)
         self.grav_weight = np.array([c.weight for c in cons], dtype=float)
-        self.pinned_rot = rotvec_to_matrix(problem.initial_poses[0].rotvec[None])
 
     def poses(self, params: np.ndarray) -> list[Pose]:
         out = list(self.problem.initial_poses)
@@ -719,17 +712,16 @@ class _RigidSystem(MultiScanSystem):
         return np.zeros((len(self.free), 0, 3, 3))
 
     def dense_rows(self, params: np.ndarray) -> np.ndarray:
-        rots = np.concatenate([self._at(params).rot, self.pinned_rot])[self.grav_pose]
+        rots = self._at(params).rot[self.grav_pose]
         return gravity_residual(rots, self.grav_local, self.grav_weight).ravel()
 
     def dense_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
-        # the parameter block of each constraint's cloud is its pose; a pinned cloud has none
-        own = np.flatnonzero(self.grav_pose >= 0)
-        block = self.grav_pose[own]
-        grav_jac = np.zeros((len(self.grav_pose), 3, len(turns), 6))
-        grav_jac[own, :, block, :3] = turned_motion(
-            self.grav_weight[own, None, None] * np.eye(3),
-            (self._at(params).rot[block] @ self.grav_local[own, :, None])[..., 0],
+        # the parameter block of each constraint's cloud is its pose
+        block = self.grav_pose
+        grav_jac = np.zeros((len(block), 3, len(turns), 6))
+        grav_jac[np.arange(len(block)), :, block, :3] = turned_motion(
+            self.grav_weight[:, None, None] * np.eye(3),
+            (self._at(params).rot[block] @ self.grav_local[:, :, None])[..., 0],
             turns[block],
         )
         return grav_jac.reshape(-1, len(params))

@@ -113,10 +113,9 @@ def _sorted_cells(points: np.ndarray, cell_size: float):
     in their count, so a box of at most 2^16 cells takes one radix pass; a
     larger one the comparison sort of the compacted key.
     """
-    idx = np.floor(np.ascontiguousarray(points.T) / cell_size).astype(np.int64)  # one row per axis
+    idx = voxel_cell_indices(np.ascontiguousarray(points.T), cell_size)  # one row per axis
     lo, hi = (idx.min(axis=1), idx.max(axis=1)) if idx.size else (np.zeros(3, np.int64),) * 2
-    if lo.min() + _PACK_OFFSET < 0 or hi.max() + _PACK_OFFSET >= _PACK_LIMIT:
-        raise ValueError("voxel index out of packable range (scene too large?)")
+    pack_cell_indices(np.stack([lo, hi]))  # the box's corners are packable, so is every cell
     span = hi - lo + 1
     key = ((idx[0] - lo[0]) * span[1] + (idx[1] - lo[1])) * span[2] + (idx[2] - lo[2])
     if span.prod() <= _RADIX_SPAN:

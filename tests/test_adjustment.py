@@ -551,7 +551,8 @@ class TestGravityResidual:
         assert np.allclose(r[1], 5.0 * r[0])
 
     def test_rigid_jacobian_gravity_rows_match_secant(self):
-        # each constraint's rows move only with its own cloud's rotation
+        # each free cloud's constraint's rows move only with its own cloud's
+        # rotation; the pinned cloud 0's would be constant and have none
         ds = small_room(points_per_scan=800, duration=0.3)
         rng = np.random.default_rng(3)
         init = [ds.truth_poses[0]] + [
@@ -566,7 +567,7 @@ class TestGravityResidual:
         )
         system, params = frozen_system(prob, init)
         grav_jac = system.linearize(params).dense
-        n_grav = 3 * len(constraints)
+        n_grav = 3 * (len(constraints) - 1)
         assert grav_jac.shape == (n_grav, len(params))
         h = 1e-6
         for q in range(len(params)):
@@ -652,14 +653,15 @@ class TestRunAdjustment:
             assert history[k + 1] <= history[k] + 1e-12
 
     def test_insufficient_structure_propagates(self):
-        # anchors that fill only cells of their own make no landmark either:
-        # their rows would be constant
+        # anchors, or a pinned first cloud, that fill only cells of their own
+        # make no landmark either: their rows would be constant
         rng = np.random.default_rng(11)
         a = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)))
         b = PointCloud(points=rng.uniform(0, 0.3, size=(4, 3)) + [10.0, 0, 0])
-        for fixed in (None, rng.uniform(5.0, 5.3, size=(50, 3))):
+        full = PointCloud(points=rng.uniform(0, 0.3, size=(50, 3)))
+        for first, fixed in ((a, None), (a, rng.uniform(5.0, 5.3, size=(50, 3))), (full, None)):
             prob = AdjustmentProblem(
-                clouds=[a, b], initial_poses=[Pose.identity(), Pose.identity()], fixed_points=fixed
+                clouds=[first, b], initial_poses=[Pose.identity(), Pose.identity()], fixed_points=fixed
             )
             with pytest.raises(InsufficientStructureError):
                 run_adjustment(prob)
@@ -743,8 +745,9 @@ def dense_rigid_jacobian(system, at, every_column=False):
     moves by sqrt(n_c) (de_c - S_j / n_j), S_j the size-weighted sum of
     landmark j's mean motions. The rows are every cluster's mean row,
     moving then fixed, the scatter rows of each factor column in turn, in
-    cluster order, then per gravity constraint w (R d - up), which moves
-    by -w [R d]x J_l(r), and not at all on the pinned cloud. every_column
+    cluster order, then per gravity constraint of a free cloud w (R d -
+    up), which moves by -w [R d]x J_l(r); a pinned cloud's has no rows
+    (`_RigidSystem`). every_column
     scores three scatter rows for every cluster of the system's three
     factor columns instead."""
     lms = system.landmarks
@@ -769,13 +772,14 @@ def dense_rigid_jacobian(system, at, every_column=False):
             for n, j in enumerate(lms.cluster_lm)]
     rows += [row for column in scatter for row in column]
     for con in system.problem.gravity_constraints:
-        row = np.zeros((3, n_params))
         k = con.cloud_id - system.free[0]
-        if k >= 0:
-            pose = poses[k]
-            up = pose.matrix() @ con.direction_local
-            cross = np.cross(up, np.eye(3))  # row i is up x e_i, so its transpose is [up]x
-            row[:, 6 * k : 6 * k + 3] = -con.weight * cross.T @ left_jacobian(pose.rotvec)
+        if k < 0:
+            continue
+        row = np.zeros((3, n_params))
+        pose = poses[k]
+        up = pose.matrix() @ con.direction_local
+        cross = np.cross(up, np.eye(3))  # row i is up x e_i, so its transpose is [up]x
+        row[:, 6 * k : 6 * k + 3] = -con.weight * cross.T @ left_jacobian(pose.rotvec)
         rows.extend(row)
     return np.array(rows)
 
@@ -804,7 +808,7 @@ def room_with_gravity(anchored):
 def test_rigid_normal_equations_match_dense_jacobian(anchored):
     # exact, where the secant checks hold to 1e-6: cluster mean and scatter
     # rows of every rank, mean removal, fixed clusters of anchor points or
-    # of a pinned first cloud, and gravity rows (constant on a pinned cloud)
+    # of a pinned first cloud, and gravity rows (none on a pinned cloud)
     prob, rng = room_with_gravity(anchored)
     system, params = frozen_system(prob, prob.initial_poses)
     assert system.free == list(range(0 if anchored else 1, len(prob.clouds)))
@@ -832,7 +836,7 @@ def test_clusters_score_scatter_rows_at_their_rank():
     assert {1, 2, 3} <= set(sizes.tolist()) and sizes.max() >= 4
     at = params + 1e-3 * rng.normal(size=len(params))
     r = system.residuals(at)
-    n_grav = 3 * len(prob.gravity_constraints)
+    n_grav = 3 * len(system.grav_weight)
     assert len(r) == len(lms.cluster_lm) + np.minimum(sizes - 1, 3).sum() + n_grav
     # three rows per cluster: the mean rows, w_j . R f_i of all three factor
     # columns, then the gravity rows
@@ -850,20 +854,16 @@ def test_clusters_score_scatter_rows_at_their_rank():
 
 
 def test_pinned_cloud_solves_as_anchors_at_its_pose():
-    # a plain problem takes the steps of the same problem with its first
-    # cloud's points, at that cloud's pose, as fixed points; its cost adds
-    # that cloud's constant gravity rows
+    # a plain problem takes the steps, and has the costs, of the same problem
+    # with its first cloud's points, at that cloud's pose, as fixed points;
+    # the pinned cloud's gravity rows are dropped, as they would be constant
     plain, _ = room_with_gravity(anchored=False)
     anchored, _ = room_with_gravity(anchored=True)
     res_plain, res_anchored = run_adjustment(plain, 4), run_adjustment(anchored, 4)
     assert res_plain.iterations == res_anchored.iterations
     for a, b in zip(res_plain.poses[1:], res_anchored.poses):
         assert np.abs(a.as_params() - b.as_params()).max() <= 1e-12
-    up = plain.gravity_constraints[0]
-    offset = np.sum(gravity_residual(plain.initial_poses[0].matrix()[None], up.direction_local[None],
-                                     np.array([up.weight])) ** 2)
-    gap = np.array(res_plain.cost_history) - np.array(res_anchored.cost_history)
-    assert np.allclose(gap, offset, rtol=1e-9, atol=1e-12 * max(res_plain.cost_history))
+    assert np.allclose(res_plain.cost_history, res_anchored.cost_history, rtol=1e-12, atol=0)
 
 
 def test_anchors_score_as_fixed_clusters():
