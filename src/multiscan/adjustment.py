@@ -36,6 +36,10 @@ anchors or its pinned first cloud) are binned once per solve
 touch (`dual_grid_groups`), and each landmark's fixed part scored as one
 fixed cluster, in no band, by its mean row alone.
 
+A keyframe solve may split a landmark seen from both sides of a thin
+structure into front and back landmarks (`split_by_normals`), each point
+seen from its pose's position; the window splits none.
+
 Each outer iteration of `levenberg_marquardt` freezes the landmarks
 (membership and weights; each cell's mean follows its members) and takes
 up to INNER_ITERATIONS damped Gauss-Newton steps, whose normal equations a
@@ -48,7 +52,8 @@ one owner level and is built there once:
   points' cells;
 - per parameter vector: the system's `pose_table`, the moving points'
   world positions (a freeze bins them) and the clusters' turned columns;
-- per freeze: the landmarks, the clusters ordered by band and rank with
+- per freeze: the landmarks and their smallest eigenpairs, which the split
+  and the weights share, the clusters ordered by band and rank with
   their weights, the row slices of each band, the S index of their
   rotation columns and the translation half of S, which no parameter
   moves.
@@ -109,18 +114,21 @@ class AdjustmentProblem:
     initial_poses: list[Pose]
     fixed_points: np.ndarray | None = None  # (0, 3) after construction when None
     gravity_constraints: list[GravityConstraint] = field(default_factory=list)
-    split_normals: bool = False
-    planarity_min: float = 0.5
+    split_normals: bool = False  # split landmarks seen from both sides (`split_by_normals`)
+    planarity_min: float = 0.5  # the least planarity, a landmark's own, of a landmark that splits
     voxel: VoxelConfig = field(default_factory=VoxelConfig)
 
     def __post_init__(self):
         if len(self.clouds) != len(self.initial_poses):
             raise ValueError("one initial pose per cloud required")
+        for k, cloud in enumerate(self.clouds):
+            if not np.all(np.isfinite(cloud.points)):
+                raise ValueError(f"cloud {k} has points that are not finite")
         for con in self.gravity_constraints:
             ok = isinstance(con.cloud_id, (int, np.integer)) and 0 <= con.cloud_id < len(self.clouds)
             if not ok:
                 raise ValueError(f"gravity cloud_id {con.cloud_id!r} is not an index of the clouds")
-        # planarity lies in [0, 1]; split_normals=False switches splitting off
+        # a landmark's planarity lies in [0, 1]; split_normals=False splits none
         if not 0.0 <= self.planarity_min <= 1.0:
             raise ValueError(f"planarity_min must lie in [0, 1], got {self.planarity_min}")
         fixed = np.zeros((0, 3)) if self.fixed_points is None else np.asarray(self.fixed_points, float)
@@ -147,25 +155,28 @@ class AdjustmentResult:
     iterations: int
 
 
-def freeze_landmarks(points: np.ndarray, voxel: VoxelConfig, fixed_cells, normals=None,
-                     planarity=None, planarity_min: float = 0.5) -> dict:
+def freeze_landmarks(points: np.ndarray, voxel: VoxelConfig, fixed_cells, origins=None,
+                     planarity_min: float = 0.5):
     """The landmarks of world-frame points (N, 3), in the layout of
     `dual_grid_groups`, merged with fixed_cells (`cell_statistics` of the
-    fixed points, or None). With world-frame normals and planarity aligned
-    with points, planar cells whose member normals oppose each other are
-    divided into front and back landmarks (`split_by_normals`). Raises
-    `InsufficientStructureError` when no cell makes a landmark.
+    fixed points, or None), and their `smallest_eigenpairs`. With origins,
+    the world-frame sensor origin of each point, planar landmarks seen from
+    both sides split into front and back (`split_by_normals`), which reads
+    the same eigenpairs; only a freeze that splits computes them again, of
+    its new landmarks. Raises `InsufficientStructureError` when no cell
+    makes a landmark.
     """
     groups = dual_grid_groups(points, voxel, fixed_cells)
     if groups is None:
         raise InsufficientStructureError(
             "insufficient overlap/structure: no voxel exceeds the landmark threshold"
         )
-    if normals is not None:
-        groups = split_by_normals(
-            groups, points, normals, planarity, planarity_min=planarity_min, n_min=voxel.n_min
-        )
-    return groups
+    eigenpairs = smallest_eigenpairs(groups["covs"])
+    if origins is not None:
+        split = split_by_normals(groups, points, origins, eigenpairs, planarity_min, voxel.n_min)
+        if split is not groups:
+            groups, eigenpairs = split, smallest_eigenpairs(split["covs"])
+    return groups, eigenpairs
 
 
 def lm_step(jtj: np.ndarray, jtr: np.ndarray, lam: float) -> np.ndarray:
@@ -207,17 +218,17 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
 
-def smallest_eigenpairs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest eigenvalue lambda, clamped at 0, and a unit eigenvector v
-    of each symmetric 3x3 matrix C of covs (L, 3, 3): (L,) and (3, L), one
-    row per component. The sign of v is arbitrary.
+def smallest_eigenpairs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smallest eigenvalue lambda, clamped at 0, a unit eigenvector v
+    and the planarity g = (lambda_mid - lambda) / lambda_max (0 for C = 0)
+    of each symmetric 3x3 matrix C of covs (L, 3, 3): (L,), (3, L), one row
+    per component, and (L,). The sign of v is arbitrary.
 
     Closed form on component rows: Smith's trigonometric eigenvalues, then
     v as the largest cross product of two rows of C - lambda I (Kopp,
-    arXiv:physics/0610206). Its error in v grows as eps / g^2 with the
-    relative gap g = (lambda_mid - lambda) / lambda_max, where a batched
-    `np.linalg.eigh`'s grows as eps / g; where g <= EIGEN_GAP, `eigh` gives
-    the pair, so the two agree to about 1e-12 everywhere. The closed form
+    arXiv:physics/0610206). Its error in v grows as eps / g^2, where a
+    batched `np.linalg.eigh`'s grows as eps / g; where g <= EIGEN_GAP,
+    `eigh` gives the pair, so the two agree to about 1e-12 everywhere. The closed form
     is several times faster than `eigh`, which computes all three pairs.
     """
     a, d, f, _, b, e, _, _, c = np.ascontiguousarray(covs.reshape(-1, 9).T)
@@ -237,21 +248,25 @@ def smallest_eigenpairs(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best, at = norms.argmax(axis=0), np.arange(len(lam))
     length = np.sqrt(norms[best, at])  # 0 only where eigh takes over
     normal = cross[:, best, at] * np.divide(1.0, length, out=np.zeros_like(length), where=length > 0.0)
-    near = np.flatnonzero(3.0 * q - top - 2.0 * lam <= EIGEN_GAP * top)
+    gap = 3.0 * q - top - 2.0 * lam  # lambda_mid - lambda, as the trace is their sum
+    near = np.flatnonzero(gap <= EIGEN_GAP * top)
     if len(near):
         evals, evecs = np.linalg.eigh(covs[near])
         lam[near], normal[:, near] = evals[:, 0], evecs[:, :, 0].T
-    return np.maximum(lam, 0.0), normal
+        gap[near], top[near] = evals[:, 1] - evals[:, 0], evals[:, 2]
+    planarity = np.divide(gap, top, out=np.zeros_like(top), where=top > 0.0)
+    return np.maximum(lam, 0.0), normal, planarity
 
 
 class FrozenLandmarks:
     """Whitened residuals of one frozen set of landmarks, one cost over point clusters.
 
-    Built from the statistics of `dual_grid_groups` (or `split_by_normals`):
-    this is the one place where they become weights. Landmark j, with n_j
-    members p_k, mean mu_j and 1/n covariance Sigma_j at freezing, scores
-    the scatter of its members about their current mean m_j along its
-    normal v_j, the eigenvector of Sigma_j's smallest eigenvalue lambda_j:
+    Built from the statistics of `dual_grid_groups` (or `split_by_normals`)
+    and their eigenpairs: this is the one place where they become weights.
+    Landmark j, with n_j members p_k, mean mu_j and 1/n covariance Sigma_j
+    at freezing, scores the scatter of its members about their current
+    mean m_j along its normal v_j, the eigenvector of Sigma_j's smallest
+    eigenvalue lambda_j:
 
         cost_j = sum_k (w_j . (p_k - m_j))^2,
         w_j = v_j / sqrt(n_j (lambda_j + epsilon)).
@@ -304,14 +319,15 @@ class FrozenLandmarks:
     part. `residuals(means, factors)` then takes only what moves. The
     per-cluster tables cluster_white and cluster_mu hold one row per
     component, (3, clusters): numpy runs long rows far faster than (n, 3)
-    arrays. (lambda_j, v_j) come from `smallest_eigenpairs`.
+    arrays. (lambda_j, v_j) come from eigenpairs (`freeze_landmarks`).
     """
 
-    def __init__(self, groups: dict, epsilon: float, cluster_lm: np.ndarray, cluster_sizes: np.ndarray):
+    def __init__(self, groups: dict, eigenpairs, epsilon: float, cluster_lm: np.ndarray,
+                 cluster_sizes: np.ndarray):
         self.counts = groups["counts"].astype(float)
         self.mu_ref = groups["means"]
         self.n_landmarks = len(self.counts)
-        lam, normal = smallest_eigenpairs(groups["covs"])
+        lam, normal, _ = eigenpairs
         # w_j = v_min / sqrt(n_j (lambda_min + epsilon)) per landmark
         self.white_lm = (normal / np.sqrt(self.counts * (lam + epsilon))).T
         # each moving cluster's scatter rows, min(n_c - 1, 3), and their
@@ -451,9 +467,8 @@ class Bodies(NamedTuple):
     so every pose lies in a band. Band b's poses turn with the rotations of
     the parameter blocks rotations[b] (m each) and move with the
     translations of the blocks positions[b] (P each), pose i weighted by
-    weights[i]; a parameter block is one 6-block (r1 r2 r3 x y z).
-    Sensor-frame normals and their planarity, when given, split landmarks
-    by normals at every freeze.
+    weights[i]; a parameter block is one 6-block (r1 r2 r3 x y z). A point
+    was seen from its pose's position (`split_by_normals`).
     """
 
     points: np.ndarray
@@ -463,15 +478,14 @@ class Bodies(NamedTuple):
     rotations: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-    normals: np.ndarray | None = None
-    planarity: np.ndarray | None = None
 
 
 class MultiScanSystem:
     """The landmark rows of moving bodies, and a system's dense rows.
 
-    A system builds one from its `Bodies`, fixed points, `VoxelConfig` and
-    stop_steps, and states the rest in four methods: `pose_table(params)`,
+    A system builds one from its `Bodies`, fixed points, `VoxelConfig`,
+    stop_steps and the split's planarity_min (None splits no landmark), and
+    states the rest in four methods: `pose_table(params)`,
     a record whose rot (poses, 3, 3) and trans (poses, 3) give every pose;
     `levers(params)`, (poses, m - 1, 3, 3), the levers L_1 .. L_{m-1} of
     each pose's turn (L_0 = I - their sum); `dense_rows(params)`; and
@@ -491,7 +505,7 @@ class MultiScanSystem:
     """
 
     def __init__(self, bodies: Bodies, fixed_points: np.ndarray, voxel: VoxelConfig,
-                 stop_steps: np.ndarray, planarity_min: float = 0.5):
+                 stop_steps: np.ndarray, planarity_min: float | None = None):
         self.bodies = bodies
         self.voxel = voxel
         self.stop_steps = stop_steps
@@ -538,12 +552,9 @@ class MultiScanSystem:
         return self._moved
 
     def freeze(self, params: np.ndarray) -> None:
-        b, table = self.bodies, self._at(params)
-        normals = None
-        if b.normals is not None:
-            normals = np.einsum("nij,nj->ni", np.take(table.rot, b.pose, axis=0), b.normals)
-        groups = freeze_landmarks(self.world_points(params), self.voxel, self.fixed_cells,
-                                  normals, b.planarity, self.planarity_min)
+        b, world = self.bodies, self.world_points(params)
+        origins = None if self.planarity_min is None else np.take(self._table.trans, b.pose, axis=0)
+        groups, pairs = freeze_landmarks(world, self.voxel, self.fixed_cells, origins, self.planarity_min)
         rows, lm = groups["member_row"], groups["member_group"]
         # each landmark's members are contiguous and in ascending row order,
         # so its members in one body of contiguous rows form one run
@@ -572,8 +583,8 @@ class MultiScanSystem:
             self.cluster_columns[:, 1:] = scatter_factor(scatter[order])[:, :, :f].transpose(1, 2, 0)
         else:  # each cluster is its point
             self.cluster_columns[:, 0] = np.take(self.points_t, np.take(rows, first), axis=1)
-        self.landmarks = lms = FrozenLandmarks(groups, self.voxel.epsilon, np.take(lm, first),
-                                               np.take(sizes, order))
+        self.landmarks = lms = FrozenLandmarks(groups, pairs, self.voxel.epsilon,
+                                               np.take(lm, first), np.take(sizes, order))
         self._moved = None
         # per cluster: w_j per row (sqrt(n_c) w_j on the mean row), its
         # pose's position weights, and the flat S index, landmark * n_params
@@ -662,9 +673,10 @@ class _RigidSystem(MultiScanSystem):
     columns. A pinned first cloud never moves within a solve, so its
     points at their initial pose are the fixed points, binned once, as a
     problem's anchors are. Each landmark's members in one cloud form one
-    cluster. The gravity rows w (R_k d - up) of the free clouds form the
-    small dense block, turned_motion(w I, R_k d, J_l(r_k)); a pinned
-    cloud's would be constant and are dropped.
+    cluster; problem.split_normals splits landmarks at every freeze. The
+    gravity rows w (R_k d - up) of the free clouds form the small dense
+    block, turned_motion(w I, R_k d, J_l(r_k)); a pinned cloud's would be
+    constant and are dropped.
     """
 
     def __init__(self, problem: AdjustmentProblem):
@@ -680,19 +692,13 @@ class _RigidSystem(MultiScanSystem):
             fixed = np.einsum("nij,nj->ni", rot, pinned) + pose.trans
         cloud = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
         blocks = np.arange(len(clouds))[:, None]
-        normals = planarity = None
-        if problem.split_normals:  # a cloud without normals has undefined ones
-            bare = [c.normals is None or c.planarity is None for c in clouds]
-            normals = np.vstack([np.zeros((len(c), 3)) if no else c.normals for c, no in zip(clouds, bare)])
-            planarity = np.concatenate([np.full(len(c), np.nan) if no else c.planarity
-                                        for c, no in zip(clouds, bare)])
         bodies = Bodies(
             np.vstack([c.points for c in clouds]), cloud, cloud, np.arange(len(clouds)),
-            blocks, blocks, np.ones((len(clouds), 1)), normals, planarity,
+            blocks, blocks, np.ones((len(clouds), 1)),
         )
         super().__init__(bodies, fixed, problem.voxel,
                          np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), len(self.free)),
-                         problem.planarity_min)
+                         problem.planarity_min if problem.split_normals else None)
         cons = [c for c in problem.gravity_constraints if c.cloud_id >= self.free[0]]
         self.grav_pose = np.array([c.cloud_id for c in cons], dtype=np.int64) - self.free[0]
         self.grav_local = np.array([c.direction_local for c in cons], dtype=float).reshape(-1, 3)

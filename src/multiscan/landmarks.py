@@ -11,8 +11,8 @@ weight; `adjustment.FrozenLandmarks` alone does.
 Landmarks are held as one dict of flat arrays (see `dual_grid_groups`):
 every member is a row of the input point stack, the members of one
 landmark are contiguous and in ascending row order, and coarse landmarks
-come first.
-`split_by_normals` maps such a dict to another of the same layout.
+come first. `split_by_normals` maps such a dict to another of the same
+layout, each planar landmark seen from both sides split in two.
 
 Points that never move during a solve (the window's static map points,
 keyframe adjustment's anchors or pinned first cloud) are binned once, by
@@ -33,8 +33,6 @@ _PACK_OFFSET = 1 << 19
 _PACK_LIMIT = 1 << 20
 # the most cells a compacted cell key sorts over in one 16-bit radix pass
 _RADIX_SPAN = 1 << 16
-# split_by_normals' cone bound: cos 30 degrees (any half-angle below 45 is exact)
-_CONE_COS = np.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -227,108 +225,53 @@ def dual_grid_groups(points: np.ndarray, voxel: VoxelConfig, fixed=None):
 def split_by_normals(
     groups: dict,
     points: np.ndarray,
-    normals: np.ndarray,
-    planarities: np.ndarray,
+    origins: np.ndarray,
+    eigenpairs,
     planarity_min: float,
     n_min: int,
 ) -> dict:
-    """Split planar landmarks whose member normals point both ways.
+    """Split planar landmarks seen from both sides into front and back landmarks.
 
     Thin structures scanned from both sides (walls, signs) collapse front
-    and back surfaces into one voxel. If a landmark's members are planar on
-    average and their normals fall into two opposing clusters, the set is
-    partitioned by the sign of the dot product with the dominant normal.
-    A landmark splits only when the normal sums of its two sides have a
-    negative dot product and both halves keep more than n_min members;
-    otherwise it stays whole. So does a landmark with any member whose
-    planarity is not finite or whose normal is shorter than 0.5 (undefined),
-    or with a fixed part, whose points carry no normals.
+    and back surfaces into one voxel. Member k of landmark j, seen from
+    origin o_k, lies in front of the landmark's normal v_j if
+    v_j . (o_k - p_k) > 0, else behind it. A landmark splits in two when
+    it is planar (its planarity at least planarity_min), has no fixed
+    part and both sides keep more than n_min members.
 
-    A cone bound settles most landmarks before the normal scatter and its
-    eigenvector: a landmark whose every member normal n lies within 30
-    degrees of its first member's n0, n . n0 > cos 30 |n| |n0|, cannot
-    split. Every partial sum of its normals lies in that convex cone, so
-    the two side sums meet at under 60 degrees and their dot product is
-    either 0 (one side empty) or at least half the product of their norms,
-    far from rounding. Any half-angle below 45 degrees would be exact. Only
-    the landmarks the bound leaves open are tested in full, each on its
-    members in their order, so every answer is bitwise the full test's.
-
-    points, normals and planarities are aligned with the rows that
-    groups["member_row"] indexes. The result has the layout of
-    `dual_grid_groups`; the two halves of a split landmark take its place
-    in the order, the half holding its first member first. When nothing
-    splits the result is groups itself. The regrouping is a stable sort,
-    so each half keeps its members in ascending row order, as every
-    landmark of the input has them, and every landmark's statistics are
-    recomputed as `dual_grid_groups` computes them, fixed part included:
-    an unsplit landmark's come out bitwise equal to its input's.
+    points and origins are aligned with the rows groups["member_row"]
+    indexes; eigenpairs are `adjustment.smallest_eigenpairs` of
+    groups["covs"]: lambda_min, v and planarity. The result has the layout
+    of `dual_grid_groups`, or is groups itself when nothing splits; the
+    halves of a split landmark take its place, the one holding its first
+    member first. The regrouping is a stable sort, so members stay in
+    ascending row order, and the statistics are recomputed as
+    `dual_grid_groups` computes them: an unsplit landmark's are bitwise its
+    input's.
     """
     rows, gid, fixed = groups["member_row"], groups["member_group"], groups.get("fixed")
-    n_groups = len(groups["counts"])
-    counts = np.bincount(gid, minlength=n_groups)  # members only, without fixed parts
-    normals = np.asarray(normals, dtype=float)
-    plan = np.asarray(planarities, dtype=float).take(rows)
-    finite = np.isfinite(plan)
-    first = np.cumsum(counts) - counts
-
-    def members(chosen):
-        """Positions of the chosen landmarks' members, in order, and their landmarks."""
-        at = np.flatnonzero(chosen[gid])
-        return at, gid[at]
-
-    def any_member(values, of):
-        return np.bincount(of, weights=values, minlength=n_groups) > 0
-
-    mean_plan = np.bincount(gid, weights=np.where(finite, plan, 0.0), minlength=n_groups) / counts
-    planar = mean_plan >= planarity_min
+    _, normal, planarity = eigenpairs
+    counts = groups["counts"]  # a candidate's members, as it has no fixed part
+    candidate = planarity >= planarity_min
     if fixed is not None:
-        planar &= fixed[0] == 0
-    # the cone bound, on the members of planar landmarks; lead is each one's
-    # first member among them
-    at, of = members(planar)
-    lead = np.searchsorted(at, first[of])
-    n = normals.take(rows[at], axis=0)
-    length = np.linalg.norm(n, axis=1)
-    undefined = ~finite[at] | (length < 0.5)
-    outside = np.einsum("ni,ni->n", n, n[lead]) <= _CONE_COS * length * length[lead]
-    open_ = planar & ~any_member(undefined, of) & any_member(outside, of)
-    if not np.any(open_):
-        return groups
-
-    # the full test on the open landmarks' members; local numbers those landmarks 0, 1, ...
-    at, of = members(open_)
-    n = normals.take(rows[at], axis=0)
-    local = (np.cumsum(open_) - 1)[of]
-
-    def per_group(values):
-        return np.bincount(local, weights=values)
-
-    # dominant direction: principal eigenvector of the normal scatter,
-    # sign-invariant so +n and -n vote for the same axis
-    scatter = np.stack(
-        [per_group(n[:, a] * n[:, b]) for a in range(3) for b in range(3)], axis=1
-    ).reshape(-1, 3, 3)
-    dominant = np.linalg.eigh(scatter)[1][:, :, -1]
-    side_open = np.einsum("ni,ni->n", n, dominant[local]) >= 0.0
-    n_pos = per_group(side_open)
-    sum_pos = np.stack([per_group(np.where(side_open, n[:, a], 0.0)) for a in range(3)], axis=1)
-    sum_neg = np.stack([per_group(np.where(side_open, 0.0, n[:, a])) for a in range(3)], axis=1)
-    split = np.zeros(n_groups, dtype=bool)
-    split[open_] = (np.minimum(n_pos, counts[open_] - n_pos) > n_min) & (
-        np.einsum("gi,gi->g", sum_pos, sum_neg) < 0.0
-    )
+        candidate &= fixed[0] == 0
+    # the candidates' members, and which lie in front: v_j . (o_k - p_k) > 0
+    at = np.flatnonzero(np.take(candidate, gid))
+    of, seen = np.take(gid, at), np.take(rows, at)
+    ray = np.take(origins, seen, axis=0) - np.take(points, seen, axis=0)
+    front_at = np.einsum("ni,in->n", ray, np.take(normal, of, axis=1)) > 0.0
+    n_front = np.bincount(of, weights=front_at, minlength=len(counts))
+    split = candidate & (np.minimum(n_front, counts - n_front) > n_min)
     if not np.any(split):
         return groups
 
-    # the first member's half comes first, so the outcome does not depend on
-    # the eigenvector's arbitrary sign
-    side = np.zeros(len(gid), dtype=bool)
-    side[at] = side_open
-    second_half = split[gid] & (side != side[first][gid])
+    front = np.zeros(len(gid), dtype=bool)
+    front[at] = front_at
+    first = np.flatnonzero(np.diff(gid, prepend=-1))  # each landmark's first member
+    second_half = split[gid] & (front != front[first][gid])
     width = 1 + split.astype(np.int64)
     new_gid = (np.cumsum(width) - width)[gid] + second_half
     order = np.argsort(new_gid, kind="stable")
-    parent = np.repeat(np.arange(n_groups), width)  # a split landmark's fixed part is empty
+    parent = np.repeat(np.arange(len(counts)), width)  # a split landmark's fixed part is empty
     fixed = None if fixed is None else tuple(part[parent] for part in fixed)
     return _landmarks(np.asarray(points, dtype=float), rows[order], new_gid[order], fixed)

@@ -6,8 +6,9 @@ continuous trajectory against voxel landmarks built from the window points
 plus static map points, with preintegrated IMU terms appended to the
 residual vector. A scan becomes a keyframe when its pose is more than
 `keyframe_distance` from every keyframe; adding one triggers an adjustment
-over the affected keyframe range with normal splitting and per-keyframe
-gravity terms.
+over the affected keyframe range with per-keyframe gravity terms, which
+splits each landmark seen from both sides by the keyframe positions its
+points were seen from.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ from multiscan.geometry import rotvec_to_matrix
 
 def frozen_groups(system, params):
     """The landmarks a freeze of system at params bins: `freeze_landmarks`
-    of its moving points, their normals turned by their poses."""
-    b = system.bodies
-    normals = None
-    if b.normals is not None:
-        normals = np.einsum("nij,nj->ni", system.pose_table(params).rot[b.pose], b.normals)
-    return freeze_landmarks(system.world_points(params), system.voxel, system.fixed_cells,
-                            normals, b.planarity, system.planarity_min)
+    of its moving points, each seen from its pose's position when the
+    system splits landmarks."""
+    origins = None
+    if system.planarity_min is not None:
+        origins = system.pose_table(params).trans[system.bodies.pose]
+    groups, _ = freeze_landmarks(system.world_points(params), system.voxel, system.fixed_cells,
+                                 origins, system.planarity_min)
+    return groups
 
 
 def per_member(system, fixed_points, frozen):
@@ -32,8 +33,10 @@ def per_member(system, fixed_points, frozen):
     fixed point's row has no motion there, and enters them only through
     its landmark's mean. The copy's clusters at that last pose,
     `len(system.bodies.band)`, are the fixed points', each one's
-    sensor-frame point its world position; they carry no normal, so their
-    landmarks stay whole, as a fixed part keeps its own."""
+    sensor-frame point its world position. The copy splits no landmark, so
+    each that holds fixed points stays whole, as a fixed part keeps its
+    own; it serves systems that split none."""
+    assert system.planarity_min is None, "the per-member copy splits no landmark"
     b = system.bodies
     n, n_params = len(b.points) + len(fixed_points), len(system.stop_steps)
     extra = n_params // 6  # the block that moves the fixed points
@@ -46,12 +49,9 @@ def per_member(system, fixed_points, frozen):
         positions=np.vstack([b.positions, np.full(b.positions.shape[1], extra)]),
         weights=np.vstack([b.weights, np.eye(1, b.weights.shape[1])]),
     )
-    if b.normals is not None:
-        bodies = bodies._replace(normals=np.vstack([b.normals, np.zeros((len(fixed_points), 3))]),
-                                 planarity=np.append(b.planarity, np.full(len(fixed_points), np.nan)))
     ref = copy.copy(system)
     MultiScanSystem.__init__(ref, bodies, np.zeros((0, 3)), system.voxel,
-                             np.append(system.stop_steps, np.ones(6)), system.planarity_min)
+                             np.append(system.stop_steps, np.ones(6)))
 
     def pose_table(params):
         table = system.pose_table(params[:n_params])

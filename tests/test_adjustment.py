@@ -62,20 +62,20 @@ def frozen_system(prob, poses):
 
 
 def two_sided_sheet(rng, angle):
-    """Two clouds seeing a thin sheet from either side, in clutter, with
-    fixed points and gravity rows; every pose turned by about angle rad."""
+    """Two clouds seeing a thin sheet from either side, from 1 m below and
+    above it, in clutter, with fixed points and gravity rows; every pose
+    turned by about angle rad."""
     n = 150
     sheet = np.zeros((n, 3))
     sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
     clutter = rng.uniform(-1.5, 1.5, size=(n, 3))
-    clouds = []
+    clouds, origins = [], []
     for side in (-1.0, 1.0):
-        points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter])
-        normals = np.vstack([np.tile([0.0, 0.0, side], (n, 1)), rng.normal(size=(n, 3))])
-        planarity = np.concatenate([np.ones(n), np.full(n, np.nan)])
-        clouds.append(PointCloud(points=points, normals=normals, planarity=planarity))
+        origins.append(Pose(np.zeros(3), np.array([0.0, 0.0, side])))
+        points = np.vstack([sheet + [0.0, 0.0, 0.01 * (1 + side)], clutter]) - origins[-1].trans
+        clouds.append(PointCloud(points=points))
     turn = Pose(angle * np.array([0.6, 0.0, 0.8]), np.zeros(3))
-    init = [turn.compose(sample_pert(rng, 0.01, 0.5)) for _ in clouds]
+    init = [turn.compose(origin).compose(sample_pert(rng, 0.01, 0.5)) for origin in origins]
     fixed = turn.apply(rng.uniform(-1.5, 1.5, size=(200, 3)))
     tilted_up = np.array([0.1, 0.0, 1.0]) / np.hypot(0.1, 1.0)
     return AdjustmentProblem(
@@ -192,7 +192,7 @@ class TestNumericJacobian:
             system, params = frozen_system(prob, prob.initial_poses)
             assert system.free == [0, 1]
             assert np.all(np.abs(np.linalg.norm(params.reshape(-1, 6)[:, :3], axis=1) - angle) < 0.02)
-            plain = freeze_landmarks(system.world_points(params), prob.voxel, system.fixed_cells)
+            plain, _ = freeze_landmarks(system.world_points(params), prob.voxel, system.fixed_cells)
             assert system.landmarks.n_landmarks > len(plain["counts"])
             assert_normal_equations_match_secant_jacobian(
                 system, params + 1e-3 * rng.normal(size=len(params))
@@ -207,7 +207,8 @@ def member_cost(system, frozen, params):
     prob = system.problem
     groups = frozen_groups(system, frozen)
     lm = groups["member_group"]
-    lms = FrozenLandmarks(groups, prob.voxel.epsilon, lm, np.ones(len(lm)))
+    lms = FrozenLandmarks(groups, smallest_eigenpairs(groups["covs"]), prob.voxel.epsilon, lm,
+                          np.ones(len(lm)))
     poses = system.poses(params)
     world = np.vstack([pose.apply(cloud.points) for cloud, pose in zip(prob.clouds, poses)])
     p = world[groups["member_row"]]
@@ -282,7 +283,7 @@ class TestPointClusters:
         # frozen parameters and away from them
         rng = np.random.default_rng(31)
         problems = [two_sided_sheet(rng, angle) for angle in (0.0, 3.05)]
-        problems.append(many_small_clouds(rng))
+        problems.append(many_small_clouds(np.random.default_rng(30)))
         for prob in problems:
             system, params = frozen_system(prob, prob.initial_poses)
             for at in (params, params + 1e-2 * rng.normal(size=len(params))):
@@ -587,6 +588,15 @@ class TestAdjustmentProblem:
                 clouds=[PointCloud(points=np.zeros((4, 3)))], initial_poses=[Pose.identity()],
                 fixed_points=fixed_points,
             )
+
+    def test_rejects_clouds_with_points_that_are_not_finite(self):
+        # a NaN point would fail at the first freeze, as a voxel index out
+        # of packable range
+        points = np.zeros((4, 3))
+        points[2, 1] = np.nan
+        with pytest.raises(ValueError, match="cloud 1 has points that are not finite"):
+            AdjustmentProblem(clouds=[PointCloud(points=np.zeros((4, 3))), PointCloud(points=points)],
+                              initial_poses=[Pose.identity()] * 2)
 
     @pytest.mark.parametrize("planarity_min", [np.nan, 2.0, -1.0])
     def test_rejects_planarity_min_outside_unit_interval(self, planarity_min):
@@ -920,16 +930,28 @@ def test_landmark_residuals_sum_to_zero_per_landmark():
         assert np.abs(sums).max() <= 1e-12 * np.abs(weighted).max() * lms.counts.max()
 
 
-def two_sided_wall(rng, n=120):
-    """Two clouds seeing a thin sheet from either side, their normals set
-    by hand: the front's down, the back's up."""
+def two_sided_wall(rng, n=120, normals=False):
+    """Two clouds seeing a thin sheet from either side, and their poses: the
+    front seen from 1 m below, the back from 1 m above. With normals, each
+    cloud carries normals and planarity set by hand against what the split
+    reads: the front's up, the back's down, no point planar."""
     sheet = np.zeros((n, 3))
     sheet[:, :2] = rng.uniform(-0.9, 0.9, size=(n, 2))
-    return [
-        PointCloud(points=sheet + [0.0, 0.0, 0.02 * side], normals=np.tile([0.0, 0, 2 * side - 1.0], (n, 1)),
-                   planarity=np.ones(n))
-        for side in (0, 1)
-    ]
+    clouds, poses = [], []
+    for side in (0, 1):
+        poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 2.0 * side - 1.0])))
+        attributes = {}
+        if normals:
+            attributes = dict(normals=np.tile([0.0, 0, 1.0 - 2 * side], (n, 1)), planarity=np.zeros(n))
+        clouds.append(PointCloud(points=sheet + [0.0, 0.0, 0.02 * side] - poses[-1].trans, **attributes))
+    return clouds, poses
+
+
+def split_and_plain(clouds, poses, **kwargs):
+    """The frozen landmarks of clouds at poses, with and without the split."""
+    return [frozen_groups(*frozen_system(AdjustmentProblem(clouds=clouds, initial_poses=poses,
+                                                           split_normals=split, **kwargs), poses))
+            for split in (True, False)]
 
 
 class TestFreezeWithSplitting:
@@ -937,23 +959,17 @@ class TestFreezeWithSplitting:
         # both sides free; the pinned first cloud is a blob far away, whose
         # cells no free cloud reaches
         rng = np.random.default_rng(14)
-        front, back = two_sided_wall(rng)
+        (front, back), poses = two_sided_wall(rng)
         clouds = [PointCloud(points=rng.uniform(40.0, 41.0, size=(50, 3))), front, back]
-        prob_plain = AdjustmentProblem(
-            clouds=clouds, initial_poses=[Pose.identity()] * 3, split_normals=False
-        )
-        prob_split = AdjustmentProblem(
-            clouds=clouds, initial_poses=[Pose.identity()] * 3,
-            split_normals=True, planarity_min=0.5,
-        )
-        pts = np.vstack([front.points, back.points])
-        plain = frozen_groups(*frozen_system(prob_plain, prob_plain.initial_poses))
-        split = frozen_groups(*frozen_system(prob_split, prob_split.initial_poses))
+        split, plain = split_and_plain(clouds, [Pose.identity()] + poses)
+        pts = np.vstack([pose.apply(cloud.points) for cloud, pose in zip(clouds[1:], poses)])
+        n_front = len(front)
         assert not np.any(plain["fixed"][0])
         assert len(split["counts"]) > len(plain["counts"])
         # the two halves of a split landmark take its place in the order, and
-        # together hold its members, which lie in one cell at its level
-        voxel = prob_split.voxel
+        # together hold its members, which lie in one cell at its level; its
+        # front half holds the front cloud, its back half the back cloud
+        voxel = VoxelConfig()
         n_coarse = len(_level_groups(pts, voxel.coarse_size, voxel.n_min)[2])
         plain_rows = np.split(plain["member_row"], np.cumsum(plain["counts"])[:-1])
         split_rows = np.split(split["member_row"], np.cumsum(split["counts"])[:-1])
@@ -964,6 +980,7 @@ class TestFreezeWithSplitting:
                 continue
             halves = np.concatenate(split_rows[k : k + 2])
             assert np.array_equal(np.sort(halves), np.sort(rows))
+            assert np.all(split_rows[k] < n_front) and np.all(split_rows[k + 1] >= n_front)
             size = voxel.coarse_size if g < n_coarse else voxel.fine_size
             assert len(np.unique(voxel_cell_indices(pts[halves], size), axis=0)) == 1
             k, halved = k + 2, halved + 1
@@ -971,15 +988,37 @@ class TestFreezeWithSplitting:
 
     def test_pinned_cloud_keeps_its_landmarks_whole(self):
         # the same wall with its front pinned: the front's points are fixed
-        # points, which carry no normals, so no landmark that holds them splits
-        clouds = two_sided_wall(np.random.default_rng(14))
-        kwargs = dict(clouds=clouds, initial_poses=[Pose.identity()] * 2)
-        plain = frozen_groups(*frozen_system(AdjustmentProblem(**kwargs), kwargs["initial_poses"]))
-        split = frozen_groups(*frozen_system(
-            AdjustmentProblem(**kwargs, split_normals=True, planarity_min=0.5), kwargs["initial_poses"]
-        ))
+        # points, which carry no origin, so no landmark that holds them splits
+        clouds, poses = two_sided_wall(np.random.default_rng(14))
+        split, plain = split_and_plain(clouds, poses)
         assert np.all(split["fixed"][0] > 0)
         for key in ("member_row", "member_group", "counts"):
+            assert np.array_equal(split[key], plain[key])
+
+    def test_split_reads_no_normals(self):
+        # the clouds' own normals and planarity, set against the view rays,
+        # change nothing: the wall splits as it does without them
+        blob = PointCloud(points=np.random.default_rng(15).uniform(40.0, 41.0, size=(50, 3)))
+        bare, poses = two_sided_wall(np.random.default_rng(14))
+        carrying, _ = two_sided_wall(np.random.default_rng(14), normals=True)
+        split, plain = split_and_plain([blob] + bare, [Pose.identity()] + poses)
+        with_normals, _ = split_and_plain([blob] + carrying, [Pose.identity()] + poses)
+        assert len(split["counts"]) > len(plain["counts"])
+        for key in ("member_row", "member_group", "counts", "means", "covs"):
+            assert np.array_equal(with_normals[key], split[key])
+
+    def test_closed_room_scanned_from_inside_splits_nothing(self):
+        # every wall of a closed room is seen from inside it, so no member of
+        # a planar landmark lies on its far side. Far fixed points free every
+        # cloud, so that no landmark holds a fixed part
+        ds = small_room(points_per_scan=1500, duration=0.3)
+        rng = np.random.default_rng(19)
+        poses = [sample_pert(rng, 0.05, 1.0).compose(p) for p in ds.truth_poses]
+        split, plain = split_and_plain(ds.scans, poses, fixed_points=np.full((1, 3), 100.0))
+        assert not np.any(plain["fixed"][0])
+        planar = smallest_eigenpairs(plain["covs"])[2] >= AdjustmentProblem.planarity_min
+        assert np.count_nonzero(planar) > 100
+        for key in ("member_row", "member_group", "counts", "means", "covs"):
             assert np.array_equal(split[key], plain[key])
 
 
@@ -1013,7 +1052,7 @@ class TestSmallestEigenpairs:
             return eigh(batch)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        lam, normal = smallest_eigenpairs(covs)
+        lam, normal, _ = smallest_eigenpairs(covs)
         monkeypatch.undo()
         evals, evecs = np.linalg.eigh(covs)
         top = evals[:, 2]
@@ -1029,3 +1068,17 @@ class TestSmallestEigenpairs:
         v = normal.T[~near]
         sign = np.sign(np.einsum("ni,ni->n", v, evecs[~near, :, 0]))
         assert np.all(np.abs(sign[:, None] * v - evecs[~near, :, 0]) <= 1e-12)
+
+    def test_planarity_matches_eigvalsh(self):
+        # (lambda_mid - lambda_min) / lambda_max, from the closed form and
+        # from eigh alike, and 0 for a zero and an isotropic C
+        rng = np.random.default_rng(41)
+        covs = [rotated(rng, scale * np.sort(rng.uniform(0.0, 1.0, 3))) for scale in 10.0 ** np.arange(-6.0, 5.0)]
+        covs += [rotated(rng, [0.0, 0.5, 1.0]), rotated(rng, [1.0, 1.0 + 1e-4, 3.0]), np.zeros((3, 3)), np.eye(3)]
+        _, _, planarity = smallest_eigenpairs(np.array(covs))
+        evals = np.linalg.eigvalsh(np.array(covs))
+        expected = np.divide(evals[:, 1] - evals[:, 0], evals[:, 2], out=np.zeros(len(covs)),
+                             where=evals[:, 2] > 0.0)
+        assert np.all(np.abs(planarity - expected) <= 1e-12)
+        assert planarity[-4] == pytest.approx(0.5, abs=1e-12)
+        assert planarity[-2] == 0.0 and planarity[-1] == 0.0

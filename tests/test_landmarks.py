@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiscan.adjustment import FrozenLandmarks
+from multiscan.adjustment import FrozenLandmarks, smallest_eigenpairs
 from multiscan.landmarks import (
     VoxelConfig,
     _level_groups,
@@ -177,25 +177,23 @@ def one_landmark(points):
     }
 
 
-def split_oracle(rows, normals, planarities, planarity_min, n_min):
+def split(groups, points, origins, planarity_min=0.5, n_min=5):
+    """split_by_normals of groups, on their own eigenpairs."""
+    eigenpairs = smallest_eigenpairs(groups["covs"])
+    return split_by_normals(groups, points, origins, eigenpairs, planarity_min, n_min)
+
+
+def split_oracle(rows, points, origins, planarity_min, n_min):
     """Reference per-landmark split rule: the row sets of the landmark's parts."""
-    n, p = normals[rows], planarities[rows]
-    if np.any(~np.isfinite(p)) or np.any(np.linalg.norm(n, axis=1) < 0.5):
+    evals, evecs = np.linalg.eigh(stats(points[rows])[1])
+    if (evals[1] - evals[0]) / evals[2] < planarity_min:
         return [rows]
-    if p.mean() < planarity_min:
+    front = (origins[rows] - points[rows]) @ evecs[:, 0] > 0.0
+    if min(front.sum(), (~front).sum()) <= n_min:
         return [rows]
-    _, vecs = np.linalg.eigh(n.T @ n)
-    side = n @ vecs[:, -1] >= 0.0
-    n_pos, n_neg = int(side.sum()), int((~side).sum())
-    if n_pos == 0 or n_neg == 0:
-        return [rows]
-    if n[side].mean(axis=0) @ n[~side].mean(axis=0) >= 0.0:
-        return [rows]
-    if min(n_pos, n_neg) <= n_min:
-        return [rows]
-    if not side[0]:
-        side = ~side
-    return [rows[side], rows[~side]]
+    if not front[0]:
+        front = ~front
+    return [rows[front], rows[~front]]
 
 
 class TestSplitByNormals:
@@ -205,22 +203,26 @@ class TestSplitByNormals:
         pts[:, 2] = z
         return pts
 
+    def seen_from(self, pts, heights):
+        """Origins 1 m to the side of each point, at the given heights."""
+        return np.column_stack([pts[:, 0] + 1.0, pts[:, 1], heights])
+
     def test_single_cluster_not_split(self):
         rng = np.random.default_rng(6)
         pts = self.plane_points(20, rng)
         groups = one_landmark(pts)
-        normals = np.tile([0.0, 0.0, 1.0], (20, 1))
-        out = split_by_normals(groups, pts, normals, np.ones(20), planarity_min=0.5, n_min=5)
+        out = split(groups, pts, self.seen_from(pts, np.full(20, 1.0)))
         assert out is groups
 
     def test_opposing_normals_split(self):
+        # a sheet seen from above and below: its view normals oppose
         rng = np.random.default_rng(7)
         pts = np.vstack([self.plane_points(10, rng, z=0.0), self.plane_points(10, rng, z=0.02)])
-        normals = np.vstack([np.tile([0, 0, 1.0], (10, 1)), np.tile([0, 0, -1.0], (10, 1))])
-        out = split_by_normals(one_landmark(pts), pts, normals, np.ones(20), planarity_min=0.5, n_min=5)
+        origins = self.seen_from(pts, np.repeat([-1.0, 1.0], 10))
+        out = split(one_landmark(pts), pts, origins)
         assert sorted(out["counts"].tolist()) == [10, 10]
         halves = group_rows(out)
-        assert 0 in halves[0]  # the first member's half comes first
+        assert np.array_equal(halves[0], np.arange(10))  # the first member's half comes first
         # each half keeps consistent stats for its own points
         for g, idx in enumerate(halves):
             assert np.allclose(out["means"][g], pts[idx].mean(axis=0), atol=1e-12)
@@ -228,28 +230,30 @@ class TestSplitByNormals:
     def test_minority_below_threshold_rejected(self):
         rng = np.random.default_rng(8)
         pts = self.plane_points(16, rng)
-        normals = np.vstack([np.tile([0, 0, 1.0], (12, 1)), np.tile([0, 0, -1.0], (4, 1))])
-        out = split_by_normals(one_landmark(pts), pts, normals, np.ones(16), planarity_min=0.5, n_min=5)
+        out = split(one_landmark(pts), pts, self.seen_from(pts, np.repeat([1.0, -1.0], [12, 4])))
         assert len(out["counts"]) == 1
+        out = split(one_landmark(pts), pts, self.seen_from(pts, np.repeat([1.0, -1.0], [10, 6])))
+        assert len(out["counts"]) == 2
 
     def test_low_planarity_rejected(self):
+        # the landmark's own planarity: a round blob, seen from both sides
+        # of any plane, is no plane
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(20, 3))
-        normals = np.vstack([np.tile([0, 0, 1.0], (10, 1)), np.tile([0, 0, -1.0], (10, 1))])
-        out = split_by_normals(
-            one_landmark(pts), pts, normals, np.full(20, 0.1), planarity_min=0.5, n_min=5
-        )
+        origins = 10.0 * np.where(np.arange(20)[:, None] < 10, 1.0, -1.0) * rng.normal(size=3)
+        out = split(one_landmark(pts), pts, np.broadcast_to(origins, pts.shape))
+        assert smallest_eigenpairs(one_landmark(pts)["covs"])[2][0] < 0.5
         assert len(out["counts"]) == 1
 
     def test_matches_per_landmark_oracle(self):
-        pts, normals, planarity = oracle_scene()
+        pts, origins = oracle_scene()
         groups = dual_grid_groups(pts, GRID)
-        out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+        out = split(groups, pts, origins)
         parent_keys = group_keys(groups, pts, GRID)
         expected = [
             (key, part)
             for key, rows in zip(parent_keys, group_rows(groups))
-            for part in split_oracle(rows, normals, planarity, 0.5, 5)
+            for part in split_oracle(rows, pts, origins, 0.5, 5)
         ]
         got = group_rows(out)
         assert len(expected) > len(group_rows(groups))  # some landmarks split
@@ -264,83 +268,18 @@ class TestSplitByNormals:
             assert np.all(voxel_cell_indices(pts[rows_got], key[3]) == key[:3])
 
 
-def tilted_normals(n_each, degrees, length=1.0):
-    """The z axis, then n_each normals at +degrees and n_each at -degrees about it in xz."""
-    a = np.radians(degrees)
-    tilted = length * np.array([[np.sin(a), 0.0, np.cos(a)], [-np.sin(a), 0.0, np.cos(a)]])
-    return np.vstack([[0.0, 0.0, 1.0], np.repeat(tilted, n_each, axis=0)])
-
-
-class TestConeBound:
-    """split_by_normals settles a landmark whose normals all lie within 30
-    degrees of its first member's; each case is checked against the
-    per-landmark rule, which knows no bound."""
-
-    def check_against_oracle(self, normals, rng):
-        pts = rng.uniform(0.0, 0.5, size=(len(normals), 3))
-        groups = one_landmark(pts)
-        rows = np.arange(len(pts))
-        planarity = np.ones(len(pts))
-        expected = split_oracle(rows, normals, planarity, 0.5, 5)
-        out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
-        got = group_rows(out)
-        assert len(got) == len(expected)
-        for rows_got, rows_exp in zip(got, expected):
-            assert np.array_equal(rows_got, rows_exp)
-        return groups, out, expected
-
-    def test_normals_just_past_45_degrees_split(self):
-        # at +-46 degrees the two sides meet at 92 degrees: the rule splits,
-        # so a bound wider than 46 degrees would keep this landmark whole
-        _, _, expected = self.check_against_oracle(tilted_normals(25, 46.0), np.random.default_rng(11))
-        assert len(expected) == 2
-
-    def test_bound_weighs_normal_lengths(self):
-        # normals of length 2 at 46 degrees have n . n0 = 1.39 > cos 30 = 0.87;
-        # only the lengths keep them outside the cone
-        normals = tilted_normals(25, 46.0, length=2.0)
-        _, _, expected = self.check_against_oracle(normals, np.random.default_rng(12))
-        assert len(expected) == 2
-
-    def test_one_sided_cell_returns_its_input(self):
-        rng = np.random.default_rng(13)
-        polar = np.radians(rng.uniform(0.0, 25.0, 40))
-        polar[0] = 0.0
-        azimuth = rng.uniform(0.0, 2 * np.pi, 40)
-        normals = np.stack(
-            [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1
-        )
-        groups, out, expected = self.check_against_oracle(normals, rng)
-        assert len(expected) == 1
-        assert out is groups
-
-    def test_oracle_scene_has_landmarks_on_both_sides_of_the_bound(self):
-        # the oracle tests above and below cover settled and open landmarks
-        pts, normals, planarity = oracle_scene()
-        groups = dual_grid_groups(pts, GRID)
-        inside = []
-        for rows in group_rows(groups):
-            n, n0 = normals[rows], normals[rows[0]]
-            defined = np.all(np.linalg.norm(n, axis=1) >= 0.5)
-            planar = planarity[rows].mean() >= 0.5
-            if defined and planar:
-                cos = n @ n0 / (np.linalg.norm(n, axis=1) * np.linalg.norm(n0))
-                inside.append(bool(np.all(cos > np.cos(np.radians(30.0)))))
-        assert any(inside) and not all(inside)
-
-
 def test_unsplit_landmarks_keep_their_statistics_bitwise():
     # split_by_normals recomputes every landmark's statistics as
     # dual_grid_groups does, so a landmark it leaves whole keeps them
     # exactly. The second input bins every fourth point of the two-sided
     # half as fixed points: a landmark with a fixed part stays whole, with
     # its merged statistics, though it would split without that part
-    pts, normals, planarity = oracle_scene()
+    pts, origins = oracle_scene()
     fixed = (pts[:, 0] < 2.0) & (np.arange(len(pts)) % 4 == 0)
     for moving in (np.ones(len(pts), dtype=bool), ~fixed):
         groups = dual_grid_groups(pts[moving], GRID, cell_statistics(pts[~moving], GRID))
-        args = (pts[moving], normals[moving], planarity[moving])
-        out = split_by_normals(groups, *args, planarity_min=0.5, n_min=5)
+        args = (pts[moving], origins[moving])
+        out = split(groups, *args)
         parent = {tuple(rows.tolist()): g for g, rows in enumerate(group_rows(groups))}
         kept = []
         for g, rows in enumerate(group_rows(out)):
@@ -354,32 +293,33 @@ def test_unsplit_landmarks_keep_their_statistics_bitwise():
     assert len(with_part) and np.all(np.isin(with_part, kept))
     assert np.array_equal(out["fixed"][0][out["fixed"][0] > 0], groups["fixed"][0][with_part])
     plain = {key: value for key, value in groups.items() if key != "fixed"}
-    split = split_by_normals(plain, *args, planarity_min=0.5, n_min=5)
-    assert len(split["counts"]) > len(out["counts"])
+    assert len(split(plain, *args)["counts"]) > len(out["counts"])
 
 
 def test_fixed_parts_split_as_the_stacked_points():
-    # on groups merged with fixed points, the landmarks split exactly as
-    # those that moving points touch do on the stacked points, whose fixed
-    # points carry no normals
-    pts, normals, planarity = oracle_scene()
+    # on groups merged with fixed points, the landmarks split as the
+    # per-landmark rule splits those of the stacked points that moving
+    # points touch, keeping whole each that holds a fixed point
+    pts, origins = oracle_scene()
     fixed = (pts[:, 0] < 2.0) & (np.arange(len(pts)) % 4 == 0)
     moving = np.flatnonzero(~fixed)
-    merged = split_by_normals(
-        dual_grid_groups(pts[moving], GRID, cell_statistics(pts[fixed], GRID)),
-        pts[moving], normals[moving], planarity[moving], planarity_min=0.5, n_min=5,
-    )
-    attributes = np.where(fixed[:, None], 0.0, normals), np.where(fixed, np.nan, planarity)
-    whole = dual_grid_groups(pts, GRID)
-    stacked = split_by_normals(whole, pts, *attributes, planarity_min=0.5, n_min=5)
-    assert len(stacked["counts"]) > len(whole["counts"])
-    own = ~fixed[stacked["member_row"]]
-    touched = np.unique(stacked["member_group"][own])
-    assert np.array_equal(moving[merged["member_row"]], stacked["member_row"][own])
-    assert np.array_equal(merged["member_group"], np.searchsorted(touched, stacked["member_group"][own]))
-    assert np.array_equal(merged["counts"], stacked["counts"][touched])
-    assert np.allclose(merged["means"], stacked["means"][touched], rtol=0.0, atol=1e-12)
-    assert np.allclose(merged["covs"], stacked["covs"][touched], rtol=0.0, atol=1e-12)
+    merged = split(dual_grid_groups(pts[moving], GRID, cell_statistics(pts[fixed], GRID)),
+                   pts[moving], origins[moving])
+    whole = group_rows(dual_grid_groups(pts, GRID))
+    expected = []
+    for rows in whole:
+        if np.any(fixed[rows]):
+            expected += [rows] if not np.all(fixed[rows]) else []
+        else:
+            expected += split_oracle(rows, pts, origins, 0.5, 5)
+    got = group_rows(merged)
+    assert len(got) == len(expected) and len(got) > sum(not np.all(fixed[rows]) for rows in whole)
+    for g, rows in enumerate(expected):
+        assert np.array_equal(moving[got[g]], rows[~fixed[rows]])
+        assert merged["counts"][g] == len(rows)
+        mean, cov = stats(pts[rows])
+        assert np.allclose(merged["means"][g], mean, rtol=0.0, atol=1e-12)
+        assert np.allclose(merged["covs"][g], cov, rtol=0.0, atol=1e-12)
 
 
 def test_fixed_cells_merge_into_the_cells_the_points_touch():
@@ -414,9 +354,9 @@ def test_fixed_cells_merge_into_the_cells_the_points_touch():
 def test_members_ascend_within_each_landmark():
     # keyframe adjustment reads the members a landmark takes from one scan
     # of the point stack as one run; split halves keep the order too
-    pts, normals, planarity = oracle_scene()
+    pts, origins = oracle_scene()
     groups = dual_grid_groups(pts, GRID)
-    out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+    out = split(groups, pts, origins)
     assert len(out["counts"]) > len(groups["counts"])
     for layout in (groups, out):
         assert np.all(np.diff(layout["member_group"]) >= 0)
@@ -425,26 +365,28 @@ def test_members_ascend_within_each_landmark():
 
 
 def oracle_scene():
-    """Points, normals and planarities in which some landmarks split."""
+    """Points, and the origins they were seen from, in which some landmarks split.
+
+    Two sheets, at z = 0.75 and 2.75, each in one cell at either level,
+    have faces 4 cm apart and 5 cm rough. Each point is seen from 1.5 m
+    below the lower face or above the upper one: from either side for
+    x < 2, from below a tenth of the time beyond. For y < 1 the points
+    fill the volume, seen from anywhere."""
     rng = np.random.default_rng(10)
     pts = rng.uniform(0, 4, size=(3000, 3))
-    # two-sided cells for x < 2, mostly one-sided beyond; low planarity
-    # for y < 1; some undefined normals for z < 0.5
-    flip_prob = np.where(pts[:, 0] < 2.0, 0.5, 0.1)
-    sign = np.where(rng.uniform(size=len(pts)) < flip_prob, -1.0, 1.0)
-    normals = np.zeros((len(pts), 3))
-    normals[:, 2] = sign
-    normals[:, :2] = 0.05 * rng.normal(size=(len(pts), 2))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    normals[(pts[:, 2] < 0.5) & (rng.uniform(size=len(pts)) < 0.05)] = 0.0
-    planarity = np.where(pts[:, 1] < 1.0, rng.uniform(0.0, 0.6, len(pts)), rng.uniform(0.4, 1.0, len(pts)))
-    return pts, normals, planarity
+    below = rng.uniform(size=len(pts)) < np.where(pts[:, 0] < 2.0, 0.5, 0.1)
+    sheet = pts[:, 1] >= 1.0
+    pts[sheet, 2] = (np.where(pts[sheet, 2] < 2.0, 0.75, 2.75) + np.where(below[sheet], -0.02, 0.02)
+                     + 0.05 * rng.normal(size=np.count_nonzero(sheet)))
+    origins = pts + rng.uniform(-1.0, 1.0, size=pts.shape)
+    origins[:, 2] = pts[:, 2] + np.where(below, -1.5, 1.5)
+    return pts, origins
 
 
 def frozen(groups, epsilon):
     """The FrozenLandmarks of groups, every member a cluster of one."""
     lm = groups["member_group"]
-    return FrozenLandmarks(groups, epsilon, lm, np.ones(len(lm)))
+    return FrozenLandmarks(groups, smallest_eigenpairs(groups["covs"]), epsilon, lm, np.ones(len(lm)))
 
 
 class TestFrozenLandmarks:
@@ -456,9 +398,9 @@ class TestFrozenLandmarks:
         # landmarks alike. Sigma_j comes from the rows through `stats`: at
         # epsilon = 0, w_j scales as lambda_min^-1/2, so np.cov's rounding
         # alone would move it by more than the tolerance
-        pts, normals, planarity = oracle_scene()
+        pts, origins = oracle_scene()
         groups = dual_grid_groups(pts, GRID)
-        out = split_by_normals(groups, pts, normals, planarity, planarity_min=0.5, n_min=5)
+        out = split(groups, pts, origins)
         unsplit = {tuple(rows.tolist()) for rows in group_rows(groups)}
         parts = group_rows(out)
         is_split = np.array([tuple(rows.tolist()) not in unsplit for rows in parts])

@@ -15,9 +15,11 @@ BLAS pinned to 1 thread:
 - `freeze`: landmarks frozen at the parameters, and four of its parts:
   - `binning`: `dual_grid_groups` of the moving points, merged with the
     fixed points' cells;
-  - `split`: `split_by_normals` of those landmarks (none in the window,
-    whose points carry no normals);
-  - `weights`: `FrozenLandmarks` of the frozen landmarks and clusters;
+  - `split`: `split_by_normals` of those landmarks, each point seen from
+    its pose's position (none in the window, which splits no landmark);
+  - `weights`: the landmarks' `smallest_eigenpairs`, which the split
+    reads too but a freeze computes once, and `FrozenLandmarks` of them
+    and the clusters;
   - `clusters`: the rest, freeze less the three parts above: each
     landmark's members in one body grouped into a cluster, with its
     scatter factor, and the tables of the clusters' rows;
@@ -66,7 +68,7 @@ def min_ms(fn) -> float:
 def stage_times(system, params: np.ndarray) -> dict:
     """Minimum ms of each stage of one outer iteration of system at params,
     and the counts of the system frozen there."""
-    from multiscan.adjustment import LAMBDA_INIT, FrozenLandmarks, lm_step
+    from multiscan.adjustment import LAMBDA_INIT, FrozenLandmarks, lm_step, smallest_eigenpairs
     from multiscan.landmarks import dual_grid_groups, split_by_normals
 
     system.freeze(params)
@@ -78,13 +80,17 @@ def stage_times(system, params: np.ndarray) -> dict:
     groups = dual_grid_groups(world, system.voxel, system.fixed_cells)
     parts = {"binning": min_ms(lambda: dual_grid_groups(world, system.voxel, system.fixed_cells))}
     parts["split"] = 0.0
-    if b.normals is not None:
-        normals = np.einsum("nij,nj->ni", system.pose_table(params).rot[b.pose], b.normals)
-        parts["split"] = min_ms(lambda: split_by_normals(groups, world, normals, b.planarity,
-                                                         system.planarity_min, system.voxel.n_min))
-        groups = split_by_normals(groups, world, normals, b.planarity, system.planarity_min,
-                                  system.voxel.n_min)
-    parts["weights"] = min_ms(lambda: FrozenLandmarks(groups, system.voxel.epsilon, lms.cluster_lm[:m],
+    if system.planarity_min is not None:
+        trans, eigenpairs = system.pose_table(params).trans, smallest_eigenpairs(groups["covs"])
+
+        def split():
+            return split_by_normals(groups, world, np.take(trans, b.pose, axis=0), eigenpairs,
+                                    system.planarity_min, system.voxel.n_min)
+
+        parts["split"] = min_ms(split)
+        groups = split()
+    parts["weights"] = min_ms(lambda: FrozenLandmarks(groups, smallest_eigenpairs(groups["covs"]),
+                                                      system.voxel.epsilon, lms.cluster_lm[:m],
                                                       lms.cluster_sizes[:m]))
     counts = {
         "rows": len(r),
