@@ -8,7 +8,9 @@ residual vector. A scan becomes a keyframe when its pose is more than
 `keyframe_distance` from every keyframe; adding one triggers an adjustment
 over the affected keyframe range with per-keyframe gravity terms, which
 splits each landmark seen from both sides by the keyframe positions its
-points were seen from.
+points were seen from. The static map points are the keyframes' points
+within `static_radius`: every plane comes from a landmark's own cell
+statistics, so the odometry computes no per-point normals and loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from multiscan.adjustment import (
     AdjustmentProblem,
@@ -32,6 +33,7 @@ from multiscan.adjustment import (
     levenberg_marquardt,
     lm_step,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     run_adjustment,
+    smallest_eigenpairs,
 )
 from multiscan.downsample import DownsampleConfig, adaptive_downsample
 from multiscan.geometry import (
@@ -55,6 +57,7 @@ from multiscan.landmarks import (
     VoxelConfig,
     dual_grid_groups,  # noqa: F401  unused: kept bound so the benchmark's tracer can wrap it here
     pack_cell_indices,
+    point_clusters,
     voxel_cell_indices,
 )
 from multiscan.trajectory import (
@@ -186,30 +189,34 @@ class RingBuffer:
 
 
 def compute_point_attributes(cloud: PointCloud, k_neighbors: int = 10):
-    """Per-point normal and planarity from the k-nearest-neighbor scatter.
+    """Per-point normal and planarity from the k-nearest-neighbour scatter,
+    for callers outside the odometry, which reads neither.
 
-    Planarity is (lambda2 - lambda3) / lambda1 for eigenvalues in
-    descending order; the normal is the smallest eigenvector flipped
-    toward the sensor origin. A degenerate neighborhood yields planarity
-    0 and a zero normal as the undefined flag.
+    The neighbours' covariances go through `point_clusters` and
+    `smallest_eigenpairs`: planarity is (lambda_mid - lambda_min) /
+    lambda_max, the normal the smallest eigenvector flipped toward the
+    sensor origin; a degenerate neighbourhood (lambda_max <= 1e-12) gives
+    planarity 0 and a zero normal. Raises ValueError for fewer than
+    k_neighbors points. scipy is imported here so the odometry loads none.
     """
+    from scipy.spatial import cKDTree
+
     if len(cloud) < k_neighbors:
         raise ValueError(f"cloud has {len(cloud)} points, need >= {k_neighbors}")
-    tree = cKDTree(cloud.points)
-    _, idx = tree.query(cloud.points, k=k_neighbors)
-    neigh = cloud.points[idx]  # (N, k, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k_neighbors
-    evals, evecs = np.linalg.eigh(cov)  # ascending
-    lam1 = evals[:, 2]
-    ok = lam1 > 1e-12
-    planarity = np.zeros(len(cloud))
-    planarity[ok] = (evals[ok, 1] - evals[ok, 0]) / lam1[ok]
-    normals = np.where(ok[:, None], evecs[:, :, 0], 0.0)
+    _, idx = cKDTree(cloud.points).query(cloud.points, k=k_neighbors)
+    _, _, scatter = point_clusters(np.take(cloud.points, idx.ravel(), axis=0),
+                                   np.arange(0, idx.size, k_neighbors))
+    covs = scatter / k_neighbors
+    lam, normal, planarity = smallest_eigenpairs(covs)
+    # the trace is lambda_min + lambda_mid + lambda_max, and lambda_mid is
+    # lambda_min + planarity lambda_max
+    top = (np.trace(covs, axis1=1, axis2=2) - 2.0 * lam) / (1.0 + planarity)
+    ok = top > 1e-12
+    normals = np.where(ok[:, None], normal.T, 0.0)
     # orient toward the origin of the sensor frame
     flip = np.einsum("ni,ni->n", normals, cloud.points) > 0.0
     normals[flip] *= -1.0
-    return normals, np.clip(planarity, 0.0, 1.0)
+    return normals, np.clip(np.where(ok, planarity, 0.0), 0.0, 1.0)
 
 
 @dataclass
@@ -221,24 +228,20 @@ class Keyframe:
     def world_points(self) -> np.ndarray:
         return self.pose.apply(self.cloud.points)
 
-    def world_normals(self) -> np.ndarray:
-        return self.cloud.normals @ self.pose.matrix().T
-
     def cell_keys(self, cell_size: float) -> np.ndarray:
         """Unique packed ids of the world cells of side cell_size holding the points."""
         return np.unique(pack_cell_indices(voxel_cell_indices(self.world_points(), cell_size)))
 
 
 class Map:
-    """Keyframes, and the world-frame points and normals of all their clouds
-    at the keyframes' current poses, stacked in keyframe order: `add`
-    appends the new keyframe's, and `rebuild_index` restacks them all after
-    the poses move."""
+    """Keyframes, and the world-frame points of all their clouds at the
+    keyframes' current poses, stacked in keyframe order: `add` appends the
+    new keyframe's, and `rebuild_index` restacks them all after the poses
+    move. The map keeps points only, no per-point normals."""
 
     def __init__(self):
         self.keyframes: list[Keyframe] = []
         self.points = np.zeros((0, 3))
-        self.normals = np.zeros((0, 3))
 
     def __len__(self) -> int:
         return len(self.keyframes)
@@ -246,12 +249,10 @@ class Map:
     def add(self, kf: Keyframe) -> None:
         self.keyframes.append(kf)
         self.points = np.vstack([self.points, kf.world_points()])
-        self.normals = np.vstack([self.normals, kf.world_normals()])
 
     def rebuild_index(self) -> None:
-        """Recompute the world points and normals; needs a keyframe."""
+        """Recompute the world points; needs a keyframe."""
         self.points = np.vstack([kf.world_points() for kf in self.keyframes])
-        self.normals = np.vstack([kf.world_normals() for kf in self.keyframes])
 
     def nearest_keyframe_distance(self, position: np.ndarray) -> float:
         if not self.keyframes:
@@ -261,16 +262,11 @@ class Map:
 
 
 def extract_static_points(world_map: Map, position: np.ndarray, radius: float) -> np.ndarray:
-    """Map points within radius of the sensor position whose normal faces it.
-
-    A back-facing point (normal pointing away from the sensor) and a point
-    with an undefined (zero) normal are not visible and are dropped.
-    """
+    """Map points within radius of the sensor position, the radius included;
+    none is dropped for the side it faces, as map points carry no normals
+    (a facing filter on kNN normals helped the loop on as many seeds as it hurt)."""
     rel = world_map.points - position
-    near = np.einsum("ni,ni->n", rel, rel) <= radius * radius
-    pts = world_map.points[near]
-    facing = np.einsum("ni,ni->n", world_map.normals[near], position - pts) > 0.0
-    return pts[facing]
+    return world_map.points[np.einsum("ni,ni->n", rel, rel) <= radius * radius]
 
 
 @dataclass
@@ -657,14 +653,13 @@ class OdometryPipeline:
         if self.map.nearest_keyframe_distance(pose_now.trans) <= cfg.keyframe_distance:
             return False
         world = deskew(down, self._traj)
-        # counted after deskew, which drops the points stamped before the window
+        # counted after deskew, which drops the points stamped before the
+        # window; at least k_neighbors, so that every keyframe cloud can take
+        # `compute_point_attributes`
         if len(world) < cfg.k_neighbors:
             return False
         sensor_cloud = PointCloud(
             points=pose_now.inverse().apply(world.points), stamps=world.stamps
-        )
-        sensor_cloud.normals, sensor_cloud.planarity = compute_point_attributes(
-            sensor_cloud, cfg.k_neighbors
         )
         kf = Keyframe(pose_now, sensor_cloud, estimate_gravity(self._traj, self.imu))
         self.map.add(kf)

@@ -1,5 +1,11 @@
 import copy
+import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,36 +482,112 @@ def test_keyframe_attempt_counts_the_points_deskew_keeps():
 
 
 def test_map_add_appends_the_new_keyframes_points():
-    # add stacks only the new keyframe's world points and normals, bit for
-    # bit what restacking every keyframe gives
+    # add stacks only the new keyframe's world points, bit for bit what
+    # restacking every keyframe gives
     rng = np.random.default_rng(4)
     world_map = Map()
     gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
     for k in range(3):
-        normals = rng.normal(size=(5, 3))
-        cloud = PointCloud(points=rng.normal(size=(5, 3)),
-                           normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
+        cloud = PointCloud(points=rng.normal(size=(5, 3)))
         world_map.add(Keyframe(Pose(rng.normal(size=3), rng.normal(size=3)), cloud, gravity))
-    points, normals = world_map.points, world_map.normals
-    assert points.shape == normals.shape == (15, 3)
+    points = world_map.points
+    assert points.shape == (15, 3)
     world_map.rebuild_index()
-    assert np.array_equal(points, world_map.points) and np.array_equal(normals, world_map.normals)
+    assert np.array_equal(points, world_map.points)
 
 
-def test_static_points_are_the_near_map_points_facing_the_sensor():
-    # one keyframe, turned and moved, holding (world frame) a facing point,
-    # one beyond the radius, a back-facing one, one without a normal and a
-    # second facing one
+def test_static_points_are_the_near_map_points():
+    # one keyframe, turned and moved, holding (world frame) five points
+    # within the radius of the sensor, the last exactly on it, and one
+    # beyond it: every near point is kept, in map order, whichever way
+    # its surface faces
     world = np.array([[11.0, 0, 0], [13.0, 0, 0], [10.0, 1.5, 0], [10.0, 0, 1.0],
-                      [10.0, -1.5, 0.5]])
-    normals = np.array([[-1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 0], [0, 1.0, 0]])
+                      [10.0, -1.5, 0.5], [10.0, 2.0, 0]])
     pose = Pose(np.array([0.0, 0.0, np.pi / 2]), np.array([9.0, 1.0, 0.0]))
-    cloud = PointCloud(points=pose.inverse().apply(world), normals=normals @ pose.matrix())
+    cloud = PointCloud(points=pose.inverse().apply(world))
     world_map = Map()
     gravity = GravityEstimate(direction=np.array([0.0, 0.0, 1.0]), weight=0.0)
     world_map.add(Keyframe(pose, cloud, gravity))
-    static = extract_static_points(world_map, np.array([10.0, 0.0, 0.0]), radius=2.0)
-    assert np.allclose(static, world[[0, 4]], rtol=0.0, atol=1e-12)
+    position = np.array([10.0, 0.0, 0.0])
+    assert np.sum((world_map.points[5] - position) ** 2) == 4.0
+    static = extract_static_points(world_map, position, radius=2.0)
+    assert np.array_equal(static, world_map.points[[0, 2, 3, 4, 5]])
+
+
+def test_point_attributes_match_a_per_point_eigh():
+    # a noisy tilted plane seen from the origin: each point's normal and
+    # planarity are those of its k nearest neighbours' 1/k covariance
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(-2.0, 2.0, size=(2, 400))
+    points = np.stack([u, v, 3.0 + 0.3 * u - 0.2 * v + 0.01 * rng.normal(size=400)], axis=1)
+    cloud = PointCloud(points=points)
+    normals, planarity = pipeline_module.compute_point_attributes(cloud, 10)
+    for i, p in enumerate(points):
+        near = points[np.argsort(np.sum((points - p) ** 2, axis=1))[:10]]
+        centred = near - near.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centred.T @ centred / 10)
+        assert min(np.abs(normals[i] - evecs[:, 0]).max(),
+                   np.abs(normals[i] + evecs[:, 0]).max()) <= 1e-9
+        assert abs(planarity[i] - (evals[1] - evals[0]) / evals[2]) <= 1e-12
+    assert np.all(np.einsum("ni,ni->n", normals, points) <= 0.0)
+    cloud.normals, cloud.planarity = normals, planarity
+    cloud.validate()
+
+
+def test_point_attributes_of_identical_neighbours_are_undefined():
+    # ten copies of one point, far from a plane of 30 points: each copy's
+    # neighbourhood is the copies, with no plane through it
+    rng = np.random.default_rng(8)
+    plane = np.column_stack([rng.uniform(-1.0, 1.0, size=(30, 2)), np.full(30, 5.0)])
+    points = np.vstack([np.tile([40.0, 2.0, 3.0], (10, 1)), plane])
+    normals, planarity = pipeline_module.compute_point_attributes(PointCloud(points=points), 10)
+    assert not normals[:10].any() and not planarity[:10].any()
+    assert np.allclose(normals[10:], [0.0, 0.0, -1.0], rtol=0.0, atol=1e-9)
+    assert np.all(planarity[10:] > 0.0)
+
+
+def test_point_attributes_need_k_points():
+    with pytest.raises(ValueError, match="need >= 10"):
+        pipeline_module.compute_point_attributes(PointCloud(points=np.zeros((9, 3))), 10)
+
+
+def test_the_odometry_loads_no_scipy():
+    # a fresh process replays a short corridor through two keyframes and a
+    # keyframe adjustment; only a cloud's kNN attributes load scipy
+    script = textwrap.dedent("""
+        import json, sys
+        from multiscan import pipeline
+        from multiscan.synthetic import corridor_scene, generate_synthetic
+
+        adjustments = []
+        run_adjustment = pipeline.run_adjustment
+
+        def counted(*args, **kwargs):
+            adjustments.append(1)
+            return run_adjustment(*args, **kwargs)
+
+        pipeline.run_adjustment = counted
+        data = generate_synthetic(corridor_scene(duration=1.6, speed=2.0), seed=0)
+        odometry = pipeline.OdometryPipeline(pipeline.PipelineConfig(keyframe_distance=0.05))
+        odometry.add_imu(data.imu_samples)
+        for scan in data.scans:
+            odometry.process_scan(scan)
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        cloud = odometry.map.keyframes[-1].cloud
+        cloud.normals, cloud.planarity = pipeline.compute_point_attributes(cloud)
+        cloud.validate()
+        print(json.dumps({"keyframes": len(odometry.map), "adjustments": len(adjustments),
+                          "scipy": loaded, "spatial": "scipy.spatial" in sys.modules}))
+    """)
+    src = str(Path(pipeline_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["keyframes"] >= 2 and report["adjustments"] >= 1
+    assert report["scipy"] == []
+    assert report["spatial"]
 
 
 def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corridor_window):
