@@ -4,7 +4,8 @@
 and the odometry buffer hold one, and every function here reads its arrays.
 Deltas accumulate body-frame relative motion (rotation, velocity, position)
 from rate and specific-force samples, independent of any world pose and of
-gravity. `imu_residual` compares deltas, stacked over segments, against
+gravity; one `preintegrate` call integrates any number of intervals.
+`imu_residual` compares deltas, stacked over segments, against
 batches of state pairs (rotation matrix, position, velocity) under a known
 world gravity vector; the odometry window's IMU rows are one such call.
 `imu_jacobian` is its closed form (Forster et al., arXiv:1512.02363).
@@ -63,10 +64,11 @@ class ImuStream:
 
 @dataclass
 class PreintegratedDelta:
-    """Relative motion over [t_i, t_j] integrated in the frame at t_i."""
+    """Relative motion over [t_i, t_j] integrated in the frame at t_i; from
+    batched bounds, each field stacks over the intervals."""
 
     dt: float
-    delta_rot: np.ndarray  # (3, 3)
+    delta_rot: np.ndarray  # (3, 3), or (S, 3, 3) stacked
     delta_vel: np.ndarray
     delta_pos: np.ndarray
 
@@ -79,64 +81,68 @@ class GravityEstimate:
     weight: float
 
 
-def _interp_row(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    return np.array([np.interp(t, times, values[:, d]) for d in range(values.shape[1])])
-
-
 def preintegrate(
     stream: ImuStream,
-    t_start: float,
-    t_end: float,
+    t_start,
+    t_end,
     gyro_bias: np.ndarray | None = None,
     accel_bias: np.ndarray | None = None,
 ) -> PreintegratedDelta:
     """First-order integration of the stream's bias-corrected samples over
     [t_start, t_end], read from its arrays.
 
-    Sample values at the interval endpoints are linearly interpolated from
-    the surrounding stream; within the interval each sample's value holds
-    until the next one (left Euler).
+    Sample values at an interval's start are linearly interpolated from the
+    surrounding stream, clamped outside it; within the interval each
+    sample's value holds until the next one (left Euler). The bounds are
+    scalars, or (S,) arrays whose S intervals are integrated in one loop
+    over the node index, the shorter ones padded with steps of dt = 0; the
+    delta's fields then stack over the intervals. A scalar goes through the
+    same code, so each entry equals the scalar call on its bounds bit for
+    bit. Zero intervals read no sample.
     """
-    if t_end <= t_start:
+    scalar = np.ndim(t_start) == 0
+    starts, ends = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (t_start, t_end))
+    if np.any(ends <= starts):
         raise ValueError("empty preintegration interval")
-    if len(stream) == 0:
+    times, gyro, accel = stream.times, stream.gyro, stream.accel
+    n = len(starts)
+    if n == 0:
+        return PreintegratedDelta(np.zeros(0), np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+    if len(times) == 0:
         raise ValueError("no IMU samples supplied")
+    if np.any((times[-1] < starts) | (times[0] > ends)):
+        raise ValueError("no IMU samples overlap the interval")
     gyro_bias = np.zeros(3) if gyro_bias is None else np.asarray(gyro_bias, dtype=float)
     accel_bias = np.zeros(3) if accel_bias is None else np.asarray(accel_bias, dtype=float)
-    times, gyro, accel = stream.times, stream.gyro, stream.accel
-    if times[-1] < t_start or times[0] > t_end:
-        raise ValueError("no IMU samples overlap the interval")
-    inside = (times > t_start) & (times < t_end)
 
-    node_times = np.concatenate([[t_start], times[inside], [t_end]])
-    node_gyro = np.vstack([[_interp_row(times, gyro, t_start)], gyro[inside], [np.zeros(3)]])
-    node_accel = np.vstack([[_interp_row(times, accel, t_start)], accel[inside], [np.zeros(3)]])
+    # step k of interval s starts at node k: its start for k = 0, then the
+    # samples strictly inside it; past the last of them every node is its end
+    first = np.searchsorted(times, starts, side="right")
+    inside = np.searchsorted(times, ends, side="left") - first
+    k = np.arange(inside.max() + 1)
+    sample = np.minimum(first[:, None] + k - 1, len(times) - 1)
+    node_times = np.where(k <= inside[:, None], times[sample], ends[:, None])
+    node_times[:, 0] = starts
+    node_dt = np.diff(node_times, axis=1, append=ends[:, None])[..., None]
 
-    node_dt = np.diff(node_times)
-    step_rots = rotvec_to_matrix((node_gyro[:-1] - gyro_bias) * node_dt[:, None])
-    delta_rot = np.eye(3)
-    delta_vel = np.zeros(3)
-    delta_pos = np.zeros(3)
-    for k, dt in enumerate(node_dt):
-        if dt <= 0.0:
-            continue
-        a = node_accel[k] - accel_bias
-        delta_pos = delta_pos + delta_vel * dt + 0.5 * (delta_rot @ a) * dt * dt
-        delta_vel = delta_vel + (delta_rot @ a) * dt
-        delta_rot = delta_rot @ step_rots[k]
-    return PreintegratedDelta(
-        dt=t_end - t_start,
-        delta_rot=delta_rot,
-        delta_vel=delta_vel,
-        delta_pos=delta_pos,
-    )
+    def node_values(values):
+        out = values[sample]
+        out[:, 0] = np.stack([np.interp(starts, times, column) for column in values.T], axis=-1)
+        return out
 
-
-def stack_deltas(deltas) -> PreintegratedDelta:
-    """One delta whose fields stack those of deltas along a new leading axis."""
-    return PreintegratedDelta(**{
-        f.name: np.stack([getattr(d, f.name) for d in deltas]) for f in fields(PreintegratedDelta)
-    })
+    step_rots = rotvec_to_matrix((node_values(gyro) - gyro_bias) * node_dt)
+    node_accel = node_values(accel) - accel_bias
+    delta_rot = np.tile(np.eye(3), (n, 1, 1))
+    delta_vel = np.zeros((n, 3))
+    delta_pos = np.zeros((n, 3))
+    for step in k:
+        dt = node_dt[:, step]
+        turned = (delta_rot @ node_accel[:, step, :, None])[..., 0]
+        delta_pos = delta_pos + delta_vel * dt + 0.5 * turned * dt * dt
+        delta_vel = delta_vel + turned * dt
+        delta_rot = delta_rot @ step_rots[:, step]
+    out = (ends - starts, delta_rot, delta_vel, delta_pos)
+    return PreintegratedDelta(*(value[0] for value in out) if scalar else out)
 
 
 def _imu_terms(delta: PreintegratedDelta, rot_i, pos_i, vel_i, rot_j, pos_j, vel_j, gravity):
@@ -156,7 +162,7 @@ def imu_residual(
 
     States i and j are world-frame rotation matrices (..., 3, 3), positions
     and velocities (..., 3) with any leading batch axes. For a delta stacked
-    over S segments (`stack_deltas`) the last batch axis runs over them.
+    over S segments (a batched `preintegrate`) the last batch axis runs over them.
     gravity is the world-frame gravitational acceleration (about
     (0, 0, -9.81) in a z-up frame). Zero on any state sequence consistent
     with the integrated samples.

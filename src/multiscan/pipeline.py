@@ -45,12 +45,10 @@ from multiscan.geometry import (
 from multiscan.imu import (
     GravityEstimate,
     ImuStream,
-    PreintegratedDelta,
     estimate_gravity,
     imu_jacobian,
     imu_residual,
     preintegrate,
-    stack_deltas,
     static_initialization,
 )
 from multiscan.landmarks import (
@@ -117,9 +115,10 @@ class PipelineConfig:
         for name in ("planarity_min", "kf_opt_overlap"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"config key {name!r} must lie in [0, 1], got {getattr(self, name)}")
-        # a point's normal and planarity need a plane through its neighbours;
-        # the keyframe counts slice the keyframe list; a budget of 0 would
-        # return the start as the solve's answer
+        # k_neighbors is a keyframe's least point count and the neighbourhood
+        # `perfbench/measure.py` hands `compute_point_attributes`, whose plane
+        # needs 3 points; the keyframe counts slice the keyframe list; a
+        # budget of 0 would return the start as the solve's answer
         for name, least in (("k_neighbors", 3), ("kf_fallback_window", 1), ("kf_anchor_count", 0),
                             ("window_lm", 1), ("kf_lm", 1)):
             value = getattr(self, name)
@@ -314,11 +313,15 @@ class _WindowSystem(MultiScanSystem):
     weights (`trajectory.position_weights`), on the tangents v = T p with
     T = `np.gradient(I, dt)`. The IMU rows read v as each control pose's
     velocity; they (one batched `imu.imu_residual`, differentiated by
-    `imu.imu_jacobian`) and the prior rows form the dense block.
+    `imu.imu_jacobian`) and the prior rows form the dense block. imu_seg
+    holds the indices of the instrumented segments and delta their deltas,
+    stacked over them by one batched `imu.preintegrate`
+    (`OdometryPipeline._segment_deltas`); with no segment there are no IMU
+    rows.
     """
 
     def __init__(self, ctrl_times, ctrl_params, sensor_points, stamps,
-                 static_points, deltas, gravity_vec, config: PipelineConfig):
+                 static_points, imu_seg, delta, gravity_vec, config: PipelineConfig):
         self.ctrl_times = ctrl_times
         self.spacing = float(ctrl_times[1] - ctrl_times[0])
         self.n_ctrl = len(ctrl_times)
@@ -335,9 +338,8 @@ class _WindowSystem(MultiScanSystem):
                         np.stack([segments, segments + 1], axis=1), reach, weights)
         super().__init__(bodies, static_points, config.voxel,
                          np.tile(np.repeat([STOP_ROTATION, STOP_TRANSLATION], 3), self.n_ctrl))
-        # instrumented segments and their deltas, stacked over segments
-        self.imu_seg = np.array([seg for seg, _ in deltas], dtype=np.int64)
-        self.delta = stack_deltas([d for _, d in deltas]) if deltas else None
+        self.imu_seg = imu_seg
+        self.delta = delta
         self.gravity_vec = gravity_vec
         # continuity prior: every control pose except the newest stays soft-
         # anchored to its warm-start value (the previous window's estimate),
@@ -375,16 +377,12 @@ class _WindowSystem(MultiScanSystem):
 
     def imu_rows(self, params: np.ndarray) -> np.ndarray:
         """Weighted preintegration residuals, 9 per instrumented segment."""
-        if self.delta is None:
-            return np.zeros(0)
         return (self.imu_weights * imu_residual(*self.imu_states(params))).ravel()
 
     def imu_jacobian(self, params: np.ndarray, turns: np.ndarray) -> np.ndarray:
         """Jacobian of `imu_rows`: `imu_jacobian` chained by w = J_l(r) dr,
         turns the control poses' J_l(r), and by v = T p, so segment s reaches
         the positions of poses s - 1 to s + 2."""
-        if self.delta is None:
-            return np.zeros((0, len(params)))
         # (segment, row, end pose i or j, turn / position / velocity, axis)
         jac = self.imu_weights[:, None] * imu_jacobian(*self.imu_states(params))
         jac = jac.reshape(-1, 9, 2, 3, 3)
@@ -407,21 +405,6 @@ class _WindowSystem(MultiScanSystem):
         return np.vstack([self.imu_jacobian(params, turns), self.prior_jacobian])
 
 
-class _Segment(NamedTuple):
-    """A preintegrated segment: the times it was integrated over, the stamp
-    of the first sample it read, and its delta."""
-
-    t_i: float
-    t_j: float
-    first: float
-    delta: PreintegratedDelta
-
-
-def _segment_key(t_i: float, t_j: float) -> tuple[int, int]:
-    """A segment's cache key: its times rounded to 1 ns."""
-    return round(t_i * 1e9), round(t_j * 1e9)
-
-
 class OdometryPipeline:
     """Scan-by-scan odometry with keyframe map maintenance."""
 
@@ -434,9 +417,6 @@ class OdometryPipeline:
         self.trajectory_poses: list[Pose] = []
         self.results: list[ScanResult] = []
         self._traj: ContinuousTrajectory | None = None
-        # `_segment_key` -> `_Segment` of the segments of the last window
-        # that no later sample can change
-        self._segments: dict = {}
         self._initialized = False
         self._imu_warned = False
         self.gyro_bias = np.zeros(3)
@@ -493,12 +473,9 @@ class OdometryPipeline:
         params0 = self._initial_params(ctrl_times)
         pts, stamps = self._window_points(ctrl_times[0], t_now)
 
-        if len(self.imu):
-            deltas = self._segment_deltas(ctrl_times)
-            imu_reason = None if deltas else "no_imu_coverage"
-        else:
-            deltas, imu_reason = [], "no_imu"
-        if imu_reason is not None:
+        imu_seg, delta = self._segment_deltas(ctrl_times)
+        if not len(imu_seg):
+            imu_reason = "no_imu_coverage" if len(self.imu) else "no_imu"
             reasons.append(imu_reason)
             if not self._imu_warned:
                 logger.warning("running LiDAR-only: %s", imu_reason)
@@ -513,7 +490,7 @@ class OdometryPipeline:
             return self._fallback_result(t_now, reasons + ["too_few_points"], dropped)
 
         system = _WindowSystem(
-            ctrl_times, params0, pts, stamps, static_pts, deltas, self.gravity_vec, cfg
+            ctrl_times, params0, pts, stamps, static_pts, imu_seg, delta, self.gravity_vec, cfg
         )
         try:
             params, _, _, _ = levenberg_marquardt(system, params0, cfg.window_lm)
@@ -589,43 +566,27 @@ class OdometryPipeline:
         return np.vstack(pts), np.concatenate(stamps)
 
     def _segment_deltas(self, ctrl_times: np.ndarray):
-        """Preintegrated deltas for segments the IMU stream covers.
+        """The spline segments the IMU stream covers, and their deltas stacked
+        over them from one batched `preintegrate` of the stream in
+        [t_0 - 0.05, t_K + 0.05], as the window's `_WindowSystem` takes them.
 
-        A segment counts as covered when at most a small fraction at either
-        end lies outside the stream; the integrator clamps boundary values
-        there, which is negligible against one missing sample period.
-
-        A segment reads the samples in [t_i - 0.05, t_j + 0.05]. Once the
-        stream reaches past t_j + 0.05, no later sample falls there, so the
-        delta is kept, with the times it was integrated over and the first
-        sample it read, and reused while that sample is still stored.
-        Control times are the scan's end less multiples of the spacing, so
-        one segment comes back under times a few ulps apart: it is kept
-        under its times rounded to 1 ns (`_segment_key`), and a kept delta
-        stands for any segment within that rounding. Every kept segment
-        stays while its midpoint lies in the window.
+        A segment [t_i, t_j] counts as covered when the samples in
+        [t_i - 0.05, t_j + 0.05] reach within a quarter segment of both ends,
+        so at least 2 lie there; the integrator clamps boundary values past
+        the stream's ends, which is negligible against one missing sample
+        period. Every window integrates its segments afresh, so no delta
+        outlives it.
         """
-        t_start = float(ctrl_times[0])
-        kept = {key: entry for key, entry in self._segments.items()
-                if entry.t_i + entry.t_j > 2.0 * t_start}
-        deltas = []
-        for seg in range(len(ctrl_times) - 1):
-            t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
-            key = _segment_key(t_i, t_j)
-            entry = kept.get(key)
-            if entry is None or self.imu.times[0] > entry.first:
-                slack = 0.25 * (t_j - t_i)
-                samples = self.imu.between(t_i - 0.05, t_j + 0.05)
-                times = samples.times
-                if len(times) < 2 or times[0] > t_i + slack or times[-1] < t_j - slack:
-                    continue
-                entry = _Segment(t_i, t_j, times[0],
-                                 preintegrate(samples, t_i, t_j, gyro_bias=self.gyro_bias))
-                if self.imu.times[-1] > t_j + 0.05:
-                    kept[key] = entry
-            deltas.append((seg, entry.delta))
-        self._segments = kept
-        return deltas
+        t_i, t_j = ctrl_times[:-1], ctrl_times[1:]
+        stream = self.imu.between(t_i[0] - 0.05, t_j[-1] + 0.05)
+        times, slack = stream.times, 0.25 * (t_j - t_i)
+
+        def reached(t0, t1):
+            """Whether a sample lies in [t0, t1]."""
+            return np.searchsorted(times, t1, side="right") > np.searchsorted(times, t0)
+
+        seg = np.flatnonzero(reached(t_i - 0.05, t_i + slack) & reached(t_j - slack, t_j + 0.05))
+        return seg, preintegrate(stream, t_i[seg], t_j[seg], gyro_bias=self.gyro_bias)
 
     def _fallback_result(self, t_now: float | None, reasons: list[str], dropped: int) -> ScanResult:
         """The predicted pose at t_now, appended to the trajectory, when
@@ -654,8 +615,8 @@ class OdometryPipeline:
             return False
         world = deskew(down, self._traj)
         # counted after deskew, which drops the points stamped before the
-        # window; at least k_neighbors, so that every keyframe cloud can take
-        # `compute_point_attributes`
+        # window. No keyframe takes per-point normals; the k_neighbors floor
+        # stays as the keyframe rule, and `perfbench/measure.py` reads the key
         if len(world) < cfg.k_neighbors:
             return False
         sensor_cloud = PointCloud(

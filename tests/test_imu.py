@@ -9,7 +9,6 @@ from multiscan.imu import (
     imu_jacobian,
     imu_residual,
     preintegrate,
-    stack_deltas,
     static_initialization,
 )
 from multiscan.trajectory import ContinuousTrajectory
@@ -141,6 +140,44 @@ class TestPreintegrate:
         assert np.linalg.norm(r[:3]) < 1e-6
         assert np.allclose(r[3:], 0.0, atol=1e-6)
 
+    def test_batch_equals_scalar_calls(self):
+        # S intervals in one call, each entry bit for bit its own scalar call,
+        # with both biases: 4, 39 and 50 samples inside, none inside (one
+        # ending short of the next sample, one from a sample to the next),
+        # and one starting before the first sample
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.uniform(4e-3, 6e-3, 200))
+        gyro = rng.normal(scale=0.5, size=(200, 3))
+        accel = rng.normal(size=(200, 3)) + [0, 0, 9.81]
+        samples = ImuStream(times, gyro, accel)
+        starts = times[[0, 10, 50, 100, 20]] + [-0.02, 1e-4, 1e-3, 0.0, 0.0]
+        ends = times[[3, 10, 90, 150, 21]] + [2e-3, 3e-3, 0.0, 1e-3, 0.0]
+        biases = {"gyro_bias": [0.01, -0.02, 0.03], "accel_bias": [0.1, 0.0, -0.2]}
+        batch = preintegrate(samples, starts, ends, **biases)
+        assert batch.dt.shape == (5,) and batch.delta_rot.shape == (5, 3, 3)
+        assert batch.delta_vel.shape == batch.delta_pos.shape == (5, 3)
+        for s, (t0, t1) in enumerate(zip(starts, ends)):
+            single = preintegrate(samples, t0, t1, **biases)
+            for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+                assert np.array_equal(getattr(batch, name)[s], getattr(single, name))
+        # the early start takes the first sample's values: as if that sample
+        # were repeated at the start
+        early = ImuStream(np.r_[starts[0], times], np.vstack([gyro[:1], gyro]),
+                          np.vstack([accel[:1], accel]))
+        clamped = preintegrate(early, starts[0], ends[0], **biases)
+        for name in ("delta_rot", "delta_vel", "delta_pos"):
+            assert np.array_equal(getattr(batch, name)[0], getattr(clamped, name))
+
+    def test_zero_intervals_read_no_sample(self):
+        # an empty batch, whatever the stream, and residuals and Jacobians
+        # of no segment
+        delta = preintegrate(ImuStream(), np.zeros(0), np.zeros(0))
+        assert delta.dt.shape == (0,) and delta.delta_rot.shape == (0, 3, 3)
+        assert delta.delta_vel.shape == delta.delta_pos.shape == (0, 3)
+        states = (np.zeros((0, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3))) * 2
+        assert imu_residual(delta, *states, GRAVITY).shape == (0, 9)
+        assert imu_jacobian(delta, *states, GRAVITY).shape == (0, 9, 18)
+
     def test_empty_interval_raises(self):
         samples = stream([0.0, 0.1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError, match="empty"):
@@ -195,6 +232,7 @@ class TestImuResidual:
         accel = np.cos(3 * times)[:, None] * [0.8, 0.3, -0.5] + [0, 0, 9.81]
         samples = ImuStream(times, gyro, accel)
         bounds = np.linspace(0.0, 0.6, 5)
+        stacked = preintegrate(samples, bounds[:-1], bounds[1:])
         deltas = [preintegrate(samples, t0, t1) for t0, t1 in zip(bounds[:-1], bounds[1:])]
         n_var, n_seg = 3, len(deltas)
         rots = np.array([
@@ -204,7 +242,7 @@ class TestImuResidual:
         pos = rng.normal(size=(n_var, n_seg + 1, 3))
         vel = rng.normal(size=(n_var, n_seg + 1, 3))
         r = imu_residual(
-            stack_deltas(deltas), rots[:, :-1], pos[:, :-1], vel[:, :-1],
+            stacked, rots[:, :-1], pos[:, :-1], vel[:, :-1],
             rots[:, 1:], pos[:, 1:], vel[:, 1:], GRAVITY,
         )
         assert r.shape == (n_var, n_seg, 9)

@@ -25,7 +25,6 @@ from multiscan.pipeline import (
     Map,
     OdometryPipeline,
     PipelineConfig,
-    _segment_key,
     _up_to_z_rotvec,
     _WindowSystem,
     extract_static_points,
@@ -79,10 +78,11 @@ def frozen_window(pipeline, t_now, gap=None, static=np.zeros((0, 3))):
     if gap is not None:
         keep = (stamps < gap[0]) | (stamps >= gap[1])
         pts, stamps = pts[keep], stamps[keep]
-    deltas = pipeline._segment_deltas(ctrl_times)
-    assert deltas
+    imu_seg, delta = pipeline._segment_deltas(ctrl_times)
+    assert len(imu_seg)
     system = _WindowSystem(
-        ctrl_times, params, pts, stamps, static, deltas, pipeline.gravity_vec, pipeline.config,
+        ctrl_times, params, pts, stamps, static, imu_seg, delta, pipeline.gravity_vec,
+        pipeline.config,
     )
     system.freeze(params)
     rng = np.random.default_rng(0)
@@ -206,8 +206,10 @@ def static_window(corridor, corridor_run):
     params = pipeline._initial_params(ctrl_times)
     pts, stamps = pipeline._window_points(ctrl_times[0], t_now)
     rng = np.random.default_rng(2)
+    no_imu = OdometryPipeline()._segment_deltas(ctrl_times)
     world = _WindowSystem(
-        ctrl_times, params, pts, stamps, np.zeros((0, 3)), [], pipeline.gravity_vec, pipeline.config,
+        ctrl_times, params, pts, stamps, np.zeros((0, 3)), *no_imu, pipeline.gravity_vec,
+        pipeline.config,
     ).world_points(params)
     static = np.vstack([
         world[::3] + rng.uniform(-0.02, 0.02, size=world[::3].shape),
@@ -324,7 +326,10 @@ def test_window_of_one_pose_is_one_rigid_cloud(corridor_run, static_window):
     pts, stamps = pipeline._window_points(ctrl_times[0], float(ctrl_times[-1]))
     pose = params[-6:]
     flat = np.tile(pose, len(ctrl_times))
-    window = _WindowSystem(ctrl_times, flat, pts, stamps, static, [], pipeline.gravity_vec, pipeline.config)
+    # without IMU rows, as a pipeline without IMU builds it
+    no_imu = OdometryPipeline()._segment_deltas(ctrl_times)
+    window = _WindowSystem(ctrl_times, flat, pts, stamps, static, *no_imu, pipeline.gravity_vec,
+                           pipeline.config)
     rigid = _RigidSystem(AdjustmentProblem(
         clouds=[PointCloud(points=pts)], initial_poses=[Pose.from_params(pose)],
         fixed_points=static, voxel=pipeline.config.voxel,
@@ -425,7 +430,7 @@ def test_truth_initialised_window_holds_the_truth(loop_start, scan):
     truth = np.concatenate([scene.motion.pose(float(t)).as_params() for t in ctrl_times])
     pts, stamps = pipeline._window_points(ctrl_times[0], t_now)
     system = _WindowSystem(
-        ctrl_times, truth, pts, stamps, np.zeros((0, 3)), pipeline._segment_deltas(ctrl_times),
+        ctrl_times, truth, pts, stamps, np.zeros((0, 3)), *pipeline._segment_deltas(ctrl_times),
         pipeline.gravity_vec, pipeline.config,
     )
     params, _, _, _ = levenberg_marquardt(system, truth, pipeline.config.window_lm)
@@ -606,15 +611,8 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     assert np.allclose(world.points, own, rtol=0.0, atol=1e-12)
 
 
-def imu_at_rest(t0, t1, rate=200.0):
-    """A still, level IMU stream sampled over [t0, t1) with a slow yaw."""
-    times = np.arange(np.ceil(t0 * rate), np.ceil(t1 * rate)) / rate
-    gyro = np.tile([0.0, 0.0, 0.1], (len(times), 1))
-    return ImuStream(times, gyro, np.tile([0.0, 0.0, 9.81], (len(times), 1)))
-
-
 def count_preintegrations(monkeypatch):
-    """Patch the pipeline's preintegrate to count its calls by segment."""
+    """Patch the pipeline's preintegrate to count its calls."""
     calls = []
 
     def counted(stream, t_start, t_end, **kwargs):
@@ -625,87 +623,76 @@ def count_preintegrations(monkeypatch):
     return calls
 
 
-def assert_fresh_deltas(pipeline, ctrl_times, deltas):
-    # each delta bit for bit a fresh preintegration of the stored stream over
-    # the times it was integrated over: those of the kept segment it came
-    # from, within 1e-9 s of the requested ones, or else the requested ones
-    for seg, delta in deltas:
-        t_i, t_j = float(ctrl_times[seg]), float(ctrl_times[seg + 1])
-        kept = pipeline._segments.get(_segment_key(t_i, t_j))
-        start, end = (kept.t_i, kept.t_j) if kept is not None and kept.delta is delta else (t_i, t_j)
-        assert abs(start - t_i) <= 1e-9 and abs(end - t_j) <= 1e-9
-        fresh = preintegrate(pipeline.imu.between(start - 0.05, end + 0.05), start, end,
-                             gyro_bias=pipeline.gyro_bias)
-        for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
-            assert np.array_equal(getattr(delta, name), getattr(fresh, name))
-
-
-def test_segment_deltas_are_reused_within_the_window(corridor_run, monkeypatch):
-    # the last window's segments that the stream reaches past come back
-    # from the cache, each bit for bit a fresh preintegration
-    pipeline = copy.deepcopy(corridor_run[0])
-    ctrl_times = pipeline._control_times(pipeline.scans.times[-1])
-    calls = count_preintegrations(monkeypatch)
-    deltas = pipeline._segment_deltas(ctrl_times)
-    reached = [seg for seg, _ in deltas if ctrl_times[seg + 1] + 0.05 < pipeline.imu.times[-1]]
-    assert len(reached) >= 5
-    assert len(calls) == len(deltas) - len(reached)
-    assert_fresh_deltas(pipeline, ctrl_times, deltas)
-
-
-def test_segment_cache_holds_one_window_over_200_scans(monkeypatch):
+def test_window_deltas_are_fresh_preintegrations_of_the_stream_it_passed(monkeypatch):
+    # 200 scans ending at stamps like a sensor's, 1/1200 s before each tenth
+    # with jitter; the IMU arrives every 5 scans, up to 0 to 0.6 s past the
+    # scan, so the stream often ends mid-window, at any offset from the
+    # control times; every 40th window is trimmed past its first segment's
+    # first sample. Each window integrates once; its segments are those of
+    # the per-segment coverage rule, and each delta equals, bit for bit, a
+    # scalar preintegration of the stream the window passed
+    rng = np.random.default_rng(0)
+    times = np.arange(-200, 4200) / 200.0 + rng.uniform(-1e-4, 1e-4, 4400)
+    gyro = [0.0, 0.0, 0.1] + 0.05 * rng.normal(size=(4400, 3))
+    accel = [0.0, 0.0, 9.81] + 0.2 * rng.normal(size=(4400, 3))
     pipeline = OdometryPipeline()
-    pipeline.add_imu(imu_at_rest(-1.0, 21.0))
+    pipeline.gyro_bias = np.array([0.002, -0.001, 0.003])
     calls = count_preintegrations(monkeypatch)
-    segments = set()
+    fed, partial, trimmed = 0, 0, 0
     for k in range(200):
-        # scans end at stamps like a sensor's, 1/1200 s before each tenth
-        t_now = 0.1 * (k + 1) - 1.0 / 1200.0
+        t_now = 0.1 * (k + 1) - 1.0 / 1200.0 + rng.uniform(-2e-4, 2e-4)
+        if k % 5 == 0:
+            upto = np.searchsorted(times, t_now + rng.uniform(0.0, 0.6))
+            pipeline.add_imu(ImuStream(times[fed:upto], gyro[fed:upto], accel[fed:upto]))
+            fed = upto
         pipeline.scans.push(t_now, None)
+        pipeline._trim_imu(t_now - pipeline.config.buffer_capacity)
         ctrl_times = pipeline._control_times(t_now)
-        deltas = pipeline._segment_deltas(ctrl_times)
-        segments |= {_segment_key(a, b) for a, b in zip(ctrl_times[:-1], ctrl_times[1:])}
-        assert len(deltas) == len(ctrl_times) - 1
-        for kept in pipeline._segments.values():
-            assert ctrl_times[0] < 0.5 * (kept.t_i + kept.t_j) < ctrl_times[-1]
-        if k % 50 == 49:
-            assert_fresh_deltas(pipeline, ctrl_times, deltas)
-    # the stream covers every segment from the start and is never trimmed,
-    # so each segment is integrated once, whatever ulps its times carry
-    assert len(calls) == len(segments) < 250
+        if k % 40 == 39:
+            pipeline._trim_imu(ctrl_times[0] + 0.012)
+            trimmed += 1
+        imu_seg, delta = pipeline._segment_deltas(ctrl_times)
+        assert len(calls) == k + 1
+        covered = []
+        for seg in range(len(ctrl_times) - 1):
+            t_i, t_j = ctrl_times[seg], ctrl_times[seg + 1]
+            seen = pipeline.imu.between(t_i - 0.05, t_j + 0.05).times
+            slack = 0.25 * (t_j - t_i)
+            if len(seen) >= 2 and seen[0] <= t_i + slack and seen[-1] >= t_j - slack:
+                covered.append(seg)
+        assert imu_seg.tolist() == covered and len(covered) > 0
+        partial += len(covered) < len(ctrl_times) - 1
+        passed = pipeline.imu.between(ctrl_times[0] - 0.05, ctrl_times[-1] + 0.05)
+        for s, seg in enumerate(imu_seg):
+            fresh = preintegrate(passed, ctrl_times[seg], ctrl_times[seg + 1],
+                                 gyro_bias=pipeline.gyro_bias)
+            for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+                assert np.array_equal(getattr(delta, name)[s], getattr(fresh, name))
+    assert partial >= 50 and trimmed == 5
 
 
-def test_segment_short_of_the_stream_end_is_integrated_again(monkeypatch):
-    # the stream ends at 1.02 s, short of the last segment's t_j + 0.05, so
-    # that segment is integrated again once more samples arrive; the
-    # others are reused
+def test_imu_gap_across_a_control_time_is_interpolated():
+    # 90 ms gaps in the samples straddle the control times 1.0 s (the
+    # window's first) and 1.5 s. The segment from 1.5 s starts at the value
+    # interpolated across its gap, read from the stream the window passed
+    # (0.95 to 2.05 s), where a stream cut to the segment's own reach (1.45
+    # to 1.65 s) clamps it to the sample at 1.52 s; the window's first
+    # segment, whose gap starts before the window's reach, is clamped
+    times = np.arange(600) / 200.0
+    times = times[(times <= 0.93) | (times >= 1.02) & (times <= 1.43) | (times >= 1.52)]
+    gyro = np.stack([times, -times, 2.0 * times], axis=1)
     pipeline = OdometryPipeline()
-    pipeline.add_imu(imu_at_rest(0.0, 1.021))
-    ctrl_times = 0.1 * np.arange(11)
-    calls = count_preintegrations(monkeypatch)
-    pipeline._segment_deltas(ctrl_times)
-    assert len(calls) == 10
-    kept = [(entry.t_i, entry.t_j) for entry in pipeline._segments.values()]
-    assert kept == [(float(a), float(b)) for a, b in zip(ctrl_times[:9], ctrl_times[1:10])]
-    pipeline.add_imu(imu_at_rest(1.021, 2.0))
-    deltas = pipeline._segment_deltas(ctrl_times)
-    assert calls[10:] == [(0.9, 1.0)]
-    assert_fresh_deltas(pipeline, ctrl_times, deltas)
-
-
-def test_segment_is_integrated_again_once_its_samples_are_trimmed(monkeypatch):
-    # trimming the stream past a kept segment's first sample makes the
-    # segment read fewer samples, so it is integrated again
-    pipeline = OdometryPipeline()
-    pipeline.add_imu(imu_at_rest(0.0, 2.0))
-    ctrl_times = 0.5 + 0.1 * np.arange(6)
-    pipeline._segment_deltas(ctrl_times)
-    assert len(pipeline._segments) == 5
-    calls = count_preintegrations(monkeypatch)
-    pipeline._trim_imu(0.52)
-    deltas = pipeline._segment_deltas(ctrl_times)
-    assert calls == [(0.5, 0.6)]
-    assert_fresh_deltas(pipeline, ctrl_times, deltas)
+    pipeline.add_imu(ImuStream(times, gyro, gyro + [0.0, 0.0, 9.81]))
+    ctrl_times = 1.0 + 0.1 * np.arange(11)
+    imu_seg, delta = pipeline._segment_deltas(ctrl_times)
+    assert imu_seg.tolist() == list(range(10))
+    for seg, across in ((0, False), (5, True)):
+        t_i, t_j = ctrl_times[seg : seg + 2]
+        whole = preintegrate(pipeline.imu, t_i, t_j)
+        own = preintegrate(pipeline.imu.between(t_i - 0.05, t_j + 0.05), t_i, t_j)
+        assert not np.allclose(whole.delta_rot, own.delta_rot, rtol=0.0, atol=1e-6)
+        for name in ("delta_rot", "delta_vel", "delta_pos"):
+            assert np.array_equal(getattr(delta, name)[seg], getattr(whole if across else own, name))
 
 
 def test_imu_history_trimmed_to_buffer_capacity():
