@@ -611,8 +611,16 @@ def test_window_points_equal_deskew_through_its_trajectory(corridor_run, corrido
     assert np.allclose(world.points, own, rtol=0.0, atol=1e-12)
 
 
+def imu_ramp(t0, t1, rate=200.0):
+    """An IMU stream sampled over [t0, t1) whose rates grow with time, so a
+    delta changes with each sample it reads."""
+    times = np.arange(np.ceil(t0 * rate), np.ceil(t1 * rate)) / rate
+    gyro = np.stack([times, -times, 0.1 + times], axis=1)
+    return ImuStream(times, gyro, gyro + [0.0, 0.0, 9.81])
+
+
 def count_preintegrations(monkeypatch):
-    """Patch the pipeline's preintegrate to count its calls."""
+    """Patch the pipeline's preintegrate to record the bounds of each call."""
     calls = []
 
     def counted(stream, t_start, t_end, **kwargs):
@@ -623,14 +631,40 @@ def count_preintegrations(monkeypatch):
     return calls
 
 
-def test_window_deltas_are_fresh_preintegrations_of_the_stream_it_passed(monkeypatch):
-    # 200 scans ending at stamps like a sensor's, 1/1200 s before each tenth
-    # with jitter; the IMU arrives every 5 scans, up to 0 to 0.6 s past the
-    # scan, so the stream often ends mid-window, at any offset from the
-    # control times; every 40th window is trimmed past its first segment's
-    # first sample. Each window integrates once; its segments are those of
-    # the per-segment coverage rule, and each delta equals, bit for bit, a
-    # scalar preintegration of the stream the window passed
+def assert_fresh_deltas(pipeline, ctrl_times, imu_seg, delta):
+    # each delta bit for bit a scalar preintegration of the stream the
+    # window passed, over its segment's control times
+    passed = pipeline.imu.between(ctrl_times[0] - 0.05, ctrl_times[-1] + 0.05)
+    for s, seg in enumerate(imu_seg):
+        fresh = preintegrate(passed, ctrl_times[seg], ctrl_times[seg + 1],
+                             gyro_bias=pipeline.gyro_bias)
+        for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+            assert np.array_equal(getattr(delta, name)[s], getattr(fresh, name))
+
+
+def test_segment_deltas_are_reused_within_the_window(corridor_run, monkeypatch):
+    # the last window's covered segments share one batched integration of
+    # the one stream the window passed, each entry a fresh scalar call
+    pipeline = corridor_run[0]
+    ctrl_times = pipeline._control_times(pipeline.scans.times[-1])
+    calls = count_preintegrations(monkeypatch)
+    imu_seg, delta = pipeline._segment_deltas(ctrl_times)
+    assert len(imu_seg) >= 5 and len(calls) == 1
+    t_start, t_end = calls[0]
+    assert np.array_equal(t_start, ctrl_times[imu_seg])
+    assert np.array_equal(t_end, ctrl_times[imu_seg + 1])
+    assert_fresh_deltas(pipeline, ctrl_times, imu_seg, delta)
+
+
+def test_segment_cache_holds_one_window_over_200_scans(monkeypatch):
+    # no delta outlives its window. 200 scans ending at stamps like a
+    # sensor's, 1/1200 s before each tenth with jitter; the IMU arrives every
+    # 5 scans, up to 0 to 0.6 s past the scan, so the stream often ends
+    # mid-window, at any offset from the control times; every 40th window is
+    # trimmed past its first segment's first sample. Each window integrates
+    # once; its segments are those of the per-segment coverage rule, and each
+    # delta equals, bit for bit, a scalar preintegration of the stream the
+    # window passed
     rng = np.random.default_rng(0)
     times = np.arange(-200, 4200) / 200.0 + rng.uniform(-1e-4, 1e-4, 4400)
     gyro = [0.0, 0.0, 0.1] + 0.05 * rng.normal(size=(4400, 3))
@@ -662,13 +696,46 @@ def test_window_deltas_are_fresh_preintegrations_of_the_stream_it_passed(monkeyp
                 covered.append(seg)
         assert imu_seg.tolist() == covered and len(covered) > 0
         partial += len(covered) < len(ctrl_times) - 1
-        passed = pipeline.imu.between(ctrl_times[0] - 0.05, ctrl_times[-1] + 0.05)
-        for s, seg in enumerate(imu_seg):
-            fresh = preintegrate(passed, ctrl_times[seg], ctrl_times[seg + 1],
-                                 gyro_bias=pipeline.gyro_bias)
-            for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
-                assert np.array_equal(getattr(delta, name)[s], getattr(fresh, name))
+        assert_fresh_deltas(pipeline, ctrl_times, imu_seg, delta)
     assert partial >= 50 and trimmed == 5
+
+
+def test_segment_short_of_the_stream_end_is_integrated_again(monkeypatch):
+    # the stream ends at 0.93 s, short of the last segment [0.9, 1.0] by more
+    # than a quarter segment, so the window leaves that segment out; once
+    # more samples arrive, the next call integrates it along with the others,
+    # which read the same samples and come back bit for bit
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(imu_ramp(0.0, 0.931))
+    ctrl_times = 0.1 * np.arange(11)
+    calls = count_preintegrations(monkeypatch)
+    imu_seg, short = pipeline._segment_deltas(ctrl_times)
+    assert imu_seg.tolist() == list(range(9))
+    pipeline.add_imu(imu_ramp(0.931, 2.0))
+    imu_seg, delta = pipeline._segment_deltas(ctrl_times)
+    assert imu_seg.tolist() == list(range(10)) and len(calls) == 2
+    assert np.array_equal(calls[1][0], ctrl_times[:10])
+    for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+        assert np.array_equal(getattr(delta, name)[:9], getattr(short, name))
+    assert_fresh_deltas(pipeline, ctrl_times, imu_seg, delta)
+
+
+def test_segment_is_integrated_again_once_its_samples_are_trimmed(monkeypatch):
+    # trimming the stream past the first segment's first sample makes that
+    # segment read fewer samples: the next call integrates the trimmed
+    # stream, so its delta changes, while the later segments read as before
+    pipeline = OdometryPipeline()
+    pipeline.add_imu(imu_ramp(0.0, 2.0))
+    ctrl_times = 0.5 + 0.1 * np.arange(6)
+    imu_seg, whole = pipeline._segment_deltas(ctrl_times)
+    calls = count_preintegrations(monkeypatch)
+    pipeline._trim_imu(0.52)
+    trimmed_seg, delta = pipeline._segment_deltas(ctrl_times)
+    assert imu_seg.tolist() == trimmed_seg.tolist() == list(range(5)) and len(calls) == 1
+    assert not np.allclose(delta.delta_rot[0], whole.delta_rot[0], rtol=0.0, atol=1e-9)
+    for name in ("dt", "delta_rot", "delta_vel", "delta_pos"):
+        assert np.array_equal(getattr(delta, name)[1:], getattr(whole, name)[1:])
+    assert_fresh_deltas(pipeline, ctrl_times, trimmed_seg, delta)
 
 
 def test_imu_gap_across_a_control_time_is_interpolated():
